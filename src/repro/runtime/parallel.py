@@ -430,10 +430,17 @@ class CoreWorkerPool:
     semaphore posted once per ``window`` dispatches.
 
     ``capacity`` bounds each ring (default ``max(2 * window, 8)``
-    slots); the parent never blocks on a full ring without draining
-    completions first, so deep traces flow through shallow rings.
-    ``max_batch`` sizes the ring slots for the widest coalesced block
-    the cluster may dispatch.
+    slots).  Deep traces flow through the shallow rings on one
+    invariant: the parent never sleeps on a semaphore while any
+    completion slot is readable.  Every submit moves the core's
+    already-posted completions into a parent-side stash, and before
+    the parent blocks — on a full request ring, or on one core's next
+    completion — it drains *every* core's ring, so no worker stays
+    parked on a full completion ring.  The ``POLL_S`` timer on those
+    waits is for liveness only (a dead worker raises instead of
+    hanging); :attr:`poll_timeouts` counts its expiries, which flow
+    control never causes.  ``max_batch`` sizes the ring slots for the
+    widest coalesced block the cluster may dispatch.
     """
 
     def __init__(
@@ -494,9 +501,13 @@ class CoreWorkerPool:
         #: batches): the worker computes them anyway, the parent skips
         #: them when they surface.
         self._discarded: list[set[int]] = [set() for _ in range(num_cores)]
-        #: Completions drained out-of-band (to unwedge a full ring),
-        #: held in worker order until ``result``/``drain`` consume them.
+        #: Completions already read off the rings (after each submit
+        #: and before every blocking wait), held in worker order until
+        #: ``result``/``drain`` consume them.
         self._stash: list[deque] = [deque() for _ in range(num_cores)]
+        #: One ``on_stall`` callback per core, built once: the blocking
+        #: ring helpers take one on every dispatch.
+        self._guards = [self._stall_guard(core) for core in range(num_cores)]
         self._rings: list[RingProducer] | None = None
         self._published: list[PublishedModel] = []
         self._closed = False
@@ -518,20 +529,33 @@ class CoreWorkerPool:
             names.extend(ring.segment_name for ring in self._rings)
         return tuple(names)
 
+    @property
+    def poll_timeouts(self) -> int:
+        """Timed ring waits that expired, summed over the live rings.
+
+        The timer only guards liveness, so anything above 0 means the
+        parent sat out a whole ``POLL_S``: a worker was dead, parked,
+        or busy that long with one batch (a GC pause, a huge model).
+        """
+        return sum(ring.poll_timeouts for ring in self._rings or ())
+
     # ------------------------------------------------------------------
     # Ring management
     # ------------------------------------------------------------------
     def _stall_guard(self, core: int):
         """An ``on_stall`` callback: drain completions, check liveness.
 
-        Draining keeps a capacity-bound ring from deadlocking (the
-        worker may itself be blocked on a full completion ring); the
-        liveness check turns a worker crash into a loud error instead
-        of an indefinite wait.
+        Runs before the parent blocks on ``core`` and on every timer
+        expiry while it waits.  Draining every core's ring releases
+        any worker parked on a full completion ring — this core's,
+        whose progress the parent is waiting for, and its siblings',
+        which would otherwise idle until the wait ends; the liveness
+        check turns a worker crash into a loud error instead of an
+        indefinite wait.
         """
 
         def on_stall() -> None:
-            self._drain_ready(core)
+            self._drain_all()
             if not self._procs[core].is_alive():
                 raise RuntimeError(
                     f"worker {core} died while the parent awaited a "
@@ -541,18 +565,28 @@ class CoreWorkerPool:
         return on_stall
 
     def _drain_ready(self, core: int) -> None:
-        """Move every already-posted completion into the stash."""
+        """Move one core's already-posted completions into its stash."""
         while True:
             message = self._rings[core].poll()
             if message is None:
                 return
             self._stash[core].append(message)
 
+    def _drain_all(self) -> None:
+        """Empty every core's completion ring into its stash."""
+        for core in range(self.num_cores):
+            self._drain_ready(core)
+
     def _next_completion(self, core: int) -> tuple:
         """The next completion in worker order (stash, then ring)."""
-        if self._stash[core]:
-            return self._stash[core].popleft()
-        return self._rings[core].collect(on_stall=self._stall_guard(core))
+        stash = self._stash[core]
+        if not stash:
+            # About to block on this core: empty every ring first, so
+            # siblings keep computing while the join order is here.
+            self._drain_all()
+        if stash:
+            return stash.popleft()
+        return self._rings[core].collect(on_stall=self._guards[core])
 
     def _pipe_recv(self, core: int):
         """Receive a control-plane ack, watching for a dead worker."""
@@ -569,7 +603,7 @@ class CoreWorkerPool:
         """Queue one pipe message behind the core's in-ring traffic."""
         if self._rings is not None:
             self._rings[core].submit_control(
-                ("pipe",), on_stall=self._stall_guard(core)
+                ("pipe",), on_stall=self._guards[core]
             )
         self._pipes[core].send(message)
 
@@ -695,7 +729,10 @@ class CoreWorkerPool:
         ``(batch, input)`` stack; the worker mirrors the serial path's
         ``execute`` / ``execute_batch`` split on its dimensionality.
         The ring semaphore is only posted once ``window`` dispatches
-        have accumulated, so W batches cost one wake-up.
+        have accumulated, so W batches cost one wake-up.  Completions
+        the worker has already posted move to the stash on the way out
+        (one uncontended ``sem_trywait`` when there are none), which
+        keeps its completion ring shallow however deep the serve runs.
         """
         if self._rings is None:
             raise RuntimeError("no model deployed; rings not attached")
@@ -708,8 +745,9 @@ class CoreWorkerPool:
             block,
             now_s,
             key,
-            on_stall=self._stall_guard(core),
+            on_stall=self._guards[core],
         )
+        self._drain_ready(core)
         return seq
 
     def flush(self) -> None:
@@ -770,7 +808,7 @@ class CoreWorkerPool:
                 ),
                 now_s,
             ),
-            on_stall=self._stall_guard(core),
+            on_stall=self._guards[core],
         )
 
     def relock(
@@ -786,13 +824,13 @@ class CoreWorkerPool:
         """
         self._rings[core].submit_control(
             ("relock", now_s, tuple(residual_volts)),
-            on_stall=self._stall_guard(core),
+            on_stall=self._guards[core],
         )
 
     def invalidate(self, core: int) -> None:
         """Drop a worker's compiled plans (quarantine bookkeeping)."""
         self._rings[core].submit_control(
-            ("invalidate",), on_stall=self._stall_guard(core)
+            ("invalidate",), on_stall=self._guards[core]
         )
 
     def drain(self) -> None:
@@ -829,7 +867,9 @@ class CoreWorkerPool:
                 self._drain_ready(core)
             except Exception:  # pragma: no cover - corrupt ring
                 raise _CloseTimeout
-            if ticks >= give_up_ticks or not self._procs[core].is_alive():
+            # The first call precedes the first wait, so ``ticks - 1``
+            # timers have expired by now.
+            if ticks > give_up_ticks or not self._procs[core].is_alive():
                 raise _CloseTimeout
 
         self._rings[core].submit_control(("stop",), on_stall=on_stall)

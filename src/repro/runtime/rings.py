@@ -39,12 +39,23 @@ noise is keyed by its dispatch sequence, and outputs are matched back
 by sequence number — so window size and scheduling jitter cannot
 change a single served bit.
 
+Flow control is a cycle — the parent fills the request ring, the
+worker fills the completion ring, and each blocks on the other's free
+semaphore — so one invariant keeps it from stalling: **the parent
+never sleeps on a semaphore while a completion slot is readable**.  On
+a full request ring :class:`RingProducer` flushes its window, runs the
+caller's ``on_stall`` callback (which drains completions, unblocking a
+worker parked on a full completion ring), and only then waits.
+
 Crash safety: the parent creates, owns, and unlinks every ring
 segment.  A worker that dies holding a slot leaves the semaphores
-wedged, never the memory — the parent's blocking helpers take an
-``on_stall`` callback that checks worker liveness (and drains
-completions) every ``POLL_S``, and :meth:`RingProducer.close` unlinks
-the segment unconditionally.
+wedged, never the memory — so the parent's waits are timed, and each
+``POLL_S`` expiry re-runs ``on_stall``, which also checks worker
+liveness.  The timer is for liveness only:
+:attr:`RingProducer.poll_timeouts` counts the waits that ran it out,
+and only a worker that is dead — or spends longer than ``POLL_S`` on
+one batch — makes it move.  :meth:`RingProducer.close` unlinks the
+segment unconditionally.
 """
 
 from __future__ import annotations
@@ -73,6 +84,7 @@ COMPLETION_HEADER_BYTES = 64
 #: Control pickles and error tracebacks must always fit a slot.
 MIN_PAYLOAD_BYTES = 2048
 #: Blocking helpers re-check liveness at this cadence (wall seconds).
+#: Progress never depends on it — see the module docstring.
 POLL_S = 0.05
 
 #: Request-slot kinds.
@@ -241,9 +253,11 @@ class RingProducer:
     ``window`` is the signalling batch size — slot writes accumulate
     silently and the request-items semaphore is posted once per window
     (or at any blocking point).  ``on_stall`` callbacks passed to the
-    blocking helpers run every :data:`POLL_S` while waiting; they are
-    where the pool checks worker liveness and drains completions so a
-    full ring can never deadlock.
+    blocking helpers are where the pool drains completions and checks
+    worker liveness: a full request ring runs the callback *before*
+    its first wait, so a worker parked on a full completion ring is
+    released at once, and every :data:`POLL_S` expiry (counted in
+    :attr:`poll_timeouts`) runs it again to catch a dead worker.
     """
 
     def __init__(
@@ -268,6 +282,10 @@ class RingProducer:
         self._submitted = 0
         self._collected = 0
         self._pending_signals = 0
+        #: Timed waits that ran out their :data:`POLL_S` (observable
+        #: for tests and the pool's counter).  Flow control never
+        #: causes one; a worker stuck on one batch that long does.
+        self.poll_timeouts = 0
         self._closed = False
 
     @property
@@ -287,12 +305,16 @@ class RingProducer:
             return
         # The ring is full: the worker is a whole capacity behind, so
         # make sure it has been told about everything submitted (a
-        # deferred window would deadlock here) and give the stall
-        # callback a chance to drain completions / detect a corpse.
+        # deferred window would deadlock here), then drain completions
+        # *before* sleeping — the worker may itself be parked on a
+        # full completion ring, and nothing else would wake it.
         self.flush()
-        while not self._sems.request_free.acquire(True, POLL_S):
+        while True:
             if on_stall is not None:
                 on_stall()
+            if self._sems.request_free.acquire(True, POLL_S):
+                return
+            self.poll_timeouts += 1
 
     def submit_run(
         self,
@@ -419,6 +441,7 @@ class RingProducer:
         cannot finish a window it was never told about)."""
         self.flush()
         while not self._sems.completion_items.acquire(True, POLL_S):
+            self.poll_timeouts += 1
             if on_stall is not None:
                 on_stall()
         return self._read_completion()

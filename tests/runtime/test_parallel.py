@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import os
 import signal
+import time
+from collections import Counter
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -29,6 +31,8 @@ from repro.core.dag import AttentionShape, ConvShape, PoolShape
 from repro.faults import CalibrationWatchdog, FaultSchedule, RetryPolicy
 from repro.photonics import BehavioralCore, CoreArchitecture, GaussianNoise
 from repro.runtime import Cluster, RuntimeRequest
+from repro.runtime import parallel as parallel_module
+from repro.runtime import rings as rings_module
 
 
 def make_cluster(execution, num_cores=4, hardware_batch=1, **kwargs):
@@ -423,6 +427,77 @@ class TestCompletionModes:
     def test_unknown_completions_mode_rejected(self):
         with pytest.raises(ValueError, match="completions mode"):
             make_cluster("parallel", completions="telepathy")
+
+
+class TestStallFreeDispatch:
+    """Deep serves through shallow rings never wait out the poll timer.
+
+    ``serve_trace`` defers every join until the virtual clock drains,
+    so a serve far deeper than the 16-slot rings only flows if the
+    parent drains completions itself — after each submit and before it
+    blocks.  With ``POLL_S`` raised to 30 s any wait the timer has to
+    break (the pre-fix flow-control cycle: worker parked on a full
+    completion ring, parent asleep on the full request ring behind it)
+    blows the 10 s budget, so a pass cannot be a lucky schedule.
+    """
+
+    @pytest.mark.parametrize("completions", ["predictions", "rows"])
+    @pytest.mark.parametrize("num_cores", [1, 2])
+    def test_deep_serve_never_sleeps_on_the_timer(
+        self, monkeypatch, num_cores, completions
+    ):
+        monkeypatch.setattr(rings_module, "POLL_S", 30.0)
+        monkeypatch.setattr(parallel_module, "POLL_S", 30.0)
+        kwargs = {
+            "num_cores": num_cores, "window": 8, "completions": completions,
+        }
+        dag = dense_dag()
+        with make_cluster("parallel", **kwargs) as cluster:
+            cluster.deploy(dag)
+            depth = 4 * cluster._pool.capacity
+            # Slow enough that nothing queues past the admission
+            # bound: every request is its own single-row dispatch.
+            trace = steady_trace(
+                count=5 * depth * num_cores // 4, spacing_s=8e-6
+            )
+            started = time.perf_counter()
+            parallel = cluster.serve_trace(trace)
+            elapsed = time.perf_counter() - started
+            assert cluster._pool.poll_timeouts == 0
+        assert elapsed < 10.0
+        assert parallel.served == parallel.offered
+        per_core = Counter(r.core for r in parallel.records)
+        assert all(r.batch_size == 1 for r in parallel.records)
+        assert min(per_core[core] for core in range(num_cores)) >= depth
+        serial = make_cluster("serial", **kwargs)
+        serial.deploy(dag)
+        assert_bit_identical(serial.serve_trace(trace), parallel)
+
+    def test_join_on_one_core_drains_its_siblings(self):
+        # Blocking for core 0's next completion must first empty core
+        # 1's ring into its stash, or worker 1 would sit on a filling
+        # completion ring until the join order got round to it.
+        with make_cluster("parallel", num_cores=2) as cluster:
+            dag = dense_dag()
+            cluster.deploy(dag)
+            pool = cluster._pool
+            burst = pool.capacity // 2
+            for i in range(burst):
+                pool.run(1, dag.model_id, np.zeros(12), 0.0, (0, 0, 0, i))
+            pool.flush()
+            posted = pool._sems[1].completion_items
+            deadline = time.monotonic() + 10.0
+            while len(pool._stash[1]) + posted.get_value() < burst:
+                assert time.monotonic() < deadline, "worker 1 never answered"
+                time.sleep(0.001)
+            # Below the window, so worker 0 only hears of this batch
+            # when result() flushes — after the cross-core drain.
+            seq = pool.run(0, dag.model_id, np.zeros(12), 0.0, (0, 0, 0, 0))
+            pool.result(0, seq)
+            assert len(pool._stash[1]) == burst
+            assert posted.get_value() == 0
+            pool.drain()
+            assert pool.poll_timeouts == 0
 
 
 class TestWorkerCrashHardening:

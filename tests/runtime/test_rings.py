@@ -19,6 +19,7 @@ import pytest
 
 from repro.runtime.rings import (
     MIN_PAYLOAD_BYTES,
+    POLL_S,
     RingConsumer,
     RingGeometry,
     RingProducer,
@@ -269,8 +270,133 @@ class TestWindowedSignalling:
             # stall callback here) then finds the slot and answers.
             assert producer.collect(on_stall=on_stall)[1] == 0
             assert producer.pending_signals == 0
+            # The one (real) timer expiry that ran the callback is on
+            # the counter; a completion already posted costs no wait.
+            assert producer.poll_timeouts == 1
+            consumer.post_predictions(1, [2])
+            assert producer.collect()[1] == 1
+            assert producer.poll_timeouts == 1
         finally:
             consumer.close()
+            producer.close()
+
+
+class _ScriptedSemaphore:
+    """A semaphore whose every call lands in one shared, ordered log.
+
+    ``acquire(False)`` answers from the counter like the real thing;
+    a *timed* ``acquire`` never sleeps — it succeeds if the counter is
+    positive and otherwise reports an expired wait at once.
+    """
+
+    def __init__(self, name: str, value: int, log: list) -> None:
+        self.name = name
+        self.value = value
+        self.log = log
+
+    def acquire(self, block=True, timeout=None) -> bool:
+        self.log.append((self.name, "wait" if block else "try", timeout))
+        if self.value > 0:
+            self.value -= 1
+            return True
+        return False
+
+    def release(self) -> None:
+        self.log.append((self.name, "post", None))
+        self.value += 1
+
+
+class _ScriptedSems:
+    """Duck-typed :class:`RingSems` over scripted semaphores."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.log: list = []
+        self.request_items = _ScriptedSemaphore("request_items", 0, self.log)
+        self.request_free = _ScriptedSemaphore(
+            "request_free", capacity, self.log
+        )
+        self.completion_items = _ScriptedSemaphore(
+            "completion_items", 0, self.log
+        )
+        self.completion_free = _ScriptedSemaphore(
+            "completion_free", capacity, self.log
+        )
+
+
+class TestStallFreeFlowControl:
+    """The parent never sleeps while a completion slot is readable.
+
+    On a full request ring the producer must flush its window, run the
+    stall callback (the pool's completion drain), and only then wait —
+    the timer exists to notice a dead worker, never to break a
+    flow-control cycle.  Scripted semaphores make the order, and the
+    absence of an expired wait, exact rather than timing-dependent.
+    """
+
+    CAPACITY = 4
+
+    def full_ring(self, window=CAPACITY):
+        """A producer over scripted semaphores, every request slot taken."""
+        geometry = RingGeometry(
+            capacity=self.CAPACITY, request_bytes=4096,
+            completion_bytes=2048,
+        )
+        sems = _ScriptedSems(self.CAPACITY)
+        producer = RingProducer(geometry, sems, window=window)
+        block = np.zeros(4)
+        for seq in range(self.CAPACITY):
+            producer.submit_run(seq, 1, block, 0.0, (0, 0, 0, seq))
+        return producer, sems
+
+    def test_full_ring_flushes_then_drains_then_waits(self):
+        # window 3 on a 4-slot ring: slots 0-2 were posted, slot 3 is
+        # still pending when the ring fills.
+        producer, sems = self.full_ring(window=3)
+        try:
+            assert producer.pending_signals == 1
+            del sems.log[:]
+
+            def on_stall():
+                sems.log.append(("on_stall", None, None))
+                # The drain unparks the worker, which consumes a slot.
+                sems.request_free.value += 1
+
+            producer.submit_run(
+                self.CAPACITY, 1, np.zeros(4), 0.0, (0, 0, 0, 0),
+                on_stall=on_stall,
+            )
+            assert sems.log[:4] == [
+                ("request_free", "try", None),    # ring is full
+                ("request_items", "post", None),  # flush the window
+                ("on_stall", None, None),         # drain completions
+                ("request_free", "wait", POLL_S),  # only now sleep
+            ]
+            # That one wait was satisfied by the drain: no timer ran out.
+            assert producer.poll_timeouts == 0
+            waits = [e for e in sems.log if e[1] == "wait"]
+            assert len(waits) == 1
+        finally:
+            producer.close()
+
+    def test_expired_waits_are_counted_and_rerun_the_guard(self):
+        # A peer that stays wedged: every expiry is counted and hands
+        # control back to the guard, which is what detects a corpse.
+        producer, sems = self.full_ring()
+        try:
+            calls = []
+
+            def on_stall():
+                calls.append(producer.poll_timeouts)
+                if len(calls) == 3:
+                    raise RuntimeError("worker 0 died")
+
+            with pytest.raises(RuntimeError, match="died"):
+                producer.submit_control(("stop",), on_stall=on_stall)
+            # Guard before the first wait, then once per expiry.
+            assert calls == [0, 1, 2]
+            assert producer.poll_timeouts == 2
+        finally:
             producer.close()
 
 
