@@ -24,8 +24,10 @@ Lightning's datapath (Figure 11).
 
 from __future__ import annotations
 
+import contextlib
 import enum
-from collections.abc import Callable, Iterable
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from typing import Any
 
@@ -64,9 +66,19 @@ class ControlRegisterFile:
     very next cycle.
     """
 
+    #: Recent writes kept for inspection.  The file lives as long as its
+    #: datapath and takes a layer's worth of writes per request, so an
+    #: unbounded log is a leak; readers that need every write of some
+    #: span use :meth:`capture` instead of the ring.
+    WRITE_LOG_DEPTH = 1024
+
     def __init__(self) -> None:
         self._registers: dict[str, Any] = {}
-        self._write_log: list[tuple[str, Any]] = []
+        self._write_log: deque[tuple[str, Any]] | list[tuple[str, Any]]
+        self._write_log = deque(maxlen=self.WRITE_LOG_DEPTH)
+        #: Monotone count of every write ever made: the ring has
+        #: forgotten ``write_count - len(write_log)`` of them.
+        self.write_count = 0
 
     def write(self, name: str, value: Any) -> None:
         """Write one control register (runtime reconfiguration)."""
@@ -74,6 +86,7 @@ class ControlRegisterFile:
             raise ValueError("register name cannot be empty")
         self._registers[name] = value
         self._write_log.append((name, value))
+        self.write_count += 1
 
     def write_many(self, values: dict[str, Any]) -> None:
         """Write a batch of registers (one layer's configuration)."""
@@ -96,8 +109,25 @@ class ControlRegisterFile:
 
     @property
     def write_log(self) -> tuple[tuple[str, Any], ...]:
-        """Chronological record of all register writes (for inspection)."""
+        """The most recent register writes, oldest first (bounded by
+        :attr:`WRITE_LOG_DEPTH`)."""
         return tuple(self._write_log)
+
+    @contextlib.contextmanager
+    def capture(self) -> Iterator[list[tuple[str, Any]]]:
+        """Collect every write made inside the block, however many.
+
+        The writes are diverted to the yielded list (so ``write`` pays
+        nothing for the hook, and a span longer than the ring loses
+        none) and the ring catches up on exit; captures nest.
+        """
+        ring, captured = self._write_log, []
+        self._write_log = captured
+        try:
+            yield captured
+        finally:
+            ring.extend(captured)
+            self._write_log = ring
 
 
 @dataclass(frozen=True)

@@ -461,12 +461,20 @@ class LightningDatapath:
     def _reduce_row_fast(
         self, row: SignSeparatedRow, activations: np.ndarray
     ) -> float:
-        """Vectorized equivalent of the device path's reduction."""
+        """Vectorized equivalent of the device path's reduction.
+
+        A ``row_granular_noise`` core takes one draw for the row's
+        signed sum — the call a compiled ``DensePlan`` makes for the
+        whole layer, so loop and plan consume the same stream.
+        """
         a_levels, b_levels = self._row_operands(row, activations)
         n = self.num_wavelengths
-        partials = self.core.accumulate(
-            a_levels.reshape(-1, n), b_levels.reshape(-1, n)
-        )
+        a_pairs, b_pairs = a_levels.reshape(-1, n), b_levels.reshape(-1, n)
+        if getattr(self.core, "row_granular_noise", False):
+            return self.core.accumulate_signed(
+                a_pairs, b_pairs, row.group_signs
+            )
+        partials = self.core.accumulate(a_pairs, b_pairs)
         return float(np.sum(row.group_signs * partials))
 
     def _reduce_row_device(

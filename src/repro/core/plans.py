@@ -13,14 +13,16 @@ vectorized numpy operations and *one* photonic-core call per layer.
 
 What a plan precomputes:
 
-* **Dense** — the sign-separated rows of the weight matrix stacked into
-  a single ``(total_steps, N)`` operand block: a clipped gather map into
-  the activation vector (padding positions index slot 0 and are nulled
-  by their zero magnitudes), the stacked magnitude block, the per-step
-  sign control bits, and the ``reduceat`` row boundaries.  Replay is one
-  activation gather, one ``core.accumulate`` (or fused
-  ``accumulate_fast``) call over the whole layer, and one
-  ``np.add.reduceat`` — no per-row Python.
+* **Dense** — each row's readout count and net sign from its sign
+  separation, so replay on a behavioural core with summable noise is
+  one signed ``weights @ activations / 255`` plus one Gaussian per row.
+  Cores that must see every readout (fault wrappers, device-accurate
+  and accumulate-only cores) replay the rows stacked into a single
+  ``(total_steps, N)`` operand block instead — a clipped gather map
+  (padding positions index slot 0 and are nulled by their zero
+  magnitudes), the magnitude block, the per-step sign bits and the
+  ``reduceat`` row boundaries — built lazily: one contraction, one
+  noise fill and one ``np.add.reduceat``, no per-row Python.
 * **Conv** — the im2col gather map for the layer's exact geometry
   (shared process-wide per :class:`~repro.core.dag.ConvShape` via
   :func:`im2col_indices`), plus the transposed kernel matrix, so replay
@@ -36,10 +38,11 @@ Every plan also precomputes the task's full cycle ledger (stream cycles,
 adder-tree latency, non-linearity latency) using *exactly* the formulas
 of the per-row path, so Figure 15/17/21 cycle accounting is bit-for-bit
 unchanged.  Noise semantics are preserved draw-for-draw: a plan issues
-the same RNG stream the per-row loop issued (one Gaussian per photonic
-readout, in the same order), so predictions are reproducible under a
-fixed seed; the only difference is floating-point summation order
-(documented in DESIGN.md).
+the same RNG stream the per-row loop issues (one Gaussian per digital
+output on behavioural cores with summable noise, one per photonic
+readout elsewhere, in the same order), so predictions are reproducible
+under a fixed seed; the only difference is floating-point summation
+order (documented in DESIGN.md).
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .dag import (
     ConvShape,
     LayerTask,
     SignSeparatedRow,
+    sign_separate_row,
 )
 from .nonlinear import NonlinearModule, nonlinear_module
 
@@ -153,18 +157,6 @@ def supports_matmul(core) -> bool:
     if declared is not None:
         return bool(declared)
     return hasattr(core, "matmul")
-
-
-def _accumulate_call(core):
-    """The core's fused streaming accumulate, or plain accumulate.
-
-    ``accumulate_fast`` consumes the identical RNG stream as
-    ``accumulate`` (one noise draw per readout, in order) but fuses the
-    multiply-accumulate into a single einsum pass; device-accurate cores
-    that only provide ``accumulate`` still execute the whole block in
-    one call.
-    """
-    return getattr(core, "accumulate_fast", None) or core.accumulate
 
 
 @dataclass(frozen=True)
@@ -291,32 +283,27 @@ class ExecutionPlan:
         raise NotImplementedError
 
 
-class DensePlan(ExecutionPlan):
-    """A fully-connected layer as one stacked accumulate block."""
+class _ReadoutBlock:
+    """A dense layer as one stacked per-readout accumulate block.
 
-    kind = "dense"
+    For cores that must see every ADC readout: fault wrappers,
+    device-accurate and accumulate-only cores, non-summable noise.
+    """
 
     def __init__(
         self,
-        task: LayerTask,
-        geometry: PlanGeometry,
         rows: list[SignSeparatedRow],
+        num_wavelengths: int,
+        input_size: int,
     ) -> None:
-        super().__init__(task, geometry)
         (
             self.a_index,
             self.magnitudes,
             self.group_signs,
             self.row_starts,
             self.total_steps,
-        ) = _stack_rows(rows, geometry.num_wavelengths)
-        self.rows = len(rows)
-        self.stream_cycles = sum(
-            geometry.preamble_repeats
-            + math.ceil(row.num_steps / geometry.samples_per_cycle)
-            for row in rows
-        )
-        # Replay scratch, owned by the plan so steady-state serving
+        ) = _stack_rows(rows, num_wavelengths)
+        # Replay scratch, owned by the block so steady-state serving
         # allocates nothing per request: the gathered activation block,
         # the per-step partials, and the core's noise-draw buffer.
         # ``accumulate_into`` takes pre-scaled weights (levels / 255),
@@ -329,16 +316,15 @@ class DensePlan(ExecutionPlan):
         # step row (padding entries carry zero magnitude), so the clean
         # partials are one sparse matvec — bit-identical to gathering
         # and contracting lane by lane, at roughly half the memory
-        # traffic.  Built only when scipy's kernel is importable.
-        self._input_size = task.input_size
-        n = geometry.num_wavelengths
+        # traffic.  Used only when scipy's kernel is importable.
+        self._input_size = input_size
         self._csr_indptr = np.arange(
-            0, self.total_steps * n + 1, n, dtype=np.int64
+            0, self.total_steps * num_wavelengths + 1, num_wavelengths,
+            dtype=np.int64,
         )
-        self._csr_indices = np.ascontiguousarray(
-            self.a_index.reshape(-1), dtype=np.int64
-        )
-        self._csr_data = np.ascontiguousarray(self._scaled.reshape(-1))
+        # Flat views (both blocks are C-contiguous by construction).
+        self._csr_indices = self.a_index.reshape(-1)
+        self._csr_data = self._scaled.reshape(-1)
 
     def _clean_partials_csr(self, activations: np.ndarray) -> np.ndarray:
         """Contraction via one CSR matvec into the owned buffer."""
@@ -355,13 +341,13 @@ class DensePlan(ExecutionPlan):
         )
         return partials
 
-    def _execute_row_granular(self, core, activations: np.ndarray):
+    def _per_row_calls(self, core, activations: np.ndarray):
         """Per-row accumulate calls for noise models whose draws are
         not stream-equivalent under batching (``CompositeNoise``
         cascades one draw per source per *call*, so one stacked call
         would interleave the stream differently than the loop path)."""
         gathered = activations.take(self.a_index)
-        call = _accumulate_call(core)
+        call = core.accumulate
         partials = np.empty(self.total_steps, dtype=np.float64)
         bounds = np.append(self.row_starts, self.total_steps)
         for i in range(len(self.row_starts)):
@@ -370,15 +356,13 @@ class DensePlan(ExecutionPlan):
         return partials
 
     def execute(self, core, activations: np.ndarray) -> np.ndarray:
+        noise_into = getattr(core, "readout_noise_into", None)
+        into = getattr(core, "accumulate_into", None)
         if not getattr(
             getattr(core, "noise", None), "stream_equivalent", True
         ):
-            partials = self._execute_row_granular(core, activations)
-            np.multiply(partials, self.group_signs, out=partials)
-            return np.add.reduceat(partials, self.row_starts)
-        noise_into = getattr(core, "readout_noise_into", None)
-        into = getattr(core, "accumulate_into", None)
-        if _csr_kernels is not None and noise_into is not None:
+            partials = self._per_row_calls(core, activations)
+        elif _csr_kernels is not None and noise_into is not None:
             if activations.dtype != np.float64 or not activations.flags[
                 "C_CONTIGUOUS"
             ]:
@@ -399,47 +383,84 @@ class DensePlan(ExecutionPlan):
         else:
             gathered = activations.take(self.a_index)
             partials = np.asarray(
-                _accumulate_call(core)(gathered, self.magnitudes),
+                core.accumulate(gathered, self.magnitudes),
                 dtype=np.float64,
             )
-        # Both branches hand us a buffer we own for this call; signing
+        # Every branch hands us a buffer we own for this call; signing
         # it in place saves one full-stream temporary per layer.
         np.multiply(partials, self.group_signs, out=partials)
         return np.add.reduceat(partials, self.row_starts)
 
-    def shared_arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "a_index": self.a_index,
-            "magnitudes": self.magnitudes,
-            "scaled": self._scaled,
-            "group_signs": self.group_signs,
-            "row_starts": self.row_starts,
-        }
 
-    def shared_meta(self) -> dict:
-        meta = super().shared_meta()
-        meta["total_steps"] = self.total_steps
-        return meta
+class DensePlan(ExecutionPlan):
+    """A fully-connected layer: one signed matvec, one draw per row.
+
+    A row's output is the signed digital sum of its readouts, so on a
+    core declaring ``row_granular_noise`` replay is ``weights @
+    activations / 255`` plus one Gaussian per row, its std scaled by
+    ``sqrt(steps)`` and its mean by ``sum(group_signs)`` — the row's own
+    counts from sign separation, not ``ceil(k / N)``, so the law is
+    exactly the per-readout stream's.  Any other core replays the
+    stacked :class:`_ReadoutBlock`, built on first use.
+    """
+
+    kind = "dense"
+
+    def __init__(
+        self,
+        task: LayerTask,
+        geometry: PlanGeometry,
+        rows: list[SignSeparatedRow],
+    ) -> None:
+        super().__init__(task, geometry)
+        self.rows = len(rows)
+        self.stream_cycles = sum(
+            geometry.preamble_repeats
+            + math.ceil(row.num_steps / geometry.samples_per_cycle)
+            for row in rows
+        )
+        steps = np.array([row.num_steps for row in rows], dtype=np.float64)
+        net_signs = np.array([row.group_signs.sum() for row in rows])
+        self._bind_shared(task, {"steps": steps, "net_signs": net_signs}, {})
+        self._rows = rows
+
+    def _readout_block(self) -> _ReadoutBlock:
+        """The per-readout block, stacked on first fallback use.
+
+        A shared replica carries no sign-separated rows; it re-derives
+        them from the shared weights (sign separation is a pure
+        function of the weight row and the wavelength count).
+        """
+        if self._block is None:
+            n = self.geometry.num_wavelengths
+            rows = self._rows or [
+                sign_separate_row(row, n) for row in self.weights
+            ]
+            self._block = _ReadoutBlock(rows, n, self.weights.shape[1])
+        return self._block
+
+    def execute(self, core, activations: np.ndarray) -> np.ndarray:
+        if not getattr(core, "row_granular_noise", False):
+            return self._readout_block().execute(core, activations)
+        out = self.weights @ activations
+        out /= 255.0
+        return core.readout_noise_into(
+            out, self._noise, self.std_scale, self.net_signs
+        )
+
+    def shared_arrays(self) -> dict[str, np.ndarray]:
+        return {"steps": self.steps, "net_signs": self.net_signs}
 
     def _bind_shared(self, task, arrays, meta):
-        self.a_index = arrays["a_index"]
-        self.magnitudes = arrays["magnitudes"]
-        self.group_signs = arrays["group_signs"]
-        self.row_starts = arrays["row_starts"]
-        self.total_steps = int(meta["total_steps"])
-        self._scaled = arrays["scaled"]
-        self._gathered = np.empty(self.magnitudes.shape, dtype=np.float64)
-        self._partials = np.empty(self.total_steps, dtype=np.float64)
-        self._scratch = np.empty(self.total_steps, dtype=np.float64)
-        self._input_size = task.input_size
-        n = self.geometry.num_wavelengths
-        self._csr_indptr = np.arange(
-            0, self.total_steps * n + 1, n, dtype=np.int64
-        )
-        # Flat views of the shared blocks (both are C-contiguous by
-        # construction, so reshape cannot copy).
-        self._csr_indices = self.a_index.reshape(-1)
-        self._csr_data = self._scaled.reshape(-1)
+        assert task.weights_levels is not None
+        self.weights = task.weights_levels
+        #: Readouts each row sums, and the sum of their sign bits.
+        self.steps = arrays["steps"]
+        self.net_signs = arrays["net_signs"]
+        self.std_scale = np.sqrt(self.steps)
+        self._noise = np.empty(self.rows, dtype=np.float64)
+        self._rows: list[SignSeparatedRow] | None = None
+        self._block: _ReadoutBlock | None = None
 
 
 class ConvPlan(ExecutionPlan):
@@ -514,7 +535,7 @@ class ConvPlan(ExecutionPlan):
         blocks = np.broadcast_to(
             magnitudes, (positions,) + magnitudes.shape
         ).reshape(gathered.shape)
-        partials = _accumulate_call(core)(gathered, blocks)
+        partials = core.accumulate(gathered, blocks)
         signed = (
             np.broadcast_to(
                 group_signs, (positions, len(group_signs))
@@ -671,8 +692,6 @@ def compile_task(
     if task.kind == "attention":
         return AttentionPlan(task, geometry)
     if rows is None:
-        from .dag import sign_separate_row
-
         assert task.weights_levels is not None
         rows = [
             sign_separate_row(row, geometry.num_wavelengths)

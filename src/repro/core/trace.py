@@ -97,8 +97,8 @@ class DatapathTracer:
                 "this tracer was built as a pure event sink (no datapath); "
                 "attach a LightningDatapath to trace executions"
             )
-        write_log_start = len(self.datapath.registers.write_log)
-        execution = self.datapath.execute(model_id, input_levels)
+        with self.datapath.registers.capture() as writes:
+            execution = self.datapath.execute(model_id, input_levels)
         self._events.append(
             TraceEvent(
                 time_s=self._clock_s,
@@ -125,9 +125,7 @@ class DatapathTracer:
                     },
                 )
             )
-        for name, value in self.datapath.registers.write_log[
-            write_log_start:
-        ]:
+        for name, value in writes:
             self._events.append(
                 TraceEvent(
                     time_s=self._clock_s,

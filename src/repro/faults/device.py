@@ -259,6 +259,11 @@ class DegradedCore:
     own clock (``now_s``), advanced by whoever owns the timeline — the
     serving cluster sets it to the virtual-clock dispatch time, so
     drift accumulates in *simulated* seconds, deterministically.
+
+    The wrapper deliberately does not forward the wrapped core's
+    ``row_granular_noise``: faults are nonlinear maps of individual
+    readouts, which one summed draw per output row cannot reproduce,
+    so dense layers on a degraded core keep one draw per readout.
     """
 
     def __init__(
@@ -360,21 +365,13 @@ class DegradedCore:
         return self._perturb(self.core.multiply(a_levels, b_levels), 1)
 
     def accumulate(self, a_pairs, b_pairs):
-        """One accumulate step (a single readout), perturbed."""
-        return self._perturb(self.core.accumulate(a_pairs, b_pairs), 1)
-
-    def accumulate_fast(self, a_pairs, b_pairs):
-        """Fused accumulate for compiled plans, perturbed per readout.
+        """Accumulate steps (one readout each), perturbed.
 
         Every fault is an elementwise map of the per-readout value, so
-        perturbing the stacked block equals perturbing row slices one
-        at a time — :class:`DegradedCore` behaves identically under the
-        compiled fast path and the per-row loop.
+        perturbing a stacked block equals perturbing row slices one at
+        a time: compiled plans and the per-row loop agree.
         """
-        inner = getattr(self.core, "accumulate_fast", None)
-        if inner is None:
-            inner = self.core.accumulate
-        return self._perturb(inner(a_pairs, b_pairs), 1)
+        return self._perturb(self.core.accumulate(a_pairs, b_pairs), 1)
 
     @property
     def accumulate_into(self):
@@ -382,7 +379,7 @@ class DegradedCore:
 
         ``accumulate_into`` takes *pre-scaled* weights (levels / 255),
         unlike the rest of the core interface, so the wrapper must not
-        emulate it on top of :meth:`accumulate_fast` — that would scale
+        emulate it on top of :meth:`accumulate` — that would scale
         twice.  Instead the capability is forwarded only when the
         wrapped core truly provides it: raising :class:`AttributeError`
         from the property makes ``getattr(core, "accumulate_into",

@@ -72,7 +72,7 @@ trajectory is tracked PR over PR:
 * **Energy** (``BENCH_energy.json``) — the energy spine's two
   numbers.  The same cluster trace served with the per-request energy
   ledger on and off must stay within a 5% wall-clock overhead budget
-  (hard-asserted, best-of-rounds interleaved).  The 4-shard fleet
+  (hard-asserted, median of alternated on/off rounds).  The 4-shard fleet
   engine then serves the same Zipf traffic on Lightning, A100, and P4
   platform models and reports joules-per-inference per platform; the
   gated ``energy_per_inference_ratio`` (A100 over Lightning) is
@@ -94,6 +94,7 @@ the per-request wall cost normalized by the loop path's for the cluster.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import pathlib
@@ -1308,9 +1309,9 @@ def bench_failover(
 
 
 def bench_energy(
-    cluster_requests: int = 256,
+    cluster_requests: int = 2048,
     fleet_requests: int = 40_000,
-    rounds: int = 5,
+    rounds: int = 41,
     num_cores: int = 4,
     load: float = 0.8,
     seed: int = 0,
@@ -1322,11 +1323,18 @@ def bench_energy(
     * **Overhead** — the same Poisson trace served on two identically
       seeded clusters, one charging the energy ledger (the default
       ``energy_model="lightning"``) and one with energy accounting
-      disabled.  Rounds interleave the legs and the ratio compares
-      best rounds (min-of-N, same machine regime for both sides); the
-      serve path must stay within 5% of the energy-off wall clock,
-      asserted here — a regression in the per-request charge shows up
-      as a failed benchmark, not a slow fleet.
+      disabled.  Each round serves both legs back to back, swapping
+      which goes first, and the ratio is the median of the per-round
+      on/off ratios; the serve path must stay within 5% of the
+      energy-off wall clock, asserted here — a regression in the
+      per-request charge shows up as a failed benchmark, not a slow
+      fleet.  Since dense rows draw one Gaussian each a LeNet-class
+      request is ~35 us of control-plane Python, whose wall wanders
+      +-8% from one serve to the next on a shared host: the trace is
+      sized for a ~70 ms serve, the collector is quiesced around each
+      timed serve (as ``timeit`` does), and 41 paired rounds bring the
+      ratio's spread under 1% (best-of-5 walls spread 3.4% and
+      tripped the gate one run in twelve).
     * **Fleet ratio** — the 4-shard open-loop fleet engine serves the
       same Zipf traffic on Lightning, A100, and P4 platform models;
       the gated ``energy_per_inference_ratio`` (A100 joules per
@@ -1364,17 +1372,26 @@ def bench_energy(
         # first-touch scratch pages).
         cluster.serve_trace(trace[:8])
         clusters[leg] = cluster
-    # Interleave the legs so frequency drift biases neither side.
-    for _ in range(rounds):
-        for leg, cluster in clusters.items():
-            start = time.perf_counter()
-            result = cluster.serve_trace(trace)
-            walls[leg].append(time.perf_counter() - start)
+    # Pair the legs round by round, alternating which serves first, so
+    # neither frequency drift nor serve order biases a side.
+    for index in range(rounds):
+        order = ("on", "off") if index % 2 == 0 else ("off", "on")
+        for leg in order:
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                result = clusters[leg].serve_trace(trace)
+                walls[leg].append(time.perf_counter() - start)
+            finally:
+                gc.enable()
             if leg == "on" and result.stats.energy.count == 0:
                 raise AssertionError(
                     "energy leg served without charging the ledger"
                 )
-    overhead_ratio = min(walls["on"]) / min(walls["off"])
+    overhead_ratio = float(
+        np.median(np.array(walls["on"]) / np.array(walls["off"]))
+    )
     if overhead_ratio > 1.05:
         raise AssertionError(
             f"energy accounting costs {overhead_ratio:.3f}x the "

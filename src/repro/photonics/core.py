@@ -329,10 +329,19 @@ class BehavioralCore:
     """Fast vectorized photonic core for large workloads.
 
     Computes exact dot products on the 0..255 level scale and injects the
-    calibrated per-MAC Gaussian noise.  By default the systematic offset
-    (the noise mean) is removed, reflecting that the two-point decode
-    calibration of Appendix A absorbs any constant bias; pass
-    ``remove_mean=False`` to keep the raw measured distribution.
+    calibrated Gaussian noise the prototype shows per ADC readout
+    (Figure 18).  By default the systematic offset (the noise mean) is
+    removed, reflecting that the two-point decode calibration of
+    Appendix A absorbs any constant bias; pass ``remove_mean=False`` to
+    keep the raw measured distribution.
+
+    Noise contract: *one draw per digital output, scaled by the readouts
+    that output sums*.  A digital output is the signed sum of ``r``
+    independently noisy readouts, so under a summable noise model its
+    noise is exactly ``N(mean * sum(signs), std**2 * r)`` — one
+    Gaussian, not ``r`` (:meth:`matmul` per element,
+    :meth:`readout_noise_into` per dense row).  The streaming entry
+    points return individual readouts and keep one draw each.
     """
 
     #: Whole-layer matrix products are native here (see :meth:`matmul`).
@@ -365,6 +374,15 @@ class BehavioralCore:
         self._rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence((self.seed, *subkey)))
         )
+
+    @property
+    def row_granular_noise(self) -> bool:
+        """Whether a summed output may take one draw for all its readouts.
+
+        Row reducers probe it with ``getattr(..., False)``: readout-only
+        cores and per-readout wrappers (``DegradedCore``) lack it.
+        """
+        return self.noise.summable
 
     def _noise_offset(self) -> float:
         if self.remove_mean and isinstance(self.noise, GaussianNoise):
@@ -400,23 +418,24 @@ class BehavioralCore:
         b_pairs = np.atleast_2d(np.asarray(b_pairs, dtype=np.float64))
         if a_pairs.shape != b_pairs.shape:
             raise ValueError("operand blocks must have equal shape")
-        clean = (a_pairs * b_pairs / 255.0).sum(axis=1)
+        clean = self._clean_steps(a_pairs, b_pairs)
         return self.noise.apply(clean, self._rng) - self._noise_offset()
 
-    def accumulate_fast(
-        self, a_pairs: np.ndarray, b_pairs: np.ndarray
-    ) -> np.ndarray:
-        """Fused :meth:`accumulate` for compiled-plan replay.
+    @staticmethod
+    def _clean_steps(a_pairs: np.ndarray, b_pairs: np.ndarray) -> np.ndarray:
+        """Noise-free partial dot product of every accumulate step."""
+        return (a_pairs * b_pairs / 255.0).sum(axis=1)
 
-        Computes the identical per-step result stream with the identical
-        noise draws — one draw per readout, same RNG consumption — but
-        fuses the multiply-and-sum into a single einsum pass and skips
-        the shape-validation of the streaming entry point.  Callers pass
-        pre-validated ``(num_steps, N)`` float64 blocks (plans guarantee
-        this by construction).
-        """
-        clean = np.einsum("ij,ij->i", a_pairs, b_pairs) / 255.0
-        return self.noise.apply(clean, self._rng) - self._noise_offset()
+    def accumulate_signed(
+        self, a_pairs: np.ndarray, b_pairs: np.ndarray, signs: np.ndarray
+    ) -> float:
+        """``sum(signs * accumulate(a_pairs, b_pairs))`` in one draw: the
+        class contract for one row, where :attr:`row_granular_noise`."""
+        out = np.array([np.dot(signs, self._clean_steps(a_pairs, b_pairs))])
+        self.readout_noise_into(
+            out, np.empty(1), np.sqrt(len(signs)), float(np.sum(signs))
+        )
+        return float(out[0])
 
     def accumulate_into(
         self,
@@ -425,12 +444,12 @@ class BehavioralCore:
         out: np.ndarray,
         scratch: np.ndarray,
     ) -> np.ndarray:
-        """Allocation-free :meth:`accumulate_fast` into caller buffers.
+        """Allocation-free fused :meth:`accumulate` into caller buffers.
 
-        Unlike :meth:`accumulate`, ``b_pairs`` carries *pre-scaled*
-        weights (levels already divided by 255), so replay skips one
-        full-stream division per layer — compiled plans bake the scale
-        into their stacked magnitude block once.  ``out`` and
+        Skips the streaming entry point's shape validation (plans pass
+        pre-validated ``(num_steps, N)`` float64 blocks) and takes
+        ``b_pairs`` *pre-scaled* (levels already divided by 255), so
+        replay skips one full-stream division per layer.  ``out`` and
         ``scratch`` are float64 buffers of length ``num_steps`` that
         the caller owns across requests, so steady-state replay
         allocates nothing; ``a_pairs`` is treated as scratch too and
@@ -453,33 +472,48 @@ class BehavioralCore:
         return self.readout_noise_into(out, scratch)
 
     def readout_noise_into(
-        self, out: np.ndarray, scratch: np.ndarray
+        self,
+        out: np.ndarray,
+        scratch: np.ndarray,
+        std_scale: np.ndarray | float | None = None,
+        mean_scale: np.ndarray | float | None = None,
     ) -> np.ndarray:
-        """Add one readout-noise draw per partial, in stream order.
+        """Add one noise draw per element of ``out``, in stream order.
 
-        ``out`` holds the clean (already offset-corrected scale)
-        readout values; ``scratch`` is a same-length float64 buffer the
-        draws land in.  Consumes exactly one Gaussian per element from
-        the same stream :meth:`accumulate` draws from, so callers that
-        compute the clean contraction themselves (e.g. a compiled
-        plan's sparse matvec) stay draw-for-draw identical to the
-        per-row loop path.
+        ``out`` holds clean level-scale values; ``scratch`` is a
+        same-length float64 buffer the draws land in.  With no scales
+        every element is one ADC readout: exactly one Gaussian each from
+        the stream :meth:`accumulate` draws from, so callers that
+        compute the clean contraction themselves stay draw-for-draw
+        identical to per-readout ``accumulate`` calls.  An element that
+        is the signed digital sum of ``r`` readouts passes ``std_scale =
+        sqrt(r)`` and ``mean_scale = sum(signs)`` (scalars or arrays) and
+        takes its one draw from the summed law of the class contract;
+        only summable noise models admit that.
         """
         noise = self.noise
-        if type(noise) is GaussianNoise:
-            self._rng.standard_normal(out.shape[0], out=scratch)
-            scratch *= noise.std
-            if self.remove_mean:
-                # The loop path adds the mean with the draw and removes
-                # it again as the calibrated offset; adding the centered
-                # draw directly skips two full-stream passes (same value
-                # up to float cancellation).
+        if noise.summable:
+            # A summable model is N(noise.mean, noise.std**2) per
+            # readout.  remove_mean: the per-readout loop adds the mean
+            # with the draw and removes it again as the calibrated
+            # offset; the centered draw is the same value up to float
+            # cancellation.
+            mean = 0.0 if self.remove_mean else noise.mean
+            if noise.std or mean:
+                self._rng.standard_normal(out.shape[0], out=scratch)
+                if std_scale is not None:
+                    scratch *= std_scale
+                scratch *= noise.std
+                if mean:
+                    if mean_scale is not None:
+                        mean = mean * mean_scale
+                    scratch += mean
                 out += scratch
-            else:
-                scratch += noise.mean
-                out += scratch
-        elif isinstance(noise, NoiselessModel):
-            pass
+        elif std_scale is not None:
+            raise ValueError(
+                f"{type(noise).__name__} readouts cannot be summed into "
+                "one draw; perturb them one by one"
+            )
         else:
             out[:] = noise.apply(out, self._rng)
             offset = self._noise_offset()
@@ -488,15 +522,16 @@ class BehavioralCore:
         return out
 
     def matmul(self, a_matrix: np.ndarray, b_matrix: np.ndarray) -> np.ndarray:
-        """Noisy matrix product with per-readout noise accumulation.
+        """Noisy matrix product: one draw per output element.
 
-        Physically, one noise draw lands on every *ADC readout* — the
-        optical accumulation of ``N`` element-wise products in one time
-        step (the Figure 18 statistics were measured per readout).  A dot
-        product with inner dimension ``k`` therefore digitally sums
-        ``ceil(k / N)`` noisy readouts and accumulates noise with std
-        ``sqrt(ceil(k / N))`` times the per-readout std, where ``N`` is
-        the core's wavelength parallelism.
+        Physically, noise lands on every *ADC readout* — the optical
+        accumulation of ``N`` element-wise products in one time step
+        (the Figure 18 statistics were measured per readout).  A dot
+        product with inner dimension ``k`` digitally sums ``ceil(k /
+        N)`` noisy readouts, so each output takes one draw with std
+        ``sqrt(ceil(k / N))`` times the per-readout std (the class's
+        noise contract), where ``N`` is the core's wavelength
+        parallelism.
         """
         a_matrix = np.asarray(a_matrix, dtype=np.float64)
         b_matrix = np.asarray(b_matrix, dtype=np.float64)

@@ -51,6 +51,15 @@ class NoiseModel:
     #: batched and must declare ``False``.
     stream_equivalent = True
 
+    #: Whether one readout's noise is the signal-independent Gaussian
+    #: ``N(self.mean, self.std**2)``, so that the signed digital sum of
+    #: ``r`` readouts is itself one closed-form draw, ``N(mean *
+    #: sum(signs), std**2 * r)``.  A model declaring it exposes ``mean``
+    #: and ``std``, and cores may draw once per digital output instead
+    #: of once per readout; signal-dependent or cascaded models keep
+    #: the per-readout stream.
+    summable = False
+
     def sample(self, size: int | tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         """Draw noise values (0..255 scale) of the given shape."""
         raise NotImplementedError
@@ -65,6 +74,10 @@ class NoiseModel:
 
 class NoiselessModel(NoiseModel):
     """The ideal photonic path: readouts equal the true analog values."""
+
+    summable = True
+    mean = 0.0
+    std = 0.0
 
     def sample(self, size, rng) -> np.ndarray:
         """All-zero noise."""
@@ -85,6 +98,7 @@ class GaussianNoise(NoiseModel):
 
     mean: float = PROTOTYPE_NOISE_MEAN
     std: float = PROTOTYPE_NOISE_STD
+    summable = True
 
     def __post_init__(self) -> None:
         if self.std < 0:

@@ -49,6 +49,7 @@ test runs).
 from __future__ import annotations
 
 import dataclasses
+import gc
 import multiprocessing
 import traceback
 import weakref
@@ -391,6 +392,11 @@ def _worker_main(
     the dispatches it separated in virtual time.
     """
     datapath = datapath_factory(core_index)
+    # Everything alive now was inherited from the parent at fork and
+    # lives as long as the worker: keep it out of the collector's
+    # generations, or the first full collection walks the whole forked
+    # heap mid-batch (65-100 ms, and it dirties the shared pages).
+    gc.freeze()
     state = _WorkerState(
         datapath, conn, sems, predictions=completions == "predictions"
     )

@@ -46,6 +46,40 @@ class TestControlRegisterFile:
         with pytest.raises(ValueError):
             ControlRegisterFile().write("", 1)
 
+    def test_write_log_is_a_bounded_ring_with_a_monotone_counter(self):
+        regs = ControlRegisterFile()
+        for i in range(10_000):
+            regs.write("layer.index", i)
+        depth = ControlRegisterFile.WRITE_LOG_DEPTH
+        assert regs.write_count == 10_000
+        assert len(regs.write_log) == depth
+        # Still chronological: the newest ``depth`` writes, oldest first.
+        assert regs.write_log[0] == ("layer.index", 10_000 - depth)
+        assert regs.write_log[-1] == ("layer.index", 9_999)
+
+    def test_capture_outlasts_the_ring_and_nests(self):
+        regs = ControlRegisterFile()
+        depth = ControlRegisterFile.WRITE_LOG_DEPTH
+        regs.write("before", 0)
+        with regs.capture() as outer:
+            for i in range(depth + 5):
+                regs.write("deep", i)
+            with regs.capture() as inner:
+                regs.write("nested", 1)
+            regs.write("deep", -1)
+        assert inner == [("nested", 1)]
+        assert outer == [
+            *(("deep", i) for i in range(depth + 5)),
+            ("nested", 1),
+            ("deep", -1),
+        ]
+        # The ring caught up on exit and is bounded again.
+        assert regs.write_count == depth + 8
+        assert regs.write_log == tuple(outer[-depth:])
+        regs.write("after", 2)
+        assert regs.write_log[-1] == ("after", 2)
+        assert len(regs.write_log) == depth
+
 
 class TestCountActionUnit:
     def test_accumulate_fires_at_target(self):

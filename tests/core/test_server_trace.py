@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    ControlRegisterFile,
     DatapathTracer,
     InferenceServer,
     LightningDatapath,
@@ -138,6 +139,37 @@ class TestDatapathTracer:
         tracer.execute(1, np.zeros(12))
         indices = tracer.register_writes("layer.index")
         assert indices == [0, 0, 1]
+
+    def test_records_every_write_after_the_log_wrapped(self, tracer):
+        # 10 000 earlier writes overflow the register file's ring; the
+        # tracer captures its own writes, so an execution traced
+        # afterwards still gets exactly those.
+        registers = tracer.datapath.registers
+        for i in range(10_000):
+            registers.write("scratch", i)
+        assert len(registers.write_log) == registers.WRITE_LOG_DEPTH
+        before = registers.write_count
+        tracer.execute(1, np.zeros(12))
+        writes = [e for e in tracer.events if e.kind == "register"]
+        assert len(writes) == registers.write_count - before > 0
+        assert all(e.label != "scratch" for e in writes)
+        assert tracer.register_writes("layer.index") == [0, 0, 1]
+
+    def test_records_more_writes_than_the_ring_holds(
+        self, tiny_dag, monkeypatch
+    ):
+        # A deep DAG writes more registers per execution than the ring
+        # keeps; shrink the ring below one tiny execution to get there.
+        monkeypatch.setattr(ControlRegisterFile, "WRITE_LOG_DEPTH", 4)
+        dp = LightningDatapath(core=BehavioralCore(noise=NoiselessModel()))
+        dp.register_model(tiny_dag)
+        tracer = DatapathTracer(dp)
+        before = dp.registers.write_count
+        tracer.execute(1, np.zeros(12))
+        writes = [e for e in tracer.events if e.kind == "register"]
+        assert len(writes) == dp.registers.write_count - before > 4
+        assert tracer.register_writes("layer.index") == [0, 0, 1]
+        assert len(dp.registers.write_log) == 4
 
     def test_render_listing(self, tracer):
         tracer.execute(1, np.zeros(12))

@@ -15,6 +15,7 @@ pipes — not just a degenerate noiseless path.
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
 import time
@@ -498,6 +499,65 @@ class TestStallFreeDispatch:
             assert posted.get_value() == 0
             pool.drain()
             assert pool.poll_timeouts == 0
+
+
+class TestWorkerHeapFrozen:
+    def test_worker_freezes_the_heap_it_inherited(self):
+        class ClosedPipe:
+            def recv(self):
+                raise EOFError
+
+            def close(self):
+                pass
+
+        assert gc.get_freeze_count() == 0
+        try:
+            # Run the worker loop inline: the closed pipe ends it at
+            # once, after the datapath was built and the heap frozen.
+            parallel_module._worker_main(
+                0, lambda core: object(), ClosedPipe(), None
+            )
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+
+    def test_first_serve_after_a_build_never_trips_the_poll_timer(self):
+        # A worker forks with the parent's whole heap; unfrozen, its
+        # first full collection walks all of it mid-batch (65-100 ms
+        # measured around batch 12), longer than POLL_S, and the parent
+        # sits out a timer expiry.  The stack benchmark's parallel
+        # shape: LeNet- and GPT-2-class models, one request per
+        # dispatch, window 8, a light Poisson load.  A pause the
+        # worker owes to its heap shows on every build; a 50 ms hiccup
+        # of a shared host does not, so one clean build in three passes.
+        from repro.perf.bench import gpt2_class_dag, lenet_class_dag
+        from repro.runtime.workload import poisson_trace
+
+        dags = [
+            lenet_class_dag(0, model_id=1), gpt2_class_dag(0, model_id=2)
+        ]
+        trace = poisson_trace(dags, 6_000.0, 160, seed=0)
+        expired = []
+        for _ in range(3):
+            cluster = Cluster(
+                num_cores=2,
+                datapath_factory=lambda core: LightningDatapath(
+                    core=BehavioralCore(seed=core), seed=core
+                ),
+                execution="parallel",
+                queue_capacity=1024,
+                max_batch=1,
+                window=8,
+            )
+            with cluster:
+                for dag in dags:
+                    cluster.deploy(dag)
+                result = cluster.serve_trace(trace)
+                expired.append(cluster._pool.poll_timeouts)
+            assert result.served == result.offered == len(trace)
+            if expired[-1] == 0:
+                break
+        assert expired[-1] == 0, f"poll timer expired on every build: {expired}"
 
 
 class TestWorkerCrashHardening:
