@@ -21,7 +21,13 @@ results and identical cycle accounting:
   layer — while charging the identical cycle ledger and consuming the
   identical readout-noise RNG stream.  Plans compile once at
   :meth:`register_model` and are replayed across requests; this is the
-  serving path (Figures 15/16).
+  serving path (Figures 15/16).  Because a layer's cost never depends
+  on its activations (§4 decouples the control plane from the data
+  plane), a request is two compiled programs run once each: the
+  model's forward program for the numerics and its
+  :class:`TimingPlan` for the ledger.  :meth:`execute_layers` remains
+  the per-layer walk the other fidelities, degraded cores and the
+  tracer take.
 * ``fidelity="loop"`` computes the same reductions row by row with
   per-row core calls: the pre-plan reference path, kept as the
   baseline the equivalence tests and the ``repro.perf`` benchmark
@@ -38,7 +44,10 @@ cost 193 ns per layer, the constant measured on the prototype (§9).
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,11 +68,14 @@ from .dag import (
     sign_separate_row,
 )
 from .memory import MemoryController
-from .nonlinear import NonlinearModule, nonlinear_module
+from .nonlinear import nonlinear_module
 from .plans import (
+    ExecutionPlan,
     ModelPlan,
     PlanGeometry,
+    check_activations,
     compile_model,
+    finish_output,
     gather_patches,
     supports_matmul,
 )
@@ -143,6 +155,15 @@ class BatchExecution:
         )
 
     @property
+    def timing(self) -> TimingEstimate:
+        return TimingEstimate(
+            self.compute_seconds,
+            self.datapath_seconds,
+            self.memory_seconds,
+            self.passes,
+        )
+
+    @property
     def predictions(self) -> np.ndarray:
         return np.argmax(self.output_levels, axis=-1)
 
@@ -174,83 +195,143 @@ class TimingEstimate:
             self.compute_seconds + self.datapath_seconds + self.memory_seconds
         )
 
+    def repeated(self, passes: int) -> "TimingEstimate":
+        """A batch's cost: ``passes`` runs of this one pipeline pass.
+
+        Each pass streams the weights once and computes all its batch
+        lanes simultaneously; the per-layer datapath and memory costs
+        are per pass as well.
+        """
+        return TimingEstimate(
+            compute_seconds=self.compute_seconds * passes,
+            datapath_seconds=self.datapath_seconds * passes,
+            memory_seconds=self.memory_seconds * passes,
+            passes=passes,
+        )
+
 
 @dataclass(frozen=True)
 class TimingPlan:
-    """A model's dry-run costs, frozen into flat arrays at deploy time.
+    """A model's ledger, frozen into per-layer constants at deploy time.
 
-    The per-layer constants of :meth:`LightningDatapath.execute_timing`
-    — compute cycles, the 193 ns datapath charge with its
-    parallel-group dedup already applied, each memory-touching layer's
-    transfer time and byte count — depend only on the compiled plan and
-    the DRAM image, so they are compiled once (mirroring the execution
-    plans of ``repro.core.plans``) and every later dry-run reduces them
-    with a handful of numpy ops instead of a per-layer Python loop.
+    What a layer costs in cycles, DRAM reads and datapath charges never
+    depends on the activations flowing through it (§4), so the
+    per-layer constants — compute cycles, the 193 ns datapath charge
+    with its parallel-group dedup already applied, each
+    memory-touching layer's transfer time — are compiled once
+    (mirroring the execution plans of ``repro.core.plans``) and every
+    request replays them instead of re-deriving them layer by layer.
 
-    Only the DRAM jitter draws vary between dry-runs; they are kept
-    bit-identical to the scalar path by drawing all ``layers x batch``
-    uniforms in one RNG call (see
-    :meth:`~repro.core.memory.MemoryController.jitter_batch`) and
-    folding latencies sequentially in scalar charge order.
+    Only the DRAM jitter draws vary between replays; they stay
+    bit-identical to per-read charging because a sample's uniforms are
+    one RNG call (see
+    :meth:`~repro.core.memory.MemoryController.jitter_batch`) folded
+    in charge order.
     """
 
     model_id: int
     num_layers: int
     #: Left-fold totals matching ``sum()`` over the per-layer lists the
-    #: loop dry-run builds — precomputed because they never change.
+    #: per-layer walk builds — precomputed because they never change.
     compute_seconds: float
     datapath_seconds: float
-    #: Which layers charge the 193 ns datapath constant (first of each
-    #: parallel group; pooling never does) — the dedup mask, retained
-    #: for inspection and tests.
+    #: Per layer, in DAG order: task name, compute cycles and seconds,
+    #: output rows, and which layers charge the 193 ns datapath
+    #: constant (first of each parallel group; pooling never does).
+    task_names: tuple[str, ...]
+    layer_cycles: tuple[int, ...]
+    layer_compute_seconds: tuple[float, ...]
+    layer_rows: tuple[int, ...]
     datapath_mask: np.ndarray
-    #: Per-layer compute seconds in layer order.
-    compute_layer_seconds: np.ndarray
-    #: Memory-touching layers in layer order: task names, whether each
-    #: streams (dense/attention) or loads a cacheable kernel (conv),
-    #: the frozen transfer seconds and bytes moved per access.
-    read_names: tuple[str, ...]
-    read_is_stream: np.ndarray
-    read_transfer_s: np.ndarray
-    read_bytes: np.ndarray
+    #: Memory-touching layers in charge order: ``(task name, streams,
+    #: transfer seconds)`` — ``streams`` is False for a cacheable conv
+    #: kernel — their layer indices, and the streaming layers' transfer
+    #: seconds alone (what every sample after a batch's first reads).
+    reads: tuple[tuple[str, bool, float], ...]
+    read_layers: tuple[int, ...]
+    stream_transfer_s: np.ndarray
     #: Whether any layer needs a matmul-capable core (attention).
     needs_matmul: bool
 
+    @property
+    def read_names(self) -> tuple[str, ...]:
+        return tuple(name for name, _, _ in self.reads)
 
-@dataclass(frozen=True)
+
 class InferenceExecution:
-    """Result and cost of executing a full DAG on the datapath."""
+    """Result and cost of executing a full DAG on the datapath.
 
-    model_id: int
-    model_name: str
-    layers: tuple[LayerExecution, ...]
-    output_levels: np.ndarray
+    ``layers`` — one :class:`LayerExecution` per task — is materialised
+    on first access when the execution was served from the compiled
+    ledger; the per-layer walk hands its records over directly.
+    """
+
+    def __init__(
+        self,
+        model_id: int,
+        model_name: str,
+        output_levels: np.ndarray,
+        timing: TimingEstimate,
+        layers: tuple[LayerExecution, ...] | Callable[[], tuple],
+    ) -> None:
+        self.model_id = model_id
+        self.model_name = model_name
+        self.output_levels = output_levels
+        self.timing = timing
+        self._layers = layers
+
+    @property
+    def layers(self) -> tuple[LayerExecution, ...]:
+        if callable(self._layers):
+            self._layers = self._layers()
+        return self._layers
 
     @property
     def compute_seconds(self) -> float:
         """All computing stages: photonic dot products, adders,
         non-linearities (the paper's "compute latency", Fig 15b)."""
-        return sum(layer.compute_seconds for layer in self.layers)
+        return self.timing.compute_seconds
 
     @property
     def datapath_seconds(self) -> float:
         """Digital datapath overhead (the paper's Fig 15c component)."""
-        return sum(layer.datapath_seconds for layer in self.layers)
+        return self.timing.datapath_seconds
 
     @property
     def memory_seconds(self) -> float:
-        return sum(layer.memory_seconds for layer in self.layers)
+        return self.timing.memory_seconds
 
     @property
     def total_seconds(self) -> float:
-        return (
-            self.compute_seconds + self.datapath_seconds + self.memory_seconds
-        )
+        return self.timing.total_seconds
 
     @property
     def prediction(self) -> int:
         """Argmax of the final layer's outputs."""
         return int(np.argmax(self.output_levels))
+
+
+def _ledger_layers(
+    tplan: TimingPlan,
+    read_latencies: list[float],
+    outputs: list[np.ndarray],
+) -> tuple[LayerExecution, ...]:
+    """The per-layer records of one replayed request."""
+    memory = dict(zip(tplan.read_layers, read_latencies))
+    return tuple(
+        LayerExecution(
+            task_name=tplan.task_names[index],
+            output_levels=outputs[index],
+            compute_cycles=tplan.layer_cycles[index],
+            compute_seconds=tplan.layer_compute_seconds[index],
+            datapath_seconds=(
+                PER_LAYER_DATAPATH_SECONDS if charged else 0.0
+            ),
+            memory_seconds=memory.get(index, 0.0),
+            rows=tplan.layer_rows[index],
+        )
+        for index, charged in enumerate(tplan.datapath_mask.tolist())
+    )
 
 
 class LightningDatapath:
@@ -519,19 +600,6 @@ class LightningDatapath:
         stream_cycles = math.ceil(row.num_steps / self.samples_per_cycle)
         return self.preamble_repeats + stream_cycles
 
-    @staticmethod
-    def _unroll_patches(
-        activations: np.ndarray, conv: ConvShape
-    ) -> np.ndarray:
-        """im2col for one sample: (positions, patch_size) level rows.
-
-        The gather map is cached process-wide per conv geometry
-        (:func:`~repro.core.plans.im2col_indices`), so repeat requests
-        pay one fancy-indexing gather instead of re-deriving the
-        unrolling from stride tricks every time.
-        """
-        return gather_patches(activations, conv)
-
     # ------------------------------------------------------------------
     # Layer / DAG execution
     # ------------------------------------------------------------------
@@ -546,18 +614,7 @@ class LightningDatapath:
             dag, layer_index, self.num_wavelengths
         )
         activations = np.asarray(activations, dtype=np.float64).ravel()
-        if len(activations) != task.input_size:
-            raise ValueError(
-                f"layer {task.name!r} expects {task.input_size} "
-                f"activations, got {len(activations)}"
-            )
-        if activations.size and (
-            activations.min() < 0.0 or activations.max() > 255.0
-        ):
-            raise ValueError(
-                "activations must be non-negative 0..255 levels (signs "
-                "are carried by the weights after sign separation)"
-            )
+        check_activations(task.name, task.input_size, activations, True)
         is_last = layer_index == dag.num_layers - 1
         if self.fidelity == "fast":
             return self._execute_plan(dag, task, activations, is_last)
@@ -585,22 +642,18 @@ class LightningDatapath:
         """
         plan = self._plan_for(dag).plan(task.name)
         if task.kind == "maxpool":
-            pooled = plan.execute(self.core, activations)
             cycles = plan.compute_cycles
             return LayerExecution(
                 task_name=task.name,
-                output_levels=pooled,
+                output_levels=plan.execute(self.core, activations),
                 compute_cycles=cycles,
                 compute_seconds=cycles / self.clock_hz,
                 datapath_seconds=0.0,
                 memory_seconds=0.0,
                 rows=0,
             )
-        if task.kind == "attention" and not supports_matmul(self.core):
-            raise ValueError(
-                "attention tasks require a behavioral core (device-"
-                "fidelity attention streaming is not implemented)"
-            )
+        if task.kind == "attention":
+            self._require_matmul()
         if task.kind == "conv":
             _, memory_seconds = self.memory.load_kernel(
                 dag.model_id, task.name
@@ -609,22 +662,34 @@ class LightningDatapath:
             _, memory_seconds = self.memory.stream_weights(
                 dag.model_id, task.name
             )
-        raw = plan.execute(self.core, activations)
-        if task.kind == "conv":
-            if task.bias_levels is not None:
-                raw = raw + task.bias_levels  # broadcast per out-channel
-            raw = raw.T.ravel()  # channel-major (NCHW) flattening
-        elif task.bias_levels is not None:
-            raw = raw + task.bias_levels
-        return self._finish_layer(
-            task,
-            raw,
-            is_last,
-            plan.stream_cycles,
-            memory_seconds,
-            plan.rows,
-            nonlinear=plan.nonlinear,
+        cycles = self._layer_cycles(plan)
+        return LayerExecution(
+            task_name=task.name,
+            output_levels=plan.finish(
+                plan.execute(self.core, activations), not is_last
+            ),
+            compute_cycles=cycles,
+            compute_seconds=cycles / self.clock_hz,
+            datapath_seconds=PER_LAYER_DATAPATH_SECONDS,
+            memory_seconds=memory_seconds,
+            rows=plan.rows,
         )
+
+    def _layer_cycles(self, plan: ExecutionPlan) -> int:
+        """A weighted layer's compute cycles: stream, adder tree,
+        non-linearity."""
+        return (
+            plan.stream_cycles
+            + self.adder_tree.latency_cycles
+            + plan.nonlinear.latency_cycles
+        )
+
+    def _require_matmul(self) -> None:
+        if not supports_matmul(self.core):
+            raise ValueError(
+                "attention tasks require a behavioral core (device-"
+                "fidelity attention streaming is not implemented)"
+            )
 
     def _finish_layer(
         self,
@@ -634,18 +699,10 @@ class LightningDatapath:
         stream_cycles: int,
         memory_seconds: float,
         rows: int,
-        nonlinear: NonlinearModule | None = None,
     ) -> LayerExecution:
-        """Shared tail: non-linearity, requantization, cycle ledger.
-
-        ``nonlinear`` lets a compiled plan pass its cached module;
-        otherwise the module is looked up per call.
-        """
-        if nonlinear is None:
-            nonlinear = nonlinear_module(task.nonlinearity)
-        raw = nonlinear(raw)
-        if not is_last and task.requant_divisor != 1.0:
-            raw = np.clip(raw / task.requant_divisor, 0.0, 255.0)
+        """The per-row paths' tail: non-linearity, requantization,
+        cycle ledger."""
+        nonlinear = nonlinear_module(task.nonlinearity)
         cycles = (
             stream_cycles
             + self.adder_tree.latency_cycles
@@ -653,7 +710,9 @@ class LightningDatapath:
         )
         return LayerExecution(
             task_name=task.name,
-            output_levels=np.asarray(raw, dtype=np.float64).ravel(),
+            output_levels=finish_output(
+                raw, nonlinear, 1.0 if is_last else task.requant_divisor
+            ),
             compute_cycles=cycles,
             compute_seconds=cycles / self.clock_hz,
             datapath_seconds=PER_LAYER_DATAPATH_SECONDS,
@@ -708,7 +767,7 @@ class LightningDatapath:
         _, memory_seconds = self.memory.load_kernel(
             dag.model_id, task.name
         )
-        patches = self._unroll_patches(activations, conv)
+        patches = gather_patches(activations, conv)
         rows = self._sign_separated(dag, task)  # one per output channel
         if self.fidelity == "device":
             raw = np.empty((conv.positions, conv.out_channels))
@@ -759,11 +818,7 @@ class LightningDatapath:
         """
         att = task.attention
         assert att is not None
-        if not supports_matmul(self.core):
-            raise ValueError(
-                "attention tasks require a behavioral core (device-"
-                "fidelity attention streaming is not implemented)"
-            )
+        self._require_matmul()
         _, memory_seconds = self.memory.stream_weights(
             dag.model_id, task.name
         )
@@ -847,6 +902,39 @@ class LightningDatapath:
         ``input_levels`` are the query's activation levels (0..255).
         Layers execute in DAG order; tasks in the same parallel group
         share their datapath overhead (Appendix F).
+
+        The compiled fast path runs a request as two straight-line
+        programs, each once: the model's forward program computes the
+        numerics (validating the input before anything is charged) and
+        the :class:`TimingPlan` replays the ledger — same counters,
+        same DRAM reads and jitter draws, same register end state as
+        :meth:`execute_layers`, which the other fidelities and
+        degraded cores still walk.
+        """
+        if self._walks_layers():
+            return self.execute_layers(model_id, input_levels)
+        dag, plan_model, tplan = self._compiled(model_id)
+        outputs = plan_model.forward(self.core, input_levels)
+        timing, read_latencies = self._replay_ledger(dag, plan_model, tplan)
+        return InferenceExecution(
+            dag.model_id,
+            dag.name,
+            outputs[-1],
+            timing,
+            functools.partial(_ledger_layers, tplan, read_latencies, outputs),
+        )
+
+    def execute_layers(
+        self, model_id: int, input_levels: np.ndarray
+    ) -> InferenceExecution:
+        """Serve one request by walking :meth:`execute_layer`.
+
+        The per-layer instrument: every task configures its registers,
+        fetches its weights and reports its own
+        :class:`LayerExecution`.  ``fidelity="loop"``/``"device"`` and
+        degraded cores have no other way to run, and
+        :class:`~repro.core.trace.DatapathTracer` walks it on any
+        fidelity for the complete register and layer event stream.
         """
         dag = self.loader.load(model_id)
         if self.fidelity == "fast":
@@ -858,25 +946,36 @@ class LightningDatapath:
             record = self.execute_layer(dag, index, activations)
             if task.parallel_group is not None:
                 if task.parallel_group in seen_groups:
-                    record = LayerExecution(
-                        task_name=record.task_name,
-                        output_levels=record.output_levels,
-                        compute_cycles=record.compute_cycles,
-                        compute_seconds=record.compute_seconds,
-                        datapath_seconds=0.0,
-                        memory_seconds=record.memory_seconds,
-                        rows=record.rows,
+                    record = dataclasses.replace(
+                        record, datapath_seconds=0.0
                     )
                 else:
                     seen_groups.add(task.parallel_group)
             layer_records.append(record)
             activations = record.output_levels
         return InferenceExecution(
-            model_id=dag.model_id,
-            model_name=dag.name,
-            layers=tuple(layer_records),
-            output_levels=layer_records[-1].output_levels,
+            dag.model_id,
+            dag.name,
+            layer_records[-1].output_levels,
+            TimingEstimate(
+                compute_seconds=sum(r.compute_seconds for r in layer_records),
+                datapath_seconds=sum(
+                    r.datapath_seconds for r in layer_records
+                ),
+                memory_seconds=sum(r.memory_seconds for r in layer_records),
+            ),
+            tuple(layer_records),
         )
+
+    def forward(self, model_id: int, input_levels: np.ndarray) -> np.ndarray:
+        """One request's output levels and nothing else.
+
+        No registers, no DRAM, no counters: what a worker process runs
+        while its parent, which owns the ledger, replays the cost.
+        """
+        self._require_fast()
+        plan_model = self._plan_for(self.loader.dag(model_id))
+        return plan_model.forward(self.core, input_levels)[-1]
 
     def execute_batch(
         self, model_id: int, batch_levels: np.ndarray
@@ -888,9 +987,11 @@ class LightningDatapath:
         optically to ``B`` input-modulator lanes, so ``ceil(batch / B)``
         passes serve the whole batch.  Outputs match per-sample
         :meth:`execute` results exactly (noise draws aside); only the
-        cycle accounting differs.
+        cycle accounting differs: every sample advances the counters
+        and the memory RNG, one pipeline pass's cost times the pass
+        count is charged.
         """
-        dag = self.loader.load(model_id)
+        dag = self.loader.dag(model_id)
         batch_levels = np.atleast_2d(
             np.asarray(batch_levels, dtype=np.float64)
         )
@@ -899,17 +1000,20 @@ class LightningDatapath:
             raise ValueError("a batch needs at least one query")
         hardware_batch = self.core.architecture.batch_size
         passes = math.ceil(batch / hardware_batch)
-        outputs = []
-        pipeline_compute = 0.0
-        pipeline_datapath = 0.0
-        pipeline_memory = 0.0
-        for index in range(batch):
-            execution = self.execute(model_id, batch_levels[index])
-            outputs.append(execution.output_levels)
-            if index == 0:
-                pipeline_compute = execution.compute_seconds
-                pipeline_datapath = execution.datapath_seconds
-                pipeline_memory = execution.memory_seconds
+        if self._walks_layers():
+            executions = [
+                self.execute_layers(model_id, row) for row in batch_levels
+            ]
+            outputs = [execution.output_levels for execution in executions]
+            first = executions[0].timing
+        else:
+            _, plan_model, tplan = self._compiled(model_id)
+            outputs = [
+                plan_model.forward(self.core, row)[-1]
+                for row in batch_levels
+            ]
+            first, _ = self._replay_ledger(dag, plan_model, tplan, batch)
+        timing = first.repeated(passes)
         return BatchExecution(
             model_id=dag.model_id,
             model_name=dag.name,
@@ -917,54 +1021,14 @@ class LightningDatapath:
             batch=batch,
             hardware_batch=hardware_batch,
             passes=passes,
-            # Each pass streams the weights once and computes all its
-            # batch lanes simultaneously; the per-layer datapath and
-            # memory costs are per pass as well.
-            compute_seconds=pipeline_compute * passes,
-            datapath_seconds=pipeline_datapath * passes,
-            memory_seconds=pipeline_memory * passes,
+            compute_seconds=timing.compute_seconds,
+            datapath_seconds=timing.datapath_seconds,
+            memory_seconds=timing.memory_seconds,
         )
 
     # ------------------------------------------------------------------
-    # Timing dry-runs (process-parallel serving)
+    # The compiled ledger (serving, and process-parallel dry-runs)
     # ------------------------------------------------------------------
-    def _layer_timing(
-        self, dag: ComputationDAG, plan_model: ModelPlan, task: LayerTask
-    ) -> tuple[float, float, float]:
-        """One layer's (compute, datapath, memory) seconds, no outputs.
-
-        Mirrors :meth:`_execute_plan` cost for cost: the same memory-
-        controller calls in the same order (they carry the DRAM jitter
-        RNG stream), the same cycle formulas, the same constants — so a
-        dry-run's ledger is bit-identical to a real execution's.
-        """
-        plan = plan_model.plan(task.name)
-        if task.kind == "maxpool":
-            return plan.compute_cycles / self.clock_hz, 0.0, 0.0
-        if task.kind == "attention" and not supports_matmul(self.core):
-            raise ValueError(
-                "attention tasks require a behavioral core (device-"
-                "fidelity attention streaming is not implemented)"
-            )
-        if task.kind == "conv":
-            _, memory_seconds = self.memory.load_kernel(
-                dag.model_id, task.name
-            )
-        else:
-            _, memory_seconds = self.memory.stream_weights(
-                dag.model_id, task.name
-            )
-        cycles = (
-            plan.stream_cycles
-            + self.adder_tree.latency_cycles
-            + plan.nonlinear.latency_cycles
-        )
-        return (
-            cycles / self.clock_hz,
-            PER_LAYER_DATAPATH_SECONDS,
-            memory_seconds,
-        )
-
     def _require_fast(self) -> None:
         if self.fidelity != "fast":
             raise ValueError(
@@ -976,60 +1040,62 @@ class LightningDatapath:
         """Whether the core carries installed analog faults.
 
         A degraded core's constants are not plan-stable (a re-lock or a
-        further fault changes them mid-trace), so dry-runs on one fall
-        back to the per-layer loop and drop the cached timing plan.
+        further fault changes them mid-trace), so requests and dry-runs
+        on one fall back to the per-layer walk and drop the cached
+        timing plan.
         """
         degraded = _degraded_core_class()
         return degraded is not None and isinstance(self.core, degraded)
 
+    def _walks_layers(self) -> bool:
+        """Whether requests take :meth:`execute_layers`, not the
+        compiled programs."""
+        return self.fidelity != "fast" or self._core_degraded()
+
     def _compile_timing(
         self, dag: ComputationDAG, plan_model: ModelPlan
     ) -> TimingPlan:
-        """Freeze one model's dry-run constants into flat arrays.
+        """Freeze one model's ledger constants.
 
-        Everything :meth:`execute_timing_loop` recomputes per call that
-        does not actually vary — per-layer cycle counts, the
+        Everything the per-layer walk recomputes per request that does
+        not actually vary — per-layer cycle counts, the
         parallel-group-deduped datapath charges, each memory-touching
         layer's transfer time from its resident byte count — is folded
-        here, once, in the loop path's exact summation order.
+        here, once, in the walk's exact summation order.
         """
-        compute: list[float] = []
+        cycles: list[int] = []
+        rows: list[int] = []
         datapath_mask: list[bool] = []
         seen_groups: set[str] = set()
-        names: list[str] = []
-        is_stream: list[bool] = []
-        transfer_s: list[float] = []
-        nbytes: list[int] = []
+        reads: list[tuple[str, bool, float]] = []
+        read_layers: list[int] = []
         needs_matmul = False
         bandwidth = self.memory.dram.bandwidth_gbps
-        for task in dag.tasks:
+        for index, task in enumerate(dag.tasks):
             plan = plan_model.plan(task.name)
+            rows.append(plan.rows)
             if task.kind == "maxpool":
-                compute.append(plan.compute_cycles / self.clock_hz)
+                cycles.append(plan.compute_cycles)
                 charged = False
             else:
                 if task.kind == "attention":
                     needs_matmul = True
-                cycles = (
-                    plan.stream_cycles
-                    + self.adder_tree.latency_cycles
-                    + plan.nonlinear.latency_cycles
-                )
-                compute.append(cycles / self.clock_hz)
+                cycles.append(self._layer_cycles(plan))
                 charged = True
                 data = self.memory.peek(dag.model_id, task.name)
-                names.append(task.name)
-                is_stream.append(task.kind != "conv")
-                transfer_s.append(
-                    data.nbytes * 8 / (bandwidth * 1e9)
-                )
-                nbytes.append(data.nbytes)
+                read_layers.append(index)
+                reads.append((
+                    task.name,
+                    task.kind != "conv",
+                    data.nbytes * 8 / (bandwidth * 1e9),
+                ))
             if task.parallel_group is not None:
                 if task.parallel_group in seen_groups:
                     charged = False
                 else:
                     seen_groups.add(task.parallel_group)
             datapath_mask.append(charged)
+        compute = [c / self.clock_hz for c in cycles]
         return TimingPlan(
             model_id=dag.model_id,
             num_layers=dag.num_layers,
@@ -1038,34 +1104,103 @@ class LightningDatapath:
                 PER_LAYER_DATAPATH_SECONDS if charged else 0.0
                 for charged in datapath_mask
             ),
+            task_names=tuple(task.name for task in dag.tasks),
+            layer_cycles=tuple(cycles),
+            layer_compute_seconds=tuple(compute),
+            layer_rows=tuple(rows),
             datapath_mask=np.asarray(datapath_mask, dtype=bool),
-            compute_layer_seconds=np.asarray(compute, dtype=np.float64),
-            read_names=tuple(names),
-            read_is_stream=np.asarray(is_stream, dtype=bool),
-            read_transfer_s=np.asarray(transfer_s, dtype=np.float64),
-            read_bytes=np.asarray(nbytes, dtype=np.int64),
+            reads=tuple(reads),
+            read_layers=tuple(read_layers),
+            stream_transfer_s=np.array(
+                [transfer for _, streams, transfer in reads if streams],
+                dtype=np.float64,
+            ),
             needs_matmul=needs_matmul,
         )
 
-    def _timing_plan_for(
-        self, dag: ComputationDAG, plan_model: ModelPlan
-    ) -> TimingPlan:
-        """The model's timing plan, rebuilt lazily if invalidated."""
-        tplan = self._timing_plans.get(dag.model_id)
+    def _compiled(
+        self, model_id: int
+    ) -> tuple[ComputationDAG, ModelPlan, TimingPlan]:
+        """A model's DAG and both compiled programs (rebuilt lazily if
+        invalidated), checked against the core — charging nothing."""
+        dag = self.loader.dag(model_id)
+        plan_model = self._plan_for(dag)
+        tplan = self._timing_plans.get(model_id)
         if tplan is None:
             tplan = self._compile_timing(dag, plan_model)
-            self._timing_plans[dag.model_id] = tplan
-        return tplan
+            self._timing_plans[model_id] = tplan
+        if tplan.needs_matmul:
+            self._require_matmul()
+        return dag, plan_model, tplan
+
+    def _replay_ledger(
+        self,
+        dag: ComputationDAG,
+        plan_model: ModelPlan,
+        tplan: TimingPlan,
+        samples: int = 1,
+    ) -> tuple[TimingEstimate, list[float]]:
+        """Charge ``samples`` requests' ledger off the timing plan.
+
+        Exactly what that many :meth:`execute_layers` walks charge —
+        same loader and replay counters, same register end state, same
+        DRAM reads, hits, and jitter draws in the same order.  Returns
+        the first sample's pipeline cost (the only one a batch is
+        billed, per pass) and its per-read exposed latencies.
+
+        Sample 0 reads every streaming layer plus every not-yet-cached
+        conv kernel: a scalar fold, because numpy's fixed costs on a
+        handful of reads exceed the loop they would replace.  Later
+        samples read only the streaming layers (sample 0 pinned the
+        kernels), all at once.
+        """
+        # The walk loads once per sample and writes every layer's
+        # registers in turn; the load, the first layer re-targeted to
+        # this core's wavelength count and the last layer's configure
+        # leave the identical register end state.
+        self.loader.load(dag.model_id)
+        self.loader.configure_layer(dag, 0, self.num_wavelengths)
+        if dag.num_layers > 1:
+            self.loader.configure_layer(
+                dag, dag.num_layers - 1, self.num_wavelengths
+            )
+        plan_model.replays += 1
+        read_latencies = self.memory.replay_reads(dag.model_id, tplan.reads)
+        self._replay_tail(plan_model, tplan, samples - 1)
+        return (
+            TimingEstimate(
+                compute_seconds=tplan.compute_seconds,
+                datapath_seconds=tplan.datapath_seconds,
+                memory_seconds=sum(read_latencies),
+            ),
+            read_latencies,
+        )
+
+    def _replay_tail(
+        self, plan_model: ModelPlan, tplan: TimingPlan, samples: int
+    ) -> None:
+        """Advance the side effects of a batch's samples after its
+        first: the loader and replay counters and the streaming
+        layers' reads (the first sample pinned every conv kernel, and
+        left the registers where each of these would)."""
+        if samples <= 0:
+            return
+        plan_model.replays += samples
+        self.loader.loads += samples
+        streams = tplan.stream_transfer_s
+        self.memory.replay_streams(
+            streams, samples, len(tplan.reads) - len(streams)
+        )
 
     def execute_timing_loop(self, model_id: int) -> TimingEstimate:
         """The per-layer dry-run loop (the equivalence baseline).
 
-        One sample's cost charged layer by layer with scalar memory
-        calls — the reference the vectorized path must match bit for
-        bit (cycle ledger, jitter-RNG stream position, register end
-        state), kept both as the fallback for degraded cores and as the
-        baseline the equivalence tests and ``bench_dryrun`` compare
-        against.
+        One sample's cost re-derived and charged layer by layer with
+        scalar memory calls — the reference the replayed ledger must
+        match bit for bit (cycle ledger, jitter-RNG stream position,
+        register end state), kept both as the fallback for degraded
+        cores and as the baseline the equivalence tests and
+        ``bench_dryrun`` compare against.
         """
         self._require_fast()
         dag = self.loader.load(model_id)
@@ -1077,7 +1212,20 @@ class LightningDatapath:
         seen_groups: set[str] = set()
         for index, task in enumerate(dag.tasks):
             self.loader.configure_layer(dag, index, self.num_wavelengths)
-            c, d, m = self._layer_timing(dag, plan_model, task)
+            plan = plan_model.plan(task.name)
+            if task.kind == "maxpool":
+                c, d, m = plan.compute_cycles / self.clock_hz, 0.0, 0.0
+            else:
+                if task.kind == "attention":
+                    self._require_matmul()
+                fetch = (
+                    self.memory.load_kernel
+                    if task.kind == "conv"
+                    else self.memory.stream_weights
+                )
+                _, m = fetch(dag.model_id, task.name)
+                c = self._layer_cycles(plan) / self.clock_hz
+                d = PER_LAYER_DATAPATH_SECONDS
             if task.parallel_group is not None:
                 if task.parallel_group in seen_groups:
                     d = 0.0
@@ -1092,185 +1240,49 @@ class LightningDatapath:
             memory_seconds=sum(memory),
         )
 
-    def _timing_vectorized(
-        self, model_id: int, batch: int
-    ) -> TimingEstimate:
-        """One vectorized pass over a whole dry-run batch.
-
-        Charges exactly what ``batch`` calls to
-        :meth:`execute_timing_loop` would have charged — same loader
-        and replay counters, same register end state, same DRAM reads,
-        hits, and jitter draws in the same order — but with one RNG
-        call and a handful of array reductions instead of
-        ``batch x layers`` interpreter iterations.
-
-        Draw order (the bit-identity argument): the scalar path draws
-        one uniform per DRAM read, sample-major and layer-ordered
-        within each sample.  Sample 0 reads every streaming layer plus
-        every not-yet-cached conv kernel; samples 1..B-1 read only the
-        streaming layers (sample 0 pinned the kernels).  One
-        ``uniform(size=n)`` call consumes the identical doubles in the
-        identical order, and the latency fold replays scalar ``+=``
-        summation via ``np.add.accumulate``.
-        """
-        dag = self.loader.load(model_id)
-        plan_model = self._plan_for(dag)
-        tplan = self._timing_plan_for(dag, plan_model)
-        if tplan.needs_matmul and not supports_matmul(self.core):
-            raise ValueError(
-                "attention tasks require a behavioral core (device-"
-                "fidelity attention streaming is not implemented)"
-            )
-        plan_model.replays += batch
-        # The loop path loads once per sample and walks the layer
-        # registers up to the last layer; one load plus one final
-        # configure leaves the identical register end state.
-        self.loader.loads += batch - 1
-        if dag.num_layers > 1:
-            self.loader.configure_layer(
-                dag, dag.num_layers - 1, self.num_wavelengths
-            )
-        memory = self.memory
-        streams = tplan.read_is_stream
-        cached = np.fromiter(
-            (
-                (not bool(stream))
-                and memory.kernel_cached(dag.model_id, name)
-                for stream, name in zip(streams, tplan.read_names)
-            ),
-            dtype=bool,
-            count=len(tplan.read_names),
-        )
-        draw0 = ~cached
-        n0 = int(draw0.sum())
-        n_stream = int(streams.sum())
-        n_kernel = len(tplan.read_names) - n_stream
-        jitters = memory.jitter_batch(n0 + (batch - 1) * n_stream)
-        base_ns = memory.dram.base_latency_ns
-        # Sample 0: streams expose pipeline fill only; kernel misses
-        # expose the full access-plus-transfer latency.
-        transfer0 = tplan.read_transfer_s[draw0]
-        raw0 = (base_ns + jitters[:n0]) * 1e-9 + transfer0
-        lat0 = np.where(
-            streams[draw0], np.maximum(raw0 - transfer0, 0.0), raw0
-        )
-        # Samples 1..B-1: streaming layers only, all kernels cached.
-        transfer_t = tplan.read_transfer_s[streams]
-        jitter_t = jitters[n0:].reshape(batch - 1, n_stream)
-        raw_t = (base_ns + jitter_t) * 1e-9 + transfer_t
-        lat_t = np.maximum(raw_t - transfer_t, 0.0)
-        memory.charge_read_batch(
-            np.concatenate([lat0, lat_t.ravel()]),
-            reads=n0 + (batch - 1) * n_stream,
-            hits=int(cached.sum()) + (batch - 1) * n_kernel,
-        )
-        for index, name in enumerate(tplan.read_names):
-            if not streams[index] and not cached[index]:
-                memory.pin_kernel(dag.model_id, name)
-        if n0:
-            memory_seconds = float(
-                np.add.accumulate(np.concatenate(([0.0], lat0)))[-1]
-            )
-        else:
-            memory_seconds = 0.0
-        return TimingEstimate(
-            compute_seconds=tplan.compute_seconds,
-            datapath_seconds=tplan.datapath_seconds,
-            memory_seconds=memory_seconds,
-        )
-
-    def _timing_tail(self, model_id: int, samples: int) -> None:
-        """Advance the side effects of ``samples`` extra dry-runs.
-
-        The degraded-core fallback runs the loop once for sample 0 (its
-        constants are live, not plan-stable) but must not re-loop for
-        the rest of the batch: later samples only move the loader and
-        replay counters and the memory RNG/ledger — all of which batch.
-        Assumes sample 0 already pinned every conv kernel (the loop
-        just did).
-        """
-        if samples <= 0:
-            return
-        dag = self.loader.load(model_id)
-        plan_model = self._plan_for(dag)
-        plan_model.replays += samples
-        self.loader.loads += samples - 1
-        if dag.num_layers > 1:
-            self.loader.configure_layer(
-                dag, dag.num_layers - 1, self.num_wavelengths
-            )
-        memory = self.memory
-        bandwidth = memory.dram.bandwidth_gbps
-        stream_names = [
-            task.name
-            for task in dag.tasks
-            if task.kind not in ("maxpool", "conv")
-        ]
-        n_kernel = sum(1 for task in dag.tasks if task.kind == "conv")
-        transfer = np.array(
-            [
-                memory.peek(dag.model_id, name).nbytes
-                * 8
-                / (bandwidth * 1e9)
-                for name in stream_names
-            ],
-            dtype=np.float64,
-        )
-        n_stream = len(stream_names)
-        jitter = memory.jitter_batch(samples * n_stream).reshape(
-            samples, n_stream
-        )
-        raw = (memory.dram.base_latency_ns + jitter) * 1e-9 + transfer
-        latencies = np.maximum(raw - transfer, 0.0)
-        memory.charge_read_batch(
-            latencies.ravel(),
-            reads=samples * n_stream,
-            hits=samples * n_kernel,
-        )
-
     def execute_timing(self, model_id: int) -> TimingEstimate:
         """Charge one request's exact cost without computing outputs.
 
         The parent process of a worker pool calls this instead of
-        :meth:`execute`: it advances the loader, plan-replay counters,
-        and memory-jitter RNG exactly as a real execution would — so the
-        virtual-clock event loop stays bit-identical to serial serving —
-        while the worker computes the output levels.  Costs replay the
-        model's compiled :class:`TimingPlan`; a degraded core falls
-        back to :meth:`execute_timing_loop` and invalidates the plan.
+        :meth:`execute`: it is that method's ledger half — loader,
+        plan-replay counters, memory-jitter RNG and registers advance
+        exactly as a real execution would, so the virtual-clock event
+        loop stays bit-identical to serial serving — while the worker
+        runs the forward half.  A degraded core falls back to
+        :meth:`execute_timing_loop` and invalidates the plan.
         """
         self._require_fast()
         if self._core_degraded():
             self._timing_plans.pop(model_id, None)
             return self.execute_timing_loop(model_id)
-        return self._timing_vectorized(model_id, 1)
+        return self._replay_ledger(*self._compiled(model_id))[0]
 
     def execute_batch_timing(
         self, model_id: int, batch: int
     ) -> TimingEstimate:
         """Batch twin of :meth:`execute_timing`.
 
-        Replays the accounting of :meth:`execute_batch` exactly: every
-        sample advances the memory RNG and replay counters (the real
-        path executes each sample), but only sample 0's pipeline cost,
-        multiplied by the pass count, is charged.  The whole batch is
-        one vectorized pass; even the degraded-core fallback loops only
-        for sample 0 and batches the rest's RNG/ledger advance.
+        The ledger half of :meth:`execute_batch`: every sample advances
+        the memory RNG and replay counters, but only sample 0's
+        pipeline cost, multiplied by the pass count, is charged.  Even
+        the degraded-core fallback loops only for sample 0 and batches
+        the rest's RNG/ledger advance.
         """
         if batch < 1:
             raise ValueError("a batch needs at least one query")
         self._require_fast()
-        hardware_batch = self.core.architecture.batch_size
-        passes = math.ceil(batch / hardware_batch)
+        passes = math.ceil(batch / self.core.architecture.batch_size)
         if self._core_degraded():
             self._timing_plans.pop(model_id, None)
             first = self.execute_timing_loop(model_id)
-            self._timing_tail(model_id, batch - 1)
+            if batch > 1:
+                dag = self.loader.dag(model_id)
+                plan_model = self._plan_for(dag)
+                self._replay_tail(
+                    plan_model,
+                    self._compile_timing(dag, plan_model),
+                    batch - 1,
+                )
         else:
-            first = self._timing_vectorized(model_id, batch)
-        return TimingEstimate(
-            compute_seconds=first.compute_seconds * passes,
-            datapath_seconds=first.datapath_seconds * passes,
-            memory_seconds=first.memory_seconds * passes,
-            passes=passes,
-        )
+            first, _ = self._replay_ledger(*self._compiled(model_id), batch)
+        return first.repeated(passes)

@@ -18,6 +18,7 @@ architecture and are modeled here:
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,27 +313,77 @@ class MemoryController:
         self._register_file.clear()
 
     # ------------------------------------------------------------------
-    # Vectorized dry-run support (compiled timing plans)
+    # Ledger replay support (compiled timing plans)
     # ------------------------------------------------------------------
     def peek(self, model_id: int, layer_name: str) -> np.ndarray:
         """A layer's resident tensor, charging nothing (compile probe)."""
         return self.dram.peek(self._key(model_id, layer_name))
 
-    def kernel_cached(self, model_id: int, layer_name: str) -> bool:
-        """Whether a kernel already sits in the register-file cache."""
-        return self._key(model_id, layer_name) in self._register_file
+    def replay_reads(
+        self,
+        model_id: int,
+        reads: Sequence[tuple[str, bool, float]],
+    ) -> list[float]:
+        """Charge one sample's reads off a timing plan's frozen rows.
 
-    def pin_kernel(self, model_id: int, layer_name: str) -> None:
-        """Populate the register-file cache without charging a read.
-
-        The vectorized dry-run charges a kernel miss through
-        :meth:`charge_read_batch` (latency and counters in one batched
-        call); this pins the kernel so later samples and executions see
-        the same cache state a scalar :meth:`load_kernel` would have
-        left behind.
+        ``reads`` are ``(layer name, streams, transfer seconds)`` in
+        charge order.  Returns each read's exposed
+        latency, exactly as :meth:`stream_weights` (``streams``) or
+        :meth:`load_kernel` would have charged it in that order: one
+        :meth:`jitter_batch` draw for every read that reaches DRAM,
+        then :meth:`DRAMModel.read`'s own arithmetic in plain floats.
+        A kernel miss is pinned in the register file; a hit costs
+        nothing and draws nothing.
         """
-        key = self._key(model_id, layer_name)
-        self._register_file[key] = self.dram.peek(key)
+        cache = self._register_file
+        # Streaming reads have no cache key: None is never cached.
+        keys = [
+            None if streams else self._key(model_id, name)
+            for name, streams, _ in reads
+        ]
+        jitters = iter(
+            self.jitter_batch(
+                sum(key not in cache for key in keys)
+            ).tolist()
+        )
+        base_ns = self.dram.base_latency_ns
+        total = self.total_read_latency_s
+        latencies = []
+        for key, (_, streams, transfer_s) in zip(keys, reads):
+            if key in cache:
+                self.cache_hits += 1
+                latencies.append(0.0)
+                continue
+            latency = (base_ns + next(jitters)) * 1e-9 + transfer_s
+            if streams:
+                # Pipelined: only the access time is exposed.
+                latency = max(latency - transfer_s, 0.0)
+            else:
+                cache[key] = self.dram.peek(key)
+            self.dram_reads += 1
+            total += latency
+            latencies.append(latency)
+        self.total_read_latency_s = total
+        return latencies
+
+    def replay_streams(
+        self, transfer_s: np.ndarray, samples: int, kernels: int
+    ) -> None:
+        """Charge a batch's ``samples`` after its first, all at once.
+
+        Each re-reads every streaming layer (``transfer_s``, in layer
+        order; sample-major draws, as scalar charging would make them)
+        and hits each of the ``kernels`` the first sample pinned.
+        """
+        jitter = self.jitter_batch(samples * len(transfer_s)).reshape(
+            samples, len(transfer_s)
+        )
+        raw = (self.dram.base_latency_ns + jitter) * 1e-9 + transfer_s
+        self.charge_read_batch(
+            np.maximum(raw - transfer_s, 0.0).ravel(),
+            reads=samples * len(transfer_s),
+            hits=samples * kernels,
+        )
 
     def jitter_batch(self, count: int) -> np.ndarray:
         """Draw ``count`` DRAM-jitter values in one RNG call.

@@ -159,6 +159,19 @@ def supports_matmul(core) -> bool:
     return hasattr(core, "matmul")
 
 
+def finish_output(
+    raw: np.ndarray, nonlinear: NonlinearModule, requant_divisor: float
+) -> np.ndarray:
+    """Non-linearity, then requantization to 0..255 levels (skipped at
+    a divisor of 1.0): the tail every weighted layer ends with."""
+    raw = nonlinear(raw)
+    if requant_divisor != 1.0:
+        raw = raw / requant_divisor
+        np.maximum(raw, 0.0, out=raw)
+        np.minimum(raw, 255.0, out=raw)
+    return np.asarray(raw, dtype=np.float64).ravel()
+
+
 @dataclass(frozen=True)
 class PlanGeometry:
     """The datapath parameters a plan's cycle ledger was compiled for."""
@@ -218,6 +231,7 @@ class ExecutionPlan:
         geometry: PlanGeometry,
     ) -> None:
         self.task_name = task.name
+        self.input_size = task.input_size
         self.geometry = geometry
         self.nonlinear: NonlinearModule = nonlinear_module(
             task.nonlinearity
@@ -232,6 +246,15 @@ class ExecutionPlan:
     def execute(self, core, activations: np.ndarray) -> np.ndarray:
         """Replay the compiled task; returns the raw pre-bias levels."""
         raise NotImplementedError
+
+    def finish(self, raw: np.ndarray, requantize: bool) -> np.ndarray:
+        """The digital tail after :meth:`execute`: bias, non-linearity
+        and (between layers, ``requantize``) the clip back to levels."""
+        if self.bias_levels is not None:
+            raw = raw + self.bias_levels
+        return finish_output(
+            raw, self.nonlinear, self.requant_divisor if requantize else 1.0
+        )
 
     # ------------------------------------------------------------------
     # Shared-memory export/import (process-parallel serving)
@@ -550,6 +573,16 @@ class ConvPlan(ExecutionPlan):
             positions, self.conv.out_channels
         )
 
+    def finish(self, raw: np.ndarray, requantize: bool) -> np.ndarray:
+        if self.bias_levels is not None:
+            raw = raw + self.bias_levels  # broadcast per out-channel
+        # Channel-major (NCHW) flattening.
+        return finish_output(
+            raw.T.ravel(),
+            self.nonlinear,
+            self.requant_divisor if requantize else 1.0,
+        )
+
     def shared_arrays(self) -> dict[str, np.ndarray]:
         return {"patch_gather": self.patch_gather}
 
@@ -575,19 +608,10 @@ class AttentionPlan(ExecutionPlan):
 
     def __init__(self, task: LayerTask, geometry: PlanGeometry) -> None:
         super().__init__(task, geometry)
-        att = task.attention
-        assert att is not None and task.weights_levels is not None
-        self.attention = att
-        d = att.d_model
-        weights = task.weights_levels
-        # Transposed views of the four stacked projections, consumed by
-        # matmul exactly as the uncompiled path consumed them.
-        self.wq_t = weights[0:d].T
-        self.wk_t = weights[d : 2 * d].T
-        self.wv_t = weights[2 * d : 3 * d].T
-        self.wo_t = weights[3 * d : 4 * d].T
+        self._bind_shared(task, {}, {})
+        att = self.attention
         self.rows = 6 * att.seq_len
-        d_cost = geometry.row_cycles(d)
+        d_cost = geometry.row_cycles(att.d_model)
         self.stream_cycles = (
             3 * att.seq_len * d_cost  # Q, K, V projections
             + att.seq_len * d_cost  # score rows
@@ -599,9 +623,13 @@ class AttentionPlan(ExecutionPlan):
     def execute(self, core, activations: np.ndarray) -> np.ndarray:
         att = self.attention
         tokens = activations.reshape(att.seq_len, att.d_model)
-        q = core.matmul(tokens, self.wq_t)
-        k = core.matmul(tokens, self.wk_t)
-        v = core.matmul(tokens, self.wv_t)
+        # Q, K and V share the token encoding: one streamed product
+        # where the core offers it, else three calls (same stream).
+        shared = getattr(core, "matmul_shared", None)
+        if shared is not None:
+            q, k, v = shared(tokens, self.qkv_t)
+        else:
+            q, k, v = (core.matmul(tokens, w_t) for w_t in self.qkv_t)
         scores = core.matmul(q, k.T) * att.score_scale
         shifted = scores - scores.max(axis=-1, keepdims=True)
         exps = np.exp(shifted)
@@ -617,9 +645,11 @@ class AttentionPlan(ExecutionPlan):
         self.attention = att
         d = att.d_model
         weights = task.weights_levels
-        self.wq_t = weights[0:d].T
-        self.wk_t = weights[d : 2 * d].T
-        self.wv_t = weights[2 * d : 3 * d].T
+        # Transposed views of the four stacked projections, consumed by
+        # matmul exactly as the uncompiled path consumed them.
+        self.qkv_t = tuple(
+            weights[i * d : (i + 1) * d].T for i in range(3)
+        )
         self.wo_t = weights[3 * d : 4 * d].T
 
 
@@ -646,6 +676,9 @@ class PoolPlan(ExecutionPlan):
         )[:, :: pool.effective_stride, :: pool.effective_stride]
         return windows.max(axis=(-2, -1)).ravel()
 
+    def finish(self, raw: np.ndarray, requantize: bool) -> np.ndarray:
+        return raw  # a comparator stage: no bias, no requantization
+
     def shared_meta(self) -> dict:
         meta = super().shared_meta()
         meta["compute_cycles"] = self.compute_cycles
@@ -659,7 +692,13 @@ class PoolPlan(ExecutionPlan):
 
 @dataclass
 class ModelPlan:
-    """Every task of one DAG compiled against one datapath geometry."""
+    """Every task of one DAG compiled against one datapath geometry.
+
+    ``tasks`` is in DAG order.  ``program`` is the model's forward
+    program, one straight-line step per task: the plan, whether its
+    requantization applies (every layer but the last) and whether its
+    input's 0..255 range is already proved by the producer's clip.
+    """
 
     model_id: int
     model_name: str
@@ -667,6 +706,23 @@ class ModelPlan:
     tasks: dict[str, ExecutionPlan] = field(default_factory=dict)
     #: Requests replayed through this plan since compilation.
     replays: int = 0
+    program: tuple[tuple[ExecutionPlan, bool, bool], ...] = field(
+        init=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        plans = list(self.tasks.values())
+        steps = []
+        in_range = False  # the request input is never trusted
+        for index, plan in enumerate(plans):
+            requantize = index < len(plans) - 1
+            steps.append((plan, requantize, in_range))
+            in_range = (
+                requantize
+                and plan.kind != "maxpool"
+                and plan.requant_divisor != 1.0
+            )
+        self.program = tuple(steps)
 
     def plan(self, task_name: str) -> ExecutionPlan:
         return self.tasks[task_name]
@@ -674,6 +730,45 @@ class ModelPlan:
     @property
     def num_tasks(self) -> int:
         return len(self.tasks)
+
+    def forward(self, core, input_levels: np.ndarray) -> list[np.ndarray]:
+        """One request's numerics: every task's output levels, in order.
+
+        Pure with respect to the datapath — no registers, no DRAM, no
+        counters; only ``core``'s noise stream advances.  Inputs are
+        validated exactly where the per-layer walk validates them and
+        could fail: lengths always, the level range on the request
+        input and after every producer that did not just clip to it.
+        """
+        activations = np.asarray(input_levels, dtype=np.float64).ravel()
+        outputs = []
+        for plan, requantize, in_range in self.program:
+            check_activations(
+                plan.task_name, plan.input_size, activations, not in_range
+            )
+            activations = plan.finish(
+                plan.execute(core, activations), requantize
+            )
+            outputs.append(activations)
+        return outputs
+
+
+def check_activations(
+    task_name: str, input_size: int, activations: np.ndarray, levels: bool
+) -> None:
+    """Reject a layer input of the wrong length or (``levels``) range."""
+    if len(activations) != input_size:
+        raise ValueError(
+            f"layer {task_name!r} expects {input_size} "
+            f"activations, got {len(activations)}"
+        )
+    if levels and activations.size and (
+        activations.min() < 0.0 or activations.max() > 255.0
+    ):
+        raise ValueError(
+            "activations must be non-negative 0..255 levels (signs "
+            "are carried by the weights after sign separation)"
+        )
 
 
 def compile_task(

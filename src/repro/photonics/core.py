@@ -26,6 +26,8 @@ wavelengths.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -534,19 +536,58 @@ class BehavioralCore:
         parallelism.
         """
         a_matrix = np.asarray(a_matrix, dtype=np.float64)
-        b_matrix = np.asarray(b_matrix, dtype=np.float64)
-        clean = a_matrix @ b_matrix / 255.0
-        inner = a_matrix.shape[-1]
+        clean = a_matrix @ np.asarray(b_matrix, dtype=np.float64)
+        clean /= 255.0
+        return self._add_summed_noise(clean, a_matrix.shape[-1])
+
+    def _add_summed_noise(self, clean: np.ndarray, inner: int) -> np.ndarray:
+        """Perturb ``clean`` in place with :meth:`matmul`'s noise law.
+
+        ``standard_normal(shape)`` scaled in place is the stream and
+        the rounding of ``normal(mean, std, size)`` (the argument in
+        :meth:`accumulate_into`), without its temporaries.
+        """
         readouts = -(-inner // self.architecture.accumulation_wavelengths)
-        if isinstance(self.noise, NoiselessModel):
+        noise = self.noise
+        if isinstance(noise, NoiselessModel):
             return clean
-        if isinstance(self.noise, GaussianNoise):
-            mean = 0.0 if self.remove_mean else self.noise.mean * readouts
-            std = self.noise.std * np.sqrt(readouts)
-            return clean + self._rng.normal(mean, std, size=clean.shape)
+        if isinstance(noise, GaussianNoise):
+            draws = self._rng.standard_normal(clean.shape)
+            draws *= noise.std * math.sqrt(readouts)
+            if not self.remove_mean:
+                draws += noise.mean * readouts
+            clean += draws
+            return clean
         # Generic models: draw per-readout noise explicitly and sum.
-        draws = self.noise.sample(clean.shape + (readouts,), self._rng)
+        draws = noise.sample(clean.shape + (readouts,), self._rng)
         return clean + draws.sum(axis=-1) - self._noise_offset() * readouts
+
+    def matmul_shared(
+        self, a_matrix: np.ndarray, b_matrices: Sequence[np.ndarray]
+    ) -> np.ndarray:
+        """``matmul(a, b)`` for every equally shaped ``b``, stacked.
+
+        Products that share one input encoding are one streamed product
+        (attention's Q, K and V): one noise draw, block-major — exactly
+        the stream the sequential :meth:`matmul` calls consume, so the
+        stack holds their results bit for bit.  Each block stays its
+        own contraction (BLAS sums a row's products in an order that
+        depends on how many columns ride along).  Noise models other
+        than this class's Gaussian (or none), and subclasses with their
+        own ``matmul``, get the sequential calls.
+        """
+        a_matrix = np.asarray(a_matrix, dtype=np.float64)
+        if type(self).matmul is not BehavioralCore.matmul or not isinstance(
+            self.noise, (GaussianNoise, NoiselessModel)
+        ):
+            return np.stack([self.matmul(a_matrix, b) for b in b_matrices])
+        clean = np.empty(
+            (len(b_matrices), a_matrix.shape[0], b_matrices[0].shape[-1])
+        )
+        for block, b_matrix in zip(clean, b_matrices):
+            np.matmul(a_matrix, b_matrix, out=block)
+        clean /= 255.0
+        return self._add_summed_noise(clean, a_matrix.shape[-1])
 
     def dot(self, a_levels: np.ndarray, b_levels: np.ndarray) -> float:
         """Noisy dot product of two level vectors."""

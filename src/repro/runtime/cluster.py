@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..core.datapath import LightningDatapath
+from ..core.datapath import LightningDatapath, TimingEstimate
 from ..core.dag import ComputationDAG
 from ..core.energy import EnergyModel
 from ..core.plans import export_model_plan, import_model_plan
@@ -154,6 +154,40 @@ class _Dispatch:
     outputs: list[np.ndarray] | None
     epoch: int = 0
     worker_seq: int = -1
+
+    @classmethod
+    def charged(
+        cls,
+        core: int,
+        model_id: int,
+        entries: Sequence[QueueEntry],
+        start_s: float,
+        timing: TimingEstimate,
+        outputs: list[np.ndarray] | None,
+        worker_seq: int = -1,
+    ) -> "_Dispatch":
+        """A dispatch billed from its datapath timing.
+
+        Each request's t_d/t_c is one pipeline pass's worth; any extra
+        passes a large batch needs land in t_q (the request is
+        DRAM-buffered while earlier passes stream), keeping the
+        decomposition identity exact.
+        """
+        service_s = timing.total_seconds
+        return cls(
+            core=core,
+            model_id=model_id,
+            entries=list(entries),
+            start_s=start_s,
+            finish_s=start_s + service_s,
+            service_s=service_s,
+            pass_datapath_s=(
+                timing.datapath_seconds + timing.memory_seconds
+            ) / timing.passes,
+            pass_compute_s=timing.compute_seconds / timing.passes,
+            outputs=outputs,
+            worker_seq=worker_seq,
+        )
 
 
 @dataclass(frozen=True)
@@ -1176,45 +1210,24 @@ class Cluster:
     ) -> _Dispatch:
         """Run one dispatch on a core's real datapath.
 
-        A multi-request dispatch goes through the broadcast batch path:
-        each request's t_d/t_c is one pipeline pass's worth, and any
-        extra passes a large batch needs land in t_q (the request is
-        DRAM-buffered while earlier passes stream), keeping the
-        decomposition identity exact.  The outputs are computed here,
-        but records are only finalized when the completion event fires
-        — see :class:`_Dispatch`.
+        A multi-request dispatch goes through the broadcast batch
+        path.  The outputs are computed here, but records are only
+        finalized when the completion event fires — see
+        :class:`_Dispatch`.
         """
         datapath = self.datapaths[core]
         if len(entries) == 1:
             execution = datapath.execute(
                 model_id, entries[0].item.data_levels
             )
-            service_s = execution.total_seconds
-            pass_datapath_s = (
-                execution.datapath_seconds + execution.memory_seconds
-            )
-            pass_compute_s = execution.compute_seconds
             outputs = [execution.output_levels]
         else:
-            batch = datapath.execute_batch(
+            execution = datapath.execute_batch(
                 model_id, stack_levels(entries)
             )
-            service_s = batch.total_seconds
-            pass_datapath_s = (
-                batch.datapath_seconds + batch.memory_seconds
-            ) / batch.passes
-            pass_compute_s = batch.compute_seconds / batch.passes
-            outputs = list(batch.output_levels)
-        return _Dispatch(
-            core=core,
-            model_id=model_id,
-            entries=list(entries),
-            start_s=start_s,
-            finish_s=start_s + service_s,
-            service_s=service_s,
-            pass_datapath_s=pass_datapath_s,
-            pass_compute_s=pass_compute_s,
-            outputs=outputs,
+            outputs = list(execution.output_levels)
+        return _Dispatch.charged(
+            core, model_id, entries, start_s, execution.timing, outputs
         )
 
     def _dispatch_parallel(
@@ -1227,10 +1240,9 @@ class Cluster:
     ) -> _Dispatch:
         """Ship one dispatch to a core's worker process.
 
-        The parent runs the datapath's timing dry run off the model's
-        compiled :class:`~repro.core.datapath.TimingPlan` — one
-        vectorized pass that consumes the same memory-jitter draws, in
-        the same order, as a serial execute would — so the virtual
+        The parent runs the datapath's timing dry run — the ledger
+        half of a serial execute, replayed off the model's compiled
+        :class:`~repro.core.datapath.TimingPlan` — so the virtual
         clock's event ordering is fixed here and never waits on a
         worker.  Only the request block and
         the noise key land in the worker's request ring (one semaphore
@@ -1248,21 +1260,7 @@ class Cluster:
         else:
             block = stack_levels(entries)
             timing = datapath.execute_batch_timing(model_id, len(entries))
-        service_s = timing.total_seconds
-        pass_datapath_s = (
-            timing.datapath_seconds + timing.memory_seconds
-        ) / timing.passes
-        pass_compute_s = timing.compute_seconds / timing.passes
         seq = self._pool.run(core, model_id, block, start_s, key)
-        return _Dispatch(
-            core=core,
-            model_id=model_id,
-            entries=list(entries),
-            start_s=start_s,
-            finish_s=start_s + service_s,
-            service_s=service_s,
-            pass_datapath_s=pass_datapath_s,
-            pass_compute_s=pass_compute_s,
-            outputs=None,
-            worker_seq=seq,
+        return _Dispatch.charged(
+            core, model_id, entries, start_s, timing, None, worker_seq=seq
         )

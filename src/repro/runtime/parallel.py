@@ -316,12 +316,10 @@ def _worker_run(state: _WorkerState, message: tuple) -> None:
         reseed = getattr(core, "reseed_noise", None)
         if reseed is not None:
             reseed(*key)
-        if block.ndim == 1:
-            outputs = [datapath.execute(model_id, block).output_levels]
-        else:
-            outputs = list(
-                datapath.execute_batch(model_id, block).output_levels
-            )
+        # Numerics only: the parent owns (and already charged) the
+        # ledger.
+        rows = block[None] if block.ndim == 1 else block
+        outputs = [datapath.forward(model_id, row) for row in rows]
         if state.predictions:
             # Argmax-only serving: reduce worker-side and ship one
             # int32 per row.  ``np.argmax`` over the identical float64

@@ -83,6 +83,62 @@ class TestTracerEventStream:
         assert tracer.now_s == pytest.approx(before * 2)
 
 
+class TestTracerWalksEveryLayer:
+    """The compiled serving path writes only the first and last
+    layers' registers; the tracer must drive the per-layer walk itself.
+    A 2-layer DAG cannot tell the two apart (both write ``layer.index``
+    ``[0, 0, 1]``), so these use four layers."""
+
+    @staticmethod
+    def build(seed=6):
+        from .test_timing_plans import mixed
+
+        dag = mixed(model_id=4)
+        datapath = LightningDatapath(core=BehavioralCore(seed=seed), seed=seed)
+        datapath.register_model(dag)
+        return dag, datapath
+
+    def test_register_and_layer_events_are_complete(self):
+        dag, datapath = self.build()
+        tracer = DatapathTracer(datapath)
+        execution = tracer.execute(dag.model_id, np.full(36, 100.0))
+        assert tracer.register_writes("layer.index") == [0, 0, 1, 2, 3]
+        assert tracer.register_writes("layer.kind") == [
+            "conv", "conv", "maxpool", "attention", "dense",
+        ]
+        assert [
+            (label, cycles) for _, label, cycles in tracer.layer_timeline()
+        ] == [
+            (layer.task_name, layer.compute_cycles)
+            for layer in execution.layers
+        ]
+        assert len(execution.layers) == dag.num_layers
+
+    def test_tracing_changes_no_output_and_no_state(self):
+        dag, traced = self.build()
+        _, plain = self.build()
+        tracer = DatapathTracer(traced)
+        inputs = np.random.default_rng(2).integers(
+            0, 256, size=(3, 36)
+        ).astype(float)
+        for x in inputs:
+            ours = tracer.execute(dag.model_id, x)
+            theirs = plain.execute(dag.model_id, x)
+            assert (
+                ours.output_levels.tobytes() == theirs.output_levels.tobytes()
+            )
+            assert ours.total_seconds.hex() == theirs.total_seconds.hex()
+        for name in ("dram_reads", "cache_hits", "total_read_latency_s"):
+            assert getattr(traced.memory, name) == getattr(plain.memory, name)
+        assert traced.memory._rng.uniform() == plain.memory._rng.uniform()
+        assert (
+            traced.core._rng.standard_normal()
+            == plain.core._rng.standard_normal()
+        )
+        assert traced.registers._registers == plain.registers._registers
+        assert traced.plan_stats() == plain.plan_stats()
+
+
 def make_server(tiny_dag, processor=None):
     nic = LightningSmartNIC(
         datapath=LightningDatapath(
