@@ -25,9 +25,11 @@ results and identical cycle accounting:
   on its activations (§4 decouples the control plane from the data
   plane), a request is two compiled programs run once each: the
   model's forward program for the numerics and its
-  :class:`TimingPlan` for the ledger.  :meth:`execute_layers` remains
-  the per-layer walk the other fidelities, degraded cores and the
-  tracer take.
+  :class:`TimingPlan` for the ledger — on every core: an installed
+  analog fault changes the values a core returns, never a cycle
+  count, a DRAM read or a register write.  :meth:`execute_layers`
+  remains the per-layer walk the other fidelities and the tracer
+  take, and the reference the compiled path is tested against.
 * ``fidelity="loop"`` computes the same reductions row by row with
   per-row core calls: the pre-plan reference path, kept as the
   baseline the equivalence tests and the ``repro.perf`` benchmark
@@ -94,25 +96,6 @@ __all__ = [
 #: Datapath latency per DNN layer measured on the prototype (§9): covers
 #: the Lightning-specific functions — DACs, ADCs, count-action modules.
 PER_LAYER_DATAPATH_SECONDS = 193e-9
-
-_DEGRADED_CORE: type | None = None
-
-
-def _degraded_core_class() -> type | None:
-    """Resolve :class:`~repro.faults.device.DegradedCore` lazily.
-
-    ``repro.faults`` imports the core package, so the dependency must
-    stay one-way at import time; the class is cached after first use.
-    """
-    global _DEGRADED_CORE
-    if _DEGRADED_CORE is None:
-        try:
-            from ..faults.device import DegradedCore
-        except ImportError:  # pragma: no cover - stripped installs
-            return None
-        _DEGRADED_CORE = DegradedCore
-    return _DEGRADED_CORE
-
 
 @dataclass(frozen=True)
 class LayerExecution:
@@ -227,6 +210,10 @@ class TimingPlan:
     one RNG call (see
     :meth:`~repro.core.memory.MemoryController.jitter_batch`) folded
     in charge order.
+
+    No field is derived from the core but the wavelength count the
+    plans were compiled for, so a core with installed analog faults
+    replays the plan a healthy one does.
     """
 
     model_id: int
@@ -470,8 +457,7 @@ class LightningDatapath:
     def timing_plan(self, model_id: int) -> TimingPlan | None:
         """The cached dry-run constants for one model, if compiled.
 
-        ``None`` after an invalidation or a degraded-core fallback —
-        the explicit signal the fault tests assert on.
+        ``None`` only between an invalidation and the next request.
         """
         return self._timing_plans.get(model_id)
 
@@ -908,8 +894,7 @@ class LightningDatapath:
         numerics (validating the input before anything is charged) and
         the :class:`TimingPlan` replays the ledger — same counters,
         same DRAM reads and jitter draws, same register end state as
-        :meth:`execute_layers`, which the other fidelities and
-        degraded cores still walk.
+        :meth:`execute_layers`, which the other fidelities walk.
         """
         if self._walks_layers():
             return self.execute_layers(model_id, input_levels)
@@ -931,10 +916,10 @@ class LightningDatapath:
 
         The per-layer instrument: every task configures its registers,
         fetches its weights and reports its own
-        :class:`LayerExecution`.  ``fidelity="loop"``/``"device"`` and
-        degraded cores have no other way to run, and
-        :class:`~repro.core.trace.DatapathTracer` walks it on any
-        fidelity for the complete register and layer event stream.
+        :class:`LayerExecution`.  ``fidelity="loop"``/``"device"``
+        have no other way to run, :class:`~repro.core.trace.DatapathTracer`
+        walks it on any fidelity for the complete register and layer
+        event stream, and the compiled path is tested against it.
         """
         dag = self.loader.load(model_id)
         if self.fidelity == "fast":
@@ -1036,21 +1021,10 @@ class LightningDatapath:
                 "(fidelity='fast')"
             )
 
-    def _core_degraded(self) -> bool:
-        """Whether the core carries installed analog faults.
-
-        A degraded core's constants are not plan-stable (a re-lock or a
-        further fault changes them mid-trace), so requests and dry-runs
-        on one fall back to the per-layer walk and drop the cached
-        timing plan.
-        """
-        degraded = _degraded_core_class()
-        return degraded is not None and isinstance(self.core, degraded)
-
     def _walks_layers(self) -> bool:
         """Whether requests take :meth:`execute_layers`, not the
-        compiled programs."""
-        return self.fidelity != "fast" or self._core_degraded()
+        compiled programs: the fidelity alone decides."""
+        return self.fidelity != "fast"
 
     def _compile_timing(
         self, dag: ComputationDAG, plan_model: ModelPlan
@@ -1166,7 +1140,16 @@ class LightningDatapath:
             )
         plan_model.replays += 1
         read_latencies = self.memory.replay_reads(dag.model_id, tplan.reads)
-        self._replay_tail(plan_model, tplan, samples - 1)
+        if samples > 1:
+            # A batch's later samples: the loader and replay counters
+            # and the streaming layers' reads (sample 0 pinned every
+            # conv kernel, and left the registers where each would).
+            plan_model.replays += samples - 1
+            self.loader.loads += samples - 1
+            streams = tplan.stream_transfer_s
+            self.memory.replay_streams(
+                streams, samples - 1, len(tplan.reads) - len(streams)
+            )
         return (
             TimingEstimate(
                 compute_seconds=tplan.compute_seconds,
@@ -1174,70 +1157,6 @@ class LightningDatapath:
                 memory_seconds=sum(read_latencies),
             ),
             read_latencies,
-        )
-
-    def _replay_tail(
-        self, plan_model: ModelPlan, tplan: TimingPlan, samples: int
-    ) -> None:
-        """Advance the side effects of a batch's samples after its
-        first: the loader and replay counters and the streaming
-        layers' reads (the first sample pinned every conv kernel, and
-        left the registers where each of these would)."""
-        if samples <= 0:
-            return
-        plan_model.replays += samples
-        self.loader.loads += samples
-        streams = tplan.stream_transfer_s
-        self.memory.replay_streams(
-            streams, samples, len(tplan.reads) - len(streams)
-        )
-
-    def execute_timing_loop(self, model_id: int) -> TimingEstimate:
-        """The per-layer dry-run loop (the equivalence baseline).
-
-        One sample's cost re-derived and charged layer by layer with
-        scalar memory calls — the reference the replayed ledger must
-        match bit for bit (cycle ledger, jitter-RNG stream position,
-        register end state), kept both as the fallback for degraded
-        cores and as the baseline the equivalence tests and
-        ``bench_dryrun`` compare against.
-        """
-        self._require_fast()
-        dag = self.loader.load(model_id)
-        plan_model = self._plan_for(dag)
-        plan_model.replays += 1
-        compute: list[float] = []
-        datapath: list[float] = []
-        memory: list[float] = []
-        seen_groups: set[str] = set()
-        for index, task in enumerate(dag.tasks):
-            self.loader.configure_layer(dag, index, self.num_wavelengths)
-            plan = plan_model.plan(task.name)
-            if task.kind == "maxpool":
-                c, d, m = plan.compute_cycles / self.clock_hz, 0.0, 0.0
-            else:
-                if task.kind == "attention":
-                    self._require_matmul()
-                fetch = (
-                    self.memory.load_kernel
-                    if task.kind == "conv"
-                    else self.memory.stream_weights
-                )
-                _, m = fetch(dag.model_id, task.name)
-                c = self._layer_cycles(plan) / self.clock_hz
-                d = PER_LAYER_DATAPATH_SECONDS
-            if task.parallel_group is not None:
-                if task.parallel_group in seen_groups:
-                    d = 0.0
-                else:
-                    seen_groups.add(task.parallel_group)
-            compute.append(c)
-            datapath.append(d)
-            memory.append(m)
-        return TimingEstimate(
-            compute_seconds=sum(compute),
-            datapath_seconds=sum(datapath),
-            memory_seconds=sum(memory),
         )
 
     def execute_timing(self, model_id: int) -> TimingEstimate:
@@ -1248,13 +1167,10 @@ class LightningDatapath:
         plan-replay counters, memory-jitter RNG and registers advance
         exactly as a real execution would, so the virtual-clock event
         loop stays bit-identical to serial serving — while the worker
-        runs the forward half.  A degraded core falls back to
-        :meth:`execute_timing_loop` and invalidates the plan.
+        runs the forward half.  A degraded core replays the same plan:
+        no ledger constant reads the core's analog state.
         """
         self._require_fast()
-        if self._core_degraded():
-            self._timing_plans.pop(model_id, None)
-            return self.execute_timing_loop(model_id)
         return self._replay_ledger(*self._compiled(model_id))[0]
 
     def execute_batch_timing(
@@ -1264,25 +1180,11 @@ class LightningDatapath:
 
         The ledger half of :meth:`execute_batch`: every sample advances
         the memory RNG and replay counters, but only sample 0's
-        pipeline cost, multiplied by the pass count, is charged.  Even
-        the degraded-core fallback loops only for sample 0 and batches
-        the rest's RNG/ledger advance.
+        pipeline cost, multiplied by the pass count, is charged.
         """
         if batch < 1:
             raise ValueError("a batch needs at least one query")
         self._require_fast()
         passes = math.ceil(batch / self.core.architecture.batch_size)
-        if self._core_degraded():
-            self._timing_plans.pop(model_id, None)
-            first = self.execute_timing_loop(model_id)
-            if batch > 1:
-                dag = self.loader.dag(model_id)
-                plan_model = self._plan_for(dag)
-                self._replay_tail(
-                    plan_model,
-                    self._compile_timing(dag, plan_model),
-                    batch - 1,
-                )
-        else:
-            first, _ = self._replay_ledger(*self._compiled(model_id), batch)
+        first, _ = self._replay_ledger(*self._compiled(model_id), batch)
         return first.repeated(passes)

@@ -10,22 +10,16 @@ fast-path PR onward:
   emulation benchmark comparing the compiled fast path against the
   per-row loop path, a cluster serving benchmark, a parallel scaling
   benchmark (serial event loop vs ``execution="parallel"`` worker
-  pools at 1/2/4 cores, determinism asserted), and a dispatch
-  microbenchmark (pipe round-trips vs windowed shared-memory ring
-  hand-offs), and a dry-run microbenchmark (per-layer loop costing vs
-  compiled :class:`~repro.core.datapath.TimingPlan` reduction on a
-  GPT-2-class DAG), emitting machine-readable ``BENCH_emulator.json``
-  / ``BENCH_cluster.json`` / ``BENCH_parallel.json`` /
-  ``BENCH_dispatch.json`` / ``BENCH_dryrun.json`` reports plus a
-  regression gate for CI (``python -m repro.perf.bench``).
+  pools at 1/2/4 cores, determinism asserted), and the fabric,
+  traffic, failover and energy benchmarks, emitting machine-readable
+  ``BENCH_<name>.json`` reports plus a regression gate for CI
+  (``python -m repro.perf.bench``).
 """
 
 from .timers import PhaseTimer
 from .bench import (
     REGRESSION_THRESHOLD,
     bench_cluster,
-    bench_dispatch,
-    bench_dryrun,
     bench_emulator,
     bench_fabric,
     bench_parallel,
@@ -40,8 +34,6 @@ __all__ = [
     "PhaseTimer",
     "REGRESSION_THRESHOLD",
     "bench_cluster",
-    "bench_dispatch",
-    "bench_dryrun",
     "bench_emulator",
     "bench_fabric",
     "bench_parallel",

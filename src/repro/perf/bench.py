@@ -1,6 +1,6 @@
 """The perf benchmark harness: fast path vs loop path, and the cluster.
 
-Two benchmarks, both emitting machine-readable JSON so the performance
+Seven benchmarks, all emitting machine-readable JSON so the performance
 trajectory is tracked PR over PR:
 
 * **Emulator** (``BENCH_emulator.json``) — a LeNet-class dense DAG
@@ -25,24 +25,6 @@ trajectory is tracked PR over PR:
   and the gated ``parallel_speedup_4c`` ratio is only emitted when at
   least four effective CPUs exist — on fewer the worker processes
   time-slice one socket and the scaling number is meaningless.
-* **Dispatch** (``BENCH_dispatch.json``) — the IPC microbenchmark
-  behind the parallel numbers: the same echo workload shipped to a
-  child process once as per-batch pickled pipe round-trips (the
-  pre-ring transport) and once as windowed shared-memory ring
-  hand-offs (:mod:`repro.runtime.rings`).  Reports per-batch
-  microseconds for both legs — split into submit and collect halves,
-  the parent-cost breakdown — and the gated ``dispatch_ring_speedup``
-  ratio, so the transport win is attributable, not inferred — and it
-  is a same-host, same-run ratio, measurable even on one CPU.
-* **Dry-run** (``BENCH_dryrun.json``) — the parent-side timing dry-run
-  on a GPT-2-class DAG (12 transformer-ish blocks, 25 layers): one
-  batch-8 dispatch costed once per sample through the per-layer loop
-  (``execute_timing_loop``, the old ``execute_batch_timing``
-  behavior) and once through the compiled
-  :class:`~repro.core.datapath.TimingPlan` (one vectorized pass, one
-  RNG call).  Both legs are asserted bit-identical on fresh twin
-  datapaths; the gated ``dryrun_speedup`` is best-round loop-µs over
-  plan-µs per dispatch — same host, same run, meaningful on one CPU.
 * **Fabric** (``BENCH_fabric.json``) — the same full-load trace served
   by a :class:`~repro.fabric.Fabric` of 1, 2, and 4 two-core shards.
   The gated ``fabric_speedup_4s`` is the ratio of *virtual-clock*
@@ -120,8 +102,6 @@ __all__ = [
     "bench_emulator",
     "bench_cluster",
     "bench_parallel",
-    "bench_dispatch",
-    "bench_dryrun",
     "bench_fabric",
     "bench_traffic",
     "bench_failover",
@@ -159,12 +139,6 @@ GATED_METRICS = {
     # the gate skips it otherwise (same-host ratios only, like the
     # rest).
     "BENCH_parallel": ["parallel_speedup_4c"],
-    # Pipe-vs-ring transport latency ratio: same host, same run, so it
-    # gates meaningfully even on a single CPU.
-    "BENCH_dispatch": ["dispatch_ring_speedup"],
-    # Loop-vs-plan dry-run latency ratio: same host, same run — the
-    # compiled TimingPlan's win over the per-layer Python loop.
-    "BENCH_dryrun": ["dryrun_speedup"],
     # Virtual-clock makespan ratio: machine-independent by design.
     # (fabric_wall_ratio_4s is reported but CI-gated by the dedicated
     # wall-clock job, not the regression gate — wall ratios on shared
@@ -557,319 +531,6 @@ def bench_parallel(
             if row["num_cores"] == 4:
                 report["parallel_speedup_4c"] = row["speedup"]
     return report
-
-
-def _pipe_echo_child(conn, rows: int, out_width: int) -> None:
-    """Echo worker for the pipe leg: one pickled reply per batch."""
-    outputs = [np.zeros(out_width) for _ in range(rows)]
-    while True:
-        message = conn.recv()
-        if message[0] == "stop":
-            break
-        conn.send(("result", message[1], outputs))
-    conn.close()
-
-
-def _ring_echo_child(name, geometry, sems, rows: int, out_width: int):
-    """Echo worker for the ring leg: one result slot per batch."""
-    from ..runtime.rings import RingConsumer
-
-    consumer = RingConsumer(name, geometry, sems)
-    outputs = [np.zeros(out_width) for _ in range(rows)]
-    while True:
-        message = consumer.next()
-        if message[0] == "stop":
-            break
-        consumer.post_result(message[1], outputs)
-    consumer.close()
-
-
-def bench_dispatch(
-    batches: int = 256,
-    rows: int = 16,
-    width: int = 784,
-    out_width: int = 10,
-    window: int = 8,
-    rounds: int = 5,
-    seed: int = 0,
-) -> dict:
-    """Pipe round-trips vs windowed ring hand-offs, per batch.
-
-    Both legs ship the identical workload — ``batches`` blocks of
-    ``rows x width`` float64 — to a forked echo child and read back a
-    result per batch, in submit-a-window / collect-a-window strides
-    (the serving loop's pattern).  The pipe leg pays one pickle and one
-    syscall each way per batch (the pre-ring ``CoreWorkerPool``
-    transport); the ring leg writes raw slots into shared memory and
-    posts one semaphore per ``window``.  The default 16x784 block
-    (100 KB) exceeds the kernel pipe buffer, so the pipe leg also pays
-    fragmented writes — exactly the regime that throttled wide batches
-    before the rings landed.  Each leg is timed over ``rounds`` passes
-    and the best round wins (the :func:`bench_emulator` convention);
-    the gated ``dispatch_ring_speedup`` is best-round pipe-µs over
-    ring-µs — the attributable transport win, independent of model
-    compute.
-    """
-    if batches < 1:
-        raise ValueError("need at least one batch")
-    if window < 1:
-        raise ValueError("window must be at least one batch")
-    if rounds < 1:
-        raise ValueError("need at least one timing round")
-    import multiprocessing
-
-    from ..runtime.rings import RingGeometry, RingProducer, RingSems
-
-    ctx = multiprocessing.get_context("fork")
-    rng = np.random.default_rng(seed)
-    block = rng.uniform(0.0, 255.0, size=(rows, width))
-    warmup = min(2 * window, batches)
-
-    def timed_rounds(stride_fn) -> list[float]:
-        stride_fn(warmup)  # page in both directions before timing
-        walls = []
-        for _ in range(rounds):
-            start = time.perf_counter()
-            done = 0
-            while done < batches:
-                count = min(window, batches - done)
-                stride_fn(count)
-                done += count
-            walls.append(time.perf_counter() - start)
-        return walls
-
-    def split_pass(submit_fn, collect_fn) -> dict[str, float]:
-        """One extra measured pass, submit and collect timed apart.
-
-        The parent-cost breakdown: submit is the serialization /
-        slot-write half the event loop pays inline, collect is the
-        join half.  Measured outside the best-of rounds so the split
-        instrumentation never perturbs the gated ratio.
-        """
-        split = {"submit_s": 0.0, "collect_s": 0.0}
-        done = 0
-        while done < batches:
-            count = min(window, batches - done)
-            start = time.perf_counter()
-            submit_fn(count)
-            mid = time.perf_counter()
-            collect_fn(count)
-            split["submit_s"] += mid - start
-            split["collect_s"] += time.perf_counter() - mid
-            done += count
-        return split
-
-    # -- pipe leg: per-batch pickled round-trips -----------------------
-    parent_conn, child_conn = ctx.Pipe()
-    pipe_proc = ctx.Process(
-        target=_pipe_echo_child,
-        args=(child_conn, rows, out_width),
-        daemon=True,
-    )
-    pipe_proc.start()
-    child_conn.close()
-    seq = 0
-
-    def pipe_submit(count: int) -> None:
-        nonlocal seq
-        for _ in range(count):
-            parent_conn.send(("run", seq, block))
-            seq += 1
-
-    def pipe_collect(count: int) -> None:
-        for _ in range(count):
-            parent_conn.recv()
-
-    def pipe_stride(count: int) -> None:
-        pipe_submit(count)
-        pipe_collect(count)
-
-    pipe_walls = timed_rounds(pipe_stride)
-    pipe_split = split_pass(pipe_submit, pipe_collect)
-    parent_conn.send(("stop",))
-    pipe_proc.join(timeout=10.0)
-    parent_conn.close()
-
-    # -- ring leg: windowed shared-memory hand-offs --------------------
-    capacity = max(2 * window, 8)
-    geometry = RingGeometry(
-        capacity=capacity,
-        request_bytes=max(block.nbytes, 2048),
-        completion_bytes=max(rows * out_width * 8, 2048),
-    )
-    sems = RingSems(ctx, capacity)
-    producer = RingProducer(geometry, sems, window)
-    ring_proc = ctx.Process(
-        target=_ring_echo_child,
-        args=(producer.segment_name, geometry, sems, rows, out_width),
-        daemon=True,
-    )
-    ring_proc.start()
-    key = (0, 0, 0, 0)
-    seq = 0
-
-    def ring_submit(count: int) -> None:
-        nonlocal seq
-        for _ in range(count):
-            producer.submit_run(seq, 1, block, 0.0, key)
-            seq += 1
-
-    def ring_collect(count: int) -> None:
-        for _ in range(count):
-            producer.collect()
-
-    def ring_stride(count: int) -> None:
-        ring_submit(count)
-        ring_collect(count)
-
-    try:
-        ring_walls = timed_rounds(ring_stride)
-        ring_split = split_pass(ring_submit, ring_collect)
-        producer.submit_control(("stop",))
-        ring_proc.join(timeout=10.0)
-    finally:
-        if ring_proc.is_alive():  # pragma: no cover - stuck child
-            ring_proc.terminate()
-            ring_proc.join(timeout=10.0)
-        producer.close()
-
-    pipe_wall = min(pipe_walls)
-    ring_wall = min(ring_walls)
-    pipe_us = pipe_wall / batches * 1e6
-    ring_us = ring_wall / batches * 1e6
-    return {
-        "benchmark": "dispatch",
-        "batches": batches,
-        "rows": rows,
-        "width": width,
-        "out_width": out_width,
-        "window": window,
-        "ring_capacity": capacity,
-        "rounds": rounds,
-        "seed": seed,
-        "cpus": os.cpu_count() or 1,
-        "effective_cpus": effective_cpus(),
-        "pipe_wall_s": pipe_wall,
-        "ring_wall_s": ring_wall,
-        "pipe_round_walls_s": pipe_walls,
-        "ring_round_walls_s": ring_walls,
-        "pipe_batch_us": pipe_us,
-        "ring_batch_us": ring_us,
-        # Parent-cost breakdown, per batch, from the split pass.
-        "pipe_submit_us": pipe_split["submit_s"] / batches * 1e6,
-        "pipe_collect_us": pipe_split["collect_s"] / batches * 1e6,
-        "ring_submit_us": ring_split["submit_s"] / batches * 1e6,
-        "ring_collect_us": ring_split["collect_s"] / batches * 1e6,
-        "dispatch_ring_speedup": pipe_us / ring_us,
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-    }
-
-
-def bench_dryrun(
-    batch: int = 8,
-    dispatches: int = 24,
-    rounds: int = 5,
-    blocks: int = 12,
-    seed: int = 0,
-) -> dict:
-    """Compiled timing plans vs the per-layer dry-run loop.
-
-    Two identically seeded fast-fidelity datapaths register the same
-    GPT-2-class DAG.  The loop leg costs each dispatch the way
-    ``execute_batch_timing`` did before timing plans landed — one
-    :meth:`~repro.core.datapath.LightningDatapath.execute_timing_loop`
-    pass per sample, B x L interpreter iterations — and the plan leg
-    calls the vectorized
-    :meth:`~repro.core.datapath.LightningDatapath.execute_batch_timing`
-    once per dispatch.  The two estimates are asserted bit-identical
-    (per-dispatch, both legs consuming their own jitter streams in
-    lockstep), so the gated ``dryrun_speedup`` — best-round loop-µs
-    over plan-µs per dispatch — measures pure parent-side overhead
-    removed, not a semantics change.
-    """
-    if batch < 1:
-        raise ValueError("a dispatch needs at least one sample")
-    if dispatches < 1:
-        raise ValueError("need at least one dispatch")
-    if rounds < 1:
-        raise ValueError("need at least one timing round")
-    import math
-
-    dag = gpt2_class_dag(seed, blocks=blocks)
-    loop_dp = _datapath("fast", seed)
-    plan_dp = _datapath("fast", seed)
-    loop_dp.register_model(dag)
-    plan_dp.register_model(dag)
-    hardware_batch = loop_dp.core.architecture.batch_size
-    passes = math.ceil(batch / hardware_batch)
-
-    def loop_dispatch():
-        # The pre-plan execute_batch_timing: sample 0's estimate times
-        # the pass count, every later sample re-walking the layer loop
-        # only for its RNG and ledger side effects.
-        first = loop_dp.execute_timing_loop(dag.model_id)
-        for _ in range(batch - 1):
-            loop_dp.execute_timing_loop(dag.model_id)
-        return (
-            first.compute_seconds * passes,
-            first.datapath_seconds * passes,
-            first.memory_seconds * passes,
-        )
-
-    def plan_dispatch():
-        estimate = plan_dp.execute_batch_timing(dag.model_id, batch)
-        return (
-            estimate.compute_seconds,
-            estimate.datapath_seconds,
-            estimate.memory_seconds,
-        )
-
-    # Both legs consume their jitter streams in lockstep (batch draws
-    # per dispatch), so dispatch k's estimates must match bit for bit.
-    identical = True
-    for _ in range(2):
-        identical = identical and loop_dispatch() == plan_dispatch()
-    if not identical:
-        raise AssertionError(
-            "plan-backed dry-run diverged from the loop dry-run"
-        )
-
-    def timed_round(dispatch_fn) -> float:
-        start = time.perf_counter()
-        for _ in range(dispatches):
-            dispatch_fn()
-        return time.perf_counter() - start
-
-    # Interleave the legs round by round (the bench_emulator
-    # convention) so frequency drift biases neither side.
-    loop_walls: list[float] = []
-    plan_walls: list[float] = []
-    for _ in range(rounds):
-        loop_walls.append(timed_round(loop_dispatch))
-        plan_walls.append(timed_round(plan_dispatch))
-    loop_us = min(loop_walls) / dispatches * 1e6
-    plan_us = min(plan_walls) / dispatches * 1e6
-    return {
-        "benchmark": "dryrun",
-        "model": dag.name,
-        "layers": len(dag.tasks),
-        "blocks": blocks,
-        "batch": batch,
-        "hardware_batch": hardware_batch,
-        "passes": passes,
-        "dispatches": dispatches,
-        "rounds": rounds,
-        "seed": seed,
-        "cpus": os.cpu_count() or 1,
-        "effective_cpus": effective_cpus(),
-        "identical": identical,
-        "loop_dispatch_us": loop_us,
-        "plan_dispatch_us": plan_us,
-        "dryrun_speedup": loop_us / plan_us,
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-    }
 
 
 def bench_fabric(
@@ -1514,14 +1175,6 @@ def main(argv: list[str] | None = None) -> int:
         help="fabric shard-scaling benchmark request count",
     )
     parser.add_argument(
-        "--dispatch-batches", type=int, default=256,
-        help="dispatch microbenchmark batch count (per transport)",
-    )
-    parser.add_argument(
-        "--dryrun-dispatches", type=int, default=24,
-        help="dry-run microbenchmark dispatch count (per leg, per round)",
-    )
-    parser.add_argument(
         "--traffic-requests", type=int, default=100_000,
         help="open-loop traffic benchmark request count (per point)",
     )
@@ -1551,12 +1204,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
         "BENCH_parallel": bench_parallel(
             requests=args.parallel_requests, seed=args.seed
-        ),
-        "BENCH_dispatch": bench_dispatch(
-            batches=args.dispatch_batches, seed=args.seed
-        ),
-        "BENCH_dryrun": bench_dryrun(
-            dispatches=args.dryrun_dispatches, seed=args.seed
         ),
         "BENCH_fabric": bench_fabric(
             requests=args.fabric_requests, seed=args.seed
@@ -1614,32 +1261,6 @@ def main(argv: list[str] | None = None) -> int:
         f"({parallel['effective_cpus']} effective cpu host)"
     )
     print(f"parallel: deterministic, serial/parallel {curve}; {gate_note}")
-    dispatch = reports["BENCH_dispatch"]
-    print(
-        "dispatch: pipe {pipe:.1f} us/batch vs ring {ring:.1f} us/batch "
-        "(submit/collect pipe {ps:.1f}/{pc:.1f}, ring {rs:.1f}/{rc:.1f}); "
-        "gated ring_speedup {speedup:.2f}x".format(
-            pipe=dispatch["pipe_batch_us"],
-            ring=dispatch["ring_batch_us"],
-            ps=dispatch["pipe_submit_us"],
-            pc=dispatch["pipe_collect_us"],
-            rs=dispatch["ring_submit_us"],
-            rc=dispatch["ring_collect_us"],
-            speedup=dispatch["dispatch_ring_speedup"],
-        )
-    )
-    dryrun = reports["BENCH_dryrun"]
-    print(
-        "dryrun: loop {loop:.1f} us/dispatch vs plan {plan:.1f} "
-        "us/dispatch on {layers} layers x batch {batch}; "
-        "gated dryrun_speedup {speedup:.2f}x".format(
-            loop=dryrun["loop_dispatch_us"],
-            plan=dryrun["plan_dispatch_us"],
-            layers=dryrun["layers"],
-            batch=dryrun["batch"],
-            speedup=dryrun["dryrun_speedup"],
-        )
-    )
     fabric = reports["BENCH_fabric"]
     fabric_curve = ", ".join(
         "{num_shards}s {horizon_s:.2e}s".format(**row)

@@ -268,7 +268,6 @@ class Cluster:
         tracer: DatapathTracer | None = None,
         execution: str = "serial",
         window: int = 8,
-        completions: str = "predictions",
         energy_model: EnergyModel | str | None = "lightning",
     ) -> None:
         if num_cores < 1:
@@ -290,11 +289,6 @@ class Cluster:
             raise ValueError(
                 f"unknown execution mode {execution!r}; "
                 "choose 'serial' or 'parallel'"
-            )
-        if completions not in ("predictions", "rows"):
-            raise ValueError(
-                f"unknown completions mode {completions!r}; "
-                "choose 'predictions' or 'rows'"
             )
         # Validate queue parameters eagerly so a misconfigured cluster
         # fails at construction, not at the first deploy().
@@ -362,7 +356,6 @@ class Cluster:
                 factory,
                 window=window,
                 max_batch=max_batch,
-                completions=completions,
             )
             self._pool_finalizer = pool_finalizer(self, self._pool)
 
@@ -1106,7 +1099,6 @@ class Cluster:
             # order (per core that is dispatch order) and patch the
             # placeholder predictions — everything else in the record
             # was already exact at finalization.
-            predictions_only = self._pool.predictions_only
             for base, batch in pending_joins:
                 batch.outputs = self._pool.result(
                     batch.core, batch.worker_seq
@@ -1114,11 +1106,7 @@ class Cluster:
                 for offset, value in enumerate(batch.outputs):
                     records[base + offset] = dataclasses.replace(
                         records[base + offset],
-                        prediction=(
-                            int(value)
-                            if predictions_only
-                            else int(np.argmax(value))
-                        ),
+                        prediction=int(value),
                     )
             # Batches cut off by a timeout were never finalized, and
             # aborted ones still finish in the background — consume

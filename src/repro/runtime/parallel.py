@@ -23,8 +23,9 @@ execution parallelism while preserving its virtual-clock determinism:
   slots (raw input block, virtual time, Philox substream key) into a
   per-worker shared-memory request ring and posts the worker once per
   ``window`` batches; results come back through a mirrored completion
-  ring as raw output rows.  No per-batch pickling, no per-batch pipe
-  syscalls — one semaphore post amortizes over W dispatches.
+  ring as one int32 prediction per row.  No per-batch pickling, no
+  per-batch pipe syscalls — one semaphore post amortizes over W
+  dispatches.
 
 Determinism contract: the parent reseeds nothing here — the cluster
 keys every batch's readout-noise stream by ``(domain, core, epoch,
@@ -249,13 +250,10 @@ def _worker_deploy(datapath, spec: dict, segments: list) -> None:
 class _WorkerState:
     """Mutable bag threaded through one worker's message handlers."""
 
-    def __init__(
-        self, datapath, conn, sems: RingSems, predictions: bool = False
-    ) -> None:
+    def __init__(self, datapath, conn, sems: RingSems) -> None:
         self.datapath = datapath
         self.conn = conn
         self.sems = sems
-        self.predictions = predictions
         self.consumer: RingConsumer | None = None
         self.segments: list[shared_memory.SharedMemory] = []
 
@@ -319,17 +317,17 @@ def _worker_run(state: _WorkerState, message: tuple) -> None:
         # Numerics only: the parent owns (and already charged) the
         # ledger.
         rows = block[None] if block.ndim == 1 else block
-        outputs = [datapath.forward(model_id, row) for row in rows]
-        if state.predictions:
-            # Argmax-only serving: reduce worker-side and ship one
-            # int32 per row.  ``np.argmax`` over the identical float64
-            # outputs is the identical reduction the parent would have
-            # run, so predictions stay bit-identical to serial.
-            state.consumer.post_predictions(
-                seq, [int(np.argmax(output)) for output in outputs]
-            )
-        else:
-            state.consumer.post_result(seq, outputs)
+        # Records carry a prediction, never outputs: reduce
+        # worker-side and ship one int32 per row.  ``np.argmax`` over
+        # the identical float64 outputs is the reduction the serial
+        # path runs, so predictions stay bit-identical to it.
+        state.consumer.post_predictions(
+            seq,
+            [
+                int(np.argmax(datapath.forward(model_id, row)))
+                for row in rows
+            ],
+        )
     except Exception:
         state.consumer.post_error(seq, traceback.format_exc())
 
@@ -377,7 +375,6 @@ def _worker_main(
     datapath_factory,
     conn,
     sems,
-    completions: str = "rows",
 ) -> None:
     """One photonic core's worker loop.
 
@@ -395,9 +392,7 @@ def _worker_main(
     # generations, or the first full collection walks the whole forked
     # heap mid-batch (65-100 ms, and it dirties the shared pages).
     gc.freeze()
-    state = _WorkerState(
-        datapath, conn, sems, predictions=completions == "predictions"
-    )
+    state = _WorkerState(datapath, conn, sems)
     running = True
     while running:
         if state.consumer is None:
@@ -455,15 +450,9 @@ class CoreWorkerPool:
         window: int = DEFAULT_WINDOW,
         capacity: int | None = None,
         max_batch: int = 1,
-        completions: str = "rows",
     ) -> None:
         if window < 1:
             raise ValueError("window must be at least one batch")
-        if completions not in ("rows", "predictions"):
-            raise ValueError(
-                f"unknown completions mode {completions!r}; "
-                "choose 'rows' or 'predictions'"
-            )
         if capacity is None:
             capacity = max(2 * window, 8)
         if capacity < window:
@@ -480,7 +469,6 @@ class CoreWorkerPool:
         self.window = window
         self.capacity = capacity
         self._max_batch = max(max_batch, 1)
-        self._completions = completions
         self._pipes = []
         self._procs = []
         self._sems: list[RingSems] = []
@@ -489,7 +477,7 @@ class CoreWorkerPool:
             sems = RingSems(ctx, capacity)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(core, datapath_factory, child_conn, sems, completions),
+                args=(core, datapath_factory, child_conn, sems),
                 daemon=True,
                 name=f"lightning-core-{core}",
             )
@@ -519,11 +507,6 @@ class CoreWorkerPool:
     @property
     def num_cores(self) -> int:
         return len(self._procs)
-
-    @property
-    def predictions_only(self) -> bool:
-        """Whether workers post int32 argmaxes instead of output rows."""
-        return self._completions == "predictions"
 
     @property
     def segment_names(self) -> tuple[str, ...]:
@@ -611,17 +594,17 @@ class CoreWorkerPool:
             )
         self._pipes[core].send(message)
 
-    def _ensure_rings(
-        self, request_bytes: int, completion_bytes: int
-    ) -> None:
+    def _ensure_rings(self, request_bytes: int) -> None:
         """Create (or grow) the per-worker ring pairs.
 
         Called only from :meth:`deploy`, i.e. between serves while the
         rings are drained — the shared semaphores are at baseline, so a
         freshly attached ring starts both sides at ordinal 0.
+        Completions carry one int32 per row, so their slots never grow
+        with a model's output width.
         """
         request_bytes = max(request_bytes, MIN_PAYLOAD_BYTES)
-        completion_bytes = max(completion_bytes, MIN_PAYLOAD_BYTES)
+        completion_bytes = max(self._max_batch * 4, MIN_PAYLOAD_BYTES)
         if self._rings is not None and self._rings[0].geometry.fits(
             request_bytes, completion_bytes
         ):
@@ -660,20 +643,7 @@ class CoreWorkerPool:
     def deploy(self, dag: ComputationDAG, model_plan: ModelPlan) -> None:
         """Publish one model's plan and register it in every worker."""
         widest_in = max(task.input_size for task in dag.tasks)
-        widest_out = max(task.output_size for task in dag.tasks)
-        # Prediction-only completions carry one int32 per row, so the
-        # completion slots never need to grow with the model's output
-        # width (the MIN_PAYLOAD_BYTES floor still fits every error
-        # pickle).
-        completion_bytes = (
-            self._max_batch * 4
-            if self.predictions_only
-            else self._max_batch * widest_out * 8
-        )
-        self._ensure_rings(
-            self._max_batch * widest_in * 8,
-            completion_bytes,
-        )
+        self._ensure_rings(self._max_batch * widest_in * 8)
         published = publish_model(dag, model_plan)
         self._published.append(published)
         spec = _deploy_spec(dag, published)
@@ -761,8 +731,8 @@ class CoreWorkerPool:
         for producer in self._rings:
             producer.flush()
 
-    def result(self, core: int, seq: int) -> list[np.ndarray]:
-        """Block until ``seq``'s outputs arrive (skipping discards).
+    def result(self, core: int, seq: int) -> list[int]:
+        """Block until ``seq``'s predictions arrive (skipping discards).
 
         The worker answers strictly in dispatch order, so anything that
         surfaces before ``seq`` is a previously discarded batch.
@@ -843,10 +813,9 @@ class CoreWorkerPool:
         """
         for core in range(self.num_cores):
             while self._outstanding[core]:
-                message = self._next_completion(core)
-                if message[0] in ("result", "pred", "error"):
-                    self._outstanding[core].discard(message[1])
-                    self._discarded[core].discard(message[1])
+                seq = self._next_completion(core)[1]
+                self._outstanding[core].discard(seq)
+                self._discarded[core].discard(seq)
 
     # ------------------------------------------------------------------
     # Shutdown

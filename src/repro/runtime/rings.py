@@ -18,10 +18,8 @@ in one :class:`multiprocessing.shared_memory.SharedMemory` segment:
   bias re-locks, plan invalidations, pipe hand-offs) that ride the
   same ring so FIFO ordering between faults and the batches they
   separate is preserved **by construction**;
-* the **completion ring** mirrors it with result slots (raw output
-  rows), prediction slots (one ``int32`` argmax per row, the slim
-  format for argmax-only serves), and error slots (pickled
-  tracebacks).
+* the **completion ring** mirrors it with prediction slots (one
+  ``int32`` argmax per row) and error slots (pickled tracebacks).
 
 Synchronisation is four POSIX semaphores per worker (items/free for
 each ring).  The parent *windows* its submissions: slot writes are
@@ -90,12 +88,8 @@ POLL_S = 0.05
 #: Request-slot kinds.
 KIND_RUN = 1
 KIND_CONTROL = 2
-#: Completion-slot kinds.
-KIND_RESULT = 3
+#: Completion-slot kinds: an error, or one ``int32`` argmax per row.
 KIND_ERROR = 4
-#: Prediction-only completion: one ``int32`` argmax per row instead of
-#: a full ``float64`` output row — ~``8 x num_classes`` less completion
-#: traffic for argmax-only serves.
 KIND_PRED = 5
 
 
@@ -399,17 +393,8 @@ class RingProducer:
     def _read_completion(self) -> tuple:
         base = self._view.completion_offset(self._collected)
         header = self._view._i64(base, 5)
-        kind, seq, rows, cols, nbytes = (int(v) for v in header[:5])
-        if kind == KIND_RESULT:
-            flat = self._view._f64(
-                base + COMPLETION_HEADER_BYTES, max(rows, 1) * cols
-            )
-            outputs = [
-                np.array(flat[row * cols : (row + 1) * cols])
-                for row in range(max(rows, 1))
-            ]
-            message = ("result", seq, outputs)
-        elif kind == KIND_PRED:
+        kind, seq, rows, _, nbytes = (int(v) for v in header[:5])
+        if kind == KIND_PRED:
             flat = self._view._i32(
                 base + COMPLETION_HEADER_BYTES, max(rows, 1)
             )
@@ -513,40 +498,12 @@ class RingConsumer:
         self._sems.request_free.release()
         return message
 
-    def post_result(self, seq: int, outputs: list[np.ndarray]) -> None:
-        """Write one result slot (raw output rows, no pickling)."""
-        rows = len(outputs)
-        cols = int(outputs[0].shape[0]) if rows else 0
-        if rows * cols * 8 > self.geometry.completion_bytes:
-            raise ValueError(
-                f"{rows}x{cols} outputs exceed the "
-                f"{self.geometry.completion_bytes}-byte completion slots"
-            )
-        self._sems.completion_free.acquire()
-        base = self._view.completion_offset(self._posted)
-        header = self._view._i64(base, 5)
-        header[0] = KIND_RESULT
-        header[1] = seq
-        header[2] = rows
-        header[3] = cols
-        header[4] = rows * cols * 8
-        flat = self._view._f64(
-            base + COMPLETION_HEADER_BYTES, max(rows, 1) * cols
-        )
-        for row, output in enumerate(outputs):
-            flat[row * cols : (row + 1) * cols] = np.asarray(
-                output, dtype=np.float64
-            ).ravel()
-        self._posted += 1
-        self._sems.completion_items.release()
-
     def post_predictions(self, seq: int, predictions) -> None:
-        """Write one prediction-only slot: one ``int32`` per row.
+        """Write one prediction slot: one ``int32`` per row.
 
-        The slimmed completion format for argmax-only serves — the
-        worker reduces each output row to its argmax and the parent
-        patches records without ever copying output rows back across
-        the ring.
+        The worker reduces each output row to its argmax and the
+        parent patches records without ever copying output rows back
+        across the ring.
         """
         preds = np.ascontiguousarray(predictions, dtype=np.int32).ravel()
         rows = int(preds.shape[0])
@@ -571,12 +528,19 @@ class RingConsumer:
         self._sems.completion_items.release()
 
     def post_error(self, seq: int, traceback_text: str) -> None:
-        """Write one error slot (traceback truncated to fit)."""
+        """Write one error slot (traceback truncated to fit).
+
+        The exception's type and message are the traceback's last
+        line, so truncation keeps the tail.
+        """
         payload = pickle.dumps(traceback_text)
-        limit = self.geometry.completion_bytes
-        while len(payload) > limit:  # pragma: no cover - huge traceback
-            traceback_text = traceback_text[: len(traceback_text) // 2]
-            payload = pickle.dumps(traceback_text + "\n[truncated]")
+        excess = len(payload) - self.geometry.completion_bytes
+        if excess > 0:
+            # Every character dropped frees at least one byte.
+            marker = "[truncated]\n"
+            payload = pickle.dumps(
+                marker + traceback_text[excess + len(marker):]
+            )
         self._sems.completion_free.acquire()
         base = self._view.completion_offset(self._posted)
         header = self._view._i64(base, 5)

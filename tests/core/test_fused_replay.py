@@ -1,7 +1,7 @@
 """One ledger, one forward pass: the compiled serving path's contract.
 
-On ``fidelity="fast"`` with a healthy core, ``execute`` and
-``execute_batch`` run a request as two compiled programs — the model's
+On ``fidelity="fast"``, on healthy and degraded cores alike, ``execute``
+and ``execute_batch`` run a request as two compiled programs — the model's
 forward program for the numerics, its ``TimingPlan`` for the ledger —
 instead of walking ``execute_layer``.  That must be an implementation
 detail.  Twin datapaths at equal seeds, one serving through
@@ -9,9 +9,10 @@ detail.  Twin datapaths at equal seeds, one serving through
 must agree on every output bit, every ``LayerExecution`` field, the
 memory controller's ledger, the *next* draw of both RNG streams, the
 loader and replay counters and the register end state; bad inputs must
-raise the walk's errors before anything is charged; and the paths that
-still walk (``DegradedCore``, ``loop``, ``device``) must produce the
-outputs they produced before the programs existed.
+raise the walk's errors before anything is charged; and a
+``DegradedCore`` and the fidelities that still walk (``loop``,
+``device``) must produce the outputs they produced before the programs
+existed.
 """
 
 from __future__ import annotations
@@ -21,12 +22,26 @@ import pytest
 
 from repro.core import ComputationDAG, LayerTask, LightningDatapath
 from repro.core.dag import AttentionShape
-from repro.faults import DegradedCore, LaserPowerDrift
+from repro.faults import (
+    DegradedCore,
+    LaserPowerDrift,
+    MZMBiasDrift,
+    PhotodetectorSaturation,
+    StuckBit,
+)
 from repro.perf.bench import gpt2_class_dag, lenet_class_dag
 from repro.photonics import BehavioralCore, CoreArchitecture, GaussianNoise
 from repro.runtime.parallel import _worker_run, _WorkerState
 
-from .test_timing_plans import ZOO, _dense, conv_stack, mixed, single_layer
+from .test_timing_plans import (
+    ZOO,
+    _dense,
+    attention_tower,
+    conv_stack,
+    deep_mlp,
+    mixed,
+    single_layer,
+)
 
 MODELS = [
     *(pytest.param(build, id=build.__name__) for build in ZOO),
@@ -77,9 +92,15 @@ def assert_same_state(fused, walked, noise_stream=True):
     assert fused.memory._rng.uniform() == walked.memory._rng.uniform()
     if noise_stream:
         assert (
-            fused.core._rng.standard_normal()
-            == walked.core._rng.standard_normal()
+            noise_rng(fused).standard_normal()
+            == noise_rng(walked).standard_normal()
         )
+
+
+def noise_rng(datapath):
+    """The core's noise generator, seen through a fault wrapper."""
+    core = datapath.core
+    return getattr(core, "core", core)._rng
 
 
 def assert_same_execution(fused, walked):
@@ -182,6 +203,138 @@ class TestExecuteMatchesTheWalk:
         assert dry.core._rng.standard_normal() == untouched
 
 
+#: Fresh fault objects per datapath: a re-lock mutates them.
+FAULTS = {
+    "laser": lambda: [LaserPowerDrift(0.0, fraction_per_s=0.02)],
+    "bias": lambda: [MZMBiasDrift(0.0, volts_per_s=0.05)],
+    "saturation": lambda: [
+        PhotodetectorSaturation(0.0, saturation_level=200.0)
+    ],
+    "stuck-bit": lambda: [StuckBit(0.0, bit=2, stuck_to=1)],
+}
+FAULTS["all-four"] = lambda: [
+    fault
+    for name in ("laser", "bias", "saturation", "stuck-bit")
+    for fault in FAULTS[name]()
+]
+
+#: Dense, conv + pool (+ attention), attention.
+DEGRADED_MODELS = [
+    pytest.param(build, id=build.__name__)
+    for build in (deep_mlp, mixed, attention_tower)
+]
+
+
+def degrade(datapath, faults, now_s=3.0):
+    wrapper = DegradedCore.ensure(datapath)
+    wrapper.set_time(now_s)
+    for fault in FAULTS[faults]():
+        wrapper.install(fault)
+    return wrapper
+
+
+class TestDegradedCoresReplay:
+    """A core's health never changes what a request costs, nor which
+    path serves it: twins degraded identically, one through the
+    compiled programs and one through the walk, stay indistinguishable."""
+
+    @pytest.mark.parametrize("build", DEGRADED_MODELS)
+    @pytest.mark.parametrize("faults", FAULTS)
+    def test_three_requests(self, faults, build):
+        dag = build(model_id=4)
+        fused, walked = twins(dag)
+        tplan = fused.timing_plan(dag.model_id)
+        for datapath in (fused, walked):
+            degrade(datapath, faults)
+        hits = []
+        for x in inputs_for(dag, 3):
+            assert_same_execution(
+                fused.execute(dag.model_id, x),
+                walked.execute_layers(dag.model_id, x),
+            )
+            hits.append(fused.memory.cache_hits)
+        if dag.tasks[0].kind == "conv":  # kernel miss, then hits
+            assert hits == [0, 1, 2]
+        assert fused.timing_plan(dag.model_id) is tplan
+        assert_same_state(fused, walked)
+
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("build", DEGRADED_MODELS)
+    @pytest.mark.parametrize("faults", FAULTS)
+    def test_batches_on_a_broadcast_core(self, faults, build, batch):
+        dag = build(model_id=4)
+        fused, walked = twins(dag, architecture=BROADCAST)
+        for datapath in (fused, walked):
+            degrade(datapath, faults)
+        for round_seed in (1, 2):  # cold kernels, then warm
+            block = inputs_for(dag, batch, seed=round_seed)
+            ours = fused.execute_batch(dag.model_id, block)
+            theirs = [
+                walked.execute_layers(dag.model_id, row) for row in block
+            ]
+            assert ours.output_levels.tobytes() == np.stack(
+                [t.output_levels for t in theirs]
+            ).tobytes()
+            assert ours.timing == theirs[0].timing
+        assert_same_state(fused, walked)
+
+    @pytest.mark.parametrize("build", DEGRADED_MODELS)
+    def test_fault_installed_between_two_requests(self, build):
+        dag = build(model_id=4)
+        fused, walked = twins(dag)
+        first, second = inputs_for(dag, 2)
+        assert_same_execution(
+            fused.execute(dag.model_id, first),
+            walked.execute_layers(dag.model_id, first),
+        )
+        for datapath in (fused, walked):
+            degrade(datapath, "all-four")
+        assert_same_execution(
+            fused.execute(dag.model_id, second),
+            walked.execute_layers(dag.model_id, second),
+        )
+        assert_same_state(fused, walked)
+
+    @pytest.mark.parametrize("build", DEGRADED_MODELS)
+    def test_relock_between_two_requests(self, build):
+        dag = build(model_id=4)
+        fused, walked = twins(dag)
+        wrappers = [degrade(d, "all-four") for d in (fused, walked)]
+        first, second = inputs_for(dag, 2)
+        before = fused.execute(dag.model_id, first)
+        assert_same_execution(
+            before, walked.execute_layers(dag.model_id, first)
+        )
+        for wrapper in wrappers:
+            wrapper.relock(3.5, [0.001])
+            wrapper.set_time(4.0)
+        after = fused.execute(dag.model_id, second)
+        assert_same_execution(
+            after, walked.execute_layers(dag.model_id, second)
+        )
+        # The re-lock moved the values, not the cost.
+        assert after.compute_seconds == before.compute_seconds
+        assert after.datapath_seconds == before.datapath_seconds
+        assert_same_state(fused, walked)
+
+    def test_degraded_execute_stays_compiled(self):
+        """A fault installed mid-service leaves ``execute`` on the
+        compiled programs: same register writes, same cached plan."""
+        dag = mixed(4)
+        datapath, _ = twins(dag)
+        x = inputs_for(dag, 1)[0]
+        tplan = datapath.timing_plan(dag.model_id)
+        with datapath.registers.capture() as writes:
+            datapath.execute(dag.model_id, x)
+        healthy = [v for name, v in writes if name == "layer.index"]
+        degrade(datapath, "laser")
+        with datapath.registers.capture() as writes:
+            datapath.execute(dag.model_id, x)
+        degraded = [v for name, v in writes if name == "layer.index"]
+        assert healthy == degraded == [0, 0, 3]
+        assert datapath.timing_plan(dag.model_id) is tplan
+
+
 class TestInputValidation:
     @pytest.mark.parametrize(
         "bad",
@@ -229,7 +382,8 @@ class TestInputValidation:
 
 class TestWalkingPathsUnchanged:
     """Outputs frozen at the commit before the compiled programs
-    landed: these paths still walk ``execute_layer``."""
+    landed, when all three walked ``execute_layer`` (``loop`` and
+    ``device`` still do; a degraded core replays since)."""
 
     DEGRADED = [
         [0.8072537011379901, -11.490598427377504, -3.204003039678641],
@@ -313,24 +467,6 @@ class TestWalkingPathsUnchanged:
             batch.memory_seconds.hex(),
         ) == self.LOOP_BATCH_SECONDS
 
-    def test_degraded_core_walks_on_the_fast_fidelity(self):
-        """A fault installed mid-service moves ``execute`` onto the
-        walk — every layer's registers are written again."""
-        dag = mixed(4)
-        datapath, _ = twins(dag)
-        x = inputs_for(dag, 1)[0]
-        with datapath.registers.capture() as writes:
-            datapath.execute(dag.model_id, x)
-        compiled = [v for name, v in writes if name == "layer.index"]
-        DegradedCore.ensure(datapath).install(
-            LaserPowerDrift(onset_s=0.0, fraction_per_s=0.02)
-        )
-        with datapath.registers.capture() as writes:
-            datapath.execute(dag.model_id, x)
-        walked = [v for name, v in writes if name == "layer.index"]
-        assert compiled == [0, 0, 3]
-        assert walked == [0, 0, 1, 2, 3]
-
 
 class TestSharedInputProduct:
     """Attention's Q/K/V: one streamed product, three calls' stream."""
@@ -397,9 +533,6 @@ class _Posted:
     def __init__(self):
         self.results, self.errors = {}, {}
 
-    def post_result(self, seq, outputs):
-        self.results[seq] = outputs
-
     def post_predictions(self, seq, predictions):
         self.results[seq] = predictions
 
@@ -425,13 +558,16 @@ class TestWorkerRunsOnlyTheForwardProgram:
         assert worker.loader.loads == 0
         assert worker.registers.write_count == 0
         serial.core.reseed_noise(*key)
-        expected = [
-            serial.execute(dag.model_id, row).output_levels for row in block
-        ]
-        posted = state.consumer.results[11]
-        assert len(posted) == rows
-        for ours, theirs in zip(posted, expected):
-            assert ours.tobytes() == theirs.tobytes()
+        expected = [serial.execute(dag.model_id, row) for row in block]
+        assert state.consumer.results[11] == [e.prediction for e in expected]
+        # The bytes behind the posted argmaxes: the forward program
+        # alone, on the batch's noise key, equals serial's outputs.
+        worker.core.reseed_noise(*key)
+        for row, theirs in zip(block, expected):
+            ours = worker.forward(dag.model_id, row)
+            assert ours.tobytes() == theirs.output_levels.tobytes()
+        assert worker.memory.dram_reads == 0
+        assert worker.registers.write_count == 0
 
     def test_single_layer_registers_on_a_one_wavelength_core(self):
         """The replay re-targets layer 0 to the core's own wavelength

@@ -5,9 +5,10 @@ reducing a frozen :class:`~repro.core.datapath.TimingPlan`) must be an
 *implementation detail*: for every model shape and batch size, the
 estimates, the memory controller's cycle ledger (reads, cache hits,
 accumulated latency), the jitter-RNG stream position, and the register
-end state must match the per-layer loop (``execute_timing_loop``) bit
-for bit.  Degraded cores must fall back to the loop and drop the
-cached plan — their constants are not plan-stable.
+end state must match the per-layer walk (``execute_layers``) bit for
+bit — on degraded cores too: an installed analog fault changes the
+values a core returns, never what a layer costs, so a faulted core
+replays the plan it compiled while healthy.
 """
 
 from __future__ import annotations
@@ -174,15 +175,22 @@ def make_datapath(seed: int = 0) -> LightningDatapath:
     )
 
 
+def walk_timing(datapath: LightningDatapath, model_id: int) -> TimingEstimate:
+    """One request's ledger off the reference walk (a zero query: what
+    a layer costs never depends on its activations)."""
+    zeros = np.zeros(datapath.loader.dag(model_id).tasks[0].input_size)
+    return datapath.execute_layers(model_id, zeros).timing
+
+
 def loop_batch_estimate(
     datapath: LightningDatapath, model_id: int, batch: int
 ) -> TimingEstimate:
-    """The pre-plan ``execute_batch_timing``: one loop pass per sample."""
+    """A batch's cost the long way: one walk per sample."""
     hardware = datapath.core.architecture.batch_size
     passes = math.ceil(batch / hardware)
-    first = datapath.execute_timing_loop(model_id)
+    first = walk_timing(datapath, model_id)
     for _ in range(batch - 1):
-        datapath.execute_timing_loop(model_id)
+        walk_timing(datapath, model_id)
     return TimingEstimate(
         compute_seconds=first.compute_seconds * passes,
         datapath_seconds=first.datapath_seconds * passes,
@@ -241,7 +249,7 @@ class TestVectorizedBitIdentity:
         plan_dp.register_model(dag)
         for _ in range(3):
             assert plan_dp.execute_timing(dag.model_id) == (
-                loop_dp.execute_timing_loop(dag.model_id)
+                walk_timing(loop_dp, dag.model_id)
             )
         assert_streams_aligned(loop_dp, plan_dp)
 
@@ -289,10 +297,10 @@ class TestVectorizedBitIdentity:
         )
         dp.register_model(dag)
         with pytest.raises(ValueError, match="fast"):
-            dp.execute_timing_loop(dag.model_id)
+            dp.execute_timing(dag.model_id)
 
 
-class TestDegradedFallback:
+class TestDegradedReplay:
     @staticmethod
     def _degrade(datapath, now_s: float = 2.0):
         wrapper = DegradedCore.ensure(datapath)
@@ -300,15 +308,16 @@ class TestDegradedFallback:
         wrapper.install(LaserPowerDrift(onset_s=0.0, fraction_per_s=0.02))
         return wrapper
 
-    def test_fault_invalidates_cached_plan(self):
+    def test_fault_keeps_cached_plan(self):
         dag = mixed(model_id=4)
         dp = make_datapath()
         dp.register_model(dag)
         dp.execute_timing(dag.model_id)
-        assert dp.timing_plan(dag.model_id) is not None
+        tplan = dp.timing_plan(dag.model_id)
+        assert tplan is not None
         self._degrade(dp)
         dp.execute_timing(dag.model_id)
-        assert dp.timing_plan(dag.model_id) is None
+        assert dp.timing_plan(dag.model_id) is tplan
 
     @pytest.mark.parametrize("batch", BATCHES)
     def test_degraded_batch_matches_loop(self, batch):
@@ -318,20 +327,20 @@ class TestDegradedFallback:
         for dp in (loop_dp, plan_dp):
             dp.register_model(dag)
             self._degrade(dp)
+        tplan = plan_dp.timing_plan(dag.model_id)
         expected = loop_batch_estimate(loop_dp, dag.model_id, batch)
         actual = plan_dp.execute_batch_timing(dag.model_id, batch)
         assert actual == expected
-        assert plan_dp.timing_plan(dag.model_id) is None
+        assert plan_dp.timing_plan(dag.model_id) is tplan
         assert_streams_aligned(loop_dp, plan_dp)
 
-    def test_cluster_fault_mid_trace_drops_plan(self):
-        """A device fault landing mid-trace invalidates the plan.
+    def test_cluster_fault_mid_trace_keeps_plan(self):
+        """A device fault landing mid-trace leaves the ledger alone.
 
-        Parallel execution is the path that dry-runs on the parent
-        datapaths, so it is where a stale ``TimingPlan`` would corrupt
-        the virtual clock — the faulted core must fall back to the
-        loop and drop its cached plan, while the healthy core keeps
-        replaying its own.
+        Parallel execution dry-runs on the parent datapaths while the
+        workers compute: the faulted core keeps replaying the plan it
+        compiled while healthy, and the records equal the serial
+        cluster's, which runs the numerics on the degraded core itself.
         """
         dag = tiny_mlp(model_id=1)
         rng = np.random.default_rng(1)
@@ -345,17 +354,24 @@ class TestDegradedFallback:
         schedule = FaultSchedule(seed=5).mzm_bias_drift(
             at_s=20e-6, core=0, volts_per_s=1e4
         )
-        with Cluster(
-            num_cores=2,
-            datapath_factory=lambda core: make_datapath(seed=core),
-            execution="parallel",
-        ) as cluster:
-            cluster.deploy(dag)
-            assert all(
-                dp.timing_plan(dag.model_id) is not None
-                for dp in cluster.datapaths
+
+        def build(execution):
+            return Cluster(
+                num_cores=2,
+                datapath_factory=lambda core: make_datapath(seed=core),
+                execution=execution,
             )
+
+        serial = build("serial")
+        serial.deploy(dag)
+        expected = serial.serve_trace(trace, fault_schedule=schedule)
+        with build("parallel") as cluster:
+            cluster.deploy(dag)
+            plans = [dp.timing_plan(dag.model_id) for dp in cluster.datapaths]
+            assert all(plan is not None for plan in plans)
             result = cluster.serve_trace(trace, fault_schedule=schedule)
             assert result.served > 0
-            assert cluster.datapaths[0].timing_plan(dag.model_id) is None
-            assert cluster.datapaths[1].timing_plan(dag.model_id) is not None
+            assert isinstance(cluster.datapaths[0].core, DegradedCore)
+            for dp, plan in zip(cluster.datapaths, plans):
+                assert dp.timing_plan(dag.model_id) is plan
+        assert result.records == expected.records

@@ -261,21 +261,16 @@ class TestClusterLedger:
 
 
 class TestSerialParallelEnergy:
-    @pytest.mark.parametrize("completions", ["predictions", "rows"])
-    def test_ledger_bit_identical_across_modes(self, completions):
+    def test_ledger_bit_identical_across_modes(self):
         """Energy is charged parent-side from the dispatch-time timing
         plan, so process-parallel serving reports the exact same
-        ledger as serial — in both completion modes."""
+        ledger as serial."""
         trace = runtime_trace(count=24, spacing_s=5e-7)
         results = {}
-        serial = make_cluster(
-            execution="serial", completions=completions, max_batch=2
-        )
+        serial = make_cluster(execution="serial", max_batch=2)
         serial.deploy(tiny_dag())
         results["serial"] = serial.serve_trace(trace)
-        with make_cluster(
-            execution="parallel", completions=completions, max_batch=2
-        ) as parallel:
+        with make_cluster(execution="parallel", max_batch=2) as parallel:
             parallel.deploy(tiny_dag())
             results["parallel"] = parallel.serve_trace(trace)
         serial = results["serial"].stats.energy

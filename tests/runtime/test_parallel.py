@@ -392,42 +392,20 @@ class TestWindowInvariance:
 
 
 class TestCompletionModes:
-    """Prediction-only completion slots vs full output rows.
+    """Completion slots carry one ``int32`` prediction per row.
 
-    ``completions="predictions"`` (the cluster default) ships one
-    ``int32`` per row back across the completion ring; the worker's
-    ``np.argmax`` is the exact reduction the parent would have run, so
-    both modes — and the serial loop — must agree bit for bit.
+    The worker's ``np.argmax`` is the exact reduction the serial loop
+    runs on the same float64 outputs, so both must agree bit for bit.
     """
 
-    @pytest.mark.parametrize("completions", ["predictions", "rows"])
-    def test_both_modes_match_serial(self, completions):
+    def test_predictions_match_serial(self):
         serial, parallel = run_both(
             dense_dag(),
             steady_trace(),
-            cluster_kwargs={"completions": completions, "max_batch": 4},
+            cluster_kwargs={"max_batch": 4},
         )
         assert serial.served == serial.offered
         assert_bit_identical(serial, parallel)
-
-    def test_modes_match_each_other_on_mixed_model(self):
-        trace = steady_trace(count=32, model_id=2, size=36, seed=4)
-        results = {}
-        for completions in ("predictions", "rows"):
-            with make_cluster(
-                "parallel", completions=completions, max_batch=4
-            ) as cluster:
-                cluster.deploy(mixed_dag())
-                results[completions] = cluster.serve_trace(trace)
-        assert_bit_identical(results["predictions"], results["rows"])
-
-    def test_prediction_slots_are_the_cluster_default(self):
-        with make_cluster("parallel", num_cores=2) as cluster:
-            assert cluster._pool.predictions_only
-
-    def test_unknown_completions_mode_rejected(self):
-        with pytest.raises(ValueError, match="completions mode"):
-            make_cluster("parallel", completions="telepathy")
 
 
 class TestStallFreeDispatch:
@@ -442,16 +420,13 @@ class TestStallFreeDispatch:
     blows the 10 s budget, so a pass cannot be a lucky schedule.
     """
 
-    @pytest.mark.parametrize("completions", ["predictions", "rows"])
     @pytest.mark.parametrize("num_cores", [1, 2])
     def test_deep_serve_never_sleeps_on_the_timer(
-        self, monkeypatch, num_cores, completions
+        self, monkeypatch, num_cores
     ):
         monkeypatch.setattr(rings_module, "POLL_S", 30.0)
         monkeypatch.setattr(parallel_module, "POLL_S", 30.0)
-        kwargs = {
-            "num_cores": num_cores, "window": 8, "completions": completions,
-        }
+        kwargs = {"num_cores": num_cores, "window": 8}
         dag = dense_dag()
         with make_cluster("parallel", **kwargs) as cluster:
             cluster.deploy(dag)
@@ -575,6 +550,32 @@ class TestWorkerCrashHardening:
             )
             with pytest.raises(RuntimeError, match="worker 0 died"):
                 pool.result(0, seq)
+
+    def test_worker_failure_surfaces_the_exception_in_the_parent(self):
+        # An out-of-range input fails the worker's forward pass; the
+        # parent's error must end with the exception's type and
+        # message, whatever the completion slot cut from the traceback.
+        with make_cluster("parallel", num_cores=1) as cluster:
+            dag = dense_dag()
+            cluster.deploy(dag)
+            pool = cluster._pool
+            seq = pool.run(
+                0, dag.model_id, np.full(12, 300.0), 0.0, (0, 0, 0, 0)
+            )
+            with pytest.raises(RuntimeError) as raised:
+                pool.result(0, seq)
+            message = str(raised.value)
+            assert message.startswith("worker 0 failed on batch 0")
+            assert message.rstrip().endswith(
+                "ValueError: activations must be non-negative 0..255 "
+                "levels (signs are carried by the weights after sign "
+                "separation)"
+            )
+            # The worker survives its failed batch.
+            seq = pool.run(
+                0, dag.model_id, np.zeros(12), 0.0, (0, 0, 0, 1)
+            )
+            assert len(pool.result(0, seq)) == 1
 
     def test_close_unlinks_segments_after_worker_kill(self):
         # SIGKILL one worker, then wedge its request ring solid (a

@@ -117,23 +117,8 @@ class TestRoundTrip:
             consumer.close()
             producer.close()
 
-    def test_result_round_trip(self):
-        producer, consumer, _ = make_pair()
-        try:
-            outputs = [np.array([1.0, -2.5]), np.array([0.0, 7.125])]
-            consumer.post_result(4, outputs)
-            kind, seq, received = producer.collect()
-            assert (kind, seq) == ("result", 4)
-            assert len(received) == 2
-            for got, sent in zip(received, outputs):
-                np.testing.assert_array_equal(got, sent)
-        finally:
-            consumer.close()
-            producer.close()
-
     def test_prediction_round_trip(self):
-        # Prediction-only completions: one int32 per row, no float64
-        # output payload — the argmax-only serving path's slot format.
+        # Completions carry one int32 per row, no float64 payload.
         producer, consumer, _ = make_pair()
         try:
             consumer.post_predictions(7, [3, 0, 9])
@@ -160,6 +145,31 @@ class TestRoundTrip:
         try:
             consumer.post_error(9, "Traceback: kaboom")
             assert producer.collect() == ("error", 9, "Traceback: kaboom")
+        finally:
+            consumer.close()
+            producer.close()
+
+    def test_long_traceback_keeps_its_tail(self):
+        # The exception's type and message are a traceback's last
+        # line: a 10 kB one through the 2 048-byte floor slot must
+        # lose its head, not the line that says what went wrong.
+        producer, consumer, _ = make_pair(completion_bytes=MIN_PAYLOAD_BYTES)
+        try:
+            frames = "".join(
+                f'  File "plans.py", line {n}, in forward\n    step()\n'
+                for n in range(250)
+            )
+            last = "ValueError: activation é levels out of range\n"
+            text = "Traceback (most recent call last):\n" + frames + last
+            assert len(text) > 10_000
+            consumer.post_error(3, text)
+            kind, seq, received = producer.collect()
+            assert (kind, seq) == ("error", 3)
+            assert received.startswith("[truncated]\n")
+            assert received.endswith(last)
+            assert text.endswith(received[len("[truncated]\n"):])
+            # The slot is used, not halved away.
+            assert len(received) > MIN_PAYLOAD_BYTES - 64
         finally:
             consumer.close()
             producer.close()
@@ -198,7 +208,7 @@ class TestRoundTrip:
                 np.testing.assert_array_equal(
                     received, np.full((2, 3), float(seq))
                 )
-                consumer.post_result(seq, [np.array([float(seq)])])
+                consumer.post_predictions(seq, [seq])
                 assert producer.collect()[1] == seq
         finally:
             consumer.close()
@@ -264,7 +274,7 @@ class TestWindowedSignalling:
                 # Runs once collect() is already blocking — the flush
                 # must have happened, so next() cannot block here.
                 message = consumer.next()
-                consumer.post_result(message[1], [np.zeros(2)])
+                consumer.post_predictions(message[1], [0])
 
             # collect() flushes before blocking; the "worker" (the
             # stall callback here) then finds the slot and answers.
