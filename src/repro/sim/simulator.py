@@ -26,7 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.energy import DRAM_QUEUE_POWER_WATTS, EnergyModel
-from ..core.stats import LatencyReservoir
+from ..core.stats import (
+    LatencyReservoir,
+    grouped_by_first_use,
+    sequential_sum,
+)
 from ..dnn.model import ModelSpec
 from .accelerators import AcceleratorSpec
 from .workload import PoissonWorkload, SimRequest, rate_for_utilization
@@ -140,6 +144,38 @@ class StreamedSummary:
         agg.queuing_s += queuing_s
         agg.compute_s += compute_s
         self.reservoir.add(datapath_s + queuing_s + compute_s)
+
+    def observe_many(
+        self,
+        model_names: list[str],
+        codes: np.ndarray,
+        datapath_s: np.ndarray,
+        queuing_s: np.ndarray,
+        compute_s: np.ndarray,
+        finish_s: np.ndarray,
+    ) -> None:
+        """Fold a block of served requests, in serve order.
+
+        Request ``i`` ran ``model_names[codes[i]]``.  Leaves the summary
+        exactly as per-request :meth:`observe` calls would: every sum is
+        added left to right and ``per_model`` gains its keys in the same
+        order.
+        """
+        if len(codes) == 0:
+            return
+        self.count += len(codes)
+        self.busy_s = sequential_sum(self.busy_s, compute_s)
+        self.horizon_s = max(self.horizon_s, float(finish_s.max()))
+        for code, rows in grouped_by_first_use(codes):
+            name = model_names[code]
+            agg = self.per_model.get(name)
+            if agg is None:
+                agg = self.per_model[name] = _ModelAggregate()
+            agg.count += len(rows)
+            agg.datapath_s = sequential_sum(agg.datapath_s, datapath_s[rows])
+            agg.queuing_s = sequential_sum(agg.queuing_s, queuing_s[rows])
+            agg.compute_s = sequential_sum(agg.compute_s, compute_s[rows])
+        self.reservoir.add_many(datapath_s + queuing_s + compute_s)
 
 
 @dataclass(frozen=True)
@@ -291,7 +327,10 @@ class EventDrivenSimulator:
         core_free_at = [0.0] * self.scheduler.num_cores
         # Per-model costs are pure functions of the spec — memoize
         # instead of recomputing the layer sums per request.
-        costs: dict[int, tuple[float, float]] = {}
+        costs: dict[int, tuple[float, float, int]] = {}
+        # Summaries key by name: same-named specs share one code.
+        name_codes: dict[str, int] = {}
+        codes = np.empty(num_requests, dtype=np.int64)
         cores = np.empty(num_requests, dtype=np.int64)
         datapath = np.empty(num_requests, dtype=np.float64)
         queuing = np.empty(num_requests, dtype=np.float64)
@@ -305,7 +344,6 @@ class EventDrivenSimulator:
         observe_health = (
             self.scheduler.observe_health if wants_health else None
         )
-        summary = None if keep_records else StreamedSummary()
         for slot, index in enumerate(order):
             request = trace[index]
             model = request.model
@@ -314,8 +352,9 @@ class EventDrivenSimulator:
                 cost = costs[id(model)] = (
                     self.accelerator.datapath_seconds(model),
                     self.accelerator.compute_seconds(model),
+                    name_codes.setdefault(model.name, len(name_codes)),
                 )
-            datapath_s, compute_s = cost
+            datapath_s, compute_s, codes[slot] = cost
             if observe_health is not None:
                 observe_health([
                     CoreHealthView(core=i, busy_until_s=core_free_at[i])
@@ -334,15 +373,13 @@ class EventDrivenSimulator:
             queuing[slot] = start - ready_at
             compute[slot] = compute_s
             finish[slot] = finish_s
-            if summary is not None:
-                summary.observe(
-                    model.name,
-                    datapath_s,
-                    start - ready_at,
-                    compute_s,
-                    finish_s,
-                )
-        if summary is not None:
+        if not keep_records:
+            # The arrays are the per-request ledger already: land them
+            # in one fold instead of one ``observe`` per request.
+            summary = StreamedSummary()
+            summary.observe_many(
+                list(name_codes), codes, datapath, queuing, compute, finish
+            )
             return SimulationResult(
                 accelerator=self.accelerator,
                 records=(),

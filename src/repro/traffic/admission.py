@@ -338,6 +338,12 @@ class AdmissionController:
         self.shed_reasons: dict[str, int] = {}
         self._rng = substream(self.seed, ADMIT_RNG_DOMAIN, *self.stream)
         self.policy.reset()
+        # What admit_occupancy asks of the policy, resolved once per
+        # serve instead of probed on every arrival.
+        self._always_admits = self.unconditional
+        self._policy_by_occupancy = getattr(
+            self.policy, "admit_occupancy", None
+        )
 
     @property
     def unconditional(self) -> bool:
@@ -393,13 +399,12 @@ class AdmissionController:
         get ``now_s`` with an empty view tuple.
         """
         self.offered += 1
-        policy = self.policy
-        if getattr(policy, "unconditional", False):
+        if self._always_admits:
             ok = True
-        elif hasattr(policy, "admit_occupancy"):
-            ok = policy.admit_occupancy(occupancy, self._rng)
+        elif self._policy_by_occupancy is not None:
+            ok = self._policy_by_occupancy(occupancy, self._rng)
         else:
-            ok = policy.admit(now_s, (), self._rng)
+            ok = self.policy.admit(now_s, (), self._rng)
         if ok:
             self.admitted += 1
         else:

@@ -30,7 +30,9 @@ The serving discipline, per admitted request:
 Latency streams through the PR-4 O(1)-memory path: a
 :class:`~repro.sim.simulator.StreamedSummary` whose reservoir tracks
 exact tail order statistics, so a million-request sweep reports true
-p999 without retaining records.  Goodput is *SLO goodput*: served
+p999 without retaining records.  Served requests land there (and in
+the energy ledger) a bounded block at a time, bit-identical to landing
+them one by one.  Goodput is *SLO goodput*: served
 requests whose serve time met the SLO, per second of horizon — the
 metric under which accept-all collapses at overload while backpressure
 degrades gracefully.
@@ -41,9 +43,10 @@ three-source formula) into an
 :class:`~repro.core.stats.EnergyLedger`, so each campaign point
 reports exact joules-per-inference and tail-exact energy percentiles
 alongside its latency curve — the raw material of the fleet-level
-energy–latency Pareto frontier.  The accounting invariant itself is
-enforced by the shared :func:`~repro.core.stats.check_accounting`
-helper rather than a local re-implementation.
+energy–latency Pareto frontier.  The fates and that ledger sit on a
+:class:`~repro.core.stats.ServerStats`, whose shared
+:meth:`~repro.core.stats.ServerStats.accounted` enforces the
+accounting invariant.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..core.energy import EnergyModel
-from ..core.stats import EnergyLedger, check_accounting
+from ..core.stats import EnergyLedger, ServerStats
 from ..sim.accelerators import AcceleratorSpec
 from ..sim.simulator import StreamedSummary
 from .admission import AdmissionController
@@ -71,6 +74,13 @@ __all__ = [
     "fleet_capacity_rps",
     "serve_open_loop",
 ]
+
+#: Arrivals between two landings of served requests into the summary
+#: and the energy ledger.  A dispatch appends ``(model, t_q, done)`` and
+#: the block is folded with one ``observe_many`` + ``charge_many``; the
+#: buffer holds at most this many arrivals' dispatches plus one fleet
+#: queue of backlog, so memory stays O(1) in the request count.
+_LANDING_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -138,6 +148,9 @@ def mean_service_seconds(spec: FleetSpec, mix: ModelMix) -> float:
 class FleetResult:
     """Outcome of one open-loop serve, with full accounting.
 
+    The fates live on :attr:`stats`, the same
+    :class:`~repro.core.stats.ServerStats` ledger the cluster, fabric
+    and gateway report through; ``offered`` ... ``unfinished`` read it.
     The global invariant — every offered request is accounted for
     exactly once — is ``served + shed + dropped + unfinished ==
     offered``; :meth:`check_invariant` enforces it.  ``stolen`` counts
@@ -147,40 +160,67 @@ class FleetResult:
 
     spec: FleetSpec
     policy: str
-    offered: int
-    served: int
-    #: Rejected by admission control before touching a queue.
-    shed: int
-    #: Admitted but lost to drop-tail queue overflow.
-    dropped: int
-    #: Served requests pulled from a sibling shard's queue.
-    stolen: int
-    unfinished: int
+    #: Fate counters plus the per-request energy ledger
+    #: (``stats.energy``), priced by the accelerator's EnergyModel.
+    stats: ServerStats
     slo_s: float
     #: Served requests whose serve time met the SLO.
     slo_served: int
-    #: Last completion time (seconds on the virtual clock).
-    horizon_s: float
     summary: StreamedSummary
-    #: Per-request joules (exact totals per model + tail-exact
-    #: percentiles), priced by the accelerator's EnergyModel.
-    energy: EnergyLedger
+
+    @property
+    def offered(self) -> int:
+        return self.stats.offered
+
+    @property
+    def served(self) -> int:
+        return self.stats.served
+
+    @property
+    def shed(self) -> int:
+        """Rejected by admission control before touching a queue."""
+        return self.stats.shed
+
+    @property
+    def dropped(self) -> int:
+        """Admitted but lost to drop-tail queue overflow."""
+        return self.stats.dropped
+
+    @property
+    def stolen(self) -> int:
+        """Served requests pulled from a sibling shard's queue."""
+        return self.stats.stolen
+
+    @property
+    def unfinished(self) -> int:
+        return self.stats.unfinished
+
+    @property
+    def horizon_s(self) -> float:
+        """Last completion time (seconds on the virtual clock)."""
+        return self.summary.horizon_s
+
+    @property
+    def energy(self) -> EnergyLedger:
+        """Per-request joules (exact totals per model + tail-exact
+        percentiles)."""
+        return self.stats.energy
 
     def check_invariant(self) -> None:
-        """Every offered request has exactly one fate.
+        """Every offered request has exactly one fate, and the three
+        ledgers a served request lands in agree on how many there were.
 
-        Delegates to :func:`repro.core.stats.check_accounting`, the
-        invariant spine shared with the cluster, fabric, and gateway
-        (the fleet engine has no failed/failed-over fates — analytic
-        cores never crash)."""
-        check_accounting(
-            offered=self.offered,
-            served=self.served,
-            dropped=self.dropped,
-            unfinished=self.unfinished,
-            shed=self.shed,
-            stolen=self.stolen,
-        )
+        Delegates to :meth:`ServerStats.accounted`, the invariant spine
+        shared with the cluster, fabric, and gateway (the fleet engine
+        has no failed/failed-over fates — analytic cores never crash).
+        """
+        self.stats.accounted()
+        if not self.summary.count == self.energy.count == self.served:
+            raise ValueError(
+                f"{self.served} served, but the summary landed "
+                f"{self.summary.count} and the energy ledger "
+                f"{self.energy.count}"
+            )
 
     @property
     def throughput_rps(self) -> float:
@@ -268,8 +308,9 @@ def serve_open_loop(
         for d, c in zip(datapath, compute)
     ]
     dram_watts = energy_model.dram_power_watts
-    energy = EnergyLedger()
-    charge = energy.charge
+    datapath_of = np.array(datapath)
+    compute_of = np.array(compute)
+    base_energy_of = np.array(base_energy)
 
     num_shards = spec.num_shards
     shard_range = range(num_shards)
@@ -285,23 +326,46 @@ def serve_open_loop(
     heap: list[tuple[float, int, int]] = []
     seq = 0
 
-    served = 0
     dropped = 0
     stolen = 0
     slo_served = 0
-    horizon = 0.0
+    stats = ServerStats()
     summary = StreamedSummary()
-    observe = summary.observe
+    # One (model, t_q, done) per dispatch, in dispatch order.
+    landing: list[tuple[int, float, float]] = []
+    land = landing.append
     admit = admission.admit_occupancy
+
+    def flush() -> None:
+        """Land the dispatched block: summary, energy, served count."""
+        if not landing:
+            return
+        picked, waits, dones = zip(*landing)
+        landing.clear()
+        codes = np.array(picked)
+        queuing = np.array(waits)
+        summary.observe_many(
+            names,
+            codes,
+            datapath_of[codes],
+            queuing,
+            compute_of[codes],
+            np.array(dones),
+        )
+        stats.energy.charge_many(
+            names, codes, base_energy_of[codes] + queuing * dram_watts
+        )
+        stats.served += len(codes)
 
     def complete(finish_s: float, shard: int) -> None:
         """A core on ``shard`` freed: serve its queue, else steal."""
-        nonlocal seq, served, stolen, slo_served, horizon, total_queued
+        nonlocal seq, stolen, slo_served, total_queued
         queue = queues[shard]
         migrated = False
         if not queue and steal and total_queued:
-            donor = max(shard_range, key=lambda s: len(queues[s]))
-            queue = queues[donor]
+            # The deepest queue, lowest index on ties.
+            depths = list(map(len, queues))
+            queue = queues[depths.index(max(depths))]
             migrated = True
         if not queue:
             idle[shard] += 1
@@ -313,52 +377,49 @@ def serve_open_loop(
         done = start + compute[model]
         heappush(heap, (done, seq, shard))
         seq += 1
-        served += 1
         if migrated:
             stolen += 1
-        if done > horizon:
-            horizon = done
-        serve_s = done - arrival_s
-        if serve_s <= slo_s:
+        if done - arrival_s <= slo_s:
             slo_served += 1
-        observe(names[model], datapath[model], start - ready, compute[model], done)
-        charge(names[model], base_energy[model] + (start - ready) * dram_watts)
+        land((model, start - ready, done))
 
     for chunk in traffic.chunks(total, chunk_size):
         times = chunk.times.tolist()
         picks = chunk.models.tolist()
-        for t, model in zip(times, picks):
-            while heap and heap[0][0] <= t:
-                finish_s, _, shard = heappop(heap)
-                complete(finish_s, shard)
-            if not admit(t, total_queued / total_queue_cap):
-                continue
-            # Join-idlest-then-shortest placement, lowest index on ties.
-            best = -1
-            for s in shard_range:
-                if idle[s]:
-                    best = s
-                    break
-            if best >= 0:
-                idle[best] -= 1
-                ready = t + datapath[model]
-                done = ready + compute[model]
-                heappush(heap, (done, seq, best))
-                seq += 1
-                served += 1
-                if done > horizon:
-                    horizon = done
-                if done - t <= slo_s:
-                    slo_served += 1
-                observe(names[model], datapath[model], 0.0, compute[model], done)
-                charge(names[model], base_energy[model])
-                continue
-            best = min(shard_range, key=lambda s: len(queues[s]))
-            if len(queues[best]) >= queue_cap:
-                dropped += 1
-                continue
-            queues[best].append((t, model))
-            total_queued += 1
+        for block in range(0, len(times), _LANDING_BLOCK):
+            block_end = block + _LANDING_BLOCK
+            for t, model in zip(
+                times[block:block_end], picks[block:block_end]
+            ):
+                while heap and heap[0][0] <= t:
+                    finish_s, _, shard = heappop(heap)
+                    complete(finish_s, shard)
+                if not admit(t, total_queued / total_queue_cap):
+                    continue
+                # Join-idlest-then-shortest placement, lowest index on
+                # ties.
+                best = -1
+                for s in shard_range:
+                    if idle[s]:
+                        best = s
+                        break
+                if best >= 0:
+                    idle[best] -= 1
+                    done = t + datapath[model] + compute[model]
+                    heappush(heap, (done, seq, best))
+                    seq += 1
+                    if done - t <= slo_s:
+                        slo_served += 1
+                    land((model, 0.0, done))
+                    continue
+                depths = list(map(len, queues))
+                depth = min(depths)
+                if depth >= queue_cap:
+                    dropped += 1
+                    continue
+                queues[depths.index(depth)].append((t, model))
+                total_queued += 1
+            flush()
     # Arrivals have stopped; run every pending completion.  Each one
     # frees a core that pulls from the queues (stealing if enabled),
     # and every shard with queued work has busy cores — so the drain
@@ -366,22 +427,20 @@ def serve_open_loop(
     while heap:
         finish_s, _, shard = heappop(heap)
         complete(finish_s, shard)
+    flush()
 
-    unfinished = total_queued
+    stats.offered = admission.offered
+    stats.shed = admission.shed
+    stats.dropped = dropped
+    stats.stolen = stolen
+    stats.unfinished = total_queued
     result = FleetResult(
         spec=spec,
         policy=type(admission.policy).__name__,
-        offered=admission.offered,
-        served=served,
-        shed=admission.shed,
-        dropped=dropped,
-        stolen=stolen,
-        unfinished=unfinished,
+        stats=stats,
         slo_s=slo_s,
         slo_served=slo_served,
-        horizon_s=horizon,
         summary=summary,
-        energy=energy,
     )
     result.check_invariant()
     return result

@@ -2,15 +2,68 @@
 
 from __future__ import annotations
 
+import heapq
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     DEFAULT_RESERVOIR_CAPACITY,
+    EnergyLedger,
     LatencyReservoir,
     NICCounters,
     ServerStats,
 )
+from repro.core import stats as stats_module
+from repro.core.stats import sequential_sum
+
+
+class PerValueReservoir(LatencyReservoir):
+    """The reference: one scalar ``integers`` draw per value past the
+    fill, no pre-drawn slots — what block accounting must reproduce."""
+
+    def add(self, value: float) -> None:
+        self._count += 1
+        self._total += value
+        if self.tail_capacity:
+            if len(self._tail) < self.tail_capacity:
+                heapq.heappush(self._tail, value)
+            elif value > self._tail[0]:
+                heapq.heapreplace(self._tail, value)
+        if len(self._samples) < self.capacity:
+            self._samples.append(value)
+            return
+        slot = int(self._rng.integers(0, self._count))
+        if slot < self.capacity:
+            self._samples[slot] = value
+
+
+def reservoir_state(res: LatencyReservoir) -> tuple:
+    """Everything a reservoir holds, floats as hex, generator settled."""
+    res._settle()
+    return (
+        [v.hex() for v in res._samples],
+        res.count,
+        float(res.total).hex(),
+        sorted(v.hex() for v in res._tail),
+        res._tail_exact,
+        [p.hex() for p in res.percentiles([0, 50, 99, 99.9, 100])]
+        if res.count
+        else None,
+        repr(res._rng.bit_generator.state),
+    )
+
+
+def ledger_state(ledger: EnergyLedger) -> tuple:
+    """An energy ledger's state, dict insertion order included."""
+    return (
+        [(k, v.hex()) for k, v in ledger.per_model_joules.items()],
+        list(ledger.per_model_count.items()),
+        reservoir_state(ledger._reservoir),
+    )
 
 
 class TestLatencyReservoir:
@@ -56,6 +109,130 @@ class TestLatencyReservoir:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError, match="capacity"):
             LatencyReservoir(capacity=0)
+
+
+# Few distinct values, so streams repeat them and tie at the tail's
+# minimum; a second strategy mixes in arbitrary magnitudes.
+_VALUES = st.one_of(
+    st.sampled_from([0.0, 1e-6, 1e-6, 2.5e-4, 0.1, 0.1, 3.0]),
+    st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
+)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _VALUES),
+        st.tuples(st.just("add_many"), st.lists(_VALUES, max_size=30)),
+        st.tuples(st.just("merge"), st.lists(_VALUES, max_size=30)),
+    ),
+    max_size=25,
+)
+
+
+class TestBlockAccounting:
+    """``add_many`` / block-drawn slots against the per-value reference."""
+
+    @pytest.mark.parametrize("first", [2, 4097, 2**32 - 500])
+    def test_block_integers_match_scalar_stream(self, first):
+        """The numpy contract the slot blocks rest on: ``integers`` with
+        an array ``high`` consumes the bit stream exactly as one scalar
+        call per element (32-bit draws share a buffered word; the last
+        case crosses into 64-bit draws).  If a numpy upgrade breaks
+        this, it fails here and not as a drifted benchmark digest."""
+        scalar, block = np.random.default_rng(9), np.random.default_rng(9)
+        scalar.integers(0, 7), block.integers(0, 7)  # half a word buffered
+        highs = np.arange(first, first + 1000)
+        expected = [int(scalar.integers(0, high)) for high in highs]
+        assert block.integers(0, highs).tolist() == expected
+        assert block.bit_generator.state == scalar.bit_generator.state
+
+    def test_sequential_sum_adds_left_to_right(self):
+        values = np.random.default_rng(1).random(5000)
+        total = 0.5
+        for value in values.tolist():
+            total += value
+        assert sequential_sum(0.5, values) == total
+        assert sequential_sum(0.5, values[:0]) == 0.5
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_OPS, capacity=st.integers(1, 12), tail=st.integers(0, 6))
+    def test_any_interleaving_equals_per_value_adds(self, ops, capacity, tail):
+        """add / add_many / merge in any order leave samples, count,
+        sum, tail, percentiles and the settled generator as the
+        per-value algorithm does — duplicates, blocks straddling the
+        fill point and slot blocks running out mid-call included."""
+        block = LatencyReservoir(capacity, seed=5, tail_capacity=tail)
+        reference = PerValueReservoir(capacity, seed=5, tail_capacity=tail)
+        with mock.patch.object(stats_module, "_SLOT_BLOCK", 4):
+            for kind, payload in ops:
+                if kind == "add":
+                    block.add(payload)
+                    reference.add(payload)
+                elif kind == "add_many":
+                    block.add_many(np.array(payload, dtype=np.float64))
+                    for value in payload:
+                        reference.add(value)
+                else:
+                    other = PerValueReservoir(capacity, seed=8, tail_capacity=tail)
+                    for value in payload:
+                        other.add(value)
+                    block.merge(other)
+                    reference.merge(other)
+            assert reservoir_state(block) == reservoir_state(reference)
+
+    def test_default_sizes_across_fill_points(self):
+        """Default capacity and slot block: splits that straddle the
+        tail fill (1024), the sample fill (4096) and block refills."""
+        values = np.random.default_rng(2).exponential(1e-3, 20_000)
+        values[::7] = values[3]  # repeated values, some at the tail floor
+        block, reference = LatencyReservoir(seed=3), PerValueReservoir(seed=3)
+        cuts = [0, 100, 100, 1500, 4095, 4097, 4100, 9000, 9001, 20_000]
+        for lo, hi in zip(cuts, cuts[1:]):
+            block.add_many(values[lo:hi])
+        block.add(0.25)
+        for value in values.tolist() + [0.25]:
+            reference.add(value)
+        assert reservoir_state(block) == reservoir_state(reference)
+
+    def test_scalar_adds_share_the_slot_blocks(self, monkeypatch):
+        """Per-value ``add`` draws its slots a block at a time too (a
+        fall-back to one generator call per value is ~4x on the full
+        reservoir and changes no result), then rewinds what it did not
+        spend."""
+        draws = []
+        draw_slots = LatencyReservoir._draw_slots
+
+        def counting(self, first, need):
+            draws.append(need)
+            draw_slots(self, first, need)
+
+        monkeypatch.setattr(LatencyReservoir, "_draw_slots", counting)
+        values = np.random.default_rng(4).random(7000).tolist()
+        block, reference = LatencyReservoir(seed=1), PerValueReservoir(seed=1)
+        for value in values:
+            block.add(value)
+            reference.add(value)
+        past_fill = 7000 - block.capacity
+        assert len(draws) == -(-past_fill // stats_module._SLOT_BLOCK)
+        assert len(block._slots) > block._slot_pos  # drawn ahead...
+        assert reservoir_state(block) == reservoir_state(reference)  # rewound
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        charges=st.lists(
+            st.tuples(st.integers(0, 3), _VALUES), min_size=1, max_size=60
+        ),
+        cut=st.integers(0, 60),
+    )
+    def test_charge_many_equals_per_request_charges(self, charges, cut):
+        names = ["d", "a", "c", "b"]
+        codes = np.array([code for code, _ in charges])
+        joules = np.array([value for _, value in charges])
+        block, reference = EnergyLedger(capacity=8), EnergyLedger(capacity=8)
+        reference._reservoir = PerValueReservoir(capacity=8)
+        block.charge_many(names, codes[:cut], joules[:cut])
+        block.charge_many(names, codes[cut:], joules[cut:])
+        for code, value in charges:
+            reference.charge(names[code], value)
+        assert ledger_state(block) == ledger_state(reference)
 
 
 class TestTailQuantiles:

@@ -20,7 +20,10 @@ from repro.sim import (
     rate_for_utilization,
     run_comparison,
 )
+from repro.sim.simulator import StreamedSummary
 from repro.sim.workload import SimRequest
+
+from ..core.test_stats import PerValueReservoir, reservoir_state
 
 
 def tiny_model(macs=1_000_000, name="Tiny"):
@@ -226,6 +229,21 @@ class TestStopAndGo:
             StopAndGoSystem().layer_latency_seconds(-1)
 
 
+def summary_state(summary: StreamedSummary) -> tuple:
+    """Everything a streamed summary holds, floats as hex."""
+    return (
+        summary.count,
+        summary.busy_s.hex(),
+        summary.horizon_s.hex(),
+        [
+            (name, agg.count, agg.datapath_s.hex(), agg.queuing_s.hex(),
+             agg.compute_s.hex())
+            for name, agg in summary.per_model.items()
+        ],
+        reservoir_state(summary.reservoir),
+    )
+
+
 class TestStreamedServing:
     """keep_records=False: O(1)-memory aggregation over the reservoir."""
 
@@ -255,6 +273,39 @@ class TestStreamedServing:
             assert streamed.mean_energy(model.name) == pytest.approx(
                 full.mean_energy(model.name), rel=1e-12
             )
+
+    @pytest.mark.parametrize("platform", [lightning_chip, a100_gpu])
+    def test_block_fold_equals_per_request_observes(self, platform):
+        """One ``observe_many`` over the run's arrays leaves the summary
+        — sums, key order, reservoir, generator — exactly as an
+        ``observe`` per record through the per-value reservoir."""
+        models = SIMULATION_MODELS()
+        acc = platform()
+        rate = rate_for_utilization([acc], models, 0.95)
+        trace = PoissonWorkload(models, rate, seed=5).trace(9000, 1)
+        streamed = EventDrivenSimulator(acc).run(trace, keep_records=False)
+        reference = StreamedSummary(reservoir=PerValueReservoir())
+        for record in EventDrivenSimulator(acc).run(trace).records:
+            reference.observe(
+                record.request.model.name,
+                record.datapath_s,
+                record.queuing_s,
+                record.compute_s,
+                record.finish_s,
+            )
+        assert summary_state(streamed.summary) == summary_state(reference)
+
+    def test_streamed_run_lands_once(self, monkeypatch):
+        """The streamed run folds its arrays in one block, never one
+        ``observe`` per request."""
+
+        def per_request(*args, **kwargs):
+            raise AssertionError("a served request landed on its own")
+
+        monkeypatch.setattr(StreamedSummary, "observe", per_request)
+        acc, _, trace = self._trace()
+        streamed = EventDrivenSimulator(acc).run(trace, keep_records=False)
+        assert streamed.summary.count == len(trace)
 
     def test_streamed_percentiles_are_exact_below_capacity(self):
         # Fewer samples than the reservoir holds: the percentile path

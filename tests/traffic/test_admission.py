@@ -116,6 +116,20 @@ class TestController:
         second = [ctrl.admit_occupancy(0.0, 0.5) for _ in range(200)]
         assert first == second
 
+    def test_fast_path_follows_the_policy_across_reset(self):
+        """The occupancy hook is resolved in reset(), not per arrival:
+        a controller re-pointed at another policy serves it after the
+        reset every serve starts with."""
+        ctrl = controller(AcceptAll())
+        assert ctrl.admit_occupancy(0.0, 1.0)
+        ctrl.policy = QueueBackpressure()
+        ctrl.reset()
+        assert not ctrl.admit_occupancy(0.0, 1.0)
+        ctrl.policy = TokenBucket(rate_rps=10.0, burst=1.0)
+        ctrl.reset()
+        assert ctrl.admit_occupancy(0.0, 1.0)
+        assert not ctrl.admit_occupancy(0.01, 0.0)
+
     def test_distinct_streams_decorrelate(self):
         a = controller(QueueBackpressure(low=0.0, high=1.0), stream=0)
         b = controller(QueueBackpressure(low=0.0, high=1.0), stream=1)

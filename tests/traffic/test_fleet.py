@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from repro.core.stats import EnergyLedger, LatencyReservoir
 from repro.dnn import SIMULATION_MODELS
+from repro.sim.simulator import StreamedSummary
 from repro.sim import lightning_chip
+from repro.traffic import fleet as fleet_module
 from repro.traffic import (
     AcceptAll,
     AdmissionController,
@@ -19,6 +24,9 @@ from repro.traffic import (
     fleet_capacity_rps,
     serve_open_loop,
 )
+
+from ..core.test_stats import PerValueReservoir, ledger_state
+from ..sim.test_simulator import summary_state
 
 
 @pytest.fixture(scope="module")
@@ -73,10 +81,135 @@ class TestAccounting:
     def test_bad_accounting_raises(self, mix, spec):
         cap = fleet_capacity_rps(spec, mix)
         good = serve_open_loop(traffic(mix, cap), 1_000, spec)
-        from dataclasses import replace
-
+        good.stats.dropped += 1
         with pytest.raises(ValueError, match="accounting"):
-            replace(good, served=good.served - 1).check_invariant()
+            good.check_invariant()
+
+    def test_ledgers_must_agree_on_served(self, mix, spec):
+        """The summary, the energy ledger and ``stats.served`` each
+        count landed requests; a block landed in only some of them is
+        caught even when the fates still sum to offered."""
+        cap = fleet_capacity_rps(spec, mix)
+        good = serve_open_loop(traffic(mix, cap), 1_000, spec)
+        assert good.summary.count == good.energy.count == good.served
+        assert good.horizon_s == good.summary.horizon_s
+        good.summary.count -= 1
+        with pytest.raises(ValueError, match="landed"):
+            good.check_invariant()
+
+
+def fleet_state(result) -> tuple:
+    """A fleet result's fates, summary and energy ledger, bit for bit."""
+    return (
+        result.policy,
+        (result.offered, result.served, result.shed, result.dropped,
+         result.stolen, result.unfinished, result.slo_served),
+        result.slo_s.hex(),
+        result.horizon_s.hex(),
+        summary_state(result.summary),
+        ledger_state(result.energy),
+    )
+
+
+def state_digest(state: tuple) -> str:
+    return hashlib.sha256(repr(state).encode()).hexdigest()[:16]
+
+
+#: ``state_digest(fleet_state(...))`` of ``TestBlockLanding._serve``,
+#: recorded at the commit before completions landed in blocks
+#: (per-request ``observe`` + ``charge``, one scalar slot draw per
+#: value, ``min``/``max`` placement lambdas).
+PARENT_FLEET_DIGESTS = {
+    ("AcceptAll", 0.8, True): "aa8f6ec337d634c7",
+    ("AcceptAll", 2.0, True): "0707d43437a0d1b6",
+    ("AcceptAll", 3.0, True): "9c1f44c2a3888094",
+    ("QueueBackpressure", 0.8, True): "9128a93da1c5d42f",
+    ("QueueBackpressure", 2.0, True): "c1a7fa63b0ae3715",
+    ("QueueBackpressure", 3.0, True): "49ccba5b29810d79",
+    ("AcceptAll", 0.8, False): "daaa53e702e8f37b",
+    ("AcceptAll", 2.0, False): "6badbb796f21f69e",
+    ("AcceptAll", 3.0, False): "ebe0e63f8b222adf",
+    ("QueueBackpressure", 0.8, False): "a9144c9b3aee0dae",
+    ("QueueBackpressure", 2.0, False): "8bd1ed4b82321169",
+    ("QueueBackpressure", 3.0, False): "299efd7ef11e5ce9",
+}
+
+
+class TestBlockLanding:
+    """Completions landed in blocks change nothing but the host time."""
+
+    CASES = [
+        (policy, load, steal)
+        for steal in (True, False)
+        for policy in (AcceptAll, QueueBackpressure)
+        for load in (0.8, 2.0, 3.0)
+    ]
+
+    @staticmethod
+    def _serve(mix, policy, load, steal):
+        spec = FleetSpec(
+            lightning_chip(), num_shards=4, cores_per_shard=2, steal=steal
+        )
+        rate = load * fleet_capacity_rps(spec, mix)
+        return serve_open_loop(
+            traffic(mix, rate, seed=7, stream=(1, 2)),
+            12_000,
+            spec,
+            admission=AdmissionController(policy(), seed=7, stream=(1, 2)),
+        )
+
+    @pytest.mark.parametrize("policy,load,steal", CASES)
+    def test_equals_per_request_landing(
+        self, mix, monkeypatch, policy, load, steal
+    ):
+        """Against the same serve with every block landed one request at
+        a time through the per-value reservoir, and against the digest
+        the parent commit produced."""
+        block = fleet_state(self._serve(mix, policy, load, steal))
+
+        def observe_each(self, names, codes, d, q, c, finish):
+            for row in zip(codes.tolist(), d.tolist(), q.tolist(),
+                           c.tolist(), finish.tolist()):
+                self.observe(names[row[0]], *row[1:])
+
+        def charge_each(self, names, codes, joules):
+            for code, value in zip(codes.tolist(), joules.tolist()):
+                self.charge(names[code], value)
+
+        monkeypatch.setattr(StreamedSummary, "observe_many", observe_each)
+        monkeypatch.setattr(EnergyLedger, "charge_many", charge_each)
+        monkeypatch.setattr(LatencyReservoir, "add", PerValueReservoir.add)
+        assert fleet_state(self._serve(mix, policy, load, steal)) == block
+        assert state_digest(block) == PARENT_FLEET_DIGESTS[
+            policy.__name__, load, steal
+        ]
+
+
+    def test_landing_budget(self, mix, monkeypatch):
+        """No served request is landed on its own (a fall-back to
+        per-request landing halves the engine rate and fails nothing
+        else), and no block outgrows the bound that keeps memory O(1)."""
+
+        def per_request(*args, **kwargs):
+            raise AssertionError("a served request landed on its own")
+
+        blocks = []
+        observe_many = StreamedSummary.observe_many
+
+        def counting(self, names, codes, *columns):
+            blocks.append(len(codes))
+            observe_many(self, names, codes, *columns)
+
+        monkeypatch.setattr(StreamedSummary, "observe_many", counting)
+        monkeypatch.setattr(StreamedSummary, "observe", per_request)
+        monkeypatch.setattr(EnergyLedger, "charge", per_request)
+        monkeypatch.setattr(LatencyReservoir, "add", per_request)
+        result = self._serve(mix, QueueBackpressure, 2.0, True)
+        assert sum(blocks) == result.served == result.energy.count
+        assert len(blocks) <= 12_000 // fleet_module._LANDING_BLOCK + 2
+        assert max(blocks) <= (
+            fleet_module._LANDING_BLOCK + result.spec.total_queue_capacity
+        )
 
 
 class TestWorkStealing:
