@@ -24,10 +24,11 @@ results and identical cycle accounting:
   serving path (Figures 15/16).  Because a layer's cost never depends
   on its activations (§4 decouples the control plane from the data
   plane), a request is two compiled programs run once each: the
-  model's forward program for the numerics and its
-  :class:`TimingPlan` for the ledger — on every core: an installed
-  analog fault changes the values a core returns, never a cycle
-  count, a DRAM read or a register write.  :meth:`execute_layers`
+  model's forward program for the numerics — batch-major, one request
+  being a block of one row (:meth:`~repro.core.plans.ModelPlan.forward_block`)
+  — and its :class:`TimingPlan` for the ledger — on every core: an
+  installed analog fault changes the values a core returns, never a
+  cycle count, a DRAM read or a register write.  :meth:`execute_layers`
   remains the per-layer walk the other fidelities and the tracer
   take, and the reference the compiled path is tested against.
 * ``fidelity="loop"`` computes the same reductions row by row with
@@ -49,7 +50,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,7 @@ from .plans import (
     finish_output,
     gather_patches,
     supports_matmul,
+    tape_law,
 )
 from .preamble import PREAMBLE_PATTERN_TESTBED, PreambleDetector, add_preamble
 
@@ -441,11 +443,11 @@ class LightningDatapath:
         return plan
 
     def invalidate_plans(self, model_id: int | None = None) -> None:
-        """Drop compiled plans (all models, or one).
-
-        Called by the serving layer when a core's calibration state
-        changes (quarantine, recalibration); the next request recompiles
-        against the current core geometry.
+        """Drop compiled plans (all models, or one); the next request
+        recompiles.  Nothing in serving needs it — no compiled constant
+        reads the core's calibration state, so a quarantine or re-lock
+        keeps its plans — but it resets ``plan_stats()``'s replays, and
+        tests use it to prove a recompile changes nothing.
         """
         if model_id is None:
             self._plans.clear()
@@ -485,9 +487,8 @@ class LightningDatapath:
         wavelength count, so datapaths sharing a plan geometry can
         share the offline phase's output.  A cluster deploying one DAG
         across many same-architecture cores adopts the first core's
-        rows on the rest, which also keeps lazy recompiles (after a
-        quarantine or re-lock invalidated the plans) from redoing the
-        separation.
+        rows on the rest, which also keeps a lazy recompile (after
+        :meth:`invalidate_plans`) from redoing the separation.
         """
         if donor.num_wavelengths != self.num_wavelengths:
             raise ValueError(
@@ -955,12 +956,60 @@ class LightningDatapath:
     def forward(self, model_id: int, input_levels: np.ndarray) -> np.ndarray:
         """One request's output levels and nothing else.
 
-        No registers, no DRAM, no counters: what a worker process runs
-        while its parent, which owns the ledger, replays the cost.
+        No registers, no DRAM, no counters: the numerics half of
+        :meth:`execute`, whose ledger half is :meth:`execute_timing`.
         """
         self._require_fast()
         plan_model = self._plan_for(self.loader.dag(model_id))
         return plan_model.forward(self.core, input_levels)[-1]
+
+    @property
+    def defers_numerics(self) -> bool:
+        """Whether a request's numerics may run later than its ledger.
+
+        True when the forward program tapes this core's noise (a plain
+        behavioural core with Gaussian or no noise, on the compiled
+        path): then :meth:`forward_keyed` is a function of the plan,
+        the levels, the key and the core's seed and noise model alone
+        — no clock, no stream position — so a serving loop can charge
+        a dispatch now and evaluate it with others, in one block.
+        """
+        return self.fidelity == "fast" and tape_law(self.core) is not None
+
+    def check_request(self, model_id: int, levels: np.ndarray) -> None:
+        """Raise the ``ValueError`` :meth:`execute` would for a request
+        (or block of requests) of the wrong length or with levels
+        outside 0..255 — without charging or drawing anything."""
+        first = self.loader.dag(model_id).tasks[0]
+        check_activations(
+            first.name, first.input_size, np.asarray(levels), True
+        )
+
+    def forward_keyed(
+        self,
+        model_id: int,
+        block: np.ndarray,
+        keyed_rows: Sequence[tuple[tuple[int, ...], int]],
+    ) -> np.ndarray:
+        """Output levels of a ``(B, n)`` block of requests whose noise
+        is keyed: ``keyed_rows`` lists ``(key, rows)`` in block order,
+        and each group draws from the core's
+        :meth:`~repro.photonics.core.BehavioralCore.noise_stream` for
+        its key, never from the core's own stream.  Only a core that
+        :attr:`defers_numerics` has one.
+        """
+        self._require_fast()
+        plan_model = self._plan_for(self.loader.dag(model_id))
+        streams = [
+            (self.core.noise_stream(*key), rows) for key, rows in keyed_rows
+        ]
+        return plan_model.forward_block(self.core, block, streams)[-1]
+
+    def row_bytes(self, model_id: int) -> int:
+        """Bytes one of a model's requests keeps live in a forward
+        block (its draws and its widest task's operands): what sizes
+        the blocks an executor cuts a backlog into."""
+        return self._plan_for(self.loader.dag(model_id)).row_bytes
 
     def execute_batch(
         self, model_id: int, batch_levels: np.ndarray
@@ -970,11 +1019,12 @@ class LightningDatapath:
         The core's architecture defines the hardware batch width ``B``
         (Appendix E): the weights are encoded once per pass and split
         optically to ``B`` input-modulator lanes, so ``ceil(batch / B)``
-        passes serve the whole batch.  Outputs match per-sample
-        :meth:`execute` results exactly (noise draws aside); only the
-        cycle accounting differs: every sample advances the counters
-        and the memory RNG, one pipeline pass's cost times the pass
-        count is charged.
+        passes serve the whole batch.  The rows run through the forward
+        program as one block, so outputs are the bytes per-sample
+        :meth:`execute` calls produce from the same noise-stream
+        position; only the cycle accounting differs: every sample
+        advances the counters and the memory RNG, one pipeline pass's
+        cost times the pass count is charged.
         """
         dag = self.loader.dag(model_id)
         batch_levels = np.atleast_2d(
@@ -989,20 +1039,19 @@ class LightningDatapath:
             executions = [
                 self.execute_layers(model_id, row) for row in batch_levels
             ]
-            outputs = [execution.output_levels for execution in executions]
+            outputs = np.stack(
+                [execution.output_levels for execution in executions]
+            )
             first = executions[0].timing
         else:
             _, plan_model, tplan = self._compiled(model_id)
-            outputs = [
-                plan_model.forward(self.core, row)[-1]
-                for row in batch_levels
-            ]
+            outputs = plan_model.forward_block(self.core, batch_levels)[-1]
             first, _ = self._replay_ledger(dag, plan_model, tplan, batch)
         timing = first.repeated(passes)
         return BatchExecution(
             model_id=dag.model_id,
             model_name=dag.name,
-            output_levels=np.stack(outputs),
+            output_levels=outputs,
             batch=batch,
             hardware_batch=hardware_batch,
             passes=passes,

@@ -34,6 +34,21 @@ What a plan precomputes:
   and the §4 row-cost table folded into a precomputed cycle count.
 * **Pool** — the window geometry and comparator cycle count.
 
+A :class:`ModelPlan` strings the tasks into one **batch-major forward
+program**: a ``(B, n)`` block of requests in, every task's ``(B, rows)``
+levels out.  Each plan's :meth:`~ExecutionPlan.execute_block` is its
+``execute`` over the block — every contraction one stacked
+``np.matmul`` (numpy issues one BLAS call per row, the very call the
+per-request product makes, so the bytes are equal), every other step
+the same ufunc over the block — and the noise comes off a *tape*: on a
+plain behavioural core with Gaussian noise each noise site is a
+``standard_normal`` fill scaled and shifted elementwise, so a model's
+draws are laid out once per noise law and a request's are one fill
+that each site takes its slice of.  One request is the program at
+``B = 1``.  Cores the tape cannot stand in for (fault wrappers,
+device-accurate cores, other noise models) walk their rows one by one
+through ``execute``, as the per-layer instrument always does.
+
 Every plan also precomputes the task's full cycle ledger (stream cycles,
 adder-tree latency, non-linearity latency) using *exactly* the formulas
 of the per-row path, so Figure 15/17/21 cycle accounting is bit-for-bit
@@ -81,6 +96,7 @@ __all__ = [
     "export_model_plan",
     "import_model_plan",
     "supports_matmul",
+    "tape_law",
 ]
 
 
@@ -163,13 +179,38 @@ def finish_output(
     raw: np.ndarray, nonlinear: NonlinearModule, requant_divisor: float
 ) -> np.ndarray:
     """Non-linearity, then requantization to 0..255 levels (skipped at
-    a divisor of 1.0): the tail every weighted layer ends with."""
+    a divisor of 1.0): the tail every weighted layer ends with.  The
+    last axis is the layer's; leading axes (a block's rows) ride along.
+    """
+    lead = raw.shape[:-1]
     raw = nonlinear(raw)
     if requant_divisor != 1.0:
         raw = raw / requant_divisor
         np.maximum(raw, 0.0, out=raw)
         np.minimum(raw, 255.0, out=raw)
-    return np.asarray(raw, dtype=np.float64).ravel()
+    return np.asarray(raw, dtype=np.float64).reshape(lead + (-1,))
+
+
+def tape_law(core) -> tuple[float, float] | None:
+    """The core's :meth:`~repro.photonics.core.BehavioralCore.tape_law`
+    — ``None`` for every core that does not declare one (fault
+    wrappers, device-accurate and third-party cores)."""
+    declared = getattr(core, "tape_law", None)
+    return declared() if declared is not None else None
+
+
+def _product_noise(
+    size: int, inner: int, geometry: "PlanGeometry", std: float, mean: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tape constants of one noisy matrix product's ``size`` outputs:
+    ``BehavioralCore.matmul``'s law, ``z * (std * sqrt(r)) + mean * r``
+    for the ``r`` readouts an inner dimension of ``inner`` sums."""
+    readouts = -(-inner // geometry.num_wavelengths)
+    return (
+        np.full(size, std * math.sqrt(readouts)),
+        np.ones(size),
+        np.full(size, mean * readouts),
+    )
 
 
 @dataclass(frozen=True)
@@ -244,12 +285,45 @@ class ExecutionPlan:
         self.stream_cycles: int = 0
 
     def execute(self, core, activations: np.ndarray) -> np.ndarray:
-        """Replay the compiled task; returns the raw pre-bias levels."""
+        """Replay the compiled task for one request through the core's
+        own entry points; returns the raw pre-bias levels."""
+        raise NotImplementedError
+
+    @property
+    def draws(self) -> int:
+        """Gaussian draws one request takes on a taped core (see
+        :meth:`ModelPlan.forward_block`), in :meth:`execute`'s order:
+        one per output row, unless the plan says otherwise."""
+        return self.rows
+
+    def tape_constants(
+        self, std: float, mean: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per draw: the two factors and the shift :meth:`execute`'s
+        noise sites apply to a standard normal, in their order."""
+        raise NotImplementedError
+
+    @property
+    def live_floats(self) -> int:
+        """Floats of one request live while :meth:`execute_block`
+        runs: its input and its raw outputs."""
+        return self.input_size + self.draws
+
+    def execute_block(
+        self, block: np.ndarray, noise: np.ndarray | None
+    ) -> np.ndarray:
+        """:meth:`execute` for a ``(B, n)`` block of requests, batch
+        major: the same contractions as one stacked ``np.matmul`` each
+        (one BLAS call per row, bit for bit the per-request product),
+        the same ufuncs over the block, and ``noise`` — the task's
+        ``(B, draws)`` slice of the tape, ``None`` on a noiseless core
+        — added where the core would have drawn."""
         raise NotImplementedError
 
     def finish(self, raw: np.ndarray, requantize: bool) -> np.ndarray:
-        """The digital tail after :meth:`execute`: bias, non-linearity
-        and (between layers, ``requantize``) the clip back to levels."""
+        """The digital tail after :meth:`execute` (or, with a leading
+        block axis, :meth:`execute_block`): bias, non-linearity and
+        (between layers, ``requantize``) the clip back to levels."""
         if self.bias_levels is not None:
             raw = raw + self.bias_levels
         return finish_output(
@@ -471,6 +545,17 @@ class DensePlan(ExecutionPlan):
             out, self._noise, self.std_scale, self.net_signs
         )
 
+    def tape_constants(self, std, mean):
+        return self.std_scale, np.full(self.rows, std), mean * self.net_signs
+
+    def execute_block(self, block, noise):
+        # (rows, n) @ (B, n, 1): one gemv per request, as ``execute``.
+        out = np.matmul(self.weights, block[:, :, None])[:, :, 0]
+        out /= 255.0
+        if noise is not None:
+            out += noise
+        return out
+
     def shared_arrays(self) -> dict[str, np.ndarray]:
         return {"steps": self.steps, "net_signs": self.net_signs}
 
@@ -573,12 +658,34 @@ class ConvPlan(ExecutionPlan):
             positions, self.conv.out_channels
         )
 
+    @property
+    def live_floats(self) -> int:
+        return super().live_floats + self.patch_gather.size
+
+    def tape_constants(self, std, mean):
+        return _product_noise(
+            self.rows, self.conv.patch_size, self.geometry, std, mean
+        )
+
+    def execute_block(self, block, noise):
+        conv = self.conv
+        buffer = np.empty((len(block), conv.input_size + 1))
+        buffer[:, :-1] = block
+        buffer[:, -1] = 0.0
+        # (B, positions, patch) @ (patch, out_channels), one gemm each.
+        raw = np.matmul(buffer[:, self.patch_gather], self.weights_t)
+        raw /= 255.0
+        if noise is not None:
+            raw += noise.reshape(raw.shape)
+        return raw
+
     def finish(self, raw: np.ndarray, requantize: bool) -> np.ndarray:
         if self.bias_levels is not None:
             raw = raw + self.bias_levels  # broadcast per out-channel
-        # Channel-major (NCHW) flattening.
+        # Channel-major (NCHW) flattening of each request.
+        flat = np.swapaxes(raw, -1, -2).reshape(raw.shape[:-2] + (-1,))
         return finish_output(
-            raw.T.ravel(),
+            flat,
             self.nonlinear,
             self.requant_divisor if requantize else 1.0,
         )
@@ -639,6 +746,49 @@ class AttentionPlan(ExecutionPlan):
         context = core.matmul(attn * 255.0, v)
         return core.matmul(context, self.wo_t).ravel()
 
+    @property
+    def draws(self) -> int:
+        return self._cuts[-1]
+
+    def tape_constants(self, std, mean):
+        sites = [
+            _product_noise(size, inner, self.geometry, std, mean)
+            for size, inner in self._sites
+        ]
+        return tuple(np.concatenate(column) for column in zip(*sites))
+
+    def execute_block(self, block, noise):
+        att = self.attention
+        rows, s, d = len(block), att.seq_len, att.d_model
+        tokens = block.reshape(rows, s, d)
+        qkv = np.empty((3, rows, s, d))
+        for product, w_t in zip(qkv, self.qkv_t):
+            np.matmul(tokens, w_t, out=product)
+        qkv /= 255.0
+        if noise is not None:
+            a, b, c, _ = self._cuts
+            # One request's Q/K/V draws are block-major, like its fill.
+            qkv += noise[:, :a].reshape(rows, 3, s, d).swapaxes(0, 1)
+        q, k, v = qkv
+        scores = np.matmul(q, k.swapaxes(-1, -2))
+        scores /= 255.0
+        if noise is not None:
+            scores += noise[:, a:b].reshape(scores.shape)
+        scores *= att.score_scale
+        scores -= scores.max(axis=-1, keepdims=True)
+        attn = np.exp(scores)
+        attn /= attn.sum(axis=-1, keepdims=True)
+        attn *= 255.0
+        context = np.matmul(attn, v)
+        context /= 255.0
+        if noise is not None:
+            context += noise[:, b:c].reshape(context.shape)
+        out = np.matmul(context, self.wo_t)
+        out /= 255.0
+        if noise is not None:
+            out += noise[:, c:].reshape(out.shape)
+        return out.reshape(rows, s * d)
+
     def _bind_shared(self, task, arrays, meta):
         att = task.attention
         assert att is not None and task.weights_levels is not None
@@ -651,6 +801,12 @@ class AttentionPlan(ExecutionPlan):
             weights[i * d : (i + 1) * d].T for i in range(3)
         )
         self.wo_t = weights[3 * d : 4 * d].T
+        #: ``(outputs, inner dimension)`` of the four noisy products in
+        #: stream order — Q/K/V, scores, context, output projection —
+        #: and where each one's draws start on the task's tape slice.
+        s = att.seq_len
+        self._sites = ((3 * s * d, d), (s * s, d), (s * d, s), (s * d, d))
+        self._cuts = np.cumsum([size for size, _ in self._sites]).tolist()
 
 
 class PoolPlan(ExecutionPlan):
@@ -676,6 +832,14 @@ class PoolPlan(ExecutionPlan):
         )[:, :: pool.effective_stride, :: pool.effective_stride]
         return windows.max(axis=(-2, -1)).ravel()
 
+    def execute_block(self, block, noise):
+        pool = self.pool
+        images = block.reshape(-1, pool.channels, pool.height, pool.width)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            images, (pool.kernel, pool.kernel), axis=(2, 3)
+        )[:, :, :: pool.effective_stride, :: pool.effective_stride]
+        return windows.max(axis=(-2, -1)).reshape(len(block), -1)
+
     def finish(self, raw: np.ndarray, requantize: bool) -> np.ndarray:
         return raw  # a comparator stage: no bias, no requantization
 
@@ -688,6 +852,24 @@ class PoolPlan(ExecutionPlan):
         assert task.pool is not None
         self.pool = task.pool
         self.compute_cycles = int(meta["compute_cycles"])
+
+
+@dataclass(frozen=True)
+class _Tape:
+    """One model's noise, laid out for one ``(std, mean)`` law.
+
+    A request draws ``draws`` standard normals, task after task in
+    program order (``spans`` is each task's slice); a draw becomes
+    noise as ``z * scale * rescale + shift`` — two factors because a
+    dense row rounds ``(z * sqrt(steps)) * std`` and a product
+    ``z * (std * sqrt(readouts))``, and the tape rounds as they do.
+    """
+
+    draws: int
+    spans: tuple[tuple[int, int], ...]
+    scale: np.ndarray | None
+    rescale: np.ndarray | None
+    shift: np.ndarray | None
 
 
 @dataclass
@@ -709,6 +891,17 @@ class ModelPlan:
     program: tuple[tuple[ExecutionPlan, bool, bool], ...] = field(
         init=False, repr=False
     )
+    #: Tape layouts by noise law, laid out on first use, and the
+    #: buffer the draws land in (grown to the largest block seen).
+    _tapes: dict[tuple[float, float], _Tape] = field(
+        init=False, repr=False, default_factory=dict
+    )
+    _noise: np.ndarray = field(
+        init=False, repr=False, default_factory=lambda: np.empty(0)
+    )
+    #: Bytes one request keeps live in :meth:`forward_block`: its
+    #: draws plus its widest task's operands.
+    row_bytes: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         plans = list(self.tasks.values())
@@ -723,6 +916,10 @@ class ModelPlan:
                 and plan.requant_divisor != 1.0
             )
         self.program = tuple(steps)
+        self.row_bytes = 8 * (
+            sum(plan.draws for plan in plans)
+            + max((plan.live_floats for plan in plans), default=0)
+        )
 
     def plan(self, task_name: str) -> ExecutionPlan:
         return self.tasks[task_name]
@@ -732,15 +929,73 @@ class ModelPlan:
         return len(self.tasks)
 
     def forward(self, core, input_levels: np.ndarray) -> list[np.ndarray]:
-        """One request's numerics: every task's output levels, in order.
+        """One request's numerics: every task's output levels, in order
+        (:meth:`forward_block` at one row, on the core's own stream)."""
+        row = np.asarray(input_levels, dtype=np.float64).ravel()
+        if tape_law(core) is None:
+            return self._walk(core, row)
+        return [levels[0] for levels in self.forward_block(core, row[None])]
+
+    def forward_block(
+        self, core, block: np.ndarray, streams=None
+    ) -> list[np.ndarray]:
+        """The model's numerics, batch major: a ``(B, n)`` block of
+        request levels in, every task's ``(B, rows)`` levels out.
 
         Pure with respect to the datapath — no registers, no DRAM, no
-        counters; only ``core``'s noise stream advances.  Inputs are
-        validated exactly where the per-layer walk validates them and
-        could fail: lengths always, the level range on the request
-        input and after every producer that did not just clip to it.
+        counters.  Inputs are validated exactly where the per-layer
+        walk validates them and could fail: lengths always, the level
+        range on the request input and after every producer that did
+        not just clip to it.
+
+        On a core that declares a :func:`tape_law` the block runs as
+        one straight-line program (see
+        :meth:`ExecutionPlan.execute_block`) and the noise comes off a
+        tape: ``streams`` — ``(generator, rows)`` pairs covering the
+        block in order, by default the core's own stream for all of
+        it — each fill their rows' draws in one call, which consumes
+        a generator exactly as the per-site fills of those rows, one
+        request after the other, would.  So a row's levels are the
+        bytes a lone :meth:`forward` of it produces from the same
+        stream position, whatever block it rides in.  Any other core
+        walks its rows one by one through :meth:`ExecutionPlan.execute`
+        on its own stream.
         """
-        activations = np.asarray(input_levels, dtype=np.float64).ravel()
+        block = np.ascontiguousarray(block, dtype=np.float64)
+        law = tape_law(core)
+        if law is None:
+            if streams is not None:
+                raise ValueError(
+                    "only a taped core draws from explicit streams"
+                )
+            walked = [self._walk(core, row) for row in block]
+            return [np.stack(levels) for levels in zip(*walked)]
+        tape = self._tapes.get(law)
+        if tape is None:
+            tape = self._tapes[law] = self._lay_tape(*law)
+        noise = None
+        if tape.draws:
+            if streams is None:
+                streams = ((core.stream, len(block)),)
+            noise = self._fill(tape, len(block), streams)
+        outputs = []
+        for (plan, requantize, in_range), (lo, hi) in zip(
+            self.program, tape.spans
+        ):
+            check_activations(
+                plan.task_name, plan.input_size, block, not in_range
+            )
+            block = plan.finish(
+                plan.execute_block(
+                    block, None if noise is None else noise[:, lo:hi]
+                ),
+                requantize,
+            )
+            outputs.append(block)
+        return outputs
+
+    def _walk(self, core, activations: np.ndarray) -> list[np.ndarray]:
+        """One request, step by step through the core's entry points."""
         outputs = []
         for plan, requantize, in_range in self.program:
             check_activations(
@@ -752,18 +1007,58 @@ class ModelPlan:
             outputs.append(activations)
         return outputs
 
+    def _lay_tape(self, std: float, mean: float) -> _Tape:
+        spans, columns, start = [], [], 0
+        for plan, _, _ in self.program:
+            stop = start + (plan.draws if std else 0)
+            spans.append((start, stop))
+            if stop > start:
+                columns.append(plan.tape_constants(std, mean))
+            start = stop
+        if not columns:
+            return _Tape(0, tuple(spans), None, None, None)
+        scale, rescale, shift = (
+            np.concatenate(column) for column in zip(*columns)
+        )
+        return _Tape(
+            start, tuple(spans), scale, rescale, shift if mean else None
+        )
+
+    def _fill(self, tape: _Tape, rows: int, streams) -> np.ndarray:
+        """``rows`` requests' noise off ``streams``, ``(rows, draws)``."""
+        if self._noise.size < rows * tape.draws:
+            self._noise = np.empty(rows * tape.draws)
+        flat = self._noise[: rows * tape.draws]
+        start = 0
+        for stream, count in streams:
+            stop = start + count * tape.draws
+            stream.standard_normal(out=flat[start:stop])
+            start = stop
+        if start != flat.size:
+            raise ValueError(
+                f"streams cover {start // tape.draws} of {rows} rows"
+            )
+        noise = flat.reshape(rows, tape.draws)
+        noise *= tape.scale
+        noise *= tape.rescale
+        if tape.shift is not None:
+            noise += tape.shift
+        return noise
+
 
 def check_activations(
     task_name: str, input_size: int, activations: np.ndarray, levels: bool
 ) -> None:
-    """Reject a layer input of the wrong length or (``levels``) range."""
-    if len(activations) != input_size:
+    """Reject a layer input (one request's, or a block's) of the wrong
+    length or (``levels``) not all finite 0..255 levels."""
+    if activations.shape[-1] != input_size:
         raise ValueError(
             f"layer {task_name!r} expects {input_size} "
-            f"activations, got {len(activations)}"
+            f"activations, got {activations.shape[-1]}"
         )
-    if levels and activations.size and (
-        activations.min() < 0.0 or activations.max() > 255.0
+    # Negated so a NaN, which compares False both ways, is rejected.
+    if levels and activations.size and not (
+        activations.min() >= 0.0 and activations.max() <= 255.0
     ):
         raise ValueError(
             "activations must be non-negative 0..255 levels (signs "
@@ -854,11 +1149,16 @@ def import_model_plan(
     geometry: PlanGeometry,
     arrays_by_task: dict[str, dict[str, np.ndarray]],
     meta_by_task: dict[str, dict],
+    donor: ModelPlan | None = None,
 ) -> ModelPlan:
     """Reassemble a :class:`ModelPlan` around shared-memory views.
 
     The worker-side counterpart of :func:`export_model_plan` — no
-    recompilation, no copies of the stacked operand blocks.
+    recompilation, no copies of the stacked operand blocks.  In
+    process, ``donor`` — the plan the arrays were exported from — also
+    lends its noise tape layouts (read-only once laid, and a function
+    of the model and the noise law alone), so one is laid per model
+    and law, not one per core.
     """
     tasks: dict[str, ExecutionPlan] = {}
     for task in dag.tasks:
@@ -867,9 +1167,12 @@ def import_model_plan(
         tasks[task.name] = cls.from_shared(
             task, geometry, arrays_by_task.get(task.name, {}), meta
         )
-    return ModelPlan(
+    plan = ModelPlan(
         model_id=dag.model_id,
         model_name=dag.name,
         geometry=geometry,
         tasks=tasks,
     )
+    if donor is not None:
+        plan._tapes = donor._tapes
+    return plan

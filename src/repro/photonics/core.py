@@ -362,6 +362,22 @@ class BehavioralCore:
         self.seed = seed
         self._rng = np.random.default_rng(seed)
 
+    def noise_stream(self, *key: int) -> np.random.Generator:
+        """The keyed Philox substream ``key`` names on this core.
+
+        ``SeedSequence`` mixes the core's base seed with the key, so
+        distinct cores keep distinct streams even for equal keys.  The
+        entropy is handed over as one ``uint32`` array — word for word
+        what ``SeedSequence`` makes of the tuple of ints, at two thirds
+        of the cost — unless a component needs more than one word.
+        """
+        entropy = (self.seed, *key)
+        if 0 <= min(entropy) and max(entropy) < 1 << 32:
+            entropy = np.array(entropy, dtype=np.uint32)
+        return np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy))
+        )
+
     def reseed_noise(self, *subkey: int) -> None:
         """Rebase the readout-noise stream onto a keyed Philox substream.
 
@@ -369,13 +385,44 @@ class BehavioralCore:
         batch)`` so the noise a batch consumes depends only on its key,
         never on which batches other cores ran first — that is what
         makes serial and process-parallel serving draw-for-draw
-        identical.  ``SeedSequence`` mixes the core's base seed with the
-        key, so distinct cores keep distinct streams even for equal
-        keys.
+        identical.
         """
-        self._rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence((self.seed, *subkey)))
-        )
+        self._rng = self.noise_stream(*subkey)
+
+    @property
+    def stream(self) -> np.random.Generator:
+        """The core's own noise stream (what :meth:`reseed_noise` sets)."""
+        return self._rng
+
+    def tape_law(self) -> tuple[float, float] | None:
+        """``(std, mean)`` per readout if a noise tape can stand in for
+        this core, else ``None``.
+
+        On a plain :class:`BehavioralCore` with Gaussian noise every
+        noise site — :meth:`readout_noise_into` with scales,
+        :meth:`matmul`, :meth:`matmul_shared` — is one
+        ``standard_normal`` fill, scaled and shifted elementwise, so a
+        whole model's draws are one fill of its draw count (a *tape*)
+        that each site takes its slice of: what the batch-major
+        forward program of :mod:`repro.core.plans` does.  ``mean`` is 0
+        when the calibrated offset is removed; ``std == 0`` means no
+        site draws at all (:class:`NoiselessModel`).  Subclasses that
+        override a noise site, other noise models and a zero-std
+        Gaussian (whose dense rows skip their draw) keep the calls.
+        """
+        cls = type(self)
+        if (
+            cls.matmul is not BehavioralCore.matmul
+            or cls.matmul_shared is not BehavioralCore.matmul_shared
+            or cls.readout_noise_into is not BehavioralCore.readout_noise_into
+        ):
+            return None
+        noise = self.noise
+        if isinstance(noise, NoiselessModel):
+            return 0.0, 0.0
+        if isinstance(noise, GaussianNoise) and noise.std > 0:
+            return noise.std, 0.0 if self.remove_mean else noise.mean
+        return None
 
     @property
     def row_granular_noise(self) -> bool:

@@ -16,6 +16,9 @@ paper's §9 simulator abstracts, realised over real
   merges queued same-model requests into broadcast batch executions;
 * :mod:`~repro.runtime.workload` — Poisson traces over deployed DAGs,
   reusing the §9 workload generator;
+* :mod:`~repro.runtime.executor` — where a dispatch's numerics run:
+  deferred, grouped by (core, model) and evaluated in blocks through
+  the batch-major forward program, in process or in the workers;
 * :mod:`~repro.runtime.parallel` — the process-parallel execution
   backend (``Cluster(execution="parallel")``): one persistent worker
   per core replaying shared-memory plans, bit-identical to serial;

@@ -76,6 +76,7 @@ from ..faults.wire import (
 from ..net.parser import PacketParser
 from ..sim.events import EventQueue
 from .batching import BatchingCoalescer, stack_levels
+from .executor import InlineExecutor
 from .parallel import CoreWorkerPool, pool_finalizer
 from .queues import DROP_POLICIES, AdmissionQueue, QueueEntry
 from .schedulers import CoreHealthView, RoundRobinScheduler, Scheduler
@@ -136,11 +137,11 @@ class _Dispatch:
     known when the completion event (carrying a matching ``epoch``)
     fires.
 
-    Under ``execution="parallel"`` the outputs are computed by the
-    core's worker process while the virtual clock races ahead:
-    ``outputs`` stays ``None`` until finalization collects the result
-    by ``worker_seq`` (timing was already fixed at dispatch by the
-    parent's dry run, so event ordering never depends on the worker).
+    On the compiled path the numerics are the executor's (a worker
+    process, or the in-process backlog): ``outputs`` stays ``None``
+    and the predictions are collected by ``worker_seq`` after the
+    event loop (timing was already fixed at dispatch by the ledger
+    replay, so event ordering never depends on them).
     """
 
     core: int
@@ -358,6 +359,13 @@ class Cluster:
                 max_batch=max_batch,
             )
             self._pool_finalizer = pool_finalizer(self, self._pool)
+        #: Where compiled-path dispatches' numerics run (see
+        #: :mod:`~repro.runtime.executor`).
+        self._executor = (
+            self._pool
+            if self._pool is not None
+            else InlineExecutor(self.datapaths)
+        )
 
     # ------------------------------------------------------------------
     # Model management
@@ -399,7 +407,13 @@ class Cluster:
                 arrays, meta, donor_path = donor
                 datapath.register_model(
                     dag,
-                    plan=import_model_plan(dag, geometry, arrays, meta),
+                    plan=import_model_plan(
+                        dag,
+                        geometry,
+                        arrays,
+                        meta,
+                        donor=donor_path.model_plan(dag.model_id),
+                    ),
                 )
                 datapath.adopt_sign_separation(donor_path, dag.model_id)
                 continue
@@ -498,6 +512,9 @@ class Cluster:
         compiled, requests replayed).  Cores serving on the fast path
         show replay counts climbing while the task counts stay flat —
         the compile-once, replay-many contract made observable.
+        ``replays`` is cumulative since the deploy: a quarantine and
+        re-lock keep a core's plans (no compiled constant reads its
+        calibration state), so the count runs on across them.
         """
         return {
             core: datapath.plan_stats()
@@ -576,12 +593,13 @@ class Cluster:
         #: before each assign; everyone else skips the view building.
         wants_health = getattr(self.scheduler, "uses_health", False)
         inflight: dict[int, _Dispatch] = {}
-        #: Parallel-mode batches whose outputs are still in a worker:
-        #: ``(first record index, dispatch)`` in finalization order.
-        #: Records are written with a placeholder prediction during the
-        #: loop and patched after it, so the virtual clock never blocks
-        #: on a worker — the parent's timing dry-runs for later windows
-        #: overlap the workers' compute for earlier ones.
+        #: Finalized batches whose predictions are still the
+        #: executor's: ``(first record index, dispatch)`` in
+        #: finalization order.  Records are written with a placeholder
+        #: prediction during the loop and patched after it, so the
+        #: virtual clock never waits on numerics — a worker's compute
+        #: overlaps the parent's ledger replays for later windows, and
+        #: the in-process backlog runs in blocks.
         pending_joins: list[tuple[int, _Dispatch]] = []
         records: list[RuntimeRecord] = []
         dropped: list[RuntimeRequest] = []
@@ -687,9 +705,9 @@ class Cluster:
             epoch[core] += 1
             core_busy[core] = False
             if batch.outputs is None:
-                # The worker computes the doomed batch anyway; mark it
-                # so its result is dropped when it surfaces.
-                self._pool.discard(core, batch.worker_seq)
+                # A doomed batch's result is dropped (a worker computes
+                # it anyway; the in-process backlog never does).
+                self._executor.discard(core, batch.worker_seq)
             # The crashed dispatch's partial occupancy still counts
             # against the core — wasted work is work.
             busy_seconds += now - batch.start_s
@@ -702,12 +720,12 @@ class Cluster:
             core_busy[core] = False
             busy_seconds += batch.service_s
             if batch.outputs is None:
-                # Parallel mode: the timing was fixed at dispatch, so
-                # the record is complete except for its prediction.
-                # Defer the worker join until the event loop drains —
-                # the placeholder is patched in completion order, which
-                # per core is dispatch order (a core serializes), so
-                # the strict-order collect still matches.
+                # The timing was fixed at dispatch, so the record is
+                # complete except for its prediction.  Defer the join
+                # until the event loop drains — the placeholder is
+                # patched in completion order, which per core is
+                # dispatch order (a core serializes), so a worker's
+                # strict-order collect still matches.
                 pending_joins.append((len(records), batch))
             outputs = (
                 batch.outputs
@@ -758,6 +776,8 @@ class Cluster:
         def apply_fault(fault, now: float) -> None:
             core = fault.core
             if fault.kind in DEVICE_FAULT_KINDS:
+                # What the core was already sent it answers as it was.
+                self._executor.settle(core)
                 wrapper = DegradedCore.ensure(self.datapaths[core])
                 wrapper.set_time(now)
                 wrapper.install(device_fault_from_event(fault))
@@ -834,12 +854,6 @@ class Cluster:
                     continue
                 health[i].state = "quarantined"
                 health[i].quarantined_at_s = now
-                # The core's calibration no longer matches what its
-                # plans were compiled against; recompile lazily if the
-                # core ever serves again (post-recalibration).
-                self.datapaths[i].invalidate_plans()
-                if self._pool is not None:
-                    self._pool.invalidate(i)
                 self.stats.quarantines += 1
                 emit(
                     "quarantine",
@@ -891,6 +905,7 @@ class Cluster:
             if health[core].state != "recalibrating":
                 return  # crashed while benched; nothing to readmit
             relock_attempts[core] += 1
+            self._executor.settle(core)
             set_core_time(core, now)
             report = relocker.relock_core(
                 core, self.datapaths[core].core, now
@@ -989,7 +1004,6 @@ class Cluster:
                     now_s=now,
                 )
                 core = idle[pick]
-                set_core_time(core, now)
                 key = (
                     _BATCH_RNG_DOMAIN,
                     core,
@@ -997,13 +1011,12 @@ class Cluster:
                     dispatch_seq[core],
                 )
                 dispatch_seq[core] += 1
-                if self._pool is None:
+                if self.datapaths[core].fidelity == "fast":
+                    batch = self._dispatch(core, model_id, entries, now, key)
+                else:
+                    set_core_time(core, now)
                     reseed_core(core, *key)
                     batch = self._run_batch(core, model_id, entries, now)
-                else:
-                    batch = self._dispatch_parallel(
-                        core, model_id, entries, now, key
-                    )
                 batch.epoch = epoch[core]
                 inflight[core] = batch
                 core_busy[core] = True
@@ -1093,28 +1106,27 @@ class Cluster:
 
         events.run(handle, until=timeout_s)
 
-        if self._pool is not None:
-            # The event loop never blocked on a worker; now join.
-            # Collect every finalized batch's outputs in completion
-            # order (per core that is dispatch order) and patch the
-            # placeholder predictions — everything else in the record
-            # was already exact at finalization.
-            for base, batch in pending_joins:
-                batch.outputs = self._pool.result(
-                    batch.core, batch.worker_seq
+        # The event loop never waited on numerics; now join.  Batches
+        # cut off by a timeout were never finalized: their results are
+        # nobody's.  Then collect every finalized batch's predictions
+        # in completion order (per core that is dispatch order) and
+        # patch the placeholders — everything else in the record was
+        # already exact at finalization — and leave the executor quiet
+        # for the next serve (a worker's aborted batches still finish
+        # in the background).
+        for batch in inflight.values():
+            if batch.outputs is None:
+                self._executor.discard(batch.core, batch.worker_seq)
+        for base, batch in pending_joins:
+            batch.outputs = self._executor.result(
+                batch.core, batch.worker_seq
+            )
+            for offset, value in enumerate(batch.outputs):
+                records[base + offset] = dataclasses.replace(
+                    records[base + offset],
+                    prediction=int(value),
                 )
-                for offset, value in enumerate(batch.outputs):
-                    records[base + offset] = dataclasses.replace(
-                        records[base + offset],
-                        prediction=int(value),
-                    )
-            # Batches cut off by a timeout were never finalized, and
-            # aborted ones still finish in the background — consume
-            # them all so the next serve starts from quiet rings.
-            for batch in inflight.values():
-                if batch.outputs is None:
-                    self._pool.discard(batch.core, batch.worker_seq)
-            self._pool.drain()
+        self._executor.drain()
 
         unfinished: list[RuntimeRequest] = []
         timed_out = timeout_s is not None and len(events) > 0
@@ -1196,12 +1208,13 @@ class Cluster:
         entries: Sequence[QueueEntry],
         start_s: float,
     ) -> _Dispatch:
-        """Run one dispatch on a core's real datapath.
+        """Run one dispatch inline on a core that walks its layers.
 
-        A multi-request dispatch goes through the broadcast batch
-        path.  The outputs are computed here, but records are only
-        finalized when the completion event fires — see
-        :class:`_Dispatch`.
+        ``fidelity="loop"``/``"device"`` datapaths have no compiled
+        programs to split a request into, so numerics and ledger are
+        one ``execute`` here; a multi-request dispatch goes through the
+        broadcast batch path.  Records are only finalized when the
+        completion event fires — see :class:`_Dispatch`.
         """
         datapath = self.datapaths[core]
         if len(entries) == 1:
@@ -1218,7 +1231,7 @@ class Cluster:
             core, model_id, entries, start_s, execution.timing, outputs
         )
 
-    def _dispatch_parallel(
+    def _dispatch(
         self,
         core: int,
         model_id: int,
@@ -1226,29 +1239,31 @@ class Cluster:
         start_s: float,
         key: tuple[int, ...],
     ) -> _Dispatch:
-        """Ship one dispatch to a core's worker process.
+        """Charge one dispatch and hand its numerics to the executor.
 
-        The parent runs the datapath's timing dry run — the ledger
-        half of a serial execute, replayed off the model's compiled
-        :class:`~repro.core.datapath.TimingPlan` — so the virtual
-        clock's event ordering is fixed here and never waits on a
-        worker.  Only the request block and
-        the noise key land in the worker's request ring (one semaphore
-        post per window of dispatches); the outputs are joined after
-        the event loop drains (see :class:`_Dispatch`), so the
-        parent's bookkeeping for later windows overlaps the workers'
-        compute for earlier ones.
+        The request block and the noise key go to the executor — a
+        worker's request ring (one semaphore post per window of
+        dispatches) or the in-process backlog, which validates the
+        levels first and raises before anything is charged.  Then the
+        datapath replays the ledger half of a serial execute off the
+        model's compiled :class:`~repro.core.datapath.TimingPlan`, so
+        the virtual clock's event ordering is fixed here and never
+        waits on the numerics; the predictions are joined after the
+        event loop drains (see :class:`_Dispatch`).
         """
         datapath = self.datapaths[core]
-        if len(entries) == 1:
-            block = np.asarray(entries[0].item.data_levels)
-            if block.ndim != 1:
-                block = block.ravel()
-            timing = datapath.execute_timing(model_id)
-        else:
-            block = stack_levels(entries)
-            timing = datapath.execute_batch_timing(model_id, len(entries))
-        seq = self._pool.run(core, model_id, block, start_s, key)
+        single = len(entries) == 1
+        block = (
+            np.asarray(entries[0].item.data_levels).ravel()
+            if single
+            else stack_levels(entries)
+        )
+        seq = self._executor.run(core, model_id, block, start_s, key)
+        timing = (
+            datapath.execute_timing(model_id)
+            if single
+            else datapath.execute_batch_timing(model_id, len(entries))
+        )
         return _Dispatch.charged(
             core, model_id, entries, start_s, timing, None, worker_seq=seq
         )

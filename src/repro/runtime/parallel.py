@@ -34,10 +34,15 @@ its core's Philox substream on that key before executing
 (:meth:`~repro.photonics.core.BehavioralCore.reseed_noise`).  Because
 the draws a batch consumes depend only on its key, the worker's outputs
 are bit-identical to the serial path's regardless of real scheduling
-order.  Device faults, bias re-locks, and plan invalidations travel as
-control slots in the *same* request ring as dispatches, so a worker
-observes exactly the fault-prefix a serial execution at that virtual
-time would have — FIFO ordering by construction, windowing or not.
+order.  Device faults and bias re-locks travel as control slots in the
+*same* request ring as dispatches, so a worker observes exactly the
+fault-prefix a serial execution at that virtual time would have — FIFO
+ordering by construction, windowing or not.  A worker evaluates the
+dispatches its ring already holds in one go — up to one forward
+block's worth; a control slot is a barrier — grouped by model, through
+the batch-major forward program
+(:func:`~repro.runtime.executor.evaluate`), and posts the completions
+in slot order.
 
 Lifecycle: model segments are created by :meth:`CoreWorkerPool.deploy`,
 ring segments lazily at the first deploy (sized to the widest deployed
@@ -62,6 +67,9 @@ import numpy as np
 
 from ..core.dag import ComputationDAG, LayerTask
 from ..core.plans import ModelPlan, PlanGeometry, import_model_plan
+from ..faults.device import DegradedCore, device_fault_from_event
+from ..faults.schedule import FaultEvent
+from . import executor
 from .rings import (
     MIN_PAYLOAD_BYTES,
     POLL_S,
@@ -301,45 +309,85 @@ def _worker_pipe_message(state: _WorkerState, message: tuple) -> bool:
     return True
 
 
-def _worker_run(state: _WorkerState, message: tuple) -> None:
-    """Execute one dispatched batch and post its outputs (or error)."""
-    from ..faults.device import DegradedCore
+def _drain(state: _WorkerState, message: tuple) -> tuple[list, tuple | None]:
+    """The ``run`` slots the ring already holds, from ``message`` on,
+    and the control slot that ended the drain (if one did).
 
-    _, seq, model_id, block, now_s, key = message
-    try:
-        datapath = state.datapath
-        core = datapath.core
-        if isinstance(core, DegradedCore):
-            core.set_time(now_s)
-        reseed = getattr(core, "reseed_noise", None)
-        if reseed is not None:
-            reseed(*key)
-        # Numerics only: the parent owns (and already charged) the
-        # ledger.
-        rows = block[None] if block.ndim == 1 else block
-        # Records carry a prediction, never outputs: reduce
-        # worker-side and ship one int32 per row.  ``np.argmax`` over
-        # the identical float64 outputs is the reduction the serial
-        # path runs, so predictions stay bit-identical to it.
-        state.consumer.post_predictions(
-            seq,
-            [
-                int(np.argmax(datapath.forward(model_id, row)))
-                for row in rows
-            ],
+    A drain stops at a ring's worth of slots or one forward block's
+    worth of bytes, whichever comes first — so the slots of a model
+    evaluate as one program invocation, and the parent never waits
+    longer for a completion than a block takes (its ``POLL_S`` timer
+    is for dead workers).  A control slot is a barrier: it takes effect
+    after the runs drained before it, where it was submitted.
+    """
+    runs: list[tuple] = []
+    budget = executor.BLOCK_BYTES
+    while message is not None and message[0] == "run":
+        runs.append(message)
+        _, _, model_id, block, _, _ = message
+        try:
+            budget -= state.datapath.row_bytes(model_id) * (
+                len(block) if block.ndim == 2 else 1
+            )
+        except KeyError:
+            pass  # not deployed here: its evaluation posts the error
+        message = (
+            state.consumer.poll()
+            if budget > 0 and len(runs) < state.consumer.geometry.capacity
+            else None
         )
-    except Exception:
-        state.consumer.post_error(seq, traceback.format_exc())
+    return runs, message
+
+
+def _answers(datapath, model_id: int, runs: list[tuple]) -> dict[int, list]:
+    """``seq -> predictions`` of one model's ``run`` slots."""
+    results = executor.evaluate(
+        datapath,
+        model_id,
+        [(block, now_s, key) for _, _, _, block, now_s, key in runs],
+    )
+    return {run[1]: predictions for run, predictions in zip(runs, results)}
+
+
+def _worker_run(state: _WorkerState, runs: list[tuple]) -> None:
+    """Evaluate the drained ``run`` slots and post each one's
+    predictions (or error), in slot order.
+
+    Numerics only — the parent owns (and already charged) the ledger.
+    Records carry a prediction, never outputs, so the reduction to one
+    int32 per row happens here; ``argmax`` over the identical float64
+    outputs is the reduction the serial path runs, so predictions stay
+    bit-identical to it.  Slots of one model evaluate together; if
+    that raises they run again one by one, so the error lands on the
+    slot that caused it and its neighbours still answer (a dispatch's
+    numerics depend on nothing a failed attempt could have moved).
+    """
+    by_model: dict[int, list[tuple]] = {}
+    for run in runs:
+        by_model.setdefault(run[2], []).append(run)
+    answers: dict[int, list | str] = {}
+    for model_id, group in by_model.items():
+        try:
+            answers.update(_answers(state.datapath, model_id, group))
+        except Exception:
+            for run in group:
+                try:
+                    answers.update(_answers(state.datapath, model_id, [run]))
+                except Exception:
+                    answers[run[1]] = traceback.format_exc()
+    for _, seq, *_ in runs:
+        answer = answers[seq]
+        if isinstance(answer, str):
+            state.consumer.post_error(seq, answer)
+        else:
+            state.consumer.post_predictions(seq, answer)
 
 
 def _worker_control(state: _WorkerState, message: tuple) -> bool:
     """Handle one in-ring control slot; False stops the worker."""
-    from ..faults.device import DegradedCore, device_fault_from_event
 
     kind = message[0]
     if kind == "fault":
-        from ..faults.schedule import FaultEvent
-
         _, (time_s, fkind, fcore, duration_s, params), now_s = message
         event = FaultEvent(
             time_s=time_s,
@@ -356,8 +404,6 @@ def _worker_control(state: _WorkerState, message: tuple) -> bool:
         core = state.datapath.core
         if isinstance(core, DegradedCore):
             core.relock(now_s, residuals)
-    elif kind == "invalidate":
-        state.datapath.invalidate_plans()
     elif kind == "pipe":
         # The parent queued a control-plane message behind everything
         # already in the ring; fetch and handle it now.
@@ -402,10 +448,10 @@ def _worker_main(
                 break
             running = _worker_pipe_message(state, message)
             continue
-        message = state.consumer.next()
-        if message[0] == "run":
-            _worker_run(state, message)
-        else:
+        runs, message = _drain(state, state.consumer.next())
+        if runs:
+            _worker_run(state, runs)
+        if message is not None:
             running = _worker_control(state, message)
     if state.consumer is not None:
         state.consumer.close()
@@ -801,11 +847,10 @@ class CoreWorkerPool:
             on_stall=self._guards[core],
         )
 
-    def invalidate(self, core: int) -> None:
-        """Drop a worker's compiled plans (quarantine bookkeeping)."""
-        self._rings[core].submit_control(
-            ("invalidate",), on_stall=self._guards[core]
-        )
+    def settle(self, core: int) -> None:
+        """Nothing to do before a core's numerics state changes: the
+        change travels as a control slot behind every dispatch the
+        worker was already sent (see :meth:`fault`, :meth:`relock`)."""
 
     def drain(self) -> None:
         """Consume every outstanding result so the next serve starts

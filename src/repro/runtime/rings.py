@@ -15,7 +15,7 @@ in one :class:`multiprocessing.shared_memory.SharedMemory` segment:
   the raw input block (no pickling; a bounded ``float64`` copy into the
   slot), the virtual dispatch time, the Philox substream key, and the
   sequence number — plus small pickled *control* slots (device faults,
-  bias re-locks, plan invalidations, pipe hand-offs) that ride the
+  bias re-locks, pipe hand-offs) that ride the
   same ring so FIFO ordering between faults and the batches they
   separate is preserved **by construction**;
 * the **completion ring** mirrors it with prediction slots (one
@@ -469,6 +469,16 @@ class RingConsumer:
         while this worker computes.
         """
         self._sems.request_items.acquire()
+        return self._read_request()
+
+    def poll(self) -> tuple | None:
+        """The next request slot if one is already posted, else
+        ``None`` (no wait)."""
+        if not self._sems.request_items.acquire(False):
+            return None
+        return self._read_request()
+
+    def _read_request(self) -> tuple:
         base = self._view.request_offset(self._consumed)
         header = self._view._i64(base, 10)
         kind = int(header[0])

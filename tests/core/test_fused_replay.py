@@ -342,6 +342,11 @@ class TestInputValidation:
             pytest.param(np.zeros(5), id="wrong-length"),
             pytest.param(np.full(12, 256.0), id="above-range"),
             pytest.param(np.full(12, -1.0), id="negative"),
+            # Both compare False with ``min() < 0 or max() > 255``-style
+            # tests; a NaN request used to be served (prediction 0 over
+            # an all-NaN output).
+            pytest.param(np.r_[np.nan, np.zeros(11)], id="nan"),
+            pytest.param(np.r_[np.zeros(11), np.inf], id="inf"),
         ],
     )
     def test_bad_input_raises_the_walks_error_uncharged(self, bad, tiny_dag):
@@ -551,7 +556,7 @@ class TestWorkerRunsOnlyTheForwardProgram:
         key = (7, 0, 0, 1)
         message = ("run", 11, dag.model_id,
                    block[0] if rows == 1 else block, 0.0, key)
-        _worker_run(state, message)
+        _worker_run(state, [message])
         assert not state.consumer.errors
         assert worker.memory.dram_reads == 0
         assert worker.memory.cache_hits == 0

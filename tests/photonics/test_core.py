@@ -245,3 +245,61 @@ class TestBehavioralCore:
         a = rng.integers(-255, 256, (n, k)).astype(float)
         b = rng.integers(-255, 256, (k, m)).astype(float)
         assert np.allclose(core.matmul(a, b), a @ b / 255.0)
+
+
+class TestKeyedNoiseStreams:
+    """``noise_stream`` hands ``SeedSequence`` one uint32 array instead
+    of a tuple of Python ints: the same entropy words, so the same
+    stream, at two thirds of the cost per dispatch."""
+
+    @staticmethod
+    def reference(seed, key) -> np.random.Generator:
+        return np.random.Generator(
+            np.random.Philox(np.random.SeedSequence((seed, *key)))
+        )
+
+    #: One word each, zero included; then components that need two
+    #: words (>= 2**32), which fall back to the tuple form.
+    component = st.one_of(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1]),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=component, key=st.lists(component, min_size=0, max_size=5)
+    )
+    def test_array_entropy_is_the_tuple_entropy(self, seed, key):
+        core = BehavioralCore(seed=seed)
+        ours = core.noise_stream(*key).standard_normal(64)
+        theirs = self.reference(seed, key).standard_normal(64)
+        assert ours.tobytes() == theirs.tobytes()
+
+    def test_zero_components_and_the_wide_fallback(self):
+        for seed, key in [
+            (0, (0, 0, 0, 0)),
+            (3, (0xB0, 0, 0, 0)),
+            (2**32, (1, 2)),
+            (5, (2**32, 0)),
+            (5, (2**32 - 1, 2**32 - 1)),
+        ]:
+            ours = BehavioralCore(seed=seed).noise_stream(*key)
+            assert (
+                ours.standard_normal(64).tobytes()
+                == self.reference(seed, key).standard_normal(64).tobytes()
+            )
+
+    def test_reseed_is_the_keyed_stream_and_leaves_it_private(self):
+        core = BehavioralCore(seed=9)
+        core.reseed_noise(0xB0, 1, 0, 4)
+        detached = core.noise_stream(0xB0, 1, 0, 4)
+        assert detached is not core.stream
+        assert (
+            core.stream.standard_normal(8).tobytes()
+            == detached.standard_normal(8).tobytes()
+        )
+        # Distinct cores keep distinct streams for equal keys.
+        other = BehavioralCore(seed=10).noise_stream(0xB0, 1, 0, 4)
+        assert other.standard_normal() != self.reference(
+            9, (0xB0, 1, 0, 4)
+        ).standard_normal()
