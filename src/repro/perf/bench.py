@@ -10,9 +10,10 @@ trajectory is tracked PR over PR:
   throughput for both, the speedup, and verifies the contract: bit-
   identical predictions and bit-identical cycle ledgers.
 * **Cluster** (``BENCH_cluster.json``) — a multi-core
-  :class:`~repro.runtime.cluster.Cluster` serving a Poisson trace on
-  the fast path, reporting wall-clock serve time, requests per wall
-  second, and the plan-cache replay counters.
+  :class:`~repro.runtime.cluster.Cluster` serving a Poisson trace,
+  reporting wall-clock serve time, requests per wall second, the
+  plan-cache replay counters, and the gated ratio to the per-row loop
+  walk over the same requests (bare ``fidelity="loop"`` datapaths).
 * **Parallel** (``BENCH_parallel.json``) — the same cluster workload
   served twice per core count (1/2/4), once on the serial event loop
   and once with ``execution="parallel"`` (one worker process per core
@@ -352,38 +353,39 @@ def bench_cluster(
     max_batch: int = 4,
     seed: int = 0,
 ) -> dict:
-    """Cluster serving wall-clock on the fast path vs the loop path.
+    """Cluster serving wall-clock against the per-row loop walk.
 
-    Serves one Poisson trace twice — on a fast-fidelity cluster and on
-    a loop-fidelity cluster — and reports the wall-clock ratio (the
-    machine-independent gated metric) plus the fast cluster's absolute
-    numbers and plan-cache replay counters.
+    Serves one Poisson trace on a cluster, then runs the requests it
+    served through ``execute`` on bare ``fidelity="loop"`` datapaths
+    (each on the core index that served it), and reports the wall-clock
+    ratio — the machine-independent gated metric — plus the cluster's
+    absolute numbers and plan-cache replay counters.
     """
     if requests < 1:
         raise ValueError("need at least one request")
     dag = lenet_class_dag(seed)
-    walls: dict[str, float] = {}
-    fast_cluster = None
-    for fidelity in ("fast", "loop"):
-        cluster = Cluster(
-            num_cores=num_cores,
-            datapath_factory=lambda core: LightningDatapath(
-                core=BehavioralCore(seed=core),
-                fidelity=fidelity,  # noqa: B023 — consumed within the loop body
-                seed=core,
-            ),
-            max_batch=max_batch,
+    fast_cluster = Cluster(
+        num_cores=num_cores,
+        datapath_factory=lambda core: _datapath("fast", core),
+        max_batch=max_batch,
+    )
+    fast_cluster.deploy(dag)
+    rate = 2_000_000.0  # arrivals much faster than service: full load
+    trace = poisson_trace([dag], rate, requests, seed=seed)
+    start = time.perf_counter()
+    result = fast_cluster.serve_trace(trace)
+    fast_wall = time.perf_counter() - start
+    walkers = [_datapath("loop", core) for core in range(num_cores)]
+    zeros = np.zeros(dag.tasks[0].input_size)
+    for walker in walkers:
+        walker.register_model(dag)
+        walker.execute(dag.model_id, zeros)  # warm, as deploy does
+    start = time.perf_counter()
+    for record in result.records:
+        walkers[record.core].execute(
+            dag.model_id, record.request.data_levels
         )
-        cluster.deploy(dag)
-        rate = 2_000_000.0  # arrivals much faster than service: full load
-        trace = poisson_trace([dag], rate, requests, seed=seed)
-        start = time.perf_counter()
-        result = cluster.serve_trace(trace)
-        walls[fidelity] = time.perf_counter() - start
-        if fidelity == "fast":
-            fast_cluster = cluster
-            served = len(result.records)
-    assert fast_cluster is not None
+    loop_wall = time.perf_counter() - start
     replays = sum(
         stats.get(dag.model_id, {}).get("replays", 0)
         for stats in fast_cluster.plan_stats().values()
@@ -392,16 +394,16 @@ def bench_cluster(
         "benchmark": "cluster",
         "model": dag.name,
         "requests": requests,
-        "served": served,
+        "served": len(result.records),
         "num_cores": num_cores,
         "max_batch": max_batch,
         "seed": seed,
-        "fast_wall_s": walls["fast"],
-        "loop_wall_s": walls["loop"],
-        "fast_requests_per_wall_s": requests / walls["fast"],
-        # >1.0 means the fast path serves the same trace in less wall
-        # time; the gate watches this ratio, not absolute throughput.
-        "fast_loop_serve_ratio": walls["loop"] / walls["fast"],
+        "fast_wall_s": fast_wall,
+        "loop_wall_s": loop_wall,
+        "fast_requests_per_wall_s": requests / fast_wall,
+        # >1.0 means serving beats the walk over the same requests; the
+        # gate watches this ratio, not absolute throughput.
+        "fast_loop_serve_ratio": loop_wall / fast_wall,
         "plan_replays": replays,
         "machine": platform.machine(),
         "python": platform.python_version(),

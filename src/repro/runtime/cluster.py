@@ -43,7 +43,7 @@ decomposition its record carries, and lands in the
 :class:`~repro.core.stats.ServerStats` energy ledger.  The charge
 happens parent-side at finalization — in parallel execution the timing
 was already fixed by the dispatch-time dry run — so serial and parallel
-serves charge bit-identical joules in both completion modes.
+serves charge bit-identical joules.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..core.datapath import LightningDatapath, TimingEstimate
+from ..core.datapath import LightningDatapath
 from ..core.dag import ComputationDAG
 from ..core.energy import EnergyModel
 from ..core.plans import export_model_plan, import_model_plan
@@ -65,6 +65,7 @@ from ..faults.resilience import CalibrationWatchdog, CoreHealth, RetryPolicy
 from ..faults.schedule import (
     DEVICE_FAULT_KINDS,
     WIRE_FAULT_KINDS,
+    FaultEvent,
     FaultSchedule,
 )
 from ..faults.wire import (
@@ -74,9 +75,9 @@ from ..faults.wire import (
     requests_from_frames,
 )
 from ..net.parser import PacketParser
-from ..sim.events import EventQueue
+from ..sim.events import Event, EventQueue
 from .batching import BatchingCoalescer, stack_levels
-from .executor import InlineExecutor
+from .executor import InlineExecutor, rebase
 from .parallel import CoreWorkerPool, pool_finalizer
 from .queues import DROP_POLICIES, AdmissionQueue, QueueEntry
 from .schedulers import CoreHealthView, RoundRobinScheduler, Scheduler
@@ -135,13 +136,11 @@ class _Dispatch:
     Records are *not* written at dispatch: a stall can push the finish
     out and a crash can void the batch entirely, so the outcome is only
     known when the completion event (carrying a matching ``epoch``)
-    fires.
-
-    On the compiled path the numerics are the executor's (a worker
-    process, or the in-process backlog): ``outputs`` stays ``None``
-    and the predictions are collected by ``worker_seq`` after the
-    event loop (timing was already fixed at dispatch by the ledger
-    replay, so event ordering never depends on them).
+    fires.  The numerics are the executor's (a worker process, or the
+    in-process backlog): the predictions are collected by
+    ``worker_seq`` after the event loop — timing was already fixed at
+    dispatch by the ledger replay, so event ordering never depends on
+    them.
     """
 
     core: int
@@ -152,43 +151,30 @@ class _Dispatch:
     service_s: float
     pass_datapath_s: float
     pass_compute_s: float
-    outputs: list[np.ndarray] | None
+    worker_seq: int
+    epoch: int
+    #: Position among the run's dispatches, all cores together.
+    ordinal: int
+
+
+@dataclass
+class _CoreSlot:
+    """Everything one serve knows about one core."""
+
+    health: CoreHealth
+    #: When the core's current batch finishes (or last finished).
+    free_at: float = 0.0
+    stalled_until: float = 0.0
+    #: Bumped whenever the in-flight batch's completion is voided (a
+    #: crash) or superseded (a stall); a completion event only counts
+    #: if it carries the current value.
     epoch: int = 0
-    worker_seq: int = -1
-
-    @classmethod
-    def charged(
-        cls,
-        core: int,
-        model_id: int,
-        entries: Sequence[QueueEntry],
-        start_s: float,
-        timing: TimingEstimate,
-        outputs: list[np.ndarray] | None,
-        worker_seq: int = -1,
-    ) -> "_Dispatch":
-        """A dispatch billed from its datapath timing.
-
-        Each request's t_d/t_c is one pipeline pass's worth; any extra
-        passes a large batch needs land in t_q (the request is
-        DRAM-buffered while earlier passes stream), keeping the
-        decomposition identity exact.
-        """
-        service_s = timing.total_seconds
-        return cls(
-            core=core,
-            model_id=model_id,
-            entries=list(entries),
-            start_s=start_s,
-            finish_s=start_s + service_s,
-            service_s=service_s,
-            pass_datapath_s=(
-                timing.datapath_seconds + timing.memory_seconds
-            ) / timing.passes,
-            pass_compute_s=timing.compute_seconds / timing.passes,
-            outputs=outputs,
-            worker_seq=worker_seq,
-        )
+    #: Dispatch ordinal within the run — the "batch" component of the
+    #: keyed noise substream, so a fixed seed reproduces a fixed trace.
+    dispatches: int = 0
+    relock_attempts: int = 0
+    #: The batch the core is working on; the core is busy iff set.
+    inflight: _Dispatch | None = None
 
 
 @dataclass(frozen=True)
@@ -359,8 +345,7 @@ class Cluster:
                 max_batch=max_batch,
             )
             self._pool_finalizer = pool_finalizer(self, self._pool)
-        #: Where compiled-path dispatches' numerics run (see
-        #: :mod:`~repro.runtime.executor`).
+        #: Where dispatches' numerics run (:mod:`~repro.runtime.executor`).
         self._executor = (
             self._pool
             if self._pool is not None
@@ -398,7 +383,16 @@ class Cluster:
 
         Warm-up executes a few zero queries per core so first live
         requests do not pay one-time costs (sign-separation caching).
+
+        A cluster serves compiled plans only (a dispatch is a ledger
+        replay plus a forward program): datapaths of another fidelity
+        are refused before any core registers the model.
         """
+        if any(d.fidelity != "fast" for d in self.datapaths):
+            raise ValueError(
+                "a cluster replays compiled plans; build its datapaths "
+                "with fidelity='fast'"
+            )
         compiled: dict[object, tuple] = {}
         for datapath in self.datapaths:
             geometry = datapath.plan_geometry
@@ -418,21 +412,16 @@ class Cluster:
                 datapath.adopt_sign_separation(donor_path, dag.model_id)
                 continue
             datapath.register_model(dag)
-            plan = datapath.model_plan(dag.model_id)
-            if plan is not None:
-                arrays, meta = export_model_plan(plan)
-                compiled[geometry] = (arrays, meta, datapath)
+            arrays, meta = export_model_plan(
+                datapath.model_plan(dag.model_id)
+            )
+            compiled[geometry] = (arrays, meta, datapath)
         if self._pool is not None:
-            plan = self.datapaths[0].model_plan(dag.model_id)
-            if plan is None:
-                raise ValueError(
-                    "execution='parallel' replays compiled plans; "
-                    "build the cluster's datapaths with "
-                    "fidelity='fast'"
-                )
             # Publish the compiled state once into shared memory and
             # let every worker rebuild its plan from read-only views.
-            self._pool.deploy(dag, plan)
+            self._pool.deploy(
+                dag, self.datapaths[0].model_plan(dag.model_id)
+            )
         self._dags[dag.model_id] = dag
         self._queues[dag.model_id] = AdmissionQueue(
             model_id=dag.model_id,
@@ -524,18 +513,6 @@ class Cluster:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def serve(
-        self,
-        requests: Iterable[RuntimeRequest],
-        **kwargs,
-    ) -> ClusterResult:
-        """Serve one arrival trace (alias of :meth:`serve_trace`).
-
-        Accepts the same keywords, notably ``timeout_s`` to bound the
-        virtual clock on a mis-sized trace.
-        """
-        return self.serve_trace(requests, **kwargs)
-
     def serve_trace(
         self,
         requests: Iterable[RuntimeRequest],
@@ -560,6 +537,13 @@ class Cluster:
         requests whose deadline passed before dispatch.  ``timeout_s``
         stops the virtual clock early, returning partial stats with the
         leftovers in ``unfinished``.
+
+        Arguments are checked before the clock starts, so a rejected
+        call changes nothing.  After that, returning or raising, the
+        serve leaves every admission queue empty, the executor drained
+        and the cumulative :attr:`stats` balanced (see
+        :class:`_ServeRun`): the next serve on this cluster is the one
+        a fresh cluster would run.
         """
         if slo_s is not None and slo_s <= 0:
             raise ValueError("slo must be positive")
@@ -573,597 +557,21 @@ class Cluster:
                 raise KeyError(
                     f"model {request.model_id} is not deployed"
                 )
+        faults = () if fault_schedule is None else [
+            fault
+            for fault in fault_schedule.events
+            if fault.kind not in WIRE_FAULT_KINDS  # ingress-side
+        ]
+        for fault in faults:
+            if fault.core >= self.num_cores:
+                raise ValueError(
+                    f"{fault.kind} targets core {fault.core}, but the "
+                    f"cluster has {self.num_cores} cores"
+                )
         policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self.scheduler.reset()
-        events = EventQueue()
-        health = {i: CoreHealth() for i in range(self.num_cores)}
-        self.health = health
-        core_free_at = [0.0] * self.num_cores
-        core_busy = [False] * self.num_cores
-        stalled_until = [0.0] * self.num_cores
-        epoch = [0] * self.num_cores
-        #: Per-core dispatch ordinal and global probe round — the
-        #: "batch" components of the keyed noise substreams.  Reset per
-        #: trace so a fixed seed reproduces a fixed trace exactly.
-        dispatch_seq = [0] * self.num_cores
-        probe_round = 0
-        relock_attempts = [0] * self.num_cores
-        relocker = watchdog.relock if watchdog is not None else None
-        #: Health-aware policies receive a per-candidate snapshot right
-        #: before each assign; everyone else skips the view building.
-        wants_health = getattr(self.scheduler, "uses_health", False)
-        inflight: dict[int, _Dispatch] = {}
-        #: Finalized batches whose predictions are still the
-        #: executor's: ``(first record index, dispatch)`` in
-        #: finalization order.  Records are written with a placeholder
-        #: prediction during the loop and patched after it, so the
-        #: virtual clock never waits on numerics — a worker's compute
-        #: overlaps the parent's ledger replays for later windows, and
-        #: the in-process backlog runs in blocks.
-        pending_joins: list[tuple[int, _Dispatch]] = []
-        records: list[RuntimeRecord] = []
-        dropped: list[RuntimeRequest] = []
-        failed: list[RuntimeRequest] = []
-        attempts: dict[int, int] = {}
-        busy_seconds = 0.0
-        remaining_arrivals = len(trace)
-        pending_retries = 0
-        for request in trace:
-            events.push(request.arrival_s, "arrival", request)
-        if fault_schedule is not None:
-            for fault in fault_schedule.events:
-                if fault.kind in WIRE_FAULT_KINDS:
-                    continue  # ingress-side; see serve_frames
-                events.push(fault.time_s, "fault", fault)
-        if watchdog is not None:
-            events.push(watchdog.interval_s, "probe")
-
-        def emit(kind: str, label: str, detail: dict, now: float) -> None:
-            if self.tracer is not None:
-                self.tracer.emit(kind, label, detail, time_s=now)
-
-        def set_core_time(core: int, now: float) -> None:
-            wrapped = self.datapaths[core].core
-            if isinstance(wrapped, DegradedCore):
-                wrapped.set_time(now)
-
-        def reseed_core(core: int, *key: int) -> None:
-            # Rebase the core's readout-noise stream onto the keyed
-            # Philox substream (no-op for cores without one, e.g. the
-            # hardware prototype).  DegradedCore forwards to its inner
-            # core.
-            reseed = getattr(self.datapaths[core].core, "reseed_noise", None)
-            if reseed is not None:
-                reseed(*key)
-
-        def work_pending() -> bool:
-            if remaining_arrivals or pending_retries or inflight:
-                return True
-            queued = any(q.depth for q in self._queues.values())
-            # A recalibrating core is out of service but expected back,
-            # so queued work behind it still counts as pending.
-            alive = any(
-                health[i].state in ("healthy", "stalled", "recalibrating")
-                for i in range(self.num_cores)
-            )
-            return queued and alive
-
-        def fail(request: RuntimeRequest, now: float, reason: str) -> None:
-            failed.append(request)
-            self.stats.failed += 1
-            emit(
-                "fail",
-                f"model:{request.model_id}",
-                {"request_id": request.request_id, "reason": reason},
-                now,
-            )
-
-        def slo_drop(request: RuntimeRequest, now: float) -> None:
-            dropped.append(request)
-            self.stats.dropped += 1
-            self.stats.slo_dropped += 1
-            self.nic_counters.dropped += 1
-            emit(
-                "slo_drop",
-                f"model:{request.model_id}",
-                {"request_id": request.request_id, "slo_s": slo_s},
-                now,
-            )
-
-        def purge_expired(now: float) -> None:
-            if slo_s is None:
-                return
-            for queue in self._queues.values():
-                while (
-                    queue.depth
-                    and now - queue.peek().item.arrival_s > slo_s
-                ):
-                    slo_drop(queue.pop().item, now)
-
-        def requeue(request: RuntimeRequest, now: float) -> None:
-            nonlocal pending_retries
-            count = attempts.get(request.request_id, 0) + 1
-            attempts[request.request_id] = count
-            if count > policy.max_retries:
-                fail(request, now, "retries_exhausted")
-                return
-            self.stats.retries += 1
-            pending_retries += 1
-            events.push(now + policy.delay(count), "retry", request)
-            emit(
-                "retry",
-                f"model:{request.model_id}",
-                {"request_id": request.request_id, "attempt": count},
-                now,
-            )
-
-        def abort_inflight(core: int, now: float) -> None:
-            nonlocal busy_seconds
-            batch = inflight.pop(core, None)
-            if batch is None:
-                return
-            epoch[core] += 1
-            core_busy[core] = False
-            if batch.outputs is None:
-                # A doomed batch's result is dropped (a worker computes
-                # it anyway; the in-process backlog never does).
-                self._executor.discard(core, batch.worker_seq)
-            # The crashed dispatch's partial occupancy still counts
-            # against the core — wasted work is work.
-            busy_seconds += now - batch.start_s
-            for entry in batch.entries:
-                requeue(entry.item, now)
-
-        def finalize(core: int, now: float) -> None:
-            nonlocal busy_seconds
-            batch = inflight.pop(core)
-            core_busy[core] = False
-            busy_seconds += batch.service_s
-            if batch.outputs is None:
-                # The timing was fixed at dispatch, so the record is
-                # complete except for its prediction.  Defer the join
-                # until the event loop drains — the placeholder is
-                # patched in completion order, which per core is
-                # dispatch order (a core serializes), so a worker's
-                # strict-order collect still matches.
-                pending_joins.append((len(records), batch))
-            outputs = (
-                batch.outputs
-                if batch.outputs is not None
-                else [None] * len(batch.entries)
-            )
-            for entry, output in zip(batch.entries, outputs):
-                queuing_s = (
-                    batch.finish_s
-                    - entry.item.arrival_s
-                    - batch.pass_datapath_s
-                    - batch.pass_compute_s
-                )
-                record = RuntimeRecord(
-                    request=entry.item,
-                    core=core,
-                    batch_size=len(batch.entries),
-                    queuing_s=queuing_s,
-                    datapath_s=batch.pass_datapath_s,
-                    compute_s=batch.pass_compute_s,
-                    finish_s=batch.finish_s,
-                    prediction=(
-                        -1 if output is None else int(np.argmax(output))
-                    ),
-                )
-                records.append(record)
-                self.stats.record(batch.model_id, record.serve_time_s)
-                if self.energy_model is not None:
-                    # Parent-side pricing of the decomposition the
-                    # record carries: identical in serial and parallel
-                    # execution, whose timings agree bit for bit.
-                    self.stats.record_energy(
-                        batch.model_id,
-                        self.energy_model.energy(
-                            datapath_s=batch.pass_datapath_s,
-                            queuing_s=queuing_s,
-                            compute_s=batch.pass_compute_s,
-                        ),
-                    )
-                self.nic_counters.served += 1
-            emit(
-                "complete",
-                f"core:{core}",
-                {"model_id": batch.model_id, "batch": len(batch.entries)},
-                now,
-            )
-
-        def apply_fault(fault, now: float) -> None:
-            core = fault.core
-            if fault.kind in DEVICE_FAULT_KINDS:
-                # What the core was already sent it answers as it was.
-                self._executor.settle(core)
-                wrapper = DegradedCore.ensure(self.datapaths[core])
-                wrapper.set_time(now)
-                wrapper.install(device_fault_from_event(fault))
-                if self._pool is not None:
-                    # The worker's request ring is FIFO, so the fault
-                    # lands between exactly the dispatches it separated
-                    # on the virtual clock — same prefix a serial run
-                    # would have applied.
-                    self._pool.fault(core, fault, now)
-                emit("fault", f"core:{core}", {"kind": fault.kind}, now)
-                return
-            if fault.kind == "core_crash":
-                if health[core].state == "crashed":
-                    return
-                health[core].state = "crashed"
-                emit("fault", f"core:{core}", {"kind": "core_crash"}, now)
-                abort_inflight(core, now)
-                return
-            # core_stall: a dead or benched core cannot stall further.
-            if health[core].state in (
-                "crashed", "quarantined", "recalibrating"
-            ):
-                return
-            stalled_until[core] = max(
-                stalled_until[core], now + fault.duration_s
-            )
-            if health[core].state == "healthy":
-                health[core].state = "stalled"
-            batch = inflight.get(core)
-            if batch is not None:
-                # The frozen batch finishes late: invalidate its old
-                # completion and push the delayed one.  The stall time
-                # lands in each request's t_q, keeping the identity.
-                epoch[core] += 1
-                batch.epoch = epoch[core]
-                batch.finish_s += fault.duration_s
-                batch.service_s += fault.duration_s
-                core_free_at[core] = batch.finish_s
-                events.push(batch.finish_s, "complete", (core, batch.epoch))
-            events.push(stalled_until[core], "stall_clear", core)
-            emit(
-                "fault",
-                f"core:{core}",
-                {"kind": "core_stall", "duration_s": fault.duration_s},
-                now,
-            )
-
-        def run_probes(now: float) -> None:
-            nonlocal probe_round
-            if not work_pending():
-                # The trace has drained; a probe (and any quarantine /
-                # re-lock cycle it would start) can no longer affect a
-                # request, so the watchdog goes quiet with the clock.
-                return
-            probe_round += 1
-            for i in range(self.num_cores):
-                if health[i].state != "healthy":
-                    continue
-                set_core_time(i, now)
-                # Probes always run on the parent's core — its faults
-                # and keyed noise stream match the workers', so the
-                # quarantine decision is identical in both modes.
-                reseed_core(i, _PROBE_RNG_DOMAIN, i, probe_round)
-                result = watchdog.check(i, self.datapaths[i].core)
-                health[i].error_rms = result.error_rms
-                health[i].probes += 1
-                emit(
-                    "probe",
-                    f"core:{i}",
-                    {"error_rms": result.error_rms},
-                    now,
-                )
-                if result.healthy:
-                    continue
-                health[i].state = "quarantined"
-                health[i].quarantined_at_s = now
-                self.stats.quarantines += 1
-                emit(
-                    "quarantine",
-                    f"core:{i}",
-                    {
-                        "error_rms": result.error_rms,
-                        "threshold": watchdog.threshold,
-                    },
-                    now,
-                )
-                schedule_relock(i, now)
-            if work_pending():
-                events.push(now + watchdog.interval_s, "probe")
-
-        def relock_sweep_s(core: int) -> float:
-            """Virtual time the core's bias sweeps will occupy."""
-            wrapped = self.datapaths[core].core
-            faults = (
-                len(wrapped.relockable_faults())
-                if isinstance(wrapped, DegradedCore)
-                else 0
-            )
-            return relocker.sweep_duration_s * max(faults, 1)
-
-        def schedule_relock(core: int, now: float) -> None:
-            """Queue a re-lock attempt for a just-quarantined core."""
-            if relocker is None:
-                return
-            if relock_attempts[core] >= relocker.max_attempts:
-                return
-            health[core].state = "recalibrating"
-            events.push(now + relock_sweep_s(core), "recalibrate", core)
-            emit(
-                "recalibrate",
-                f"core:{core}",
-                {"attempt": relock_attempts[core] + 1},
-                now,
-            )
-
-        def run_relock(core: int, now: float) -> None:
-            """Finish a bias sweep: re-base faults, re-probe, readmit.
-
-            The sweep's virtual time already elapsed (the recalibrate
-            event was scheduled ``relock_sweep_s`` after quarantine);
-            what remains is applying the found biases, mirroring them
-            into the core's worker, and letting the watchdog decide
-            whether the core rejoins the healthy set.
-            """
-            if health[core].state != "recalibrating":
-                return  # crashed while benched; nothing to readmit
-            relock_attempts[core] += 1
-            self._executor.settle(core)
-            set_core_time(core, now)
-            report = relocker.relock_core(
-                core, self.datapaths[core].core, now
-            )
-            if self._pool is not None and report.relocked:
-                # Ring FIFO: the mirror lands after every batch the
-                # worker was sent pre-quarantine, exactly where the
-                # serial timeline re-based its own faults.
-                self._pool.relock(core, now, report.residual_volts)
-            reseed_core(core, _RELOCK_RNG_DOMAIN, core, relock_attempts[core])
-            result = watchdog.check(core, self.datapaths[core].core)
-            health[core].error_rms = result.error_rms
-            health[core].probes += 1
-            if result.healthy:
-                health[core].state = "healthy"
-                health[core].relocks += 1
-                health[core].relocked_at_s = now
-                self.stats.relocks += 1
-                core_free_at[core] = now
-                emit(
-                    "relock",
-                    f"core:{core}",
-                    {
-                        "error_rms": result.error_rms,
-                        "relocked": report.relocked,
-                        "uncorrectable": report.uncorrectable,
-                    },
-                    now,
-                )
-                return
-            if relock_attempts[core] < relocker.max_attempts:
-                # Another sweep may still help (e.g. the bias walked
-                # during the confirmation probe); stay benched and try
-                # again after one more sweep's worth of time.
-                events.push(now + relock_sweep_s(core), "recalibrate", core)
-                emit(
-                    "relock_failed",
-                    f"core:{core}",
-                    {
-                        "error_rms": result.error_rms,
-                        "attempt": relock_attempts[core],
-                    },
-                    now,
-                )
-                return
-            health[core].state = "quarantined"
-            emit(
-                "relock_failed",
-                f"core:{core}",
-                {"error_rms": result.error_rms, "permanent": True},
-                now,
-            )
-
-        def dispatch(now: float) -> None:
-            while True:
-                purge_expired(now)
-                idle = [
-                    i
-                    for i in range(self.num_cores)
-                    if not core_busy[i] and health[i].state == "healthy"
-                ]
-                ready = [
-                    q.view() for q in self._queues.values() if q.depth
-                ]
-                if not idle or not ready:
-                    return
-                if wants_health:
-                    self.scheduler.observe_health([
-                        CoreHealthView(
-                            core=i,
-                            state=health[i].state,
-                            error_rms=health[i].error_rms,
-                            busy_until_s=core_free_at[i],
-                        )
-                        for i in idle
-                    ])
-                model_id = self.scheduler.next_model(ready)
-                entries = self.coalescer.take(self._queues[model_id])
-                if slo_s is not None:
-                    # Retries re-enter at the tail, so an expired
-                    # request can hide behind a live head.
-                    live = [
-                        e
-                        for e in entries
-                        if now - e.item.arrival_s <= slo_s
-                    ]
-                    for entry in entries:
-                        if entry not in live:
-                            slo_drop(entry.item, now)
-                    if not live:
-                        continue
-                    entries = live
-                pick = self.scheduler.assign(
-                    entries[0].item,
-                    [core_free_at[i] for i in idle],
-                    now_s=now,
-                )
-                core = idle[pick]
-                key = (
-                    _BATCH_RNG_DOMAIN,
-                    core,
-                    epoch[core],
-                    dispatch_seq[core],
-                )
-                dispatch_seq[core] += 1
-                if self.datapaths[core].fidelity == "fast":
-                    batch = self._dispatch(core, model_id, entries, now, key)
-                else:
-                    set_core_time(core, now)
-                    reseed_core(core, *key)
-                    batch = self._run_batch(core, model_id, entries, now)
-                batch.epoch = epoch[core]
-                inflight[core] = batch
-                core_busy[core] = True
-                core_free_at[core] = batch.finish_s
-                self.scheduler.account(model_id, batch.service_s)
-                events.push(
-                    batch.finish_s, "complete", (core, batch.epoch)
-                )
-                emit(
-                    "dispatch",
-                    f"core:{core}",
-                    {
-                        "model_id": model_id,
-                        "batch": len(entries),
-                        "service_us": batch.service_s * 1e6,
-                    },
-                    now,
-                )
-
-        def handle(event) -> None:
-            nonlocal remaining_arrivals, pending_retries
-            now = events.now
-            if event.kind == "arrival":
-                remaining_arrivals -= 1
-                request: RuntimeRequest = event.payload
-                queue = self._queues[request.model_id]
-                victim = queue.offer(request, now)
-                if victim is not None:
-                    dropped.append(victim)
-                    self.stats.dropped += 1
-                    emit(
-                        "drop",
-                        f"model:{request.model_id}",
-                        {
-                            "request_id": victim.request_id,
-                            "policy": queue.policy,
-                        },
-                        now,
-                    )
-                else:
-                    emit(
-                        "enqueue",
-                        f"model:{request.model_id}",
-                        {
-                            "request_id": request.request_id,
-                            "depth": queue.depth,
-                        },
-                        now,
-                    )
-            elif event.kind == "retry":
-                pending_retries -= 1
-                request = event.payload
-                queue = self._queues[request.model_id]
-                victim = queue.offer(request, now)
-                if victim is not None:
-                    dropped.append(victim)
-                    self.stats.dropped += 1
-                    emit(
-                        "drop",
-                        f"model:{request.model_id}",
-                        {
-                            "request_id": victim.request_id,
-                            "policy": queue.policy,
-                        },
-                        now,
-                    )
-            elif event.kind == "complete":
-                core, stamp = event.payload
-                batch = inflight.get(core)
-                if batch is None or batch.epoch != stamp:
-                    return  # voided by a crash or superseded by a stall
-                finalize(core, now)
-            elif event.kind == "fault":
-                apply_fault(event.payload, now)
-            elif event.kind == "stall_clear":
-                core = event.payload
-                if (
-                    health[core].state == "stalled"
-                    and now >= stalled_until[core]
-                ):
-                    health[core].state = "healthy"
-            elif event.kind == "probe":
-                run_probes(now)
-            elif event.kind == "recalibrate":
-                run_relock(event.payload, now)
-            dispatch(now)
-
-        events.run(handle, until=timeout_s)
-
-        # The event loop never waited on numerics; now join.  Batches
-        # cut off by a timeout were never finalized: their results are
-        # nobody's.  Then collect every finalized batch's predictions
-        # in completion order (per core that is dispatch order) and
-        # patch the placeholders — everything else in the record was
-        # already exact at finalization — and leave the executor quiet
-        # for the next serve (a worker's aborted batches still finish
-        # in the background).
-        for batch in inflight.values():
-            if batch.outputs is None:
-                self._executor.discard(batch.core, batch.worker_seq)
-        for base, batch in pending_joins:
-            batch.outputs = self._executor.result(
-                batch.core, batch.worker_seq
-            )
-            for offset, value in enumerate(batch.outputs):
-                records[base + offset] = dataclasses.replace(
-                    records[base + offset],
-                    prediction=int(value),
-                )
-        self._executor.drain()
-
-        unfinished: list[RuntimeRequest] = []
-        timed_out = timeout_s is not None and len(events) > 0
-        if timed_out:
-            for batch in inflight.values():
-                unfinished.extend(e.item for e in batch.entries)
-            for queue in self._queues.values():
-                while queue.depth:
-                    unfinished.append(queue.pop().item)
-            unfinished.extend(events.pending("arrival"))
-            unfinished.extend(events.pending("retry"))
-        else:
-            # A fully drained clock with queued leftovers means no
-            # usable core remained — strand them loudly.
-            for queue in self._queues.values():
-                while queue.depth:
-                    fail(queue.pop().item, events.now, "no_usable_core")
-        self.stats.core_health = {
-            i: health[i].state for i in range(self.num_cores)
-        }
-        # The cumulative ledger carries the trace's fate counters too,
-        # so cross-serve aggregation (fabric shard merges) can check
-        # the accounting invariant without re-deriving it.
-        self.stats.offered += len(trace)
-        self.stats.unfinished += len(unfinished)
-        horizon = max((r.finish_s for r in records), default=0.0)
-        return ClusterResult(
-            records=tuple(records),
-            dropped=tuple(dropped),
-            stats=self.stats,
-            num_cores=self.num_cores,
-            busy_seconds=busy_seconds,
-            horizon_s=horizon,
-            failed=tuple(failed),
-            unfinished=tuple(unfinished),
-            offered=len(trace),
-        )
+        return _ServeRun(
+            self, trace, faults, watchdog, policy, slo_s, timeout_s
+        ).run()
 
     def serve_frames(
         self,
@@ -1201,56 +609,194 @@ class Cluster:
         )
         return result, report
 
-    def _run_batch(
+
+#: What :meth:`_ServeRun.on_complete` answers for a completion a crash
+#: voided or a stall superseded: nothing moved, so the loop skips the
+#: dispatch pass (whose SLO purge reads the clock) for that event.
+_VOID = object()
+
+
+class _ServeRun:
+    """One ``serve_trace`` call: its state, and a handler per event.
+
+    The :class:`Cluster` keeps what outlives a serve — datapaths,
+    plans, scheduler, coalescer, cumulative ``stats`` / ``nic_counters``
+    and the admission queues' ``admitted`` / ``dropped`` counters.  A
+    run owns everything else: one :class:`_CoreSlot` per core and the
+    ledgers below.  :meth:`run` pops events off the virtual clock,
+    hands each to the handler :attr:`HANDLERS` names for its kind
+    (``on_arrival``, ``on_complete``, ``on_fault``, ``on_stall_clear``,
+    ``on_probe``, ``on_recalibrate``) and then calls :meth:`dispatch`;
+    :meth:`result` joins the predictions and classifies what is left.
+
+    Exit contract, on every path out of :meth:`run` (return or raise):
+    the admission queues are empty, the executor is drained, the
+    cumulative ``stats`` balance (requests without a fate when a serve
+    raised count as ``unfinished``), and the only thing of the run the
+    cluster still holds is ``cluster.health`` — the slots'
+    :class:`~repro.faults.resilience.CoreHealth` records, published as
+    the serve's outcome.
+    """
+
+    def __init__(
+        self,
+        cluster: Cluster,
+        trace: Sequence[RuntimeRequest],
+        faults: Sequence[FaultEvent],
+        watchdog: CalibrationWatchdog | None,
+        policy: RetryPolicy,
+        slo_s: float | None,
+        timeout_s: float | None,
+    ) -> None:
+        self.offered = len(trace)
+        self.watchdog = watchdog
+        self.policy = policy
+        self.slo_s = slo_s
+        self.timeout_s = timeout_s
+        # The cluster's long-lived parts, named once.
+        self.datapaths = cluster.datapaths
+        self.queues = cluster._queues
+        self.executor = cluster._executor
+        self.pool = cluster._pool
+        self.scheduler = cluster.scheduler
+        self.coalescer = cluster.coalescer
+        self.energy_model = cluster.energy_model
+        self.stats = cluster.stats
+        self.nic_counters = cluster.nic_counters
+        self.tracer = cluster.tracer
+        self.scheduler.reset()
+        #: Health-aware policies receive a per-candidate snapshot right
+        #: before each assign; everyone else skips the view building.
+        self.wants_health = getattr(self.scheduler, "uses_health", False)
+        self.slots = [_CoreSlot(CoreHealth()) for _ in self.datapaths]
+        cluster.health = {
+            core: slot.health for core, slot in enumerate(self.slots)
+        }
+        self.events = EventQueue()
+        self.records: list[RuntimeRecord] = []
+        self.dropped: list[RuntimeRequest] = []
+        self.failed: list[RuntimeRequest] = []
+        #: Crash-retry attempts so far, by request id.
+        self.attempts: dict[int, int] = {}
+        #: Finalized batches whose predictions are still the
+        #: executor's: ``(first record index, dispatch)`` in
+        #: finalization order (see :meth:`on_complete`).
+        self.pending_joins: list[tuple[int, _Dispatch]] = []
+        self.busy_seconds = 0.0
+        #: Arrival and retry events still on the clock.
+        self.unadmitted = self.offered
+        self.dispatched = 0
+        #: Global probe round — the "batch" component of the probes'
+        #: keyed noise substreams.
+        self.probe_round = 0
+        for request in trace:
+            self.events.push(request.arrival_s, "arrival", request)
+        for fault in faults:
+            self.events.push(fault.time_s, "fault", fault)
+        if watchdog is not None:
+            self.events.push(watchdog.interval_s, "probe")
+
+    # ------------------------------------------------------------------
+    # The loop
+    # ------------------------------------------------------------------
+    def run(self) -> ClusterResult:
+        """Serve the trace; honour the exit contract however it ends."""
+        try:
+            self.events.run(self.step, until=self.timeout_s)
+            return self.result()
+        except BaseException:
+            # Keep the cumulative ledger balanced: the trace was
+            # offered, and whatever had no fate yet never finished.
+            fated = len(self.records) + len(self.dropped) + len(self.failed)
+            self.stats.offered += self.offered
+            self.stats.unfinished += self.offered - fated
+            raise
+        finally:
+            for queue in self.queues.values():
+                queue.drain()
+            self.executor.drain()
+
+    def step(self, event: Event) -> None:
+        """One event: its kind's handler, then a dispatch pass."""
+        now = event.time
+        if self.HANDLERS[event.kind](self, event.payload, now) is not _VOID:
+            self.dispatch(now)
+
+    def dispatch(self, now: float) -> None:
+        """Start batches until the idle healthy cores or the ready
+        queues run out."""
+        slots = self.slots
+        queues = self.queues
+        scheduler = self.scheduler
+        slo_s = self.slo_s
+        while True:
+            if slo_s is not None:
+                # Shed every queue head whose deadline has passed.
+                for queue in queues.values():
+                    while (
+                        queue.depth
+                        and now - queue.peek().item.arrival_s > slo_s
+                    ):
+                        self._slo_drop(queue.pop().item, now)
+            idle = [
+                i
+                for i, slot in enumerate(slots)
+                if slot.inflight is None and slot.health.state == "healthy"
+            ]
+            ready = [q.view() for q in queues.values() if q.depth]
+            if not idle or not ready:
+                return
+            if self.wants_health:
+                scheduler.observe_health([
+                    CoreHealthView(
+                        core=i,
+                        state=slots[i].health.state,
+                        error_rms=slots[i].health.error_rms,
+                        busy_until_s=slots[i].free_at,
+                    )
+                    for i in idle
+                ])
+            model_id = scheduler.next_model(ready)
+            entries = self.coalescer.take(queues[model_id])
+            if slo_s is not None:
+                # Retries re-enter at the tail, so an expired request
+                # can hide behind a live head.
+                live = []
+                for entry in entries:
+                    if now - entry.item.arrival_s <= slo_s:
+                        live.append(entry)
+                    else:
+                        self._slo_drop(entry.item, now)
+                if not live:
+                    continue
+                entries = live
+            pick = scheduler.assign(
+                entries[0].item,
+                [slots[i].free_at for i in idle],
+                now_s=now,
+            )
+            self._start(idle[pick], model_id, entries, now)
+
+    def _start(
         self,
         core: int,
         model_id: int,
         entries: Sequence[QueueEntry],
-        start_s: float,
-    ) -> _Dispatch:
-        """Run one dispatch inline on a core that walks its layers.
-
-        ``fidelity="loop"``/``"device"`` datapaths have no compiled
-        programs to split a request into, so numerics and ledger are
-        one ``execute`` here; a multi-request dispatch goes through the
-        broadcast batch path.  Records are only finalized when the
-        completion event fires — see :class:`_Dispatch`.
-        """
-        datapath = self.datapaths[core]
-        if len(entries) == 1:
-            execution = datapath.execute(
-                model_id, entries[0].item.data_levels
-            )
-            outputs = [execution.output_levels]
-        else:
-            execution = datapath.execute_batch(
-                model_id, stack_levels(entries)
-            )
-            outputs = list(execution.output_levels)
-        return _Dispatch.charged(
-            core, model_id, entries, start_s, execution.timing, outputs
-        )
-
-    def _dispatch(
-        self,
-        core: int,
-        model_id: int,
-        entries: Sequence[QueueEntry],
-        start_s: float,
-        key: tuple[int, ...],
-    ) -> _Dispatch:
-        """Charge one dispatch and hand its numerics to the executor.
+        now: float,
+    ) -> None:
+        """Charge one batch to ``core`` and hand its numerics over.
 
         The request block and the noise key go to the executor — a
-        worker's request ring (one semaphore post per window of
-        dispatches) or the in-process backlog, which validates the
-        levels first and raises before anything is charged.  Then the
-        datapath replays the ledger half of a serial execute off the
-        model's compiled :class:`~repro.core.datapath.TimingPlan`, so
-        the virtual clock's event ordering is fixed here and never
-        waits on the numerics; the predictions are joined after the
-        event loop drains (see :class:`_Dispatch`).
+        worker's request ring, or the in-process backlog, which
+        validates the levels and raises before anything is charged.
+        Then the datapath replays the model's compiled
+        :class:`~repro.core.datapath.TimingPlan` (the ledger half of an
+        ``execute``), so event ordering is fixed here and never waits
+        on the numerics (see :class:`_Dispatch`).
         """
+        slot = self.slots[core]
+        key = (_BATCH_RNG_DOMAIN, core, slot.epoch, slot.dispatches)
+        slot.dispatches += 1
         datapath = self.datapaths[core]
         single = len(entries) == 1
         block = (
@@ -1258,12 +804,448 @@ class Cluster:
             if single
             else stack_levels(entries)
         )
-        seq = self._executor.run(core, model_id, block, start_s, key)
+        seq = self.executor.run(core, model_id, block, now, key)
         timing = (
             datapath.execute_timing(model_id)
             if single
             else datapath.execute_batch_timing(model_id, len(entries))
         )
-        return _Dispatch.charged(
-            core, model_id, entries, start_s, timing, None, worker_seq=seq
+        service_s = timing.total_seconds
+        # Each request's t_d/t_c is one pipeline pass's worth; any
+        # extra passes a large batch needs land in t_q (the request is
+        # DRAM-buffered while earlier passes stream), keeping the
+        # decomposition identity exact.
+        batch = _Dispatch(
+            core=core,
+            model_id=model_id,
+            entries=entries,
+            start_s=now,
+            finish_s=now + service_s,
+            service_s=service_s,
+            pass_datapath_s=(
+                timing.datapath_seconds + timing.memory_seconds
+            ) / timing.passes,
+            pass_compute_s=timing.compute_seconds / timing.passes,
+            worker_seq=seq,
+            epoch=slot.epoch,
+            ordinal=self.dispatched,
         )
+        self.dispatched += 1
+        slot.inflight = batch
+        slot.free_at = batch.finish_s
+        self.scheduler.account(model_id, service_s)
+        self.events.push(batch.finish_s, "complete", (core, batch.epoch))
+        detail = {
+            "model_id": model_id,
+            "batch": len(entries),
+            "service_us": service_s * 1e6,
+        }
+        self._emit("dispatch", f"core:{core}", detail, now)
+
+    # ------------------------------------------------------------------
+    # Handlers, one per event kind (the table follows the last of them)
+    # ------------------------------------------------------------------
+    def on_arrival(self, request: RuntimeRequest, now: float) -> None:
+        """Admit an arriving — or retried — request to its queue."""
+        self.unadmitted -= 1
+        queue = self.queues[request.model_id]
+        victim = queue.offer(request, now)
+        if victim is not None:
+            self.dropped.append(victim)
+            self.stats.dropped += 1
+            self._emit(
+                "drop",
+                f"model:{request.model_id}",
+                {"request_id": victim.request_id, "policy": queue.policy},
+                now,
+            )
+        else:
+            self._emit(
+                "enqueue",
+                f"model:{request.model_id}",
+                {"request_id": request.request_id, "depth": queue.depth},
+                now,
+            )
+
+    def on_complete(
+        self, payload: tuple[int, int], now: float
+    ) -> object | None:
+        """Finalize a core's batch: records, stats, energy."""
+        core, stamp = payload
+        slot = self.slots[core]
+        batch = slot.inflight
+        if batch is None or batch.epoch != stamp:
+            return _VOID  # voided by a crash or superseded by a stall
+        slot.inflight = None
+        self.busy_seconds += batch.service_s
+        # The timing was fixed at dispatch, so each record is complete
+        # except for its prediction, which is joined once the loop has
+        # drained: a worker's compute overlaps the parent's ledger
+        # replays, the in-process backlog runs in blocks.  Placeholders
+        # are patched in completion order — per core that is dispatch
+        # order, so a worker's strict-order collect still matches.
+        records = self.records
+        self.pending_joins.append((len(records), batch))
+        stats = self.stats
+        energy_model = self.energy_model
+        datapath_s = batch.pass_datapath_s
+        compute_s = batch.pass_compute_s
+        size = len(batch.entries)
+        for entry in batch.entries:
+            queuing_s = (
+                batch.finish_s - entry.item.arrival_s - datapath_s - compute_s
+            )
+            record = RuntimeRecord(
+                request=entry.item,
+                core=core,
+                batch_size=size,
+                queuing_s=queuing_s,
+                datapath_s=datapath_s,
+                compute_s=compute_s,
+                finish_s=batch.finish_s,
+                prediction=-1,
+            )
+            records.append(record)
+            stats.record(batch.model_id, record.serve_time_s)
+            if energy_model is not None:
+                # Parent-side pricing of the decomposition the record
+                # carries: identical in serial and parallel execution,
+                # whose timings agree bit for bit.
+                stats.record_energy(
+                    batch.model_id,
+                    energy_model.energy(
+                        datapath_s=datapath_s,
+                        queuing_s=queuing_s,
+                        compute_s=compute_s,
+                    ),
+                )
+        self.nic_counters.served += size
+        self._emit(
+            "complete",
+            f"core:{core}",
+            {"model_id": batch.model_id, "batch": size},
+            now,
+        )
+
+    def on_fault(self, fault: FaultEvent, now: float) -> None:
+        """A scheduled device fault, crash or stall reaches its core."""
+        if fault.kind in DEVICE_FAULT_KINDS:
+            self._degrade(fault, now)
+        elif fault.kind == "core_crash":
+            self._crash(fault.core, now)
+        else:
+            self._stall(fault.core, fault.duration_s, now)
+
+    def _degrade(self, fault: FaultEvent, now: float) -> None:
+        """Install a device fault on the core's photonic path."""
+        core = fault.core
+        # What the core was already sent it answers as it was.
+        self.executor.settle(core)
+        wrapper = DegradedCore.ensure(self.datapaths[core])
+        wrapper.set_time(now)
+        wrapper.install(device_fault_from_event(fault))
+        if self.pool is not None:
+            # The worker's request ring is FIFO, so the fault lands
+            # between exactly the dispatches it separated on the
+            # virtual clock — same prefix a serial run would have
+            # applied.
+            self.pool.fault(core, fault, now)
+        self._emit("fault", f"core:{core}", {"kind": fault.kind}, now)
+
+    def _crash(self, core: int, now: float) -> None:
+        """Remove a core for good; its batch goes to the retry policy."""
+        slot = self.slots[core]
+        if slot.health.state == "crashed":
+            return
+        slot.health.state = "crashed"
+        self._emit("fault", f"core:{core}", {"kind": "core_crash"}, now)
+        batch = slot.inflight
+        if batch is None:
+            return
+        slot.inflight = None
+        slot.epoch += 1
+        # A doomed batch's result is dropped (a worker computes it
+        # anyway; the in-process backlog never does).
+        self.executor.discard(core, batch.worker_seq)
+        # The crashed dispatch's partial occupancy still counts
+        # against the core — wasted work is work.
+        self.busy_seconds += now - batch.start_s
+        for entry in batch.entries:
+            self._requeue(entry.item, now)
+
+    def _stall(self, core: int, duration_s: float, now: float) -> None:
+        """Freeze a core; its in-flight batch finishes late."""
+        slot = self.slots[core]
+        # A dead or benched core cannot stall further.
+        if slot.health.state in ("crashed", "quarantined", "recalibrating"):
+            return
+        slot.stalled_until = max(slot.stalled_until, now + duration_s)
+        if slot.health.state == "healthy":
+            slot.health.state = "stalled"
+        batch = slot.inflight
+        if batch is not None:
+            # Invalidate the frozen batch's old completion and push the
+            # delayed one.  The stall time lands in each request's t_q,
+            # keeping the identity.
+            slot.epoch += 1
+            batch.epoch = slot.epoch
+            batch.finish_s += duration_s
+            batch.service_s += duration_s
+            slot.free_at = batch.finish_s
+            self.events.push(batch.finish_s, "complete", (core, batch.epoch))
+        self.events.push(slot.stalled_until, "stall_clear", core)
+        detail = {"kind": "core_stall", "duration_s": duration_s}
+        self._emit("fault", f"core:{core}", detail, now)
+
+    def on_stall_clear(self, core: int, now: float) -> None:
+        """A stall's end: back to healthy unless a later one extends it."""
+        slot = self.slots[core]
+        if slot.health.state == "stalled" and now >= slot.stalled_until:
+            slot.health.state = "healthy"
+
+    def on_probe(self, _payload: None, now: float) -> None:
+        """One watchdog round over the healthy cores."""
+        if not self.work_pending():
+            # The trace has drained; a probe (and any quarantine /
+            # re-lock cycle it would start) can no longer affect a
+            # request, so the watchdog goes quiet with the clock.
+            return
+        watchdog = self.watchdog
+        relocker = watchdog.relock
+        self.probe_round += 1
+        for core, slot in enumerate(self.slots):
+            health = slot.health
+            if health.state != "healthy":
+                continue
+            # Probes always run on the parent's core — its faults and
+            # keyed noise stream match the workers', so the quarantine
+            # decision is identical in both modes.
+            result = self._probe(
+                core, now, (_PROBE_RNG_DOMAIN, core, self.probe_round)
+            )
+            self._emit(
+                "probe", f"core:{core}", {"error_rms": result.error_rms}, now
+            )
+            if result.healthy:
+                continue
+            health.state = "quarantined"
+            health.quarantined_at_s = now
+            self.stats.quarantines += 1
+            detail = {
+                "error_rms": result.error_rms,
+                "threshold": watchdog.threshold,
+            }
+            self._emit("quarantine", f"core:{core}", detail, now)
+            if relocker is None:
+                continue
+            if slot.relock_attempts < relocker.max_attempts:
+                # Bench the core for the sweep instead.
+                health.state = "recalibrating"
+                self.events.push(
+                    now + self._relock_sweep_s(core), "recalibrate", core
+                )
+                self._emit(
+                    "recalibrate",
+                    f"core:{core}",
+                    {"attempt": slot.relock_attempts + 1},
+                    now,
+                )
+        if self.work_pending():
+            self.events.push(now + watchdog.interval_s, "probe")
+
+    def on_recalibrate(self, core: int, now: float) -> None:
+        """Finish a bias sweep: re-base faults, re-probe, readmit.
+
+        The sweep's virtual time already elapsed (the recalibrate
+        event was scheduled ``_relock_sweep_s`` after quarantine);
+        what remains is applying the found biases, mirroring them into
+        the core's worker, and letting the watchdog decide whether the
+        core rejoins the healthy set.
+        """
+        slot = self.slots[core]
+        health = slot.health
+        if health.state != "recalibrating":
+            return  # crashed while benched; nothing to readmit
+        relocker = self.watchdog.relock
+        slot.relock_attempts += 1
+        self.executor.settle(core)
+        report = relocker.relock_core(core, self.datapaths[core].core, now)
+        if self.pool is not None and report.relocked:
+            # Ring FIFO: the mirror lands after every batch the worker
+            # was sent pre-quarantine, exactly where the serial
+            # timeline re-based its own faults.
+            self.pool.relock(core, now, report.residual_volts)
+        result = self._probe(
+            core, now, (_RELOCK_RNG_DOMAIN, core, slot.relock_attempts)
+        )
+        if result.healthy:
+            health.state = "healthy"
+            health.relocks += 1
+            health.relocked_at_s = now
+            self.stats.relocks += 1
+            slot.free_at = now
+            detail = {
+                "error_rms": result.error_rms,
+                "relocked": report.relocked,
+                "uncorrectable": report.uncorrectable,
+            }
+            self._emit("relock", f"core:{core}", detail, now)
+        elif slot.relock_attempts < relocker.max_attempts:
+            # Another sweep may still help (e.g. the bias walked during
+            # the confirmation probe); stay benched and try again after
+            # one more sweep's worth of time.
+            self.events.push(
+                now + self._relock_sweep_s(core), "recalibrate", core
+            )
+            detail = {
+                "error_rms": result.error_rms,
+                "attempt": slot.relock_attempts,
+            }
+            self._emit("relock_failed", f"core:{core}", detail, now)
+        else:
+            health.state = "quarantined"
+            detail = {"error_rms": result.error_rms, "permanent": True}
+            self._emit("relock_failed", f"core:{core}", detail, now)
+
+    #: Which handler an event kind goes to.  Plain functions on the
+    #: class, so a finished run holds no reference to itself and is
+    #: freed — records, dispatches and all — when ``serve_trace`` returns.
+    HANDLERS = {
+        "arrival": on_arrival,
+        "retry": on_arrival,
+        "complete": on_complete,
+        "fault": on_fault,
+        "stall_clear": on_stall_clear,
+        "probe": on_probe,
+        "recalibrate": on_recalibrate,
+    }
+
+    def result(self) -> ClusterResult:
+        """Join the predictions, classify the leftovers, report.
+
+        Batches a timeout cut off were never finalized: their results
+        are nobody's.  Every finalized batch's predictions are patched
+        over the placeholders in completion order — everything else in
+        a record was already exact at finalization.
+        """
+        cut = sorted(
+            (s.inflight for s in self.slots if s.inflight is not None),
+            key=lambda batch: batch.ordinal,
+        )
+        for batch in cut:
+            self.executor.discard(batch.core, batch.worker_seq)
+        records = self.records
+        for base, batch in self.pending_joins:
+            predictions = self.executor.result(batch.core, batch.worker_seq)
+            for index, value in enumerate(predictions, start=base):
+                records[index] = dataclasses.replace(
+                    records[index], prediction=int(value)
+                )
+        unfinished: list[RuntimeRequest] = []
+        if self.timeout_s is not None and len(self.events) > 0:
+            for batch in cut:
+                unfinished.extend(e.item for e in batch.entries)
+            for queue in self.queues.values():
+                unfinished.extend(e.item for e in queue.drain())
+            unfinished.extend(self.events.pending("arrival"))
+            unfinished.extend(self.events.pending("retry"))
+        else:
+            # A fully drained clock with queued leftovers means no
+            # usable core remained — strand them loudly.
+            for queue in self.queues.values():
+                for entry in queue.drain():
+                    self._fail(entry.item, self.events.now, "no_usable_core")
+        stats = self.stats
+        stats.core_health = {
+            core: slot.health.state for core, slot in enumerate(self.slots)
+        }
+        # The cumulative ledger carries the trace's fate counters too,
+        # so cross-serve aggregation (fabric shard merges) can check
+        # the accounting invariant without re-deriving it.
+        stats.offered += self.offered
+        stats.unfinished += len(unfinished)
+        return ClusterResult(
+            records=tuple(records),
+            dropped=tuple(self.dropped),
+            stats=stats,
+            num_cores=len(self.slots),
+            busy_seconds=self.busy_seconds,
+            horizon_s=max((r.finish_s for r in records), default=0.0),
+            failed=tuple(self.failed),
+            unfinished=tuple(unfinished),
+            offered=self.offered,
+        )
+
+    def work_pending(self) -> bool:
+        """Whether anything on or off the clock can still be served."""
+        slots = self.slots
+        if self.unadmitted or any(s.inflight is not None for s in slots):
+            return True
+        queued = any(q.depth for q in self.queues.values())
+        # A recalibrating core is out of service but expected back, so
+        # queued work behind it still counts as pending.
+        alive = any(
+            s.health.state in ("healthy", "stalled", "recalibrating")
+            for s in slots
+        )
+        return queued and alive
+
+    def _emit(self, kind: str, label: str, detail: dict, now: float) -> None:
+        if self.tracer is not None:
+            self.tracer.emit(kind, label, detail, time_s=now)
+
+    def _fail(self, request: RuntimeRequest, now: float, reason: str) -> None:
+        self.failed.append(request)
+        self.stats.failed += 1
+        self._emit(
+            "fail",
+            f"model:{request.model_id}",
+            {"request_id": request.request_id, "reason": reason},
+            now,
+        )
+
+    def _slo_drop(self, request: RuntimeRequest, now: float) -> None:
+        self.dropped.append(request)
+        self.stats.dropped += 1
+        self.stats.slo_dropped += 1
+        self.nic_counters.dropped += 1
+        self._emit(
+            "slo_drop",
+            f"model:{request.model_id}",
+            {"request_id": request.request_id, "slo_s": self.slo_s},
+            now,
+        )
+
+    def _requeue(self, request: RuntimeRequest, now: float) -> None:
+        """Send a request lost to a crash back through the retry policy."""
+        count = self.attempts.get(request.request_id, 0) + 1
+        self.attempts[request.request_id] = count
+        if count > self.policy.max_retries:
+            self._fail(request, now, "retries_exhausted")
+            return
+        self.stats.retries += 1
+        self.unadmitted += 1
+        self.events.push(now + self.policy.delay(count), "retry", request)
+        self._emit(
+            "retry",
+            f"model:{request.model_id}",
+            {"request_id": request.request_id, "attempt": count},
+            now,
+        )
+
+    def _probe(self, core: int, now: float, key: tuple[int, ...]):
+        """One watchdog check of a core at ``now``, its readout noise
+        on the keyed Philox substream."""
+        wrapped = self.datapaths[core].core
+        rebase(wrapped, now, key)
+        result = self.watchdog.check(core, wrapped)
+        health = self.slots[core].health
+        health.error_rms = result.error_rms
+        health.probes += 1
+        return result
+
+    def _relock_sweep_s(self, core: int) -> float:
+        """Virtual time the core's bias sweeps will occupy."""
+        wrapped = self.datapaths[core].core
+        faults = getattr(wrapped, "relockable_faults", tuple)()
+        return self.watchdog.relock.sweep_duration_s * max(len(faults), 1)

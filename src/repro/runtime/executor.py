@@ -29,7 +29,7 @@ import numpy as np
 from ..core.datapath import LightningDatapath
 from ..faults.device import DegradedCore
 
-__all__ = ["BLOCK_BYTES", "evaluate", "InlineExecutor"]
+__all__ = ["BLOCK_BYTES", "evaluate", "rebase", "InlineExecutor"]
 
 #: Bytes of draws and activations one forward block may keep live,
 #: sized to a last-level cache slice.  A GPT-2-class request is ~90 kB,
@@ -91,14 +91,20 @@ def _forward_chunk(datapath, model_id, chunk) -> list[list[int]]:
     return [[next(flat) for _ in levels] for levels in blocks]
 
 
-def _walk(datapath, model_id, levels, now_s, key) -> list[int]:
-    """One dispatch, at its own time on the core's own stream."""
-    core = datapath.core
+def rebase(core, now_s: float, key: tuple[int, ...]) -> None:
+    """Put a core at virtual time ``now_s`` on its keyed noise
+    substream; each half is a no-op for a core without one (only a
+    fault wrapper reads a clock, the prototype has no keyed stream)."""
     if isinstance(core, DegradedCore):
         core.set_time(now_s)
     reseed = getattr(core, "reseed_noise", None)
     if reseed is not None:
         reseed(*key)
+
+
+def _walk(datapath, model_id, levels, now_s, key) -> list[int]:
+    """One dispatch, at its own time on the core's own stream."""
+    rebase(datapath.core, now_s, key)
     return [
         int(np.argmax(datapath.forward(model_id, row)))
         for row in np.atleast_2d(levels)

@@ -129,3 +129,9 @@ class AdmissionQueue(Generic[T]):
         if not self._entries:
             raise ValueError("queue is empty")
         return self._entries.popleft()
+
+    def drain(self) -> deque[QueueEntry[T]]:
+        """Remove and return every queued entry, oldest first (the
+        cumulative ``admitted`` / ``dropped`` counters stay)."""
+        entries, self._entries = self._entries, deque()
+        return entries

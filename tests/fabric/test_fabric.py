@@ -246,6 +246,34 @@ class TestFaultSplitting:
         assert fabric.shards[1].health[1].state == "quarantined"
         assert fabric.shards[0].health[0].state == "healthy"
 
+    def test_out_of_range_global_core_never_reaches_a_shard(self):
+        fabric = Fabric([spec(2), spec(2)])
+        fabric.deploy(make_dag(1))
+        schedule = FaultSchedule(seed=4).core_crash(at_s=1e-6, core=4)
+        with pytest.raises(ValueError, match="core 4 out of range"):
+            fabric.serve_trace(trace(count=8), fault_schedule=schedule)
+        for shard in fabric.shards:
+            assert shard.stats.offered == 0
+            assert shard.nic_counters.frames_seen == 0
+
+    def test_split_schedules_stay_inside_their_shard(self):
+        # Uneven shards: every global core maps to a local index its
+        # shard has, so a shard's own range check never fires.
+        fabric = Fabric([spec(1), spec(3)])
+        fabric.deploy(make_dag(1))
+        schedule = FaultSchedule(seed=4)
+        for core in range(fabric.total_cores):
+            schedule.core_stall(
+                at_s=(core + 1) * 1e-6, core=core, duration_s=2e-6
+            )
+        split = fabric._split_schedule(schedule)
+        assert [[e.core for e in s.events] for s in split] == [
+            [0], [0, 1, 2]
+        ]
+        result = fabric.serve_trace(trace(count=30), fault_schedule=schedule)
+        assert result.accounted()
+        assert result.served == 30
+
     def test_relock_under_fabric(self):
         fabric = Fabric(
             [spec(2), spec(2)],

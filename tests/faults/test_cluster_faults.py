@@ -284,10 +284,12 @@ class TestTimeout:
         assert result.served == 30
         assert not result.unfinished
 
-    def test_serve_alias_accepts_timeout(self, tiny_dag):
+    def test_timeout_accounts_a_short_trace(self, tiny_dag):
         cluster = make_cluster(num_cores=2)
         cluster.deploy(tiny_dag)
-        result = cluster.serve(steady_trace(count=30), timeout_s=30e-6)
+        result = cluster.serve_trace(
+            steady_trace(count=30), timeout_s=30e-6
+        )
         assert accounted(result) == 30
 
     def test_rejects_nonpositive_timeout(self, tiny_dag, fault_cluster):

@@ -90,6 +90,23 @@ class TestDeployment:
         with pytest.raises(ValueError, match="empty"):
             cluster.serve_trace([])
 
+    @pytest.mark.parametrize("fidelity", ["loop", "device"])
+    def test_serial_deploy_refuses_a_walking_datapath(
+        self, tiny_dag, fidelity
+    ):
+        # A cluster serves compiled plans only, in both execution modes
+        # (test_parallel pins the parallel half).
+        cluster = Cluster(
+            num_cores=2,
+            datapath_factory=lambda core: LightningDatapath(
+                fidelity=fidelity, seed=core
+            ),
+        )
+        with pytest.raises(ValueError, match="fast"):
+            cluster.deploy(tiny_dag)
+        assert cluster.model_ids == ()
+        assert all(not d.loader.model_ids for d in cluster.datapaths)
+
     def test_needs_a_core(self):
         with pytest.raises(ValueError, match="at least one core"):
             Cluster(num_cores=0)
@@ -305,7 +322,7 @@ class TestServeTimeout:
         trace = [
             request(i, arrival=i * 1e-6, seed=4) for i in range(200)
         ]
-        result = cluster.serve(trace, timeout_s=20e-6)
+        result = cluster.serve_trace(trace, timeout_s=20e-6)
         assert 0 < result.served < 200
         assert result.offered == 200
         assert (
@@ -320,6 +337,6 @@ class TestServeTimeout:
 
     def test_cluster_reusable_after_timeout(self, cluster):
         trace = [request(i, arrival=i * 1e-6, seed=4) for i in range(50)]
-        cluster.serve(trace, timeout_s=10e-6)
+        cluster.serve_trace(trace, timeout_s=10e-6)
         full = cluster.serve_trace(trace)
         assert full.served == 50

@@ -74,6 +74,14 @@ class TestAdmissionQueue:
         assert q.peek().item == "a"
         assert q.depth == 1
 
+    def test_drain_empties_the_queue_and_keeps_the_counters(self):
+        q = AdmissionQueue(model_id=1, capacity=2)
+        for i in range(3):
+            q.offer(f"r{i}", float(i))
+        assert [e.item for e in q.drain()] == ["r0", "r1"]
+        assert (q.depth, q.admitted, q.dropped) == (0, 2, 1)
+        assert not q.drain()
+
     @pytest.mark.parametrize("policy", ["drop-tail", "drop-head"])
     def test_both_drop_policies_charge_the_same_nic_counter(self, policy):
         # Regression: drop-head evictions used to bypass the shared
