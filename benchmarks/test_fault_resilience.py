@@ -624,6 +624,11 @@ def test_unreplicated_fleet_collapses(chaos_campaign):
     assert result.offered == CHAOS_REQUESTS
     assert result.goodput < 0.75
     assert result.failed_over > 0
+    # Replication's goodput gain reads 1.653x here (virtual clock: the
+    # same on every host); 1.32 is 0.8x the 1.640x the perf harness's
+    # 20 000-request copy of this campaign used to hold to a baseline.
+    _, replicated = chaos_campaign["replicated"]
+    assert replicated.goodput / result.goodput >= 1.32
 
 
 def test_chaos_extended_invariant_exact(chaos_campaign):

@@ -18,8 +18,14 @@ from repro.faults import (
     CalibrationWatchdog,
     FaultSchedule,
 )
+from repro.perf.bench import lenet_class_dag
 from repro.photonics import BehavioralCore, CoreArchitecture, NoiselessModel
-from repro.runtime import Cluster, HealthAwareScheduler, RuntimeRequest
+from repro.runtime import (
+    Cluster,
+    HealthAwareScheduler,
+    RuntimeRequest,
+    poisson_trace,
+)
 
 
 def make_dag(model_id: int, seed: int = 5) -> ComputationDAG:
@@ -414,3 +420,66 @@ class TestShardConcurrency:
     def test_unknown_concurrency_rejected(self):
         with pytest.raises(ValueError, match="concurrency"):
             Fabric([spec(1)], concurrency="fibers")
+
+
+class TestShardScaling:
+    """The control plane's scaling, on the virtual clock.
+
+    One full-load LeNet-class trace served by 1, 2 and 4 identical
+    two-core shards behind the least-loaded router: the makespan
+    (``horizon_s``) shrinks only if the router balances the load.  It
+    is virtual time — the same on every host and every run — so it is
+    asserted here rather than gated by ``repro.perf.bench``, whose
+    cases are wall-clock ratios.
+    """
+
+    REQUESTS = 96
+
+    def serve(self, num_shards: int, execution: str = "serial"):
+        dag = lenet_class_dag(0)
+        fabric = Fabric(
+            [
+                ShardSpec(
+                    num_cores=2,
+                    datapath_factory=lambda core: LightningDatapath(
+                        core=BehavioralCore(seed=core), seed=core
+                    ),
+                    # Full load on one shard must queue, not drop: the
+                    # makespans compare only if every request is served.
+                    queue_capacity=max(4 * self.REQUESTS, 64),
+                    max_batch=4,
+                    execution=execution,
+                )
+                for _ in range(num_shards)
+            ]
+        )
+        try:
+            fabric.deploy(dag)
+            result = fabric.serve_trace(
+                poisson_trace([dag], 2_000_000.0, self.REQUESTS, seed=0)
+            )
+        finally:
+            for shard in fabric.shards:
+                shard.close()
+        assert result.served == self.REQUESTS
+        return result
+
+    def test_makespan_shrinks_with_shards_and_replays(self):
+        results = {shards: self.serve(shards) for shards in (1, 2, 4)}
+        horizon = {n: result.horizon_s for n, result in results.items()}
+        # Recorded 1.959x and 3.765x; the floors are 0.8x those (the
+        # 4-shard one is the perf harness's old 20% regression band).
+        assert horizon[1] / horizon[2] >= 1.5
+        assert horizon[1] / horizon[4] >= 3.02
+        again = self.serve(4)
+        assert again.horizon_s == horizon[4]
+        assert again.routed == results[4].routed
+
+    @pytest.mark.parametrize("num_shards", [1, 4])
+    def test_live_shards_keep_the_serial_makespan(self, num_shards):
+        """Worker processes per core and a thread per shard change the
+        wall clock only (the pair ``fabric_wall_ratio_4s`` times)."""
+        live = self.serve(num_shards, execution="parallel")
+        serial = self.serve(num_shards)
+        assert live.horizon_s == serial.horizon_s
+        assert live.routed == serial.routed

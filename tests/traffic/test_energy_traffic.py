@@ -61,20 +61,24 @@ class TestFleetEnergy:
 
     def test_lightning_beats_a100_per_inference(self, mix):
         """The paper's headline: same traffic, same shard shape, an
-        order of magnitude less energy per inference on Lightning."""
+        order of magnitude less energy per inference on Lightning.
+
+        Virtual clock, so the ratios are the same on every host and
+        run: this reads 18.07x (A100) and 18.04x (P4), and the floor is
+        0.8x the 17.99x the perf harness used to hold to a baseline.
+        """
         per_inference = {}
-        for spec_acc in (lightning_chip(), a100_gpu()):
+        for spec_acc in (lightning_chip(), a100_gpu(), p4_gpu()):
             spec = FleetSpec(spec_acc, num_shards=4, cores_per_shard=2)
             cap = fleet_capacity_rps(spec, mix)
             stream = OpenLoopTraffic(
                 PoissonProcess(0.8 * cap), mix, seed=3
             )
             result = serve_open_loop(stream, 10_000, spec)
+            result.check_invariant()
             per_inference[spec_acc.name] = result.energy_per_inference_j
-        assert (
-            per_inference["A100 GPU"]
-            > 10 * per_inference["Lightning"]
-        )
+        for gpu in ("A100 GPU", "P4 GPU"):
+            assert per_inference[gpu] >= 14.4 * per_inference["Lightning"]
 
 
 def make_dag(model_id: int, seed: int = 5) -> ComputationDAG:
