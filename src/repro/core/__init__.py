@@ -7,8 +7,9 @@ detection (:mod:`~repro.core.preamble`), the pipeline parallel adders
 (:mod:`~repro.core.adders`) and non-linear functions
 (:mod:`~repro.core.nonlinear`) — plus the DAG configuration loader
 (:mod:`~repro.core.dag`), memory controller (:mod:`~repro.core.memory`),
-the cycle-level datapath (:mod:`~repro.core.datapath`), and the complete
-smartNIC (:mod:`~repro.core.smartnic`).
+the cycle-level datapath (:mod:`~repro.core.datapath`) with the
+per-layer reference it is tested against (:mod:`~repro.core.reference`),
+and the complete smartNIC (:mod:`~repro.core.smartnic`).
 """
 
 from .adders import (
@@ -62,6 +63,7 @@ from .preamble import (
     add_preamble,
     make_preamble,
 )
+from .reference import ReferenceDatapath
 from .energy import DRAM_QUEUE_POWER_WATTS, EnergyModel
 from .server import InferenceServer
 from .smartnic import LightningSmartNIC, PuntedPacket, ServedRequest
@@ -111,6 +113,7 @@ __all__ = [
     "wavelengths_fed_by_bandwidth",
     "required_memory_bandwidth_gbps",
     "LightningDatapath",
+    "ReferenceDatapath",
     "LayerExecution",
     "InferenceExecution",
     "BatchExecution",

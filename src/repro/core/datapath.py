@@ -7,34 +7,24 @@ weights, the synchronous data streamer feeds the photonic core, preamble
 detection frames the ADC readout, and the pipeline parallel adder plus
 non-linear modules complete each layer digitally.
 
-Three execution fidelities are offered, producing equivalent numerical
-results and identical cycle accounting:
+It is the compiled path and nothing else.  Every task is lowered to its
+:class:`~repro.core.plans.ExecutionPlan` once, at
+:meth:`~LightningDatapath.register_model`, and because a layer's cost
+never depends on its activations (§4 decouples the control plane from
+the data plane) a request is two compiled programs run once each: the
+model's forward program for the numerics — batch-major, one request
+being a block of one row
+(:meth:`~repro.core.plans.ModelPlan.forward_block`) — and its
+:class:`TimingPlan` for the ledger — on every core: an installed analog
+fault changes the values a core returns, never a cycle count, a DRAM
+read or a register write.  A registered model always has both programs.
 
-* ``fidelity="device"`` walks every row's samples through the framing
-  path — preamble added before the DACs, ADC readout windows with a
-  random data-start offset, count-action preamble detection, and
-  cycle-by-cycle adder-subtractor ticks.  This is the path used to
-  reproduce the Figure 17 traces and to validate the fast path.
-* ``fidelity="fast"`` (the default) replays each task's compiled
-  :class:`~repro.core.plans.ExecutionPlan` — stacked sign-separated
-  operands, cached im2col gather maps, one photonic-core call per
-  layer — while charging the identical cycle ledger and consuming the
-  identical readout-noise RNG stream.  Plans compile once at
-  :meth:`register_model` and are replayed across requests; this is the
-  serving path (Figures 15/16).  Because a layer's cost never depends
-  on its activations (§4 decouples the control plane from the data
-  plane), a request is two compiled programs run once each: the
-  model's forward program for the numerics — batch-major, one request
-  being a block of one row (:meth:`~repro.core.plans.ModelPlan.forward_block`)
-  — and its :class:`TimingPlan` for the ledger — on every core: an
-  installed analog fault changes the values a core returns, never a
-  cycle count, a DRAM read or a register write.  :meth:`execute_layers`
-  remains the per-layer walk the other fidelities and the tracer
-  take, and the reference the compiled path is tested against.
-* ``fidelity="loop"`` computes the same reductions row by row with
-  per-row core calls: the pre-plan reference path, kept as the
-  baseline the equivalence tests and the ``repro.perf`` benchmark
-  harness compare the compiled path against.
+The per-layer instrument sits beside this module, not inside it:
+:mod:`repro.core.reference` walks any datapath layer by layer (every
+register write, every layer's own record) and holds the
+:class:`~repro.core.reference.ReferenceDatapath` that reduces row by
+row, optionally through the framing path.  The compiled path is tested
+against it; nothing here imports it.
 
 Cycle accounting follows the prototype: a 253.44 MHz digital clock moving
 16 samples per cycle per converter (4.055 GS/s analog rate), a preamble
@@ -47,7 +37,6 @@ cost 193 ns per layer, the constant measured on the prototype (§9).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from collections.abc import Callable, Sequence
@@ -60,30 +49,19 @@ from ..photonics.converters import (
     PROTOTYPE_SAMPLES_PER_CYCLE,
 )
 from ..photonics.core import BehavioralCore, PrototypeCore
-from .adders import CrossCycleAdderSubtractor, IntraCycleAdderTree
+from .adders import IntraCycleAdderTree
 from .count_action import ControlRegisterFile
-from .dag import (
-    ComputationDAG,
-    ConvShape,
-    DAGConfigurationLoader,
-    LayerTask,
-    SignSeparatedRow,
-    sign_separate_row,
-)
+from .dag import ComputationDAG, DAGConfigurationLoader
 from .memory import MemoryController
-from .nonlinear import nonlinear_module
 from .plans import (
-    ExecutionPlan,
     ModelPlan,
     PlanGeometry,
     check_activations,
     compile_model,
-    finish_output,
-    gather_patches,
     supports_matmul,
     tape_law,
 )
-from .preamble import PREAMBLE_PATTERN_TESTBED, PreambleDetector, add_preamble
+from .preamble import PREAMBLE_PATTERN_TESTBED
 
 __all__ = [
     "LayerExecution",
@@ -91,6 +69,7 @@ __all__ = [
     "BatchExecution",
     "TimingEstimate",
     "TimingPlan",
+    "DatapathBase",
     "LightningDatapath",
     "PER_LAYER_DATAPATH_SECONDS",
 ]
@@ -323,8 +302,20 @@ def _ledger_layers(
     )
 
 
-class LightningDatapath:
-    """Cycle-level functional model of Lightning's datapath."""
+def require_matmul(core) -> None:
+    """Refuse an attention task on a core without whole-layer products."""
+    if not supports_matmul(core):
+        raise ValueError(
+            "attention tasks require a behavioral core (device-"
+            "fidelity attention streaming is not implemented)"
+        )
+
+
+class DatapathBase:
+    """The parts every datapath is built from, and the models staged
+    on them: what :class:`LightningDatapath` and the
+    :class:`~repro.core.reference.ReferenceDatapath` beside it share.
+    """
 
     def __init__(
         self,
@@ -333,13 +324,9 @@ class LightningDatapath:
         samples_per_cycle: int = PROTOTYPE_SAMPLES_PER_CYCLE,
         preamble_pattern: str = PREAMBLE_PATTERN_TESTBED,
         preamble_repeats: int = 10,
-        fidelity: str = "fast",
         memory: MemoryController | None = None,
         registers: ControlRegisterFile | None = None,
-        seed: int = 0,
     ) -> None:
-        if fidelity not in ("fast", "loop", "device"):
-            raise ValueError("fidelity must be 'fast', 'loop', or 'device'")
         if clock_hz <= 0:
             raise ValueError("clock frequency must be positive")
         self.core = core if core is not None else BehavioralCore()
@@ -347,75 +334,16 @@ class LightningDatapath:
         self.samples_per_cycle = samples_per_cycle
         self.preamble_pattern = preamble_pattern
         self.preamble_repeats = preamble_repeats
-        self.fidelity = fidelity
         self.registers = (
             registers if registers is not None else ControlRegisterFile()
         )
         self.loader = DAGConfigurationLoader(self.registers)
         self.memory = memory if memory is not None else MemoryController()
         self.adder_tree = IntraCycleAdderTree(num_lanes=samples_per_cycle)
-        self._rng = np.random.default_rng(seed)
-        self._sign_cache: dict[tuple[int, str], list[SignSeparatedRow]] = {}
-        self._plans: dict[int, ModelPlan] = {}
-        self._timing_plans: dict[int, TimingPlan] = {}
 
-    # ------------------------------------------------------------------
-    # Model management
-    # ------------------------------------------------------------------
     @property
     def num_wavelengths(self) -> int:
         return self.core.architecture.accumulation_wavelengths
-
-    def register_model(
-        self, dag: ComputationDAG, plan: ModelPlan | None = None
-    ) -> None:
-        """Register a DAG, stage its parameters in DRAM, compile plans.
-
-        On the compiled fast path every task is lowered to its
-        :class:`~repro.core.plans.ExecutionPlan` here, once, so serving
-        replays cached gather maps and stacked operands instead of
-        re-deriving them per request.  ``plan`` lets a caller adopt an
-        already-compiled :class:`~repro.core.plans.ModelPlan` (e.g. one
-        rebuilt around shared-memory views in a worker process) instead
-        of compiling — the geometry must match this datapath's.
-        """
-        self.loader.register_model(dag)
-        self.memory.store_model(
-            dag.model_id,
-            {
-                task.name: task.weights_levels
-                for task in dag.tasks
-                if task.weights_levels is not None
-            },
-        )
-        if self.fidelity == "fast":
-            if plan is not None:
-                if plan.geometry != self.plan_geometry:
-                    raise ValueError(
-                        "adopted plan was compiled for a different "
-                        "datapath geometry"
-                    )
-                self._plans[dag.model_id] = plan
-            else:
-                self._plans[dag.model_id] = self._compile(dag)
-            self._timing_plans[dag.model_id] = self._compile_timing(
-                dag, self._plans[dag.model_id]
-            )
-
-    def unregister_model(self, model_id: int) -> None:
-        """Remove one model: DAG, compiled plan, sign caches.
-
-        The model's DRAM image is left in place — the memory
-        controller models a log-structured store with no reclamation,
-        and a stale image is unreachable once the loader forgets the
-        DAG.  Re-registering the same id later simply stores a fresh
-        image.
-        """
-        self.loader.unregister_model(model_id)
-        self._plans.pop(model_id, None)
-        self._timing_plans.pop(model_id, None)
-        for key in [k for k in self._sign_cache if k[0] == model_id]:
-            del self._sign_cache[key]
 
     @property
     def plan_geometry(self) -> PlanGeometry:
@@ -426,555 +354,28 @@ class LightningDatapath:
             preamble_repeats=self.preamble_repeats,
         )
 
-    def _compile(self, dag: ComputationDAG) -> ModelPlan:
-        """Compile one DAG against this datapath's geometry."""
-        return compile_model(
-            dag,
-            self.plan_geometry,
-            rows_for=lambda t: self._sign_separated(dag, t),
-        )
-
-    def _plan_for(self, dag: ComputationDAG) -> ModelPlan:
-        """The model's compiled plan, rebuilt lazily if invalidated."""
-        plan = self._plans.get(dag.model_id)
-        if plan is None:
-            plan = self._compile(dag)
-            self._plans[dag.model_id] = plan
-        return plan
-
-    def invalidate_plans(self, model_id: int | None = None) -> None:
-        """Drop compiled plans (all models, or one); the next request
-        recompiles.  Nothing in serving needs it — no compiled constant
-        reads the core's calibration state, so a quarantine or re-lock
-        keeps its plans — but it resets ``plan_stats()``'s replays, and
-        tests use it to prove a recompile changes nothing.
-        """
-        if model_id is None:
-            self._plans.clear()
-            self._timing_plans.clear()
-        else:
-            self._plans.pop(model_id, None)
-            self._timing_plans.pop(model_id, None)
-
-    def timing_plan(self, model_id: int) -> TimingPlan | None:
-        """The cached dry-run constants for one model, if compiled.
-
-        ``None`` only between an invalidation and the next request.
-        """
-        return self._timing_plans.get(model_id)
-
-    def model_plan(self, model_id: int) -> ModelPlan | None:
-        """The compiled plan for one model, if the fast path built it.
-
-        The serving layer uses this to publish a deployed model's
-        compiled state into shared memory for worker processes.
-        """
-        return self._plans.get(model_id)
-
-    def plan_stats(self) -> dict[int, dict[str, int]]:
-        """Per-model plan-cache statistics (tasks compiled, replays)."""
-        return {
-            model_id: {"tasks": plan.num_tasks, "replays": plan.replays}
-            for model_id, plan in self._plans.items()
-        }
-
-    def adopt_sign_separation(
-        self, donor: "LightningDatapath", model_id: int
-    ) -> None:
-        """Copy a donor's cached sign separations for one model.
-
-        Sign-separated rows depend only on the weights and the
-        wavelength count, so datapaths sharing a plan geometry can
-        share the offline phase's output.  A cluster deploying one DAG
-        across many same-architecture cores adopts the first core's
-        rows on the rest, which also keeps a lazy recompile (after
-        :meth:`invalidate_plans`) from redoing the separation.
-        """
-        if donor.num_wavelengths != self.num_wavelengths:
-            raise ValueError(
-                "sign separations are keyed by wavelength count; the "
-                "donor datapath's does not match"
-            )
-        for key, rows in donor._sign_cache.items():
-            if key[0] == model_id:
-                self._sign_cache[key] = rows
-
-    def _sign_separated(
-        self, dag: ComputationDAG, task: LayerTask
-    ) -> list[SignSeparatedRow]:
-        """Offline sign separation, computed once per task and cached."""
-        key = (dag.model_id, task.name)
-        if key not in self._sign_cache:
-            self._sign_cache[key] = [
-                sign_separate_row(row, self.num_wavelengths)
-                for row in task.weights_levels
-            ]
-        return self._sign_cache[key]
-
-    # ------------------------------------------------------------------
-    # Row reduction paths
-    # ------------------------------------------------------------------
-    def _row_operands(
-        self, row: SignSeparatedRow, activations: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Gather activation and magnitude streams for one output row.
-
-        Padding positions (``order == -1``) contribute zero activations.
-        """
-        gathered = np.where(
-            row.order >= 0, activations[np.clip(row.order, 0, None)], 0.0
-        )
-        return gathered, row.magnitudes
-
-    def _reduce_row_fast(
-        self, row: SignSeparatedRow, activations: np.ndarray
-    ) -> float:
-        """Vectorized equivalent of the device path's reduction.
-
-        A ``row_granular_noise`` core takes one draw for the row's
-        signed sum — the call a compiled ``DensePlan`` makes for the
-        whole layer, so loop and plan consume the same stream.
-        """
-        a_levels, b_levels = self._row_operands(row, activations)
-        n = self.num_wavelengths
-        a_pairs, b_pairs = a_levels.reshape(-1, n), b_levels.reshape(-1, n)
-        if getattr(self.core, "row_granular_noise", False):
-            return self.core.accumulate_signed(
-                a_pairs, b_pairs, row.group_signs
-            )
-        partials = self.core.accumulate(a_pairs, b_pairs)
-        return float(np.sum(row.group_signs * partials))
-
-    def _reduce_row_device(
-        self, row: SignSeparatedRow, activations: np.ndarray
-    ) -> float:
-        """Full framing path: preamble, ADC windows, detection, adders."""
-        a_levels, b_levels = self._row_operands(row, activations)
-        n = self.num_wavelengths
-        partials = self.core.accumulate(
-            a_levels.reshape(-1, n), b_levels.reshape(-1, n)
-        )
-        # The preamble travels the analog path too: H on both modulators
-        # reads back ~full scale, L reads ~zero.
-        preamble_out = add_preamble(
-            np.zeros(0),
-            self.preamble_pattern,
-            self.preamble_repeats,
-            high=255,
-            low=0,
-        ).astype(np.float64)
-        stream = np.concatenate([preamble_out, np.clip(partials, 0, None)])
-        offset = int(self._rng.integers(0, self.samples_per_cycle))
-        block = self.samples_per_cycle
-        total = offset + len(stream)
-        padded = np.zeros(((total + block - 1) // block) * block)
-        padded[offset : offset + len(stream)] = stream
-        windows = padded.reshape(-1, block)
-        detector = PreambleDetector(
-            self.preamble_pattern, self.preamble_repeats
-        )
-        data = detector.extract_data(windows, num_samples=len(partials))
-        # Sign stream: one control bit per photonic partial result.
-        adder = CrossCycleAdderSubtractor(
-            num_lanes=block, registers=ControlRegisterFile()
-        )
-        adder.configure(len(data) * n, n)
-        lanes = adder.accumulate_stream(data, row.group_signs)
-        return self.adder_tree.reduce(lanes)
-
-    def _row_cycles(self, row: SignSeparatedRow) -> int:
-        """Digital clock cycles to stream and reduce one output row."""
-        stream_cycles = math.ceil(row.num_steps / self.samples_per_cycle)
-        return self.preamble_repeats + stream_cycles
-
-    # ------------------------------------------------------------------
-    # Layer / DAG execution
-    # ------------------------------------------------------------------
-    def execute_layer(
-        self,
-        dag: ComputationDAG,
-        layer_index: int,
-        activations: np.ndarray,
-    ) -> LayerExecution:
-        """Run one DAG task over the photonic-electronic pipeline."""
-        task = self.loader.configure_layer(
-            dag, layer_index, self.num_wavelengths
-        )
-        activations = np.asarray(activations, dtype=np.float64).ravel()
-        check_activations(task.name, task.input_size, activations, True)
-        is_last = layer_index == dag.num_layers - 1
-        if self.fidelity == "fast":
-            return self._execute_plan(dag, task, activations, is_last)
-        if task.kind == "dense":
-            return self._execute_dense(dag, task, activations, is_last)
-        if task.kind == "conv":
-            return self._execute_conv(dag, task, activations, is_last)
-        if task.kind == "attention":
-            return self._execute_attention(dag, task, activations, is_last)
-        return self._execute_pool(task, activations)
-
-    def _execute_plan(
-        self,
-        dag: ComputationDAG,
-        task: LayerTask,
-        activations: np.ndarray,
-        is_last: bool,
-    ) -> LayerExecution:
-        """Replay one task's compiled plan (the serving fast path).
-
-        The memory-controller calls are identical to the per-row path —
-        they carry both the DRAM cycle ledger and the weight-jitter RNG
-        stream — and the plan charges the identical stream-cycle count,
-        so only the Python-side reduction work changes.
-        """
-        plan = self._plan_for(dag).plan(task.name)
-        if task.kind == "maxpool":
-            cycles = plan.compute_cycles
-            return LayerExecution(
-                task_name=task.name,
-                output_levels=plan.execute(self.core, activations),
-                compute_cycles=cycles,
-                compute_seconds=cycles / self.clock_hz,
-                datapath_seconds=0.0,
-                memory_seconds=0.0,
-                rows=0,
-            )
-        if task.kind == "attention":
-            self._require_matmul()
-        if task.kind == "conv":
-            _, memory_seconds = self.memory.load_kernel(
-                dag.model_id, task.name
-            )
-        else:
-            _, memory_seconds = self.memory.stream_weights(
-                dag.model_id, task.name
-            )
-        cycles = self._layer_cycles(plan)
-        return LayerExecution(
-            task_name=task.name,
-            output_levels=plan.finish(
-                plan.execute(self.core, activations), not is_last
-            ),
-            compute_cycles=cycles,
-            compute_seconds=cycles / self.clock_hz,
-            datapath_seconds=PER_LAYER_DATAPATH_SECONDS,
-            memory_seconds=memory_seconds,
-            rows=plan.rows,
-        )
-
-    def _layer_cycles(self, plan: ExecutionPlan) -> int:
-        """A weighted layer's compute cycles: stream, adder tree,
-        non-linearity."""
-        return (
-            plan.stream_cycles
-            + self.adder_tree.latency_cycles
-            + plan.nonlinear.latency_cycles
-        )
-
-    def _require_matmul(self) -> None:
-        if not supports_matmul(self.core):
-            raise ValueError(
-                "attention tasks require a behavioral core (device-"
-                "fidelity attention streaming is not implemented)"
-            )
-
-    def _finish_layer(
-        self,
-        task: LayerTask,
-        raw: np.ndarray,
-        is_last: bool,
-        stream_cycles: int,
-        memory_seconds: float,
-        rows: int,
-    ) -> LayerExecution:
-        """The per-row paths' tail: non-linearity, requantization,
-        cycle ledger."""
-        nonlinear = nonlinear_module(task.nonlinearity)
-        cycles = (
-            stream_cycles
-            + self.adder_tree.latency_cycles
-            + nonlinear.latency_cycles
-        )
-        return LayerExecution(
-            task_name=task.name,
-            output_levels=finish_output(
-                raw, nonlinear, 1.0 if is_last else task.requant_divisor
-            ),
-            compute_cycles=cycles,
-            compute_seconds=cycles / self.clock_hz,
-            datapath_seconds=PER_LAYER_DATAPATH_SECONDS,
-            memory_seconds=memory_seconds,
-            rows=rows,
-        )
-
-    def _execute_dense(
-        self,
-        dag: ComputationDAG,
-        task: LayerTask,
-        activations: np.ndarray,
-        is_last: bool,
-    ) -> LayerExecution:
-        # The memory controller streams this layer's weights; the first
-        # access fills the pipeline, the back-pressure buffer hides the
-        # rest behind compute.
-        _, memory_seconds = self.memory.stream_weights(
-            dag.model_id, task.name
-        )
-        rows = self._sign_separated(dag, task)
-        reduce = (
-            self._reduce_row_device
-            if self.fidelity == "device"
-            else self._reduce_row_fast
-        )
-        raw = np.array([reduce(row, activations) for row in rows])
-        if task.bias_levels is not None:
-            raw = raw + task.bias_levels
-        stream_cycles = sum(self._row_cycles(row) for row in rows)
-        return self._finish_layer(
-            task, raw, is_last, stream_cycles, memory_seconds, len(rows)
-        )
-
-    def _execute_conv(
-        self,
-        dag: ComputationDAG,
-        task: LayerTask,
-        activations: np.ndarray,
-        is_last: bool,
-    ) -> LayerExecution:
-        """A convolution layer: kernel rows reused across positions.
-
-        The kernel is fetched once via the memory controller's register
-        file cache (§4 step 3); each of the ``out_channels x positions``
-        dot products is one photonic vector reduction.  Outputs are
-        emitted channel-major (NCHW flattening) so downstream conv and
-        pool tasks can re-tile them.
-        """
-        conv = task.conv
-        assert conv is not None
-        _, memory_seconds = self.memory.load_kernel(
-            dag.model_id, task.name
-        )
-        patches = gather_patches(activations, conv)
-        rows = self._sign_separated(dag, task)  # one per output channel
-        if self.fidelity == "device":
-            raw = np.empty((conv.positions, conv.out_channels))
-            for p in range(conv.positions):
-                for oc, row in enumerate(rows):
-                    raw[p, oc] = self._reduce_row_device(row, patches[p])
-        elif supports_matmul(self.core):
-            # The sign-separated per-row reduction equals the signed
-            # dot product exactly, so the whole layer vectorizes as one
-            # noisy matmul on the behavioral core.
-            assert task.weights_levels is not None
-            raw = self.core.matmul(patches, task.weights_levels.T)
-        else:
-            # Device-accurate cores reduce row by row.
-            raw = np.empty((conv.positions, conv.out_channels))
-            for p in range(conv.positions):
-                for oc, row in enumerate(rows):
-                    raw[p, oc] = self._reduce_row_fast(row, patches[p])
-        if task.bias_levels is not None:
-            raw = raw + task.bias_levels  # broadcast per out-channel
-        raw = raw.T.ravel()  # channel-major (NCHW) flattening
-        per_row_cycles = sum(self._row_cycles(row) for row in rows)
-        stream_cycles = per_row_cycles * conv.positions
-        return self._finish_layer(
-            task,
-            raw,
-            is_last,
-            stream_cycles,
-            memory_seconds,
-            conv.out_channels * conv.positions,
-        )
-
-    def _execute_attention(
-        self,
-        dag: ComputationDAG,
-        task: LayerTask,
-        activations: np.ndarray,
-        is_last: bool,
-    ) -> LayerExecution:
-        """Self-attention: four static projections plus two
-        dynamic-dynamic photonic products (§4's attention template).
-
-        The score and context matmuls multiply two *runtime* streams —
-        which the photonic primitive supports natively, since both
-        modulators are DAC-driven; only the memory controller's role
-        differs from weight-static layers.  The digital softmax runs on
-        the real logit scale via the task's calibrated ``score_scale``.
-        """
-        att = task.attention
-        assert att is not None
-        self._require_matmul()
-        _, memory_seconds = self.memory.stream_weights(
-            dag.model_id, task.name
-        )
-        d = att.d_model
-        weights = task.weights_levels
-        assert weights is not None
-        wq, wk = weights[0:d], weights[d : 2 * d]
-        wv, wo = weights[2 * d : 3 * d], weights[3 * d : 4 * d]
-        tokens = activations.reshape(att.seq_len, d)
-        q = self.core.matmul(tokens, wq.T)
-        k = self.core.matmul(tokens, wk.T)
-        v = self.core.matmul(tokens, wv.T)
-        scores = self.core.matmul(q, k.T) * att.score_scale
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-        exps = np.exp(shifted)
-        attn = exps / exps.sum(axis=-1, keepdims=True)
-        # The attention weights are non-negative [0, 1] values: they ride
-        # the photonic core as levels directly.
-        context = self.core.matmul(attn * 255.0, v)
-        raw = self.core.matmul(context, wo.T).ravel()
-
-        def row_cost(length: int) -> int:
-            steps = math.ceil(length / self.num_wavelengths)
-            return self.preamble_repeats + math.ceil(
-                steps / self.samples_per_cycle
-            )
-
-        stream_cycles = (
-            3 * att.seq_len * row_cost(d)  # Q, K, V projections
-            + att.seq_len * row_cost(d)  # score rows
-            + att.seq_len * row_cost(att.seq_len)  # context rows
-            + att.seq_len * row_cost(d)  # output projection
-        )
-        # The softmax pipelines once per score row.
-        stream_cycles += att.seq_len * 8
-        return self._finish_layer(
-            task,
-            raw,
-            is_last,
-            stream_cycles,
-            memory_seconds,
-            6 * att.seq_len,
-        )
-
-    def _execute_pool(
-        self, task: LayerTask, activations: np.ndarray
-    ) -> LayerExecution:
-        """Max pooling: a pipeline-parallel digital stage.
-
-        Pooling needs neither photonics nor weights; it is folded into
-        the digital pipeline of the preceding layer, so it contributes
-        comparator cycles (``samples_per_cycle`` comparisons per clock)
-        but no per-layer datapath overhead.
-        """
-        pool = task.pool
-        assert pool is not None
-        image = activations.reshape(pool.channels, pool.height, pool.width)
-        windows = np.lib.stride_tricks.sliding_window_view(
-            image, (pool.kernel, pool.kernel), axis=(1, 2)
-        )[:, :: pool.effective_stride, :: pool.effective_stride]
-        pooled = windows.max(axis=(-2, -1))
-        comparisons = task.output_size * (pool.kernel * pool.kernel - 1)
-        cycles = max(
-            1, math.ceil(comparisons / self.samples_per_cycle)
-        )
-        return LayerExecution(
-            task_name=task.name,
-            output_levels=pooled.ravel(),
-            compute_cycles=cycles,
-            compute_seconds=cycles / self.clock_hz,
-            datapath_seconds=0.0,
-            memory_seconds=0.0,
-            rows=0,
-        )
-
-    def execute(
-        self, model_id: int, input_levels: np.ndarray
-    ) -> InferenceExecution:
-        """Serve one inference request end to end on the datapath.
-
-        ``input_levels`` are the query's activation levels (0..255).
-        Layers execute in DAG order; tasks in the same parallel group
-        share their datapath overhead (Appendix F).
-
-        The compiled fast path runs a request as two straight-line
-        programs, each once: the model's forward program computes the
-        numerics (validating the input before anything is charged) and
-        the :class:`TimingPlan` replays the ledger — same counters,
-        same DRAM reads and jitter draws, same register end state as
-        :meth:`execute_layers`, which the other fidelities walk.
-        """
-        if self._walks_layers():
-            return self.execute_layers(model_id, input_levels)
-        dag, plan_model, tplan = self._compiled(model_id)
-        outputs = plan_model.forward(self.core, input_levels)
-        timing, read_latencies = self._replay_ledger(dag, plan_model, tplan)
-        return InferenceExecution(
+    def register_model(self, dag: ComputationDAG) -> None:
+        """Register a DAG and stage its parameters in DRAM."""
+        self.loader.register_model(dag)
+        self.memory.store_model(
             dag.model_id,
-            dag.name,
-            outputs[-1],
-            timing,
-            functools.partial(_ledger_layers, tplan, read_latencies, outputs),
+            {
+                task.name: task.weights_levels
+                for task in dag.tasks
+                if task.weights_levels is not None
+            },
         )
 
-    def execute_layers(
-        self, model_id: int, input_levels: np.ndarray
-    ) -> InferenceExecution:
-        """Serve one request by walking :meth:`execute_layer`.
+    def unregister_model(self, model_id: int) -> None:
+        """Remove one model and everything derived from it.
 
-        The per-layer instrument: every task configures its registers,
-        fetches its weights and reports its own
-        :class:`LayerExecution`.  ``fidelity="loop"``/``"device"``
-        have no other way to run, :class:`~repro.core.trace.DatapathTracer`
-        walks it on any fidelity for the complete register and layer
-        event stream, and the compiled path is tested against it.
+        The model's DRAM image is left in place — the memory
+        controller models a log-structured store with no reclamation,
+        and a stale image is unreachable once the loader forgets the
+        DAG.  Re-registering the same id later simply stores a fresh
+        image.
         """
-        dag = self.loader.load(model_id)
-        if self.fidelity == "fast":
-            self._plan_for(dag).replays += 1
-        activations = np.asarray(input_levels, dtype=np.float64).ravel()
-        layer_records: list[LayerExecution] = []
-        seen_groups: set[str] = set()
-        for index, task in enumerate(dag.tasks):
-            record = self.execute_layer(dag, index, activations)
-            if task.parallel_group is not None:
-                if task.parallel_group in seen_groups:
-                    record = dataclasses.replace(
-                        record, datapath_seconds=0.0
-                    )
-                else:
-                    seen_groups.add(task.parallel_group)
-            layer_records.append(record)
-            activations = record.output_levels
-        return InferenceExecution(
-            dag.model_id,
-            dag.name,
-            layer_records[-1].output_levels,
-            TimingEstimate(
-                compute_seconds=sum(r.compute_seconds for r in layer_records),
-                datapath_seconds=sum(
-                    r.datapath_seconds for r in layer_records
-                ),
-                memory_seconds=sum(r.memory_seconds for r in layer_records),
-            ),
-            tuple(layer_records),
-        )
-
-    def forward(self, model_id: int, input_levels: np.ndarray) -> np.ndarray:
-        """One request's output levels and nothing else.
-
-        No registers, no DRAM, no counters: the numerics half of
-        :meth:`execute`, whose ledger half is :meth:`execute_timing`.
-        """
-        self._require_fast()
-        plan_model = self._plan_for(self.loader.dag(model_id))
-        return plan_model.forward(self.core, input_levels)[-1]
-
-    @property
-    def defers_numerics(self) -> bool:
-        """Whether a request's numerics may run later than its ledger.
-
-        True when the forward program tapes this core's noise (a plain
-        behavioural core with Gaussian or no noise, on the compiled
-        path): then :meth:`forward_keyed` is a function of the plan,
-        the levels, the key and the core's seed and noise model alone
-        — no clock, no stream position — so a serving loop can charge
-        a dispatch now and evaluate it with others, in one block.
-        """
-        return self.fidelity == "fast" and tape_law(self.core) is not None
+        self.loader.unregister_model(model_id)
 
     def check_request(self, model_id: int, levels: np.ndarray) -> None:
         """Raise the ``ValueError`` :meth:`execute` would for a request
@@ -985,32 +386,6 @@ class LightningDatapath:
             first.name, first.input_size, np.asarray(levels), True
         )
 
-    def forward_keyed(
-        self,
-        model_id: int,
-        block: np.ndarray,
-        keyed_rows: Sequence[tuple[tuple[int, ...], int]],
-    ) -> np.ndarray:
-        """Output levels of a ``(B, n)`` block of requests whose noise
-        is keyed: ``keyed_rows`` lists ``(key, rows)`` in block order,
-        and each group draws from the core's
-        :meth:`~repro.photonics.core.BehavioralCore.noise_stream` for
-        its key, never from the core's own stream.  Only a core that
-        :attr:`defers_numerics` has one.
-        """
-        self._require_fast()
-        plan_model = self._plan_for(self.loader.dag(model_id))
-        streams = [
-            (self.core.noise_stream(*key), rows) for key, rows in keyed_rows
-        ]
-        return plan_model.forward_block(self.core, block, streams)[-1]
-
-    def row_bytes(self, model_id: int) -> int:
-        """Bytes one of a model's requests keeps live in a forward
-        block (its draws and its widest task's operands): what sizes
-        the blocks an executor cuts a backlog into."""
-        return self._plan_for(self.loader.dag(model_id)).row_bytes
-
     def execute_batch(
         self, model_id: int, batch_levels: np.ndarray
     ) -> BatchExecution:
@@ -1019,8 +394,7 @@ class LightningDatapath:
         The core's architecture defines the hardware batch width ``B``
         (Appendix E): the weights are encoded once per pass and split
         optically to ``B`` input-modulator lanes, so ``ceil(batch / B)``
-        passes serve the whole batch.  The rows run through the forward
-        program as one block, so outputs are the bytes per-sample
+        passes serve the whole batch.  Outputs are the bytes per-sample
         :meth:`execute` calls produce from the same noise-stream
         position; only the cycle accounting differs: every sample
         advances the counters and the memory RNG, one pipeline pass's
@@ -1035,18 +409,7 @@ class LightningDatapath:
             raise ValueError("a batch needs at least one query")
         hardware_batch = self.core.architecture.batch_size
         passes = math.ceil(batch / hardware_batch)
-        if self._walks_layers():
-            executions = [
-                self.execute_layers(model_id, row) for row in batch_levels
-            ]
-            outputs = np.stack(
-                [execution.output_levels for execution in executions]
-            )
-            first = executions[0].timing
-        else:
-            _, plan_model, tplan = self._compiled(model_id)
-            outputs = plan_model.forward_block(self.core, batch_levels)[-1]
-            first, _ = self._replay_ledger(dag, plan_model, tplan, batch)
+        outputs, first = self._serve_block(dag, batch_levels)
         timing = first.repeated(passes)
         return BatchExecution(
             model_id=dag.model_id,
@@ -1060,31 +423,226 @@ class LightningDatapath:
             memory_seconds=timing.memory_seconds,
         )
 
+    def _serve_block(
+        self, dag: ComputationDAG, block: np.ndarray
+    ) -> tuple[np.ndarray, TimingEstimate]:
+        """Every row's output levels, every row's ledger charged, and
+        the first row's pipeline cost (what a pass is billed)."""
+        raise NotImplementedError
+
+
+class LightningDatapath(DatapathBase):
+    """Cycle-level functional model of Lightning's datapath."""
+
+    def __init__(
+        self,
+        core: BehavioralCore | PrototypeCore | None = None,
+        clock_hz: float = PROTOTYPE_FPGA_CLOCK_MHZ * 1e6,
+        samples_per_cycle: int = PROTOTYPE_SAMPLES_PER_CYCLE,
+        preamble_pattern: str = PREAMBLE_PATTERN_TESTBED,
+        preamble_repeats: int = 10,
+        fidelity: str = "fast",
+        memory: MemoryController | None = None,
+        registers: ControlRegisterFile | None = None,
+        seed: int = 0,
+    ) -> None:
+        """``core`` is the photonic core requests run on (default: a
+        :class:`~repro.photonics.core.BehavioralCore`); its
+        architecture fixes the wavelength count and the hardware batch.
+        ``clock_hz`` turns cycle counts into seconds,
+        ``samples_per_cycle`` is the converters' lanes per digital
+        clock (also the adder tree's width), and each output row's
+        vector is framed by ``preamble_pattern`` repeated
+        ``preamble_repeats`` times — the compiled ledger charges the
+        repeats; only the reference's framing path sends the pattern.
+        ``memory`` and ``registers`` adopt an existing memory
+        controller or control-register file in place of fresh ones.
+
+        ``fidelity`` accepts the one value ``"fast"`` and ``seed`` is
+        inert — no generator on this class reads it; the core and the
+        memory controller carry their own seeds.  Both keywords remain
+        because existing callers pass them; the per-row and framing
+        paths they once selected and seeded are
+        :class:`~repro.core.reference.ReferenceDatapath`.
+        """
+        if fidelity != "fast":
+            raise ValueError(
+                f"fidelity must be 'fast', not {fidelity!r}: the per-row "
+                "and framing paths are repro.core.reference."
+                "ReferenceDatapath"
+            )
+        super().__init__(
+            core,
+            clock_hz,
+            samples_per_cycle,
+            preamble_pattern,
+            preamble_repeats,
+            memory,
+            registers,
+        )
+        self._plans: dict[int, ModelPlan] = {}
+        self._timing_plans: dict[int, TimingPlan] = {}
+
+    # ------------------------------------------------------------------
+    # Model management
+    # ------------------------------------------------------------------
+    def register_model(
+        self, dag: ComputationDAG, plan: ModelPlan | None = None
+    ) -> None:
+        """Register a DAG, stage its parameters in DRAM, compile plans.
+
+        Every task is lowered to its
+        :class:`~repro.core.plans.ExecutionPlan` here, once, so serving
+        replays cached gather maps and stacked operands instead of
+        re-deriving them per request.  ``plan`` lets a caller adopt an
+        already-compiled :class:`~repro.core.plans.ModelPlan` (e.g. one
+        rebuilt around shared-memory views in a worker process) instead
+        of compiling — the geometry must match this datapath's.
+        """
+        if plan is not None and plan.geometry != self.plan_geometry:
+            raise ValueError(
+                "adopted plan was compiled for a different "
+                "datapath geometry"
+            )
+        super().register_model(dag)
+        if plan is None:
+            plan = compile_model(dag, self.plan_geometry)
+        self._plans[dag.model_id] = plan
+        self._timing_plans[dag.model_id] = self._compile_timing(dag, plan)
+
+    def unregister_model(self, model_id: int) -> None:
+        super().unregister_model(model_id)
+        del self._plans[model_id]
+        del self._timing_plans[model_id]
+
+    def timing_plan(self, model_id: int) -> TimingPlan | None:
+        """A registered model's ledger constants (``None`` for an
+        unregistered id)."""
+        return self._timing_plans.get(model_id)
+
+    def model_plan(self, model_id: int) -> ModelPlan | None:
+        """A registered model's compiled plan (``None`` for an
+        unregistered id).
+
+        The serving layer uses this to publish a deployed model's
+        compiled state into shared memory for worker processes.
+        """
+        return self._plans.get(model_id)
+
+    def plan_stats(self) -> dict[int, dict[str, int]]:
+        """Per-model plan-cache statistics (tasks compiled, replays)."""
+        return {
+            model_id: {"tasks": plan.num_tasks, "replays": plan.replays}
+            for model_id, plan in self._plans.items()
+        }
+
+    def _plan(self, model_id: int) -> ModelPlan:
+        """A registered model's forward program (the loader's
+        ``KeyError`` for an unknown id)."""
+        self.loader.dag(model_id)
+        return self._plans[model_id]
+
+    # ------------------------------------------------------------------
+    # Requests
+    # ------------------------------------------------------------------
+    def execute(
+        self, model_id: int, input_levels: np.ndarray
+    ) -> InferenceExecution:
+        """Serve one inference request end to end on the datapath.
+
+        ``input_levels`` are the query's activation levels (0..255).
+        Layers execute in DAG order; tasks in the same parallel group
+        share their datapath overhead (Appendix F).
+
+        A request is two straight-line programs, each run once: the
+        model's forward program computes the numerics (validating the
+        input before anything is charged) and the :class:`TimingPlan`
+        replays the ledger — same counters, same DRAM reads and jitter
+        draws, same register end state as the per-layer
+        :func:`~repro.core.reference.walk`.
+        """
+        dag, plan_model, tplan = self._compiled(model_id)
+        outputs = plan_model.forward(self.core, input_levels)
+        timing, read_latencies = self._replay_ledger(dag, plan_model, tplan)
+        return InferenceExecution(
+            dag.model_id,
+            dag.name,
+            outputs[-1],
+            timing,
+            functools.partial(_ledger_layers, tplan, read_latencies, outputs),
+        )
+
+    def forward(self, model_id: int, input_levels: np.ndarray) -> np.ndarray:
+        """One request's output levels and nothing else.
+
+        No registers, no DRAM, no counters: the numerics half of
+        :meth:`execute`, whose ledger half is :meth:`execute_timing`.
+        """
+        return self._plan(model_id).forward(self.core, input_levels)[-1]
+
+    @property
+    def defers_numerics(self) -> bool:
+        """Whether a request's numerics may run later than its ledger.
+
+        True when the forward program tapes this core's noise (a plain
+        behavioural core with Gaussian or no noise): then
+        :meth:`forward_keyed` is a function of the plan, the levels,
+        the key and the core's seed and noise model alone — no clock,
+        no stream position — so a serving loop can charge a dispatch
+        now and evaluate it with others, in one block.
+        """
+        return tape_law(self.core) is not None
+
+    def forward_keyed(
+        self,
+        model_id: int,
+        block: np.ndarray,
+        keyed_rows: Sequence[tuple[tuple[int, ...], int]],
+    ) -> np.ndarray:
+        """Output levels of a ``(B, n)`` block of requests whose noise
+        is keyed: ``keyed_rows`` lists ``(key, rows)`` in block order,
+        and each group draws from the core's
+        :meth:`~repro.photonics.core.BehavioralCore.noise_stream` for
+        its key, never from the core's own stream.  Only a core that
+        :attr:`defers_numerics` has one.
+        """
+        streams = [
+            (self.core.noise_stream(*key), rows) for key, rows in keyed_rows
+        ]
+        return self._plan(model_id).forward_block(
+            self.core, block, streams
+        )[-1]
+
+    def row_bytes(self, model_id: int) -> int:
+        """Bytes one of a model's requests keeps live in a forward
+        block (its draws and its widest task's operands): what sizes
+        the blocks an executor cuts a backlog into."""
+        return self._plan(model_id).row_bytes
+
+    def _serve_block(
+        self, dag: ComputationDAG, block: np.ndarray
+    ) -> tuple[np.ndarray, TimingEstimate]:
+        """The rows run through the forward program as one block."""
+        _, plan_model, tplan = self._compiled(dag.model_id)
+        outputs = plan_model.forward_block(self.core, block)[-1]
+        return outputs, self._replay_ledger(
+            dag, plan_model, tplan, len(block)
+        )[0]
+
     # ------------------------------------------------------------------
     # The compiled ledger (serving, and process-parallel dry-runs)
     # ------------------------------------------------------------------
-    def _require_fast(self) -> None:
-        if self.fidelity != "fast":
-            raise ValueError(
-                "timing dry-runs require the compiled fast path "
-                "(fidelity='fast')"
-            )
-
-    def _walks_layers(self) -> bool:
-        """Whether requests take :meth:`execute_layers`, not the
-        compiled programs: the fidelity alone decides."""
-        return self.fidelity != "fast"
-
     def _compile_timing(
         self, dag: ComputationDAG, plan_model: ModelPlan
     ) -> TimingPlan:
         """Freeze one model's ledger constants.
 
-        Everything the per-layer walk recomputes per request that does
-        not actually vary — per-layer cycle counts, the
-        parallel-group-deduped datapath charges, each memory-touching
-        layer's transfer time from its resident byte count — is folded
-        here, once, in the walk's exact summation order.
+        Everything the per-layer :func:`~repro.core.reference.walk`
+        recomputes per request that does not actually vary — per-layer
+        cycle counts, the parallel-group-deduped datapath charges, each
+        memory-touching layer's transfer time from its resident byte
+        count — is folded here, once, in the walk's exact summation
+        order.
         """
         cycles: list[int] = []
         rows: list[int] = []
@@ -1103,7 +661,12 @@ class LightningDatapath:
             else:
                 if task.kind == "attention":
                     needs_matmul = True
-                cycles.append(self._layer_cycles(plan))
+                # Stream, adder tree, non-linearity.
+                cycles.append(
+                    plan.stream_cycles
+                    + self.adder_tree.latency_cycles
+                    + plan.nonlinear.latency_cycles
+                )
                 charged = True
                 data = self.memory.peek(dag.model_id, task.name)
                 read_layers.append(index)
@@ -1144,17 +707,13 @@ class LightningDatapath:
     def _compiled(
         self, model_id: int
     ) -> tuple[ComputationDAG, ModelPlan, TimingPlan]:
-        """A model's DAG and both compiled programs (rebuilt lazily if
-        invalidated), checked against the core — charging nothing."""
+        """A model's DAG and both compiled programs, checked against
+        the core — charging nothing."""
         dag = self.loader.dag(model_id)
-        plan_model = self._plan_for(dag)
-        tplan = self._timing_plans.get(model_id)
-        if tplan is None:
-            tplan = self._compile_timing(dag, plan_model)
-            self._timing_plans[model_id] = tplan
+        tplan = self._timing_plans[model_id]
         if tplan.needs_matmul:
-            self._require_matmul()
-        return dag, plan_model, tplan
+            require_matmul(self.core)
+        return dag, self._plans[model_id], tplan
 
     def _replay_ledger(
         self,
@@ -1165,11 +724,12 @@ class LightningDatapath:
     ) -> tuple[TimingEstimate, list[float]]:
         """Charge ``samples`` requests' ledger off the timing plan.
 
-        Exactly what that many :meth:`execute_layers` walks charge —
-        same loader and replay counters, same register end state, same
-        DRAM reads, hits, and jitter draws in the same order.  Returns
-        the first sample's pipeline cost (the only one a batch is
-        billed, per pass) and its per-read exposed latencies.
+        Exactly what that many per-layer walks
+        (:func:`~repro.core.reference.walk`) charge — same loader and
+        replay counters, same register end state, same DRAM reads,
+        hits, and jitter draws in the same order.  Returns the first
+        sample's pipeline cost (the only one a batch is billed, per
+        pass) and its per-read exposed latencies.
 
         Sample 0 reads every streaming layer plus every not-yet-cached
         conv kernel: a scalar fold, because numpy's fixed costs on a
@@ -1219,7 +779,6 @@ class LightningDatapath:
         runs the forward half.  A degraded core replays the same plan:
         no ledger constant reads the core's analog state.
         """
-        self._require_fast()
         return self._replay_ledger(*self._compiled(model_id))[0]
 
     def execute_batch_timing(
@@ -1233,7 +792,6 @@ class LightningDatapath:
         """
         if batch < 1:
             raise ValueError("a batch needs at least one query")
-        self._require_fast()
         passes = math.ceil(batch / self.core.architecture.batch_size)
         first, _ = self._replay_ledger(*self._compiled(model_id), batch)
         return first.repeated(passes)

@@ -2,14 +2,13 @@
 
 The datapath's count-action hardware never stops and goes: once the DAG
 loader writes a layer's targets, weights and activations stream through
-the photonic core back-to-back.  The Python emulator, however, used to
-re-derive gather patterns and walk ``for row in rows`` loops on every
-request, so the *emulator* — not the modeled hardware — bounded serving
-throughput.  This module removes that bottleneck the way ENLighten and
-LiteCON do: every :class:`~repro.core.dag.LayerTask` is compiled once,
-at :meth:`~repro.core.datapath.LightningDatapath.register_model` time,
-into an :class:`ExecutionPlan` that replays each request as a handful of
-vectorized numpy operations and *one* photonic-core call per layer.
+the photonic core back-to-back.  So that the Python emulator does not
+bound serving throughput where the modeled hardware would not, every
+:class:`~repro.core.dag.LayerTask` is compiled once, at
+:meth:`~repro.core.datapath.LightningDatapath.register_model` time —
+the way ENLighten and LiteCON do — into an :class:`ExecutionPlan` that
+replays each request as a handful of vectorized numpy operations and
+*one* photonic-core call per layer.
 
 What a plan precomputes:
 
@@ -47,17 +46,20 @@ draws are laid out once per noise law and a request's are one fill
 that each site takes its slice of.  One request is the program at
 ``B = 1``.  Cores the tape cannot stand in for (fault wrappers,
 device-accurate cores, other noise models) walk their rows one by one
-through ``execute``, as the per-layer instrument always does.
+through ``execute``, as :func:`repro.core.reference.walk` does on a
+compiled datapath.
 
-Every plan also precomputes the task's full cycle ledger (stream cycles,
-adder-tree latency, non-linearity latency) using *exactly* the formulas
-of the per-row path, so Figure 15/17/21 cycle accounting is bit-for-bit
-unchanged.  Noise semantics are preserved draw-for-draw: a plan issues
-the same RNG stream the per-row loop issues (one Gaussian per digital
-output on behavioural cores with summable noise, one per photonic
-readout elsewhere, in the same order), so predictions are reproducible
-under a fixed seed; the only difference is floating-point summation
-order (documented in DESIGN.md).
+Every plan also precomputes the task's stream cycles
+(:meth:`PlanGeometry.step_cycles`, the compiled ledger's one copy of
+the formula), checked against the copy
+:class:`~repro.core.reference.ReferenceDatapath` keeps, so Figure
+15/17/21 cycle accounting is bit for bit the per-row reference's.
+Noise semantics are preserved draw-for-draw: a plan issues the same RNG
+stream the reference's per-row reduction issues (one Gaussian per
+digital output on behavioural cores with summable noise, one per
+photonic readout elsewhere, in the same order), so predictions are
+reproducible under a fixed seed; the only difference is floating-point
+summation order (documented in DESIGN.md).
 """
 
 from __future__ import annotations
@@ -221,15 +223,21 @@ class PlanGeometry:
     samples_per_cycle: int
     preamble_repeats: int
 
-    def row_cycles(self, vector_length: int) -> int:
-        """Digital cycles to stream and reduce one output row.
-
-        Identical to the per-row path's ledger: one preamble per vector
-        plus the ceil-divided stream cycles.
+    def step_cycles(self, num_steps: int) -> int:
+        """Digital cycles to stream and reduce one output row of
+        ``num_steps`` photonic steps: one preamble per vector plus the
+        ceil-divided stream cycles.  The compiled ledger's one copy of
+        the formula; the reference walk keeps its own, which this one
+        is checked against.
         """
-        steps = math.ceil(vector_length / self.num_wavelengths)
         return self.preamble_repeats + math.ceil(
-            steps / self.samples_per_cycle
+            num_steps / self.samples_per_cycle
+        )
+
+    def row_cycles(self, vector_length: int) -> int:
+        """:meth:`step_cycles` of a ``vector_length``-element row."""
+        return self.step_cycles(
+            math.ceil(vector_length / self.num_wavelengths)
         )
 
 
@@ -281,7 +289,7 @@ class ExecutionPlan:
         self.requant_divisor = task.requant_divisor
         #: Output rows the task reduces (the LayerExecution ``rows``).
         self.rows: int = 0
-        #: Stream cycles charged by the task, identical to the loop path.
+        #: Stream cycles charged by the task, identical to the reference's.
         self.stream_cycles: int = 0
 
     def execute(self, core, activations: np.ndarray) -> np.ndarray:
@@ -411,9 +419,11 @@ class _ReadoutBlock:
         self._scratch = np.empty(self.total_steps, dtype=np.float64)
         # The stacked block is a CSR matrix with exactly N entries per
         # step row (padding entries carry zero magnitude), so the clean
-        # partials are one sparse matvec — bit-identical to gathering
-        # and contracting lane by lane, at roughly half the memory
-        # traffic.  Used only when scipy's kernel is importable.
+        # partials are one sparse matvec, at roughly half the memory
+        # traffic of gathering first.  Used only when scipy's kernel is
+        # importable; ``accumulate_into`` sums a step's lanes in the
+        # kernel's left-to-right order, so the bytes are the same
+        # either way.
         self._input_size = input_size
         self._csr_indptr = np.arange(
             0, self.total_steps * num_wavelengths + 1, num_wavelengths,
@@ -442,7 +452,8 @@ class _ReadoutBlock:
         """Per-row accumulate calls for noise models whose draws are
         not stream-equivalent under batching (``CompositeNoise``
         cascades one draw per source per *call*, so one stacked call
-        would interleave the stream differently than the loop path)."""
+        would interleave the stream differently than the reference's
+        per-row reduction)."""
         gathered = activations.take(self.a_index)
         call = core.accumulate
         partials = np.empty(self.total_steps, dtype=np.float64)
@@ -512,9 +523,7 @@ class DensePlan(ExecutionPlan):
         super().__init__(task, geometry)
         self.rows = len(rows)
         self.stream_cycles = sum(
-            geometry.preamble_repeats
-            + math.ceil(row.num_steps / geometry.samples_per_cycle)
-            for row in rows
+            geometry.step_cycles(row.num_steps) for row in rows
         )
         steps = np.array([row.num_steps for row in rows], dtype=np.float64)
         net_signs = np.array([row.group_signs.sum() for row in rows])
@@ -591,11 +600,7 @@ class ConvPlan(ExecutionPlan):
         # path consumed ``task.weights_levels.T``, bit-for-bit.
         self.weights_t = task.weights_levels.T
         self.rows = conv.out_channels * conv.positions
-        per_row = sum(
-            geometry.preamble_repeats
-            + math.ceil(row.num_steps / geometry.samples_per_cycle)
-            for row in rows
-        )
+        per_row = sum(geometry.step_cycles(row.num_steps) for row in rows)
         self.stream_cycles = per_row * conv.positions
         self._rows = rows
         # Built lazily, only for cores without a native matmul.
@@ -610,7 +615,7 @@ class ConvPlan(ExecutionPlan):
     def _fallback_block(self) -> tuple[np.ndarray, ...]:
         """Stacked accumulate operands for matmul-less cores.
 
-        The block replays the legacy ``for position: for channel:``
+        The block replays the reference's ``for position: for channel:``
         double loop as one accumulate call, preserving its p-major RNG
         draw order.
         """
@@ -1066,53 +1071,36 @@ def check_activations(
         )
 
 
-def compile_task(
-    task: LayerTask,
-    geometry: PlanGeometry,
-    rows: list[SignSeparatedRow] | None = None,
-) -> ExecutionPlan:
+def compile_task(task: LayerTask, geometry: PlanGeometry) -> ExecutionPlan:
     """Compile one DAG task into its execution plan.
 
-    ``rows`` lets the caller pass an existing sign-separation (the
-    datapath's per-model cache) so compilation never duplicates the
-    offline phase's work.
+    Dense and conv tasks run the offline phase here — one sign
+    separation per weight row — and the plan keeps the rows (attention
+    streams through matmul directly).
     """
     if task.kind == "maxpool":
         return PoolPlan(task, geometry)
     if task.kind == "attention":
         return AttentionPlan(task, geometry)
-    if rows is None:
-        assert task.weights_levels is not None
-        rows = [
-            sign_separate_row(row, geometry.num_wavelengths)
-            for row in task.weights_levels
-        ]
+    assert task.weights_levels is not None
+    rows = [
+        sign_separate_row(row, geometry.num_wavelengths)
+        for row in task.weights_levels
+    ]
     if task.kind == "dense":
         return DensePlan(task, geometry, rows)
     return ConvPlan(task, geometry, rows)
 
 
-def compile_model(
-    dag: ComputationDAG,
-    geometry: PlanGeometry,
-    rows_for: "callable | None" = None,
-) -> ModelPlan:
-    """Compile a whole DAG, one plan per task.
-
-    ``rows_for(task)`` supplies cached sign-separated rows for weighted
-    tasks (attention excluded — it streams through matmul directly).
-    """
-    plans: dict[str, ExecutionPlan] = {}
-    for task in dag.tasks:
-        rows = None
-        if rows_for is not None and task.kind in ("dense", "conv"):
-            rows = rows_for(task)
-        plans[task.name] = compile_task(task, geometry, rows)
+def compile_model(dag: ComputationDAG, geometry: PlanGeometry) -> ModelPlan:
+    """Compile a whole DAG, one plan per task."""
     return ModelPlan(
         model_id=dag.model_id,
         model_name=dag.name,
         geometry=geometry,
-        tasks=plans,
+        tasks={
+            task.name: compile_task(task, geometry) for task in dag.tasks
+        },
     )
 
 

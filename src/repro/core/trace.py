@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datapath import InferenceExecution, LightningDatapath
+from .reference import walk
 
 __all__ = ["TraceEvent", "DatapathTracer"]
 
@@ -97,10 +98,10 @@ class DatapathTracer:
                 "this tracer was built as a pure event sink (no datapath); "
                 "attach a LightningDatapath to trace executions"
             )
-        # The per-layer walk, on any fidelity: the compiled serving
-        # path skips the intermediate layers' register writes.
+        # The per-layer walk: the compiled serving path skips the
+        # intermediate layers' register writes.
         with self.datapath.registers.capture() as writes:
-            execution = self.datapath.execute_layers(model_id, input_levels)
+            execution = walk(self.datapath, model_id, input_levels)
         self._events.append(
             TraceEvent(
                 time_s=self._clock_s,

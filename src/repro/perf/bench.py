@@ -47,6 +47,7 @@ import numpy as np
 
 from ..core.dag import ComputationDAG
 from ..core.datapath import LightningDatapath
+from ..core.reference import ReferenceDatapath
 from ..dnn import build_lenet_300_100, quantize_mlp
 from ..fabric import Fabric, ShardSpec
 from ..photonics import BehavioralCore
@@ -223,10 +224,8 @@ class Case:
     baseline: bool = False
 
 
-def _datapath(core: int, fidelity: str = "fast") -> LightningDatapath:
-    return LightningDatapath(
-        core=BehavioralCore(seed=core), fidelity=fidelity, seed=core
-    )
+def _datapath(core: int) -> LightningDatapath:
+    return LightningDatapath(core=BehavioralCore(seed=core))
 
 
 def _full_load_trace(dag: ComputationDAG, requests: int):
@@ -275,8 +274,7 @@ def _emulator(stack: ExitStack) -> Legs:
         0, 256, size=(EMULATOR_REQUESTS, dag.tasks[0].input_size)
     ).astype(np.float64)
 
-    def leg(fidelity: str):
-        datapath = _datapath(0, fidelity)
+    def leg(datapath):
         datapath.register_model(dag)
 
         def serve() -> list[tuple[int, list[int]]]:
@@ -297,17 +295,21 @@ def _emulator(stack: ExitStack) -> Legs:
                 "the loop path"
             )
 
-    return Legs(leg("loop"), leg("fast"), verify)
+    return Legs(
+        leg(ReferenceDatapath(core=BehavioralCore(seed=0))),
+        leg(_datapath(0)),
+        verify,
+    )
 
 
 def _cluster_vs_walk(stack: ExitStack) -> Legs:
     """Per-request wall of the loop walk over the cluster's.
 
-    A four-core cluster serves the trace; a bare ``fidelity="loop"``
-    datapath (a cluster refuses one) repeats :data:`LOOP_WALK` of its
-    requests through ``execute``.  The walk costs ~150x the cluster's
-    wall per request, so it covers a sample and ``scale`` makes the
-    ratio per request.
+    A four-core cluster serves the trace; a bare
+    :class:`~repro.core.reference.ReferenceDatapath` (a cluster refuses
+    one) repeats :data:`LOOP_WALK` of its requests through ``execute``.
+    The walk costs ~150x the cluster's wall per request, so it covers a
+    sample and ``scale`` makes the ratio per request.
     """
     dag = lenet_class_dag(0)
     trace = _full_load_trace(dag, CLUSTER_REQUESTS)
@@ -316,7 +318,7 @@ def _cluster_vs_walk(stack: ExitStack) -> Legs:
     cluster = _cluster(
         stack, dag, num_cores=4, max_batch=4, queue_capacity=len(trace)
     )
-    walker = _datapath(0, "loop")
+    walker = ReferenceDatapath(core=BehavioralCore(seed=0))
     walker.register_model(dag)
     walked = trace[:LOOP_WALK]
 

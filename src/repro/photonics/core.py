@@ -509,15 +509,15 @@ class BehavioralCore:
         ``loc + scale * z`` — so the noise stream is draw-for-draw the
         per-row loop's; the clean dot products differ from
         :meth:`accumulate` only in float rounding/summation order.
+        That order is one for every ``N``: products in place, then the
+        lanes added left to right — a CSR matvec's order, so a plan
+        that takes scipy's kernel where it imports and this method
+        where it does not returns the same bytes.
         """
-        if a_pairs.shape[1] == 2:
-            # The prototype geometry (N=2): one in-place multiply and
-            # one strided add beat the einsum contraction.
-            np.multiply(a_pairs, b_pairs, out=a_pairs)
-            flat = a_pairs.reshape(-1)
-            np.add(flat[0::2], flat[1::2], out=out)
-        else:
-            np.einsum("ij,ij->i", a_pairs, b_pairs, out=out)
+        np.multiply(a_pairs, b_pairs, out=a_pairs)
+        out[:] = a_pairs[:, 0]
+        for lane in range(1, a_pairs.shape[1]):
+            out += a_pairs[:, lane]
         return self.readout_noise_into(out, scratch)
 
     def readout_noise_into(

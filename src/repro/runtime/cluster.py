@@ -289,7 +289,7 @@ class Cluster:
         factory = (
             datapath_factory
             if datapath_factory is not None
-            else lambda core: LightningDatapath(seed=core)
+            else lambda core: LightningDatapath()
         )
         self.datapaths: tuple[LightningDatapath, ...] = tuple(
             factory(core) for core in range(num_cores)
@@ -382,13 +382,15 @@ class Cluster:
         and replay counters.
 
         Warm-up executes a few zero queries per core so first live
-        requests do not pay one-time costs (sign-separation caching).
+        requests do not pay one-time costs (noise-tape layout, scratch
+        growth).
 
         A cluster serves compiled plans only (a dispatch is a ledger
-        replay plus a forward program): datapaths of another fidelity
-        are refused before any core registers the model.
+        replay plus a forward program): any other datapath — the
+        per-row reference — is refused before any core registers the
+        model.
         """
-        if any(d.fidelity != "fast" for d in self.datapaths):
+        if not all(isinstance(d, LightningDatapath) for d in self.datapaths):
             raise ValueError(
                 "a cluster replays compiled plans; build its datapaths "
                 "with fidelity='fast'"
@@ -409,7 +411,6 @@ class Cluster:
                         donor=donor_path.model_plan(dag.model_id),
                     ),
                 )
-                datapath.adopt_sign_separation(donor_path, dag.model_id)
                 continue
             datapath.register_model(dag)
             arrays, meta = export_model_plan(
@@ -437,7 +438,7 @@ class Cluster:
     def undeploy(self, model_id: int) -> None:
         """Remove one deployed model from every core.
 
-        Releases the model's compiled plans, sign caches, and admission
+        Releases the model's compiled plans and admission
         queue; on parallel clusters the model's shared-memory segment
         is unlinked (worker mappings linger until the workers exit —
         live plan views forbid closing them earlier).  The queue must

@@ -11,9 +11,10 @@ execution parallelism while preserving its virtual-clock determinism:
   so a worker computes exactly what the serial path would have computed
   on that core.
 * **Shared-memory plan publication** — at ``deploy()`` time the parent
-  copies every compiled plan's immutable replay state (stacked
-  sign-separated operand blocks, prescaled CSR data, im2col gather
-  maps) plus each task's weight matrix into one
+  copies every compiled plan's immutable replay state (each dense
+  row's readout count and net sign, im2col gather maps — what
+  :meth:`~repro.core.plans.ExecutionPlan.shared_arrays` returns) plus
+  each task's weight matrix into one
   :class:`multiprocessing.shared_memory.SharedMemory` segment per
   model.  Workers map the segment read-only and rebuild their plans as
   views (:func:`~repro.core.plans.import_model_plan`) — compiled state

@@ -12,7 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ComputationDAG, LayerTask, LightningDatapath
+from repro.core import (
+    ComputationDAG,
+    LayerTask,
+    LightningDatapath,
+    ReferenceDatapath,
+)
 from repro.core.dag import ConvShape, PoolShape
 from repro.dnn import (
     QuantizedNetwork,
@@ -230,11 +235,9 @@ class TestConvExecution:
 
     def test_device_fidelity_matches_fast(self):
         dag = small_conv_dag()
-        fast = LightningDatapath(
-            core=BehavioralCore(noise=NoiselessModel()), fidelity="fast"
-        )
-        device = LightningDatapath(
-            core=BehavioralCore(noise=NoiselessModel()), fidelity="device"
+        fast = LightningDatapath(core=BehavioralCore(noise=NoiselessModel()))
+        device = ReferenceDatapath(
+            core=BehavioralCore(noise=NoiselessModel()), framing=True
         )
         fast.register_model(dag)
         device.register_model(dag)

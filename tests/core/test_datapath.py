@@ -10,6 +10,7 @@ from repro.core import (
     ComputationDAG,
     LayerTask,
     LightningDatapath,
+    ReferenceDatapath,
 )
 from repro.photonics import BehavioralCore, GaussianNoise, NoiselessModel
 
@@ -41,11 +42,9 @@ class TestExecution:
 
     def test_device_path_matches_fast_path(self, tiny_dag, rng):
         x = rng.integers(0, 256, 12).astype(float)
-        fast = LightningDatapath(
-            core=BehavioralCore(noise=NoiselessModel()), fidelity="fast"
-        )
-        device = LightningDatapath(
-            core=BehavioralCore(noise=NoiselessModel()), fidelity="device"
+        fast = LightningDatapath(core=BehavioralCore(noise=NoiselessModel()))
+        device = ReferenceDatapath(
+            core=BehavioralCore(noise=NoiselessModel()), framing=True
         )
         fast.register_model(tiny_dag)
         device.register_model(tiny_dag)
@@ -56,11 +55,12 @@ class TestExecution:
     def test_device_and_fast_cycle_ledgers_agree(self, tiny_dag, rng):
         x = rng.integers(0, 256, 12).astype(float)
         results = []
-        for fidelity in ("fast", "device"):
-            dp = LightningDatapath(
-                core=BehavioralCore(noise=NoiselessModel()),
-                fidelity=fidelity,
-            )
+        for dp in (
+            LightningDatapath(core=BehavioralCore(noise=NoiselessModel())),
+            ReferenceDatapath(
+                core=BehavioralCore(noise=NoiselessModel()), framing=True
+            ),
+        ):
             dp.register_model(tiny_dag)
             results.append(
                 [l.compute_cycles for l in dp.execute(1, x).layers]
@@ -107,6 +107,55 @@ class TestExecution:
     def test_invalid_fidelity_rejected(self):
         with pytest.raises(ValueError, match="fidelity"):
             LightningDatapath(fidelity="magic")
+
+    def test_the_walk_is_not_on_the_class(self):
+        # ``fidelity="fast"`` and ``seed=`` stay accepted (and inert);
+        # test_timing_plans pins the ``"loop"`` half.
+        LightningDatapath(fidelity="fast", seed=3)
+        with pytest.raises(ValueError, match="ReferenceDatapath"):
+            LightningDatapath(fidelity="device")
+        for name in ("execute_layers", "execute_layer", "invalidate_plans"):
+            assert not hasattr(LightningDatapath, name)
+        for name in (
+            "execute_timing", "execute_batch_timing", "forward",
+            "forward_keyed",
+        ):
+            assert not hasattr(ReferenceDatapath, name)
+
+    def test_reference_unregister_drops_its_sign_cache(self, tiny_dag, rng):
+        """Re-registering an id serves the new weights, not cached rows."""
+        x = rng.integers(0, 256, 12).astype(float)
+        first, last = tiny_dag.tasks
+        flipped = ComputationDAG(1, "flipped", [
+            first,
+            LayerTask(
+                name=last.name, kind="dense", input_size=last.input_size,
+                output_size=last.output_size,
+                weights_levels=-last.weights_levels,
+                depends_on=last.depends_on,
+            ),
+        ])
+        dp = ReferenceDatapath(core=BehavioralCore(noise=NoiselessModel()))
+        dp.register_model(tiny_dag)
+        dp.execute(1, x)
+        dp.unregister_model(1)
+        dp.register_model(flipped)
+        fresh = ReferenceDatapath(core=BehavioralCore(noise=NoiselessModel()))
+        fresh.register_model(flipped)
+        np.testing.assert_array_equal(
+            dp.execute(1, x).output_levels, fresh.execute(1, x).output_levels
+        )
+
+    def test_refused_adoption_registers_nothing(self, tiny_dag):
+        """A registered model always has both programs: a plan of the
+        wrong geometry is refused before anything is staged."""
+        donor = LightningDatapath(preamble_repeats=4)
+        donor.register_model(tiny_dag)
+        dp = LightningDatapath()
+        with pytest.raises(ValueError, match="different datapath geometry"):
+            dp.register_model(tiny_dag, plan=donor.model_plan(1))
+        assert dp.loader.model_ids == ()
+        assert dp.model_plan(1) is None and dp.timing_plan(1) is None
 
 
 class TestLatencyAccounting:

@@ -13,7 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ComputationDAG, LayerTask, LightningDatapath
+from repro.core import (
+    ComputationDAG,
+    LayerTask,
+    LightningDatapath,
+    ReferenceDatapath,
+)
 from repro.dnn import QuantizedNetwork
 from repro.photonics import BehavioralCore, CoreArchitecture, NoiselessModel
 
@@ -99,11 +104,9 @@ class TestDatapathEquivalence:
     @settings(max_examples=15, deadline=None)
     def test_device_path_equals_fast_path(self, case):
         dag, x = case
-        fast = LightningDatapath(
-            core=BehavioralCore(noise=NoiselessModel()), fidelity="fast"
-        )
-        device = LightningDatapath(
-            core=BehavioralCore(noise=NoiselessModel()), fidelity="device"
+        fast = LightningDatapath(core=BehavioralCore(noise=NoiselessModel()))
+        device = ReferenceDatapath(
+            core=BehavioralCore(noise=NoiselessModel()), framing=True
         )
         fast.register_model(dag)
         device.register_model(dag)

@@ -1,12 +1,13 @@
-"""Seeded equivalence: compiled fast path vs loop path vs device path.
+"""Seeded equivalence: compiled path vs the reference's loop and framing.
 
 The contract the plan compiler must honor (see DESIGN.md): under one
-seed, the fast path reproduces the per-row loop path's noise stream
-draw for draw, so predictions and per-layer cycle ledgers are
-bit-identical and raw outputs agree to float-reassociation tolerance.
-The device path shares exact arithmetic (and therefore bit-identical
-outputs are asserted only noiselessly — under noise it draws a
-different stream and is statistically, not bitwise, equivalent).
+seed, the compiled ``LightningDatapath`` reproduces the noise stream of
+the ``ReferenceDatapath``'s per-row loop draw for draw, so predictions
+and per-layer cycle ledgers are bit-identical and raw outputs agree to
+float-reassociation tolerance.  The framing path (``framing=True``, the
+``device`` of the test names) shares exact arithmetic (and therefore
+bit-identical outputs are asserted only noiselessly — under noise it
+draws a different stream and is statistically, not bitwise, equivalent).
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from repro.core import (
     ComputationDAG,
     LayerTask,
     LightningDatapath,
+    ReferenceDatapath,
 )
+from repro.core import plans
 from repro.core.dag import ConvShape, PoolShape
 from repro.faults import DegradedCore, LaserPowerDrift, StuckBit
 from repro.photonics import (
@@ -132,19 +135,36 @@ def run_requests(datapath, dag, inputs):
     return predictions, ledgers, outputs
 
 
+def compare(dag, inputs, *datapaths):
+    """``run_requests`` of the same inputs on each datapath."""
+    for datapath in datapaths:
+        datapath.register_model(dag)
+    return [run_requests(datapath, dag, inputs) for datapath in datapaths]
+
+
+def assert_matches_framing_noiseless(dag, inputs):
+    fast, device = compare(
+        dag, inputs,
+        LightningDatapath(core=BehavioralCore(noise=NoiselessModel())),
+        ReferenceDatapath(
+            core=BehavioralCore(noise=NoiselessModel()), framing=True
+        ),
+    )
+    assert fast[0] == device[0]
+    assert fast[1] == device[1]
+    for a, b in zip(fast[2], device[2]):
+        np.testing.assert_allclose(a, b, atol=1e-8)
+
+
 def assert_stream_identical(dag, make_core, requests=5, seed=0):
     """Fast vs loop on identically seeded cores: bit-identical contract."""
     inputs = np.random.default_rng(seed).integers(
         0, 256, size=(requests, dag.tasks[0].input_size)
     ).astype(float)
-    results = {}
-    for fidelity in ("fast", "loop"):
-        dp = LightningDatapath(
-            core=make_core(), fidelity=fidelity, seed=seed
-        )
-        dp.register_model(dag)
-        results[fidelity] = run_requests(dp, dag, inputs)
-    fast, loop = results["fast"], results["loop"]
+    fast, loop = compare(
+        dag, inputs, LightningDatapath(core=make_core()),
+        ReferenceDatapath(core=make_core()),
+    )
     assert fast[0] == loop[0], "predictions must be bit-identical"
     assert fast[1] == loop[1], "cycle ledgers must be bit-identical"
     for a, b in zip(fast[2], loop[2]):
@@ -162,24 +182,70 @@ class TestDenseEquivalence:
 
     def test_fast_matches_device_noiseless(self, tiny_dag, rng):
         inputs = rng.integers(0, 256, size=(3, 12)).astype(float)
-        results = {}
-        for fidelity in ("fast", "device"):
-            dp = LightningDatapath(
-                core=BehavioralCore(noise=NoiselessModel()),
-                fidelity=fidelity,
-            )
-            dp.register_model(tiny_dag)
-            results[fidelity] = run_requests(dp, tiny_dag, inputs)
-        assert results["fast"][0] == results["device"][0]
-        assert results["fast"][1] == results["device"][1]
-        for a, b in zip(results["fast"][2], results["device"][2]):
-            np.testing.assert_allclose(a, b, atol=1e-8)
+        assert_matches_framing_noiseless(tiny_dag, inputs)
 
     def test_prototype_core_generic_fallback(self, tiny_dag):
         # PrototypeCore provides neither matmul nor accumulate_into;
         # the stacked-block fallback must keep the stream contract.
         assert_stream_identical(
             tiny_dag, lambda: PrototypeCore(seed=3), requests=2, seed=3
+        )
+
+    def test_prototype_core_conv_fallback(self, monkeypatch):
+        """A matmul-less core's convolution: the plan's stacked
+        accumulate block (``ConvPlan._fallback_block``) against the
+        reference's row-by-row double loop — same record, same stream
+        position, outputs equal to reassociation (``reduceat`` against
+        ``np.sum``).  Both arms are counted, not assumed."""
+        conv = ConvShape(1, 4, 4, out_channels=2, kernel=3)
+        dag = ComputationDAG(31, "one-conv", [
+            LayerTask(
+                name="conv", kind="conv",
+                input_size=conv.input_size, output_size=conv.output_size,
+                weights_levels=np.random.default_rng(0).integers(
+                    -200, 201, (2, 9)
+                ).astype(float),
+                conv=conv,
+            ),
+        ])
+        x = np.random.default_rng(1).integers(0, 256, 16).astype(float)
+        calls = {"block": 0, "rows": 0}
+
+        def counted(cls, name, key):
+            inner = getattr(cls, name)
+
+            def wrapper(self, *args):
+                calls[key] += 1
+                return inner(self, *args)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(plans.ConvPlan, "_fallback_block", "block")
+        counted(ReferenceDatapath, "_reduce_row", "rows")
+        compiled = LightningDatapath(core=PrototypeCore(seed=1))
+        walked = ReferenceDatapath(core=PrototypeCore(seed=1))
+        for datapath in (compiled, walked):
+            datapath.register_model(dag)
+        ours = compiled.execute(dag.model_id, x)
+        assert calls == {"block": 1, "rows": 0}
+        theirs = walked.execute(dag.model_id, x)
+        assert calls == {"block": 1, "rows": conv.positions * 2}
+        assert ours.prediction == theirs.prediction
+        (ours_layer,), (theirs_layer,) = ours.layers, theirs.layers
+        for a, b in (
+            (ours.output_levels, theirs.output_levels),
+            (ours_layer.output_levels, theirs_layer.output_levels),
+        ):
+            np.testing.assert_allclose(a, b, atol=ATOL, rtol=0.0)
+        assert ours_layer.compute_cycles == theirs_layer.compute_cycles == 92
+        for name in (
+            "task_name", "rows", "compute_seconds", "datapath_seconds",
+            "memory_seconds",
+        ):
+            assert getattr(ours_layer, name) == getattr(theirs_layer, name)
+        assert (
+            compiled.core._rng.standard_normal()
+            == walked.core._rng.standard_normal()
         )
 
     def test_composite_noise_stays_row_granular(self, tiny_dag):
@@ -222,18 +288,7 @@ class TestConvEquivalence:
         inputs = np.random.default_rng(6).integers(
             0, 256, size=(3, dag.tasks[0].input_size)
         ).astype(float)
-        results = {}
-        for fidelity in ("fast", "device"):
-            dp = LightningDatapath(
-                core=BehavioralCore(noise=NoiselessModel()),
-                fidelity=fidelity,
-            )
-            dp.register_model(dag)
-            results[fidelity] = run_requests(dp, dag, inputs)
-        assert results["fast"][0] == results["device"][0]
-        assert results["fast"][1] == results["device"][1]
-        for a, b in zip(results["fast"][2], results["device"][2]):
-            np.testing.assert_allclose(a, b, atol=1e-8)
+        assert_matches_framing_noiseless(dag, inputs)
 
 
 class TestAttentionEquivalence:
@@ -245,15 +300,12 @@ class TestAttentionEquivalence:
         )
 
     def test_rejected_without_matmul_on_both_paths(self):
-        # Attention needs a matmul-capable core; both fidelities must
+        # Attention needs a matmul-capable core; both datapaths must
         # refuse it the same way (the plan must not widen support).
         dag = attention_dag()
         x = np.zeros(dag.tasks[0].input_size)
-        for fidelity in ("fast", "loop"):
-            dp = LightningDatapath(
-                core=AccumulateOnlyCore(BehavioralCore(seed=8)),
-                fidelity=fidelity,
-            )
+        for build in (LightningDatapath, ReferenceDatapath):
+            dp = build(core=AccumulateOnlyCore(BehavioralCore(seed=8)))
             dp.register_model(dag)
             with pytest.raises(ValueError, match="behavioral core"):
                 dp.execute(dag.model_id, x)
@@ -298,38 +350,3 @@ class TestDegradedCoreEquivalence:
             return core
 
         assert_stream_identical(tiny_dag, make_core, requests=3, seed=6)
-
-
-class TestPlanCacheLifecycle:
-    def test_invalidate_forces_recompile_same_results(self, tiny_dag):
-        inputs = np.random.default_rng(0).integers(
-            0, 256, size=(2, 12)
-        ).astype(float)
-
-        def fresh():
-            dp = LightningDatapath(
-                core=BehavioralCore(seed=1, noise=GaussianNoise(std=2.0)),
-                fidelity="fast", seed=1,
-            )
-            dp.register_model(tiny_dag)
-            return dp
-
-        baseline = run_requests(fresh(), tiny_dag, inputs)
-        dp = fresh()
-        dp.invalidate_plans()
-        assert dp.plan_stats() == {}
-        recompiled = run_requests(dp, tiny_dag, inputs)
-        assert recompiled[0] == baseline[0]
-        assert recompiled[1] == baseline[1]
-        for a, b in zip(recompiled[2], baseline[2]):
-            np.testing.assert_allclose(a, b, atol=0.0, rtol=0.0)
-        assert dp.plan_stats()[tiny_dag.model_id]["replays"] == 2
-
-    def test_invalidate_single_model(self, tiny_dag):
-        dp = LightningDatapath(core=BehavioralCore(seed=0), fidelity="fast")
-        dp.register_model(tiny_dag)
-        other = conv_dag(model_id=12)
-        dp.register_model(other)
-        assert set(dp.plan_stats()) == {tiny_dag.model_id, other.model_id}
-        dp.invalidate_plans(model_id=other.model_id)
-        assert set(dp.plan_stats()) == {tiny_dag.model_id}

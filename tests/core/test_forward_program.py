@@ -4,11 +4,13 @@
 one straight-line program — stacked ``np.matmul`` contractions, ufuncs
 over the block, noise off a per-dispatch tape — where the serving path
 used to walk ``plan.execute`` + ``plan.finish`` row by row (the walk
-``execute_layers`` and cores without a tape law keep).  Bit-identity
+``repro.core.reference.walk`` and cores without a tape law keep).  Bit-identity
 between the two rests on three facts about this numpy and its BLAS,
 pinned first so a platform where one fails says *which*; then the
 program itself is compared with the walk, bytes of every layer and the
 next draw of every stream, over every plan kind and the model zoo.
+A new runner image could break any of the three contracts; that is why
+they are tests of their own.
 """
 
 from __future__ import annotations

@@ -1,18 +1,23 @@
 """One ledger, one forward pass: the compiled serving path's contract.
 
-On ``fidelity="fast"``, on healthy and degraded cores alike, ``execute``
-and ``execute_batch`` run a request as two compiled programs — the model's
+On healthy and degraded cores alike, ``LightningDatapath.execute`` and
+``execute_batch`` run a request as two compiled programs — the model's
 forward program for the numerics, its ``TimingPlan`` for the ledger —
-instead of walking ``execute_layer``.  That must be an implementation
+instead of walking the layers.  That must be an implementation
 detail.  Twin datapaths at equal seeds, one serving through
-``execute`` and one through the per-layer walk (``execute_layers``),
-must agree on every output bit, every ``LayerExecution`` field, the
-memory controller's ledger, the *next* draw of both RNG streams, the
-loader and replay counters and the register end state; bad inputs must
-raise the walk's errors before anything is charged; and a
-``DegradedCore`` and the fidelities that still walk (``loop``,
-``device``) must produce the outputs they produced before the programs
-existed.
+``execute`` and one through the per-layer walk
+(``repro.core.reference.walk``), must agree on every output bit, every
+``LayerExecution`` field, the memory controller's ledger, the *next*
+draw of both RNG streams, the loader and replay counters and the
+register end state; bad inputs must raise the walk's errors before
+anything is charged; and a ``DegradedCore`` and the
+``ReferenceDatapath`` (per-row ``loop``, framing ``device``) must
+produce the outputs they produced before the programs existed.
+
+A silent fall-back to the per-layer walk (or a worker charging a ledger
+its parent owns — ``TestWorkerRunsOnlyTheForwardProgram``) is a 1.3x
+serving slowdown with equal results, which the perf gate's ratios
+cannot see; the register-write and counter assertions here do.
 """
 
 from __future__ import annotations
@@ -20,8 +25,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ComputationDAG, LayerTask, LightningDatapath
+from repro.core import (
+    ComputationDAG,
+    LayerTask,
+    LightningDatapath,
+    ReferenceDatapath,
+)
 from repro.core.dag import AttentionShape
+from repro.core.reference import walk
 from repro.faults import (
     DegradedCore,
     LaserPowerDrift,
@@ -55,13 +66,11 @@ BROADCAST = CoreArchitecture(batch_size=8)
 
 
 def twins(dag, architecture=None, seed=3):
-    """Two identically seeded fast datapaths serving ``dag``."""
+    """Two identically seeded compiled datapaths serving ``dag``."""
 
     def build():
         kwargs = {} if architecture is None else {"architecture": architecture}
-        datapath = LightningDatapath(
-            core=BehavioralCore(seed=seed, **kwargs), seed=seed
-        )
+        datapath = LightningDatapath(core=BehavioralCore(seed=seed, **kwargs))
         datapath.register_model(dag)
         return datapath
 
@@ -131,7 +140,7 @@ class TestExecuteMatchesTheWalk:
         for x in inputs_for(dag, 3):
             assert_same_execution(
                 fused.execute(dag.model_id, x),
-                walked.execute_layers(dag.model_id, x),
+                walk(walked, dag.model_id, x),
             )
         assert_same_state(fused, walked)
 
@@ -143,7 +152,7 @@ class TestExecuteMatchesTheWalk:
         hits = []
         for x in inputs_for(dag, 3):
             ours = fused.execute(dag.model_id, x)
-            assert_same_execution(ours, walked.execute_layers(dag.model_id, x))
+            assert_same_execution(ours, walk(walked, dag.model_id, x))
             hits.append(fused.memory.cache_hits)
             conv = ours.layers[0]
             assert (conv.memory_seconds > 0.0) == (len(hits) == 1)
@@ -159,7 +168,7 @@ class TestExecuteMatchesTheWalk:
             block = inputs_for(dag, batch, seed=round_seed)
             ours = fused.execute_batch(dag.model_id, block)
             theirs = [
-                walked.execute_layers(dag.model_id, row) for row in block
+                walk(walked, dag.model_id, row) for row in block
             ]
             assert ours.passes == 1 and ours.batch == batch
             assert ours.output_levels.tobytes() == np.stack(
@@ -181,9 +190,9 @@ class TestExecuteMatchesTheWalk:
         fused, walked = twins(dag, architecture=architecture)
         block = inputs_for(dag, 5)
         ours = fused.execute_batch(dag.model_id, block)
-        first = walked.execute_layers(dag.model_id, block[0])
+        first = walk(walked, dag.model_id, block[0])
         for row in block[1:]:
-            walked.execute_layers(dag.model_id, row)
+            walk(walked, dag.model_id, row)
         assert ours.passes == 3
         assert ours.compute_seconds == first.compute_seconds * 3
         assert ours.memory_seconds == first.memory_seconds * 3
@@ -250,7 +259,7 @@ class TestDegradedCoresReplay:
         for x in inputs_for(dag, 3):
             assert_same_execution(
                 fused.execute(dag.model_id, x),
-                walked.execute_layers(dag.model_id, x),
+                walk(walked, dag.model_id, x),
             )
             hits.append(fused.memory.cache_hits)
         if dag.tasks[0].kind == "conv":  # kernel miss, then hits
@@ -270,7 +279,7 @@ class TestDegradedCoresReplay:
             block = inputs_for(dag, batch, seed=round_seed)
             ours = fused.execute_batch(dag.model_id, block)
             theirs = [
-                walked.execute_layers(dag.model_id, row) for row in block
+                walk(walked, dag.model_id, row) for row in block
             ]
             assert ours.output_levels.tobytes() == np.stack(
                 [t.output_levels for t in theirs]
@@ -285,13 +294,13 @@ class TestDegradedCoresReplay:
         first, second = inputs_for(dag, 2)
         assert_same_execution(
             fused.execute(dag.model_id, first),
-            walked.execute_layers(dag.model_id, first),
+            walk(walked, dag.model_id, first),
         )
         for datapath in (fused, walked):
             degrade(datapath, "all-four")
         assert_same_execution(
             fused.execute(dag.model_id, second),
-            walked.execute_layers(dag.model_id, second),
+            walk(walked, dag.model_id, second),
         )
         assert_same_state(fused, walked)
 
@@ -303,14 +312,14 @@ class TestDegradedCoresReplay:
         first, second = inputs_for(dag, 2)
         before = fused.execute(dag.model_id, first)
         assert_same_execution(
-            before, walked.execute_layers(dag.model_id, first)
+            before, walk(walked, dag.model_id, first)
         )
         for wrapper in wrappers:
             wrapper.relock(3.5, [0.001])
             wrapper.set_time(4.0)
         after = fused.execute(dag.model_id, second)
         assert_same_execution(
-            after, walked.execute_layers(dag.model_id, second)
+            after, walk(walked, dag.model_id, second)
         )
         # The re-lock moved the values, not the cost.
         assert after.compute_seconds == before.compute_seconds
@@ -352,7 +361,7 @@ class TestInputValidation:
     def test_bad_input_raises_the_walks_error_uncharged(self, bad, tiny_dag):
         fused, walked = twins(tiny_dag)
         with pytest.raises(ValueError) as theirs:
-            walked.execute_layers(tiny_dag.model_id, bad)
+            walk(walked, tiny_dag.model_id, bad)
         with pytest.raises(ValueError) as ours:
             fused.execute(tiny_dag.model_id, bad)
         assert str(ours.value) == str(theirs.value)
@@ -378,7 +387,7 @@ class TestInputValidation:
         assert proved == [False, True, False]
         x = np.full(12, 255.0)
         with pytest.raises(ValueError, match="0..255 levels") as theirs:
-            walked.execute_layers(dag.model_id, x)
+            walk(walked, dag.model_id, x)
         with pytest.raises(ValueError) as ours:
             fused.execute(dag.model_id, x)
         assert str(ours.value) == str(theirs.value)
@@ -387,8 +396,9 @@ class TestInputValidation:
 
 class TestWalkingPathsUnchanged:
     """Outputs frozen at the commit before the compiled programs
-    landed, when all three walked ``execute_layer`` (``loop`` and
-    ``device`` still do; a degraded core replays since)."""
+    landed, when all three walked the layers (``loop`` and ``device``,
+    now the ``ReferenceDatapath``, still do; a degraded core replays
+    since)."""
 
     DEGRADED = [
         [0.8072537011379901, -11.490598427377504, -3.204003039678641],
@@ -424,19 +434,17 @@ class TestWalkingPathsUnchanged:
         [
             pytest.param(
                 lambda: LightningDatapath(
-                    core=TestWalkingPathsUnchanged.degraded_core(), seed=4
+                    core=TestWalkingPathsUnchanged.degraded_core()
                 ),
                 lambda: mixed(4), DEGRADED, id="degraded",
             ),
             pytest.param(
-                lambda: LightningDatapath(
-                    core=BehavioralCore(seed=4), fidelity="loop", seed=4
-                ),
+                lambda: ReferenceDatapath(core=BehavioralCore(seed=4)),
                 lambda: mixed(4), LOOP, id="loop",
             ),
             pytest.param(
-                lambda: LightningDatapath(
-                    core=BehavioralCore(seed=4), fidelity="device", seed=4
+                lambda: ReferenceDatapath(
+                    core=BehavioralCore(seed=4), framing=True, seed=4
                 ),
                 lambda: conv_stack(5), DEVICE, id="device",
             ),
@@ -455,9 +463,7 @@ class TestWalkingPathsUnchanged:
             assert len(execution.layers) == dag.num_layers
 
     def test_loop_batch_matches_the_frozen_values(self):
-        datapath = LightningDatapath(
-            core=BehavioralCore(seed=4), fidelity="loop", seed=4
-        )
+        datapath = ReferenceDatapath(core=BehavioralCore(seed=4))
         dag = mixed(4)
         datapath.register_model(dag)
         batch = datapath.execute_batch(
@@ -506,7 +512,7 @@ class TestSharedInputProduct:
                 return super().matmul(a_matrix, b_matrix)
 
         dag = single_attention(model_id=8)
-        datapath = LightningDatapath(core=Counting(seed=1), seed=1)
+        datapath = LightningDatapath(core=Counting(seed=1))
         datapath.register_model(dag)
         reference, _ = twins(dag, seed=1)
         x = inputs_for(dag, 1)[0]
@@ -581,6 +587,6 @@ class TestWorkerRunsOnlyTheForwardProgram:
         fused, walked = twins(dag, architecture=BROADCAST)
         x = inputs_for(dag, 1)[0]
         fused.execute(dag.model_id, x)
-        walked.execute_layers(dag.model_id, x)
+        walk(walked, dag.model_id, x)
         assert fused.registers.read("layer.accumulations_target") == 16
         assert_same_state(fused, walked)

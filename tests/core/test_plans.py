@@ -110,23 +110,18 @@ class TestPlanGeometry:
         )
         steps = math.ceil(length / 2)
         assert geometry.row_cycles(length) == 10 + math.ceil(steps / 16)
+        assert geometry.step_cycles(steps) == geometry.row_cycles(length)
 
 
 class TestCompileModel:
     def test_plans_cover_every_task(self, tiny_dag):
-        geometry = PlanGeometry(2, 16, 10)
-        dp = LightningDatapath(core=BehavioralCore(), fidelity="loop")
-        plan = compile_model(
-            tiny_dag,
-            geometry,
-            rows_for=lambda task: dp._sign_separated(tiny_dag, task),
-        )
+        plan = compile_model(tiny_dag, PlanGeometry(2, 16, 10))
         assert plan.num_tasks == len(tiny_dag.tasks)
         assert plan.replays == 0
         assert {p.kind for p in plan.tasks.values()} == {"dense"}
 
     def test_datapath_counts_replays(self, tiny_dag, rng):
-        dp = LightningDatapath(core=BehavioralCore(seed=0), fidelity="fast")
+        dp = LightningDatapath(core=BehavioralCore(seed=0))
         dp.register_model(tiny_dag)
         x = rng.integers(0, 256, 12).astype(float)
         dp.execute(1, x)

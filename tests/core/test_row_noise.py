@@ -12,7 +12,9 @@ the three things that contract rests on:
 * the *draw budget* — a replay advances the Philox stream by exactly
   ``rows`` normals per dense layer on a plain core and by the summed
   step counts under :class:`DegradedCore`, so a silent fall-back to
-  per-readout draws fails here, not in a benchmark;
+  per-readout draws fails here, not in a benchmark — it is a 3x serving
+  slowdown that no ratio gate sees (the compiled path and the reference
+  slow together);
 * *faulted cores are untouched* — ``DegradedCore`` results equal the
   values the per-readout path produced before the contract changed.
 """
@@ -22,9 +24,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ComputationDAG, LayerTask, LightningDatapath
+from repro.core import (
+    ComputationDAG,
+    LayerTask,
+    LightningDatapath,
+    ReferenceDatapath,
+)
+from repro.core import plans as plans_module
 from repro.core.plans import DensePlan
-from repro.faults import DegradedCore, LaserPowerDrift, StuckBit
+from repro.faults import DegradedCore, LaserPowerDrift, MZMBiasDrift, StuckBit
 from repro.photonics import (
     BehavioralCore,
     CompositeNoise,
@@ -126,12 +134,12 @@ class TestCapability:
             pass
 
         x = np.arange(12.0)
-        for fidelity in ("fast", "loop"):
+        for build in (LightningDatapath, ReferenceDatapath):
             outputs = []
             for noise in (BenchNoise(), GaussianNoise()):
                 core = BehavioralCore(noise=noise, seed=5)
                 assert core.row_granular_noise
-                datapath = LightningDatapath(core=core, fidelity=fidelity)
+                datapath = build(core=core)
                 datapath.register_model(tiny_dag)
                 outputs.append(datapath.execute(1, x).output_levels)
             np.testing.assert_array_equal(*outputs)
@@ -186,7 +194,7 @@ class TestLaw:
         datapath = LightningDatapath(core=BehavioralCore())
         datapath.register_model(tiny_dag)
         for plan in dense_plans(datapath, tiny_dag):
-            rows = datapath._sign_cache[(tiny_dag.model_id, plan.task_name)]
+            rows = plan._rows
             steps = np.array([row.num_steps for row in rows])
             np.testing.assert_array_equal(plan.std_scale, np.sqrt(steps))
             np.testing.assert_array_equal(
@@ -217,7 +225,7 @@ class TestDrawBudget:
 
     def test_loop_path_draws_the_same_budget(self, tiny_dag):
         core = keyed_core()
-        datapath = LightningDatapath(core=core, fidelity="loop")
+        datapath = ReferenceDatapath(core=core)
         datapath.register_model(tiny_dag)
         datapath.execute(tiny_dag.model_id, np.full(12, 100.0))
         assert_normals_drawn(core, 9)
@@ -237,6 +245,34 @@ class TestFallbackBlock:
         DegradedCore.ensure(datapath)
         datapath.execute(tiny_dag.model_id, np.zeros(12))
         assert all(plan._block is not None for plan in plans)
+
+    @pytest.mark.parametrize("wavelengths", [1, 2, 3, 8])
+    def test_outputs_do_not_depend_on_scipy(self, wavelengths, monkeypatch):
+        """The readout block contracts through scipy's CSR kernel where
+        it imports and through ``accumulate_into`` where it does not:
+        both sum a step's lanes left to right, so the bytes are one."""
+        assert plans_module._csr_kernels is not None  # CI installs scipy
+        dag = one_layer_dag()
+        x = np.random.default_rng(1).integers(0, 256, INPUTS).astype(float)
+
+        def serve():
+            core = DegradedCore(
+                BehavioralCore(
+                    architecture=CoreArchitecture(
+                        accumulation_wavelengths=wavelengths
+                    ),
+                    seed=3,
+                ),
+                [MZMBiasDrift(volts_per_s=100.0)],
+                now_s=1e-3,
+            )
+            datapath = LightningDatapath(core=core)
+            datapath.register_model(dag)
+            return datapath.execute(dag.model_id, x).output_levels.tobytes()
+
+        with_scipy = serve()
+        monkeypatch.setattr(plans_module, "_csr_kernels", None)
+        assert serve() == with_scipy
 
     def test_shared_replica_rebuilds_the_block_from_weights(self, tiny_dag):
         from repro.core.plans import export_model_plan, import_model_plan

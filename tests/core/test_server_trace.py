@@ -46,8 +46,8 @@ class TestInferenceServer:
         srv.deploy(tiny_dag, warmup=3)
         # Warm-up runs do not count as served requests.
         assert srv.stats.served == 0
-        # But the sign-separation cache is warm.
-        assert len(nic.datapath._sign_cache) == 2
+        # But they replayed both layers' compiled plans.
+        assert nic.datapath.plan_stats() == {1: {"tasks": 2, "replays": 3}}
 
     def test_unknown_model_submit_raises(self, server):
         with pytest.raises(KeyError, match="not deployed"):

@@ -1,4 +1,15 @@
-"""Tests for the shared serving statistics (bounded-memory reservoir)."""
+"""Tests for the shared serving statistics (bounded-memory reservoir).
+
+``TestBlockAccounting`` holds block accounting (``add_many``,
+``charge_many``, block-drawn reservoir slots) to the per-value
+reference, generator position included: a silent fall-back to landing
+served requests one at a time (or to one generator call per reservoir
+value) is a ~1.8x fleet-engine slowdown with bit-identical results, so
+no ratio gate and no digest sees it.  ``TestStreamedServing``
+(``tests/sim/test_simulator.py``) and ``TestBlockLanding``
+(``tests/traffic/test_fleet.py``) pin the same thing one and two layers
+up, with the call budgets.
+"""
 
 from __future__ import annotations
 

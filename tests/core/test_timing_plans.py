@@ -5,10 +5,11 @@ reducing a frozen :class:`~repro.core.datapath.TimingPlan`) must be an
 *implementation detail*: for every model shape and batch size, the
 estimates, the memory controller's cycle ledger (reads, cache hits,
 accumulated latency), the jitter-RNG stream position, and the register
-end state must match the per-layer walk (``execute_layers``) bit for
-bit — on degraded cores too: an installed analog fault changes the
-values a core returns, never what a layer costs, so a faulted core
-replays the plan it compiled while healthy.
+end state must match the per-layer walk
+(``repro.core.reference.walk``) bit for bit — on degraded cores too: an
+installed analog fault changes the values a core returns, never what a
+layer costs, so a faulted core replays the plan it compiled while
+healthy.
 """
 
 from __future__ import annotations
@@ -20,9 +21,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ComputationDAG, LayerTask, LightningDatapath
+from repro.core import (
+    ComputationDAG,
+    LayerTask,
+    LightningDatapath,
+    ReferenceDatapath,
+)
 from repro.core.dag import AttentionShape, ConvShape, PoolShape
 from repro.core.datapath import TimingEstimate, TimingPlan
+from repro.core.reference import walk
 from repro.faults import DegradedCore, FaultSchedule, LaserPowerDrift
 from repro.photonics import BehavioralCore, CoreArchitecture
 from repro.runtime import Cluster, RuntimeRequest
@@ -168,18 +175,14 @@ def make_datapath(seed: int = 0) -> LightningDatapath:
     arch = CoreArchitecture(
         accumulation_wavelengths=2, batch_size=HARDWARE_BATCH
     )
-    return LightningDatapath(
-        core=BehavioralCore(architecture=arch, seed=seed),
-        fidelity="fast",
-        seed=seed,
-    )
+    return LightningDatapath(core=BehavioralCore(architecture=arch, seed=seed))
 
 
 def walk_timing(datapath: LightningDatapath, model_id: int) -> TimingEstimate:
     """One request's ledger off the reference walk (a zero query: what
     a layer costs never depends on its activations)."""
     zeros = np.zeros(datapath.loader.dag(model_id).tasks[0].input_size)
-    return datapath.execute_layers(model_id, zeros).timing
+    return walk(datapath, model_id, zeros).timing
 
 
 def loop_batch_estimate(
@@ -281,23 +284,12 @@ class TestVectorizedBitIdentity:
         dp.unregister_model(dag.model_id)
         assert dp.timing_plan(dag.model_id) is None
 
-    def test_invalidate_then_lazy_recompile(self):
-        dag = tiny_mlp(model_id=1)
-        dp = make_datapath()
-        dp.register_model(dag)
-        dp.invalidate_plans()
-        assert dp.timing_plan(dag.model_id) is None
-        dp.execute_timing(dag.model_id)
-        assert dp.timing_plan(dag.model_id) is not None
-
     def test_loop_fidelity_rejected(self):
-        dag = tiny_mlp(model_id=1)
-        dp = LightningDatapath(
-            core=BehavioralCore(seed=0), fidelity="loop", seed=0
-        )
-        dp.register_model(dag)
-        with pytest.raises(ValueError, match="fast"):
-            dp.execute_timing(dag.model_id)
+        """Only the compiled datapath has a ledger to dry-run: the
+        per-row loop is not a fidelity of it any more."""
+        with pytest.raises(ValueError, match="ReferenceDatapath"):
+            LightningDatapath(core=BehavioralCore(seed=0), fidelity="loop")
+        assert not hasattr(ReferenceDatapath, "execute_timing")
 
 
 class TestDegradedReplay:

@@ -1,7 +1,7 @@
 """Deferred, batch-major numerics under the event loop: the cluster
 level of the contract.
 
-On ``fidelity="fast"`` a serial cluster dispatches as a parallel one
+A serial cluster dispatches as a parallel one
 does — validate, charge the ledger, hand ``(model, block, key)`` to an
 executor, patch predictions after the loop — and both executors
 evaluate through the batch-major forward program, in blocks.  That must
@@ -10,7 +10,9 @@ before numerics were deferred (when every dispatch ran ``execute``
 inline), at any block cap and any worker drain depth; aborted and
 timed-out dispatches never compute; and a healthy serve stays within
 its program-invocation budget, so a silent fall-back to one forward
-per row fails here instead of passing every digest 2x slower.
+per row (or to computing at dispatch what was meant to be deferred)
+fails here instead of passing every digest ~2x slower, unseen by any
+ratio gate.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from repro.core import (
     DatapathTracer,
     LayerTask,
     LightningDatapath,
+    ReferenceDatapath,
 )
 from repro.photonics import BehavioralCore, CoreArchitecture, NoiselessModel
 from repro.runtime import (
@@ -79,8 +80,9 @@ class TestDeployment:
         assert cluster.model_ids == (1,)
         for datapath in cluster.datapaths:
             assert tiny_dag.model_id in datapath.loader.model_ids
-            # Warm-up populated the sign-separation cache per core.
-            assert len(datapath._sign_cache) == 2
+            # Both programs exist, and warm-up replayed them, per core.
+            assert datapath.timing_plan(tiny_dag.model_id) is not None
+            assert datapath.plan_stats() == {1: {"tasks": 2, "replays": 1}}
 
     def test_unknown_model_rejected(self, cluster):
         with pytest.raises(KeyError, match="not deployed"):
@@ -98,8 +100,8 @@ class TestDeployment:
         # (test_parallel pins the parallel half).
         cluster = Cluster(
             num_cores=2,
-            datapath_factory=lambda core: LightningDatapath(
-                fidelity=fidelity, seed=core
+            datapath_factory=lambda core: ReferenceDatapath(
+                framing=fidelity == "device", seed=core
             ),
         )
         with pytest.raises(ValueError, match="fast"):

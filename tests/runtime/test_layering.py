@@ -1,28 +1,29 @@
 """The serving stack never reaches the reference walk.
 
-``LightningDatapath.execute_layers`` / ``execute_layer`` are the
-per-layer instrument: the tracer, the ``loop`` / ``device`` fidelities
-and the equivalence tests walk them.  A ``Cluster`` refuses any
-datapath that would (see ``test_cluster`` / ``test_parallel``), so
-nothing a serve can be handed gets there: cluster, fabric and gateway
-complete a fault-laden serve with both methods patched to raise, and
-``repro.runtime.cluster`` does not so much as name them.
+``repro.core.reference`` holds the per-layer instrument — ``walk`` /
+``walk_layer`` and the ``ReferenceDatapath`` — which the tracer, the
+equivalence tests and the perf gate's walk legs use.  A ``Cluster``
+refuses a ``ReferenceDatapath`` (see ``test_cluster`` /
+``test_parallel``), so nothing a serve can be handed gets there:
+cluster, fabric and gateway complete a fault-laden serve with both
+functions patched to raise, no serving module so much as names the
+reference, and ``core/datapath.py`` names none of its parts.
 """
 
 from __future__ import annotations
 
-import inspect
+import pathlib
 
 import pytest
 
-from repro.core import LightningDatapath
+import repro
+from repro.core import reference
 from repro.fabric import Fabric
 from repro.faults import (
     BiasRelockController,
     CalibrationWatchdog,
     FaultSchedule,
 )
-from repro.runtime import cluster as cluster_module
 from repro.traffic import serve_fabric_open_loop
 
 from ..fabric.test_fabric import make_dag, spec, trace
@@ -46,11 +47,11 @@ def no_walk(monkeypatch):
     """Any layer walk from here on is a failure (forked workers
     inherit the patch, so build parallel clusters after it)."""
 
-    def walked(self, *args, **kwargs):
+    def walked(*args, **kwargs):
         raise AssertionError("the serving stack walked the layers")
 
-    monkeypatch.setattr(LightningDatapath, "execute_layers", walked)
-    monkeypatch.setattr(LightningDatapath, "execute_layer", walked)
+    monkeypatch.setattr(reference, "walk", walked)
+    monkeypatch.setattr(reference, "walk_layer", walked)
 
 
 @pytest.mark.parametrize("execution", ["serial", "parallel"])
@@ -76,6 +77,16 @@ def test_fabric_and_gateway_serve_without_the_walk(no_walk):
         assert result.stats.quarantines >= 1 and result.stats.relocks >= 1
 
 
-def test_the_cluster_module_does_not_name_the_walk():
-    source = inspect.getsource(cluster_module)
-    assert "execute_layer" not in source
+def test_serving_modules_do_not_name_the_reference():
+    root = pathlib.Path(repro.__file__).parent
+    for layer in ("runtime", "fabric", "traffic", "faults"):
+        for module in sorted((root / layer).glob("*.py")):
+            source = module.read_text()
+            for name in ("core.reference", "ReferenceDatapath"):
+                assert name not in source, (module.name, name)
+    compiled = (root / "core" / "datapath.py").read_text()
+    for name in (
+        "execute_layer", "_reduce_row", "PreambleDetector",
+        "CrossCycleAdderSubtractor",
+    ):
+        assert name not in compiled, name

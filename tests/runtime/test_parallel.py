@@ -27,7 +27,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ComputationDAG, LayerTask, LightningDatapath
+from repro.core import (
+    ComputationDAG,
+    LayerTask,
+    LightningDatapath,
+    ReferenceDatapath,
+)
 from repro.core.dag import AttentionShape, ConvShape, PoolShape
 from repro.faults import CalibrationWatchdog, FaultSchedule, RetryPolicy
 from repro.photonics import BehavioralCore, CoreArchitecture, GaussianNoise
@@ -610,9 +615,7 @@ class TestParallelValidation:
     def test_loop_fidelity_rejected_at_deploy(self):
         cluster = Cluster(
             num_cores=2,
-            datapath_factory=lambda core: LightningDatapath(
-                fidelity="loop", seed=core
-            ),
+            datapath_factory=lambda core: ReferenceDatapath(),
             execution="parallel",
         )
         with pytest.raises(ValueError, match="fast"):

@@ -1,5 +1,11 @@
 """Tests for the event-driven serving simulator and the stop-and-go
-baseline (§3, §9)."""
+baseline (§3, §9).
+
+``TestStreamedServing`` also holds the streamed run to one block fold
+per run: landing requests one at a time instead is slower with
+bit-identical results, which no ratio gate and no digest sees (see
+``tests/core/test_stats.py``).
+"""
 
 from __future__ import annotations
 
