@@ -123,7 +123,8 @@ def main() -> None:
         )
     print(f"\n  datapath reconfigurations (DAG loads): "
           f"{nic.datapath.loader.loads}")
-    print(f"  inference packets parsed: {nic.parser.inference_packets}")
+    print(f"  inference packets served: {nic.counters.served} "
+          f"of {nic.counters.frames_seen} frames")
 
 
 if __name__ == "__main__":

@@ -516,6 +516,8 @@ class DAGConfigurationLoader:
     def __init__(self, registers: ControlRegisterFile) -> None:
         self.registers = registers
         self._models: dict[int, ComputationDAG] = {}
+        #: Each loadable model's input size, for NIC ingress.
+        self.input_sizes: dict[int, int] = {}
         self.loads = 0
 
     def register_model(self, dag: ComputationDAG) -> None:
@@ -526,9 +528,11 @@ class DAGConfigurationLoader:
                 f"({self._models[dag.model_id].name!r})"
             )
         self._models[dag.model_id] = dag
+        self.input_sizes[dag.model_id] = dag.tasks[0].input_size
 
     def unregister_model(self, model_id: int) -> ComputationDAG:
         """Forget a model's DAG (driver unload); returns the DAG."""
+        self.input_sizes.pop(model_id, None)
         try:
             return self._models.pop(model_id)
         except KeyError:

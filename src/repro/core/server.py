@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..net.packet import InferenceRequest, build_inference_frame
+from ..net.parser import Fate
 from .dag import ComputationDAG
 from .smartnic import LightningSmartNIC, PuntedPacket, ServedRequest
 from .stats import ServerStats
@@ -79,29 +80,24 @@ class InferenceServer:
     def handle_wire_frame(
         self, raw: bytes, now_s: float | None = None
     ) -> ServedRequest | PuntedPacket | None:
-        """Serve one raw wire frame, absorbing malformed traffic.
+        """Serve one raw wire frame and book its fate.
 
-        Returns ``None`` when the frame was unparseable even at the
-        Ethernet layer (counted as an error), mirroring how a NIC
-        silently drops runts.
+        Returns ``None`` for the frames an operator counts as errors — a
+        runt, a query for an undeployed model or of the wrong length —
+        mirroring how a NIC silently drops them.
         """
-        try:
-            outcome = self.nic.handle_frame(raw, now_s=now_s)
-        except ValueError:
-            self.stats.errors += 1
-            return None
-        except KeyError:
-            # An inference query for a model this server never deployed.
-            self.stats.errors += 1
-            return None
+        outcome = self.nic.handle_frame(raw, now_s=now_s)
         if isinstance(outcome, ServedRequest):
             self.stats.record(
                 outcome.response.model_id, outcome.end_to_end_seconds
             )
-        elif outcome.pcie_seconds == 0.0 and "dropped" in outcome.reason:
+        elif outcome.fate.punted:
+            self.stats.punted += 1
+        elif outcome.fate is Fate.IDS_DROP:
             self.stats.dropped += 1
         else:
-            self.stats.punted += 1
+            self.stats.errors += 1
+            return None
         return outcome
 
     def serve_batch(

@@ -21,15 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..net.nic import NICPort, PCIeInterface
-from ..net.packet import (
-    EthernetFrame,
-    ETHERTYPE_IPV4,
-    InferenceResponse,
-    IPv4Packet,
-    IP_PROTO_UDP,
-    UDPDatagram,
-)
-from ..net.parser import PacketParser, ParsedInferenceQuery, RegularPacket
+from ..net.packet import InferenceResponse, build_inference_frame
+from ..net.ingress import receive
+from ..net.parser import Fate, PacketParser, ParsedInferenceQuery
 from ..net.processing import PacketProcessor, Verdict
 from .dag import ComputationDAG
 from .datapath import InferenceExecution, LightningDatapath
@@ -70,16 +64,18 @@ class ServedRequest:
 
 @dataclass(frozen=True)
 class PuntedPacket:
-    """A regular packet processed on the NIC and punted to the host.
+    """A frame the NIC did not serve: punted to the host, or dropped.
 
-    The packet-processing stage (§6.1) runs first: flows are accounted
-    and the intrusion detector issues a verdict.  Dropped packets never
-    cross PCIe (``pcie_seconds == 0``)."""
+    ``fate`` says which and why (the table in :mod:`repro.net.ingress`).
+    Regular traffic passes the packet-processing stage (§6.1) first,
+    whose ``verdict`` rides along.  Dropped packets never cross PCIe
+    (``pcie_seconds == 0``)."""
 
-    frame: EthernetFrame
+    raw: bytes
     reason: str
     pcie_seconds: float
     verdict: Verdict = Verdict.ALLOW
+    fate: Fate = Fate.NON_INFERENCE
 
 
 class LightningSmartNIC:
@@ -106,23 +102,9 @@ class LightningSmartNIC:
         )
         self.mac_address = mac_address
         self.ip_address = ip_address
-        #: Frame-level accounting, shared shape with the runtime layer.
+        #: Frame-level accounting (served / punted / dropped /
+        #: frames_seen), the same record the runtime layer keeps.
         self.counters = NICCounters()
-
-    @property
-    def served_requests(self) -> int:
-        """Inference queries served on the datapath."""
-        return self.counters.served
-
-    @property
-    def punted_packets(self) -> int:
-        """Regular packets forwarded to the host over PCIe."""
-        return self.counters.punted
-
-    @property
-    def dropped_packets(self) -> int:
-        """Packets dropped by intrusion detection (never cross PCIe)."""
-        return self.counters.dropped
 
     def register_model(
         self, dag: ComputationDAG, header_data: bool = False
@@ -145,7 +127,9 @@ class LightningSmartNIC:
     def handle_frame(
         self, raw: bytes, now_s: float | None = None
     ) -> ServedRequest | PuntedPacket:
-        """Process one wire frame: serve it, punt it, or drop it.
+        """Process one wire frame: serve it, punt it, or drop it — one
+        :func:`repro.net.ingress.receive` decision, never an exception
+        on frame content.
 
         ``now_s`` is the arrival timestamp used by the packet-processing
         stage's flow table and intrusion windows; when omitted, a
@@ -153,28 +137,22 @@ class LightningSmartNIC:
         """
         if now_s is None:
             now_s = self.counters.frames_seen * 1e-6
-        self.counters.frames_seen += 1
-        rx_seconds = self.port.receive_seconds(len(raw))
-        parsed = self.parser.parse(raw)
-        if isinstance(parsed, RegularPacket):
-            processed = self.processor.process(raw, now_s)
-            if processed.verdict is Verdict.DROP:
-                self.counters.dropped += 1
-                return PuntedPacket(
-                    frame=parsed.frame,
-                    reason=f"{parsed.reason}; dropped by intrusion "
-                           "detection",
-                    pcie_seconds=0.0,
-                    verdict=processed.verdict,
-                )
-            self.counters.punted += 1
-            return PuntedPacket(
-                frame=parsed.frame,
-                reason=parsed.reason,
-                pcie_seconds=self.pcie.transfer_seconds(len(raw)),
-                verdict=processed.verdict,
-            )
-        return self._serve(parsed, rx_seconds)
+        packet = receive(
+            raw, self.parser, self.counters,
+            self.datapath.loader.input_sizes, self.processor, now_s,
+        )
+        if isinstance(packet, ParsedInferenceQuery):
+            return self._serve(packet, self.port.receive_seconds(len(raw)))
+        fate, processed = packet.fate, packet.processed
+        return PuntedPacket(
+            raw=packet.raw,
+            reason=packet.reason,
+            pcie_seconds=(
+                self.pcie.transfer_seconds(len(raw)) if fate.punted else 0.0
+            ),
+            verdict=Verdict.ALLOW if processed is None else processed.verdict,
+            fate=fate,
+        )
 
     def _serve(
         self, query: ParsedInferenceQuery, rx_seconds: float
@@ -189,7 +167,17 @@ class LightningSmartNIC:
             prediction=execution.prediction,
             scores=execution.output_levels.astype(np.float32),
         )
-        response_frame = self._build_response_frame(query, response)
+        # Result generation (§4 step 8): swap the addressing and send
+        # the response back to the requester.
+        response_frame = build_inference_frame(
+            response,
+            src_mac=self.mac_address,
+            dst_mac=query.src_mac,
+            src_ip=self.ip_address,
+            dst_ip=query.src_ip,
+            src_port=query.dst_port,
+            dst_port=query.src_port,
+        )
         tx_seconds = self.port.transmit_seconds(len(response_frame))
         self.counters.served += 1
         return ServedRequest(
@@ -198,27 +186,3 @@ class LightningSmartNIC:
             execution=execution,
             network_seconds=rx_seconds + tx_seconds,
         )
-
-    def _build_response_frame(
-        self, query: ParsedInferenceQuery, response: InferenceResponse
-    ) -> bytes:
-        """Result generation (§4 step 8): swap the addressing and send
-        the response back to the requester."""
-        udp = UDPDatagram(
-            src_port=query.dst_port,
-            dst_port=query.src_port,
-            payload=response.pack(),
-        )
-        ip = IPv4Packet(
-            src_ip=self.ip_address,
-            dst_ip=query.src_ip,
-            protocol=IP_PROTO_UDP,
-            payload=udp.pack(self.ip_address, query.src_ip),
-        )
-        frame = EthernetFrame(
-            dst_mac=query.src_mac,
-            src_mac=self.mac_address,
-            ethertype=ETHERTYPE_IPV4,
-            payload=ip.pack(),
-        )
-        return frame.pack()

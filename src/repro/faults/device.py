@@ -35,6 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core.plans import supports_matmul
 from ..photonics.noise import FULL_SCALE
 from .schedule import DEVICE_FAULT_KINDS, FaultEvent
 
@@ -347,8 +348,6 @@ class DegradedCore:
         ``hasattr(wrapper, "matmul")`` is always true, so capability
         checks must see through the wrapper to the actual core.
         """
-        from ..core.plans import supports_matmul
-
         return supports_matmul(self.core)
 
     def _perturb(self, values: np.ndarray, readouts: int) -> np.ndarray:

@@ -32,6 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..devkit import LightningDevKit
+from ..photonics.core import PrototypeCore
+from ..photonics.devices import MachZehnderModulator
 from ..photonics.noise import FULL_SCALE, PROTOTYPE_NOISE_STD
 
 __all__ = [
@@ -223,8 +226,6 @@ class _WanderedModulator:
     """
 
     def __init__(self, offset_volts: float, v_pi: float = 5.0) -> None:
-        from ..photonics.devices import MachZehnderModulator
-
         self._inner = MachZehnderModulator(v_pi=v_pi)
         self.offset_volts = float(offset_volts)
 
@@ -325,9 +326,6 @@ class BiasRelockController:
     def _devkit(self):
         """A cached dev-kit handle whose lane 0 hosts the sweep target."""
         if self._kit is None:
-            from ..devkit import LightningDevKit
-            from ..photonics.core import PrototypeCore
-
             self._kit = LightningDevKit(
                 core=PrototypeCore(num_wavelengths=1)
             )

@@ -8,28 +8,24 @@ delivery — lands directly on the serving path.  The
 stream, deterministically under the schedule's seed:
 
 * ``frame_drop`` windows lose each in-window frame with a probability;
-* ``frame_corrupt`` windows flip random payload bytes (the frame still
-  parses as Ethernet, but the inner layers degrade — a corrupted
-  inference query becomes a punted :class:`RegularPacket`, never a
-  crash);
+* ``frame_corrupt`` windows flip random bytes past the Ethernet header
+  (a corrupted inference query becomes a punt, never a crash);
 * ``frame_reorder`` windows swap a frame's arrival order with its
   successor's.
 
-:func:`requests_from_frames` bridges the surviving frames into
-:class:`~repro.runtime.cluster.RuntimeRequest` objects via the real
-:class:`~repro.net.parser.PacketParser`, counting punts into an
-optional :class:`~repro.core.stats.NICCounters` — the same frame
-accounting the smartNIC keeps.
+:func:`requests_from_frames` hands the surviving frames to NIC ingress
+(:mod:`repro.net.ingress`) — the one decision the smartNIC makes too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ..core.stats import NICCounters
-from ..net.parser import PacketParser, ParsedInferenceQuery
+from ..net.ingress import IngressRequest, ingest
+from ..net.parser import PacketParser
 from .schedule import FaultSchedule
 
 __all__ = [
@@ -39,16 +35,16 @@ __all__ = [
     "requests_from_frames",
 ]
 
-#: Bytes of the Ethernet header; corruption never touches them so the
-#: frame always still *frames* (real links protect the header with the
-#: preamble/SFD and fail whole-frame on header damage, which is the
-#: ``frame_drop`` fault instead).
+#: Bytes of the Ethernet header; corruption never touches them (real
+#: links protect the header with the preamble/SFD and fail whole-frame
+#: on header damage, which is the ``frame_drop`` fault instead).
 _ETHERNET_HEADER_LEN = 14
 
 
 @dataclass(frozen=True)
 class WireFrame:
-    """One raw frame plus its wire arrival timestamp."""
+    """One raw frame — any bytes, runts included — plus its wire
+    arrival timestamp."""
 
     arrival_s: float
     raw: bytes
@@ -56,8 +52,6 @@ class WireFrame:
     def __post_init__(self) -> None:
         if self.arrival_s < 0:
             raise ValueError("arrival time cannot be negative")
-        if len(self.raw) <= _ETHERNET_HEADER_LEN:
-            raise ValueError("frame too short to carry an Ethernet header")
 
 
 @dataclass(frozen=True)
@@ -72,13 +66,7 @@ class WireFaultReport:
 
     def summary(self) -> dict[str, int]:
         """A dashboard-style snapshot of the wire's damage."""
-        return {
-            "offered": self.offered,
-            "delivered": self.delivered,
-            "dropped": self.dropped,
-            "corrupted": self.corrupted,
-            "reordered": self.reordered,
-        }
+        return asdict(self)
 
 
 class WireFaultInjector:
@@ -166,39 +154,13 @@ def requests_from_frames(
     frames: list[WireFrame] | tuple[WireFrame, ...],
     parser: PacketParser | None = None,
     counters: NICCounters | None = None,
-):
-    """Parse delivered frames into cluster-servable requests.
-
-    Frames that parse as inference queries become
-    :class:`~repro.runtime.cluster.RuntimeRequest` objects; anything
-    else — including queries mangled by ``frame_corrupt`` — degrades to
-    a punt, counted on ``counters`` exactly as the smartNIC counts it.
-    Returns ``(requests, punted)``.
-    """
-    from ..runtime.cluster import RuntimeRequest
-
-    parser = parser if parser is not None else PacketParser()
-    requests: list[RuntimeRequest] = []
-    punted = 0
-    for frame in frames:
-        if counters is not None:
-            counters.frames_seen += 1
-        parsed = parser.parse(frame.raw)
-        if isinstance(parsed, ParsedInferenceQuery):
-            # The parser's data_levels are a uint8 view of the frame
-            # bytes; pass the view straight through — the datapath
-            # widens to float64 inside its own preallocated buffers at
-            # execute time, so ingress never copies a payload.
-            requests.append(
-                RuntimeRequest(
-                    request_id=parsed.request.request_id,
-                    model_id=parsed.request.model_id,
-                    arrival_s=frame.arrival_s,
-                    data_levels=parsed.data_levels,
-                )
-            )
-        else:
-            punted += 1
-            if counters is not None:
-                counters.punted += 1
-    return requests, punted
+) -> tuple[list[IngressRequest], int]:
+    """Pass delivered frames through NIC ingress: ``(requests,
+    punted)``, with every frame that did not become a request — a query
+    mangled by ``frame_corrupt``, say — counted in ``punted`` and given
+    its fate on ``counters``, exactly as the smartNIC counts it."""
+    return ingest(
+        frames,
+        parser if parser is not None else PacketParser(),
+        counters if counters is not None else NICCounters(),
+    )

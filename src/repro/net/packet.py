@@ -32,6 +32,11 @@ __all__ = [
     "internet_checksum",
     "checksum_accumulate",
     "checksum_fold",
+    "ethertype_of",
+    "ipv4_header",
+    "udp_header",
+    "verify_udp_checksum",
+    "request_fields",
     "EthernetFrame",
     "IPv4Packet",
     "UDPDatagram",
@@ -48,19 +53,21 @@ LIGHTNING_UDP_PORT = 4055
 REQUEST_MAGIC = 0x4C49  # "LI"
 RESPONSE_MAGIC = 0x4C52  # "LR"
 
+_U16 = struct.Struct("!H")
+_IPV4_LENGTH_ID = struct.Struct("!HH")  # total length, identification
+_UDP_HEADER = struct.Struct("!HHH")  # ports, length
 _REQUEST_HEADER = struct.Struct("!HHI")  # magic, model_id, request_id
 _RESPONSE_HEADER = struct.Struct("!HHIH")  # magic, model_id, req_id, pred
 
 
 def mac_to_bytes(mac: str) -> bytes:
     """Parse ``aa:bb:cc:dd:ee:ff`` into 6 bytes."""
-    parts = mac.split(":")
-    if len(parts) != 6:
-        raise ValueError(f"malformed MAC address {mac!r}")
     try:
-        raw = bytes(int(p, 16) for p in parts)
-    except ValueError:
-        raise ValueError(f"malformed MAC address {mac!r}") from None
+        raw = bytes(int(p, 16) for p in mac.split(":"))
+    except ValueError:  # not hex, or an octet out of range
+        raw = b""
+    if len(raw) != 6:
+        raise ValueError(f"malformed MAC address {mac!r}")
     return raw
 
 
@@ -73,16 +80,13 @@ def bytes_to_mac(raw: bytes) -> str:
 
 def ip_to_bytes(ip: str) -> bytes:
     """Parse dotted-quad IPv4 into 4 bytes."""
-    parts = ip.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"malformed IPv4 address {ip!r}")
     try:
-        octets = [int(p) for p in parts]
-    except ValueError:
-        raise ValueError(f"malformed IPv4 address {ip!r}") from None
-    if any(not 0 <= o <= 255 for o in octets):
+        raw = bytes(int(p) for p in ip.split("."))
+    except ValueError:  # not decimal, or an octet out of range
+        raw = b""
+    if len(raw) != 4:
         raise ValueError(f"malformed IPv4 address {ip!r}")
-    return bytes(octets)
+    return raw
 
 
 def bytes_to_ip(raw: bytes) -> str:
@@ -93,16 +97,14 @@ def bytes_to_ip(raw: bytes) -> str:
 
 
 def checksum_accumulate(data: bytes | bytearray | memoryview) -> int:
-    """Unfolded one's-complement word sum of one even- or odd-length
-    chunk (the odd tail is zero-padded, per RFC 1071).
+    """Unfolded one's-complement word sum of one chunk (an odd tail is
+    zero-padded, per RFC 1071).
 
-    Vectorized: the bytes are viewed as big-endian 16-bit words and
-    summed in one :func:`numpy.sum` — deferring the end-around carry to
-    a single final fold is exact, because one's-complement addition is
-    associative and a 64-bit accumulator cannot overflow on any frame
-    shorter than ~2^48 bytes.  Chunks may be concatenated by adding
-    their sums **only** when every chunk but the last has even length
-    (word boundaries must align).
+    Vectorized: the bytes are summed as big-endian 16-bit words in one
+    :func:`numpy.sum`; deferring the end-around carry to a single final
+    fold is exact (one's-complement addition is associative, and the
+    64-bit accumulator cannot overflow below ~2^48 bytes).  Chunk sums
+    add up **only** when every chunk but the last has even length.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     even = buf.size & ~1
@@ -124,6 +126,83 @@ def checksum_fold(total: int) -> int:
 def internet_checksum(data: bytes | bytearray | memoryview) -> int:
     """RFC 1071 one's-complement checksum over 16-bit words."""
     return checksum_fold(checksum_accumulate(data))
+
+
+def ethertype_of(view: bytes | memoryview) -> int:
+    """The ethertype of an Ethernet II frame, read in place."""
+    if len(view) < EthernetFrame.HEADER_LEN:
+        raise ValueError("truncated Ethernet frame")
+    return _U16.unpack_from(view, 12)[0]
+
+
+def ipv4_header(view: bytes | memoryview) -> tuple[int, int, int, int, int]:
+    """Validate an IPv4 header in place (no payload copy).
+
+    Returns ``(ihl, total_length, identification, ttl, protocol)``; the
+    addresses stay at ``view[12:20]``.
+    """
+    if len(view) < IPv4Packet.HEADER_LEN:
+        raise ValueError("truncated IPv4 packet")
+    if view[0] >> 4 != 4:
+        raise ValueError("not an IPv4 packet")
+    ihl = (view[0] & 0x0F) * 4
+    if ihl < IPv4Packet.HEADER_LEN or len(view) < ihl:
+        raise ValueError("malformed IPv4 header length")
+    if internet_checksum(view[:ihl]) != 0:
+        raise ValueError("IPv4 header checksum mismatch")
+    total_length, identification = _IPV4_LENGTH_ID.unpack_from(view, 2)
+    if total_length > len(view):
+        raise ValueError("IPv4 total length exceeds captured bytes")
+    return ihl, total_length, identification, view[8], view[9]
+
+
+def udp_header(view: bytes | memoryview) -> tuple[int, int, int]:
+    """Validate a UDP header's lengths in place:
+    ``(src_port, dst_port, length)``."""
+    if len(view) < UDPDatagram.HEADER_LEN:
+        raise ValueError("truncated UDP datagram")
+    src_port, dst_port, length = _UDP_HEADER.unpack_from(view, 0)
+    if length < UDPDatagram.HEADER_LEN or length > len(view):
+        raise ValueError("malformed UDP length")
+    return src_port, dst_port, length
+
+
+def udp_checksum(
+    datagram: bytes | memoryview, addresses: bytes | memoryview
+) -> int:
+    """The UDP checksum of ``datagram`` under the pseudo-header of
+    ``addresses``, the IPv4 header's eight source + destination bytes
+    (0 over a datagram that carries its own correct checksum).  The two
+    sums fold once: the 12-byte pseudo-header keeps words aligned."""
+    pseudo = bytes(addresses) + struct.pack(
+        "!BBH", 0, IP_PROTO_UDP, len(datagram)
+    )
+    return checksum_fold(
+        checksum_accumulate(pseudo) + checksum_accumulate(datagram)
+    )
+
+
+def verify_udp_checksum(
+    datagram: bytes | memoryview, addresses: bytes | memoryview
+) -> None:
+    """Check a length-validated datagram (RFC 768: a transmitted zero
+    means "no checksum")."""
+    if (datagram[6] or datagram[7]) and udp_checksum(datagram, addresses):
+        raise ValueError("UDP checksum mismatch")
+
+
+def request_fields(
+    view: bytes | memoryview,
+) -> tuple[int, int, np.ndarray]:
+    """``(model_id, request_id, data)`` of an inference request, the
+    data as a uint8 view of ``view``."""
+    if len(view) < _REQUEST_HEADER.size:
+        raise ValueError("truncated inference request")
+    magic, model_id, request_id = _REQUEST_HEADER.unpack_from(view, 0)
+    if magic != REQUEST_MAGIC:
+        raise ValueError("not a Lightning inference request")
+    data = np.frombuffer(view[_REQUEST_HEADER.size :], dtype=np.uint8)
+    return model_id, request_id, data
 
 
 @dataclass(frozen=True)
@@ -148,11 +227,8 @@ class EthernetFrame:
 
     @classmethod
     def unpack(cls, raw: bytes) -> "EthernetFrame":
-        if len(raw) < cls.HEADER_LEN:
-            raise ValueError("truncated Ethernet frame")
-        dst = bytes_to_mac(raw[0:6])
-        src = bytes_to_mac(raw[6:12])
-        (ethertype,) = struct.unpack("!H", raw[12:14])
+        ethertype = ethertype_of(raw)
+        dst, src = bytes_to_mac(raw[0:6]), bytes_to_mac(raw[6:12])
         return cls(dst, src, ethertype, raw[14:])
 
     def __len__(self) -> int:
@@ -194,36 +270,12 @@ class IPv4Packet:
 
     @classmethod
     def unpack(cls, raw: bytes) -> "IPv4Packet":
-        if len(raw) < cls.HEADER_LEN:
-            raise ValueError("truncated IPv4 packet")
-        version_ihl = raw[0]
-        if version_ihl >> 4 != 4:
-            raise ValueError("not an IPv4 packet")
-        ihl = (version_ihl & 0x0F) * 4
-        if ihl < cls.HEADER_LEN or len(raw) < ihl:
-            raise ValueError("malformed IPv4 header length")
-        if internet_checksum(raw[:ihl]) != 0:
-            raise ValueError("IPv4 header checksum mismatch")
-        (
-            _vi,
-            _tos,
-            total_length,
-            identification,
-            _frag,
-            ttl,
-            protocol,
-            _csum,
-            src_raw,
-            dst_raw,
-        ) = struct.unpack("!BBHHHBBH4s4s", raw[: cls.HEADER_LEN])
-        if total_length > len(raw):
-            raise ValueError("IPv4 total length exceeds captured bytes")
-        payload = raw[ihl:total_length]
+        ihl, total_length, identification, ttl, protocol = ipv4_header(raw)
         return cls(
-            src_ip=bytes_to_ip(src_raw),
-            dst_ip=bytes_to_ip(dst_raw),
+            src_ip=bytes_to_ip(raw[12:16]),
+            dst_ip=bytes_to_ip(raw[16:20]),
             protocol=protocol,
-            payload=payload,
+            payload=raw[ihl:total_length],
             ttl=ttl,
             identification=identification,
         )
@@ -248,38 +300,20 @@ class UDPDatagram:
         header = struct.pack(
             "!HHHH", self.src_port, self.dst_port, length, 0
         )
-        pseudo = (
-            ip_to_bytes(src_ip)
-            + ip_to_bytes(dst_ip)
-            + struct.pack("!BBH", 0, IP_PROTO_UDP, length)
+        checksum = udp_checksum(
+            header + self.payload, ip_to_bytes(src_ip) + ip_to_bytes(dst_ip)
         )
-        checksum = internet_checksum(pseudo + header + self.payload)
         if checksum == 0:
             checksum = 0xFFFF  # RFC 768: transmitted zero means "none"
-        header = header[:6] + struct.pack("!H", checksum)
-        return header + self.payload
+        return header[:6] + struct.pack("!H", checksum) + self.payload
 
     @classmethod
-    def unpack(
-        cls, raw: bytes, src_ip: str, dst_ip: str, verify: bool = True
-    ) -> "UDPDatagram":
-        if len(raw) < cls.HEADER_LEN:
-            raise ValueError("truncated UDP datagram")
-        src_port, dst_port, length, checksum = struct.unpack(
-            "!HHHH", raw[: cls.HEADER_LEN]
+    def unpack(cls, raw: bytes, src_ip: str, dst_ip: str) -> "UDPDatagram":
+        src_port, dst_port, length = udp_header(raw)
+        verify_udp_checksum(
+            raw[:length], ip_to_bytes(src_ip) + ip_to_bytes(dst_ip)
         )
-        if length < cls.HEADER_LEN or length > len(raw):
-            raise ValueError("malformed UDP length")
-        payload = raw[cls.HEADER_LEN : length]
-        if verify and checksum != 0:
-            pseudo = (
-                ip_to_bytes(src_ip)
-                + ip_to_bytes(dst_ip)
-                + struct.pack("!BBH", 0, IP_PROTO_UDP, length)
-            )
-            if internet_checksum(pseudo + raw[:length]) != 0:
-                raise ValueError("UDP checksum mismatch")
-        return cls(src_port=src_port, dst_port=dst_port, payload=payload)
+        return cls(src_port, dst_port, raw[cls.HEADER_LEN : length])
 
     def __len__(self) -> int:
         return self.HEADER_LEN + len(self.payload)
@@ -314,14 +348,7 @@ class InferenceRequest:
 
     @classmethod
     def unpack(cls, raw: bytes) -> "InferenceRequest":
-        if len(raw) < _REQUEST_HEADER.size:
-            raise ValueError("truncated inference request")
-        magic, model_id, request_id = _REQUEST_HEADER.unpack(
-            raw[: _REQUEST_HEADER.size]
-        )
-        if magic != REQUEST_MAGIC:
-            raise ValueError("not a Lightning inference request")
-        data = np.frombuffer(raw[_REQUEST_HEADER.size :], dtype=np.uint8)
+        model_id, request_id, data = request_fields(raw)
         return cls(model_id=model_id, request_id=request_id, data=data)
 
 
@@ -377,7 +404,7 @@ class InferenceResponse:
 
 
 def build_inference_frame(
-    request: InferenceRequest,
+    request: InferenceRequest | InferenceResponse,
     src_mac: str = "02:00:00:00:00:01",
     dst_mac: str = "02:00:00:00:00:02",
     src_ip: str = "10.0.0.1",
@@ -385,7 +412,8 @@ def build_inference_frame(
     src_port: int = 40001,
     dst_port: int = LIGHTNING_UDP_PORT,
 ) -> bytes:
-    """Assemble a complete Ethernet/IPv4/UDP inference query frame."""
+    """Assemble a complete Ethernet/IPv4/UDP frame around an inference
+    query (or, with the addressing swapped, its response)."""
     udp = UDPDatagram(src_port, dst_port, request.pack())
     ip = IPv4Packet(src_ip, dst_ip, IP_PROTO_UDP, udp.pack(src_ip, dst_ip))
     frame = EthernetFrame(dst_mac, src_mac, ETHERTYPE_IPV4, ip.pack())

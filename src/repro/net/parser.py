@@ -12,8 +12,10 @@ packet-processing module and punted to the host over PCIe.
 
 from __future__ import annotations
 
+import enum
 import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -21,22 +23,26 @@ from .packet import (
     ETHERTYPE_IPV4,
     IP_PROTO_UDP,
     LIGHTNING_UDP_PORT,
-    REQUEST_MAGIC,
     EthernetFrame,
     InferenceRequest,
     IPv4Packet,
     UDPDatagram,
     bytes_to_ip,
     bytes_to_mac,
-    checksum_accumulate,
-    checksum_fold,
-    internet_checksum,
+    ethertype_of,
     ip_to_bytes,
+    ipv4_header,
+    request_fields,
+    udp_header,
+    verify_udp_checksum,
 )
 
-_REQUEST_HEADER = struct.Struct("!HHI")  # magic, model_id, request_id
+if TYPE_CHECKING:
+    from .processing import ProcessedPacket
 
 __all__ = [
+    "Fate",
+    "FlowKey",
     "ParsedInferenceQuery",
     "RegularPacket",
     "PacketParser",
@@ -58,15 +64,44 @@ def extract_header_features(
     split into bytes — the header data a flow classifier keys on.
     """
     length = IPv4Packet.HEADER_LEN + len(ip.payload)
-    features = (
-        list(ip_to_bytes(ip.src_ip))
-        + list(ip_to_bytes(ip.dst_ip))
-        + [udp.src_port >> 8, udp.src_port & 0xFF]
-        + [udp.dst_port >> 8, udp.dst_port & 0xFF]
-        + [ip.protocol, ip.ttl]
-        + [(length >> 8) & 0xFF, length & 0xFF]
+    fields = struct.pack(
+        "!HHBBH", udp.src_port, udp.dst_port, ip.protocol, ip.ttl,
+        length & 0xFFFF,
     )
-    return np.array(features, dtype=np.uint8)
+    octets = ip_to_bytes(ip.src_ip) + ip_to_bytes(ip.dst_ip) + fields
+    return np.frombuffer(octets, dtype=np.uint8).copy()
+
+
+class Fate(enum.Enum):
+    """The terminal fate of a frame the NIC does not serve.
+
+    The parser assigns the first three; :mod:`repro.net.ingress`, which
+    owns the fate table, assigns the rest.
+    """
+
+    RUNT = "runt"
+    NON_INFERENCE = "non-inference"
+    MALFORMED = "malformed"
+    IDS_DROP = "ids-drop"
+    UNKNOWN_MODEL = "unknown-model"
+    WRONG_LENGTH = "wrong-length"
+
+    @property
+    def punted(self) -> bool:
+        """Whether the frame crosses PCIe to the host; every other fate
+        is dropped on the NIC."""
+        return self in (Fate.NON_INFERENCE, Fate.MALFORMED)
+
+
+@dataclass(frozen=True)
+class FlowKey:
+    """The classic 5-tuple identifying a flow."""
+
+    src_ip: str
+    dst_ip: str
+    src_port: int
+    dst_port: int
+    protocol: int
 
 
 @dataclass(frozen=True)
@@ -85,10 +120,17 @@ class ParsedInferenceQuery:
 
 @dataclass(frozen=True)
 class RegularPacket:
-    """A non-inference packet, forwarded to the host over PCIe."""
+    """A frame that is not served, with its one :class:`Fate`.
 
-    frame: EthernetFrame
+    ``flow`` is set once the IPv4 header validated (ports 0 where no
+    UDP header could be read), ``processed`` once a packet processor
+    inspected the frame."""
+
+    raw: bytes
+    fate: Fate
     reason: str
+    flow: FlowKey | None = None
+    processed: ProcessedPacket | None = None
 
 
 class PacketParser:
@@ -105,179 +147,76 @@ class PacketParser:
         #: Model IDs whose query data comes from header fields instead of
         #: the payload (traffic-analysis models).
         self.header_data_models = frozenset(header_data_models)
-        self.inference_packets = 0
-        self.regular_packets = 0
-        self.malformed_packets = 0
 
     def parse(
         self, raw: bytes | bytearray | memoryview
     ) -> ParsedInferenceQuery | RegularPacket:
-        """Classify one wire frame.
+        """Classify one wire frame; never raises on any byte string.
 
-        Malformed inner layers degrade to :class:`RegularPacket` (the NIC
-        never drops traffic just because it is not an inference query);
-        a frame too short to carry an Ethernet header raises.
+        Everything that is not a well-formed query for the inference
+        port comes back as a :class:`RegularPacket`: a runt, regular
+        traffic, or a malformed inner layer (which degrades to a punt —
+        the NIC never drops traffic just because it is not a query).
 
-        The inference path parses headers in place over one
-        :class:`memoryview` — field reads via ``unpack_from``, checksums
-        via the vectorized word sum, and the query data as a
-        :func:`numpy.frombuffer` view of the frame — so a query crosses
-        the parser without a single payload copy.  Only punts (the slow
-        path by construction) materialize an :class:`EthernetFrame`.
+        Headers are validated in place over one :class:`memoryview` by
+        :mod:`~repro.net.packet`'s validators and the query data is a
+        :func:`numpy.frombuffer` view of the frame, so a query crosses
+        the parser without a single payload copy.
         """
         view = memoryview(raw)
-        if len(view) < EthernetFrame.HEADER_LEN:
-            raise ValueError("truncated Ethernet frame")
-        (ethertype,) = struct.unpack_from("!H", view, 12)
+        try:
+            ethertype = ethertype_of(view)
+        except ValueError as exc:
+            return RegularPacket(raw, Fate.RUNT, str(exc))
         if ethertype != ETHERTYPE_IPV4:
-            self.regular_packets += 1
             return RegularPacket(
-                EthernetFrame.unpack(raw), "non-IPv4 ethertype"
+                raw, Fate.NON_INFERENCE, "non-IPv4 ethertype"
             )
         ip_view = view[EthernetFrame.HEADER_LEN :]
         try:
-            ihl, total_length, ttl, protocol = self._parse_ipv4(ip_view)
+            ihl, total_length, _, ttl, protocol = ipv4_header(ip_view)
         except ValueError as exc:
-            self.malformed_packets += 1
-            return RegularPacket(
-                EthernetFrame.unpack(raw), f"bad IPv4: {exc}"
-            )
+            return RegularPacket(raw, Fate.MALFORMED, f"bad IPv4: {exc}")
+        src_ip = bytes_to_ip(ip_view[12:16])
+        dst_ip = bytes_to_ip(ip_view[16:20])
+        src_port = dst_port = 0
+
+        def punt(fate: Fate, reason: str) -> RegularPacket:
+            flow = FlowKey(src_ip, dst_ip, src_port, dst_port, protocol)
+            return RegularPacket(raw, fate, reason, flow)
+
         if protocol != IP_PROTO_UDP:
-            self.regular_packets += 1
-            return RegularPacket(
-                EthernetFrame.unpack(raw), "non-UDP protocol"
-            )
+            return punt(Fate.NON_INFERENCE, "non-UDP protocol")
         udp_view = ip_view[ihl:total_length]
         try:
-            src_port, dst_port, udp_length = self._parse_udp(
-                udp_view, ip_view
-            )
+            # A datagram failing only its checksum keeps its ports.
+            src_port, dst_port, udp_length = udp_header(udp_view)
+            verify_udp_checksum(udp_view[:udp_length], ip_view[12:20])
         except ValueError as exc:
-            self.malformed_packets += 1
-            return RegularPacket(
-                EthernetFrame.unpack(raw), f"bad UDP: {exc}"
-            )
+            return punt(Fate.MALFORMED, f"bad UDP: {exc}")
         if dst_port != self.inference_port:
-            self.regular_packets += 1
-            return RegularPacket(
-                EthernetFrame.unpack(raw), "not the inference port"
-            )
-        payload_view = udp_view[UDPDatagram.HEADER_LEN : udp_length]
+            return punt(Fate.NON_INFERENCE, "not the inference port")
         try:
-            request = self._parse_request(payload_view)
-        except ValueError as exc:
-            self.malformed_packets += 1
-            return RegularPacket(
-                EthernetFrame.unpack(raw), f"bad inference request: {exc}"
+            model_id, request_id, data = request_fields(
+                udp_view[UDPDatagram.HEADER_LEN : udp_length]
             )
-        if request.model_id in self.header_data_models:
-            data = self._header_features(
-                ip_view, ihl, total_length, ttl, protocol,
-                src_port, dst_port,
+        except ValueError as exc:
+            return punt(Fate.MALFORMED, f"bad inference request: {exc}")
+        request = InferenceRequest(model_id, request_id, data)
+        if model_id in self.header_data_models:
+            data_levels = extract_header_features(
+                IPv4Packet(src_ip, dst_ip, protocol, udp_view, ttl),
+                UDPDatagram(src_port, dst_port, b""),
             )
         else:
-            data = request.data
-        self.inference_packets += 1
+            data_levels = request.data
         return ParsedInferenceQuery(
             request=request,
-            data_levels=data,
+            data_levels=data_levels,
             src_mac=bytes_to_mac(view[6:12]),
             dst_mac=bytes_to_mac(view[0:6]),
-            src_ip=bytes_to_ip(ip_view[12:16]),
-            dst_ip=bytes_to_ip(ip_view[16:20]),
+            src_ip=src_ip,
+            dst_ip=dst_ip,
             src_port=src_port,
             dst_port=dst_port,
         )
-
-    @staticmethod
-    def _parse_ipv4(
-        ip_view: memoryview,
-    ) -> tuple[int, int, int, int]:
-        """Header-only IPv4 validation over a view (no payload copy).
-
-        Checks and messages mirror :meth:`IPv4Packet.unpack` exactly.
-        """
-        if len(ip_view) < IPv4Packet.HEADER_LEN:
-            raise ValueError("truncated IPv4 packet")
-        version_ihl = ip_view[0]
-        if version_ihl >> 4 != 4:
-            raise ValueError("not an IPv4 packet")
-        ihl = (version_ihl & 0x0F) * 4
-        if ihl < IPv4Packet.HEADER_LEN or len(ip_view) < ihl:
-            raise ValueError("malformed IPv4 header length")
-        if internet_checksum(ip_view[:ihl]) != 0:
-            raise ValueError("IPv4 header checksum mismatch")
-        (total_length,) = struct.unpack_from("!H", ip_view, 2)
-        if total_length > len(ip_view):
-            raise ValueError("IPv4 total length exceeds captured bytes")
-        return ihl, total_length, ip_view[8], ip_view[9]
-
-    @staticmethod
-    def _parse_udp(
-        udp_view: memoryview, ip_view: memoryview
-    ) -> tuple[int, int, int]:
-        """Header-only UDP validation over a view.
-
-        The pseudo-header sum and the datagram sum are accumulated
-        separately and folded once — exact, since the 12-byte
-        pseudo-header keeps the word boundaries aligned.  Checks and
-        messages mirror :meth:`UDPDatagram.unpack` exactly.
-        """
-        if len(udp_view) < UDPDatagram.HEADER_LEN:
-            raise ValueError("truncated UDP datagram")
-        src_port, dst_port, length, checksum = struct.unpack_from(
-            "!HHHH", udp_view, 0
-        )
-        if length < UDPDatagram.HEADER_LEN or length > len(udp_view):
-            raise ValueError("malformed UDP length")
-        if checksum != 0:
-            pseudo = bytes(ip_view[12:20]) + struct.pack(
-                "!BBH", 0, IP_PROTO_UDP, length
-            )
-            total = checksum_accumulate(pseudo)
-            total += checksum_accumulate(udp_view[:length])
-            if checksum_fold(total) != 0:
-                raise ValueError("UDP checksum mismatch")
-        return src_port, dst_port, length
-
-    @staticmethod
-    def _parse_request(payload_view: memoryview) -> InferenceRequest:
-        """Build the request with its data as a view of the frame."""
-        if len(payload_view) < _REQUEST_HEADER.size:
-            raise ValueError("truncated inference request")
-        magic, model_id, request_id = _REQUEST_HEADER.unpack_from(
-            payload_view, 0
-        )
-        if magic != REQUEST_MAGIC:
-            raise ValueError("not a Lightning inference request")
-        data = np.frombuffer(
-            payload_view[_REQUEST_HEADER.size :], dtype=np.uint8
-        )
-        return InferenceRequest(
-            model_id=model_id, request_id=request_id, data=data
-        )
-
-    @staticmethod
-    def _header_features(
-        ip_view: memoryview,
-        ihl: int,
-        total_length: int,
-        ttl: int,
-        protocol: int,
-        src_port: int,
-        dst_port: int,
-    ) -> np.ndarray:
-        """:func:`extract_header_features` from already-parsed fields."""
-        length = IPv4Packet.HEADER_LEN + (total_length - ihl)
-        features = np.empty(HEADER_FEATURE_COUNT, dtype=np.uint8)
-        features[0:4] = np.frombuffer(ip_view[12:16], dtype=np.uint8)
-        features[4:8] = np.frombuffer(ip_view[16:20], dtype=np.uint8)
-        features[8] = src_port >> 8
-        features[9] = src_port & 0xFF
-        features[10] = dst_port >> 8
-        features[11] = dst_port & 0xFF
-        features[12] = protocol
-        features[13] = ttl
-        features[14] = (length >> 8) & 0xFF
-        features[15] = length & 0xFF
-        return features

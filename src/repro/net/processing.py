@@ -15,7 +15,7 @@ import enum
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from .packet import EthernetFrame, IPv4Packet, UDPDatagram, ETHERTYPE_IPV4
+from .parser import Fate, FlowKey, RegularPacket
 
 __all__ = [
     "FlowKey",
@@ -26,17 +26,6 @@ __all__ = [
     "PacketProcessor",
     "ProcessedPacket",
 ]
-
-
-@dataclass(frozen=True)
-class FlowKey:
-    """The classic 5-tuple identifying a flow."""
-
-    src_ip: str
-    dst_ip: str
-    src_port: int
-    dst_port: int
-    protocol: int
 
 
 @dataclass
@@ -210,27 +199,18 @@ class PacketProcessor:
         self.processed = 0
         self.non_ip = 0
 
-    def process(self, raw: bytes, now_s: float) -> ProcessedPacket:
-        """Account and inspect one wire frame."""
+    def process(
+        self, packet: RegularPacket, now_s: float
+    ) -> ProcessedPacket:
+        """Account and inspect one frame the parser classified as
+        regular traffic, from the headers the parser already read."""
         self.processed += 1
-        frame = EthernetFrame.unpack(raw)
-        if frame.ethertype != ETHERTYPE_IPV4:
+        key = packet.flow
+        if key is None:
+            if packet.fate is not Fate.NON_INFERENCE:  # bad IPv4 header
+                return ProcessedPacket(Verdict.DROP, None, None)
             self.non_ip += 1
             return ProcessedPacket(Verdict.ALLOW, None, None)
-        try:
-            ip = IPv4Packet.unpack(frame.payload)
-        except ValueError:
-            return ProcessedPacket(Verdict.DROP, None, None)
-        src_port = dst_port = 0
-        if ip.protocol == 17:
-            try:
-                udp = UDPDatagram.unpack(
-                    ip.payload, ip.src_ip, ip.dst_ip, verify=False
-                )
-                src_port, dst_port = udp.src_port, udp.dst_port
-            except ValueError:
-                pass
-        key = FlowKey(ip.src_ip, ip.dst_ip, src_port, dst_port, ip.protocol)
-        stats = self.flow_table.observe(key, len(raw), now_s)
-        verdict = self.detector.inspect(ip.src_ip, dst_port, now_s)
+        stats = self.flow_table.observe(key, len(packet.raw), now_s)
+        verdict = self.detector.inspect(key.src_ip, key.dst_port, now_s)
         return ProcessedPacket(verdict=verdict, flow=stats, key=key)

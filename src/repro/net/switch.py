@@ -23,7 +23,14 @@ import numpy as np
 
 from ..core.datapath import LightningDatapath
 from ..core.dag import ComputationDAG
-from .packet import ETHERTYPE_IPV4, EthernetFrame, IPv4Packet, UDPDatagram
+from .packet import (
+    ETHERTYPE_IPV4,
+    IP_PROTO_UDP,
+    EthernetFrame,
+    IPv4Packet,
+    UDPDatagram,
+    udp_header,
+)
 from .parser import extract_header_features
 
 __all__ = [
@@ -198,15 +205,14 @@ class InNetworkInferenceSwitch:
             return None, 0.0
         try:
             ip = IPv4Packet.unpack(frame.payload)
-            udp = (
-                UDPDatagram.unpack(
-                    ip.payload, ip.src_ip, ip.dst_ip, verify=False
-                )
-                if ip.protocol == 17
-                else UDPDatagram(0, 0, b"")
+            ports = (
+                udp_header(ip.payload)[:2]
+                if ip.protocol == IP_PROTO_UDP
+                else (0, 0)
             )
         except ValueError:
             return None, 0.0
+        udp = UDPDatagram(*ports, b"")
         features = extract_header_features(ip, udp).astype(np.float64)
         execution = self.datapath.execute(self._model_id, features)
         self.inferences += 1
@@ -229,32 +235,16 @@ class InNetworkInferenceSwitch:
         self.frames_switched += 1
         if policy.action is PolicyAction.DROP:
             self.frames_dropped += 1
-            return SwitchDecision(
-                ingress_port=ingress_port,
-                egress_ports=(),
-                action=PolicyAction.DROP,
-                inferred_class=inferred,
-                inference_seconds=inference_seconds,
-            )
-        if policy.action is PolicyAction.MIRROR:
+            egress = ()
+        elif policy.action is PolicyAction.MIRROR:
             self.frames_mirrored += 1
             assert policy.mirror_port is not None
-            mirror = (
-                (policy.mirror_port,)
-                if policy.mirror_port not in egress
-                else ()
-            )
-            return SwitchDecision(
-                ingress_port=ingress_port,
-                egress_ports=tuple(egress) + mirror,
-                action=PolicyAction.MIRROR,
-                inferred_class=inferred,
-                inference_seconds=inference_seconds,
-            )
+            if policy.mirror_port not in egress:
+                egress = (*egress, policy.mirror_port)
         return SwitchDecision(
             ingress_port=ingress_port,
             egress_ports=egress,
-            action=PolicyAction.FORWARD,
+            action=policy.action,
             inferred_class=inferred,
             inference_seconds=inference_seconds,
         )

@@ -423,36 +423,6 @@ def _parallel(stack: ExitStack, cores: int) -> Legs:
     )
 
 
-def _fabric_shards(stack: ExitStack) -> Legs:
-    """One live two-core shard's wall over four shards' on the same trace.
-
-    Extra shards must turn into less elapsed time, not a longer serial
-    tour of them.  (That a live fabric's makespan equals its serial
-    twin's is on the virtual clock: ``tests/fabric/test_fabric.py``.)
-    """
-    dag = lenet_class_dag(0)
-    trace = _full_load_trace(dag, SERVE_REQUESTS)
-    # Full load on one shard must queue, not drop: every leg serves
-    # every request.
-    one, four = (
-        _fabric(
-            stack, dag, shards, "parallel",
-            num_cores=2, max_batch=4, queue_capacity=max(4 * len(trace), 64),
-        )
-        for shards in (1, 4)
-    )
-
-    def verify(*results) -> str | None:
-        if any(result.served != len(trace) for result in results):
-            return "a live fabric left requests unserved"
-
-    return Legs(
-        partial(one.serve_trace, trace),
-        partial(four.serve_trace, trace),
-        verify,
-    )
-
-
 def _ring_laps(
     stack: ExitStack, model: Callable[[], ComputationDAG]
 ) -> Legs:
@@ -510,11 +480,6 @@ CASES: tuple[Case, ...] = (
     Case("energy_overhead_ratio", _energy_ledger, rounds=41, ceiling=1.05),
     Case("parallel_speedup_1c", partial(_parallel, cores=1)),
     Case("parallel_speedup_2c", partial(_parallel, cores=2), min_cpus=2),
-    Case(
-        "parallel_speedup_4c", partial(_parallel, cores=4),
-        min_cpus=4, floor=2.5, baseline=True,
-    ),
-    Case("fabric_wall_ratio_4s", _fabric_shards, min_cpus=4, floor=1.0),
     Case(
         "ring_lap_ratio_gpt2",
         partial(

@@ -68,12 +68,9 @@ from ..faults.schedule import (
     FaultEvent,
     FaultSchedule,
 )
-from ..faults.wire import (
-    WireFaultInjector,
-    WireFaultReport,
-    WireFrame,
-    requests_from_frames,
-)
+from ..faults.wire import WireFaultInjector, WireFaultReport, WireFrame
+from ..net import ingress
+from ..net.ingress import IngressRequest as RuntimeRequest
 from ..net.parser import PacketParser
 from ..sim.events import Event, EventQueue
 from .batching import BatchingCoalescer, stack_levels
@@ -94,20 +91,6 @@ __all__ = ["RuntimeRequest", "RuntimeRecord", "ClusterResult", "Cluster"]
 _BATCH_RNG_DOMAIN = 0xB0
 _PROBE_RNG_DOMAIN = 0xA5
 _RELOCK_RNG_DOMAIN = 0x9C
-
-
-@dataclass(frozen=True)
-class RuntimeRequest:
-    """One inference query offered to the cluster."""
-
-    request_id: int
-    model_id: int
-    arrival_s: float
-    data_levels: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.arrival_s < 0:
-            raise ValueError("arrival time cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -546,6 +529,22 @@ class Cluster:
         :class:`_ServeRun`): the next serve on this cluster is the one
         a fresh cluster would run.
         """
+        run = self._checked_run(
+            requests, fault_schedule, watchdog, retry_policy, slo_s, timeout_s
+        )
+        ingress.admit(self.nic_counters, run.offered)
+        return run.run()
+
+    def _checked_run(
+        self,
+        requests: Iterable[RuntimeRequest],
+        fault_schedule: FaultSchedule | None = None,
+        watchdog: CalibrationWatchdog | None = None,
+        retry_policy: RetryPolicy | None = None,
+        slo_s: float | None = None,
+        timeout_s: float | None = None,
+    ) -> "_ServeRun":
+        """Check one serve's arguments and build its run."""
         if slo_s is not None and slo_s <= 0:
             raise ValueError("slo must be positive")
         if timeout_s is not None and timeout_s <= 0:
@@ -572,7 +571,7 @@ class Cluster:
         policy = retry_policy if retry_policy is not None else RetryPolicy()
         return _ServeRun(
             self, trace, faults, watchdog, policy, slo_s, timeout_s
-        ).run()
+        )
 
     def serve_frames(
         self,
@@ -585,12 +584,12 @@ class Cluster:
         """Serve raw timestamped frames through the faulty wire.
 
         The schedule's wire faults (drop/corrupt/reorder) act on the
-        frame stream first; survivors parse through the real
-        :class:`~repro.net.parser.PacketParser` (corrupted queries
-        degrade to punts on :attr:`nic_counters`, never crashes), and
-        the resulting requests serve through :meth:`serve_trace` with
-        the same schedule's device/core faults.  Returns the serve
-        result plus the wire's injection report.
+        frame stream first; every survivor moves :attr:`nic_counters`
+        once at NIC ingress (:mod:`repro.net.ingress` — hostile frames
+        get a fate there, never an exception), and the queries for
+        deployed models serve as in :meth:`serve_trace`, under the same
+        schedule's device/core faults.  Returns the serve result plus
+        the wire's injection report.
         """
         schedule = (
             fault_schedule
@@ -598,17 +597,18 @@ class Cluster:
             else FaultSchedule()
         )
         delivered, report = WireFaultInjector(schedule).apply(list(frames))
-        requests, _ = requests_from_frames(
-            delivered, parser=parser, counters=self.nic_counters
+        requests, _ = ingress.ingest(
+            delivered,
+            parser if parser is not None else PacketParser(),
+            self.nic_counters,
+            {m: dag.tasks[0].input_size for m, dag in self._dags.items()},
         )
         if not requests:
             raise ValueError(
                 "no inference requests survived NIC ingress"
             )
-        result = self.serve_trace(
-            requests, fault_schedule=fault_schedule, **kwargs
-        )
-        return result, report
+        run = self._checked_run(requests, fault_schedule, **kwargs)
+        return run.run(), report
 
 
 #: What :meth:`_ServeRun.on_complete` answers for a completion a crash

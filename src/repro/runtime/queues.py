@@ -61,11 +61,8 @@ class AdmissionQueue(Generic[T]):
         self.model_id = model_id
         self.capacity = capacity
         self.policy = policy
-        #: Shared frame-level accounting.  *Both* overload policies
-        #: charge their victim to the same ``counters.dropped`` field
-        #: (drop-head evictions used to bypass NIC-level accounting),
-        #: so a dashboard reading NICCounters sees every shed request
-        #: regardless of policy.
+        #: Shared frame-level accounting: both overload policies charge
+        #: their victim to the same ``counters.dropped`` field.
         self.counters = counters
         self._entries: deque[QueueEntry[T]] = deque()
         self.admitted = 0
@@ -102,8 +99,6 @@ class AdmissionQueue(Generic[T]):
         (rejected), under ``drop-head`` it returns the evicted oldest
         request (the new one is admitted).
         """
-        if self.counters is not None:
-            self.counters.frames_seen += 1
         if len(self._entries) < self.capacity:
             self._entries.append(QueueEntry(item, now_s))
             self.admitted += 1

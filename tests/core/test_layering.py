@@ -8,6 +8,7 @@ nothing from the layers built on top of it.
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import subprocess
 import sys
@@ -56,3 +57,94 @@ def test_serving_a_request_loads_no_layer_above_the_core():
         if module.split(".")[1] in UPPER_LAYERS
     ]
     assert reached == []
+
+
+# ----------------------------------------------------------------------
+# NIC ingress: one module decides a frame's fate and moves its counters
+# ----------------------------------------------------------------------
+SRC = pathlib.Path(repro.__file__).parent
+
+
+def parsed_modules(root: pathlib.Path = SRC):
+    for path in sorted(root.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
+
+
+def test_no_function_level_import_under_faults():
+    nested = [
+        (name, node.lineno)
+        for name, tree in parsed_modules(SRC / "faults")
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert nested == []
+
+
+def test_ingress_imports_nothing_from_the_layers_it_serves():
+    tree = ast.parse((SRC / "net" / "ingress.py").read_text())
+    imported = [
+        node.module or ""
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    ] + [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    ]
+    assert imported  # the walk found the module's imports at all
+    for module in imported:
+        assert not set(module.split(".")) & {*UPPER_LAYERS}, module
+
+
+def counter_bumps(field: str) -> set[tuple[str, str]]:
+    """``(module, target)`` of every ``<target>.<field> +=`` under
+    ``src/`` outside a ``merge`` method."""
+
+    def bumps(node, inside_merge=False):
+        if isinstance(node, ast.FunctionDef):
+            inside_merge = inside_merge or node.name == "merge"
+        if (
+            isinstance(node, ast.AugAssign)
+            and isinstance(node.target, ast.Attribute)
+            and node.target.attr == field
+            and not inside_merge
+        ):
+            yield ast.unparse(node.target.value)
+        for child in ast.iter_child_nodes(node):
+            yield from bumps(child, inside_merge)
+
+    return {
+        (name, target)
+        for name, tree in parsed_modules()
+        for target in bumps(tree)
+    }
+
+
+def test_one_module_moves_frames_seen_and_punted():
+    assert counter_bumps("frames_seen") == {("net/ingress.py", "counters")}
+    # InferenceServer keeps a ServerStats view, filled from the fate
+    # ingress returned; no other NICCounters.punted moves anywhere.
+    assert counter_bumps("punted") == {
+        ("net/ingress.py", "counters"),
+        ("core/server.py", "self.stats"),
+    }
+    server = (SRC / "core" / "server.py").read_text()
+    assert "except" not in server and ".reason" not in server
+
+
+def test_each_wire_format_check_is_written_once():
+    sources = "".join(
+        path.read_text() for path in sorted(SRC.rglob("*.py"))
+    )
+    for message in (
+        "IPv4 header checksum mismatch",
+        "malformed UDP length",
+        "not a Lightning inference request",
+        "truncated Ethernet frame",
+    ):
+        assert sources.count(message) == 1, message
+    processing = (SRC / "net" / "processing.py").read_text()
+    assert ".unpack(" not in processing  # it takes the parsed headers

@@ -15,6 +15,7 @@ from repro.core import (
 )
 from repro.net import (
     EthernetFrame,
+    Fate,
     InferenceRequest,
     InferenceResponse,
     IPv4Packet,
@@ -47,7 +48,7 @@ class TestServing:
     def test_inference_packet_is_served(self, nic):
         served = nic.handle_frame(make_frame())
         assert isinstance(served, ServedRequest)
-        assert nic.served_requests == 1
+        assert nic.counters.served == 1
 
     def test_response_round_trips_on_the_wire(self, nic):
         served = nic.handle_frame(make_frame(request_id=99))
@@ -89,9 +90,16 @@ class TestServing:
         assert served.network_seconds > 0
         assert served.compute_seconds > 0
 
-    def test_unknown_model_id_raises(self, nic):
-        with pytest.raises(KeyError):
-            nic.handle_frame(make_frame(model_id=55))
+    def test_unknown_model_id_is_dropped(self, nic):
+        outcome = nic.handle_frame(make_frame(model_id=55))
+        assert isinstance(outcome, PuntedPacket)
+        assert outcome.fate is Fate.UNKNOWN_MODEL
+        assert "model 55 is not deployed" in outcome.reason
+        assert outcome.pcie_seconds == 0.0
+        assert nic.counters.summary() == {
+            "served": 0, "punted": 0, "dropped": 1, "frames_seen": 1,
+        }
+        assert isinstance(nic.handle_frame(make_frame()), ServedRequest)
 
 
 class TestPunting:
@@ -99,7 +107,7 @@ class TestPunting:
         frame = make_frame(dst_port=8080)
         punted = nic.handle_frame(frame)
         assert isinstance(punted, PuntedPacket)
-        assert nic.punted_packets == 1
+        assert nic.counters.punted == 1
         assert punted.pcie_seconds > 0
 
     def test_non_ip_traffic_punted(self, nic):
@@ -172,4 +180,4 @@ class TestHeaderDataModels:
         )
         assert a.execution.model_name == "tiny"
         assert b.execution.model_name == "other"
-        assert nic.served_requests == 2
+        assert nic.counters.served == 2

@@ -478,7 +478,7 @@ class TestShardScaling:
     @pytest.mark.parametrize("num_shards", [1, 4])
     def test_live_shards_keep_the_serial_makespan(self, num_shards):
         """Worker processes per core and a thread per shard change the
-        wall clock only (the pair ``fabric_wall_ratio_4s`` times)."""
+        wall clock only."""
         live = self.serve(num_shards, execution="parallel")
         serial = self.serve(num_shards)
         assert live.horizon_s == serial.horizon_s

@@ -334,7 +334,7 @@ class TestServeFrames:
         )
         # ... and every parsed query is accounted by the serve loop.
         assert accounted(result) == result.offered
-        assert cluster.nic_counters.frames_seen >= report.delivered
+        assert cluster.nic_counters.frames_seen == report.delivered
 
     def test_clean_wire_serves_everything(self, tiny_dag):
         cluster = make_cluster(num_cores=2)
@@ -343,3 +343,48 @@ class TestServeFrames:
         assert report.delivered == report.offered == 40
         assert result.served == 40
         assert cluster.nic_counters.served == 40
+
+    def hostile_frame(self, arrival_s, model_id=1, size=12):
+        request = InferenceRequest(
+            model_id=model_id, request_id=999, data=np.zeros(size)
+        )
+        return WireFrame(arrival_s, build_inference_frame(request))
+
+    @pytest.mark.parametrize(
+        "hostile", [{"model_id": 55}, {"size": 11}, {"size": 13}],
+        ids=["unknown-model", "short-payload", "long-payload"],
+    )
+    def test_one_hostile_query_does_not_abort_the_serve(
+        self, tiny_dag, hostile
+    ):
+        """Regression: an undeployed model id raised ``KeyError`` before
+        the clock started, a payload of the wrong length ``ValueError``
+        mid-serve; either took every other frame down with it."""
+        cluster = make_cluster(num_cores=2)
+        cluster.deploy(tiny_dag)
+        frames = self.query_frames(count=10)
+        frames.insert(5, self.hostile_frame(4.5e-6, **hostile))
+        result, report = cluster.serve_frames(frames)
+        assert report.delivered == 11
+        assert result.offered == result.served == 10
+        assert cluster.nic_counters.summary() == {
+            "served": 10, "punted": 0, "dropped": 1, "frames_seen": 11,
+        }
+
+    def test_a_frame_is_seen_once_whatever_its_retries(self, tiny_dag):
+        """Regression: each admission-queue offer — the first, and one
+        more per crash retry — used to count the frame again."""
+        schedule = FaultSchedule(seed=5).core_crash(at_s=3e-6, core=1)
+        cluster = make_cluster(num_cores=2)
+        cluster.deploy(tiny_dag)
+        result, report = cluster.serve_frames(
+            self.query_frames(count=20), fault_schedule=schedule
+        )
+        retried = cluster.stats.retries
+        assert retried > 0
+        assert cluster.nic_counters.frames_seen == report.delivered == 20
+        # ... and handed over already parsed, once per offered request.
+        trace = steady_trace(count=20, spacing_s=1e-6)
+        again = cluster.serve_trace(trace, fault_schedule=schedule)
+        assert cluster.stats.retries > retried
+        assert cluster.nic_counters.frames_seen == 20 + again.offered

@@ -7,6 +7,7 @@ import pytest
 
 from repro.net import (
     EthernetFrame,
+    Fate,
     HEADER_FEATURE_COUNT,
     InferenceRequest,
     IPv4Packet,
@@ -33,14 +34,14 @@ class TestClassification:
         parser = PacketParser()
         parsed = parser.parse(inference_frame())
         assert isinstance(parsed, ParsedInferenceQuery)
-        assert parser.inference_packets == 1
 
     def test_other_udp_port_is_regular(self):
         parser = PacketParser()
         parsed = parser.parse(inference_frame(dst_port=53))
         assert isinstance(parsed, RegularPacket)
         assert "not the inference port" in parsed.reason
-        assert parser.regular_packets == 1
+        assert parsed.fate is Fate.NON_INFERENCE
+        assert parsed.flow.dst_port == 53
 
     def test_non_udp_is_regular(self):
         ip = IPv4Packet("1.1.1.1", "2.2.2.2", 6, b"\x00" * 20)  # TCP
@@ -61,10 +62,10 @@ class TestClassification:
     def test_corrupted_ip_counted_malformed(self):
         raw = bytearray(inference_frame())
         raw[22] ^= 0xFF  # corrupt the IP header (TTL), checksum fails
-        parser = PacketParser()
-        parsed = parser.parse(bytes(raw))
+        parsed = PacketParser().parse(bytes(raw))
         assert isinstance(parsed, RegularPacket)
-        assert parser.malformed_packets == 1
+        assert parsed.fate is Fate.MALFORMED
+        assert parsed.flow is None  # no header to key a flow on
 
     def test_bad_request_payload_malformed(self):
         udp = UDPDatagram(1, 4055, b"junk")
@@ -73,10 +74,33 @@ class TestClassification:
         frame = EthernetFrame(
             "02:00:00:00:00:02", "02:00:00:00:00:01", 0x0800, ip.pack()
         )
-        parser = PacketParser()
-        parsed = parser.parse(frame.pack())
+        parsed = PacketParser().parse(frame.pack())
         assert isinstance(parsed, RegularPacket)
-        assert parser.malformed_packets == 1
+        assert parsed.fate is Fate.MALFORMED
+        assert parsed.flow.src_ip == "1.1.1.1"
+
+    def test_runt_is_classified_not_raised(self):
+        for size in range(EthernetFrame.HEADER_LEN):
+            parsed = PacketParser().parse(b"\x00" * size)
+            assert parsed.fate is Fate.RUNT
+            assert parsed.flow is None
+            assert "truncated Ethernet frame" in parsed.reason
+
+    def test_bad_udp_checksum_keeps_its_ports(self):
+        raw = bytearray(inference_frame(src_port=1234))
+        raw[-1] ^= 0xFF  # payload byte: only the UDP checksum breaks
+        parsed = PacketParser().parse(bytes(raw))
+        assert parsed.fate is Fate.MALFORMED
+        assert "UDP checksum" in parsed.reason
+        assert (parsed.flow.src_port, parsed.flow.dst_port) == (1234, 4055)
+
+    def test_bad_udp_length_has_no_ports(self):
+        raw = bytearray(inference_frame(src_port=1234))
+        raw[14 + 20 + 4 : 14 + 20 + 6] = b"\xff\xff"  # UDP length
+        parsed = PacketParser().parse(bytes(raw))
+        assert parsed.fate is Fate.MALFORMED
+        assert "malformed UDP length" in parsed.reason
+        assert (parsed.flow.src_port, parsed.flow.dst_port) == (0, 0)
 
     def test_custom_inference_port(self):
         parser = PacketParser(inference_port=9000)

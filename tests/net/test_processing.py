@@ -12,6 +12,7 @@ from repro.net import (
     FlowTable,
     InferenceRequest,
     IntrusionDetector,
+    PacketParser,
     PacketProcessor,
     Verdict,
     build_inference_frame,
@@ -120,13 +121,20 @@ class TestIntrusionDetector:
             IntrusionDetector(max_packets_per_window=0)
 
 
+def classified(raw):
+    """The processor takes what the parser already read, not bytes."""
+    return PacketParser().parse(raw)
+
+
 class TestPacketProcessor:
     def frame(self, src_ip="3.3.3.3", src_port=1234, dst_port=9999):
-        return build_inference_frame(
-            InferenceRequest(1, 1, np.zeros(4, dtype=np.uint8)),
-            src_ip=src_ip,
-            src_port=src_port,
-            dst_port=dst_port,
+        return classified(
+            build_inference_frame(
+                InferenceRequest(1, 1, np.zeros(4, dtype=np.uint8)),
+                src_ip=src_ip,
+                src_port=src_port,
+                dst_port=dst_port,
+            )
         )
 
     def test_flow_accounting_through_processor(self):
@@ -142,17 +150,23 @@ class TestPacketProcessor:
         arp = EthernetFrame(
             "02:00:00:00:00:02", "02:00:00:00:00:01", 0x0806, b"\x00" * 28
         )
-        out = proc.process(arp.pack(), 0.0)
+        out = proc.process(classified(arp.pack()), 0.0)
         assert out.verdict is Verdict.ALLOW
         assert out.flow is None
         assert proc.non_ip == 1
 
     def test_corrupted_ip_dropped(self):
         proc = PacketProcessor()
-        raw = bytearray(self.frame())
+        raw = bytearray(self.frame().raw)
         raw[22] ^= 0xFF
-        out = proc.process(bytes(raw), 0.0)
+        out = proc.process(classified(bytes(raw)), 0.0)
         assert out.verdict is Verdict.DROP
+        assert (out.flow, out.key) == (None, None)
+
+    def test_flow_bytes_are_the_frame_length(self):
+        proc = PacketProcessor()
+        packet = self.frame()
+        assert proc.process(packet, 0.0).flow.bytes == len(packet.raw)
 
     def test_flood_detected(self):
         proc = PacketProcessor(
@@ -186,7 +200,7 @@ class TestSmartNICIntegration:
         assert isinstance(out, PuntedPacket)
         assert out.verdict is Verdict.DROP
         assert out.pcie_seconds == 0.0
-        assert nic.dropped_packets == 1
+        assert nic.counters.dropped == 1
 
     def test_regular_traffic_accounted_in_flow_table(self, tiny_dag):
         from repro.core import LightningSmartNIC
@@ -200,7 +214,7 @@ class TestSmartNICIntegration:
         nic.handle_frame(frame)
         nic.handle_frame(frame)
         assert len(nic.processor.flow_table) == 1
-        assert nic.punted_packets == 2
+        assert nic.counters.punted == 2
 
     def test_inference_packets_bypass_processing(self, tiny_dag):
         from repro.core import LightningSmartNIC

@@ -163,16 +163,13 @@ class TestCaseTable:
             "energy_overhead_ratio": (1, None, 1.05, False),
             "parallel_speedup_1c": (1, None, None, False),
             "parallel_speedup_2c": (2, None, None, False),
-            "parallel_speedup_4c": (4, 2.5, None, True),
-            "fabric_wall_ratio_4s": (4, 1.0, None, False),
             "ring_lap_ratio_gpt2": (2, 1.2, None, False),
             "ring_lap_ratio_lenet": (2, None, None, False),
         }
 
     @pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
     def test_case_builds_warms_runs_and_verifies(self, case, monkeypatch):
-        """One round of every case at toy sizes, so none rots unseen —
-        the >= 4-CPU ones included (only their *ratio* needs the CPUs)."""
+        """One round of every case at toy sizes, so none rots unseen."""
         sizes = dict(
             EMULATOR_REQUESTS=2, CLUSTER_REQUESTS=8, LOOP_WALK=2,
             ENERGY_REQUESTS=16, SERVE_REQUESTS=8, RING_LAP_REQUESTS=8,

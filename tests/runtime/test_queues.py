@@ -95,7 +95,9 @@ class TestAdmissionQueue:
             q.offer(f"r{i}", float(i))
         assert counters.dropped == 3
         assert counters.dropped == q.dropped
-        assert counters.frames_seen == 5
+        # A frame is seen once, at NIC ingress: offering it to a queue
+        # (again on every crash retry) is not an arrival.
+        assert counters.frames_seen == 0
 
     def test_counters_optional(self):
         q = AdmissionQueue(model_id=1, capacity=1)

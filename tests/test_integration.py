@@ -16,6 +16,8 @@ from repro.core import (
     ServedRequest,
 )
 from repro.net import (
+    EthernetFrame,
+    Fate,
     InferenceRequest,
     IntrusionDetector,
     PacketParser,
@@ -48,8 +50,8 @@ def small_dag(model_id: int, in_size: int, out_size: int, seed: int):
 
 class TestParserFuzzing:
     """The NIC faces arbitrary wire bytes; the parser must classify
-    every frame long enough to carry an Ethernet header without
-    crashing (shorter frames are a documented error)."""
+    every frame without crashing (one too short to carry an Ethernet
+    header is a runt)."""
 
     @given(data=st.binary(min_size=14, max_size=200))
     @settings(max_examples=200, deadline=None)
@@ -64,14 +66,17 @@ class TestParserFuzzing:
     @given(data=st.binary(min_size=0, max_size=13))
     @settings(max_examples=50, deadline=None)
     def test_truncated_ethernet_raises_cleanly(self, data):
-        with pytest.raises(ValueError):
-            PacketParser().parse(data)
+        """... out of ``EthernetFrame.unpack``; the parser, which must
+        not raise, classifies the same bytes as a runt."""
+        with pytest.raises(ValueError, match="truncated Ethernet frame"):
+            EthernetFrame.unpack(data)
+        assert PacketParser().parse(data).fate is Fate.RUNT
 
     @given(data=st.binary(min_size=14, max_size=200))
     @settings(max_examples=100, deadline=None)
     def test_processor_never_crashes_on_random_bytes(self, data):
         processor = PacketProcessor()
-        outcome = processor.process(data, now_s=0.0)
+        outcome = processor.process(PacketParser().parse(data), now_s=0.0)
         assert outcome.verdict in (
             Verdict.ALLOW, Verdict.ALERT, Verdict.DROP,
         )
@@ -173,7 +178,9 @@ class TestMixedTrafficScenario:
         assert served == 40
         assert punted == 20
         assert dropped == 5
-        assert nic.parser.inference_packets == 40
+        assert nic.counters.summary() == {
+            "served": 40, "punted": 20, "dropped": 5, "frames_seen": 65,
+        }
         assert len(nic.processor.flow_table) >= 1
 
     def test_model_isolation_under_interleaving(self, nic):
@@ -243,7 +250,7 @@ class TestFailureInjection:
         frame[-3] ^= 0xFF  # corrupt the UDP payload (checksum breaks)
         outcome = nic.handle_frame(bytes(frame))
         assert isinstance(outcome, PuntedPacket)
-        assert nic.served_requests == 0
+        assert nic.counters.served == 0
 
     def test_wrong_payload_length_is_loud(self, tiny_dag):
         nic = LightningSmartNIC(
@@ -255,5 +262,8 @@ class TestFailureInjection:
         frame = build_inference_frame(
             InferenceRequest(1, 1, np.zeros(5, dtype=np.uint8))
         )
-        with pytest.raises(ValueError, match="expects 12"):
-            nic.handle_frame(frame)
+        outcome = nic.handle_frame(frame)
+        assert outcome.fate is Fate.WRONG_LENGTH
+        assert "expects 12" in outcome.reason
+        assert outcome.pcie_seconds == 0.0
+        assert (nic.counters.dropped, nic.counters.served) == (1, 0)
