@@ -533,10 +533,11 @@ def check_accounting(
         served + dropped + failed + unfinished + shed + failed_over
             == offered
 
-    ``stolen`` and ``failovers`` annotate subsets of other fates
-    (stolen requests are served by a sibling shard; failovers are
-    recoveries already counted as served), so they bound-check rather
-    than sum.  The cluster, fabric, fleet engine, and gateway all call
+    ``stolen`` and ``failovers`` annotate requests already counted
+    under another fate, so they do not sum.  ``stolen`` is bounded by
+    ``served``; ``failovers`` is only checked for sign — a request the
+    router diverted and the recovery pass later moved again counts
+    twice.  The cluster, fabric, fleet engine, and gateway all call
     this one helper instead of re-implementing the arithmetic — a new
     fate (cost, carbon) is a single-file change.
 

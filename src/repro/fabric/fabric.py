@@ -28,9 +28,10 @@ place anywhere are charged to ``failed_over``.
 
 Faults and health are global: a
 :class:`~repro.faults.schedule.FaultSchedule` addresses cores by
-*global* index (shard offsets concatenated in shard order), and the
-fabric splits it into per-shard schedules with local core indices
-before serving.  Results merge back the other way:
+*global* index (shard offsets concatenated in shard order), and one
+walk (:class:`~repro.fabric.lifecycle.OutageBook`) turns it into
+per-shard schedules with local core indices plus the health record
+routing and recovery read.  Results merge back the other way:
 :class:`~repro.core.stats.ServerStats.merge` remaps each shard's core
 health into the global namespace and folds latency reservoirs, and
 :class:`FabricResult` re-checks the global accounting invariant
@@ -40,8 +41,11 @@ offered``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from ..core.dag import ComputationDAG
@@ -49,7 +53,7 @@ from ..core.datapath import LightningDatapath
 from ..core.energy import EnergyModel
 from ..core.stats import ServerStats, check_accounting
 from ..faults.resilience import CalibrationWatchdog, RetryPolicy
-from ..faults.schedule import FaultEvent, FaultSchedule, WIRE_FAULT_KINDS
+from ..faults.schedule import FaultSchedule
 from ..runtime.cluster import (
     Cluster,
     ClusterResult,
@@ -62,6 +66,7 @@ from .lifecycle import (
     FailoverRouter,
     ModelPlacement,
     ModelVersions,
+    OutageBook,
 )
 from .router import LeastLoadedShardRouter, ShardRouter, ShardView
 
@@ -224,9 +229,10 @@ class FabricResult:
     def accounted(self) -> bool:
         """The global invariant: every offered request landed in
         exactly one of served / dropped / failed / unfinished / shed /
-        failed_over — and the subset annotations are sane (``stolen``
-        and ``failovers`` mark served/admitted requests, so they can
-        never exceed what they annotate).  Delegates the arithmetic to
+        failed_over, no term is negative, and ``stolen`` never exceeds
+        ``served``.  ``failovers`` has no upper bound: a request the
+        router diverted and the recovery pass later moved again counts
+        twice.  Delegates the arithmetic to
         :func:`repro.core.stats.check_accounting`, the one invariant
         spine shared with the cluster, fleet engine, and gateway."""
         try:
@@ -277,15 +283,9 @@ class Fabric:
                 f"unknown concurrency mode {concurrency!r}; "
                 "choose 'threads' or 'serial'"
             )
-        #: How busy shards serve relative to each other: ``"threads"``
-        #: dispatches every shard's serve concurrently (one thread per
-        #: busy shard — shards share no mutable state, and parallel
-        #: shards spend their serve waiting on worker processes, which
-        #: releases the GIL), ``"serial"`` iterates them in shard
-        #: order.  Results are bit-identical either way: each shard
-        #: serves its own sub-trace on its own virtual clock, and
-        #: merging happens in fixed shard order after every serve
-        #: returns.
+        #: ``"threads"`` or ``"serial"``: how busy shards serve relative
+        #: to each other (:meth:`_ShardPass.serve` — results are
+        #: bit-identical either way).
         self.concurrency = concurrency
         self.shards: tuple[Cluster, ...] = tuple(
             spec.build() if isinstance(spec, ShardSpec) else spec
@@ -294,13 +294,9 @@ class Fabric:
         self.router: ShardRouter = (
             router if router is not None else LeastLoadedShardRouter()
         )
-        offsets: list[int] = []
-        total = 0
-        for shard in self.shards:
-            offsets.append(total)
-            total += shard.num_cores
-        self._core_offsets = tuple(offsets)
-        self._total_cores = total
+        sizes = [shard.num_cores for shard in self.shards]
+        self._core_offsets = tuple(accumulate(sizes, initial=0))[:-1]
+        self._total_cores = sum(sizes)
         self.placement = placement
         if placement is not None:
             placement.bind(self)
@@ -336,11 +332,8 @@ class Fabric:
                 f"core {global_core} out of range "
                 f"(fabric has {self._total_cores} cores)"
             )
-        for shard in range(self.num_shards - 1, -1, -1):
-            offset = self._core_offsets[shard]
-            if global_core >= offset:
-                return shard, global_core - offset
-        raise AssertionError("unreachable")
+        shard = bisect_right(self._core_offsets, global_core) - 1
+        return shard, global_core - self._core_offsets[shard]
 
     # ------------------------------------------------------------------
     # Model management
@@ -477,73 +470,8 @@ class Fabric:
         return rewritten
 
     # ------------------------------------------------------------------
-    # Fault-schedule splitting
-    # ------------------------------------------------------------------
-    def _split_schedule(
-        self, schedule: FaultSchedule
-    ) -> list[FaultSchedule | None]:
-        """One per-shard schedule with *local* core indices.
-
-        Wire faults (core ``None``) replicate to every shard — the
-        wire is shared, and ``serve_trace`` ignores them anyway.
-        Device/core faults land on the shard owning their global core.
-        Shards with no events get ``None`` so their serve skips fault
-        replay entirely.
-        """
-        per_shard: list[list[FaultEvent]] = [
-            [] for _ in range(self.num_shards)
-        ]
-        for event in schedule.events:
-            if event.kind in WIRE_FAULT_KINDS or event.core is None:
-                for bucket in per_shard:
-                    bucket.append(event)
-                continue
-            shard, local = self.shard_of_core(event.core)
-            per_shard[shard].append(
-                FaultEvent(
-                    time_s=event.time_s,
-                    kind=event.kind,
-                    core=local,
-                    duration_s=event.duration_s,
-                    params=dict(event.params),
-                )
-            )
-        schedules: list[FaultSchedule | None] = []
-        for events in per_shard:
-            if not events:
-                schedules.append(None)
-                continue
-            local_schedule = FaultSchedule(seed=schedule.seed)
-            for event in events:
-                local_schedule.add(event)
-            schedules.append(local_schedule)
-        return schedules
-
-    # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def _serve_shards(
-        self, jobs: Sequence[tuple[int, Callable[[], ClusterResult]]]
-    ) -> list[ClusterResult]:
-        """Run per-shard serve thunks, concurrently when configured.
-
-        Wall-clock is the only thing concurrency changes: every thunk
-        touches exactly one shard's state (clusters share nothing
-        mutable — the shared watchdog is probe-stateless and the
-        re-lock controller serializes its sweep mount internally), and
-        the caller consumes the returned list in the same fixed job
-        order either way.  The first shard exception propagates after
-        all serves finish, so no cluster is abandoned mid-trace.
-        """
-        if self.concurrency != "threads" or len(jobs) <= 1:
-            return [thunk() for _, thunk in jobs]
-        with ThreadPoolExecutor(
-            max_workers=len(jobs),
-            thread_name_prefix="lightning-shard",
-        ) as pool:
-            futures = [pool.submit(thunk) for _, thunk in jobs]
-            return [future.result() for future in futures]
-
     def serve_trace(
         self,
         requests: Iterable[RuntimeRequest],
@@ -575,88 +503,18 @@ class Fabric:
         )
         if not trace:
             raise ValueError("cannot serve an empty trace")
-        self.router.reset()
-        routed_counts = [0] * self.num_shards
-        kept: list[RuntimeRequest] = []
-        routed: list[int] = []
-        failed_over = 0
+        routing = _Routing(self)
         for request in trace:
-            views = tuple(
-                ShardView(
-                    shard=i,
-                    num_cores=shard.num_cores,
-                    macs_per_step=(
-                        shard.datapaths[0].core
-                        .architecture.macs_per_step
-                    ),
-                    routed=routed_counts[i],
-                )
-                for i, shard in enumerate(self.shards)
-            )
-            target = self.router.route(request, views)
-            if target == FAILOVER_DROP:
-                failed_over += 1
-                continue
-            if not 0 <= target < self.num_shards:
-                raise ValueError(
-                    f"router returned shard {target} for request "
-                    f"{request.request_id}; fabric has "
-                    f"{self.num_shards} shards"
-                )
-            routed_counts[target] += 1
-            kept.append(request)
-            routed.append(target)
-        return self.serve_routed(
-            kept,
-            routed,
+            target = routing.route(request, routing.views())
+            if target is not None:
+                routing.place(request, target)
+        return routing.serve(
             fault_schedule=fault_schedule,
             watchdog=watchdog,
             retry_policy=retry_policy,
             slo_s=slo_s,
             timeout_s=timeout_s,
-            failed_over=failed_over,
-            failovers=getattr(self.router, "failovers", 0),
         )
-
-    def _recovery_target(
-        self,
-        request: RuntimeRequest,
-        failed_shard: int,
-        schedules: Sequence[FaultSchedule | None],
-        handed_counts: Sequence[int],
-    ) -> int | None:
-        """Pick the replica shard that re-serves one stranded request.
-
-        Eligible shards host the request's model (its version alias),
-        had no scheduled faults of their own, and — if they already
-        served — ended their serve with at least one usable core.
-        Deterministic: fewest requests already handed over, then
-        lowest index.
-        """
-        if self.placement is None:
-            return None
-        public = request.model_id
-        try:
-            public = self.versions.public(request.model_id)[0]
-        except KeyError:
-            pass
-        if not self.placement.is_placed(public):
-            return None
-        candidates = []
-        for shard_index in self.placement.shards_for(public):
-            if shard_index == failed_shard:
-                continue
-            shard = self.shards[shard_index]
-            if request.model_id not in shard.model_ids:
-                continue
-            if schedules[shard_index] is not None:
-                continue
-            if not any(h.usable for h in shard.health.values()):
-                continue
-            candidates.append(shard_index)
-        if not candidates:
-            return None
-        return min(candidates, key=lambda s: (handed_counts[s], s))
 
     def serve_routed(
         self,
@@ -676,161 +534,52 @@ class Fabric:
     ) -> FabricResult:
         """Serve a trace whose shard placement is already decided.
 
-        The execution half of :meth:`serve_trace`, exposed so admission
-        gateways (``repro.traffic``) can route with richer state —
-        live queue-depth views, work stealing, shed requests — and
-        still reuse the fabric's fault splitting, shard serving, and
-        stats merging verbatim.  ``offered``/``shed``/``stolen``/
-        ``failed_over``/``failovers`` carry the gateway's accounting:
-        ``offered`` defaults to ``len(trace) + shed + failed_over``
-        and must equal it when sheds or failover drops occurred
-        upstream; ``stolen`` and ``failovers`` are subset annotations
-        and can never exceed the admitted trace.
+        The execution half of :meth:`serve_trace`, and the seam the
+        open-loop gateway (``repro.traffic``) executes through after
+        routing with queue depths, health, steals and sheds of its
+        own.  ``offered``/``shed``/``stolen``/``failed_over``/
+        ``failovers`` carry the caller's accounting: ``offered``
+        defaults to ``len(trace) + shed + failed_over`` and must equal
+        it; ``stolen`` annotates admitted requests and can never exceed
+        them.  An empty ``trace`` is served as the balanced all-shed
+        result when something was offered upstream, and refused when
+        nothing was.
 
         With a placement attached, a **recovery pass** runs after the
         primary serves: requests a shard *failed* (crashed cores,
-        permanent quarantine — the "no usable core" fate) are
-        re-routed to a live replica shard and re-served there, so a
-        mid-trace shard death moves requests instead of losing them.
-        Each re-route counts in the result's ``failovers``.
+        permanent quarantine — the "no usable core" fate) are handed
+        to a replica shard (:meth:`_ShardPass.strand`) and re-served
+        there without faults, so a mid-trace shard death moves
+        requests instead of losing them.  Each hand-over counts in the
+        result's ``failovers``.
         """
-        if len(trace) != len(routed):
-            raise ValueError(
-                f"{len(trace)} requests but {len(routed)} placements"
-            )
-        if not trace:
-            raise ValueError("cannot serve an empty trace")
-        if shed < 0 or stolen < 0 or failed_over < 0 or failovers < 0:
-            raise ValueError(
-                "accounting terms cannot be negative (shed="
-                f"{shed}, stolen={stolen}, failed_over={failed_over}, "
-                f"failovers={failovers})"
-            )
-        if offered is None:
-            offered = len(trace) + shed + failed_over
-        if offered != len(trace) + shed + failed_over:
-            raise ValueError(
-                f"offered={offered} inconsistent with "
-                f"{len(trace)} admitted + {shed} shed + "
-                f"{failed_over} failed over"
-            )
-        if stolen > len(trace):
-            raise ValueError(
-                f"stolen={stolen} exceeds the {len(trace)} admitted "
-                "requests it annotates"
-            )
-        trace = self._rewrite_versioned(trace)
-        sub_traces: list[list[RuntimeRequest]] = [
-            [] for _ in range(self.num_shards)
-        ]
-        for request, target in zip(trace, routed):
-            if not 0 <= target < self.num_shards:
-                raise ValueError(
-                    f"placement {target} for request "
-                    f"{request.request_id} out of range; fabric has "
-                    f"{self.num_shards} shards"
-                )
-            sub_traces[target].append(request)
-
-        schedules: Sequence[FaultSchedule | None] = (
-            self._split_schedule(fault_schedule)
-            if fault_schedule is not None
-            else [None] * self.num_shards
+        offered = _upstream_offered(
+            len(trace), len(routed), offered,
+            shed, stolen, failed_over, failovers,
         )
-        # Idle shards are skipped entirely (faults on an idle shard
-        # have no observable effect); every busy shard's serve runs
-        # as one job — concurrently under concurrency="threads", so
-        # the fabric's wall-clock is the slowest shard, not the sum.
-        results: list[ClusterResult | None] = [None] * self.num_shards
-
-        def serve_shard(shard_index: int) -> ClusterResult:
-            return self.shards[shard_index].serve_trace(
-                sub_traces[shard_index],
-                fault_schedule=schedules[shard_index],
+        shard_pass = _ShardPass(
+            self,
+            fault_schedule,
+            dict(
                 watchdog=watchdog,
                 retry_policy=retry_policy,
                 slo_s=slo_s,
                 timeout_s=timeout_s,
-            )
-
-        jobs = [
-            (index, lambda index=index: serve_shard(index))
-            for index in range(self.num_shards)
-            if sub_traces[index]
-        ]
-        for (shard_index, _), result in zip(
-            jobs, self._serve_shards(jobs)
-        ):
-            results[shard_index] = result
-
-        # Recovery pass: move failed requests to a live replica.
-        recovery_results: list[ClusterResult | None] = [
-            None
-        ] * self.num_shards
-        if self.placement is not None:
-            handed: list[list[RuntimeRequest]] = [
-                [] for _ in range(self.num_shards)
-            ]
-            handed_counts = [0] * self.num_shards
-            for shard_index, result in enumerate(results):
-                if result is None or not result.failed:
-                    continue
-                kept_failed = []
-                moved = 0
-                for request in result.failed:
-                    target = self._recovery_target(
-                        request, shard_index, schedules, handed_counts
-                    )
-                    if target is None:
-                        kept_failed.append(request)
-                        continue
-                    handed[target].append(request)
-                    handed_counts[target] += 1
-                    moved += 1
-                if moved:
-                    results[shard_index] = replace(
-                        result, failed=tuple(kept_failed)
-                    )
-                    # The moved requests are re-homed wholesale: the
-                    # failing shard gives up both the offer and the
-                    # failed fate, the replica's recovery serve counts
-                    # them as its own offers and serves — so every
-                    # shard's *cumulative* ledger stays individually
-                    # balanced, not just the merge.
-                    self.shards[shard_index].stats.failed -= moved
-                    self.shards[shard_index].stats.offered -= moved
-                    failovers += moved
-            def recover_shard(shard_index: int) -> ClusterResult:
-                return self.shards[shard_index].serve_trace(
-                    sorted(
-                        handed[shard_index],
-                        key=lambda r: (r.arrival_s, r.request_id),
-                    ),
-                    watchdog=watchdog,
-                    retry_policy=retry_policy,
-                    slo_s=slo_s,
-                    timeout_s=timeout_s,
-                )
-
-            recovery_jobs = [
-                (index, lambda index=index: recover_shard(index))
-                for index in range(self.num_shards)
-                if handed[index]
-            ]
-            for (shard_index, _), result in zip(
-                recovery_jobs, self._serve_shards(recovery_jobs)
-            ):
-                recovery_results[shard_index] = result
-                # The replica's serve_trace already counted the handed
-                # requests as offers; annotate how many of its serves
-                # were failover recoveries (energy was charged there
-                # normally — a failed attempt charges nothing).
-                self.shards[shard_index].stats.failovers += len(
-                    handed[shard_index]
-                )
-
+            ),
+        )
+        results = shard_pass.serve(
+            shard_pass.split(self._rewrite_versioned(trace), routed),
+            faults=True,
+        )
+        handed = shard_pass.strand(results)
+        recovery_results = shard_pass.serve(handed, faults=False)
         merged = ServerStats()
         for shard_index, shard in enumerate(self.shards):
+            # The replica's serve_trace already counted the handed
+            # requests as offers; annotate how many of its serves were
+            # failover recoveries (energy was charged there normally —
+            # a failed attempt charges nothing).
+            shard.stats.failovers += len(handed[shard_index])
             if (
                 results[shard_index] is None
                 and recovery_results[shard_index] is None
@@ -853,6 +602,302 @@ class Fabric:
             shed=shed,
             stolen=stolen,
             failed_over=failed_over,
-            failovers=failovers,
+            failovers=failovers + sum(len(r) for r in handed),
             recovery_results=tuple(recovery_results),
+        )
+
+
+def _upstream_offered(
+    admitted: int,
+    placements: int,
+    offered: int | None,
+    shed: int,
+    stolen: int,
+    failed_over: int,
+    failovers: int,
+) -> int:
+    """Check the accounting ``serve_routed`` was handed; return
+    ``offered``."""
+    if admitted != placements:
+        raise ValueError(
+            f"{admitted} requests but {placements} placements"
+        )
+    if shed < 0 or stolen < 0 or failed_over < 0 or failovers < 0:
+        raise ValueError(
+            "accounting terms cannot be negative (shed="
+            f"{shed}, stolen={stolen}, failed_over={failed_over}, "
+            f"failovers={failovers})"
+        )
+    if offered is None:
+        offered = admitted + shed + failed_over
+    if offered != admitted + shed + failed_over:
+        raise ValueError(
+            f"offered={offered} inconsistent with "
+            f"{admitted} admitted + {shed} shed + "
+            f"{failed_over} failed over"
+        )
+    if not offered:
+        raise ValueError("cannot serve an empty trace")
+    if stolen > admitted:
+        raise ValueError(
+            f"stolen={stolen} exceeds the {admitted} admitted "
+            "requests it annotates"
+        )
+    return offered
+
+
+class _Routing:
+    """One serve's routing step: views in, a shard or a fate out.
+
+    Both serve loops route through this object — the closed-loop
+    :meth:`Fabric.serve_trace` with load-only views, the open-loop
+    gateway with queue depths and a health feed — so the views, the
+    failover fates, the heal and the range check exist once.  It
+    collects the placed trace and hands it to
+    :meth:`Fabric.serve_routed`.
+    """
+
+    def __init__(
+        self, fabric: Fabric, health: OutageBook | None = None
+    ) -> None:
+        self.fabric = fabric
+        #: Schedule-driven shard health; ``None`` routes health-blind.
+        self.health = health
+        self.router = fabric.router
+        self.router.reset()
+        self._shards = [
+            (shard.num_cores, shard.macs_per_step, shard.queue_capacity)
+            for shard in fabric.shards
+        ]
+        self.counts = [0] * fabric.num_shards
+        self.trace: list[RuntimeRequest] = []
+        self.routed: list[int] = []
+        self.failed_over = 0
+
+    def views(
+        self, now_s: float = 0.0, queued: Sequence[int] | None = None
+    ) -> tuple[ShardView, ...]:
+        """One snapshot per shard: routed load always, usable cores at
+        ``now_s`` with a health feed, queue depth against the shard's
+        queue capacity when the caller projects ``queued``."""
+        health = self.health
+        return tuple(
+            ShardView(
+                shard=i,
+                num_cores=num_cores,
+                macs_per_step=macs,
+                routed=self.counts[i],
+                queued=0 if queued is None else queued[i],
+                queue_capacity=0 if queued is None else capacity,
+                usable_cores=(
+                    None if health is None
+                    else health.usable_cores(i, now_s)
+                ),
+            )
+            for i, (num_cores, macs, capacity) in enumerate(self._shards)
+        )
+
+    def route(
+        self, request: RuntimeRequest, views: Sequence[ShardView]
+    ) -> int | None:
+        """The router's shard for one request, or ``None`` when every
+        replica is dead and the request is charged to ``failed_over``.
+
+        With a health feed and an auto-healing placement, a dropped
+        request first asks the placement to re-replicate its model on
+        a surviving shard and retries once; requests arriving inside
+        the redeploy-latency window still fail over.
+        """
+        target = self.router.route(request, views)
+        placement = self.fabric.placement
+        if (
+            target == FAILOVER_DROP
+            and self.health is not None
+            and placement is not None
+            and placement.auto_heal
+            and placement.is_placed(request.model_id)
+        ):
+            placement.re_replicate(
+                request.model_id,
+                request.arrival_s,
+                [v.shard for v in views if v.alive],
+            )
+            target = self.router.route(request, views)
+        if target == FAILOVER_DROP:
+            self.failed_over += 1
+            return None
+        if not 0 <= target < len(views):
+            raise ValueError(
+                f"router returned shard {target} for request "
+                f"{request.request_id}; fabric has "
+                f"{len(views)} shards"
+            )
+        return target
+
+    def place(self, request: RuntimeRequest, shard: int) -> None:
+        """Commit one request to ``shard`` (the routed shard, or the
+        one the caller moved it to)."""
+        self.counts[shard] += 1
+        self.trace.append(request)
+        self.routed.append(shard)
+
+    def serve(self, **serve_kwargs) -> FabricResult:
+        """Execute everything placed, with this routing's fates."""
+        return self.fabric.serve_routed(
+            self.trace,
+            self.routed,
+            failed_over=self.failed_over,
+            failovers=getattr(self.router, "failovers", 0),
+            **serve_kwargs,
+        )
+
+
+class _ShardPass:
+    """One ``serve_routed`` call: busy shards serve their sub-traces,
+    then replicas re-serve what a dead shard stranded."""
+
+    def __init__(
+        self,
+        fabric: Fabric,
+        fault_schedule: FaultSchedule | None,
+        serve_kwargs: dict,
+    ) -> None:
+        self.fabric = fabric
+        #: The global schedule as the shards see it: each shard's own
+        #: faults on local core indices, and who is usable when.
+        self.health = OutageBook.from_schedule(fabric, fault_schedule)
+        self.serve_kwargs = serve_kwargs
+
+    def split(
+        self, trace: Sequence[RuntimeRequest], routed: Sequence[int]
+    ) -> list[list[RuntimeRequest]]:
+        """Per-shard sub-traces, arrival order preserved."""
+        num_shards = self.fabric.num_shards
+        sub_traces: list[list[RuntimeRequest]] = [
+            [] for _ in range(num_shards)
+        ]
+        for request, target in zip(trace, routed):
+            if not 0 <= target < num_shards:
+                raise ValueError(
+                    f"placement {target} for request "
+                    f"{request.request_id} out of range; fabric has "
+                    f"{num_shards} shards"
+                )
+            sub_traces[target].append(request)
+        return sub_traces
+
+    def serve(
+        self, sub_traces: Sequence[list[RuntimeRequest]], faults: bool
+    ) -> list[ClusterResult | None]:
+        """Serve every non-empty sub-trace on its shard, under the
+        shard's local fault schedule when ``faults``.  Idle shards are
+        skipped (faults on an idle shard have no observable effect)
+        and read ``None``.
+
+        Busy shards run as one job each — concurrently under
+        ``concurrency="threads"``, so the fabric's wall-clock is the
+        slowest shard, not the sum.  Wall-clock is the only thing that
+        changes: every job touches exactly one shard's state (clusters
+        share nothing mutable — the shared watchdog is probe-stateless
+        and the re-lock controller serializes its sweep mount
+        internally), and results are read in fixed shard order either
+        way.  The first shard exception propagates after all serves
+        finish, so no cluster is abandoned mid-trace.
+        """
+        fabric = self.fabric
+        busy = [i for i, requests in enumerate(sub_traces) if requests]
+        jobs = [
+            partial(
+                fabric.shards[i].serve_trace,
+                sub_traces[i],
+                fault_schedule=(
+                    self.health.schedules[i] if faults else None
+                ),
+                **self.serve_kwargs,
+            )
+            for i in busy
+        ]
+        if fabric.concurrency != "threads" or len(jobs) <= 1:
+            served = [job() for job in jobs]
+        else:
+            with ThreadPoolExecutor(
+                max_workers=len(jobs),
+                thread_name_prefix="lightning-shard",
+            ) as pool:
+                futures = [pool.submit(job) for job in jobs]
+                served = [future.result() for future in futures]
+        results: list[ClusterResult | None] = [None] * len(sub_traces)
+        for i, result in zip(busy, served):
+            results[i] = result
+        return results
+
+    def strand(
+        self, results: list[ClusterResult | None]
+    ) -> list[list[RuntimeRequest]]:
+        """Take each shard's failed requests that a replica can
+        re-serve out of ``results`` and return them per replica shard,
+        in arrival order."""
+        fabric = self.fabric
+        handed: list[list[RuntimeRequest]] = [[] for _ in results]
+        if fabric.placement is None:
+            return handed
+        for shard_index, result in enumerate(results):
+            if result is None or not result.failed:
+                continue
+            kept = []
+            for request in result.failed:
+                target = self._replica_for(request, shard_index, handed)
+                (kept if target is None else handed[target]).append(
+                    request
+                )
+            moved = len(result.failed) - len(kept)
+            if moved:
+                results[shard_index] = replace(result, failed=tuple(kept))
+                # The moved requests are re-homed wholesale: the
+                # failing shard gives up both the offer and the failed
+                # fate, the replica's recovery serve counts them as its
+                # own offers and serves — so every shard's *cumulative*
+                # ledger stays individually balanced, not just the
+                # merge.
+                stats = fabric.shards[shard_index].stats
+                stats.failed -= moved
+                stats.offered -= moved
+        for requests in handed:
+            requests.sort(key=lambda r: (r.arrival_s, r.request_id))
+        return handed
+
+    def _replica_for(
+        self,
+        request: RuntimeRequest,
+        failed_shard: int,
+        handed: Sequence[Sequence[RuntimeRequest]],
+    ) -> int | None:
+        """The replica shard that re-serves one stranded request.
+
+        Eligible shards are homes of the request's model that host its
+        version alias, have no device or core fault of their own in
+        the schedule, and ended the primary pass with at least one
+        usable core.  Deterministic: fewest requests already handed
+        over, then lowest index.
+        """
+        fabric = self.fabric
+        try:
+            public = fabric.versions.public(request.model_id)[0]
+        except KeyError:
+            public = request.model_id
+        if not fabric.placement.is_placed(public):
+            return None
+        candidates = [
+            shard_index
+            for shard_index in fabric.placement.shards_for(public)
+            if shard_index != failed_shard
+            and request.model_id in fabric.shards[shard_index].model_ids
+            and self.health.schedules[shard_index] is None
+            and any(
+                h.usable
+                for h in fabric.shards[shard_index].health.values()
+            )
+        ]
+        return min(
+            candidates, key=lambda s: (len(handed[s]), s), default=None
         )

@@ -30,17 +30,18 @@ it.  This module is the missing control plane:
   from a virtual-clock instant onward, and :meth:`~repro.fabric.
   fabric.Fabric.rollback` restores the previous version — whose plans
   were never touched — bit-identically.
-* :class:`OutageBook` — the gateway's schedule-driven view of shard
-  death: given a :class:`~repro.faults.schedule.FaultSchedule` it
-  answers "how many of shard *s*'s cores are usable at time *t*",
-  which is what lets the open-loop pre-pass route around a shard the
-  moment the schedule kills it.  :func:`kill_shard` builds the
-  rolling-failure schedules the chaos benchmark replays.
+* :class:`OutageBook` — one walk of a global
+  :class:`~repro.faults.schedule.FaultSchedule` into what the shards
+  see: each shard's local schedule, and "how many of shard *s*'s cores
+  are usable at time *t*", which is what lets the open-loop pre-pass
+  route around a shard the moment the schedule kills it.
+  :func:`kill_shard` builds the rolling-failure schedules the chaos
+  benchmark replays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 from ..core.dag import ComputationDAG
@@ -168,14 +169,12 @@ class ModelPlacement:
             self._weights[key] = weight
         return weight
 
+    def _capacity(self, shard: int) -> int:
+        cluster = self._require_fabric().shards[shard]
+        return cluster.num_cores * cluster.macs_per_step
+
     def _normalized_cost(self, dag: ComputationDAG, shard: int) -> float:
-        fabric = self._require_fabric()
-        cluster = fabric.shards[shard]
-        capacity = (
-            cluster.num_cores
-            * cluster.datapaths[0].core.architecture.macs_per_step
-        )
-        return self.plan_weight(dag, shard) / capacity
+        return self.plan_weight(dag, shard) / self._capacity(shard)
 
     def place(self, dag: ComputationDAG) -> tuple[int, ...]:
         """Choose (and record) the N home shards for one model."""
@@ -290,13 +289,10 @@ class ModelPlacement:
             shard = self.fabric.shards[home.shard]
             geometry = shard.datapaths[0].plan_geometry
             weight = self._weights.get((model_id, geometry))
-            if weight is None:
-                continue
-            capacity = (
-                shard.num_cores
-                * shard.datapaths[0].core.architecture.macs_per_step
-            )
-            self._loads[home.shard] -= weight / capacity
+            if weight is not None:
+                self._loads[home.shard] -= weight / self._capacity(
+                    home.shard
+                )
 
 
 class FailoverRouter:
@@ -343,14 +339,12 @@ class FailoverRouter:
         if self.placement is not None and self.placement.is_placed(
             request.model_id
         ):
-            live = self.placement.replicas_at(
+            # Empty while every replica is still warming up (mid-heal):
+            # nothing is routable, which the caller sees as
+            # FAILOVER_DROP.
+            return self.placement.replicas_at(
                 request.model_id, request.arrival_s
             )
-            if live:
-                return live
-            # Every replica is still warming up (mid-heal): nothing
-            # is routable, which the caller sees as FAILOVER_DROP.
-            return ()
         return tuple(range(len(shards)))
 
     @staticmethod
@@ -629,21 +623,29 @@ def kill_shard(
 
 
 class OutageBook:
-    """Usable-core counts per shard over time, from a fault schedule.
+    """One fault schedule as the fabric's shards see it.
 
-    The open-loop gateway routes in a pre-pass, before any shard
-    serves — so "is this shard dead yet?" must come from the schedule,
-    exactly as a real control plane learns of NIC death from its
-    telemetry.  Crashes remove a core permanently from their event
-    time; stalls remove it for their duration.  Device-level faults
-    (drift et al.) do not null a core here — whether they end in
-    quarantine is the watchdog's runtime decision, handled after the
-    serve by the fabric's failover recovery pass.
+    A single walk of the global schedule yields both halves of the
+    fabric's health record: :attr:`schedules`, each shard's own faults
+    on local core indices (what its cluster replays), and the
+    usable-core timeline behind :meth:`usable_cores` — the gateway
+    routes in a pre-pass, before any shard serves, so "is this shard
+    dead yet?" must come from the schedule, exactly as a real control
+    plane learns of NIC death from its telemetry.  Crashes remove a
+    core permanently from their event time; stalls remove it for their
+    duration.  Device-level faults (drift et al.) do not null a core
+    here — whether they end in quarantine is the watchdog's runtime
+    decision, handled after the serve by the fabric's recovery pass.
+    Wire faults belong to neither half: they act on frames at ingress,
+    before any shard.
     """
 
     def __init__(self, num_shards: int) -> None:
-        #: Per shard: ``core -> (crash_s | None, [(start, end), ...])``.
-        self._cores: list[dict[int, tuple[float | None, list]]] = [
+        #: Per shard: its device and core faults re-indexed to local
+        #: cores, or ``None`` when the schedule holds none for it.
+        self.schedules: list[FaultSchedule | None] = [None] * num_shards
+        #: Per shard: ``core -> [(down_from_s, up_again_s), ...]``.
+        self._down: list[dict[int, list[tuple[float, float]]]] = [
             {} for _ in range(num_shards)
         ]
         self._num_cores: list[int] = [0] * num_shards
@@ -659,29 +661,29 @@ class OutageBook:
         for event in schedule.events:
             if event.core is None:
                 continue
-            if event.kind not in ("core_crash", "core_stall"):
-                continue
             shard, local = fabric.shard_of_core(event.core)
-            crash_s, stalls = book._cores[shard].get(
-                local, (None, [])
+            if book.schedules[shard] is None:
+                book.schedules[shard] = FaultSchedule(seed=schedule.seed)
+            book.schedules[shard].add(
+                replace(event, core=local, params=dict(event.params))
             )
             if event.kind == "core_crash":
-                if crash_s is None or event.time_s < crash_s:
-                    crash_s = event.time_s
+                up_again_s = float("inf")
+            elif event.kind == "core_stall":
+                up_again_s = event.time_s + event.duration_s
             else:
-                stalls.append(
-                    (event.time_s, event.time_s + event.duration_s)
-                )
-            book._cores[shard][local] = (crash_s, stalls)
+                continue
+            book._down[shard].setdefault(local, []).append(
+                (event.time_s, up_again_s)
+            )
         return book
 
     def usable_cores(self, shard: int, now_s: float) -> int:
         """Cores of ``shard`` not crashed or stalled at ``now_s``."""
         usable = self._num_cores[shard]
-        for crash_s, stalls in self._cores[shard].values():
-            if crash_s is not None and now_s >= crash_s:
-                usable -= 1
-                continue
-            if any(start <= now_s < end for start, end in stalls):
-                usable -= 1
+        for windows in self._down[shard].values():
+            for start, end in windows:
+                if start <= now_s < end:
+                    usable -= 1
+                    break
         return usable

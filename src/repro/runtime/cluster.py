@@ -343,6 +343,13 @@ class Cluster:
         return len(self.datapaths)
 
     @property
+    def macs_per_step(self) -> int:
+        """Photonic MACs per time step of core 0's architecture — with
+        :attr:`num_cores`, the capacity proxy routers and placements
+        compare shards by."""
+        return self.datapaths[0].core.architecture.macs_per_step
+
+    @property
     def model_ids(self) -> tuple[int, ...]:
         """Models deployed on every core, in deployment order."""
         return tuple(self._dags)

@@ -22,7 +22,11 @@ from ..core.dag import ComputationDAG
 from ..sim.workload import PoissonWorkload
 from .cluster import Cluster, RuntimeRequest
 
-__all__ = ["poisson_trace", "rate_for_cluster_utilization"]
+__all__ = [
+    "poisson_trace",
+    "probe_service_times",
+    "rate_for_cluster_utilization",
+]
 
 
 def poisson_trace(
@@ -63,25 +67,32 @@ def poisson_trace(
     return requests
 
 
+def probe_service_times(cluster: Cluster) -> dict[int, float]:
+    """``model_id -> service seconds`` of one zero query per deployed
+    model on core 0 (the caches are warm after
+    :meth:`~repro.runtime.cluster.Cluster.deploy`, so each probe costs
+    one plan replay)."""
+    services = {}
+    for dag in cluster.deployed_dags:
+        zeros = np.zeros(dag.tasks[0].input_size, dtype=np.float64)
+        execution = cluster.datapaths[0].execute(dag.model_id, zeros)
+        services[dag.model_id] = execution.total_seconds
+    return services
+
+
 def rate_for_cluster_utilization(
     cluster: Cluster, utilization: float
 ) -> float:
     """Arrival rate putting the cluster at a target compute occupancy.
 
-    Probes one zero query per deployed model on core 0 (the caches are
-    already warm after :meth:`~repro.runtime.cluster.Cluster.deploy`)
-    to measure the real mean service time, then scales by core count:
+    Probes each deployed model's real service time
+    (:func:`probe_service_times`) and scales the mean by core count:
     ``rate = utilization * num_cores / mean_service``.
     """
     if not 0.0 < utilization:
         raise ValueError("utilization must be positive")
-    dags = cluster.deployed_dags
-    if not dags:
+    services = probe_service_times(cluster)
+    if not services:
         raise ValueError("deploy at least one model first")
-    services = []
-    for dag in dags:
-        zeros = np.zeros(dag.tasks[0].input_size, dtype=np.float64)
-        execution = cluster.datapaths[0].execute(dag.model_id, zeros)
-        services.append(execution.total_seconds)
-    mean_service = float(np.mean(services))
+    mean_service = float(np.mean(list(services.values())))
     return utilization * cluster.num_cores / mean_service

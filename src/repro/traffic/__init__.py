@@ -14,7 +14,7 @@ Three layers:
   diurnal modulation) zipped with a weighted model mix into chunked
   request streams, every draw from a keyed Philox substream.
 * :mod:`~repro.traffic.admission` — admit-or-shed policies in front of
-  the fleet (accept-all, token bucket, queue-depth backpressure), with
+  the fleet (accept-all, queue-depth backpressure), with
   sheds charged to the global accounting invariant.
 * :mod:`~repro.traffic.fleet` / :mod:`~repro.traffic.campaign` — the
   analytic open-loop fleet engine (10^6-request scale, O(1) memory)
@@ -27,8 +27,6 @@ from .admission import (
     AdmissionController,
     AdmissionPolicy,
     QueueBackpressure,
-    TenantQuotas,
-    TokenBucket,
 )
 from .arrivals import (
     ADMIT_RNG_DOMAIN,
@@ -75,9 +73,7 @@ __all__ = [
     "OpenLoopTraffic",
     "AdmissionPolicy",
     "AcceptAll",
-    "TokenBucket",
     "QueueBackpressure",
-    "TenantQuotas",
     "AdmissionController",
     "SLOClass",
     "SLOReport",

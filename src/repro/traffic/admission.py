@@ -9,15 +9,11 @@ the NIC.  Sheds are charged to the global accounting invariant
 (``served + dropped + failed + unfinished == offered``) as admission
 drops, never lost silently.
 
-Three policies cover the design space:
+Two policies span the design space:
 
 * :class:`AcceptAll` — the §9 baseline: infinite-buffer optimism.
   Under overload the queues fill, every admitted request pays the full
   queue delay, and goodput (SLO-compliant completions) collapses.
-* :class:`TokenBucket` — open-loop rate limiting: admit while tokens
-  last, refilled at a configured rate with a burst allowance.  Shields
-  the fleet from sustained overload but is blind to what the fleet is
-  actually doing.
 * :class:`QueueBackpressure` — closed-loop shedding from observed
   shard queue depths (:class:`~repro.fabric.router.ShardView`): admit
   below the low watermark, shed above the high watermark, and shed
@@ -42,9 +38,7 @@ from .arrivals import ADMIT_RNG_DOMAIN, substream
 __all__ = [
     "AdmissionPolicy",
     "AcceptAll",
-    "TokenBucket",
     "QueueBackpressure",
-    "TenantQuotas",
     "AdmissionController",
 ]
 
@@ -79,41 +73,6 @@ class AcceptAll:
 
     def reset(self) -> None:
         pass
-
-
-class TokenBucket:
-    """Classic token-bucket rate limiting (open-loop).
-
-    ``rate_rps`` tokens per second accrue up to ``burst`` tokens; each
-    admitted request spends one.  Deterministic — no tie-break draws.
-    """
-
-    unconditional = False
-
-    def __init__(self, rate_rps: float, burst: float = 32.0) -> None:
-        if rate_rps <= 0:
-            raise ValueError("token rate must be positive")
-        if burst < 1:
-            raise ValueError("burst must allow at least one token")
-        self.rate_rps = rate_rps
-        self.burst = float(burst)
-        self.reset()
-
-    def reset(self) -> None:
-        self._tokens = self.burst
-        self._last_s = 0.0
-
-    def admit(self, now_s, shards, rng) -> bool:
-        if now_s > self._last_s:
-            self._tokens = min(
-                self.burst,
-                self._tokens + (now_s - self._last_s) * self.rate_rps,
-            )
-            self._last_s = now_s
-        if self._tokens >= 1.0:
-            self._tokens -= 1.0
-            return True
-        return False
 
 
 class QueueBackpressure:
@@ -174,142 +133,6 @@ class QueueBackpressure:
         return self.admit_occupancy(self.occupancy(shards), rng)
 
 
-class TenantQuotas:
-    """Per-tenant admission quotas with weighted fairness.
-
-    Multi-tenant serving needs two guarantees the fleet-wide policies
-    cannot give: a tenant's burst must not starve its neighbors, and a
-    tenant's unused allocation should not go to waste while others
-    queue.  This policy keeps one token bucket per tenant, refilled at
-    ``share x rate_rps`` (shares normalized over the configured
-    tenants), under one *global* bucket refilled at ``rate_rps``:
-
-    * a request is admitted from its tenant's own bucket when a token
-      is there — the guaranteed share;
-    * otherwise it may **borrow**, but only from genuine surplus: the
-      global bucket must hold at least one token *more than the sum
-      of all tenant balances*, i.e. refill the other tenants banked
-      but have not spent and cannot bank further.  Borrowing is
-      work-conserving without ever dipping into a neighbor's saved
-      quota.
-
-    ``tenant_of`` maps a request to its tenant key (default: the
-    request's model id — "one tenant per model" is the zoo's natural
-    multi-tenancy).  Requests from unconfigured tenants are shed:
-    quotas are an allow-list.  Deterministic — no tie-break draws.
-    """
-
-    unconditional = False
-
-    def __init__(
-        self,
-        rate_rps: float,
-        shares: dict[object, float],
-        burst_s: float = 1e-3,
-        tenant_of=None,
-    ) -> None:
-        if rate_rps <= 0:
-            raise ValueError("quota rate must be positive")
-        if not shares:
-            raise ValueError("quotas need at least one tenant share")
-        if any(share <= 0 for share in shares.values()):
-            raise ValueError("tenant shares must be positive")
-        if burst_s <= 0:
-            raise ValueError("burst window must be positive")
-        self.rate_rps = rate_rps
-        total = sum(shares.values())
-        self.shares: dict[object, float] = {
-            tenant: share / total for tenant, share in shares.items()
-        }
-        #: Burst allowance expressed as seconds of each bucket's own
-        #: refill rate, so every tenant gets the same burst *duration*
-        #: regardless of share (min 1 token so any tenant can ever
-        #: admit).
-        self.burst_s = burst_s
-        self.tenant_of = (
-            tenant_of if tenant_of is not None
-            else lambda request: request.model_id
-        )
-        self.reset()
-
-    def reset(self) -> None:
-        self._last_s = 0.0
-        self._global = self._global_burst()
-        self._tokens = {
-            tenant: self._tenant_burst(tenant)
-            for tenant in self.shares
-        }
-        #: Per-tenant offered/admitted/shed/borrowed counters.
-        self.tenants: dict[object, dict[str, int]] = {
-            tenant: {
-                "offered": 0, "admitted": 0, "shed": 0, "borrowed": 0
-            }
-            for tenant in self.shares
-        }
-
-    def _global_burst(self) -> float:
-        return max(self.rate_rps * self.burst_s, 1.0)
-
-    def _tenant_burst(self, tenant) -> float:
-        return max(
-            self.shares[tenant] * self.rate_rps * self.burst_s, 1.0
-        )
-
-    def _refill(self, now_s: float) -> None:
-        if now_s <= self._last_s:
-            return
-        elapsed = now_s - self._last_s
-        self._last_s = now_s
-        self._global = min(
-            self._global_burst(),
-            self._global + elapsed * self.rate_rps,
-        )
-        for tenant, share in self.shares.items():
-            self._tokens[tenant] = min(
-                self._tenant_burst(tenant),
-                self._tokens[tenant] + elapsed * share * self.rate_rps,
-            )
-
-    def admit_request(
-        self,
-        now_s: float,
-        request,
-        shards: Sequence[ShardView],
-        rng: np.random.Generator,
-    ) -> bool:
-        tenant = self.tenant_of(request)
-        counters = self.tenants.get(tenant)
-        if counters is None:
-            return False  # unconfigured tenant: quota is an allow-list
-        counters["offered"] += 1
-        self._refill(now_s)
-        if self._global < 1.0:
-            counters["shed"] += 1
-            return False
-        if self._tokens[tenant] >= 1.0:
-            self._tokens[tenant] -= 1.0
-            self._global -= 1.0
-            counters["admitted"] += 1
-            return True
-        banked = sum(self._tokens.values())
-        if self._global - banked >= 1.0:
-            # Genuine surplus: spend global headroom no tenant has
-            # banked — work-conserving borrowing.
-            self._global -= 1.0
-            counters["admitted"] += 1
-            counters["borrowed"] += 1
-            return True
-        counters["shed"] += 1
-        return False
-
-    def admit(self, now_s, shards, rng) -> bool:
-        raise TypeError(
-            "TenantQuotas decides per request; serve through a "
-            "gateway that passes request=... to AdmissionController"
-            ".admit"
-        )
-
-
 @dataclass
 class AdmissionController:
     """A policy plus accounting plus the tie-break substream.
@@ -350,24 +173,10 @@ class AdmissionController:
         """True when the policy never sheds (skip view construction)."""
         return getattr(self.policy, "unconditional", False)
 
-    def admit(
-        self,
-        now_s: float,
-        shards: Sequence[ShardView],
-        request=None,
-    ) -> bool:
-        """Account and delegate one admit/shed decision.
-
-        Request-aware policies (per-tenant quotas) receive the request
-        via their ``admit_request`` hook; classic fleet-level policies
-        ignore it.
-        """
+    def admit(self, now_s: float, shards: Sequence[ShardView]) -> bool:
+        """Account and delegate one admit/shed decision."""
         self.offered += 1
-        per_request = getattr(self.policy, "admit_request", None)
-        if per_request is not None and request is not None:
-            ok = per_request(now_s, request, shards, self._rng)
-        else:
-            ok = self.policy.admit(now_s, shards, self._rng)
+        ok = self.policy.admit(now_s, shards, self._rng)
         if ok:
             self.admitted += 1
         else:
@@ -378,7 +187,7 @@ class AdmissionController:
         """Reclassify the most recent admit as a shed.
 
         The gateway's deadline- and energy-aware paths admit first
-        (the policy and its token accounting must observe the request)
+        (the policy must observe the request)
         and shed after routing, once the projected queue wait shows
         the deadline is unmeetable or the projected serve blows the
         class's energy budget.  ``reason`` tallies the cause into
@@ -392,19 +201,14 @@ class AdmissionController:
         self.shed_reasons[reason] = self.shed_reasons.get(reason, 0) + 1
 
     def admit_occupancy(self, now_s: float, occupancy: float) -> bool:
-        """Fast-path decision from a precomputed queue occupancy.
-
-        Policies that only need occupancy (backpressure) skip view
-        construction; policies that only need the clock (token bucket)
-        get ``now_s`` with an empty view tuple.
-        """
+        """Fast-path decision from a precomputed queue occupancy: the
+        fleet engine keeps running depth counters instead of building
+        views, so the policy must be unconditional or decide by
+        occupancy (``admit_occupancy``)."""
         self.offered += 1
-        if self._always_admits:
-            ok = True
-        elif self._policy_by_occupancy is not None:
-            ok = self._policy_by_occupancy(occupancy, self._rng)
-        else:
-            ok = self.policy.admit(now_s, (), self._rng)
+        ok = self._always_admits or self._policy_by_occupancy(
+            occupancy, self._rng
+        )
         if ok:
             self.admitted += 1
         else:

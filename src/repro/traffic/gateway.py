@@ -9,8 +9,8 @@ virtual clock), so the gateway cannot observe true queue depths *during*
 the serve — instead it runs an **estimate-based pre-pass**:
 
 1. **Probe** each shard once per deployed model (a zero query on core
-   0, the :func:`~repro.runtime.workload.rate_for_cluster_utilization`
-   idiom) to learn real per-shard service times.
+   0, :func:`~repro.runtime.workload.probe_service_times`) to learn
+   real per-shard service times.
 2. **Project** every shard's queue forward in arrival order — idle
    cores, busy-until heap, FIFO backlog — using those estimates, and
    read shard *health* off the fault schedule's
@@ -18,21 +18,23 @@ the serve — instead it runs an **estimate-based pre-pass**:
    will inject at time T makes the shard dead to every request
    arriving after T, exactly as fleet telemetry would).
 3. **Admit or shed** each request against the projected occupancy via
-   an :class:`~repro.traffic.admission.AdmissionController` (which may
-   be request-aware — per-tenant quotas); admitted requests whose
-   class deadline (:class:`~repro.traffic.slo.SLOBook`) is already
-   unmeetable given the projected queue wait are shed at the NIC.
-4. **Route** by the fabric's own router over
-   :class:`~repro.fabric.router.ShardView` snapshots carrying live
-   ``queued``/``queue_capacity``/``usable_cores``.  A
+   an :class:`~repro.traffic.admission.AdmissionController`.
+4. **Route** through the fabric's one routing step (the same one
+   :meth:`~repro.fabric.fabric.Fabric.serve_trace` uses), here fed
+   the projected queue depths and the schedule's health.  A
    :class:`~repro.fabric.lifecycle.FailoverRouter` re-routes requests
-   off dead replicas; when *every* replica is dead the gateway asks
-   the placement to re-replicate (auto-heal) and charges the request
-   to ``failed_over`` if the heal has not activated yet.
+   off dead replicas; when *every* replica is dead the routing step
+   asks the placement to re-replicate (auto-heal) and charges the
+   request to ``failed_over`` if the heal has not activated yet.
 5. **Steal**: when the routed shard is backlogged and another usable
    shard hosting the model has an idle core, the request is re-placed
    there — the pre-pass form of an idle core pulling from a deep
    queue.
+6. **Shed late**: a request whose class deadline or energy budget
+   (:class:`~repro.traffic.slo.SLOBook`) is already blown by the
+   projected wait on the shard it would land on is shed at the NIC.
+   Only requests that survive this are placed — and counted as
+   ``stolen`` when step 5 moved them.
 
 The admitted trace then replays through
 :meth:`~repro.fabric.fabric.Fabric.serve_routed` with the gateway's
@@ -46,15 +48,17 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from typing import Sequence
 
 import numpy as np
 
 from ..core.energy import EnergyModel
-from ..fabric.fabric import Fabric, FabricResult
-from ..fabric.lifecycle import FAILOVER_DROP, OutageBook
+from ..fabric.fabric import Fabric, FabricResult, _Routing
+from ..fabric.lifecycle import OutageBook
 from ..fabric.router import ShardView
 from ..runtime.cluster import RuntimeRequest
-from .admission import AdmissionController
+from ..runtime.workload import probe_service_times
+from .admission import AcceptAll, AdmissionController
 from .slo import SLOBook
 
 __all__ = ["probe_service_estimates", "serve_fabric_open_loop"]
@@ -71,16 +75,7 @@ def probe_service_estimates(fabric: Fabric) -> list[dict[int, float]]:
     mean), but a fabric with *no* deployed model anywhere is a
     configuration error.
     """
-    estimates: list[dict[int, float]] = []
-    for shard in fabric.shards:
-        per_model: dict[int, float] = {}
-        for dag in shard.deployed_dags:
-            zeros = np.zeros(
-                dag.tasks[0].input_size, dtype=np.float64
-            )
-            execution = shard.datapaths[0].execute(dag.model_id, zeros)
-            per_model[dag.model_id] = execution.total_seconds
-        estimates.append(per_model)
+    estimates = [probe_service_times(shard) for shard in fabric.shards]
     if not any(estimates):
         raise ValueError(
             "no shard has a deployed model; deploy before open-loop "
@@ -89,17 +84,35 @@ def probe_service_estimates(fabric: Fabric) -> list[dict[int, float]]:
     return estimates
 
 
+def _service_pricer(fabric: Fabric):
+    """``(shard, model_id) -> estimated service seconds``: the probed
+    time where the shard hosts the model, else the shard's mean, else
+    the fleet mean."""
+    estimates = probe_service_estimates(fabric)
+    fleet_mean = float(
+        np.mean([s for per in estimates for s in per.values()])
+    )
+    fallbacks = [
+        sum(per_model.values()) / len(per_model)
+        if per_model
+        else fleet_mean
+        for per_model in estimates
+    ]
+    return lambda shard, model_id: estimates[shard].get(
+        model_id, fallbacks[shard]
+    )
+
+
 class _ShardProjection:
     """Forward-projected queue state of one shard (pre-pass only)."""
 
-    __slots__ = ("idle", "busy", "queue", "capacity", "num_cores")
+    __slots__ = ("idle", "busy", "queue", "num_cores")
 
-    def __init__(self, num_cores: int, capacity: int) -> None:
+    def __init__(self, num_cores: int) -> None:
         self.idle = num_cores
         self.num_cores = num_cores
         self.busy: list[float] = []
         self.queue: deque[tuple[float, float]] = deque()
-        self.capacity = capacity
 
     def advance(self, now_s: float) -> None:
         """Retire completions up to ``now_s``, starting queued work."""
@@ -135,6 +148,65 @@ class _ShardProjection:
         return wait
 
 
+def _steal_target(
+    fabric: Fabric,
+    request: RuntimeRequest,
+    target: int,
+    views: Sequence[ShardView],
+    projections: Sequence[_ShardProjection],
+) -> int:
+    """The shard that takes ``request``: an idle, usable sibling
+    hosting its model when the routed shard is backlogged (lowest
+    index on ties), else the routed shard."""
+    if projections[target].idle or not projections[target].queue:
+        return target
+    placement = fabric.placement
+    if placement is not None and placement.is_placed(request.model_id):
+        hosts = placement.replicas_at(request.model_id, request.arrival_s)
+    else:
+        hosts = range(fabric.num_shards)
+    return min(
+        (
+            i
+            for i in hosts
+            if projections[i].idle > 0 and views[i].alive
+        ),
+        default=target,
+    )
+
+
+def _shed_reason(
+    slo_book: SLOBook | None,
+    energy_model: EnergyModel | None,
+    request: RuntimeRequest,
+    service_s: float,
+    projection: _ShardProjection,
+) -> str | None:
+    """Why a routed request is not worth a queue slot on the shard
+    behind ``projection``, or ``None``."""
+    if slo_book is None:
+        return None
+    deadline = slo_book.deadline_for(request.model_id)
+    budget = slo_book.energy_budget_for(request.model_id)
+    if deadline is None and budget is None:
+        return None
+    wait_s = projection.wait_estimate(request.arrival_s)
+    if deadline is not None and wait_s + service_s > deadline:
+        return "deadline"
+    if budget is not None and energy_model is not None:
+        # The pre-pass sees no t_d/t_c split, so the whole projected
+        # service is priced at accelerator power and the projected wait
+        # at DRAM power — the same three-source formula the shard will
+        # charge.
+        projected_j = (
+            service_s * energy_model.power_watts
+            + wait_s * energy_model.dram_power_watts
+        )
+        if projected_j > budget:
+            return "energy_budget"
+    return None
+
+
 def serve_fabric_open_loop(
     fabric: Fabric,
     requests: list[RuntimeRequest],
@@ -160,11 +232,10 @@ def serve_fabric_open_loop(
     ``admission.shed_reasons["energy_budget"]``).  The returned
     result's ``offered`` counts the *full* open-loop trace; ``shed``
     and ``failed_over`` requests never reach a shard and are charged
-    to the invariant.
+    to the invariant — when that is all of them, every shard result is
+    ``None`` and the result still balances.
     """
     if admission is None:
-        from .admission import AcceptAll
-
         admission = AdmissionController(AcceptAll())
     admission.reset()
     trace = sorted(
@@ -172,151 +243,49 @@ def serve_fabric_open_loop(
     )
     if not trace:
         raise ValueError("cannot serve an empty trace")
-    estimates = probe_service_estimates(fabric)
-    fleet_mean = float(
-        np.mean([s for per in estimates for s in per.values()])
-    )
-    fallbacks = [
-        sum(per_model.values()) / len(per_model)
-        if per_model
-        else fleet_mean
-        for per_model in estimates
-    ]
-    outages = OutageBook.from_schedule(
-        fabric, serve_kwargs.get("fault_schedule")
-    )
+    service_of = _service_pricer(fabric)
     projections = [
-        _ShardProjection(shard.num_cores, shard.queue_capacity)
-        for shard in fabric.shards
+        _ShardProjection(shard.num_cores) for shard in fabric.shards
     ]
-    macs = [
-        shard.datapaths[0].core.architecture.macs_per_step
-        for shard in fabric.shards
-    ]
-    num_cores = [shard.num_cores for shard in fabric.shards]
-    placement = fabric.placement
-    fabric.router.reset()
-    routed_counts = [0] * fabric.num_shards
-
-    admitted: list[RuntimeRequest] = []
-    placements: list[int] = []
+    routing = _Routing(
+        fabric,
+        OutageBook.from_schedule(
+            fabric, serve_kwargs.get("fault_schedule")
+        ),
+    )
     stolen = 0
-    failed_over = 0
     for request in trace:
         now_s = request.arrival_s
         for projection in projections:
             projection.advance(now_s)
-        views = tuple(
-            ShardView(
-                shard=i,
-                num_cores=num_cores[i],
-                macs_per_step=macs[i],
-                routed=routed_counts[i],
-                queued=len(projections[i].queue),
-                queue_capacity=projections[i].capacity,
-                usable_cores=outages.usable_cores(i, now_s),
-            )
-            for i in range(fabric.num_shards)
+        views = routing.views(
+            now_s, [len(projection.queue) for projection in projections]
         )
-        if not admission.admit(now_s, views, request=request):
+        if not admission.admit(now_s, views):
             continue
-        target = fabric.router.route(request, views)
-        if target == FAILOVER_DROP:
-            if (
-                placement is not None
-                and placement.auto_heal
-                and placement.is_placed(request.model_id)
-            ):
-                # Every replica is dead: heal onto a surviving shard,
-                # then retry the route once.  Requests arriving inside
-                # the redeploy-latency window still fail over.
-                usable = [v.shard for v in views if v.alive]
-                placement.re_replicate(
-                    request.model_id, now_s, usable
-                )
-                target = fabric.router.route(request, views)
-            if target == FAILOVER_DROP:
-                failed_over += 1
-                continue
-        if not 0 <= target < fabric.num_shards:
-            raise ValueError(
-                f"router returned shard {target} for request "
-                f"{request.request_id}; fabric has "
-                f"{fabric.num_shards} shards"
-            )
-        if (
-            steal
-            and projections[target].idle == 0
-            and projections[target].queue
-        ):
-            # The routed shard is backlogged; an idle, usable sibling
-            # hosting the model pulls the request instead (lowest
-            # index on ties).
-            if placement is not None and placement.is_placed(
-                request.model_id
-            ):
-                hosts = set(
-                    placement.replicas_at(request.model_id, now_s)
-                )
-            else:
-                hosts = set(range(fabric.num_shards))
-            candidates = [
-                i
-                for i in range(fabric.num_shards)
-                if projections[i].idle > 0
-                and views[i].alive
-                and i in hosts
-            ]
-            if candidates:
-                target = min(candidates)
-                stolen += 1
-        if slo_book is not None:
-            deadline = slo_book.deadline_for(request.model_id)
-            budget = slo_book.energy_budget_for(request.model_id)
-            if deadline is not None or budget is not None:
-                service = estimates[target].get(
-                    request.model_id, fallbacks[target]
-                )
-                wait = projections[target].wait_estimate(now_s)
-                if deadline is not None and wait + service > deadline:
-                    # Admitted by quota, unmeetable by deadline: shed
-                    # at the NIC instead of wasting a queue slot.
-                    admission.shed_admitted("deadline")
-                    continue
-                if budget is not None and energy_model is not None:
-                    # The pre-pass sees no t_d/t_c split, so the whole
-                    # projected service is priced at accelerator power
-                    # and the projected wait at DRAM power — the same
-                    # three-source formula the shard will charge.
-                    projected_j = (
-                        service * energy_model.power_watts
-                        + wait * energy_model.dram_power_watts
-                    )
-                    if projected_j > budget:
-                        admission.shed_admitted("energy_budget")
-                        continue
-        routed_counts[target] += 1
-        projections[target].charge(
-            now_s,
-            estimates[target].get(
-                request.model_id, fallbacks[target]
-            ),
+        routed = routing.route(request, views)
+        if routed is None:
+            continue
+        target = (
+            _steal_target(fabric, request, routed, views, projections)
+            if steal
+            else routed
         )
-        admitted.append(request)
-        placements.append(target)
-
-    if not admitted:
-        raise ValueError(
-            "admission shed the entire trace; nothing to serve "
-            f"(offered={admission.offered})"
+        service = service_of(target, request.model_id)
+        reason = _shed_reason(
+            slo_book, energy_model, request, service, projections[target]
         )
-    return fabric.serve_routed(
-        admitted,
-        placements,
+        if reason is not None:
+            # Admitted by the policy, not worth a queue slot: shed at the
+            # NIC (a steal that ends here moved nothing).
+            admission.shed_admitted(reason)
+            continue
+        stolen += target != routed
+        routing.place(request, target)
+        projections[target].charge(now_s, service)
+    return routing.serve(
         offered=admission.offered,
         shed=admission.shed,
         stolen=stolen,
-        failed_over=failed_over,
-        failovers=getattr(fabric.router, "failovers", 0),
         **serve_kwargs,
     )

@@ -9,6 +9,7 @@ nothing from the layers built on top of it.
 from __future__ import annotations
 
 import ast
+import functools
 import pathlib
 import subprocess
 import sys
@@ -65,9 +66,12 @@ def test_serving_a_request_loads_no_layer_above_the_core():
 SRC = pathlib.Path(repro.__file__).parent
 
 
+@functools.cache
 def parsed_modules(root: pathlib.Path = SRC):
-    for path in sorted(root.rglob("*.py")):
-        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
+    return tuple(
+        (path.relative_to(SRC).as_posix(), ast.parse(path.read_text()))
+        for path in sorted(root.rglob("*.py"))
+    )
 
 
 def test_no_function_level_import_under_faults():
@@ -148,3 +152,70 @@ def test_each_wire_format_check_is_written_once():
         assert sources.count(message) == 1, message
     processing = (SRC / "net" / "processing.py").read_text()
     assert ".unpack(" not in processing  # it takes the parsed headers
+
+
+# ----------------------------------------------------------------------
+# Fabric serve: one routing step, one capacity proxy, one shard pass
+# ----------------------------------------------------------------------
+def matches(predicate) -> list[str]:
+    """Module of every AST node under ``src/`` the predicate accepts."""
+    return [
+        name
+        for name, tree in parsed_modules()
+        for node in ast.walk(tree)
+        if predicate(node)
+    ]
+
+
+def attribute_chain(node, *names: str) -> bool:
+    """True for ``<anything>.names[0].names[1]...``."""
+    for name in reversed(names):
+        if not (isinstance(node, ast.Attribute) and node.attr == name):
+            return False
+        node = node.value
+    return True
+
+
+def test_shard_views_and_the_capacity_proxy_are_built_in_one_place():
+    assert matches(
+        lambda n: isinstance(n, ast.Call)
+        and ast.unparse(n.func).split(".")[-1] == "ShardView"
+    ) == ["fabric/fabric.py"]
+    proxy_reads = [
+        name
+        for name in matches(
+            lambda n: attribute_chain(n, "architecture", "macs_per_step")
+        )
+        if not name.startswith(("photonics/", "synthesis/"))
+    ]
+    assert proxy_reads == ["runtime/cluster.py"]
+    sources = "".join(
+        path.read_text() for path in sorted(SRC.rglob("*.py"))
+    )
+    assert sources.count("router returned shard") == 1
+
+
+def test_the_gateway_reaches_no_datapath():
+    reaches = [
+        name
+        for name in matches(
+            lambda n: isinstance(n, ast.Subscript)
+            and attribute_chain(n.value, "datapaths")
+        )
+        if name.startswith("traffic/")
+    ]
+    assert reaches == []
+
+
+def test_fabric_and_gateway_functions_stay_short():
+    """No function over 70 lines, its docstring not counted."""
+    for name in ("fabric/fabric.py", "traffic/gateway.py"):
+        tree = ast.parse((SRC / name).read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            lines = node.end_lineno - node.lineno + 1
+            if ast.get_docstring(node) is not None:
+                docstring = node.body[0]
+                lines -= docstring.end_lineno - docstring.lineno + 1
+            assert lines <= 70, (name, node.name, lines)

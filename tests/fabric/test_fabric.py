@@ -10,6 +10,7 @@ from repro.fabric import (
     Fabric,
     HashShardRouter,
     LeastLoadedShardRouter,
+    OutageBook,
     ShardSpec,
     SwitchShardRouter,
 )
@@ -272,13 +273,23 @@ class TestFaultSplitting:
             schedule.core_stall(
                 at_s=(core + 1) * 1e-6, core=core, duration_s=2e-6
             )
-        split = fabric._split_schedule(schedule)
+        split = OutageBook.from_schedule(fabric, schedule).schedules
         assert [[e.core for e in s.events] for s in split] == [
             [0], [0, 1, 2]
         ]
         result = fabric.serve_trace(trace(count=30), fault_schedule=schedule)
         assert result.accounted()
         assert result.served == 30
+        # The wire is ingress-side: a shard with only wire faults in
+        # the global schedule has no schedule of its own.
+        wired = (
+            FaultSchedule(seed=4)
+            .frame_drop(at_s=0.0, duration_s=1e-3, probability=0.5)
+            .core_stall(at_s=1e-6, core=1, duration_s=2e-6)
+        )
+        split = OutageBook.from_schedule(fabric, wired).schedules
+        assert split[0] is None
+        assert [e.kind for e in split[1].events] == ["core_stall"]
 
     def test_relock_under_fabric(self):
         fabric = Fabric(
@@ -307,8 +318,7 @@ class TestFaultSplitting:
         schedule = FaultSchedule(seed=2).frame_drop(
             at_s=0.0, duration_s=1e-3, probability=0.5
         )
-        # serve_trace ignores ingress-side faults; splitting them must
-        # not crash or mis-route.
+        # serve_trace ignores ingress-side faults.
         result = fabric.serve_trace(
             trace(count=10), fault_schedule=schedule
         )

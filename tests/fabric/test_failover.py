@@ -16,6 +16,7 @@ from repro.fabric import (
     ModelPlacement,
     ShardSpec,
     ShardView,
+    kill_shard,
 )
 from repro.faults import (
     BiasRelockController,
@@ -239,6 +240,28 @@ class TestRecoveryPass:
             r.request.request_id for r in result.records()
         }
         assert served_ids == {r.request_id for r in requests}
+
+    @pytest.mark.parametrize("wire_window", [False, True])
+    def test_a_wire_window_does_not_switch_recovery_off(self, wire_window):
+        """Wire faults are ingress-side: one in the schedule must not
+        make every replica look faulty to the recovery pass."""
+        fabric = Fabric(
+            [spec(), spec(), spec()],
+            router=FailoverRouter(),
+            placement=ModelPlacement(replicas=2),
+        )
+        homes = fabric.deploy(make_dag(1))
+        requests = trace(count=120)
+        schedule = kill_shard(
+            FaultSchedule(seed=3), fabric, homes[0], requests[40].arrival_s
+        )
+        if wire_window:
+            schedule.frame_drop(at_s=0.0, duration_s=1e-6, probability=0.0)
+        result = fabric.serve_trace(requests, fault_schedule=schedule)
+        assert (result.served, result.failed) == (120, 0)
+        assert result.failovers == 40
+        assert result.recovery_results[homes[1]].served == 40
+        assert result.accounted()
 
     def test_recovered_records_carry_the_replica_core(self):
         fabric = self.crash_fabric()

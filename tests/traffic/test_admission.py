@@ -2,17 +2,13 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.fabric import ShardView
-from repro.runtime import RuntimeRequest
 from repro.traffic import (
     AcceptAll,
     AdmissionController,
     QueueBackpressure,
-    TenantQuotas,
-    TokenBucket,
     substream,
 )
 from repro.traffic.arrivals import ADMIT_RNG_DOMAIN
@@ -40,32 +36,6 @@ class TestAcceptAll:
             assert ctrl.admit(i * 1e-3, (view(0, 32),))
         assert (ctrl.offered, ctrl.admitted, ctrl.shed) == (10, 10, 0)
         assert ctrl.unconditional
-
-
-class TestTokenBucket:
-    def test_burst_then_starve(self):
-        ctrl = controller(TokenBucket(rate_rps=10.0, burst=3.0))
-        decisions = [ctrl.admit(0.0, ()) for _ in range(5)]
-        assert decisions == [True, True, True, False, False]
-
-    def test_refill_at_rate(self):
-        ctrl = controller(TokenBucket(rate_rps=10.0, burst=1.0))
-        assert ctrl.admit(0.0, ())
-        assert not ctrl.admit(0.01, ())  # only 0.1 tokens accrued
-        assert ctrl.admit(0.2, ())  # 2 tokens accrued, capped at 1
-
-    def test_fast_path_threads_clock(self):
-        """The occupancy fast path must still refill by wall clock."""
-        ctrl = controller(TokenBucket(rate_rps=10.0, burst=1.0))
-        assert ctrl.admit_occupancy(0.0, 0.0)
-        assert not ctrl.admit_occupancy(0.01, 0.0)
-        assert ctrl.admit_occupancy(0.5, 0.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="rate"):
-            TokenBucket(rate_rps=0.0)
-        with pytest.raises(ValueError, match="burst"):
-            TokenBucket(rate_rps=1.0, burst=0.5)
 
 
 class TestQueueBackpressure:
@@ -125,10 +95,9 @@ class TestController:
         ctrl.policy = QueueBackpressure()
         ctrl.reset()
         assert not ctrl.admit_occupancy(0.0, 1.0)
-        ctrl.policy = TokenBucket(rate_rps=10.0, burst=1.0)
+        ctrl.policy = AcceptAll()
         ctrl.reset()
         assert ctrl.admit_occupancy(0.0, 1.0)
-        assert not ctrl.admit_occupancy(0.01, 0.0)
 
     def test_distinct_streams_decorrelate(self):
         a = controller(QueueBackpressure(low=0.0, high=1.0), stream=0)
@@ -136,118 +105,6 @@ class TestController:
         da = [a.admit_occupancy(0.0, 0.5) for _ in range(200)]
         db = [b.admit_occupancy(0.0, 0.5) for _ in range(200)]
         assert da != db
-
-
-def tenant_request(tenant: int, now_s: float) -> RuntimeRequest:
-    return RuntimeRequest(
-        request_id=0,
-        model_id=tenant,
-        arrival_s=now_s,
-        data_levels=np.zeros(1),
-    )
-
-
-class TestTenantQuotas:
-    """Per-tenant weighted fairness with surplus-only borrowing."""
-
-    def quotas(self, **overrides) -> TenantQuotas:
-        config = dict(
-            rate_rps=4000.0, shares={1: 3.0, 2: 1.0}, burst_s=1e-3
-        )
-        config.update(overrides)
-        return TenantQuotas(**config)
-
-    def offer(self, ctrl, tenant, now_s):
-        return ctrl.admit(now_s, (), request=tenant_request(tenant, now_s))
-
-    def test_configuration_validated(self):
-        with pytest.raises(ValueError, match="positive"):
-            self.quotas(rate_rps=0.0)
-        with pytest.raises(ValueError, match="at least one"):
-            self.quotas(shares={})
-        with pytest.raises(ValueError, match="positive"):
-            self.quotas(shares={1: 0.0})
-        with pytest.raises(ValueError, match="positive"):
-            self.quotas(burst_s=0.0)
-
-    def test_quota_is_an_allow_list(self):
-        ctrl = controller(self.quotas())
-        assert not self.offer(ctrl, 7, 0.0)
-        assert (ctrl.offered, ctrl.shed) == (1, 1)
-        assert 7 not in ctrl.policy.tenants
-
-    def test_weighted_fairness_under_contention(self):
-        """Both tenants offer at 2x their share; admits split 3:1."""
-        ctrl = controller(self.quotas())
-        dt = 1.0 / 8000.0
-        for i in range(1600):
-            now = i * dt
-            self.offer(ctrl, 1, now)
-            self.offer(ctrl, 2, now)
-        t1 = ctrl.policy.tenants[1]
-        t2 = ctrl.policy.tenants[2]
-        assert t1["offered"] == t2["offered"] == 1600
-        ratio = t1["admitted"] / t2["admitted"]
-        assert 2.5 < ratio < 3.5
-        assert t1["shed"] > 0 and t2["shed"] > 0
-        assert ctrl.admitted + ctrl.shed == ctrl.offered
-
-    def test_idle_neighbor_surplus_is_borrowed(self):
-        """With tenant 2 silent, tenant 1 runs past its 75% share on
-        genuine surplus — work-conserving, never wasted."""
-        ctrl = controller(self.quotas())
-        dt = 1.0 / 4000.0
-        window = 1600
-        for i in range(window):
-            self.offer(ctrl, 1, i * dt)
-        t1 = ctrl.policy.tenants[1]
-        assert t1["borrowed"] > 100
-        # Own share alone would cap near 75% of the window.
-        assert t1["admitted"] > 0.9 * window
-
-    def test_borrowing_never_drains_banked_quota(self):
-        """Tenant 2 goes quiet, tenant 1 borrows the surplus; when
-        tenant 2 returns, its banked burst is still there."""
-        ctrl = controller(self.quotas())
-        dt = 1.0 / 4000.0
-        for i in range(400):
-            self.offer(ctrl, 1, i * dt)
-        comeback = 400 * dt
-        assert self.offer(ctrl, 2, comeback)
-        assert ctrl.policy.tenants[2]["borrowed"] == 0
-
-    def test_decisions_deterministic_across_reset(self):
-        def run(ctrl):
-            out = []
-            for i in range(800):
-                now = i * 1.7e-4
-                out.append(self.offer(ctrl, 1 + i % 3, now))
-            return out
-
-        ctrl = controller(self.quotas(shares={1: 2.0, 2: 1.0, 3: 1.0}))
-        first = run(ctrl)
-        ctrl.reset()
-        second = run(ctrl)
-        assert first == second
-        assert any(first) and not all(first)
-
-    def test_requires_a_request_aware_gateway(self):
-        quotas = self.quotas()
-        with pytest.raises(TypeError, match="request"):
-            quotas.admit(0.0, (), None)
-        ctrl = controller(quotas)
-        with pytest.raises(TypeError, match="request"):
-            ctrl.admit(0.0, ())
-
-    def test_custom_tenant_key(self):
-        quotas = TenantQuotas(
-            rate_rps=1000.0,
-            shares={"gold": 1.0},
-            tenant_of=lambda request: "gold",
-        )
-        ctrl = controller(quotas)
-        assert self.offer(ctrl, 99, 0.0)
-        assert quotas.tenants["gold"]["admitted"] == 1
 
 
 class TestShedAdmitted:

@@ -25,7 +25,6 @@ from repro.traffic import (
     QueueBackpressure,
     SLOBook,
     SLOClass,
-    TenantQuotas,
     probe_service_estimates,
     serve_fabric_open_loop,
 )
@@ -347,27 +346,82 @@ class TestSLOGateway:
         assert with_book > without
         assert with_book > 0.9
 
-    def test_tenant_quotas_gate_the_fabric(self):
-        fabric = build_fabric()
-        requests = paced_trace(fabric, count=200)
-        estimates = probe_service_estimates(fabric)
-        mean_service = float(
-            np.mean([v for per in estimates for v in per.values()])
+    def test_a_steal_that_is_then_shed_is_not_counted(self):
+        """Both models hash to shard 0; model 2's deadline is
+        unmeetable anywhere, so its steals end as sheds.  ``stolen``
+        counts only the requests that landed on shard 1."""
+        fabric = Fabric(
+            [shard_spec(), shard_spec()], router=HashShardRouter()
         )
-        capacity = fabric.total_cores / mean_service
-        quotas = TenantQuotas(
-            rate_rps=10.0 * capacity, shares={1: 1.0}
-        )
+        for model_id in (2, 4):
+            fabric.deploy(make_dag(model_id))
+        service = probe_service_estimates(fabric)[0][2]
+        book = SLOBook()
+        book.assign(2, SLOClass("doomed", 0.5 * service))
+        mix = ModelMix([make_dag(2), make_dag(4)])
+        trace = OpenLoopTraffic(
+            PoissonProcess(6_000_000.0), mix, seed=5
+        ).runtime_trace(120)
+        admission = AdmissionController(AcceptAll())
         result = serve_fabric_open_loop(
-            fabric, requests, AdmissionController(quotas)
+            fabric, trace, admission, slo_book=book
         )
+        assert admission.shed_reasons["deadline"] > 0
+        assert result.routed.count(1) > 0
+        assert result.stolen == result.routed.count(1)
         assert result.accounted()
-        # Model 2 is not in the allow-list: all of it sheds.
-        model_2 = sum(
-            1 for r in requests if r.model_id == 2
+
+
+class ShedAll:
+    """An admission policy that refuses everything."""
+
+    def admit(self, now_s, shards, rng) -> bool:
+        return False
+
+    def reset(self) -> None:
+        pass
+
+
+class TestNothingAdmitted:
+    def balanced_and_empty(self, result, offered):
+        assert result.offered == offered
+        assert result.served == 0
+        assert result.routed == ()
+        assert all(r is None for r in result.shard_results)
+        assert all(r is None for r in result.recovery_results)
+        assert result.accounted()
+
+    def test_admission_sheds_the_whole_trace(self, overload_trace):
+        result = serve_fabric_open_loop(
+            build_fabric(), overload_trace, AdmissionController(ShedAll())
         )
-        assert result.shed >= model_2 > 0
-        assert all(
-            r.request.model_id == 1 for r in result.records()
+        assert result.shed == len(overload_trace)
+        self.balanced_and_empty(result, len(overload_trace))
+
+    def test_every_request_fails_over(self):
+        fabric = Fabric(
+            [shard_spec(), shard_spec()],
+            router=FailoverRouter(),
+            placement=ModelPlacement(replicas=1, auto_heal=False),
         )
-        assert quotas.tenants[1]["admitted"] == result.offered - result.shed
+        (home,) = fabric.deploy(make_dag(1))
+        requests = [r for r in paced_trace(fabric, 60) if r.model_id == 1]
+        schedule = kill_shard(FaultSchedule(seed=1), fabric, home, 0.0)
+        result = serve_fabric_open_loop(
+            fabric, requests, fault_schedule=schedule
+        )
+        assert result.failed_over == len(requests)
+        self.balanced_and_empty(result, len(requests))
+
+    def test_serve_routed_balances_an_empty_admitted_trace(self):
+        fabric = build_fabric()
+        self.balanced_and_empty(
+            fabric.serve_routed([], [], offered=7, shed=4, failed_over=3),
+            offered=7,
+        )
+        with pytest.raises(ValueError, match="empty"):
+            fabric.serve_routed([], [])
+
+    def test_empty_offered_trace_stays_an_error(self):
+        with pytest.raises(ValueError, match="empty"):
+            serve_fabric_open_loop(build_fabric(), [])
