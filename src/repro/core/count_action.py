@@ -27,7 +27,7 @@ from __future__ import annotations
 import contextlib
 import enum
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -92,6 +92,17 @@ class ControlRegisterFile:
         """Write a batch of registers (one layer's configuration)."""
         for name, value in values.items():
             self.write(name, value)
+
+    def write_back(self, writes: Sequence[tuple[str, Any]]) -> None:
+        """Replay a recorded sequence of ``(name, value)`` writes at once.
+
+        The register map, the log's tail and :attr:`write_count` end
+        exactly where writing them one by one leaves them; the names
+        were checked when the sequence was first written.
+        """
+        self._registers.update(writes)
+        self._write_log.extend(writes)
+        self.write_count += len(writes)
 
     def read(self, name: str) -> Any:
         """Read one control register; raises if it was never written."""

@@ -187,10 +187,11 @@ class TimingPlan:
     request replays them instead of re-deriving them layer by layer.
 
     Only the DRAM jitter draws vary between replays; they stay
-    bit-identical to per-read charging because a sample's uniforms are
+    bit-identical to per-read charging because a replay's uniforms are
     one RNG call (see
     :meth:`~repro.core.memory.MemoryController.jitter_batch`) folded
-    in charge order.
+    in charge order.  The register writes do not vary at all: the
+    plan carries them as one compiled write-back.
 
     No field is derived from the core but the wavelength count the
     plans were compiled for, so a core with installed analog faults
@@ -211,19 +212,53 @@ class TimingPlan:
     layer_compute_seconds: tuple[float, ...]
     layer_rows: tuple[int, ...]
     datapath_mask: np.ndarray
-    #: Memory-touching layers in charge order: ``(task name, streams,
-    #: transfer seconds)`` — ``streams`` is False for a cacheable conv
-    #: kernel — their layer indices, and the streaming layers' transfer
-    #: seconds alone (what every sample after a batch's first reads).
-    reads: tuple[tuple[str, bool, float], ...]
+    #: Memory-touching layers in charge order: their layer indices,
+    #: each read's register-file key (a cacheable conv kernel's DRAM
+    #: key, ``None`` for a streaming layer) and transfer seconds, the
+    #: kernels' keys as a set, and the streaming layers' transfer
+    #: seconds alone (what every sample reads once its kernels are
+    #: pinned).
     read_layers: tuple[int, ...]
+    read_keys: tuple[str | None, ...]
+    read_transfer_s: tuple[float, ...]
+    kernel_keys: frozenset[str]
     stream_transfer_s: np.ndarray
     #: Whether any layer needs a matmul-capable core (attention).
     needs_matmul: bool
+    #: The ``(register, value)`` writes one replay makes, in order: the
+    #: loader's ``load``, then the first and the last layer configured
+    #: for the plan's wavelength count — the register end state of the
+    #: per-layer walk.
+    writes: tuple[tuple[str, object], ...]
 
     @property
     def read_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _, _ in self.reads)
+        return tuple(self.task_names[index] for index in self.read_layers)
+
+    def sample_latencies(self, streams: list[float]) -> list[float]:
+        """One steady-state sample's exposed latency per read: its
+        streaming reads' in order, 0.0 for every pinned kernel."""
+        if not self.kernel_keys:
+            return streams
+        rest = iter(streams)
+        return [0.0 if key else next(rest) for key in self.read_keys]
+
+
+def _write_back(
+    dag: ComputationDAG, num_wavelengths: int
+) -> tuple[tuple[str, object], ...]:
+    """The register writes of one ledger replay, recorded off a scratch
+    loader making the calls the replay stands for: ``load``, then the
+    first and the last layer configured for ``num_wavelengths``."""
+    registers = ControlRegisterFile()
+    loader = DAGConfigurationLoader(registers)
+    loader.register_model(dag)
+    with registers.capture() as writes:
+        loader.load(dag.model_id)
+        loader.configure_layer(dag, 0, num_wavelengths)
+        if dag.num_layers > 1:
+            loader.configure_layer(dag, dag.num_layers - 1, num_wavelengths)
+    return tuple(writes)
 
 
 class InferenceExecution:
@@ -563,7 +598,7 @@ class LightningDatapath(DatapathBase):
         """
         dag, plan_model, tplan = self._compiled(model_id)
         outputs = plan_model.forward(self.core, input_levels)
-        timing, read_latencies = self._replay_ledger(dag, plan_model, tplan)
+        timing, read_latencies = self._replay_ledger(plan_model, tplan)
         return InferenceExecution(
             dag.model_id,
             dag.name,
@@ -626,7 +661,7 @@ class LightningDatapath(DatapathBase):
         _, plan_model, tplan = self._compiled(dag.model_id)
         outputs = plan_model.forward_block(self.core, block)[-1]
         return outputs, self._replay_ledger(
-            dag, plan_model, tplan, len(block)
+            plan_model, tplan, len(block)
         )[0]
 
     # ------------------------------------------------------------------
@@ -648,7 +683,8 @@ class LightningDatapath(DatapathBase):
         rows: list[int] = []
         datapath_mask: list[bool] = []
         seen_groups: set[str] = set()
-        reads: list[tuple[str, bool, float]] = []
+        read_keys: list[str | None] = []
+        read_transfer: list[float] = []
         read_layers: list[int] = []
         needs_matmul = False
         bandwidth = self.memory.dram.bandwidth_gbps
@@ -670,11 +706,12 @@ class LightningDatapath(DatapathBase):
                 charged = True
                 data = self.memory.peek(dag.model_id, task.name)
                 read_layers.append(index)
-                reads.append((
-                    task.name,
-                    task.kind != "conv",
-                    data.nbytes * 8 / (bandwidth * 1e9),
-                ))
+                read_keys.append(
+                    self.memory.key(dag.model_id, task.name)
+                    if task.kind == "conv"
+                    else None
+                )
+                read_transfer.append(data.nbytes * 8 / (bandwidth * 1e9))
             if task.parallel_group is not None:
                 if task.parallel_group in seen_groups:
                     charged = False
@@ -695,13 +732,20 @@ class LightningDatapath(DatapathBase):
             layer_compute_seconds=tuple(compute),
             layer_rows=tuple(rows),
             datapath_mask=np.asarray(datapath_mask, dtype=bool),
-            reads=tuple(reads),
             read_layers=tuple(read_layers),
+            read_keys=tuple(read_keys),
+            read_transfer_s=tuple(read_transfer),
+            kernel_keys=frozenset(key for key in read_keys if key),
             stream_transfer_s=np.array(
-                [transfer for _, streams, transfer in reads if streams],
+                [
+                    transfer
+                    for key, transfer in zip(read_keys, read_transfer)
+                    if key is None
+                ],
                 dtype=np.float64,
             ),
             needs_matmul=needs_matmul,
+            writes=_write_back(dag, self.num_wavelengths),
         )
 
     def _compiled(
@@ -717,7 +761,6 @@ class LightningDatapath(DatapathBase):
 
     def _replay_ledger(
         self,
-        dag: ComputationDAG,
         plan_model: ModelPlan,
         tplan: TimingPlan,
         samples: int = 1,
@@ -731,34 +774,29 @@ class LightningDatapath(DatapathBase):
         sample's pipeline cost (the only one a batch is billed, per
         pass) and its per-read exposed latencies.
 
-        Sample 0 reads every streaming layer plus every not-yet-cached
-        conv kernel: a scalar fold, because numpy's fixed costs on a
-        handful of reads exceed the loop they would replace.  Later
-        samples read only the streaming layers (sample 0 pinned the
-        kernels), all at once.
+        The registers take the plan's compiled write-back in one call
+        (every sample would leave them where the first does).  Once
+        every conv kernel is pinned, each sample reads exactly the
+        streaming layers, so all the samples' reads are one jitter
+        draw and one vectorised fold; a sample 0 that meets a cold
+        kernel charges its reads one by one, pinning it.
         """
-        # The walk loads once per sample and writes every layer's
-        # registers in turn; the load, the first layer re-targeted to
-        # this core's wavelength count and the last layer's configure
-        # leave the identical register end state.
-        self.loader.load(dag.model_id)
-        self.loader.configure_layer(dag, 0, self.num_wavelengths)
-        if dag.num_layers > 1:
-            self.loader.configure_layer(
-                dag, dag.num_layers - 1, self.num_wavelengths
+        self.registers.write_back(tplan.writes)
+        self.loader.loads += samples
+        plan_model.replays += samples
+        memory = self.memory
+        read_latencies = None
+        if not memory.pinned(tplan.kernel_keys):
+            read_latencies = memory.replay_reads(
+                tplan.read_keys, tplan.read_transfer_s
             )
-        plan_model.replays += 1
-        read_latencies = self.memory.replay_reads(dag.model_id, tplan.reads)
-        if samples > 1:
-            # A batch's later samples: the loader and replay counters
-            # and the streaming layers' reads (sample 0 pinned every
-            # conv kernel, and left the registers where each would).
-            plan_model.replays += samples - 1
-            self.loader.loads += samples - 1
-            streams = tplan.stream_transfer_s
-            self.memory.replay_streams(
-                streams, samples - 1, len(tplan.reads) - len(streams)
+            samples -= 1
+        if samples:
+            streams = memory.replay_streams(
+                tplan.stream_transfer_s, samples, len(tplan.kernel_keys)
             )
+            if read_latencies is None:
+                read_latencies = tplan.sample_latencies(streams[0])
         return (
             TimingEstimate(
                 compute_seconds=tplan.compute_seconds,
@@ -779,7 +817,7 @@ class LightningDatapath(DatapathBase):
         runs the forward half.  A degraded core replays the same plan:
         no ledger constant reads the core's analog state.
         """
-        return self._replay_ledger(*self._compiled(model_id))[0]
+        return self._replay_ledger(*self._compiled(model_id)[1:])[0]
 
     def execute_batch_timing(
         self, model_id: int, batch: int
@@ -793,5 +831,7 @@ class LightningDatapath(DatapathBase):
         if batch < 1:
             raise ValueError("a batch needs at least one query")
         passes = math.ceil(batch / self.core.architecture.batch_size)
-        first, _ = self._replay_ledger(*self._compiled(model_id), batch)
+        first, _ = self._replay_ledger(
+            *self._compiled(model_id)[1:], batch
+        )
         return first.repeated(passes)

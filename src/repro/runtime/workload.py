@@ -68,16 +68,20 @@ def poisson_trace(
 
 
 def probe_service_times(cluster: Cluster) -> dict[int, float]:
-    """``model_id -> service seconds`` of one zero query per deployed
-    model on core 0 (the caches are warm after
-    :meth:`~repro.runtime.cluster.Cluster.deploy`, so each probe costs
-    one plan replay)."""
-    services = {}
-    for dag in cluster.deployed_dags:
-        zeros = np.zeros(dag.tasks[0].input_size, dtype=np.float64)
-        execution = cluster.datapaths[0].execute(dag.model_id, zeros)
-        services[dag.model_id] = execution.total_seconds
-    return services
+    """``model_id -> service seconds`` of one query per deployed model
+    on core 0.
+
+    A probe is one ledger replay
+    (:meth:`~repro.core.datapath.LightningDatapath.execute_timing`):
+    what a request costs never depends on its activations, so no
+    forward pass runs.  The replay charges core 0's ledger — counters,
+    registers, DRAM-jitter draws — as serving one query would.
+    """
+    datapath = cluster.datapaths[0]
+    return {
+        dag.model_id: datapath.execute_timing(dag.model_id).total_seconds
+        for dag in cluster.deployed_dags
+    }
 
 
 def rate_for_cluster_utilization(

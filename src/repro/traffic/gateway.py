@@ -8,9 +8,10 @@ traces shard-by-shard (each shard replays its sub-trace on its own
 virtual clock), so the gateway cannot observe true queue depths *during*
 the serve — instead it runs an **estimate-based pre-pass**:
 
-1. **Probe** each shard once per deployed model (a zero query on core
-   0, :func:`~repro.runtime.workload.probe_service_times`) to learn
-   real per-shard service times.
+1. **Probe** each shard once per deployed model to learn real
+   per-shard service times: one ledger replay on core 0
+   (:func:`~repro.runtime.workload.probe_service_times`), no forward
+   pass — a request's cost never depends on its activations.
 2. **Project** every shard's queue forward in arrival order — idle
    cores, busy-until heap, FIFO backlog — using those estimates, and
    read shard *health* off the fault schedule's
@@ -67,9 +68,11 @@ __all__ = ["probe_service_estimates", "serve_fabric_open_loop"]
 def probe_service_estimates(fabric: Fabric) -> list[dict[int, float]]:
     """Per-shard ``model_id -> estimated service seconds``.
 
-    One zero query per (shard, model) on the shard's core 0; caches
-    are warm after deploy, so each probe costs one plan replay.  Under
-    a :class:`~repro.fabric.lifecycle.ModelPlacement` a shard hosts
+    One ledger replay per (shard, model) on the shard's core 0
+    (:func:`~repro.runtime.workload.probe_service_times`): the
+    compiled timing plan prices the request, and no forward pass
+    runs.  Under a :class:`~repro.fabric.lifecycle.ModelPlacement` a
+    shard hosts
     only its replicas' models — shards with no models return empty
     estimate maps (the gateway prices foreign requests with the fleet
     mean), but a fabric with *no* deployed model anywhere is a

@@ -22,6 +22,8 @@ cannot see; the register-write and counter assertions here do.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,86 @@ class TestExecuteMatchesTheWalk:
         assert_same_state(fused, dry, noise_stream=False)
         untouched = BehavioralCore(seed=3)._rng.standard_normal()
         assert dry.core._rng.standard_normal() == untouched
+
+
+def replay_writes(walk_writes):
+    """The writes one ledger replay makes, cut from one walk's: the
+    walk loads (model header, layer 0 at the loader's default
+    wavelength count), then configures every layer in turn; the replay
+    keeps the load and the first and last of those configurations —
+    the register end state."""
+    starts = [
+        i for i, (name, _) in enumerate(walk_writes) if name == "layer.index"
+    ]
+    configs = [
+        walk_writes[start:end]
+        for start, end in zip(starts, starts[1:] + [len(walk_writes)])
+    ]
+    load, first, *rest = configs
+    kept = [first, *rest[-1:]]
+    return walk_writes[: starts[0]] + load + [w for c in kept for w in c]
+
+
+class TestCompiledWriteBack:
+    """A dry run's ledger is a compiled write-back plus one folded
+    pass over the reads: register map, write log and count, counters,
+    DRAM ledger and the memory generator's position all land where
+    walking the layers leaves them — kernels cold, then warm, single
+    dispatches and batches alike."""
+
+    @pytest.mark.parametrize("architecture", [None, BROADCAST],
+                             ids=["two-wavelengths", "one-wavelength"])
+    @pytest.mark.parametrize("build", MODELS)
+    def test_dry_runs_leave_what_walks_leave(self, build, architecture):
+        dag = build(model_id=3)
+        fused, walked = twins(dag, architecture=architecture)
+        hardware = fused.core.architecture.batch_size
+        zeros = np.zeros(dag.tasks[0].input_size)
+        log = deque(maxlen=fused.registers.WRITE_LOG_DEPTH)
+        count = 0
+        # None: ``execute_timing``; the first call meets cold kernels.
+        for batch in (None, None, 1, 2, 3, 4, 5):
+            samples = batch or 1
+            with walked.registers.capture() as writes:
+                walks = [
+                    walk(walked, dag.model_id, zeros) for _ in range(samples)
+                ]
+            if batch is None:
+                estimate = fused.execute_timing(dag.model_id)
+            else:
+                estimate = fused.execute_batch_timing(dag.model_id, batch)
+            passes = -(-samples // hardware)
+            assert estimate == walks[0].timing.repeated(passes)
+            # Every sample's walk writes the same sequence; a dry run
+            # writes the replay's cut of it once.
+            one = replay_writes(writes[: len(writes) // samples])
+            log.extend(one)
+            count += len(one)
+            assert fused.registers.write_log == tuple(log)
+            assert fused.registers.write_count == count
+            assert fused.registers._registers == walked.registers._registers
+            assert_same_state(fused, walked, noise_stream=False)
+
+    def test_dry_runs_under_capture(self):
+        dag = mixed(model_id=4)
+        fused, walked = twins(dag)
+        zeros = np.zeros(dag.tasks[0].input_size)
+        fused.execute_timing(dag.model_id)  # kernels pinned
+        walk(walked, dag.model_id, zeros)
+        ring, count = fused.registers.write_log, fused.registers.write_count
+        with fused.registers.capture() as captured:
+            fused.execute_timing(dag.model_id)
+            fused.execute_batch_timing(dag.model_id, 3)
+        with walked.registers.capture() as writes:
+            for _ in range(4):
+                walk(walked, dag.model_id, zeros)
+        one = replay_writes(writes[: len(writes) // 4])
+        assert captured == one + one
+        assert fused.registers.write_count == count + len(captured)
+        assert fused.registers.write_log == (ring + tuple(captured))[
+            -fused.registers.WRITE_LOG_DEPTH:
+        ]
+        assert_same_state(fused, walked, noise_stream=False)
 
 
 #: Fresh fault objects per datapath: a re-lock mutates them.

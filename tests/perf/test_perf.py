@@ -191,8 +191,8 @@ class TestCaseTable:
         assert "lapped a ring 0 times, not 4" in entry["error"]
 
     def test_ring_lap_hook_counts_expired_poll_timers(self, monkeypatch):
-        """A poll timer that expires during the last timed serve (here:
-        a counter that moves on every read) fails the case."""
+        """A poll timer that expires during any timed serve (here: a
+        counter that moves on every read) fails the case."""
         from repro.runtime.parallel import CoreWorkerPool
 
         reads = itertools.count()

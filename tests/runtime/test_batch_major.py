@@ -7,9 +7,11 @@ executor, patch predictions after the loop — and both executors
 evaluate through the batch-major forward program, in blocks.  That must
 be invisible: fault-laden serves equal digests recorded at the commit
 before numerics were deferred (when every dispatch ran ``execute``
-inline), at any block cap and any worker drain depth; aborted and
-timed-out dispatches never compute; and a healthy serve stays within
-its program-invocation budget, so a silent fall-back to one forward
+inline), at any block cap, in the serving process or a worker, and at
+any worker read-ahead depth; aborted and timed-out dispatches never
+compute in the serving process; and a healthy serve stays within its
+program-invocation budget — workers included — so a silent fall-back
+to one forward
 per row (or to computing at dispatch what was meant to be deferred)
 fails here instead of passing every digest ~2x slower, unseen by any
 ratio gate.
@@ -204,9 +206,10 @@ class TestFaultLadenServesEqualTheInlineServe:
         from repro.runtime.rings import RingConsumer
 
         # Workers fork when the cluster is built, so they inherit the
-        # patched consumer.  Never seeing a second slot evaluates one
-        # dispatch per drain; waiting for stragglers fills the drain
-        # to the ring's capacity whenever the parent is that far ahead.
+        # patched consumer.  ``poll`` is how a worker facing a full
+        # completion ring reads posted slots ahead into its inbox:
+        # never seeing one leaves it to the parent's drains; waiting
+        # for stragglers reads ahead as deep as the parent posts.
         if drain == "one slot":
             monkeypatch.setattr(RingConsumer, "poll", lambda self: None)
         else:
@@ -216,6 +219,18 @@ class TestFaultLadenServesEqualTheInlineServe:
                 return self._read_request()
 
             monkeypatch.setattr(RingConsumer, "poll", patient)
+        result = serve(name, "parallel", 4)
+        assert digest(result) == PARENT_DIGESTS[name, 4]
+
+    @pytest.mark.parametrize("cap", [1, 1 << 40], ids=["one-row", "no-cap"])
+    @pytest.mark.parametrize("name", ["crash_mid_batch", "drift_and_relock"])
+    def test_worker_block_cap_never_shows(self, monkeypatch, name, cap):
+        from repro.runtime import executor
+
+        # Patched before the fork: a one-byte block evaluates every
+        # dispatch as it arrives, an unbounded one only at barriers
+        # (faults, re-locks, the parent's flush before it joins).
+        monkeypatch.setattr(executor, "BLOCK_BYTES", cap)
         result = serve(name, "parallel", 4)
         assert digest(result) == PARENT_DIGESTS[name, 4]
 
@@ -298,6 +313,65 @@ class TestCallBudget:
             spy = _Spy(monkeypatch)
             cluster.serve_trace(trace(count=64))
         assert spy.blocks == [1] * 64
+
+    def test_workers_evaluate_forward_blocks(self, monkeypatch, tmp_path):
+        """A worker evaluates its backlog once it holds a forward block
+        or meets a barrier — never whatever its ring happened to hold —
+        so single-row dispatches cost the inline executor's invocation
+        count, not one per ring drain."""
+        from repro.perf.bench import gpt2_class_dag
+        from repro.runtime import executor
+
+        dag = gpt2_class_dag(0, model_id=1)
+        rng = np.random.default_rng(8)
+        requests = [
+            RuntimeRequest(
+                request_id=index, model_id=1, arrival_s=index * 1e-6,
+                data_levels=rng.integers(
+                    0, 256, size=dag.tasks[0].input_size
+                ).astype(np.float64),
+            )
+            for index in range(64)
+        ]
+
+        def cluster(execution: str) -> Cluster:
+            built = Cluster(
+                num_cores=1,
+                datapath_factory=lambda core: LightningDatapath(
+                    core=BehavioralCore(seed=6)
+                ),
+                execution=execution,
+                queue_capacity=len(requests),
+            )
+            built.deploy(dag)
+            return built
+
+        serial = cluster("serial").serve_trace(requests)
+        # Installed before the fork, so the worker inherits the spy;
+        # each call appends its dispatch count to the log.
+        log = tmp_path / "evaluate.log"
+        evaluate = executor.evaluate
+
+        def spied(datapath, model_id, dispatches):
+            with open(log, "a") as out:
+                out.write(f"{len(dispatches)}\n")
+            return evaluate(datapath, model_id, dispatches)
+
+        monkeypatch.setattr(executor, "evaluate", spied)
+        with cluster("parallel") as pool:
+            parallel = pool.serve_trace(requests)
+            limit = executor.BLOCK_BYTES // pool.datapaths[0].row_bytes(1)
+        calls = [int(line) for line in log.read_text().split()]
+        assert limit < 64 and sum(calls) == 64
+        assert len(calls) <= math.ceil(64 / limit) + 1
+        assert max(calls) <= limit
+        assert [
+            (r.request.request_id, r.prediction, r.finish_s)
+            for r in parallel.records
+        ] == [
+            (r.request.request_id, r.prediction, r.finish_s)
+            for r in serial.records
+        ]
 
     def test_worker_posts_a_full_window_from_one_invocation_per_model(
         self, monkeypatch

@@ -14,8 +14,9 @@ from repro.fabric import (
     ShardSpec,
     kill_shard,
 )
-from repro.faults import FaultSchedule, RetryPolicy
+from repro.faults import DegradedCore, FaultSchedule, MZMBiasDrift, RetryPolicy
 from repro.photonics import BehavioralCore, CoreArchitecture, NoiselessModel
+from repro.runtime.workload import poisson_trace, probe_service_times
 from repro.traffic import (
     AcceptAll,
     AdmissionController,
@@ -425,3 +426,103 @@ class TestNothingAdmitted:
     def test_empty_offered_trace_stays_an_error(self):
         with pytest.raises(ValueError, match="empty"):
             serve_fabric_open_loop(build_fabric(), [])
+
+
+class TestProbeIsOneLedgerReplay:
+    """``probe_service_times`` prices a (shard, model) with the ledger
+    alone.  The zero query's forward pass it no longer runs drew only
+    from the probed core's own noise stream, and nothing served reads
+    that stream — every served dispatch and watchdog probe reseeds onto
+    a keyed stream first — so estimates, ledgers and every served bit
+    stay where the forward probe left them."""
+
+    @staticmethod
+    def noisy_fabric(drift: bool) -> Fabric:
+        def factory(core: int) -> LightningDatapath:
+            return LightningDatapath(core=BehavioralCore(seed=11 + core))
+
+        fabric = Fabric([
+            ShardSpec(num_cores=2, datapath_factory=factory)
+            for _ in range(2)
+        ])
+        for model_id in (1, 2):
+            fabric.deploy(make_dag(model_id))
+        if drift:
+            for shard in fabric.shards:
+                DegradedCore.ensure(shard.datapaths[0]).install(
+                    MZMBiasDrift(0.0, volts_per_s=2e4)
+                )
+        return fabric
+
+    @staticmethod
+    def forward_probe(cluster) -> dict[int, float]:
+        """The probe as it was: one zero query's full ``execute``."""
+        services = {}
+        for dag in cluster.deployed_dags:
+            zeros = np.zeros(dag.tasks[0].input_size, dtype=np.float64)
+            execution = cluster.datapaths[0].execute(dag.model_id, zeros)
+            services[dag.model_id] = execution.total_seconds
+        return services
+
+    @staticmethod
+    def ledger(datapath) -> tuple:
+        memory = datapath.memory
+        return (
+            memory._rng.bit_generator.state,
+            memory.dram_reads,
+            memory.cache_hits,
+            memory.total_read_latency_s.hex(),
+            datapath.loader.loads,
+            datapath.plan_stats(),
+            datapath.registers._registers,
+        )
+
+    @staticmethod
+    def fingerprint(result) -> tuple:
+        return (
+            result.routed,
+            [
+                None if shard is None else (
+                    [
+                        (
+                            r.request.request_id, r.core, r.batch_size,
+                            r.prediction, r.finish_s.hex(),
+                            r.queuing_s.hex(), r.datapath_s.hex(),
+                            r.compute_s.hex(),
+                        )
+                        for r in shard.records
+                    ],
+                    [r.request_id for r in shard.dropped],
+                    [r.request_id for r in shard.failed],
+                )
+                for shard in result.shard_results
+            ],
+            result.stats.energy.total_joules.hex(),
+            result.stats.energy.count,
+        )
+
+    @pytest.mark.parametrize(
+        "drift", [False, True], ids=["healthy", "mzm-bias-drift"]
+    )
+    def test_probe_moves_no_served_bit(self, drift):
+        replayed, forwarded = (self.noisy_fabric(drift) for _ in range(2))
+        estimates = [probe_service_times(s) for s in replayed.shards]
+        assert estimates == [
+            self.forward_probe(s) for s in forwarded.shards
+        ]
+        for ours, theirs in zip(replayed.shards, forwarded.shards):
+            assert self.ledger(ours.datapaths[0]) == self.ledger(
+                theirs.datapaths[0]
+            )
+        # The forward probe did draw from core 0's own stream.
+        noise = [
+            getattr(s.datapaths[0].core, "core", s.datapaths[0].core)._rng
+            for s in (replayed.shards[0], forwarded.shards[0])
+        ]
+        assert noise[0].bit_generator.state != noise[1].bit_generator.state
+        dags = [make_dag(1), make_dag(2)]
+        trace = poisson_trace(dags, 2_000_000.0, 80, seed=4)
+        served = [f.serve_trace(trace) for f in (replayed, forwarded)]
+        assert served[0].served > 0
+        assert len({r.prediction for r in served[0].records()}) > 1
+        assert self.fingerprint(served[0]) == self.fingerprint(served[1])
