@@ -10,28 +10,37 @@ the way ENLighten and LiteCON do — into an :class:`ExecutionPlan` that
 replays each request as a handful of vectorized numpy operations and
 *one* photonic-core call per layer.
 
-What a plan precomputes:
+Compilation runs per layer, not per row: the offline sign separation
+(§5.3 fn. 2) of a ``(rows, k)`` weight matrix is one vectorised pass
+(:func:`readout_groups`), and a plan keeps per-layer arrays only — no
+per-row Python objects.  What a plan precomputes:
 
-* **Dense** — each row's readout count and net sign from its sign
-  separation, so replay on a behavioural core with summable noise is
-  one signed ``weights @ activations / 255`` plus one Gaussian per row.
+* **Dense** — each row's readout count and net sign, so replay on a
+  behavioural core with summable noise is one signed
+  ``weights @ activations / 255`` plus one Gaussian per row.
   Cores that must see every readout (fault wrappers, device-accurate
   and accumulate-only cores) replay the rows stacked into a single
   ``(total_steps, N)`` operand block instead — a clipped gather map
   (padding positions index slot 0 and are nulled by their zero
   magnitudes), the magnitude block, the per-step sign bits and the
-  ``reduceat`` row boundaries — built lazily: one contraction, one
-  noise fill and one ``np.add.reduceat``, no per-row Python.
+  ``reduceat`` row boundaries (:func:`readout_operands`, one scatter
+  over the layer) — built from the weights on first use: one
+  contraction, one noise fill and one ``np.add.reduceat``, no per-row
+  Python.
 * **Conv** — the im2col gather map for the layer's exact geometry
   (shared process-wide per :class:`~repro.core.dag.ConvShape` via
   :func:`im2col_indices`), plus the transposed kernel matrix, so replay
   is one patch gather and one ``core.matmul``.  Cores without ``matmul``
   (the device-accurate :class:`~repro.photonics.core.PrototypeCore`)
   fall back to a stacked accumulate block over all positions and output
-  channels, built lazily.
+  channels, built from the weights on first use.
 * **Attention** — the four projection slices pre-split and transposed,
   and the §4 row-cost table folded into a precomputed cycle count.
 * **Pool** — the window geometry and comparator cycle count.
+
+Both lazy blocks derive from the task's weights alone, so a plan
+adopted from shared memory (:func:`import_model_plan`) builds them
+exactly as the plan it was exported from would.
 
 A :class:`ModelPlan` strings the tasks into one **batch-major forward
 program**: a ``(B, n)`` block of requests in, every task's ``(B, rows)``
@@ -66,16 +75,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .dag import (
-    ComputationDAG,
-    ConvShape,
-    LayerTask,
-    SignSeparatedRow,
-    sign_separate_row,
-)
+from .dag import ComputationDAG, ConvShape, LayerTask
 from .nonlinear import NonlinearModule, nonlinear_module
 
 try:  # optional: halves the dense contraction when scipy is present
@@ -91,6 +95,9 @@ __all__ = [
     "PoolPlan",
     "ModelPlan",
     "PlanGeometry",
+    "ReadoutOperands",
+    "readout_groups",
+    "readout_operands",
     "im2col_indices",
     "clear_im2col_cache",
     "compile_task",
@@ -223,15 +230,16 @@ class PlanGeometry:
     samples_per_cycle: int
     preamble_repeats: int
 
-    def step_cycles(self, num_steps: int) -> int:
+    def step_cycles(self, num_steps):
         """Digital cycles to stream and reduce one output row of
         ``num_steps`` photonic steps: one preamble per vector plus the
-        ceil-divided stream cycles.  The compiled ledger's one copy of
-        the formula; the reference walk keeps its own, which this one
-        is checked against.
+        ceil-divided stream cycles — per row, elementwise, when
+        ``num_steps`` is an integer array.  The compiled ledger's one
+        copy of the formula; the reference walk keeps its own, which
+        this one is checked against.
         """
-        return self.preamble_repeats + math.ceil(
-            num_steps / self.samples_per_cycle
+        return self.preamble_repeats - (
+            -num_steps // self.samples_per_cycle
         )
 
     def row_cycles(self, vector_length: int) -> int:
@@ -241,32 +249,83 @@ class PlanGeometry:
         )
 
 
-def _stack_rows(
-    rows: list[SignSeparatedRow], num_wavelengths: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Stack sign-separated rows into one contiguous operand block.
+def readout_groups(
+    weights: np.ndarray, num_wavelengths: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Offline sign separation's counts for a whole ``(rows, k)``
+    weight matrix: per row, the ADC readouts of its non-negative and
+    of its negative segment, each ceil-divided by the wavelength count
+    after the segment is zero-padded to a multiple of it (§5.3 fn. 2).
 
-    Returns ``(a_index, magnitudes, group_signs, row_starts,
-    total_steps)`` where ``a_index`` is the clipped activation gather
-    map of shape ``(total_steps, N)`` (padding positions index slot 0;
-    their magnitudes are zero so the gathered value cannot contribute),
-    and ``row_starts`` are ``np.add.reduceat`` boundaries.
+    A row's readout count is their sum and its net sign their
+    difference — :func:`~repro.core.dag.sign_separate_row`'s
+    ``num_steps`` and ``group_signs.sum()``, one array pass per layer.
     """
     n = num_wavelengths
-    order = np.concatenate([row.order for row in rows])
-    a_index = np.ascontiguousarray(
-        np.clip(order, 0, None).reshape(-1, n)
-    )
-    magnitudes = np.ascontiguousarray(
-        np.concatenate([row.magnitudes for row in rows]).reshape(-1, n)
-    )
-    group_signs = np.concatenate([row.group_signs for row in rows])
-    steps = np.array(
-        [len(row.group_signs) for row in rows], dtype=np.int64
-    )
-    row_starts = np.zeros(len(rows), dtype=np.int64)
+    positive = -(-np.count_nonzero(weights >= 0, axis=1) // n)
+    negative = -(-np.count_nonzero(weights < 0, axis=1) // n)
+    return positive, negative
+
+
+class ReadoutOperands(NamedTuple):
+    """A layer's sign-separated rows stacked into one operand block.
+
+    ``a_index`` is the clipped activation gather map of shape
+    ``(total_steps, N)`` (padding positions index slot 0; their
+    magnitudes are zero so the gathered value cannot contribute),
+    ``group_signs`` one control bit per step and ``row_starts`` the
+    ``np.add.reduceat`` boundaries of the rows.
+    """
+
+    a_index: np.ndarray
+    magnitudes: np.ndarray
+    group_signs: np.ndarray
+    row_starts: np.ndarray
+    total_steps: int
+
+
+def readout_operands(
+    weights: np.ndarray, num_wavelengths: int
+) -> ReadoutOperands:
+    """Every row of a ``(rows, k)`` weight matrix sign-separated and
+    stacked, in one vectorised pass: each row's non-negative weights,
+    then its negative ones, each in column order, scattered to their
+    readout slots with the zero padding left in place between.
+
+    Equal, array for array, to stacking
+    :func:`~repro.core.dag.sign_separate_row` row by row.
+    """
+    n = num_wavelengths
+    positive, negative = readout_groups(weights, n)
+    steps = positive + negative
+    row_starts = np.zeros(len(steps), dtype=np.int64)
     np.cumsum(steps[:-1], out=row_starts[1:])
-    return a_index, magnitudes, group_signs, row_starts, int(steps.sum())
+    total_steps = int(steps.sum())
+    a_index = np.zeros(total_steps * n, dtype=np.int64)
+    magnitudes = np.zeros(total_steps * n, dtype=np.float64)
+    for segment, first_step in (
+        (weights >= 0, row_starts),
+        (weights < 0, row_starts + positive),
+    ):
+        rows, columns = np.nonzero(segment)
+        counts = np.count_nonzero(segment, axis=1)
+        # A weight's rank within its row's segment: its place in the
+        # row-major nonzero list less where its row's entries begin.
+        rank = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+        slots = first_step[rows] * n + rank
+        a_index[slots] = columns
+        magnitudes[slots] = np.abs(weights[rows, columns])
+    group_signs = np.repeat(
+        np.tile([1.0, -1.0], len(steps)),
+        np.column_stack([positive, negative]).ravel(),
+    )
+    return ReadoutOperands(
+        a_index.reshape(-1, n),
+        magnitudes.reshape(-1, n),
+        group_signs,
+        row_starts,
+        total_steps,
+    )
 
 
 class ExecutionPlan:
@@ -395,19 +454,14 @@ class _ReadoutBlock:
     device-accurate and accumulate-only cores, non-summable noise.
     """
 
-    def __init__(
-        self,
-        rows: list[SignSeparatedRow],
-        num_wavelengths: int,
-        input_size: int,
-    ) -> None:
+    def __init__(self, weights: np.ndarray, num_wavelengths: int) -> None:
         (
             self.a_index,
             self.magnitudes,
             self.group_signs,
             self.row_starts,
             self.total_steps,
-        ) = _stack_rows(rows, num_wavelengths)
+        ) = readout_operands(weights, num_wavelengths)
         # Replay scratch, owned by the block so steady-state serving
         # allocates nothing per request: the gathered activation block,
         # the per-step partials, and the core's noise-draw buffer.
@@ -424,7 +478,7 @@ class _ReadoutBlock:
         # importable; ``accumulate_into`` sums a step's lanes in the
         # kernel's left-to-right order, so the bytes are the same
         # either way.
-        self._input_size = input_size
+        self._input_size = weights.shape[1]
         self._csr_indptr = np.arange(
             0, self.total_steps * num_wavelengths + 1, num_wavelengths,
             dtype=np.int64,
@@ -507,42 +561,40 @@ class DensePlan(ExecutionPlan):
     core declaring ``row_granular_noise`` replay is ``weights @
     activations / 255`` plus one Gaussian per row, its std scaled by
     ``sqrt(steps)`` and its mean by ``sum(group_signs)`` — the row's own
-    counts from sign separation, not ``ceil(k / N)``, so the law is
-    exactly the per-readout stream's.  Any other core replays the
-    stacked :class:`_ReadoutBlock`, built on first use.
+    counts from sign separation (:func:`readout_groups`, one pass over
+    the layer), not ``ceil(k / N)``, so the law is exactly the
+    per-readout stream's.  Any other core replays the stacked
+    :class:`_ReadoutBlock`, built from the weights on first use.
     """
 
     kind = "dense"
 
-    def __init__(
-        self,
-        task: LayerTask,
-        geometry: PlanGeometry,
-        rows: list[SignSeparatedRow],
-    ) -> None:
+    def __init__(self, task: LayerTask, geometry: PlanGeometry) -> None:
         super().__init__(task, geometry)
-        self.rows = len(rows)
-        self.stream_cycles = sum(
-            geometry.step_cycles(row.num_steps) for row in rows
+        positive, negative = readout_groups(
+            task.weights_levels, geometry.num_wavelengths
         )
-        steps = np.array([row.num_steps for row in rows], dtype=np.float64)
-        net_signs = np.array([row.group_signs.sum() for row in rows])
-        self._bind_shared(task, {"steps": steps, "net_signs": net_signs}, {})
-        self._rows = rows
+        steps = positive + negative
+        self.rows = len(steps)
+        self.stream_cycles = int(geometry.step_cycles(steps).sum())
+        self._bind_shared(
+            task,
+            {
+                "steps": steps.astype(np.float64),
+                "net_signs": (positive - negative).astype(np.float64),
+            },
+            {},
+        )
 
     def _readout_block(self) -> _ReadoutBlock:
-        """The per-readout block, stacked on first fallback use.
-
-        A shared replica carries no sign-separated rows; it re-derives
-        them from the shared weights (sign separation is a pure
-        function of the weight row and the wavelength count).
-        """
+        """The per-readout block, stacked from the weights on first
+        fallback use — on a compiled plan and an adopted one alike
+        (sign separation is a pure function of the weights and the
+        wavelength count)."""
         if self._block is None:
-            n = self.geometry.num_wavelengths
-            rows = self._rows or [
-                sign_separate_row(row, n) for row in self.weights
-            ]
-            self._block = _ReadoutBlock(rows, n, self.weights.shape[1])
+            self._block = _ReadoutBlock(
+                self.weights, self.geometry.num_wavelengths
+            )
         return self._block
 
     def execute(self, core, activations: np.ndarray) -> np.ndarray:
@@ -576,35 +628,33 @@ class DensePlan(ExecutionPlan):
         self.net_signs = arrays["net_signs"]
         self.std_scale = np.sqrt(self.steps)
         self._noise = np.empty(self.rows, dtype=np.float64)
-        self._rows: list[SignSeparatedRow] | None = None
         self._block: _ReadoutBlock | None = None
 
 
 class ConvPlan(ExecutionPlan):
-    """A convolution layer as one patch gather plus one matmul."""
+    """A convolution layer as one patch gather plus one matmul.
+
+    The plan keeps the kernel's per-channel readout counts only as the
+    stream cycles they charge (:func:`readout_groups`, one pass over
+    the kernel matrix); cores without a native matmul replay a stacked
+    per-readout block built from the weights on first use.
+    """
 
     kind = "conv"
 
-    def __init__(
-        self,
-        task: LayerTask,
-        geometry: PlanGeometry,
-        rows: list[SignSeparatedRow],
-    ) -> None:
+    def __init__(self, task: LayerTask, geometry: PlanGeometry) -> None:
         super().__init__(task, geometry)
-        conv = task.conv
-        assert conv is not None and task.weights_levels is not None
-        self.conv = conv
-        self.patch_gather = im2col_indices(conv)
-        # A transposed *view*: matmul consumes it exactly as the loop
-        # path consumed ``task.weights_levels.T``, bit-for-bit.
-        self.weights_t = task.weights_levels.T
-        self.rows = conv.out_channels * conv.positions
-        per_row = sum(geometry.step_cycles(row.num_steps) for row in rows)
-        self.stream_cycles = per_row * conv.positions
-        self._rows = rows
-        # Built lazily, only for cores without a native matmul.
-        self._fallback: tuple[np.ndarray, ...] | None = None
+        self._bind_shared(
+            task, {"patch_gather": im2col_indices(task.conv)}, {}
+        )
+        positive, negative = readout_groups(
+            self.weights, geometry.num_wavelengths
+        )
+        self.rows = self.conv.out_channels * self.conv.positions
+        self.stream_cycles = (
+            int(geometry.step_cycles(positive + negative).sum())
+            * self.conv.positions
+        )
 
     def _patches(self, activations: np.ndarray) -> np.ndarray:
         buffer = np.empty(self.conv.input_size + 1, dtype=np.float64)
@@ -612,24 +662,18 @@ class ConvPlan(ExecutionPlan):
         buffer[-1] = 0.0
         return buffer[self.patch_gather]
 
-    def _fallback_block(self) -> tuple[np.ndarray, ...]:
-        """Stacked accumulate operands for matmul-less cores.
+    def _fallback_block(self) -> ReadoutOperands:
+        """Stacked accumulate operands for matmul-less cores, built
+        from the weights on first use — on a compiled plan and an
+        adopted one alike.
 
         The block replays the reference's ``for position: for channel:``
         double loop as one accumulate call, preserving its p-major RNG
         draw order.
         """
         if self._fallback is None:
-            if self._rows is None:
-                raise RuntimeError(
-                    "shared conv plans carry no sign-separated rows; "
-                    "replay them on a core with native matmul"
-                )
-            a_index, magnitudes, group_signs, row_starts, steps = (
-                _stack_rows(self._rows, self.geometry.num_wavelengths)
-            )
-            self._fallback = (
-                a_index, magnitudes, group_signs, row_starts, np.int64(steps)
+            self._fallback = readout_operands(
+                self.weights, self.geometry.num_wavelengths
             )
         return self._fallback
 
@@ -707,10 +751,12 @@ class ConvPlan(ExecutionPlan):
         # the shared map instead of re-unrolling it.
         _IM2COL_CACHE.setdefault(conv, self.patch_gather)
         # The task's weights are themselves shared-memory views in a
-        # worker, so the transposed view costs nothing.
-        self.weights_t = task.weights_levels.T
-        self._rows = None
-        self._fallback = None
+        # worker, so the transposed view costs nothing; matmul consumes
+        # it exactly as the loop path consumes ``weights_levels.T``.
+        self.weights = task.weights_levels
+        self.weights_t = self.weights.T
+        # Built lazily, only for cores without a native matmul.
+        self._fallback: ReadoutOperands | None = None
 
 
 class AttentionPlan(ExecutionPlan):
@@ -1071,25 +1117,24 @@ def check_activations(
         )
 
 
+_PLAN_CLASSES: dict[str, type[ExecutionPlan]] = {
+    "dense": DensePlan,
+    "conv": ConvPlan,
+    "attention": AttentionPlan,
+    "maxpool": PoolPlan,
+}
+
+
 def compile_task(task: LayerTask, geometry: PlanGeometry) -> ExecutionPlan:
     """Compile one DAG task into its execution plan.
 
-    Dense and conv tasks run the offline phase here — one sign
-    separation per weight row — and the plan keeps the rows (attention
-    streams through matmul directly).
+    Dense and conv tasks run the offline phase here as one array pass
+    over the layer's weight matrix (:func:`readout_groups`): the plan
+    keeps per-layer readout counts and stream cycles, no per-row
+    objects, and stacks per-readout operands from the weights only if a
+    core ever needs them (attention streams through matmul directly).
     """
-    if task.kind == "maxpool":
-        return PoolPlan(task, geometry)
-    if task.kind == "attention":
-        return AttentionPlan(task, geometry)
-    assert task.weights_levels is not None
-    rows = [
-        sign_separate_row(row, geometry.num_wavelengths)
-        for row in task.weights_levels
-    ]
-    if task.kind == "dense":
-        return DensePlan(task, geometry, rows)
-    return ConvPlan(task, geometry, rows)
+    return _PLAN_CLASSES[task.kind](task, geometry)
 
 
 def compile_model(dag: ComputationDAG, geometry: PlanGeometry) -> ModelPlan:
@@ -1102,14 +1147,6 @@ def compile_model(dag: ComputationDAG, geometry: PlanGeometry) -> ModelPlan:
             task.name: compile_task(task, geometry) for task in dag.tasks
         },
     )
-
-
-_PLAN_CLASSES: dict[str, type[ExecutionPlan]] = {
-    "dense": DensePlan,
-    "conv": ConvPlan,
-    "attention": AttentionPlan,
-    "maxpool": PoolPlan,
-}
 
 
 def export_model_plan(

@@ -45,8 +45,9 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from ..core.dag import ComputationDAG
+from ..core.dag import ComputationDAG, SignSeparatedRow, sign_separate_row
 from ..core.datapath import LightningDatapath
+from ..core.plans import compile_model
 from ..core.reference import ReferenceDatapath
 from ..dnn import build_lenet_300_100, quantize_mlp
 from ..fabric import Fabric, ShardSpec
@@ -365,6 +366,53 @@ def _energy_ledger(stack: ExitStack) -> Legs:
     )
 
 
+def _compile(stack: ExitStack) -> Legs:
+    """Offline sign separation, row by row over layer at once.
+
+    The numerator is :class:`~repro.core.reference.ReferenceDatapath`'s
+    per-row copy — one :func:`~repro.core.dag.sign_separate_row` per
+    dense weight row — of the LeNet-class and GPT-2-class DAGs; the
+    denominator compiles the same DAGs into plans, every dense layer in
+    one array pass.  The plans' readout counts must be the rows'.
+    """
+    dags = (lenet_class_dag(0), gpt2_class_dag(0))
+    geometry = _datapath(0).plan_geometry
+    dense = [task for dag in dags for task in dag.tasks if task.kind == "dense"]
+
+    def per_row() -> list[list[SignSeparatedRow]]:
+        return [
+            [
+                sign_separate_row(row, geometry.num_wavelengths)
+                for row in task.weights_levels
+            ]
+            for task in dense
+        ]
+
+    def verify(rows, plans) -> str | None:
+        compiled = [
+            plan.tasks[task.name]
+            for plan, dag in zip(plans, dags)
+            for task in dag.tasks
+            if task.kind == "dense"
+        ]
+        for plan, layer in zip(compiled, rows):
+            steps = [row.num_steps for row in layer]
+            signs = [row.group_signs.sum() for row in layer]
+            cycles = sum(geometry.step_cycles(step) for step in steps)
+            if (
+                plan.steps.tolist() != steps
+                or plan.net_signs.tolist() != signs
+                or plan.stream_cycles != cycles
+            ):
+                return f"{plan.task_name}: compiled counts diverged from its rows"
+
+    return Legs(
+        per_row,
+        lambda: [compile_model(dag, geometry) for dag in dags],
+        verify,
+    )
+
+
 def _results_identical(serial, parallel) -> bool:
     """Bit-exact comparison of two :class:`ClusterResult` objects.
 
@@ -480,6 +528,7 @@ CASES: tuple[Case, ...] = (
     Case("emulator_speedup", _emulator, floor=5.0, baseline=True),
     Case("fast_loop_serve_ratio", _cluster_vs_walk, baseline=True),
     Case("energy_overhead_ratio", _energy_ledger, rounds=41, ceiling=1.05),
+    Case("compile_speedup", _compile, floor=10.0),
     Case("parallel_speedup_1c", partial(_parallel, cores=1)),
     Case("parallel_speedup_2c", partial(_parallel, cores=2), min_cpus=2),
     Case(

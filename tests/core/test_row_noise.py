@@ -29,6 +29,7 @@ from repro.core import (
     LayerTask,
     LightningDatapath,
     ReferenceDatapath,
+    sign_separate_row,
 )
 from repro.core import plans as plans_module
 from repro.core.plans import DensePlan
@@ -193,8 +194,11 @@ class TestLaw:
     def test_scales_come_from_the_rows_own_step_counts(self, tiny_dag):
         datapath = LightningDatapath(core=BehavioralCore())
         datapath.register_model(tiny_dag)
-        for plan in dense_plans(datapath, tiny_dag):
-            rows = plan._rows
+        for plan, task in zip(dense_plans(datapath, tiny_dag), tiny_dag.tasks):
+            rows = [
+                sign_separate_row(row, datapath.num_wavelengths)
+                for row in task.weights_levels
+            ]
             steps = np.array([row.num_steps for row in rows])
             np.testing.assert_array_equal(plan.std_scale, np.sqrt(steps))
             np.testing.assert_array_equal(

@@ -161,6 +161,7 @@ class TestCaseTable:
             "emulator_speedup": (1, 5.0, None, True),
             "fast_loop_serve_ratio": (1, None, None, True),
             "energy_overhead_ratio": (1, None, 1.05, False),
+            "compile_speedup": (1, 10.0, None, False),
             "parallel_speedup_1c": (1, None, None, False),
             "parallel_speedup_2c": (2, None, None, False),
             "ring_lap_ratio_gpt2": (2, 1.2, None, False),
