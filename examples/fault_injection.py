@@ -69,14 +69,14 @@ def make_cluster(num_cores: int = 4) -> Cluster:
 def summarize(label: str, result) -> None:
     accounted = (
         result.served
-        + len(result.dropped)
-        + len(result.failed)
-        + len(result.unfinished)
+        + result.dropped
+        + result.failed
+        + result.unfinished
     )
     print(f"  {label}")
     print(
-        f"    served {result.served} / dropped {len(result.dropped)}"
-        f" / failed {len(result.failed)} (offered {result.offered},"
+        f"    served {result.served} / dropped {result.dropped}"
+        f" / failed {result.failed} (offered {result.offered},"
         f" accounted {accounted})"
     )
     print(

@@ -75,7 +75,7 @@ def main() -> None:
     result = cluster.serve_trace(trace)
     decomposition = result.decomposition()
     print(f"  served               : {result.served}")
-    print(f"  dropped              : {len(result.dropped)}")
+    print(f"  dropped              : {result.dropped}")
     print(f"  utilization          : {result.utilization():.2f}")
     print(f"  throughput           : {result.throughput_rps:,.0f} req/s")
     print(f"  mean t_q (queuing)   : {decomposition['t_q'] * 1e6:8.3f} us")
@@ -107,7 +107,7 @@ def main() -> None:
     for label, r in rows:
         print(
             f"  {label:<22} {r.throughput_rps:>10,.0f}/s {r.served:>7} "
-            f"{len(r.dropped):>8} {r.mean_batch_size:>11.2f}"
+            f"{r.dropped:>8} {r.mean_batch_size:>11.2f}"
         )
     speedup = rows[2][1].throughput_rps / rows[0][1].throughput_rps
     print(
@@ -116,7 +116,7 @@ def main() -> None:
     )
     print(
         "  bounded queues dropped "
-        f"{len(rows[0][1].dropped)} requests on the overloaded single "
+        f"{rows[0][1].dropped} requests on the overloaded single "
         "core instead of hanging."
     )
 

@@ -73,6 +73,10 @@ from .stats import (
     EnergyLedger,
     LatencyReservoir,
     NICCounters,
+    Outcome,
+    OutcomeFlag,
+    OutcomeReason,
+    Outcomes,
     ServerStats,
     check_accounting,
 )
@@ -132,6 +136,10 @@ __all__ = [
     "DRAM_QUEUE_POWER_WATTS",
     "check_accounting",
     "NICCounters",
+    "Outcome",
+    "OutcomeFlag",
+    "OutcomeReason",
+    "Outcomes",
     "DEFAULT_RESERVOIR_CAPACITY",
     "DEFAULT_TAIL_CAPACITY",
     "DatapathTracer",

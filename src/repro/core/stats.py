@@ -6,6 +6,10 @@ counters, and the multi-core :class:`~repro.runtime.cluster.Cluster`.
 This module holds the accounting they share so a dashboard reading any
 of them sees the same metrics computed the same way.
 
+A serve's per-request story is one :class:`Outcomes` table — a row per
+offered request with its fate, reason, timing and energy — and every
+count a serve reports is a reduction over it (:class:`Tallied`).
+
 Latency samples are held in a fixed-capacity reservoir
 (:class:`LatencyReservoir`) rather than an append-forever list, so a
 server that stays up under sustained traffic uses bounded memory while
@@ -16,7 +20,9 @@ run.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from enum import IntEnum, IntFlag
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +32,13 @@ __all__ = [
     "EnergyLedger",
     "LatencyReservoir",
     "NICCounters",
+    "Outcome",
+    "OutcomeFlag",
+    "OutcomeReason",
+    "OutcomeRows",
+    "Outcomes",
     "ServerStats",
+    "Tallied",
     "check_accounting",
     "grouped_by_first_use",
     "sequential_sum",
@@ -68,6 +80,12 @@ def sequential_sum(start: float, values: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(((start,), values)))[-1])
 
 
+def _add_into(totals: dict, more: dict) -> None:
+    """``totals[key] += value`` for each item of ``more``, in order."""
+    for key, value in more.items():
+        totals[key] = totals.get(key, 0) + value
+
+
 def grouped_by_first_use(codes: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """``(code, rows holding it)`` per distinct code, ordered by each
     code's first row — the order a per-value loop would first meet
@@ -102,11 +120,9 @@ class LatencyReservoir:
     subsample, which is what makes p999 SLO curves meaningful without
     per-request record retention.
 
-    :meth:`add_many` observes a block of values at once and leaves the
-    reservoir exactly as per-value :meth:`add` calls would.  Both take
-    their replacement slots from one pre-drawn block, so the generator
-    runs ahead of the per-value position between calls; :meth:`merge`
-    rewinds it before drawing from it.
+    :meth:`add_many` observes a block exactly as per-value :meth:`add`
+    calls would; both take replacement slots from a pre-drawn block
+    (see :meth:`_settle`).
     """
 
     def __init__(
@@ -399,10 +415,6 @@ class EnergyLedger:
     so energy percentiles get the same exact-tail treatment as
     latency percentiles — p999 energy over a million-request campaign
     is an exact order statistic, not an estimate.
-
-    Ledgers merge the same way :class:`ServerStats` do: totals add
-    exactly (so merged means are exact and order-invariant), and the
-    reservoirs fold via :meth:`LatencyReservoir.merge`.
     """
 
     def __init__(
@@ -466,17 +478,6 @@ class EnergyLedger:
         """Exact joules-per-inference over every charged request."""
         return self._reservoir.mean
 
-    def model_mean_joules(self, model_id: int | str) -> float:
-        """Exact joules-per-inference for one model."""
-        count = self.per_model_count.get(model_id, 0)
-        if count == 0:
-            raise ValueError(f"no energy charged for model {model_id!r}")
-        return self.per_model_joules[model_id] / count
-
-    def percentile(self, q: float) -> float:
-        """One per-request energy percentile (exact inside the tail)."""
-        return self._reservoir.percentile(q)
-
     def percentiles(self, qs: list[float]) -> list[float]:
         """Several energy percentiles from one pass."""
         return self._reservoir.percentiles(qs)
@@ -489,14 +490,8 @@ class EnergyLedger:
         reservoirs (exact tails stay exact up to the smaller side's
         guarantee).
         """
-        for model_id, joules in other.per_model_joules.items():
-            self.per_model_joules[model_id] = (
-                self.per_model_joules.get(model_id, 0.0) + joules
-            )
-        for model_id, count in other.per_model_count.items():
-            self.per_model_count[model_id] = (
-                self.per_model_count.get(model_id, 0) + count
-            )
+        _add_into(self.per_model_joules, other.per_model_joules)
+        _add_into(self.per_model_count, other.per_model_count)
         self._reservoir.merge(other._reservoir)
 
     def summary(self) -> dict[str, float | int]:
@@ -514,6 +509,172 @@ class EnergyLedger:
         }
 
 
+class Outcome(IntEnum):
+    """What became of an offered request — an :class:`Outcomes` row's
+    ``fate``.  (A frame's :class:`~repro.net.parser.Fate` decides
+    whether the frame became a request at all.)"""
+
+    SERVED, DROPPED, FAILED, UNFINISHED, SHED, FAILED_OVER = range(6)
+
+
+#: The counts :func:`check_accounting` takes, in :meth:`Outcomes.tally`
+#: order: one per fate, the offered total, the two flag annotations.
+_TALLY = (
+    *(fate.name.lower() for fate in Outcome), "offered", "stolen", "failovers"
+)
+
+
+class OutcomeReason(IntEnum):
+    """Why a request met its fate: a queue overflow or its SLO for a
+    drop, retries exhausted or no usable core for a failure, the
+    admission policy, its class deadline or its energy budget for a
+    shed."""
+
+    (NONE, QUEUE_OVERFLOW, SLO, RETRIES_EXHAUSTED, NO_USABLE_CORE,
+     ADMISSION, DEADLINE, ENERGY_BUDGET) = range(8)
+
+
+class OutcomeFlag(IntFlag):
+    """Row annotations, never fates of their own: placed off the
+    router's answer by a steal, moved off its primary replica by the
+    failover router, re-served on a replica by a recovery pass."""
+
+    STOLEN, REROUTED, HANDED = 1, 2, 4
+
+
+class Outcomes:
+    """One row per offered request: what became of it, and why.
+
+    Columns, each a numpy array with one entry per row: ``request``
+    (the object) and its ``model``; ``shard`` (-1 outside a fabric, or
+    fated before any shard) and ``core`` (-1 unless served; global in
+    a fabric's table); ``fate``, ``reason`` and ``flags``
+    (:class:`Outcome`, :class:`OutcomeReason`, :class:`OutcomeFlag`);
+    ``arrival``, ``t_q``, ``t_d``, ``t_c`` and ``finish`` in seconds,
+    ``batch``, ``prediction`` and ``joules`` — NaN, 0 or -1 unless
+    served (joules also when unpriced).
+
+    A request has exactly one row, whatever became of it, so
+    ``served + dropped + failed + unfinished + shed + failed_over ==
+    offered`` holds by construction (:meth:`tally`).  Tables are
+    written through :class:`OutcomeRows`.
+    """
+
+    COLUMNS = (
+        "request", "model", "shard", "core", "fate", "reason", "flags",
+        "arrival", "t_q", "t_d", "t_c", "finish", "batch", "prediction",
+        "joules",
+    )
+
+    def __init__(self, **columns: np.ndarray) -> None:
+        self.__dict__.update(columns)
+
+    def __len__(self) -> int:
+        return len(self.fate)
+
+    @classmethod
+    def concat(cls, tables: list["Outcomes"]) -> "Outcomes":
+        """The rows of ``tables``, in order, as one new table."""
+        return cls(**{
+            name: np.concatenate([getattr(t, name) for t in tables])
+            for name in cls.COLUMNS
+        })
+
+    def take(self, rows: np.ndarray) -> "Outcomes":
+        """The rows a boolean mask or an index array selects."""
+        return Outcomes(**{n: getattr(self, n)[rows] for n in self.COLUMNS})
+
+    def served(self) -> "Outcomes":
+        """The served rows, in row (completion) order."""
+        return self.take(self.fate == Outcome.SERVED)
+
+    @property
+    def serve_s(self) -> np.ndarray:
+        """Arrival to result, ``t_q + t_d + t_c``, per row."""
+        return self.t_q + self.t_d + self.t_c
+
+    def requests(self, fate: Outcome) -> list:
+        """The requests that met ``fate``, in row order."""
+        return self.request[self.fate == fate].tolist()
+
+    def tally(self) -> dict[str, int]:
+        """Every count :func:`check_accounting` takes: one per fate
+        (``bincount(fate)``), ``offered`` (the rows), and ``stolen``
+        and ``failovers`` (re-routes plus hand-offs) from the flags."""
+        stolen, rerouted, handed = (
+            int(np.count_nonzero(self.flags & flag)) for flag in OutcomeFlag
+        )
+        counts = np.bincount(self.fate, minlength=len(Outcome)).tolist()
+        counts += [len(self), stolen, rerouted + handed]
+        return dict(zip(_TALLY, counts))
+
+
+#: An unserved row's core, batch, t_d, t_c and finish.
+_UNSERVED = (-1, 0, np.nan, np.nan, np.nan)
+
+
+class OutcomeRows:
+    """An :class:`Outcomes` table being written, in event order."""
+
+    def __init__(self) -> None:
+        self._rows: list[tuple] = []
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def add(
+        self, request, fate: Outcome, reason: int = 0, flags: int = 0,
+        shard: int = -1,
+    ) -> None:
+        """One row for a request that was not served."""
+        self._rows.append((request, fate, reason, flags, shard) + _UNSERVED)
+
+    def add_served(
+        self, requests: list, core: int, finish_s: float,
+        datapath_s: float, compute_s: float,
+    ) -> None:
+        """One finished batch's rows: its requests share the core, the
+        finish and one pipeline pass's t_d / t_c; t_q is the rest."""
+        served, size = Outcome.SERVED, len(requests)
+        self._rows.extend(
+            (r, served, 0, 0, -1, core, size, datapath_s, compute_s, finish_s)
+            for r in requests
+        )
+
+    def seal(self, energy_model=None) -> Outcomes:
+        """The rows so far as a table: a served row's t_q is ``finish -
+        arrival - t_d - t_c`` and ``energy_model`` prices its joules,
+        each in the per-request formula's operation order."""
+        count = len(self._rows)
+        columns = list(zip(*self._rows)) if count else [()] * 10
+        request = np.fromiter(columns[0], object, count)
+        table = Outcomes(
+            request=request,
+            model=np.fromiter((r.model_id for r in request), np.int64, count),
+            arrival=np.fromiter(
+                (r.arrival_s for r in request), np.float64, count
+            ),
+            prediction=np.full(count, -1, dtype=np.int64),
+            **{
+                name: np.array(column, dtype=dtype)
+                for name, dtype, column in zip(
+                    ("fate", "reason", "flags", "shard", "core", "batch",
+                     "t_d", "t_c", "finish"),
+                    (np.int8,) * 3 + (np.int64,) * 3 + (np.float64,) * 3,
+                    columns[1:],
+                )
+            },
+        )
+        table.t_q = table.finish - table.arrival - table.t_d - table.t_c
+        table.joules = (
+            np.full(count, np.nan) if energy_model is None
+            else energy_model.energy(
+                datapath_s=table.t_d, queuing_s=table.t_q, compute_s=table.t_c
+            )
+        )
+        return table
+
+
 def check_accounting(
     *,
     offered: int,
@@ -526,7 +687,7 @@ def check_accounting(
     stolen: int = 0,
     failovers: int = 0,
 ) -> None:
-    """Enforce the extended serving invariant shared by every layer.
+    """Enforce the serving invariant over a set of fate counts.
 
     Every offered request must meet exactly one fate::
 
@@ -537,23 +698,13 @@ def check_accounting(
     under another fate, so they do not sum.  ``stolen`` is bounded by
     ``served``; ``failovers`` is only checked for sign — a request the
     router diverted and the recovery pass later moved again counts
-    twice.  The cluster, fabric, fleet engine, and gateway all call
-    this one helper instead of re-implementing the arithmetic — a new
-    fate (cost, carbon) is a single-file change.
+    twice.  A serve result runs it once, when built (:class:`Tallied`);
+    ledgers that keep counters instead of rows (the fleet engine's
+    :class:`ServerStats`) run it through :meth:`ServerStats.accounted`.
 
     Raises :exc:`ValueError` with the full tally on any violation.
     """
-    counters = {
-        "offered": offered,
-        "served": served,
-        "dropped": dropped,
-        "failed": failed,
-        "unfinished": unfinished,
-        "shed": shed,
-        "failed_over": failed_over,
-        "stolen": stolen,
-        "failovers": failovers,
-    }
+    counters = dict(locals())  # every count, by its keyword
     for name, value in counters.items():
         if value < 0:
             raise ValueError(f"negative {name} count: {counters}")
@@ -565,6 +716,40 @@ def check_accounting(
             f"accounting violation: {accounted} accounted != "
             f"{offered} offered ({counters})"
         )
+
+
+class Tallied:
+    """Fate counts of a serve result, as reductions over its
+    ``outcomes`` table; the result's one :func:`check_accounting`
+    call runs here, when it is built."""
+
+    outcomes: Outcomes
+
+    def __post_init__(self) -> None:
+        check_accounting(**self.tally)
+
+    @cached_property
+    def tally(self) -> dict[str, int]:
+        """Every fate count of the serve (:meth:`Outcomes.tally`)."""
+        return self.outcomes.tally()
+
+    offered = property(lambda self: self.tally["offered"])
+    served = property(lambda self: self.tally["served"])
+    dropped = property(lambda self: self.tally["dropped"])
+    failed = property(lambda self: self.tally["failed"])
+    unfinished = property(lambda self: self.tally["unfinished"])
+
+    @cached_property
+    def horizon_s(self) -> float:
+        """The last completion (0.0 with none) — the serve's makespan."""
+        return float(np.max(self.outcomes.served().finish, initial=0.0))
+
+    @property
+    def throughput_rps(self) -> float:
+        """Sustained completions per second over the horizon."""
+        if self.horizon_s <= 0:
+            raise ValueError("no requests finished")
+        return self.served / self.horizon_s
 
 
 @dataclass
@@ -583,19 +768,24 @@ class NICCounters:
 
     def merge(self, other: "NICCounters") -> None:
         """Accumulate another NIC's frame counters into this one."""
-        self.served += other.served
-        self.punted += other.punted
-        self.dropped += other.dropped
-        self.frames_seen += other.frames_seen
+        for counter in fields(self):
+            name = counter.name
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def summary(self) -> dict[str, int]:
         """A dashboard-style snapshot of the frame counters."""
-        return {
-            "served": self.served,
-            "punted": self.punted,
-            "dropped": self.dropped,
-            "frames_seen": self.frames_seen,
-        }
+        return asdict(self)
+
+
+#: The :class:`ServerStats` counters its :meth:`~ServerStats.summary`
+#: reports, and the ones only :meth:`~ServerStats.merge` carries.
+_SUMMARY_COUNTERS = (
+    "served", "punted", "dropped", "errors", "failed", "retries",
+    "slo_dropped", "quarantines", "relocks",
+)
+_COUNTERS = _SUMMARY_COUNTERS + (
+    "offered", "shed", "stolen", "failed_over", "failovers", "unfinished",
+)
 
 
 @dataclass
@@ -609,39 +799,28 @@ class ServerStats:
     unbiased estimates over the full history.
     """
 
+    #: The counts named like :meth:`Outcomes.tally`'s, and
+    #: ``slo_dropped`` (drops for the SLO), are folded in from each
+    #: serve's table (:meth:`fold`) — or set directly, by the fleet
+    #: engine and a fabric's recovery hand-offs.
     served: int = 0
     punted: int = 0
     dropped: int = 0
     errors: int = 0
-    #: Requests abandoned after exhausting their retry budget (or
-    #: stranded with no usable core) — shed loudly, never lost silently.
     failed: int = 0
     #: Re-enqueues of requests lost to crashed/stalled cores.
     retries: int = 0
-    #: Requests shed before dispatch because their SLO deadline passed
-    #: (also included in ``dropped``).
     slo_dropped: int = 0
     #: Cores removed from service by the calibration watchdog.
     quarantines: int = 0
     #: Quarantined cores returned to service after a bias re-lock
     #: brought their calibration probe back under threshold.
     relocks: int = 0
-    #: Requests presented to this layer (admission offered, or the
-    #: trace length for layers without an admission controller).
     offered: int = 0
-    #: Requests shed by admission control (or the energy/deadline-aware
-    #: gateway pre-pass) before reaching a serving queue.
     shed: int = 0
-    #: Requests served by a sibling shard via work stealing (a subset
-    #: of ``served`` fleet-wide, never a separate fate).
     stolen: int = 0
-    #: Requests re-homed to a replica by the failover router before
-    #: serving (their fate is charged to the replica's shard).
     failed_over: int = 0
-    #: Failed requests recovered onto a replica by the post-serve
-    #: recovery pass (already counted inside ``served``).
     failovers: int = 0
-    #: Requests still queued when the serve horizon ended.
     unfinished: int = 0
     per_model_served: dict[int, int] = field(default_factory=dict)
     #: Last observed state per core ("healthy" | "stalled" |
@@ -666,8 +845,31 @@ class ServerStats:
         self._latencies.add(latency_s)
 
     def record_energy(self, model_id: int | str, joules: float) -> None:
-        """Account one served request's energy charge."""
+        """Account one served request's energy charge (a serve folds
+        its table instead; the stack benchmark's layer table names
+        this method)."""
         self.energy.charge(model_id, joules)
+
+    def fold(self, outcomes: Outcomes) -> None:
+        """Account one finished serve's table: its counts, and each
+        served row's model, latency and joules in row order — exactly
+        what per-request :meth:`record` / :meth:`record_energy` calls
+        would leave (unpriced rows charge no energy)."""
+        for name, count in outcomes.tally().items():
+            setattr(self, name, getattr(self, name) + count)
+        self.slo_dropped += int(
+            np.count_nonzero(outcomes.reason == OutcomeReason.SLO)
+        )
+        served = outcomes.served()
+        models, codes = np.unique(served.model, return_inverse=True)
+        models = models.tolist()
+        groups = grouped_by_first_use(codes)
+        _add_into(self.per_model_served, {
+            models[code]: len(rows) for code, rows in groups
+        })
+        self._latencies.add_many(served.serve_s)
+        priced = ~np.isnan(served.joules)
+        self.energy.charge_many(models, codes[priced], served.joules[priced])
 
     def accounted(self) -> None:
         """Check the extended invariant over this ledger's counters.
@@ -677,17 +879,7 @@ class ServerStats:
         only the primary fates sum.  Raises :exc:`ValueError` when a
         request went missing or was double-counted.
         """
-        check_accounting(
-            offered=self.offered,
-            served=self.served,
-            dropped=self.dropped,
-            failed=self.failed,
-            unfinished=self.unfinished,
-            shed=self.shed,
-            failed_over=self.failed_over,
-            stolen=self.stolen,
-            failovers=self.failovers,
-        )
+        check_accounting(**{name: getattr(self, name) for name in _TALLY})
 
     def latency_percentile(self, percentile: float) -> float:
         """Serve-time percentile in seconds (raises with no samples)."""
@@ -712,25 +904,9 @@ class ServerStats:
         they land in :attr:`core_health` — the fabric uses it to map
         each shard's local cores into one global namespace.
         """
-        self.served += other.served
-        self.punted += other.punted
-        self.dropped += other.dropped
-        self.errors += other.errors
-        self.failed += other.failed
-        self.retries += other.retries
-        self.slo_dropped += other.slo_dropped
-        self.quarantines += other.quarantines
-        self.relocks += other.relocks
-        self.offered += other.offered
-        self.shed += other.shed
-        self.stolen += other.stolen
-        self.failed_over += other.failed_over
-        self.failovers += other.failovers
-        self.unfinished += other.unfinished
-        for model_id, count in other.per_model_served.items():
-            self.per_model_served[model_id] = (
-                self.per_model_served.get(model_id, 0) + count
-            )
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        _add_into(self.per_model_served, other.per_model_served)
         for core, state in other.core_health.items():
             self.core_health[core + core_offset] = state
         self._latencies.merge(other._latencies)
@@ -739,24 +915,12 @@ class ServerStats:
     def summary(self) -> dict[str, float | int]:
         """A dashboard-style snapshot."""
         out: dict[str, float | int] = {
-            "served": self.served,
-            "punted": self.punted,
-            "dropped": self.dropped,
-            "errors": self.errors,
-            "failed": self.failed,
-            "retries": self.retries,
-            "slo_dropped": self.slo_dropped,
-            "quarantines": self.quarantines,
-            "relocks": self.relocks,
+            name: getattr(self, name) for name in _SUMMARY_COUNTERS
         }
         if len(self._latencies):
-            p50, p95, p99, p999 = self._latencies.percentiles(
-                [50, 95, 99, 99.9]
-            )
-            out["p50_us"] = p50 * 1e6
-            out["p95_us"] = p95 * 1e6
-            out["p99_us"] = p99 * 1e6
-            out["p999_us"] = p999 * 1e6
+            values = self._latencies.percentiles([50, 95, 99, 99.9])
+            for name, value in zip(("p50", "p95", "p99", "p999"), values):
+                out[f"{name}_us"] = value * 1e6
             out["mean_us"] = self.mean_latency_s * 1e6
         out.update(self.energy.summary())
         return out

@@ -24,7 +24,7 @@ alias ids with :meth:`Fabric.cutover`/:meth:`Fabric.rollback`
 switching them atomically on the virtual clock, and a
 :class:`~repro.fabric.lifecycle.FailoverRouter` re-routes requests
 whose primary shard is dead.  Requests the failover layer could not
-place anywhere are charged to ``failed_over``.
+place anywhere are fated ``failed_over``.
 
 Faults and health are global: a
 :class:`~repro.faults.schedule.FaultSchedule` addresses cores by
@@ -33,10 +33,10 @@ walk (:class:`~repro.fabric.lifecycle.OutageBook`) turns it into
 per-shard schedules with local core indices plus the health record
 routing and recovery read.  Results merge back the other way:
 :class:`~repro.core.stats.ServerStats.merge` remaps each shard's core
-health into the global namespace and folds latency reservoirs, and
-:class:`FabricResult` re-checks the global accounting invariant
-``served + dropped + failed + unfinished + shed + failed_over ==
-offered``.
+health into the global namespace and folds latency reservoirs, and a
+:class:`FabricResult` is one :class:`~repro.core.stats.Outcomes`
+table — a row per offered request, global core indices — that every
+count reduces from.
 """
 
 from __future__ import annotations
@@ -48,10 +48,20 @@ from functools import partial
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from ..core.dag import ComputationDAG
 from ..core.datapath import LightningDatapath
 from ..core.energy import EnergyModel
-from ..core.stats import ServerStats, check_accounting
+from ..core.stats import (
+    Outcome,
+    OutcomeFlag,
+    OutcomeReason,
+    OutcomeRows,
+    Outcomes,
+    ServerStats,
+    Tallied,
+)
 from ..faults.resilience import CalibrationWatchdog, RetryPolicy
 from ..faults.schedule import FaultSchedule
 from ..runtime.cluster import (
@@ -120,81 +130,36 @@ class ShardSpec:
 
 
 @dataclass(frozen=True)
-class FabricResult:
+class FabricResult(Tallied):
     """Everything one trace produced across all shards.
 
-    Per-shard :class:`~repro.runtime.cluster.ClusterResult` objects
-    are kept verbatim (``None`` for shards the router never used);
-    the merged view re-checks the accounting invariant globally.
+    ``outcomes`` holds every shard's rows — primary passes, then
+    recovery passes, each in shard order — with the shard and the
+    *global* core filled in, then the rows the routing step fated
+    before any shard.  Counts reduce from it
+    (:class:`~repro.core.stats.Tallied`), plus ``shed`` and
+    ``failed_over`` and the flag counts ``stolen`` (placed off the
+    router's answer) and ``failovers`` (router re-routes plus recovery
+    hand-offs: a request that had both counts twice).  Per-shard
+    :class:`~repro.runtime.cluster.ClusterResult` objects are kept
+    verbatim (``None`` for shards the router never used).
     """
 
     shard_results: tuple[ClusterResult | None, ...]
-    #: Shard index each offered request was routed to, arrival order.
+    #: Shard index each placed request was routed to, arrival order.
     routed: tuple[int, ...]
-    #: Cross-shard merged counters, latency percentiles, and the
-    #: per-request energy ledger (``stats.energy``).  Shard stats are
-    #: cumulative across a fabric's serves, so this reflects the
-    #: fabric's lifetime — equal to this serve for a fresh fabric.
+    #: Cross-shard merged counters, latency percentiles and energy
+    #: ledger, over the fabric's lifetime (shard stats are cumulative).
     stats: ServerStats
-    offered: int
-    total_cores: int
-    #: Global core index of each shard's core 0.
-    core_offsets: tuple[int, ...]
-    #: Requests rejected by admission control before routing (the
-    #: open-loop gateway path; 0 for closed-loop ``serve_trace``).
-    shed: int = 0
-    #: Served requests an idle shard pulled off a backlogged shard's
-    #: projected queue (a subset of ``served``, not a separate fate).
-    stolen: int = 0
-    #: Requests abandoned at the routing layer because every replica
-    #: of their model was dead — a terminal fate, disjoint from the
-    #: cluster fates, charged to the extended invariant.
-    failed_over: int = 0
-    #: Requests that *failed over* to a healthy replica (router
-    #: re-routes plus post-serve recovery re-serves).  Like ``stolen``
-    #: this annotates admitted requests — their final fates are
-    #: counted where they landed.
-    failovers: int = 0
-    #: Per-shard recovery serves: requests stranded by a mid-trace
-    #: shard death re-served on a healthy replica (``None`` when the
-    #: shard ran no recovery pass).
+    outcomes: Outcomes
+    #: Per-shard recovery serves of requests a dead shard stranded
+    #: (``None`` where the shard re-served nothing).
     recovery_results: tuple[ClusterResult | None, ...] = ()
 
-    def _shards(self) -> tuple[ClusterResult, ...]:
-        primary = tuple(r for r in self.shard_results if r is not None)
-        recovery = tuple(
-            r for r in self.recovery_results if r is not None
-        )
-        return primary + recovery
-
-    @property
-    def served(self) -> int:
-        return sum(r.served for r in self._shards())
-
-    @property
-    def dropped(self) -> int:
-        return sum(len(r.dropped) for r in self._shards())
-
-    @property
-    def failed(self) -> int:
-        return sum(len(r.failed) for r in self._shards())
-
-    @property
-    def unfinished(self) -> int:
-        return sum(len(r.unfinished) for r in self._shards())
-
-    @property
-    def horizon_s(self) -> float:
-        """The slowest shard's horizon — the fabric's makespan."""
-        shards = self._shards()
-        return max((r.horizon_s for r in shards), default=0.0)
-
-    @property
-    def throughput_rps(self) -> float:
-        """Global completions per second over the fabric makespan."""
-        if self.horizon_s <= 0:
-            raise ValueError("no requests finished")
-        return self.served / self.horizon_s
+    shed = property(lambda self: self.tally["shed"])
+    failed_over = property(lambda self: self.tally["failed_over"])
+    stolen = property(lambda self: self.tally["stolen"])
+    failovers = property(lambda self: self.tally["failovers"])
 
     @property
     def goodput(self) -> float:
@@ -209,46 +174,16 @@ class FabricResult:
         ``(finish_s, request_id)`` — the cross-shard completion order.
         Recovery-pass records are included: a failed-over request's
         record carries the replica's core."""
-        merged: list[RuntimeRecord] = []
-        for results in (self.shard_results, self.recovery_results):
-            for shard, result in enumerate(results):
-                if result is None:
-                    continue
-                offset = self.core_offsets[shard]
-                merged.extend(
-                    replace(record, core=record.core + offset)
-                    for record in result.records
-                )
-        return tuple(
-            sorted(
-                merged,
-                key=lambda r: (r.finish_s, r.request.request_id),
-            )
+        served = self.outcomes.served()
+        ids = [request.request_id for request in served.request]
+        return RuntimeRecord.rows(
+            served.take(np.lexsort((ids, served.finish)))
         )
 
     def accounted(self) -> bool:
-        """The global invariant: every offered request landed in
-        exactly one of served / dropped / failed / unfinished / shed /
-        failed_over, no term is negative, and ``stolen`` never exceeds
-        ``served``.  ``failovers`` has no upper bound: a request the
-        router diverted and the recovery pass later moved again counts
-        twice.  Delegates the arithmetic to
-        :func:`repro.core.stats.check_accounting`, the one invariant
-        spine shared with the cluster, fleet engine, and gateway."""
-        try:
-            check_accounting(
-                offered=self.offered,
-                served=self.served,
-                dropped=self.dropped,
-                failed=self.failed,
-                unfinished=self.unfinished,
-                shed=self.shed,
-                failed_over=self.failed_over,
-                stolen=self.stolen,
-                failovers=self.failovers,
-            )
-        except ValueError:
-            return False
+        """Whether every offered request met exactly one fate: true of
+        every built result, whose construction ran
+        :func:`repro.core.stats.check_accounting` on its table."""
         return True
 
 
@@ -454,20 +389,16 @@ class Fabric:
     ) -> list[RuntimeRequest]:
         """Map public model ids to the version alias active at each
         request's arrival (identity for unversioned models)."""
-        rewritten: list[RuntimeRequest] = []
-        for request in trace:
-            if not self.versions.is_versioned(request.model_id):
-                rewritten.append(request)
-                continue
-            alias = self.versions.alias_at(
-                request.model_id, request.arrival_s
-            )
-            rewritten.append(
-                request
-                if alias == request.model_id
-                else replace(request, model_id=alias)
-            )
-        return rewritten
+        versions = self.versions
+        aliases = [
+            versions.alias_at(r.model_id, r.arrival_s)
+            if versions.is_versioned(r.model_id) else r.model_id
+            for r in trace
+        ]
+        return [
+            r if alias == r.model_id else replace(r, model_id=alias)
+            for r, alias in zip(trace, aliases)
+        ]
 
     # ------------------------------------------------------------------
     # Serving
@@ -495,8 +426,7 @@ class Fabric:
 
         A :class:`~repro.fabric.lifecycle.FailoverRouter` may return
         :data:`~repro.fabric.lifecycle.FAILOVER_DROP` for a request
-        with no usable replica; such requests never reach a shard and
-        are charged to the result's ``failed_over``.
+        with no usable replica; its row is ``failed_over``.
         """
         trace = sorted(
             requests, key=lambda r: (r.arrival_s, r.request_id)
@@ -526,124 +456,60 @@ class Fabric:
         retry_policy: RetryPolicy | None = None,
         slo_s: float | None = None,
         timeout_s: float | None = None,
-        offered: int | None = None,
-        shed: int = 0,
-        stolen: int = 0,
-        failed_over: int = 0,
-        failovers: int = 0,
+        upstream: Outcomes | None = None,
     ) -> FabricResult:
         """Serve a trace whose shard placement is already decided.
 
         The execution half of :meth:`serve_trace`, and the seam the
-        open-loop gateway (``repro.traffic``) executes through after
-        routing with queue depths, health, steals and sheds of its
-        own.  ``offered``/``shed``/``stolen``/``failed_over``/
-        ``failovers`` carry the caller's accounting: ``offered``
-        defaults to ``len(trace) + shed + failed_over`` and must equal
-        it; ``stolen`` annotates admitted requests and can never exceed
-        them.  An empty ``trace`` is served as the balanced all-shed
-        result when something was offered upstream, and refused when
-        nothing was.
+        open-loop gateway (``repro.traffic``) executes through.
+        ``upstream`` is the caller's routing step as
+        :class:`~repro.core.stats.Outcomes` rows: a row with ``shard``
+        -1 was fated before any shard (shed, failed over) and joins
+        the result's table as it is; a placed row lends its ``flags``
+        (stolen, re-routed) to its shard's row for the same request.
+        An empty ``trace`` is refused unless something was fated
+        upstream.
 
         With a placement attached, a **recovery pass** runs after the
         primary serves: requests a shard *failed* (crashed cores,
-        permanent quarantine — the "no usable core" fate) are handed
-        to a replica shard (:meth:`_ShardPass.strand`) and re-served
-        there without faults, so a mid-trace shard death moves
-        requests instead of losing them.  Each hand-over counts in the
-        result's ``failovers``.
+        permanent quarantine) are handed to a replica shard
+        (:meth:`_ShardPass.strand`) and re-served there without
+        faults, their rows flagged as hand-offs.
         """
-        offered = _upstream_offered(
-            len(trace), len(routed), offered,
-            shed, stolen, failed_over, failovers,
-        )
-        shard_pass = _ShardPass(
-            self,
-            fault_schedule,
-            dict(
-                watchdog=watchdog,
-                retry_policy=retry_policy,
-                slo_s=slo_s,
-                timeout_s=timeout_s,
-            ),
-        )
+        if len(trace) != len(routed):
+            raise ValueError(
+                f"{len(trace)} requests but {len(routed)} placements"
+            )
+        upstream = OutcomeRows().seal() if upstream is None else upstream
+        if not trace and not np.any(upstream.shard < 0):
+            raise ValueError("cannot serve an empty trace")
+        rewritten = self._rewrite_versioned(trace)
+        shard_pass = _ShardPass(self, fault_schedule, dict(
+            watchdog=watchdog, retry_policy=retry_policy, slo_s=slo_s,
+            timeout_s=timeout_s,
+        ))
         results = shard_pass.serve(
-            shard_pass.split(self._rewrite_versioned(trace), routed),
-            faults=True,
+            shard_pass.split(rewritten, routed), faults=True
         )
         handed = shard_pass.strand(results)
         recovery_results = shard_pass.serve(handed, faults=False)
+        # One merge per busy shard: a cluster's cumulative stats hold
+        # its primary and recovery serves of this call alike.
         merged = ServerStats()
-        for shard_index, shard in enumerate(self.shards):
-            # The replica's serve_trace already counted the handed
-            # requests as offers; annotate how many of its serves were
-            # failover recoveries (energy was charged there normally —
-            # a failed attempt charges nothing).
-            shard.stats.failovers += len(handed[shard_index])
-            if (
-                results[shard_index] is None
-                and recovery_results[shard_index] is None
-            ):
-                continue
-            # One merge per shard: the cluster's stats accumulate over
-            # its primary and recovery serves within this call.
-            merged.merge(
-                shard.stats,
-                core_offset=self._core_offsets[shard_index],
-            )
+        for index, shard in enumerate(self.shards):
+            if results[index] or recovery_results[index]:
+                offset = self._core_offsets[index]
+                merged.merge(shard.stats, core_offset=offset)
         self.stats = merged
         return FabricResult(
             shard_results=tuple(results),
             routed=tuple(routed),
             stats=merged,
-            offered=offered,
-            total_cores=self._total_cores,
-            core_offsets=self._core_offsets,
-            shed=shed,
-            stolen=stolen,
-            failed_over=failed_over,
-            failovers=failovers + sum(len(r) for r in handed),
+            outcomes=shard_pass.merge(
+                results, recovery_results, upstream, zip(trace, rewritten)
+            ),
             recovery_results=tuple(recovery_results),
         )
-
-
-def _upstream_offered(
-    admitted: int,
-    placements: int,
-    offered: int | None,
-    shed: int,
-    stolen: int,
-    failed_over: int,
-    failovers: int,
-) -> int:
-    """Check the accounting ``serve_routed`` was handed; return
-    ``offered``."""
-    if admitted != placements:
-        raise ValueError(
-            f"{admitted} requests but {placements} placements"
-        )
-    if shed < 0 or stolen < 0 or failed_over < 0 or failovers < 0:
-        raise ValueError(
-            "accounting terms cannot be negative (shed="
-            f"{shed}, stolen={stolen}, failed_over={failed_over}, "
-            f"failovers={failovers})"
-        )
-    if offered is None:
-        offered = admitted + shed + failed_over
-    if offered != admitted + shed + failed_over:
-        raise ValueError(
-            f"offered={offered} inconsistent with "
-            f"{admitted} admitted + {shed} shed + "
-            f"{failed_over} failed over"
-        )
-    if not offered:
-        raise ValueError("cannot serve an empty trace")
-    if stolen > admitted:
-        raise ValueError(
-            f"stolen={stolen} exceeds the {admitted} admitted "
-            "requests it annotates"
-        )
-    return offered
 
 
 class _Routing:
@@ -653,8 +519,8 @@ class _Routing:
     :meth:`Fabric.serve_trace` with load-only views, the open-loop
     gateway with queue depths and a health feed — so the views, the
     failover fates, the heal and the range check exist once.  It
-    collects the placed trace and hands it to
-    :meth:`Fabric.serve_routed`.
+    writes a row per request it is offered (:attr:`rows`: placed, shed
+    or failed over) and hands them to :meth:`Fabric.serve_routed`.
     """
 
     def __init__(
@@ -672,7 +538,9 @@ class _Routing:
         self.counts = [0] * fabric.num_shards
         self.trace: list[RuntimeRequest] = []
         self.routed: list[int] = []
-        self.failed_over = 0
+        self.rows = OutcomeRows()
+        #: The last request the router moved off its primary replica.
+        self._rerouted: RuntimeRequest | None = None
 
     def views(
         self, now_s: float = 0.0, queued: Sequence[int] | None = None
@@ -701,13 +569,14 @@ class _Routing:
         self, request: RuntimeRequest, views: Sequence[ShardView]
     ) -> int | None:
         """The router's shard for one request, or ``None`` when every
-        replica is dead and the request is charged to ``failed_over``.
+        replica is dead and the request's row is ``failed_over``.
 
         With a health feed and an auto-healing placement, a dropped
         request first asks the placement to re-replicate its model on
         a surviving shard and retries once; requests arriving inside
         the redeploy-latency window still fail over.
         """
+        failovers = getattr(self.router, "failovers", 0)
         target = self.router.route(request, views)
         placement = self.fabric.placement
         if (
@@ -723,8 +592,10 @@ class _Routing:
                 [v.shard for v in views if v.alive],
             )
             target = self.router.route(request, views)
+        if getattr(self.router, "failovers", 0) != failovers:
+            self._rerouted = request
         if target == FAILOVER_DROP:
-            self.failed_over += 1
+            self.rows.add(request, Outcome.FAILED_OVER)
             return None
         if not 0 <= target < len(views):
             raise ValueError(
@@ -734,21 +605,30 @@ class _Routing:
             )
         return target
 
-    def place(self, request: RuntimeRequest, shard: int) -> None:
+    def _flags(self, request: RuntimeRequest) -> int:
+        return OutcomeFlag.REROUTED if request is self._rerouted else 0
+
+    def place(
+        self, request: RuntimeRequest, shard: int, stolen: bool = False
+    ) -> None:
         """Commit one request to ``shard`` (the routed shard, or the
-        one the caller moved it to)."""
+        one a steal moved it to); its fate is the shard's to decide."""
         self.counts[shard] += 1
         self.trace.append(request)
         self.routed.append(shard)
+        flags = self._flags(request) | (OutcomeFlag.STOLEN if stolen else 0)
+        self.rows.add(request, Outcome.UNFINISHED, flags=flags, shard=shard)
+
+    def shed(self, request: RuntimeRequest, reason: OutcomeReason) -> None:
+        """Fate one request ``shed`` before any shard."""
+        self.rows.add(
+            request, Outcome.SHED, reason, flags=self._flags(request)
+        )
 
     def serve(self, **serve_kwargs) -> FabricResult:
-        """Execute everything placed, with this routing's fates."""
+        """Execute everything placed, with this routing's rows."""
         return self.fabric.serve_routed(
-            self.trace,
-            self.routed,
-            failed_over=self.failed_over,
-            failovers=getattr(self.router, "failovers", 0),
-            **serve_kwargs,
+            self.trace, self.routed, upstream=self.rows.seal(), **serve_kwargs
         )
 
 
@@ -834,9 +714,9 @@ class _ShardPass:
     def strand(
         self, results: list[ClusterResult | None]
     ) -> list[list[RuntimeRequest]]:
-        """Take each shard's failed requests that a replica can
-        re-serve out of ``results`` and return them per replica shard,
-        in arrival order."""
+        """Take each shard's failed rows that a replica can re-serve
+        out of ``results`` and return their requests per replica
+        shard, in arrival order."""
         fabric = self.fabric
         handed: list[list[RuntimeRequest]] = [[] for _ in results]
         if fabric.placement is None:
@@ -844,27 +724,68 @@ class _ShardPass:
         for shard_index, result in enumerate(results):
             if result is None or not result.failed:
                 continue
-            kept = []
-            for request in result.failed:
+            table = result.outcomes
+            moved = np.zeros(len(table), dtype=bool)
+            for row in np.flatnonzero(table.fate == Outcome.FAILED).tolist():
+                request = table.request[row]
                 target = self._replica_for(request, shard_index, handed)
-                (kept if target is None else handed[target]).append(
-                    request
+                if target is not None:
+                    handed[target].append(request)
+                    moved[row] = True
+            count = int(np.count_nonzero(moved))
+            if count:
+                results[shard_index] = replace(
+                    result, outcomes=table.take(~moved)
                 )
-            moved = len(result.failed) - len(kept)
-            if moved:
-                results[shard_index] = replace(result, failed=tuple(kept))
-                # The moved requests are re-homed wholesale: the
-                # failing shard gives up both the offer and the failed
-                # fate, the replica's recovery serve counts them as its
-                # own offers and serves — so every shard's *cumulative*
-                # ledger stays individually balanced, not just the
-                # merge.
+                # Re-homed wholesale: the failing shard gives up the
+                # offer and the fate, the replica's recovery serve
+                # counts both — every shard's *cumulative* ledger stays
+                # balanced, and the replica's notes the hand-offs.
                 stats = fabric.shards[shard_index].stats
-                stats.failed -= moved
-                stats.offered -= moved
-        for requests in handed:
+                stats.failed -= count
+                stats.offered -= count
+        for shard, requests in zip(fabric.shards, handed):
             requests.sort(key=lambda r: (r.arrival_s, r.request_id))
+            shard.stats.failovers += len(requests)
         return handed
+
+    def merge(
+        self,
+        results: Sequence[ClusterResult | None],
+        recovery_results: Sequence[ClusterResult | None],
+        upstream: Outcomes,
+        placed: Iterable[tuple[RuntimeRequest, RuntimeRequest]],
+    ) -> Outcomes:
+        """The fabric's table: the shard tables (primary, then recovery
+        passes, in shard order) with shard, global core and flags filled
+        in, then the rows fated upstream.  ``placed`` pairs each placed
+        request with the one its shard served (versioned: a new one)."""
+        handed = OutcomeFlag.HANDED
+        passes = [
+            (shard, flag, result.outcomes)
+            for flag, each in ((0, results), (handed, recovery_results))
+            for shard, result in enumerate(each)
+            if result is not None
+        ]
+        shard, flags, tables = zip(*passes) if passes else ((), (), ())
+        count = sum(map(len, tables))
+        table = Outcomes.concat([*tables, upstream.take(upstream.shard < 0)])
+        table.shard[:count] = np.repeat(shard, [len(t) for t in tables])
+        table.flags[:count] |= np.repeat(
+            np.array(flags, dtype=np.int8), [len(t) for t in tables]
+        )
+        flagged = upstream.take(upstream.flags != 0)
+        marks = dict(zip(map(id, flagged.request), flagged.flags.tolist()))
+        if marks:
+            marks = {id(new): marks.get(id(old), 0) for old, new in placed}
+            table.flags[:count] |= np.array(
+                [marks.get(id(r), 0) for r in table.request[:count]],
+                dtype=np.int8,
+            )
+        served = table.fate == Outcome.SERVED
+        offsets = np.asarray(self.fabric.core_offsets)
+        table.core[served] += offsets[table.shard[served]]
+        return table
 
     def _replica_for(
         self,

@@ -328,9 +328,9 @@ def _cluster_vs_walk(stack: ExitStack) -> Legs:
             walker.execute(dag.model_id, request.data_levels)
 
     def verify(_, result) -> str | None:
-        if len(result.records) != len(trace):
+        if result.served != len(trace):
             return (
-                f"cluster served {len(result.records)} of {len(trace)} "
+                f"cluster served {result.served} of {len(trace)} "
                 "requests; the per-request wall is meaningless"
             )
 
@@ -417,26 +417,16 @@ def _results_identical(serial, parallel) -> bool:
     """Bit-exact comparison of two :class:`ClusterResult` objects.
 
     The determinism contract the parallel executor guarantees: every
-    served record (assignment, timing, prediction), every drop, and the
+    outcomes row (fate, assignment, timing, prediction, joules) and the
     aggregate accounting must match the serial event loop exactly — not
     approximately.
     """
 
-    def ids(requests) -> list[int]:
-        return [request.request_id for request in requests]
-
     def fingerprint(result) -> tuple:
+        table = result.outcomes
         return (
-            [
-                (
-                    r.request.request_id, r.core, r.batch_size, r.queuing_s,
-                    r.datapath_s, r.compute_s, r.finish_s, r.prediction,
-                )
-                for r in result.records
-            ],
-            ids(result.dropped),
-            ids(result.failed),
-            sorted(ids(result.unfinished)),
+            [request.request_id for request in table.request],
+            *(getattr(table, name).tobytes() for name in table.COLUMNS[1:]),
             result.busy_seconds,
             result.horizon_s,
         )

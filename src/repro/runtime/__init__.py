@@ -35,7 +35,6 @@ from .schedulers import (
     RoundRobinScheduler,
     Scheduler,
     SchedulerBase,
-    WeightedFairScheduler,
 )
 from .queues import DROP_POLICIES, AdmissionQueue, QueueEntry
 from .batching import BatchingCoalescer, stack_levels
@@ -50,7 +49,6 @@ __all__ = [
     "ModelQueueView",
     "RoundRobinScheduler",
     "LeastLoadedScheduler",
-    "WeightedFairScheduler",
     "CoreHealthView",
     "HealthAwareScheduler",
     "DROP_POLICIES",

@@ -19,7 +19,7 @@ served request carries the paper's serve-time decomposition:
 * ``t_c`` (compute) — photonic dot products, adders, non-linearities.
 
 The identity ``finish - arrival == t_q + t_d + t_c`` holds exactly for
-every record, faults or no faults.
+every served row, faults or no faults.
 
 Resilience: ``serve_trace`` accepts a
 :class:`~repro.faults.schedule.FaultSchedule` whose device and core
@@ -33,23 +33,22 @@ sending the lost batch through the
 cores on its interval and quarantines any whose analog error drifts
 past threshold; an ``slo_s`` deadline sheds requests that can no longer
 answer in time; ``timeout_s`` bounds the virtual clock so a mis-sized
-trace terminates with partial stats instead of spinning.  Every request
-ends in exactly one bucket — ``served + dropped + failed + unfinished
-== offered`` — so degraded runs stay fully accounted.
+trace terminates with partial stats instead of spinning.  A serve
+returns one :class:`~repro.core.stats.Outcomes` row per offered
+request, so degraded runs stay fully accounted by construction.
 
-Energy: each served request is priced by the cluster's
-:class:`~repro.core.energy.EnergyModel` from the same t_q/t_d/t_c
-decomposition its record carries, and lands in the
-:class:`~repro.core.stats.ServerStats` energy ledger.  The charge
-happens parent-side at finalization — in parallel execution the timing
-was already fixed by the dispatch-time dry run — so serial and parallel
-serves charge bit-identical joules.
+Energy: each served row is priced by the cluster's
+:class:`~repro.core.energy.EnergyModel` from its own t_q/t_d/t_c, and
+the table is folded into the :class:`~repro.core.stats.ServerStats`
+ledgers once, parent-side, when the serve ends — in parallel execution
+the timing was already fixed by the dispatch-time dry run — so serial
+and parallel serves charge bit-identical joules.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -58,7 +57,15 @@ from ..core.datapath import LightningDatapath
 from ..core.dag import ComputationDAG
 from ..core.energy import EnergyModel
 from ..core.plans import export_model_plan, import_model_plan
-from ..core.stats import NICCounters, ServerStats
+from ..core.stats import (
+    NICCounters,
+    Outcome,
+    OutcomeReason,
+    OutcomeRows,
+    Outcomes,
+    ServerStats,
+    Tallied,
+)
 from ..core.trace import DatapathTracer
 from ..faults.device import DegradedCore, device_fault_from_event
 from ..faults.resilience import CalibrationWatchdog, CoreHealth, RetryPolicy
@@ -95,7 +102,8 @@ _RELOCK_RNG_DOMAIN = 0x9C
 
 @dataclass(frozen=True)
 class RuntimeRecord:
-    """One served request with its t_q/t_d/t_c decomposition."""
+    """One served request with its t_q/t_d/t_c decomposition — a view
+    of one served row of an :class:`~repro.core.stats.Outcomes` table."""
 
     request: RuntimeRequest
     core: int
@@ -111,12 +119,19 @@ class RuntimeRecord:
         """Arrival to result (t_q + t_d + t_c == finish - arrival)."""
         return self.queuing_s + self.datapath_s + self.compute_s
 
+    @classmethod
+    def rows(cls, served: Outcomes) -> tuple["RuntimeRecord", ...]:
+        """One record per row of a table of served requests."""
+        columns = ("request", "core", "batch", "t_q", "t_d", "t_c",
+                   "finish", "prediction")
+        return tuple(map(cls, *(getattr(served, c).tolist() for c in columns)))
+
 
 @dataclass
 class _Dispatch:
     """One in-flight batch on one core, finalized at completion time.
 
-    Records are *not* written at dispatch: a stall can push the finish
+    Rows are *not* written at dispatch: a stall can push the finish
     out and a crash can void the batch entirely, so the outcome is only
     known when the completion event (carrying a matching ``epoch``)
     fires.  The numerics are the executor's (a worker process, or the
@@ -161,40 +176,20 @@ class _CoreSlot:
 
 
 @dataclass(frozen=True)
-class ClusterResult:
-    """Everything one trace produced on the cluster."""
+class ClusterResult(Tallied):
+    """Everything one trace produced on the cluster: an outcomes row
+    per offered request (local core indices, ``shard`` -1), and what
+    reduces from it (:class:`~repro.core.stats.Tallied`)."""
 
-    records: tuple[RuntimeRecord, ...]
-    dropped: tuple[RuntimeRequest, ...]
+    outcomes: Outcomes
     stats: ServerStats
     num_cores: int
     busy_seconds: float
-    horizon_s: float
-    #: Requests abandoned after exhausting retries or stranded with no
-    #: usable core left.
-    failed: tuple[RuntimeRequest, ...] = ()
-    #: Requests still queued, in flight, or not yet arrived when a
-    #: ``timeout_s`` cut the run short.
-    unfinished: tuple[RuntimeRequest, ...] = ()
-    #: Requests in the offered trace (0 for results predating faults).
-    offered: int = 0
 
-    @property
-    def served(self) -> int:
-        """Requests that completed with a prediction."""
-        return len(self.records)
-
-    @property
-    def shed(self) -> int:
-        """Requests the cluster gave up on, loudly (dropped + failed)."""
-        return len(self.dropped) + len(self.failed)
-
-    @property
-    def throughput_rps(self) -> float:
-        """Sustained completions per second over the trace horizon."""
-        if self.horizon_s <= 0:
-            raise ValueError("no requests finished")
-        return self.served / self.horizon_s
+    @cached_property
+    def records(self) -> tuple[RuntimeRecord, ...]:
+        """The served rows in completion order, as records."""
+        return RuntimeRecord.rows(self.outcomes.served())
 
     def utilization(self) -> float:
         """Fraction of total core-time the datapaths were occupied."""
@@ -204,24 +199,21 @@ class ClusterResult:
 
     def serve_times(self) -> np.ndarray:
         """Every request's serve time, in completion order."""
-        return np.array([r.serve_time_s for r in self.records])
+        return self.outcomes.served().serve_s
 
     def decomposition(self) -> dict[str, float]:
         """Mean t_q / t_d / t_c over all served requests, in seconds."""
-        if not self.records:
+        if not self.served:
             raise ValueError("no requests served")
-        return {
-            "t_q": float(np.mean([r.queuing_s for r in self.records])),
-            "t_d": float(np.mean([r.datapath_s for r in self.records])),
-            "t_c": float(np.mean([r.compute_s for r in self.records])),
-        }
+        served, keys = self.outcomes.served(), ("t_q", "t_d", "t_c")
+        return {key: float(np.mean(getattr(served, key))) for key in keys}
 
     @property
     def mean_batch_size(self) -> float:
         """Average coalesced batch size across served requests."""
-        if not self.records:
+        if not self.served:
             raise ValueError("no requests served")
-        return float(np.mean([r.batch_size for r in self.records]))
+        return float(np.mean(self.outcomes.served().batch))
 
 
 class Cluster:
@@ -527,7 +519,7 @@ class Cluster:
         :class:`~repro.faults.resilience.RetryPolicy`).  ``slo_s`` sheds
         requests whose deadline passed before dispatch.  ``timeout_s``
         stops the virtual clock early, returning partial stats with the
-        leftovers in ``unfinished``.
+        leftovers' rows ``unfinished``.
 
         Arguments are checked before the clock starts, so a rejected
         call changes nothing.  After that, returning or raising, the
@@ -631,15 +623,16 @@ class _ServeRun:
     plans, scheduler, coalescer, cumulative ``stats`` / ``nic_counters``
     and the admission queues' ``admitted`` / ``dropped`` counters.  A
     run owns everything else: one :class:`_CoreSlot` per core and the
-    ledgers below.  :meth:`run` pops events off the virtual clock,
-    hands each to the handler :attr:`HANDLERS` names for its kind
-    (``on_arrival``, ``on_complete``, ``on_fault``, ``on_stall_clear``,
-    ``on_probe``, ``on_recalibrate``) and then calls :meth:`dispatch`;
-    :meth:`result` joins the predictions and classifies what is left.
+    :attr:`rows` of its outcomes table, written as requests meet their
+    fates.  :meth:`run` pops events off the virtual clock, hands each to
+    the handler :attr:`HANDLERS` names for its kind (``on_arrival``,
+    ``on_complete``, ``on_fault``, ``on_stall_clear``, ``on_probe``,
+    ``on_recalibrate``) and then calls :meth:`dispatch`; :meth:`result`
+    classifies what is left, joins the predictions and folds the table.
 
     Exit contract, on every path out of :meth:`run` (return or raise):
     the admission queues are empty, the executor is drained, the
-    cumulative ``stats`` balance (requests without a fate when a serve
+    cumulative ``stats`` balance (requests without a row when a serve
     raised count as ``unfinished``), and the only thing of the run the
     cluster still holds is ``cluster.health`` — the slots'
     :class:`~repro.faults.resilience.CoreHealth` records, published as
@@ -681,14 +674,12 @@ class _ServeRun:
             core: slot.health for core, slot in enumerate(self.slots)
         }
         self.events = EventQueue()
-        self.records: list[RuntimeRecord] = []
-        self.dropped: list[RuntimeRequest] = []
-        self.failed: list[RuntimeRequest] = []
+        self.rows = OutcomeRows()
         #: Crash-retry attempts so far, by request id.
         self.attempts: dict[int, int] = {}
         #: Finalized batches whose predictions are still the
-        #: executor's: ``(first record index, dispatch)`` in
-        #: finalization order (see :meth:`on_complete`).
+        #: executor's: ``(first row, dispatch)`` in finalization order
+        #: (see :meth:`on_complete`).
         self.pending_joins: list[tuple[int, _Dispatch]] = []
         self.busy_seconds = 0.0
         #: Arrival and retry events still on the clock.
@@ -713,11 +704,12 @@ class _ServeRun:
             self.events.run(self.step, until=self.timeout_s)
             return self.result()
         except BaseException:
-            # Keep the cumulative ledger balanced: the trace was
-            # offered, and whatever had no fate yet never finished.
-            fated = len(self.records) + len(self.dropped) + len(self.failed)
-            self.stats.offered += self.offered
-            self.stats.unfinished += self.offered - fated
+            # Keep the cumulative ledger balanced: the rows so far are
+            # charged, and whatever had no row yet never finished.
+            self.fold(self.rows.seal(self.energy_model))
+            rest = self.offered - len(self.rows)
+            self.stats.offered += rest
+            self.stats.unfinished += rest
             raise
         finally:
             for queue in self.queues.values():
@@ -841,7 +833,6 @@ class _ServeRun:
         self.dispatched += 1
         slot.inflight = batch
         slot.free_at = batch.finish_s
-        self.scheduler.account(model_id, service_s)
         self.events.push(batch.finish_s, "complete", (core, batch.epoch))
         detail = {
             "model_id": model_id,
@@ -859,8 +850,8 @@ class _ServeRun:
         queue = self.queues[request.model_id]
         victim = queue.offer(request, now)
         if victim is not None:
-            self.dropped.append(victim)
-            self.stats.dropped += 1
+            reason = OutcomeReason.QUEUE_OVERFLOW
+            self.rows.add(victim, Outcome.DROPPED, reason)
             self._emit(
                 "drop",
                 f"model:{request.model_id}",
@@ -878,7 +869,7 @@ class _ServeRun:
     def on_complete(
         self, payload: tuple[int, int], now: float
     ) -> object | None:
-        """Finalize a core's batch: records, stats, energy."""
+        """Finalize a core's batch: one block of rows."""
         core, stamp = payload
         slot = self.slots[core]
         batch = slot.inflight
@@ -886,52 +877,21 @@ class _ServeRun:
             return _VOID  # voided by a crash or superseded by a stall
         slot.inflight = None
         self.busy_seconds += batch.service_s
-        # The timing was fixed at dispatch, so each record is complete
-        # except for its prediction, which is joined once the loop has
-        # drained: a worker's compute overlaps the parent's ledger
-        # replays, the in-process backlog runs in blocks.  Placeholders
-        # are patched in completion order — per core that is dispatch
-        # order, so a worker's strict-order collect still matches.
-        records = self.records
-        self.pending_joins.append((len(records), batch))
-        stats = self.stats
-        energy_model = self.energy_model
-        datapath_s = batch.pass_datapath_s
-        compute_s = batch.pass_compute_s
-        size = len(batch.entries)
-        for entry in batch.entries:
-            queuing_s = (
-                batch.finish_s - entry.item.arrival_s - datapath_s - compute_s
-            )
-            record = RuntimeRecord(
-                request=entry.item,
-                core=core,
-                batch_size=size,
-                queuing_s=queuing_s,
-                datapath_s=datapath_s,
-                compute_s=compute_s,
-                finish_s=batch.finish_s,
-                prediction=-1,
-            )
-            records.append(record)
-            stats.record(batch.model_id, record.serve_time_s)
-            if energy_model is not None:
-                # Parent-side pricing of the decomposition the record
-                # carries: identical in serial and parallel execution,
-                # whose timings agree bit for bit.
-                stats.record_energy(
-                    batch.model_id,
-                    energy_model.energy(
-                        datapath_s=datapath_s,
-                        queuing_s=queuing_s,
-                        compute_s=compute_s,
-                    ),
-                )
-        self.nic_counters.served += size
+        # The timing was fixed at dispatch; the prediction is joined
+        # once the loop has drained (see result), in completion order
+        # — per core that is dispatch order, as a worker collects.
+        self.pending_joins.append((len(self.rows), batch))
+        self.rows.add_served(
+            [entry.item for entry in batch.entries],
+            core,
+            batch.finish_s,
+            batch.pass_datapath_s,
+            batch.pass_compute_s,
+        )
         self._emit(
             "complete",
             f"core:{core}",
-            {"model_id": batch.model_id, "batch": size},
+            {"model_id": batch.model_id, "batch": len(batch.entries)},
             now,
         )
 
@@ -1117,7 +1077,7 @@ class _ServeRun:
 
     #: Which handler an event kind goes to.  Plain functions on the
     #: class, so a finished run holds no reference to itself and is
-    #: freed — records, dispatches and all — when ``serve_trace`` returns.
+    #: freed — rows, dispatches and all — when ``serve_trace`` returns.
     HANDLERS = {
         "arrival": on_arrival,
         "retry": on_arrival,
@@ -1129,12 +1089,11 @@ class _ServeRun:
     }
 
     def result(self) -> ClusterResult:
-        """Join the predictions, classify the leftovers, report.
+        """Classify the leftovers, join the predictions, fold, report.
 
         Batches a timeout cut off were never finalized: their results
-        are nobody's.  Every finalized batch's predictions are patched
-        over the placeholders in completion order — everything else in
-        a record was already exact at finalization.
+        are nobody's.  Each finalized batch's predictions land in its
+        block of rows with one slice assignment.
         """
         cut = sorted(
             (s.inflight for s in self.slots if s.inflight is not None),
@@ -1142,46 +1101,44 @@ class _ServeRun:
         )
         for batch in cut:
             self.executor.discard(batch.core, batch.worker_seq)
-        records = self.records
-        for base, batch in self.pending_joins:
-            predictions = self.executor.result(batch.core, batch.worker_seq)
-            for index, value in enumerate(predictions, start=base):
-                records[index] = dataclasses.replace(
-                    records[index], prediction=int(value)
-                )
-        unfinished: list[RuntimeRequest] = []
         if self.timeout_s is not None and len(self.events) > 0:
-            for batch in cut:
-                unfinished.extend(e.item for e in batch.entries)
+            leftovers = [e.item for batch in cut for e in batch.entries]
             for queue in self.queues.values():
-                unfinished.extend(e.item for e in queue.drain())
-            unfinished.extend(self.events.pending("arrival"))
-            unfinished.extend(self.events.pending("retry"))
+                leftovers.extend(e.item for e in queue.drain())
+            pending = self.events.pending
+            for request in leftovers + pending("arrival") + pending("retry"):
+                self.rows.add(request, Outcome.UNFINISHED)
         else:
             # A fully drained clock with queued leftovers means no
             # usable core remained — strand them loudly.
             for queue in self.queues.values():
                 for entry in queue.drain():
                     self._fail(entry.item, self.events.now, "no_usable_core")
-        stats = self.stats
-        stats.core_health = {
+        table = self.rows.seal(self.energy_model)
+        for first, batch in self.pending_joins:
+            table.prediction[first : first + len(batch.entries)] = (
+                self.executor.result(batch.core, batch.worker_seq)
+            )
+        self.stats.core_health = {
             core: slot.health.state for core, slot in enumerate(self.slots)
         }
-        # The cumulative ledger carries the trace's fate counters too,
-        # so cross-serve aggregation (fabric shard merges) can check
-        # the accounting invariant without re-deriving it.
-        stats.offered += self.offered
-        stats.unfinished += len(unfinished)
-        return ClusterResult(
-            records=tuple(records),
-            dropped=tuple(self.dropped),
-            stats=stats,
+        result = ClusterResult(
+            outcomes=table,
+            stats=self.stats,
             num_cores=len(self.slots),
             busy_seconds=self.busy_seconds,
-            horizon_s=max((r.finish_s for r in records), default=0.0),
-            failed=tuple(self.failed),
-            unfinished=tuple(unfinished),
-            offered=self.offered,
+        )
+        self.fold(table)
+        return result
+
+    def fold(self, table: Outcomes) -> None:
+        """Charge the rows to the cumulative stats and NIC counters."""
+        self.stats.fold(table)
+        self.nic_counters.served += int(
+            np.count_nonzero(table.fate == Outcome.SERVED)
+        )
+        self.nic_counters.dropped += int(
+            np.count_nonzero(table.reason == OutcomeReason.SLO)
         )
 
     def work_pending(self) -> bool:
@@ -1203,8 +1160,7 @@ class _ServeRun:
             self.tracer.emit(kind, label, detail, time_s=now)
 
     def _fail(self, request: RuntimeRequest, now: float, reason: str) -> None:
-        self.failed.append(request)
-        self.stats.failed += 1
+        self.rows.add(request, Outcome.FAILED, OutcomeReason[reason.upper()])
         self._emit(
             "fail",
             f"model:{request.model_id}",
@@ -1213,10 +1169,7 @@ class _ServeRun:
         )
 
     def _slo_drop(self, request: RuntimeRequest, now: float) -> None:
-        self.dropped.append(request)
-        self.stats.dropped += 1
-        self.stats.slo_dropped += 1
-        self.nic_counters.dropped += 1
+        self.rows.add(request, Outcome.DROPPED, OutcomeReason.SLO)
         self._emit(
             "slo_drop",
             f"model:{request.model_id}",

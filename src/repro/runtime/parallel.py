@@ -574,6 +574,13 @@ class CoreWorkerPool:
         #: One ``on_stall`` callback per core, built once: the blocking
         #: ring helpers take one on every dispatch.
         self._guards = [self._stall_guard(core) for core in range(num_cores)]
+        #: The same for a wait on a core's own completion ring, which
+        #: drains only the siblings: a completion stashed behind the
+        #: wait's back would leave it waiting for one that never comes.
+        self._collect_guards = [
+            self._stall_guard(core, collecting=True)
+            for core in range(num_cores)
+        ]
         self._rings: list[RingProducer] | None = None
         self._published: list[PublishedModel] = []
         self._closed = False
@@ -603,7 +610,7 @@ class CoreWorkerPool:
     # ------------------------------------------------------------------
     # Ring management
     # ------------------------------------------------------------------
-    def _stall_guard(self, core: int):
+    def _stall_guard(self, core: int, collecting: bool = False):
         """An ``on_stall`` callback: drain completions, check liveness.
 
         Runs before the parent blocks on ``core`` and on every timer
@@ -616,14 +623,26 @@ class CoreWorkerPool:
         """
 
         def on_stall() -> None:
-            self._drain_all()
+            for each in range(self.num_cores):
+                if not (collecting and each == core):
+                    self._drain_ready(each)
             if not self._procs[core].is_alive():
-                raise RuntimeError(
-                    f"worker {core} died while the parent awaited a "
-                    "result"
-                )
+                raise self._died(core)
 
         return on_stall
+
+    def _died(self, core: int) -> RuntimeError:
+        """The error for a dead worker, naming where it was: the
+        awaited seq (the oldest outstanding — a worker answers in
+        dispatch order), the last dispatched seq, how many were
+        outstanding, and the process exit code."""
+        outstanding = self._outstanding[core]
+        return RuntimeError(
+            f"worker {core} died while the parent awaited a result "
+            f"(awaited seq {min(outstanding, default=None)}, last "
+            f"dispatched seq {self._seq[core] - 1}, {len(outstanding)} "
+            f"outstanding, exitcode {self._procs[core].exitcode})"
+        )
 
     def _drain_ready(self, core: int) -> None:
         """Move one core's already-posted completions into its stash."""
@@ -652,7 +671,9 @@ class CoreWorkerPool:
         # its siblings, whose tails then evaluate during the wait.
         for each in range(self.num_cores):
             self._flush_backlog(each)
-        return self._rings[core].collect(on_stall=self._guards[core])
+        return self._rings[core].collect(
+            on_stall=self._collect_guards[core]
+        )
 
     def _control(self, core: int, message: tuple) -> None:
         """Submit one control slot: a barrier, behind which the worker
@@ -670,10 +691,7 @@ class CoreWorkerPool:
         conn = self._pipes[core]
         while not conn.poll(POLL_S):
             if not self._procs[core].is_alive():
-                raise RuntimeError(
-                    f"worker {core} died while the parent awaited a "
-                    "result"
-                )
+                raise self._died(core)
         return conn.recv()
 
     def _pipe_message(self, core: int, message: tuple) -> None:

@@ -12,10 +12,9 @@ A scheduler makes two kinds of decisions:
   per-core busy-until times (the simulator's round-robin placement over
   FIFO queues is the paper's §9 policy);
 * :meth:`Scheduler.next_model` — when a core frees up and several model
-  queues hold work, which model is served next.  The default is global
-  FIFO (earliest head-of-line enqueue wins), matching the simulator's
-  FIFO semantics; :class:`WeightedFairScheduler` overrides it with
-  weighted fair sharing of core time between models.
+  queues hold work, which model is served next: global FIFO (earliest
+  head-of-line enqueue wins, then the lower model id), matching the
+  simulator's FIFO semantics.
 
 Placement can additionally consume a read-only health snapshot: hosts
 that track core health (the runtime's calibration watchdog, or the
@@ -46,7 +45,6 @@ __all__ = [
     "SchedulerBase",
     "RoundRobinScheduler",
     "LeastLoadedScheduler",
-    "WeightedFairScheduler",
     "HealthAwareScheduler",
     "DEFAULT_ERROR_SOFT_THRESHOLD",
 ]
@@ -124,17 +122,13 @@ class Scheduler(Protocol):
         """Pick the ``model_id`` whose queue is served next."""
         ...
 
-    def account(self, model_id: int, service_s: float) -> None:
-        """Charge ``service_s`` seconds of core time to ``model_id``."""
-        ...
-
     def reset(self) -> None:
-        """Forget all placement state (rotation, virtual work, ...)."""
+        """Forget all placement state (rotation, snapshots, ...)."""
         ...
 
 
 class SchedulerBase:
-    """Shared behaviour: FIFO model selection, no-op accounting."""
+    """Shared behaviour: FIFO model selection."""
 
     #: Load-oblivious policies ignore health snapshots; hosts check this
     #: flag and skip building :class:`CoreHealthView` lists entirely.
@@ -156,9 +150,6 @@ class SchedulerBase:
             candidates, key=lambda c: (c.head_enqueued_s, c.model_id)
         )
         return best.model_id
-
-    def account(self, model_id: int, service_s: float) -> None:
-        """Load-oblivious policies track no per-model usage."""
 
     def reset(self) -> None:
         """Base schedulers are stateless between traces."""
@@ -224,82 +215,6 @@ class LeastLoadedScheduler(SchedulerBase):
             range(len(core_free_at)),
             key=lambda i: (core_free_at[i], i),
         )
-
-
-class WeightedFairScheduler(SchedulerBase):
-    """Weighted fair sharing of core time between deployed models.
-
-    Each model carries a weight; the scheduler tracks every model's
-    normalized service (core-seconds divided by weight) and always
-    serves the backlogged model with the least normalized service.
-    Under saturation two models with weights 3 and 1 therefore receive
-    core time in a 3:1 ratio.  Core placement itself is least-loaded.
-    """
-
-    def __init__(
-        self,
-        num_cores: int = 1,
-        weights: dict[int, float] | None = None,
-        default_weight: float = 1.0,
-    ) -> None:
-        super().__init__(num_cores)
-        if default_weight <= 0:
-            raise ValueError("weights must be positive")
-        if weights and any(w <= 0 for w in weights.values()):
-            raise ValueError("weights must be positive")
-        self.weights = dict(weights) if weights else {}
-        self.default_weight = default_weight
-        self._normalized_service: dict[int, float] = {}
-
-    def weight(self, model_id: int) -> float:
-        """The configured (or default) weight of one model."""
-        return self.weights.get(model_id, self.default_weight)
-
-    def assign(
-        self,
-        _request: object,
-        core_free_at: Sequence[float] | None = None,
-        now_s: float = 0.0,
-    ) -> int:
-        """Least-loaded placement (fairness lives in queue selection)."""
-        if not core_free_at:
-            raise ValueError(
-                "weighted-fair scheduling needs per-core load information"
-            )
-        return min(range(len(core_free_at)), key=lambda i: core_free_at[i])
-
-    def next_model(self, candidates: Sequence[ModelQueueView]) -> int:
-        """Serve the backlogged model with least normalized service.
-
-        The (service, head-enqueue time, model id) key is a total order
-        over candidates: when two models are exactly even on service
-        and head wait, the lower ``model_id`` wins.  Selection therefore
-        never depends on the candidate list's ordering or on the
-        iteration order of the internal service dict — a requirement
-        for parallel-mode bit-identical replay.
-        """
-        if not candidates:
-            raise ValueError("no candidate queues to pick from")
-        best = min(
-            candidates,
-            key=lambda c: (
-                self._normalized_service.get(c.model_id, 0.0),
-                c.head_enqueued_s,
-                c.model_id,
-            ),
-        )
-        return best.model_id
-
-    def account(self, model_id: int, service_s: float) -> None:
-        """Charge core time against the model's fair share."""
-        self._normalized_service[model_id] = (
-            self._normalized_service.get(model_id, 0.0)
-            + service_s / self.weight(model_id)
-        )
-
-    def reset(self) -> None:
-        """Forget accumulated per-model service."""
-        self._normalized_service.clear()
 
 
 class HealthAwareScheduler(SchedulerBase):

@@ -2,47 +2,38 @@
 
 The :mod:`~repro.traffic.fleet` engine sweeps millions of *analytic*
 requests; this gateway runs the same admission discipline in front of
-a real :class:`~repro.fabric.fabric.Fabric`, whose shards execute
-every layer on emulated photonic cores.  The fabric serves closed
-traces shard-by-shard (each shard replays its sub-trace on its own
-virtual clock), so the gateway cannot observe true queue depths *during*
-the serve — instead it runs an **estimate-based pre-pass**:
+a real :class:`~repro.fabric.fabric.Fabric`.  The fabric serves each
+shard's sub-trace on its own virtual clock, so the gateway cannot
+observe true queue depths *during* the serve — instead it runs an
+**estimate-based pre-pass**:
 
-1. **Probe** each shard once per deployed model to learn real
-   per-shard service times: one ledger replay on core 0
-   (:func:`~repro.runtime.workload.probe_service_times`), no forward
-   pass — a request's cost never depends on its activations.
+1. **Probe** each shard once per deployed model: one ledger replay on
+   core 0 (:func:`~repro.runtime.workload.probe_service_times`), no
+   forward pass — a request's cost never depends on its activations.
 2. **Project** every shard's queue forward in arrival order — idle
-   cores, busy-until heap, FIFO backlog — using those estimates, and
-   read shard *health* off the fault schedule's
-   :class:`~repro.fabric.lifecycle.OutageBook` (a crash the schedule
-   will inject at time T makes the shard dead to every request
-   arriving after T, exactly as fleet telemetry would).
+   cores, busy-until heap, FIFO backlog — and read shard *health* off
+   the fault schedule's :class:`~repro.fabric.lifecycle.OutageBook`
+   (a crash scheduled at T makes the shard dead to every later
+   arrival, as fleet telemetry would).
 3. **Admit or shed** each request against the projected occupancy via
    an :class:`~repro.traffic.admission.AdmissionController`.
-4. **Route** through the fabric's one routing step (the same one
-   :meth:`~repro.fabric.fabric.Fabric.serve_trace` uses), here fed
-   the projected queue depths and the schedule's health.  A
-   :class:`~repro.fabric.lifecycle.FailoverRouter` re-routes requests
-   off dead replicas; when *every* replica is dead the routing step
-   asks the placement to re-replicate (auto-heal) and charges the
-   request to ``failed_over`` if the heal has not activated yet.
+4. **Route** through the fabric's one routing step, fed the projected
+   queue depths and the schedule's health: a
+   :class:`~repro.fabric.lifecycle.FailoverRouter` re-routes off dead
+   replicas, and with *every* replica dead the request fails over
+   unless an auto-heal re-replication has already activated.
 5. **Steal**: when the routed shard is backlogged and another usable
-   shard hosting the model has an idle core, the request is re-placed
-   there — the pre-pass form of an idle core pulling from a deep
-   queue.
+   shard hosting the model has an idle core, the request moves there.
 6. **Shed late**: a request whose class deadline or energy budget
-   (:class:`~repro.traffic.slo.SLOBook`) is already blown by the
-   projected wait on the shard it would land on is shed at the NIC.
-   Only requests that survive this are placed — and counted as
+   (:class:`~repro.traffic.slo.SLOBook`) the projected wait already
+   blows is shed at the NIC.  Survivors are placed — flagged
    ``stolen`` when step 5 moved them.
 
-The admitted trace then replays through
-:meth:`~repro.fabric.fabric.Fabric.serve_routed` with the gateway's
-placement, and sheds are charged into the returned
-:class:`~repro.fabric.fabric.FabricResult`, whose invariant becomes
-``served + dropped + failed + unfinished + shed + failed_over ==
-offered``.
+Every offered request gets one routing row — shed (with its reason:
+admission, deadline or energy budget), failed over, or placed with
+its flags — and :meth:`~repro.fabric.fabric.Fabric.serve_routed`
+serves the placed trace into a result table of one row per offered
+request.
 """
 
 from __future__ import annotations
@@ -54,6 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.energy import EnergyModel
+from ..core.stats import OutcomeReason
 from ..fabric.fabric import Fabric, FabricResult, _Routing
 from ..fabric.lifecycle import OutageBook
 from ..fabric.router import ShardView
@@ -66,17 +58,12 @@ __all__ = ["probe_service_estimates", "serve_fabric_open_loop"]
 
 
 def probe_service_estimates(fabric: Fabric) -> list[dict[int, float]]:
-    """Per-shard ``model_id -> estimated service seconds``.
-
-    One ledger replay per (shard, model) on the shard's core 0
-    (:func:`~repro.runtime.workload.probe_service_times`): the
-    compiled timing plan prices the request, and no forward pass
-    runs.  Under a :class:`~repro.fabric.lifecycle.ModelPlacement` a
-    shard hosts
-    only its replicas' models — shards with no models return empty
-    estimate maps (the gateway prices foreign requests with the fleet
-    mean), but a fabric with *no* deployed model anywhere is a
-    configuration error.
+    """Per-shard ``model_id -> estimated service seconds``: one ledger
+    replay per (shard, model) on the shard's core 0
+    (:func:`~repro.runtime.workload.probe_service_times`), no forward
+    pass.  A shard without models (a placement put none there) maps
+    nothing — the gateway prices its requests with the fleet mean — but
+    a fabric with *no* deployed model is a configuration error.
     """
     estimates = [probe_service_times(shard) for shard in fabric.shards]
     if not any(estimates):
@@ -224,19 +211,14 @@ def serve_fabric_open_loop(
     ``serve_kwargs`` pass through to
     :meth:`~repro.fabric.fabric.Fabric.serve_routed` (fault schedule,
     watchdog, retry policy, SLO, timeout); the fault schedule is also
-    read *here*, as the :class:`~repro.fabric.lifecycle.OutageBook`
-    health feed behind the routing views.  ``slo_book`` enables
-    deadline-aware shedding: a request whose projected wait already
-    blows its class deadline is shed at admission.  With an
-    ``energy_model`` too, requests whose class carries an energy
-    budget are additionally priced forward — projected service at
-    accelerator power plus projected wait at DRAM power — and shed
-    when the budget is already blown (tallied under
-    ``admission.shed_reasons["energy_budget"]``).  The returned
-    result's ``offered`` counts the *full* open-loop trace; ``shed``
-    and ``failed_over`` requests never reach a shard and are charged
-    to the invariant — when that is all of them, every shard result is
-    ``None`` and the result still balances.
+    the health feed behind the routing views.  ``slo_book`` sheds
+    requests whose projected wait blows their class deadline; with an
+    ``energy_model`` too, those whose projected joules — service at
+    accelerator power plus wait at DRAM power — blow their class
+    energy budget (tallied under
+    ``admission.shed_reasons["energy_budget"]``).  The result's table
+    covers the *full* trace: when every request was shed or failed
+    over, every shard result is ``None`` and it holds only those rows.
     """
     if admission is None:
         admission = AdmissionController(AcceptAll())
@@ -256,7 +238,6 @@ def serve_fabric_open_loop(
             fabric, serve_kwargs.get("fault_schedule")
         ),
     )
-    stolen = 0
     for request in trace:
         now_s = request.arrival_s
         for projection in projections:
@@ -265,6 +246,7 @@ def serve_fabric_open_loop(
             now_s, [len(projection.queue) for projection in projections]
         )
         if not admission.admit(now_s, views):
+            routing.shed(request, OutcomeReason.ADMISSION)
             continue
         routed = routing.route(request, views)
         if routed is None:
@@ -282,13 +264,8 @@ def serve_fabric_open_loop(
             # Admitted by the policy, not worth a queue slot: shed at the
             # NIC (a steal that ends here moved nothing).
             admission.shed_admitted(reason)
+            routing.shed(request, OutcomeReason[reason.upper()])
             continue
-        stolen += target != routed
-        routing.place(request, target)
+        routing.place(request, target, stolen=target != routed)
         projections[target].charge(now_s, service)
-    return routing.serve(
-        offered=admission.offered,
-        shed=admission.shed,
-        stolen=stolen,
-        **serve_kwargs,
-    )
+    return routing.serve(**serve_kwargs)

@@ -2,36 +2,23 @@
 
 One latency bar for a whole zoo misgrades everyone: LeNet-class
 models answer in microseconds while GPT-2-class stragglers need
-milliseconds, so a single fleet-wide deadline either sheds every
-large-model request as hopeless or lets small-model latency rot
-unnoticed.  An :class:`SLOBook` maps each model id to an
+milliseconds.  An :class:`SLOBook` maps each model id to an
 :class:`SLOClass` with its own deadline — and, optionally, its own
-**energy budget** (joules per inference, the paper's headline axis) —
-which the open-loop gateway uses three ways:
-
-* **Deadline-aware shedding** — at admission time the gateway knows
-  each shard's projected queue wait; a request whose projected finish
-  already blows its class deadline is shed at the NIC (charged to
-  ``shed``), before it wastes a queue slot it cannot convert into
-  goodput.
-* **Energy-aware shedding** — with an
-  :class:`~repro.core.energy.EnergyModel`, the gateway prices each
-  request's projected serve (service time at accelerator power plus
-  projected wait at DRAM power) and sheds requests whose class energy
-  budget is already blown, so a congested fleet stops burning joules
-  on requests it would rather not serve.
-* **Per-class grading** — :meth:`SLOBook.grade` scores a
-  :class:`~repro.fabric.fabric.FabricResult` per class, so a GPT-2
-  straggler is judged on the GPT-2 curve and a LeNet request on the
-  LeNet curve; given an energy model it additionally grades each
-  class's completions against its energy budget, and
-  :meth:`SLOBook.goodput` counts only completions that met *their
-  own* deadline.
+**energy budget** (joules per inference, the paper's headline axis).
+The open-loop gateway (:mod:`~repro.traffic.gateway`) sheds requests
+whose projected wait or projected joules already blow their class's
+bar, before they waste a queue slot; :meth:`SLOBook.grade` and
+:meth:`SLOBook.goodput` score a
+:class:`~repro.fabric.fabric.FabricResult`'s served rows per class, so
+each request is judged on its own class's curve — its deadline and,
+given an energy model, its budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..core.energy import EnergyModel
 from ..fabric.fabric import FabricResult
@@ -134,64 +121,47 @@ class SLOBook:
         result: FabricResult,
         energy_model: EnergyModel | None = None,
     ) -> dict[str, SLOReport]:
-        """Score one serve per class (unclassified records skipped).
+        """Score one serve per class (unclassified rows skipped).
 
-        A record is graded against the class of its *public* model id
-        — version aliases map back through the serving fabric before
+        A served row is graded against the class of its *public* model
+        id — version aliases map back through the serving fabric before
         grading, so callers grading a versioned serve should assign
         classes by public id only.  With an ``energy_model``, each
-        record's t_q/t_d/t_c is priced through the shared three-source
+        row's t_q/t_d/t_c is priced through the shared three-source
         formula and graded against its class's energy budget.
         """
-        served: dict[str, int] = {name: 0 for name in self._classes}
-        met: dict[str, int] = {name: 0 for name in self._classes}
-        energy_met: dict[str, int] = {name: 0 for name in self._classes}
-        for record in result.records():
-            slo_class = self.class_of(record.request.model_id)
-            if slo_class is None:
-                continue
-            served[slo_class.name] += 1
-            if record.serve_time_s <= slo_class.deadline_s:
-                met[slo_class.name] += 1
-            if (
-                energy_model is not None
-                and (
-                    slo_class.energy_budget_j is None
-                    or energy_model.energy(
-                        datapath_s=record.datapath_s,
-                        queuing_s=record.queuing_s,
-                        compute_s=record.compute_s,
-                    )
-                    <= slo_class.energy_budget_j
-                )
-            ):
-                energy_met[slo_class.name] += 1
-        return {
-            name: SLOReport(
-                slo_class=self._classes[name],
-                served=served[name],
-                met=met[name],
+        served = result.outcomes.served()
+        serve_s = served.serve_s
+        joules = None if energy_model is None else energy_model.energy(
+            datapath_s=served.t_d, queuing_s=served.t_q, compute_s=served.t_c
+        )
+        reports = {}
+        for name, slo_class in self._classes.items():
+            rows = np.isin(served.model, [
+                model for model, named in self._assignments.items()
+                if named == name
+            ])
+            budget = slo_class.energy_budget_j or np.inf  # None: unbudgeted
+            reports[name] = SLOReport(
+                slo_class=slo_class,
+                served=int(np.count_nonzero(rows)),
+                met=int(np.count_nonzero(
+                    serve_s[rows] <= slo_class.deadline_s
+                )),
                 energy_met=(
-                    energy_met[name] if energy_model is not None else None
+                    None if joules is None
+                    else int(np.count_nonzero(joules[rows] <= budget))
                 ),
             )
-            for name in self._classes
-        }
+        return reports
 
     def goodput(self, result: FabricResult) -> float:
         """Deadline-respecting completions over everything offered.
 
-        Unclassified records count as good (no deadline to miss);
-        classified records count only inside their own deadline.
+        Unclassified rows count as good (no deadline to miss);
+        classified rows count only inside their own deadline.
         """
         if result.offered <= 0:
             raise ValueError("nothing was offered")
-        good = 0
-        for record in result.records():
-            slo_class = self.class_of(record.request.model_id)
-            if (
-                slo_class is None
-                or record.serve_time_s <= slo_class.deadline_s
-            ):
-                good += 1
-        return good / result.offered
+        late = sum(r.served - r.met for r in self.grade(result).values())
+        return (result.served - late) / result.offered

@@ -9,7 +9,9 @@ nothing from the layers built on top of it.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import functools
+import inspect
 import pathlib
 import subprocess
 import sys
@@ -219,3 +221,111 @@ def test_fabric_and_gateway_functions_stay_short():
                 docstring = node.body[0]
                 lines -= docstring.end_lineno - docstring.lineno + 1
             assert lines <= 70, (name, node.name, lines)
+
+
+# ----------------------------------------------------------------------
+# Serve results: one outcomes table, every count a reduction over it
+# ----------------------------------------------------------------------
+FATES = ("served", "dropped", "failed", "unfinished", "shed", "failed_over")
+
+
+def test_no_serve_result_exposes_a_tuple_of_requests_per_fate(tiny_dag):
+    import numpy as np
+
+    from repro.core.stats import Tallied
+    from repro.fabric import Fabric, FabricResult, ShardSpec
+    from repro.runtime import ClusterResult, RuntimeRequest
+
+    fabric = Fabric([ShardSpec(num_cores=1, queue_capacity=1)])
+    fabric.deploy(tiny_dag)
+    levels = np.zeros(tiny_dag.tasks[0].input_size)
+    result = fabric.serve_trace(
+        [RuntimeRequest(i, tiny_dag.model_id, 0.0, levels) for i in range(4)]
+    )
+    (shard,) = result.shard_results
+    assert (shard.served, shard.dropped) == (2, 2)
+    for each, fates in ((shard, FATES[:4]), (result, FATES)):
+        for fate in fates + ("offered",):
+            assert type(getattr(each, fate)) is int, fate
+    assert not hasattr(shard, "shed")
+    for cls in (ClusterResult, FabricResult):
+        assert issubclass(cls, Tallied)
+        assert "__post_init__" not in vars(cls)
+        assert {f.name for f in dataclasses.fields(cls)} & {
+            *FATES, "offered", "stolen", "failovers", "records",
+        } == set()
+
+
+def class_named(module: str, name: str) -> ast.ClassDef:
+    tree = ast.parse((SRC / module).read_text())
+    return next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == name
+    )
+
+
+def test_the_serve_loop_writes_rows_not_records_or_counters():
+    run = class_named("runtime/cluster.py", "_ServeRun")
+    called = [
+        ast.unparse(node.func)
+        for node in ast.walk(run)
+        if isinstance(node, ast.Call)
+    ]
+    assert not [name for name in called if "RuntimeRecord" in name]
+    tree = ast.parse((SRC / "runtime" / "cluster.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not imported & {"dataclasses", "replace"}
+    # Fate counters move once per serve — the fold, or the raise path
+    # charging requests that never got a row — never per event.
+    bumped = {
+        method.name
+        for method in run.body
+        if isinstance(method, ast.FunctionDef)
+        for node in ast.walk(method)
+        if isinstance(node, ast.AugAssign)
+        and isinstance(node.target, ast.Attribute)
+        and node.target.attr in {*FATES, "offered", "slo_dropped"}
+    }
+    assert bumped <= {"run", "fold"}
+
+
+def test_serve_routed_takes_rows_not_counts():
+    from repro.fabric import Fabric
+
+    parameters = inspect.signature(Fabric.serve_routed).parameters
+    assert "upstream" in parameters
+    assert not set(parameters) & {
+        "offered", "shed", "stolen", "failed_over", "failovers",
+    }
+    assert "_upstream_offered" not in (SRC / "fabric" / "fabric.py").read_text()
+
+
+def test_check_accounting_runs_once_per_result_class():
+    callers = sorted(
+        (name, cls.name)
+        for name, tree in parsed_modules()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "check_accounting"
+    )
+    # The serve results' shared base, and the counter-only ledger the
+    # fleet engine keeps.
+    assert callers == [
+        ("core/stats.py", "ServerStats"), ("core/stats.py", "Tallied"),
+    ]
+    uncalled = [
+        name
+        for name, tree in parsed_modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "check_accounting"
+        and name != "core/stats.py"
+    ]
+    assert uncalled == []

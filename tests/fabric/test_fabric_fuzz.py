@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.stats import Outcome, OutcomeFlag
 from repro.fabric import (
     Fabric,
     FailoverRouter,
@@ -106,29 +108,29 @@ def check_every_request_has_one_fate(fabric, requests, result, answers):
     assert result.accounted()
     for shard in fabric.shards:
         shard.stats.accounted()
-    fates = Counter()
-    for shard_result in result.shard_results + result.recovery_results:
-        if shard_result is None:
-            continue
-        fates.update(r.request.request_id for r in shard_result.records)
-        for group in (
-            shard_result.dropped, shard_result.failed,
-            shard_result.unfinished,
-        ):
-            fates.update(r.request_id for r in group)
-    assert set(fates.values()) <= {1}
-    assert len(fates) == len(result.routed)
-    assert (
-        len(fates) + result.shed + result.failed_over
-        == result.offered
-        == len(requests)
-    )
-    admitted = [r for r in requests if r.request_id in fates]
-    moved = sum(
-        placed != answers[request.request_id]
-        for request, placed in zip(admitted, result.routed)
-    )
-    assert result.stolen <= moved
+    table = result.outcomes
+    # One row per offered request id — shed and failed-over ones too.
+    ids = [request.request_id for request in table.request]
+    assert Counter(ids) == Counter(r.request_id for r in requests)
+    assert len(table) == result.offered == len(requests)
+    assert np.bincount(table.fate, minlength=len(Outcome)).tolist() == [
+        result.served, result.dropped, result.failed,
+        result.unfinished, result.shed, result.failed_over,
+    ]
+    # Rows fated before any shard have none; every other row has one.
+    upstream = np.isin(table.fate, [Outcome.SHED, Outcome.FAILED_OVER])
+    assert ((table.shard < 0) == upstream).all()
+    placed = {
+        request.request_id
+        for request in table.request[~upstream]
+    }
+    admitted = [r.request_id for r in requests if r.request_id in placed]
+    placement = dict(zip(admitted, result.routed))
+    stolen = np.flatnonzero(table.flags & OutcomeFlag.STOLEN)
+    assert result.stolen == len(stolen)
+    for row in stolen.tolist():
+        request_id = table.request[row].request_id
+        assert placement[request_id] != answers[request_id]
 
 
 @FUZZ

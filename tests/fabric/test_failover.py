@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from repro.core import ComputationDAG, LayerTask, LightningDatapath
-from repro.core.stats import ServerStats
+from repro.core.stats import (
+    Outcome,
+    OutcomeFlag,
+    OutcomeReason,
+    OutcomeRows,
+    Outcomes,
+    check_accounting,
+)
 from repro.fabric import (
     FAILOVER_DROP,
     Fabric,
@@ -349,76 +356,85 @@ class TestQuarantineFailover:
             r.request.request_id for r in result.records()
         }
         dropped_ids = {
-            r.request_id
-            for shard in result.shard_results
-            if shard is not None
-            for r in shard.dropped
+            r.request_id for r in result.outcomes.requests(Outcome.DROPPED)
         }
         assert served_ids | dropped_ids == {
             r.request_id for r in requests
         }
 
 
-def synthetic_result(**overrides) -> FabricResult:
-    """A hand-built result for accounting-identity edge cases."""
+def fated(requests, fate, reason=OutcomeReason.NONE, flags=0):
+    """Routing-step rows for requests fated (or flagged) upstream."""
+    rows = OutcomeRows()
+    for request in requests:
+        rows.add(request, fate, reason, flags)
+    return rows.seal()
+
+
+def served_with(upstream=None, count=4) -> FabricResult:
+    """``count`` requests on one shard behind ``upstream`` rows."""
     fabric = Fabric([spec()])
     fabric.deploy(make_dag(1))
-    base = fabric.serve_trace(trace(count=4))
-    fields = dict(
-        shard_results=base.shard_results,
-        routed=base.routed,
-        stats=ServerStats(),
-        offered=base.offered,
-        total_cores=base.total_cores,
-        core_offsets=base.core_offsets,
+    return fabric.serve_routed(
+        trace(count=count), [0] * count, upstream=upstream
     )
-    fields.update(overrides)
-    return FabricResult(**fields)
 
 
 class TestExtendedAccounting:
-    """Satellite regression: `accounted` must treat every term of
+    """Satellite regression: every term of
     ``served+dropped+failed+unfinished+shed+failed_over == offered``
-    symmetrically, and bound the subset annotations."""
+    is a count of rows, and the subset annotations are bounded."""
 
     def test_shed_and_failed_over_enter_symmetrically(self):
-        assert synthetic_result(offered=6, shed=2).accounted()
-        assert synthetic_result(offered=6, failed_over=2).accounted()
-        assert synthetic_result(
-            offered=8, shed=2, failed_over=2
-        ).accounted()
-        assert not synthetic_result(offered=6).accounted()
+        extra = trace(count=8)[4:]
+        shed = fated(extra[:2], Outcome.SHED, OutcomeReason.ADMISSION)
+        over = fated(extra[2:], Outcome.FAILED_OVER)
+        for upstream, offered in ((shed, 6), (over, 6)):
+            result = served_with(upstream)
+            assert result.offered == offered and result.accounted()
+        both = served_with(Outcomes.concat([shed, over]))
+        assert (both.offered, both.shed, both.failed_over) == (8, 2, 2)
+        table = both.outcomes
+        assert table.shard.tolist() == [0] * 4 + [-1] * 4
+        assert table.reason.tolist()[4:6] == [OutcomeReason.ADMISSION] * 2
 
     def test_negative_terms_rejected(self):
-        assert not synthetic_result(offered=2, shed=-2).accounted()
-        assert not synthetic_result(
-            offered=2, failed_over=-2
-        ).accounted()
-        assert not synthetic_result(stolen=-1).accounted()
-        assert not synthetic_result(failovers=-1).accounted()
+        with pytest.raises(ValueError, match="negative"):
+            check_accounting(offered=2, served=4, shed=-2)
+        with pytest.raises(ValueError, match="negative"):
+            check_accounting(offered=2, served=4, failed_over=-2)
+        with pytest.raises(ValueError, match="negative"):
+            check_accounting(offered=4, served=4, stolen=-1)
+        with pytest.raises(ValueError, match="negative"):
+            check_accounting(offered=4, served=4, failovers=-1)
 
     def test_stolen_bounded_by_served(self):
-        assert synthetic_result(stolen=4).accounted()
-        assert not synthetic_result(stolen=5).accounted()
+        placed = trace(count=4)
+        stolen = fated(placed, Outcome.UNFINISHED, flags=OutcomeFlag.STOLEN)
+        assert served_with(stolen).stolen == 4
+        with pytest.raises(ValueError, match="stolen exceeds served"):
+            check_accounting(offered=4, served=4, stolen=5)
+        # A stolen request its shard then dropped leaves stolen > served.
+        with pytest.raises(ValueError, match="stolen exceeds served"):
+            check_accounting(offered=4, served=0, dropped=4, stolen=1)
 
     def test_serve_routed_validates_upstream_accounting(self):
         fabric = Fabric([spec()])
         fabric.deploy(make_dag(1))
         requests = trace(count=4)
-        routed = [0] * 4
-        with pytest.raises(ValueError, match="negative"):
-            fabric.serve_routed(requests, routed, shed=-1)
-        with pytest.raises(ValueError, match="exceeds"):
-            fabric.serve_routed(requests, routed, stolen=5)
-        with pytest.raises(ValueError, match="inconsistent"):
-            fabric.serve_routed(requests, routed, offered=9, shed=1)
+        with pytest.raises(ValueError, match="placements"):
+            fabric.serve_routed(requests, [0] * 3)
+        with pytest.raises(ValueError, match="out of range"):
+            fabric.serve_routed(requests, [0, 0, 0, 1])
+        with pytest.raises(ValueError, match="empty trace"):
+            fabric.serve_routed([], [], upstream=OutcomeRows().seal())
 
     def test_serve_routed_threads_failover_terms_through(self):
-        fabric = Fabric([spec()])
-        fabric.deploy(make_dag(1))
-        result = fabric.serve_routed(
-            trace(count=4), [0] * 4, shed=1, failed_over=2
-        )
+        extra = trace(count=7)[4:]
+        result = served_with(Outcomes.concat([
+            fated(extra[:1], Outcome.SHED, OutcomeReason.DEADLINE),
+            fated(extra[1:], Outcome.FAILED_OVER),
+        ]))
         assert result.offered == 7
         assert result.shed == 1
         assert result.failed_over == 2

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.stats import Outcome
 from repro.core.trace import DatapathTracer
 from repro.faults import (
     CalibrationWatchdog,
@@ -26,9 +27,9 @@ from .conftest import make_cluster, steady_trace
 def accounted(result) -> int:
     return (
         result.served
-        + len(result.dropped)
-        + len(result.failed)
-        + len(result.unfinished)
+        + result.dropped
+        + result.failed
+        + result.unfinished
     )
 
 
@@ -98,9 +99,9 @@ class TestDeterministicReplay:
             r.request.request_id for r in second.records
         ]
         assert first.serve_times().tolist() == second.serve_times().tolist()
-        assert [r.request_id for r in first.failed] == [
-            r.request_id for r in second.failed
-        ]
+        assert [
+            r.request_id for r in first.outcomes.requests(Outcome.FAILED)
+        ] == [r.request_id for r in second.outcomes.requests(Outcome.FAILED)]
 
 
 class TestCrashAccounting:
@@ -121,7 +122,7 @@ class TestCrashAccounting:
         assert 0 < result.served < 30
         # The in-flight batch was retried, then failed with the core dead.
         assert result.stats.retries > 0
-        assert result.stats.failed == len(result.failed) > 0
+        assert result.stats.failed == result.failed > 0
         assert result.stats.core_health[0] == "crashed"
 
     def test_surviving_cores_absorb_a_crash(self, tiny_dag):
@@ -135,8 +136,8 @@ class TestCrashAccounting:
             retry_policy=RetryPolicy(max_retries=2, backoff_s=1e-6),
         )
         assert accounted(result) == 100
-        assert len(result.failed) == 0
-        assert result.served + len(result.dropped) == 100
+        assert result.failed == 0
+        assert result.served + result.dropped == 100
         assert result.stats.core_health[2] == "crashed"
         assert not any(
             r.core == 2 and r.finish_s > 25e-6 for r in result.records
@@ -245,7 +246,7 @@ class TestSLODrops:
         )
         assert result.stats.slo_dropped > 0
         assert accounted(result) == 50
-        assert len(result.dropped) == result.stats.dropped
+        assert result.dropped == result.stats.dropped
         # Served requests were dispatched within their deadline.
         for record in result.records:
             dispatch_wait = (
@@ -273,7 +274,7 @@ class TestTimeout:
             steady_trace(count=60), timeout_s=30e-6
         )
         assert 0 < result.served < 60
-        assert len(result.unfinished) > 0
+        assert result.unfinished > 0
         assert accounted(result) == 60
         assert all(r.finish_s <= 30e-6 for r in result.records)
 

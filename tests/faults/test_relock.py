@@ -52,9 +52,9 @@ def relock_scenario(
 def accounted(result) -> int:
     return (
         result.served
-        + len(result.dropped)
-        + len(result.failed)
-        + len(result.unfinished)
+        + result.dropped
+        + result.failed
+        + result.unfinished
     )
 
 

@@ -27,6 +27,7 @@ import pytest
 
 from repro.core import LightningDatapath
 from repro.core.plans import ModelPlan
+from repro.core.stats import Outcome
 from repro.faults import (
     BiasRelockController,
     CalibrationWatchdog,
@@ -128,8 +129,9 @@ def digest(result) -> str:
             record.queuing_s.hex(), record.datapath_s.hex(),
             record.compute_s.hex(),
         )).encode())
-    for fate in (result.dropped, result.failed, result.unfinished):
-        sha.update(repr([r.request_id for r in fate]).encode())
+    for fate in (Outcome.DROPPED, Outcome.FAILED, Outcome.UNFINISHED):
+        requests = result.outcomes.requests(fate)
+        sha.update(repr([r.request_id for r in requests]).encode())
     stats = result.stats
     sha.update(repr((
         stats.quarantines, stats.relocks, stats.retries,

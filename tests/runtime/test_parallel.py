@@ -19,7 +19,7 @@ import gc
 import os
 import signal
 import time
-from collections import Counter
+from collections import Counter, deque
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -34,6 +34,7 @@ from repro.core import (
     ReferenceDatapath,
 )
 from repro.core.dag import AttentionShape, ConvShape, PoolShape
+from repro.core.stats import Outcome
 from repro.faults import CalibrationWatchdog, FaultSchedule, RetryPolicy
 from repro.photonics import BehavioralCore, CoreArchitecture, GaussianNoise
 from repro.runtime import Cluster, RuntimeRequest
@@ -147,15 +148,10 @@ def assert_bit_identical(serial, parallel) -> None:
         assert a.compute_s == b.compute_s
         assert a.finish_s == b.finish_s
         assert a.prediction == b.prediction
-    assert [r.request_id for r in serial.dropped] == [
-        r.request_id for r in parallel.dropped
-    ]
-    assert [r.request_id for r in serial.failed] == [
-        r.request_id for r in parallel.failed
-    ]
-    assert sorted(r.request_id for r in serial.unfinished) == sorted(
-        r.request_id for r in parallel.unfinished
-    )
+    for fate in (Outcome.DROPPED, Outcome.FAILED, Outcome.UNFINISHED):
+        assert [r.request_id for r in serial.outcomes.requests(fate)] == [
+            r.request_id for r in parallel.outcomes.requests(fate)
+        ]
     assert serial.busy_seconds == parallel.busy_seconds
     assert serial.horizon_s == parallel.horizon_s
     assert serial.stats.summary() == parallel.stats.summary()
@@ -298,7 +294,7 @@ class TestParallelFaultDeterminism:
             fault_schedule=schedule,
             retry_policy=RetryPolicy(max_retries=2, backoff_s=1e-6),
         )
-        assert serial.served + len(serial.failed) == serial.offered
+        assert serial.served + serial.failed == serial.offered
         assert_bit_identical(serial, parallel)
 
     def test_timeout_drains_workers_cleanly(self):
@@ -360,9 +356,9 @@ class TestWindowInvariance:
         )
         accounted = (
             parallel.served
-            + len(parallel.dropped)
-            + len(parallel.failed)
-            + len(parallel.unfinished)
+            + parallel.dropped
+            + parallel.failed
+            + parallel.unfinished
         )
         assert accounted == parallel.offered
         assert_bit_identical(serial, parallel)
@@ -540,6 +536,39 @@ class TestWorkerHeapFrozen:
         assert expired[-1] == 0, f"poll timer expired on every build: {expired}"
 
 
+class _LateRing:
+    """A completion ring whose answers land while the parent waits,
+    just as a poll timer expires and the stall guard runs."""
+
+    def __init__(self, messages):
+        self.messages = deque(messages)
+        self.landed = False
+
+    def poll(self):
+        if self.landed and self.messages:
+            return self.messages.popleft()
+        return None
+
+    def collect(self, on_stall):
+        self.landed = True
+        on_stall()
+        # The real wait blocks until a completion it can take arrives.
+        assert self.messages, "the guard stashed what the wait awaited"
+        return self.messages.popleft()
+
+
+def test_a_poll_timer_during_a_collect_keeps_the_join_order():
+    pool = object.__new__(parallel_module.CoreWorkerPool)
+    pool._procs = [type("Alive", (), {"is_alive": lambda self: True})()]
+    pool._rings = [_LateRing([("pred", 0, [4]), ("pred", 1, [5])])]
+    pool._stash, pool._backlogged = [deque()], [False]
+    pool._outstanding, pool._discarded = [{0, 1}], [set()]
+    pool._guards = [pool._stall_guard(0)]
+    pool._collect_guards = [pool._stall_guard(0, collecting=True)]
+    assert pool.result(0, 0) == [4]
+    assert pool.result(0, 1) == [5]
+
+
 class TestWorkerCrashHardening:
     def test_dead_worker_raises_instead_of_hanging(self):
         # A worker killed while the parent awaits its window must
@@ -555,6 +584,33 @@ class TestWorkerCrashHardening:
             )
             with pytest.raises(RuntimeError, match="worker 0 died"):
                 pool.result(0, seq)
+
+    def test_worker_death_names_where_the_worker_was(self):
+        # One batch answered, the worker SIGKILLed, two more sent: the
+        # error names the awaited and last dispatched seqs, how many
+        # were outstanding, and the exit code.
+        with make_cluster("parallel", num_cores=2) as cluster:
+            dag = dense_dag()
+            cluster.deploy(dag)
+            pool = cluster._pool
+
+            def send(batch):
+                key = (0, 0, 0, batch)
+                return pool.run(0, dag.model_id, np.zeros(12), 0.0, key)
+
+            assert len(pool.result(0, send(0))) == 1
+            os.kill(pool._procs[0].pid, signal.SIGKILL)
+            pool._procs[0].join(timeout=10.0)
+            last = [send(batch) for batch in (1, 2)][-1]
+            with pytest.raises(RuntimeError) as raised:
+                pool.result(0, last)
+            message = str(raised.value)
+            assert message.startswith("worker 0 died")
+            for field in (
+                "awaited seq 1", "last dispatched seq 2", "2 outstanding",
+                "exitcode -9",
+            ):
+                assert field in message, message
 
     def test_worker_failure_surfaces_the_exception_in_the_parent(self):
         # An out-of-range input fails the worker's forward pass; the

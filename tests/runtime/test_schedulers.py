@@ -11,7 +11,6 @@ from repro.runtime import (
     ModelQueueView,
     RoundRobinScheduler,
     Scheduler,
-    WeightedFairScheduler,
 )
 from repro.sim import RoundRobinScheduler as SimRoundRobinScheduler
 
@@ -32,7 +31,7 @@ class TestProtocol:
         [
             RoundRobinScheduler(2),
             LeastLoadedScheduler(2),
-            WeightedFairScheduler(2),
+            HealthAwareScheduler(2),
         ],
     )
     def test_policies_satisfy_protocol(self, policy):
@@ -67,6 +66,10 @@ class TestRoundRobin:
         )
         assert picked == 3
 
+    def test_fifo_rejects_empty_candidates(self):
+        with pytest.raises(ValueError, match="candidate"):
+            RoundRobinScheduler(num_cores=1).next_model([])
+
 
 class TestLeastLoaded:
     def test_picks_earliest_free_core(self):
@@ -80,49 +83,6 @@ class TestLeastLoaded:
     def test_requires_load_information(self):
         with pytest.raises(ValueError, match="load information"):
             LeastLoadedScheduler(num_cores=2).assign(None)
-
-
-class TestWeightedFair:
-    def test_unserved_models_tie_break_fifo(self):
-        sched = WeightedFairScheduler(num_cores=1)
-        assert (
-            sched.next_model([view(1, head=1.0), view(2, head=0.5)]) == 2
-        )
-
-    def test_service_pushes_model_back(self):
-        sched = WeightedFairScheduler(num_cores=1)
-        sched.account(1, 1.0)
-        assert sched.next_model([view(1), view(2)]) == 2
-
-    def test_weights_shape_the_share(self):
-        """Weight 3 vs 1 under saturation → ~3:1 core-time split."""
-        sched = WeightedFairScheduler(
-            num_cores=1, weights={1: 3.0, 2: 1.0}
-        )
-        service = {1: 0.0, 2: 0.0}
-        for _ in range(400):
-            model = sched.next_model([view(1), view(2)])
-            sched.account(model, 1e-6)
-            service[model] += 1e-6
-        assert service[1] / service[2] == pytest.approx(3.0, rel=0.05)
-
-    def test_reset_forgets_history(self):
-        sched = WeightedFairScheduler(num_cores=1)
-        sched.account(1, 5.0)
-        sched.reset()
-        assert (
-            sched.next_model([view(1, head=0.0), view(2, head=1.0)]) == 1
-        )
-
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError, match="positive"):
-            WeightedFairScheduler(num_cores=1, weights={1: 0.0})
-        with pytest.raises(ValueError, match="positive"):
-            WeightedFairScheduler(num_cores=1, default_weight=-1.0)
-
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(ValueError, match="candidate"):
-            WeightedFairScheduler(num_cores=1).next_model([])
 
 
 class TestHealthAware:
@@ -211,25 +171,24 @@ class TestDeterministicTieBreaks:
         sched = LeastLoadedScheduler(num_cores=3)
         assert sched.assign(None, [7.0, 7.0 - 1e-15, 7.0]) == 1
 
-    def test_weighted_fair_equal_service_ties_on_model_id(self):
-        """Same service, same head-of-line age → lowest model id, in
-        every candidate permutation."""
+    def test_fifo_equal_heads_tie_on_model_id(self):
+        """Same head-of-line age → lowest model id, in every candidate
+        permutation."""
         import itertools
 
         candidates = [view(m, head=1.0) for m in (9, 3, 7)]
         for perm in itertools.permutations(candidates):
-            sched = WeightedFairScheduler(num_cores=1)
+            sched = RoundRobinScheduler(num_cores=1)
             assert sched.next_model(list(perm)) == 3
 
-    def test_weighted_fair_order_is_total(self):
-        """service, then head age, then model id — a full total order."""
-        sched = WeightedFairScheduler(num_cores=1)
-        sched.account(1, 1.0)
-        # Model 1 has service 1.0; models 2 and 3 tie at 0 service and
-        # equal head age → model 2 by id.
-        assert sched.next_model(
-            [view(3, head=0.5), view(1, head=0.0), view(2, head=0.5)]
-        ) == 2
+    def test_fifo_order_is_total(self):
+        """Head age, then model id — a full total order."""
+        sched = LeastLoadedScheduler(num_cores=1)
+        # Model 1 waited longest; models 2 and 3 tie on head age →
+        # model 2 by id once model 1 is gone.
+        candidates = [view(3, head=0.5), view(1, head=0.0), view(2, head=0.5)]
+        assert sched.next_model(candidates) == 1
+        assert sched.next_model(candidates[:1] + candidates[2:]) == 2
 
     def test_health_aware_ties_rotate_deterministically(self):
         """Tied clean cores rotate by the counter, not dict order."""

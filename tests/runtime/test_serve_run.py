@@ -24,7 +24,8 @@ from repro.faults import (
     FaultSchedule,
     RetryPolicy,
 )
-from repro.runtime import RuntimeRequest, executor
+from repro.core.stats import Outcome, OutcomeReason
+from repro.runtime import RuntimeRecord, RuntimeRequest, executor
 from repro.runtime.cluster import _VOID, _ServeRun
 
 from .test_cluster import make_cluster, request, second_dag
@@ -57,6 +58,11 @@ def ids(requests) -> list[int]:
     return [r.request_id for r in requests]
 
 
+def fated(run, fate) -> list:
+    """The requests a run's rows so far gave ``fate``, in row order."""
+    return run.rows.seal().requests(fate)
+
+
 def event_kinds(tracer) -> list[str]:
     return [event.kind for event in tracer.events]
 
@@ -86,10 +92,10 @@ class TestHandlers:
         # The superseded completion fires first and changes nothing.
         assert run.on_complete((0, stamp), finish) is _VOID
         assert slot.inflight is batch
-        assert (run.records, run.busy_seconds, run.stats.served) == ([], 0, 0)
+        assert (len(run.rows), run.busy_seconds, run.stats.served) == (0, 0, 0)
         assert run.on_complete((0, slot.epoch), batch.finish_s) is None
         assert slot.inflight is None
-        (record,) = run.records
+        (record,) = RuntimeRecord.rows(run.rows.seal())
         assert record.finish_s == finish + 5e-6
         assert record.queuing_s == pytest.approx(5e-6)  # the stall, in t_q
         assert run.busy_seconds == batch.service_s
@@ -162,8 +168,12 @@ class TestHandlers:
         assert run.HANDLERS["retry"] is run.HANDLERS["arrival"]
         arrive(run, 3)
         # The full queue evicted its head to admit the third arrival.
-        assert run.dropped == [trace[0]]
-        assert (run.stats.dropped, cluster.nic_counters.dropped) == (1, 1)
+        assert fated(run, Outcome.DROPPED) == [trace[0]]
+        assert run.rows.seal().reason.tolist() == [
+            OutcomeReason.QUEUE_OVERFLOW
+        ]
+        # The queue moves the NIC's counter; the stats wait for the fold.
+        assert (run.stats.dropped, cluster.nic_counters.dropped) == (0, 1)
         assert ids(e.item for e in cluster._queues[1].drain()) == [1, 2]
         assert event_kinds(tracer) == ["enqueue", "enqueue", "drop"]
         assert run.unadmitted == 0
@@ -215,7 +225,7 @@ class TestHandlers:
         assert {r.core for r in result.records} == {1 - core}
         # Losing a request again exhausts the one retry it had.
         run._requeue(trace[0], 1.0)
-        assert ids(run.failed) == [0]
+        assert ids(fated(run, Outcome.FAILED)) == [0]
 
     def test_result_after_a_timeout_counts_each_leftover_once(
         self, tiny_dag
@@ -240,9 +250,11 @@ class TestHandlers:
         run.on_fault(crash, 1e-7)
         result = run.result()
         # In flight, queued, not yet arrived, awaiting its retry.
-        assert ids(result.unfinished) == [0, 2, 3, 1]
-        assert (result.served, result.dropped, result.failed) == (0, (), ())
-        assert result.offered == len(result.unfinished) == 4
+        assert ids(result.outcomes.requests(Outcome.UNFINISHED)) == [
+            0, 2, 3, 1
+        ]
+        assert (result.served, result.dropped, result.failed) == (0, 0, 0)
+        assert result.offered == result.unfinished == 4
         assert (run.stats.offered, run.stats.unfinished) == (4, 4)
         assert all(q.depth == 0 for q in cluster._queues.values())
 
@@ -273,7 +285,10 @@ class TestDeadlinePartition:
         for item in trace:
             run.on_arrival(item, 10e-6)
         run.dispatch(10e-6)
-        assert ids(run.dropped) == [1, 3]
+        assert ids(fated(run, Outcome.DROPPED)) == [1, 3]
+        table = run.rows.seal()
+        assert table.reason.tolist() == [OutcomeReason.SLO] * 2
+        run.fold(table)
         assert (run.stats.slo_dropped, run.stats.dropped) == (2, 2)
         assert cluster.nic_counters.dropped == 2
         assert ids(e.item for e in run.slots[0].inflight.entries) == [0, 2]
@@ -290,7 +305,8 @@ class TestDeadlinePartition:
         for item in stale + [fresh]:
             run.on_arrival(item, 10e-6)
         run.dispatch(10e-6)
-        assert ids(run.dropped) == [0, 1, 2]
+        assert ids(fated(run, Outcome.DROPPED)) == [0, 1, 2]
+        run.fold(run.rows.seal())
         assert run.stats.slo_dropped == 3
         assert ids(e.item for e in run.slots[0].inflight.entries) == [9]
 
@@ -379,7 +395,7 @@ class TestExitContract:
             fault_schedule=FaultSchedule().core_crash(at_s=1e-9, core=0),
             retry_policy=RetryPolicy(max_retries=0),
         )
-        assert len(result.failed) == 5
+        assert result.failed == 5
         assert all(q.depth == 0 for q in cluster._queues.values())
         assert cluster._executor._done == {}
         assert not any(cluster._executor._pending)

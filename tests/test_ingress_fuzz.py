@@ -184,7 +184,7 @@ def serve_interleaved(stack, hostile_frames) -> None:
     seen = counters.frames_seen - before.frames_seen
     punted = counters.punted - before.punted
     ingress_dropped = (
-        counters.dropped - before.dropped - len(result.dropped)
+        counters.dropped - before.dropped - result.dropped
     )
     assert seen == report.delivered
     assert seen == punted + ingress_dropped + result.offered
@@ -192,9 +192,9 @@ def serve_interleaved(stack, hostile_frames) -> None:
     check_accounting(
         offered=result.offered,
         served=result.served,
-        dropped=len(result.dropped),
-        failed=len(result.failed),
-        unfinished=len(result.unfinished),
+        dropped=result.dropped,
+        failed=result.failed,
+        unfinished=result.unfinished,
     )
     got = {r.request.request_id: r.prediction for r in result.records}
     assert {k: got[k] for k in expected} == expected

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import ComputationDAG, LayerTask, LightningDatapath
+from repro.core.stats import Outcome, OutcomeReason, OutcomeRows
 from repro.fabric import (
     Fabric,
     FailoverRouter,
@@ -180,15 +181,17 @@ class TestServeRouted:
         with pytest.raises(ValueError, match="placements"):
             fabric.serve_routed(overload_trace[:5], [0, 1])
 
-    def test_inconsistent_accounting_rejected(self, overload_trace):
-        fabric = build_fabric()
-        with pytest.raises(ValueError, match="inconsistent"):
-            fabric.serve_routed(
-                overload_trace[:4],
-                [0, 0, 1, 1],
-                offered=10,
-                shed=2,
-            )
+    def test_offered_counts_the_rows(self, overload_trace):
+        """``offered`` is the placed trace plus the upstream rows — it
+        has no second source that could disagree with them."""
+        rows = OutcomeRows()
+        for request in overload_trace[4:6]:
+            rows.add(request, Outcome.SHED, OutcomeReason.ADMISSION)
+        result = build_fabric().serve_routed(
+            overload_trace[:4], [0, 0, 1, 1], upstream=rows.seal()
+        )
+        assert (result.offered, result.shed) == (6, 2)
+        assert len(result.outcomes) == 6
 
     def test_closed_loop_serve_trace_unchanged(self, overload_trace):
         """serve_trace still reports shed=0 and the legacy invariant."""
@@ -414,12 +417,16 @@ class TestNothingAdmitted:
         assert result.failed_over == len(requests)
         self.balanced_and_empty(result, len(requests))
 
-    def test_serve_routed_balances_an_empty_admitted_trace(self):
+    def test_serve_routed_balances_an_empty_admitted_trace(
+        self, overload_trace
+    ):
         fabric = build_fabric()
-        self.balanced_and_empty(
-            fabric.serve_routed([], [], offered=7, shed=4, failed_over=3),
-            offered=7,
-        )
+        rows = OutcomeRows()
+        for i, request in enumerate(overload_trace[:7]):
+            rows.add(request, Outcome.SHED if i < 4 else Outcome.FAILED_OVER)
+        result = fabric.serve_routed([], [], upstream=rows.seal())
+        self.balanced_and_empty(result, offered=7)
+        assert (result.shed, result.failed_over) == (4, 3)
         with pytest.raises(ValueError, match="empty"):
             fabric.serve_routed([], [])
 
@@ -492,8 +499,11 @@ class TestProbeIsOneLedgerReplay:
                         )
                         for r in shard.records
                     ],
-                    [r.request_id for r in shard.dropped],
-                    [r.request_id for r in shard.failed],
+                    [
+                        r.request_id
+                        for fate in (Outcome.DROPPED, Outcome.FAILED)
+                        for r in shard.outcomes.requests(fate)
+                    ],
                 )
                 for shard in result.shard_results
             ],
