@@ -113,8 +113,8 @@ def test_fault_resilience_report(campaign, report_writer):
             [
                 label,
                 result.served,
-                len(result.dropped),
-                len(result.failed),
+                result.dropped,
+                result.failed,
                 result.stats.retries,
                 100.0 * result.served / result.offered,
                 result.throughput_rps / 1e6,
@@ -150,8 +150,7 @@ def test_every_request_accounted_under_crash(campaign):
     _, crashed, cluster, crash_at = campaign
     assert crashed.offered == NUM_REQUESTS
     assert (
-        crashed.served + len(crashed.dropped) + len(crashed.failed)
-        == NUM_REQUESTS
+        crashed.served + crashed.dropped + crashed.failed == NUM_REQUESTS
     )
     assert not crashed.unfinished
     assert crashed.stats.core_health[1] == "crashed"

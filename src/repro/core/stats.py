@@ -20,7 +20,7 @@ run.
 from __future__ import annotations
 
 import heapq
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import IntEnum, IntFlag
 from functools import cached_property
 
@@ -80,12 +80,6 @@ def sequential_sum(start: float, values: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(((start,), values)))[-1])
 
 
-def _add_into(totals: dict, more: dict) -> None:
-    """``totals[key] += value`` for each item of ``more``, in order."""
-    for key, value in more.items():
-        totals[key] = totals.get(key, 0) + value
-
-
 def grouped_by_first_use(codes: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """``(code, rows holding it)`` per distinct code, ordered by each
     code's first row — the order a per-value loop would first meet
@@ -120,9 +114,11 @@ class LatencyReservoir:
     subsample, which is what makes p999 SLO curves meaningful without
     per-request record retention.
 
-    :meth:`add_many` observes a block exactly as per-value :meth:`add`
-    calls would; both take replacement slots from a pre-drawn block
-    (see :meth:`_settle`).
+    :meth:`add_many` observes a block of values at once and leaves the
+    reservoir exactly as per-value :meth:`add` calls would.  Both take
+    their replacement slots from one pre-drawn block, so the generator
+    runs ahead of the per-value position between calls; :meth:`merge`
+    rewinds it before drawing from it.
     """
 
     def __init__(
@@ -415,6 +411,10 @@ class EnergyLedger:
     so energy percentiles get the same exact-tail treatment as
     latency percentiles — p999 energy over a million-request campaign
     is an exact order statistic, not an estimate.
+
+    Ledgers merge the same way :class:`ServerStats` do: totals add
+    exactly (so merged means are exact and order-invariant), and the
+    reservoirs fold via :meth:`LatencyReservoir.merge`.
     """
 
     def __init__(
@@ -478,6 +478,17 @@ class EnergyLedger:
         """Exact joules-per-inference over every charged request."""
         return self._reservoir.mean
 
+    def model_mean_joules(self, model_id: int | str) -> float:
+        """Exact joules-per-inference for one model."""
+        count = self.per_model_count.get(model_id, 0)
+        if count == 0:
+            raise ValueError(f"no energy charged for model {model_id!r}")
+        return self.per_model_joules[model_id] / count
+
+    def percentile(self, q: float) -> float:
+        """One per-request energy percentile (exact inside the tail)."""
+        return self._reservoir.percentile(q)
+
     def percentiles(self, qs: list[float]) -> list[float]:
         """Several energy percentiles from one pass."""
         return self._reservoir.percentiles(qs)
@@ -490,8 +501,14 @@ class EnergyLedger:
         reservoirs (exact tails stay exact up to the smaller side's
         guarantee).
         """
-        _add_into(self.per_model_joules, other.per_model_joules)
-        _add_into(self.per_model_count, other.per_model_count)
+        for model_id, joules in other.per_model_joules.items():
+            self.per_model_joules[model_id] = (
+                self.per_model_joules.get(model_id, 0.0) + joules
+            )
+        for model_id, count in other.per_model_count.items():
+            self.per_model_count[model_id] = (
+                self.per_model_count.get(model_id, 0) + count
+            )
         self._reservoir.merge(other._reservoir)
 
     def summary(self) -> dict[str, float | int]:
@@ -537,7 +554,9 @@ class OutcomeReason(IntEnum):
 class OutcomeFlag(IntFlag):
     """Row annotations, never fates of their own: placed off the
     router's answer by a steal, moved off its primary replica by the
-    failover router, re-served on a replica by a recovery pass."""
+    failover router, re-served on a replica by a recovery pass.  A
+    flag stays on its row whatever the fate; the ``stolen`` count
+    takes only served rows (:meth:`Outcomes.tally`)."""
 
     STOLEN, REROUTED, HANDED = 1, 2, 4
 
@@ -599,18 +618,23 @@ class Outcomes:
 
     def tally(self) -> dict[str, int]:
         """Every count :func:`check_accounting` takes: one per fate
-        (``bincount(fate)``), ``offered`` (the rows), and ``stolen``
-        and ``failovers`` (re-routes plus hand-offs) from the flags."""
-        stolen, rerouted, handed = (
-            int(np.count_nonzero(self.flags & flag)) for flag in OutcomeFlag
+        (``bincount(fate)``), ``offered`` (the rows), and from the
+        flags ``stolen`` (served rows a steal placed — a subset of
+        ``served`` by construction) and ``failovers`` (re-routes plus
+        hand-offs, on any row: a row with both counts twice)."""
+        served = self.flags[self.fate == Outcome.SERVED]
+        stolen = np.count_nonzero(served & OutcomeFlag.STOLEN)
+        rerouted, handed = (
+            np.count_nonzero(self.flags & flag)
+            for flag in (OutcomeFlag.REROUTED, OutcomeFlag.HANDED)
         )
         counts = np.bincount(self.fate, minlength=len(Outcome)).tolist()
-        counts += [len(self), stolen, rerouted + handed]
+        counts += [len(self), int(stolen), int(rerouted + handed)]
         return dict(zip(_TALLY, counts))
 
 
-#: An unserved row's core, batch, t_d, t_c and finish.
-_UNSERVED = (-1, 0, np.nan, np.nan, np.nan)
+#: An unserved row's shard, core, batch, t_d, t_c and finish.
+_UNSERVED = (-1, -1, 0, np.nan, np.nan, np.nan)
 
 
 class OutcomeRows:
@@ -623,11 +647,10 @@ class OutcomeRows:
         return len(self._rows)
 
     def add(
-        self, request, fate: Outcome, reason: int = 0, flags: int = 0,
-        shard: int = -1,
+        self, request, fate: Outcome, reason: int = 0, flags: int = 0
     ) -> None:
         """One row for a request that was not served."""
-        self._rows.append((request, fate, reason, flags, shard) + _UNSERVED)
+        self._rows.append((request, fate, reason, flags) + _UNSERVED)
 
     def add_served(
         self, requests: list, core: int, finish_s: float,
@@ -704,7 +727,17 @@ def check_accounting(
 
     Raises :exc:`ValueError` with the full tally on any violation.
     """
-    counters = dict(locals())  # every count, by its keyword
+    counters = {
+        "offered": offered,
+        "served": served,
+        "dropped": dropped,
+        "failed": failed,
+        "unfinished": unfinished,
+        "shed": shed,
+        "failed_over": failed_over,
+        "stolen": stolen,
+        "failovers": failovers,
+    }
     for name, value in counters.items():
         if value < 0:
             raise ValueError(f"negative {name} count: {counters}")
@@ -768,24 +801,19 @@ class NICCounters:
 
     def merge(self, other: "NICCounters") -> None:
         """Accumulate another NIC's frame counters into this one."""
-        for counter in fields(self):
-            name = counter.name
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.served += other.served
+        self.punted += other.punted
+        self.dropped += other.dropped
+        self.frames_seen += other.frames_seen
 
     def summary(self) -> dict[str, int]:
         """A dashboard-style snapshot of the frame counters."""
-        return asdict(self)
-
-
-#: The :class:`ServerStats` counters its :meth:`~ServerStats.summary`
-#: reports, and the ones only :meth:`~ServerStats.merge` carries.
-_SUMMARY_COUNTERS = (
-    "served", "punted", "dropped", "errors", "failed", "retries",
-    "slo_dropped", "quarantines", "relocks",
-)
-_COUNTERS = _SUMMARY_COUNTERS + (
-    "offered", "shed", "stolen", "failed_over", "failovers", "unfinished",
-)
+        return {
+            "served": self.served,
+            "punted": self.punted,
+            "dropped": self.dropped,
+            "frames_seen": self.frames_seen,
+        }
 
 
 @dataclass
@@ -797,30 +825,49 @@ class ServerStats:
     :data:`DEFAULT_RESERVOIR_CAPACITY`), so sustained traffic cannot
     exhaust memory; counts and the mean stay exact, and percentiles are
     unbiased estimates over the full history.
+
+    The fate counters (named like :meth:`Outcomes.tally`'s keys) and
+    ``slo_dropped`` are folded in from each serve's table
+    (:meth:`fold`), or set directly by the fleet engine, which keeps
+    counters instead of rows, and by a fabric's recovery hand-offs.
     """
 
-    #: The counts named like :meth:`Outcomes.tally`'s, and
-    #: ``slo_dropped`` (drops for the SLO), are folded in from each
-    #: serve's table (:meth:`fold`) — or set directly, by the fleet
-    #: engine and a fabric's recovery hand-offs.
     served: int = 0
     punted: int = 0
     dropped: int = 0
     errors: int = 0
+    #: ``FAILED`` rows: requests abandoned after exhausting their retry
+    #: budget or stranded with no usable core — shed loudly, never lost
+    #: silently.
     failed: int = 0
     #: Re-enqueues of requests lost to crashed/stalled cores.
     retries: int = 0
+    #: ``DROPPED`` rows whose reason is the SLO: shed before dispatch
+    #: because their deadline passed (also included in ``dropped``).
     slo_dropped: int = 0
     #: Cores removed from service by the calibration watchdog.
     quarantines: int = 0
     #: Quarantined cores returned to service after a bias re-lock
     #: brought their calibration probe back under threshold.
     relocks: int = 0
+    #: Requests presented to this layer: one table row each.
     offered: int = 0
+    #: ``SHED`` rows: requests refused by admission control, or by the
+    #: gateway pre-pass for their deadline or energy budget, before
+    #: reaching a serving queue.
     shed: int = 0
+    #: Served requests a steal placed on a sibling shard (a subset of
+    #: ``served``, never a separate fate).
     stolen: int = 0
+    #: ``FAILED_OVER`` rows: requests abandoned at routing because
+    #: every replica of their model was dead.
     failed_over: int = 0
+    #: Rows re-routed off their primary replica by the failover router
+    #: or handed to a replica by the recovery pass (annotations; their
+    #: fates are counted where they landed).
     failovers: int = 0
+    #: ``UNFINISHED`` rows: requests still queued, in flight, or not yet
+    #: arrived when the serve ended.
     unfinished: int = 0
     per_model_served: dict[int, int] = field(default_factory=dict)
     #: Last observed state per core ("healthy" | "stalled" |
@@ -863,10 +910,11 @@ class ServerStats:
         served = outcomes.served()
         models, codes = np.unique(served.model, return_inverse=True)
         models = models.tolist()
-        groups = grouped_by_first_use(codes)
-        _add_into(self.per_model_served, {
-            models[code]: len(rows) for code, rows in groups
-        })
+        for code, rows in grouped_by_first_use(codes):
+            model_id = models[code]
+            self.per_model_served[model_id] = (
+                self.per_model_served.get(model_id, 0) + len(rows)
+            )
         self._latencies.add_many(served.serve_s)
         priced = ~np.isnan(served.joules)
         self.energy.charge_many(models, codes[priced], served.joules[priced])
@@ -879,7 +927,17 @@ class ServerStats:
         only the primary fates sum.  Raises :exc:`ValueError` when a
         request went missing or was double-counted.
         """
-        check_accounting(**{name: getattr(self, name) for name in _TALLY})
+        check_accounting(
+            offered=self.offered,
+            served=self.served,
+            dropped=self.dropped,
+            failed=self.failed,
+            unfinished=self.unfinished,
+            shed=self.shed,
+            failed_over=self.failed_over,
+            stolen=self.stolen,
+            failovers=self.failovers,
+        )
 
     def latency_percentile(self, percentile: float) -> float:
         """Serve-time percentile in seconds (raises with no samples)."""
@@ -904,9 +962,25 @@ class ServerStats:
         they land in :attr:`core_health` — the fabric uses it to map
         each shard's local cores into one global namespace.
         """
-        for name in _COUNTERS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        _add_into(self.per_model_served, other.per_model_served)
+        self.served += other.served
+        self.punted += other.punted
+        self.dropped += other.dropped
+        self.errors += other.errors
+        self.failed += other.failed
+        self.retries += other.retries
+        self.slo_dropped += other.slo_dropped
+        self.quarantines += other.quarantines
+        self.relocks += other.relocks
+        self.offered += other.offered
+        self.shed += other.shed
+        self.stolen += other.stolen
+        self.failed_over += other.failed_over
+        self.failovers += other.failovers
+        self.unfinished += other.unfinished
+        for model_id, count in other.per_model_served.items():
+            self.per_model_served[model_id] = (
+                self.per_model_served.get(model_id, 0) + count
+            )
         for core, state in other.core_health.items():
             self.core_health[core + core_offset] = state
         self._latencies.merge(other._latencies)
@@ -915,12 +989,24 @@ class ServerStats:
     def summary(self) -> dict[str, float | int]:
         """A dashboard-style snapshot."""
         out: dict[str, float | int] = {
-            name: getattr(self, name) for name in _SUMMARY_COUNTERS
+            "served": self.served,
+            "punted": self.punted,
+            "dropped": self.dropped,
+            "errors": self.errors,
+            "failed": self.failed,
+            "retries": self.retries,
+            "slo_dropped": self.slo_dropped,
+            "quarantines": self.quarantines,
+            "relocks": self.relocks,
         }
         if len(self._latencies):
-            values = self._latencies.percentiles([50, 95, 99, 99.9])
-            for name, value in zip(("p50", "p95", "p99", "p999"), values):
-                out[f"{name}_us"] = value * 1e6
+            p50, p95, p99, p999 = self._latencies.percentiles(
+                [50, 95, 99, 99.9]
+            )
+            out["p50_us"] = p50 * 1e6
+            out["p95_us"] = p95 * 1e6
+            out["p99_us"] = p99 * 1e6
+            out["p999_us"] = p999 * 1e6
             out["mean_us"] = self.mean_latency_s * 1e6
         out.update(self.energy.summary())
         return out

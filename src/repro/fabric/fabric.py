@@ -138,9 +138,10 @@ class FabricResult(Tallied):
     *global* core filled in, then the rows the routing step fated
     before any shard.  Counts reduce from it
     (:class:`~repro.core.stats.Tallied`), plus ``shed`` and
-    ``failed_over`` and the flag counts ``stolen`` (placed off the
-    router's answer) and ``failovers`` (router re-routes plus recovery
-    hand-offs: a request that had both counts twice).  Per-shard
+    ``failed_over`` and the flag counts ``stolen`` (served rows a steal
+    placed off the router's answer) and ``failovers`` (router re-routes
+    plus recovery hand-offs: a request that had both counts twice).
+    Per-shard
     :class:`~repro.runtime.cluster.ClusterResult` objects are kept
     verbatim (``None`` for shards the router never used).
     """
@@ -148,12 +149,15 @@ class FabricResult(Tallied):
     shard_results: tuple[ClusterResult | None, ...]
     #: Shard index each placed request was routed to, arrival order.
     routed: tuple[int, ...]
-    #: Cross-shard merged counters, latency percentiles and energy
-    #: ledger, over the fabric's lifetime (shard stats are cumulative).
+    #: Cross-shard merged counters, latency percentiles, and the
+    #: per-request energy ledger (``stats.energy``).  Shard stats are
+    #: cumulative across a fabric's serves, so this reflects the
+    #: fabric's lifetime — equal to this serve for a fresh fabric.
     stats: ServerStats
     outcomes: Outcomes
-    #: Per-shard recovery serves of requests a dead shard stranded
-    #: (``None`` where the shard re-served nothing).
+    #: Per-shard recovery serves: requests stranded by a mid-trace
+    #: shard death re-served on a healthy replica (``None`` when the
+    #: shard ran no recovery pass).
     recovery_results: tuple[ClusterResult | None, ...] = ()
 
     shed = property(lambda self: self.tally["shed"])
@@ -389,16 +393,20 @@ class Fabric:
     ) -> list[RuntimeRequest]:
         """Map public model ids to the version alias active at each
         request's arrival (identity for unversioned models)."""
-        versions = self.versions
-        aliases = [
-            versions.alias_at(r.model_id, r.arrival_s)
-            if versions.is_versioned(r.model_id) else r.model_id
-            for r in trace
-        ]
-        return [
-            r if alias == r.model_id else replace(r, model_id=alias)
-            for r, alias in zip(trace, aliases)
-        ]
+        rewritten: list[RuntimeRequest] = []
+        for request in trace:
+            if not self.versions.is_versioned(request.model_id):
+                rewritten.append(request)
+                continue
+            alias = self.versions.alias_at(
+                request.model_id, request.arrival_s
+            )
+            rewritten.append(
+                request
+                if alias == request.model_id
+                else replace(request, model_id=alias)
+            )
+        return rewritten
 
     # ------------------------------------------------------------------
     # Serving
@@ -435,9 +443,9 @@ class Fabric:
             raise ValueError("cannot serve an empty trace")
         routing = _Routing(self)
         for request in trace:
-            target = routing.route(request, routing.views())
-            if target is not None:
-                routing.place(request, target)
+            routed = routing.route(request, routing.views())
+            if routed is not None:
+                routing.place(request, *routed)
         return routing.serve(
             fault_schedule=fault_schedule,
             watchdog=watchdog,
@@ -456,58 +464,78 @@ class Fabric:
         retry_policy: RetryPolicy | None = None,
         slo_s: float | None = None,
         timeout_s: float | None = None,
+        flags: Sequence[int] | None = None,
         upstream: Outcomes | None = None,
     ) -> FabricResult:
         """Serve a trace whose shard placement is already decided.
 
         The execution half of :meth:`serve_trace`, and the seam the
         open-loop gateway (``repro.traffic``) executes through.
-        ``upstream`` is the caller's routing step as
-        :class:`~repro.core.stats.Outcomes` rows: a row with ``shard``
-        -1 was fated before any shard (shed, failed over) and joins
-        the result's table as it is; a placed row lends its ``flags``
-        (stolen, re-routed) to its shard's row for the same request.
-        An empty ``trace`` is refused unless something was fated
-        upstream.
+        ``flags`` holds each placed request's routing
+        :class:`~repro.core.stats.OutcomeFlag` bits (stolen,
+        re-routed), parallel to ``routed``; they land on the request's
+        row in its shard's table.  ``upstream`` holds the rows the
+        caller fated before any shard (shed, failed over), which join
+        the result's table as they are.  An empty ``trace`` is refused
+        unless ``upstream`` has rows.
 
         With a placement attached, a **recovery pass** runs after the
         primary serves: requests a shard *failed* (crashed cores,
-        permanent quarantine) are handed to a replica shard
-        (:meth:`_ShardPass.strand`) and re-served there without
-        faults, their rows flagged as hand-offs.
+        permanent quarantine — the "no usable core" fate) are handed
+        to a replica shard (:meth:`_ShardPass.strand`) and re-served
+        there without faults, so a mid-trace shard death moves
+        requests instead of losing them.  Each hand-over flags its
+        row, and counts in the result's ``failovers``.
         """
-        if len(trace) != len(routed):
+        flags = [0] * len(routed) if flags is None else flags
+        if not len(trace) == len(routed) == len(flags):
             raise ValueError(
-                f"{len(trace)} requests but {len(routed)} placements"
+                f"{len(trace)} requests but {len(routed)} placements "
+                f"and {len(flags)} flags"
             )
         upstream = OutcomeRows().seal() if upstream is None else upstream
-        if not trace and not np.any(upstream.shard < 0):
+        if not trace and not len(upstream):
             raise ValueError("cannot serve an empty trace")
-        rewritten = self._rewrite_versioned(trace)
-        shard_pass = _ShardPass(self, fault_schedule, dict(
-            watchdog=watchdog, retry_policy=retry_policy, slo_s=slo_s,
-            timeout_s=timeout_s,
-        ))
+        shard_pass = _ShardPass(
+            self,
+            fault_schedule,
+            dict(
+                watchdog=watchdog,
+                retry_policy=retry_policy,
+                slo_s=slo_s,
+                timeout_s=timeout_s,
+            ),
+        )
         results = shard_pass.serve(
-            shard_pass.split(rewritten, routed), faults=True
+            shard_pass.split(self._rewrite_versioned(trace), routed, flags),
+            faults=True,
         )
         handed = shard_pass.strand(results)
         recovery_results = shard_pass.serve(handed, faults=False)
-        # One merge per busy shard: a cluster's cumulative stats hold
-        # its primary and recovery serves of this call alike.
         merged = ServerStats()
-        for index, shard in enumerate(self.shards):
-            if results[index] or recovery_results[index]:
-                offset = self._core_offsets[index]
-                merged.merge(shard.stats, core_offset=offset)
+        for shard_index, shard in enumerate(self.shards):
+            # The replica's serve_trace already counted the handed
+            # requests as offers; annotate how many of its serves were
+            # failover recoveries (energy was charged there normally —
+            # a failed attempt charges nothing).
+            shard.stats.failovers += len(handed[shard_index])
+            if (
+                results[shard_index] is None
+                and recovery_results[shard_index] is None
+            ):
+                continue
+            # One merge per shard: the cluster's stats accumulate over
+            # its primary and recovery serves within this call.
+            merged.merge(
+                shard.stats,
+                core_offset=self._core_offsets[shard_index],
+            )
         self.stats = merged
         return FabricResult(
             shard_results=tuple(results),
             routed=tuple(routed),
             stats=merged,
-            outcomes=shard_pass.merge(
-                results, recovery_results, upstream, zip(trace, rewritten)
-            ),
+            outcomes=shard_pass.merge(results, recovery_results, upstream),
             recovery_results=tuple(recovery_results),
         )
 
@@ -519,8 +547,9 @@ class _Routing:
     :meth:`Fabric.serve_trace` with load-only views, the open-loop
     gateway with queue depths and a health feed — so the views, the
     failover fates, the heal and the range check exist once.  It
-    writes a row per request it is offered (:attr:`rows`: placed, shed
-    or failed over) and hands them to :meth:`Fabric.serve_routed`.
+    collects the placed trace with each placement's flags, writes a
+    row for each request it fates itself (:attr:`rows`: shed or failed
+    over) and hands both to :meth:`Fabric.serve_routed`.
     """
 
     def __init__(
@@ -538,9 +567,9 @@ class _Routing:
         self.counts = [0] * fabric.num_shards
         self.trace: list[RuntimeRequest] = []
         self.routed: list[int] = []
+        #: Each placement's :class:`~repro.core.stats.OutcomeFlag` bits.
+        self.flags: list[int] = []
         self.rows = OutcomeRows()
-        #: The last request the router moved off its primary replica.
-        self._rerouted: RuntimeRequest | None = None
 
     def views(
         self, now_s: float = 0.0, queued: Sequence[int] | None = None
@@ -567,9 +596,11 @@ class _Routing:
 
     def route(
         self, request: RuntimeRequest, views: Sequence[ShardView]
-    ) -> int | None:
-        """The router's shard for one request, or ``None`` when every
-        replica is dead and the request's row is ``failed_over``.
+    ) -> tuple[int, OutcomeFlag] | None:
+        """The router's shard for one request with its flags
+        (``REROUTED`` when the router moved it off its primary
+        replica), or ``None`` when every replica is dead and the
+        request's row is ``failed_over``.
 
         With a health feed and an auto-healing placement, a dropped
         request first asks the placement to re-replicate its model on
@@ -592,8 +623,6 @@ class _Routing:
                 [v.shard for v in views if v.alive],
             )
             target = self.router.route(request, views)
-        if getattr(self.router, "failovers", 0) != failovers:
-            self._rerouted = request
         if target == FAILOVER_DROP:
             self.rows.add(request, Outcome.FAILED_OVER)
             return None
@@ -603,32 +632,34 @@ class _Routing:
                 f"{request.request_id}; fabric has "
                 f"{len(views)} shards"
             )
-        return target
-
-    def _flags(self, request: RuntimeRequest) -> int:
-        return OutcomeFlag.REROUTED if request is self._rerouted else 0
+        moved = getattr(self.router, "failovers", 0) != failovers
+        return target, OutcomeFlag.REROUTED if moved else OutcomeFlag(0)
 
     def place(
-        self, request: RuntimeRequest, shard: int, stolen: bool = False
+        self, request: RuntimeRequest, shard: int, flags: int = 0
     ) -> None:
         """Commit one request to ``shard`` (the routed shard, or the
-        one a steal moved it to); its fate is the shard's to decide."""
+        one a steal moved it to — ``flags`` then has ``STOLEN``); its
+        fate is the shard's to decide."""
         self.counts[shard] += 1
         self.trace.append(request)
         self.routed.append(shard)
-        flags = self._flags(request) | (OutcomeFlag.STOLEN if stolen else 0)
-        self.rows.add(request, Outcome.UNFINISHED, flags=flags, shard=shard)
+        self.flags.append(flags)
 
-    def shed(self, request: RuntimeRequest, reason: OutcomeReason) -> None:
+    def shed(
+        self, request: RuntimeRequest, reason: OutcomeReason, flags: int = 0
+    ) -> None:
         """Fate one request ``shed`` before any shard."""
-        self.rows.add(
-            request, Outcome.SHED, reason, flags=self._flags(request)
-        )
+        self.rows.add(request, Outcome.SHED, reason, flags)
 
     def serve(self, **serve_kwargs) -> FabricResult:
         """Execute everything placed, with this routing's rows."""
         return self.fabric.serve_routed(
-            self.trace, self.routed, upstream=self.rows.seal(), **serve_kwargs
+            self.trace,
+            self.routed,
+            flags=self.flags,
+            upstream=self.rows.seal(),
+            **serve_kwargs,
         )
 
 
@@ -647,16 +678,22 @@ class _ShardPass:
         #: faults on local core indices, and who is usable when.
         self.health = OutageBook.from_schedule(fabric, fault_schedule)
         self.serve_kwargs = serve_kwargs
+        #: Routing flags of the placed requests that have any, by
+        #: request id (:meth:`split` fills it, :meth:`merge` applies it).
+        self.flags: dict[int, int] = {}
 
     def split(
-        self, trace: Sequence[RuntimeRequest], routed: Sequence[int]
+        self,
+        trace: Sequence[RuntimeRequest],
+        routed: Sequence[int],
+        flags: Sequence[int],
     ) -> list[list[RuntimeRequest]]:
         """Per-shard sub-traces, arrival order preserved."""
         num_shards = self.fabric.num_shards
         sub_traces: list[list[RuntimeRequest]] = [
             [] for _ in range(num_shards)
         ]
-        for request, target in zip(trace, routed):
+        for request, target, flag in zip(trace, routed, flags):
             if not 0 <= target < num_shards:
                 raise ValueError(
                     f"placement {target} for request "
@@ -664,6 +701,8 @@ class _ShardPass:
                     f"{num_shards} shards"
                 )
             sub_traces[target].append(request)
+            if flag:
+                self.flags[request.request_id] = flag
         return sub_traces
 
     def serve(
@@ -737,16 +776,17 @@ class _ShardPass:
                 results[shard_index] = replace(
                     result, outcomes=table.take(~moved)
                 )
-                # Re-homed wholesale: the failing shard gives up the
-                # offer and the fate, the replica's recovery serve
-                # counts both — every shard's *cumulative* ledger stays
-                # balanced, and the replica's notes the hand-offs.
+                # The moved requests are re-homed wholesale: the
+                # failing shard gives up both the offer and the failed
+                # fate, the replica's recovery serve counts them as its
+                # own offers and serves — so every shard's *cumulative*
+                # ledger stays individually balanced, not just the
+                # merge.
                 stats = fabric.shards[shard_index].stats
                 stats.failed -= count
                 stats.offered -= count
-        for shard, requests in zip(fabric.shards, handed):
+        for requests in handed:
             requests.sort(key=lambda r: (r.arrival_s, r.request_id))
-            shard.stats.failovers += len(requests)
         return handed
 
     def merge(
@@ -754,12 +794,10 @@ class _ShardPass:
         results: Sequence[ClusterResult | None],
         recovery_results: Sequence[ClusterResult | None],
         upstream: Outcomes,
-        placed: Iterable[tuple[RuntimeRequest, RuntimeRequest]],
     ) -> Outcomes:
         """The fabric's table: the shard tables (primary, then recovery
         passes, in shard order) with shard, global core and flags filled
-        in, then the rows fated upstream.  ``placed`` pairs each placed
-        request with the one its shard served (versioned: a new one)."""
+        in, then the rows fated upstream."""
         handed = OutcomeFlag.HANDED
         passes = [
             (shard, flag, result.outcomes)
@@ -769,19 +807,15 @@ class _ShardPass:
         ]
         shard, flags, tables = zip(*passes) if passes else ((), (), ())
         count = sum(map(len, tables))
-        table = Outcomes.concat([*tables, upstream.take(upstream.shard < 0)])
+        table = Outcomes.concat([*tables, upstream])
         table.shard[:count] = np.repeat(shard, [len(t) for t in tables])
         table.flags[:count] |= np.repeat(
             np.array(flags, dtype=np.int8), [len(t) for t in tables]
         )
-        flagged = upstream.take(upstream.flags != 0)
-        marks = dict(zip(map(id, flagged.request), flagged.flags.tolist()))
-        if marks:
-            marks = {id(new): marks.get(id(old), 0) for old, new in placed}
-            table.flags[:count] |= np.array(
-                [marks.get(id(r), 0) for r in table.request[:count]],
-                dtype=np.int8,
-            )
+        if self.flags:
+            placed = table.request[:count]
+            marks = [self.flags.get(r.request_id, 0) for r in placed]
+            table.flags[:count] |= np.array(marks, dtype=np.int8)
         served = table.fate == Outcome.SERVED
         offsets = np.asarray(self.fabric.core_offsets)
         table.core[served] += offsets[table.shard[served]]

@@ -2,38 +2,48 @@
 
 The :mod:`~repro.traffic.fleet` engine sweeps millions of *analytic*
 requests; this gateway runs the same admission discipline in front of
-a real :class:`~repro.fabric.fabric.Fabric`.  The fabric serves each
-shard's sub-trace on its own virtual clock, so the gateway cannot
-observe true queue depths *during* the serve — instead it runs an
-**estimate-based pre-pass**:
+a real :class:`~repro.fabric.fabric.Fabric`, whose shards execute
+every layer on emulated photonic cores.  The fabric serves closed
+traces shard-by-shard (each shard replays its sub-trace on its own
+virtual clock), so the gateway cannot observe true queue depths *during*
+the serve — instead it runs an **estimate-based pre-pass**:
 
-1. **Probe** each shard once per deployed model: one ledger replay on
-   core 0 (:func:`~repro.runtime.workload.probe_service_times`), no
-   forward pass — a request's cost never depends on its activations.
+1. **Probe** each shard once per deployed model to learn real
+   per-shard service times: one ledger replay on core 0
+   (:func:`~repro.runtime.workload.probe_service_times`), no forward
+   pass — a request's cost never depends on its activations.
 2. **Project** every shard's queue forward in arrival order — idle
-   cores, busy-until heap, FIFO backlog — and read shard *health* off
-   the fault schedule's :class:`~repro.fabric.lifecycle.OutageBook`
-   (a crash scheduled at T makes the shard dead to every later
-   arrival, as fleet telemetry would).
+   cores, busy-until heap, FIFO backlog — using those estimates, and
+   read shard *health* off the fault schedule's
+   :class:`~repro.fabric.lifecycle.OutageBook` (a crash the schedule
+   will inject at time T makes the shard dead to every request
+   arriving after T, exactly as fleet telemetry would).
 3. **Admit or shed** each request against the projected occupancy via
    an :class:`~repro.traffic.admission.AdmissionController`.
-4. **Route** through the fabric's one routing step, fed the projected
-   queue depths and the schedule's health: a
-   :class:`~repro.fabric.lifecycle.FailoverRouter` re-routes off dead
-   replicas, and with *every* replica dead the request fails over
-   unless an auto-heal re-replication has already activated.
+4. **Route** through the fabric's one routing step (the same one
+   :meth:`~repro.fabric.fabric.Fabric.serve_trace` uses), here fed
+   the projected queue depths and the schedule's health.  A
+   :class:`~repro.fabric.lifecycle.FailoverRouter` re-routes requests
+   off dead replicas; when *every* replica is dead the routing step
+   asks the placement to re-replicate (auto-heal) and fates the
+   request ``failed_over`` if the heal has not activated yet.
 5. **Steal**: when the routed shard is backlogged and another usable
-   shard hosting the model has an idle core, the request moves there.
+   shard hosting the model has an idle core, the request is re-placed
+   there — the pre-pass form of an idle core pulling from a deep
+   queue.
 6. **Shed late**: a request whose class deadline or energy budget
-   (:class:`~repro.traffic.slo.SLOBook`) the projected wait already
-   blows is shed at the NIC.  Survivors are placed — flagged
+   (:class:`~repro.traffic.slo.SLOBook`) is already blown by the
+   projected wait on the shard it would land on is shed at the NIC.
+   Only requests that survive this are placed — and flagged
    ``stolen`` when step 5 moved them.
 
-Every offered request gets one routing row — shed (with its reason:
-admission, deadline or energy budget), failed over, or placed with
-its flags — and :meth:`~repro.fabric.fabric.Fabric.serve_routed`
-serves the placed trace into a result table of one row per offered
-request.
+The admitted trace then replays through
+:meth:`~repro.fabric.fabric.Fabric.serve_routed` with the gateway's
+placement and flags.  Each request the pre-pass shed (with its reason:
+admission, deadline or energy budget) or failed over gets its row
+there too, so the returned
+:class:`~repro.fabric.fabric.FabricResult` holds one row per offered
+request (see :class:`~repro.core.stats.Outcomes`).
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.energy import EnergyModel
-from ..core.stats import OutcomeReason
+from ..core.stats import OutcomeFlag, OutcomeReason
 from ..fabric.fabric import Fabric, FabricResult, _Routing
 from ..fabric.lifecycle import OutageBook
 from ..fabric.router import ShardView
@@ -58,12 +68,17 @@ __all__ = ["probe_service_estimates", "serve_fabric_open_loop"]
 
 
 def probe_service_estimates(fabric: Fabric) -> list[dict[int, float]]:
-    """Per-shard ``model_id -> estimated service seconds``: one ledger
-    replay per (shard, model) on the shard's core 0
-    (:func:`~repro.runtime.workload.probe_service_times`), no forward
-    pass.  A shard without models (a placement put none there) maps
-    nothing — the gateway prices its requests with the fleet mean — but
-    a fabric with *no* deployed model is a configuration error.
+    """Per-shard ``model_id -> estimated service seconds``.
+
+    One ledger replay per (shard, model) on the shard's core 0
+    (:func:`~repro.runtime.workload.probe_service_times`): the
+    compiled timing plan prices the request, and no forward pass
+    runs.  Under a :class:`~repro.fabric.lifecycle.ModelPlacement` a
+    shard hosts
+    only its replicas' models — shards with no models return empty
+    estimate maps (the gateway prices foreign requests with the fleet
+    mean), but a fabric with *no* deployed model anywhere is a
+    configuration error.
     """
     estimates = [probe_service_times(shard) for shard in fabric.shards]
     if not any(estimates):
@@ -211,14 +226,19 @@ def serve_fabric_open_loop(
     ``serve_kwargs`` pass through to
     :meth:`~repro.fabric.fabric.Fabric.serve_routed` (fault schedule,
     watchdog, retry policy, SLO, timeout); the fault schedule is also
-    the health feed behind the routing views.  ``slo_book`` sheds
-    requests whose projected wait blows their class deadline; with an
-    ``energy_model`` too, those whose projected joules — service at
-    accelerator power plus wait at DRAM power — blow their class
-    energy budget (tallied under
-    ``admission.shed_reasons["energy_budget"]``).  The result's table
-    covers the *full* trace: when every request was shed or failed
-    over, every shard result is ``None`` and it holds only those rows.
+    read *here*, as the :class:`~repro.fabric.lifecycle.OutageBook`
+    health feed behind the routing views.  ``slo_book`` enables
+    deadline-aware shedding: a request whose projected wait already
+    blows its class deadline is shed at admission.  With an
+    ``energy_model`` too, requests whose class carries an energy
+    budget are additionally priced forward — projected service at
+    accelerator power plus projected wait at DRAM power — and shed
+    when the budget is already blown (tallied under
+    ``admission.shed_reasons["energy_budget"]``).  The returned
+    result's table covers the *full* open-loop trace; ``shed`` and
+    ``failed_over`` rows never reach a shard — when that is all of
+    them, every shard result is ``None`` and the table holds only
+    those rows.
     """
     if admission is None:
         admission = AdmissionController(AcceptAll())
@@ -251,10 +271,11 @@ def serve_fabric_open_loop(
         routed = routing.route(request, views)
         if routed is None:
             continue
+        shard, flags = routed
         target = (
-            _steal_target(fabric, request, routed, views, projections)
+            _steal_target(fabric, request, shard, views, projections)
             if steal
-            else routed
+            else shard
         )
         service = service_of(target, request.model_id)
         reason = _shed_reason(
@@ -264,8 +285,10 @@ def serve_fabric_open_loop(
             # Admitted by the policy, not worth a queue slot: shed at the
             # NIC (a steal that ends here moved nothing).
             admission.shed_admitted(reason)
-            routing.shed(request, OutcomeReason[reason.upper()])
+            routing.shed(request, OutcomeReason[reason.upper()], flags)
             continue
-        routing.place(request, target, stolen=target != routed)
+        if target != shard:
+            flags |= OutcomeFlag.STOLEN
+        routing.place(request, target, flags)
         projections[target].charge(now_s, service)
     return routing.serve(**serve_kwargs)

@@ -2,16 +2,31 @@
 
 One latency bar for a whole zoo misgrades everyone: LeNet-class
 models answer in microseconds while GPT-2-class stragglers need
-milliseconds.  An :class:`SLOBook` maps each model id to an
+milliseconds, so a single fleet-wide deadline either sheds every
+large-model request as hopeless or lets small-model latency rot
+unnoticed.  An :class:`SLOBook` maps each model id to an
 :class:`SLOClass` with its own deadline — and, optionally, its own
-**energy budget** (joules per inference, the paper's headline axis).
-The open-loop gateway (:mod:`~repro.traffic.gateway`) sheds requests
-whose projected wait or projected joules already blow their class's
-bar, before they waste a queue slot; :meth:`SLOBook.grade` and
-:meth:`SLOBook.goodput` score a
-:class:`~repro.fabric.fabric.FabricResult`'s served rows per class, so
-each request is judged on its own class's curve — its deadline and,
-given an energy model, its budget.
+**energy budget** (joules per inference, the paper's headline axis) —
+which the open-loop gateway uses three ways:
+
+* **Deadline-aware shedding** — at admission time the gateway knows
+  each shard's projected queue wait; a request whose projected finish
+  already blows its class deadline is shed at the NIC (charged to
+  ``shed``), before it wastes a queue slot it cannot convert into
+  goodput.
+* **Energy-aware shedding** — with an
+  :class:`~repro.core.energy.EnergyModel`, the gateway prices each
+  request's projected serve (service time at accelerator power plus
+  projected wait at DRAM power) and sheds requests whose class energy
+  budget is already blown, so a congested fleet stops burning joules
+  on requests it would rather not serve.
+* **Per-class grading** — :meth:`SLOBook.grade` scores a
+  :class:`~repro.fabric.fabric.FabricResult` per class, so a GPT-2
+  straggler is judged on the GPT-2 curve and a LeNet request on the
+  LeNet curve; given an energy model it additionally grades each
+  class's completions against its energy budget, and
+  :meth:`SLOBook.goodput` counts only completions that met *their
+  own* deadline.
 """
 
 from __future__ import annotations

@@ -371,12 +371,13 @@ def fated(requests, fate, reason=OutcomeReason.NONE, flags=0):
     return rows.seal()
 
 
-def served_with(upstream=None, count=4) -> FabricResult:
-    """``count`` requests on one shard behind ``upstream`` rows."""
+def served_with(upstream=None, count=4, flags=None) -> FabricResult:
+    """``count`` requests on one shard, placed with ``flags``, behind
+    ``upstream`` rows."""
     fabric = Fabric([spec()])
     fabric.deploy(make_dag(1))
     return fabric.serve_routed(
-        trace(count=count), [0] * count, upstream=upstream
+        trace(count=count), [0] * count, flags=flags, upstream=upstream
     )
 
 
@@ -409,14 +410,17 @@ class TestExtendedAccounting:
             check_accounting(offered=4, served=4, failovers=-1)
 
     def test_stolen_bounded_by_served(self):
-        placed = trace(count=4)
-        stolen = fated(placed, Outcome.UNFINISHED, flags=OutcomeFlag.STOLEN)
-        assert served_with(stolen).stolen == 4
+        result = served_with(flags=[OutcomeFlag.STOLEN] * 4)
+        assert result.stolen == result.served == 4
         with pytest.raises(ValueError, match="stolen exceeds served"):
             check_accounting(offered=4, served=4, stolen=5)
-        # A stolen request its shard then dropped leaves stolen > served.
-        with pytest.raises(ValueError, match="stolen exceeds served"):
-            check_accounting(offered=4, served=0, dropped=4, stolen=1)
+        # A stolen row its shard then dropped keeps its flag but is
+        # not counted: the table's ``stolen`` is a subset of served.
+        dropped = fated(
+            trace(count=1), Outcome.DROPPED, flags=OutcomeFlag.STOLEN
+        )
+        assert dropped.tally()["stolen"] == 0
+        assert dropped.flags.tolist() == [OutcomeFlag.STOLEN]
 
     def test_serve_routed_validates_upstream_accounting(self):
         fabric = Fabric([spec()])
@@ -424,6 +428,8 @@ class TestExtendedAccounting:
         requests = trace(count=4)
         with pytest.raises(ValueError, match="placements"):
             fabric.serve_routed(requests, [0] * 3)
+        with pytest.raises(ValueError, match="flags"):
+            fabric.serve_routed(requests, [0] * 4, flags=[0] * 3)
         with pytest.raises(ValueError, match="out of range"):
             fabric.serve_routed(requests, [0, 0, 0, 1])
         with pytest.raises(ValueError, match="empty trace"):

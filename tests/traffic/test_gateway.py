@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import ComputationDAG, LayerTask, LightningDatapath
-from repro.core.stats import Outcome, OutcomeReason, OutcomeRows
+from repro.core.stats import Outcome, OutcomeFlag, OutcomeReason, OutcomeRows
 from repro.fabric import (
     Fabric,
     FailoverRouter,
@@ -173,6 +173,40 @@ class TestStealing:
         assert stolen.dropped < pinned.dropped
         assert stolen.served > pinned.served
         assert stolen.accounted() and pinned.accounted()
+
+    def test_a_steal_onto_a_shard_that_then_dies_is_not_counted(self):
+        """Model 2 hashes to shard 0, dead from the start; shard 1 takes
+        steals until it dies too, with no replica to recover them.  The
+        stolen rows keep their flag and fail; ``stolen`` counts served
+        rows only, so it stays within ``served`` and the serve returns
+        its result."""
+
+        def build() -> Fabric:
+            fabric = Fabric(
+                [shard_spec(), shard_spec()], router=HashShardRouter()
+            )
+            fabric.deploy(make_dag(2))
+            return fabric
+
+        trace = OpenLoopTraffic(
+            PoissonProcess(6_000_000.0), ModelMix([make_dag(2)]), seed=5
+        ).runtime_trace(200)
+        clean = serve_fabric_open_loop(build(), trace).outcomes
+        first = np.flatnonzero(clean.flags & OutcomeFlag.STOLEN)[0]
+        # Shard 1 dies while the first stolen request is in flight.
+        crash_at = (clean.arrival[first] + clean.finish[first]) / 2
+        fabric = build()
+        schedule = kill_shard(FaultSchedule(seed=1), fabric, 0, 0.0)
+        kill_shard(schedule, fabric, 1, crash_at)
+        result = serve_fabric_open_loop(
+            fabric, trace, fault_schedule=schedule
+        )
+        table = result.outcomes
+        flagged = (table.flags & OutcomeFlag.STOLEN) != 0
+        assert flagged.any()
+        assert (table.fate[flagged] == Outcome.FAILED).all()
+        assert result.served == result.stolen == 0
+        assert result.accounted()
 
 
 class TestServeRouted:
