@@ -8,7 +8,9 @@ of them sees the same metrics computed the same way.
 
 A serve's per-request story is one :class:`Outcomes` table — a row per
 offered request with its fate, reason, timing and energy — and every
-count a serve reports is a reduction over it (:class:`Tallied`).
+count a serve reports is a reduction over it (:class:`Tallied`).  The
+real-datapath serve and the §9 simulator both write it, and both read
+a served row back as the one record view, :class:`ServedRecord`.
 
 Latency samples are held in a fixed-capacity reservoir
 (:class:`LatencyReservoir`) rather than an append-forever list, so a
@@ -37,6 +39,7 @@ __all__ = [
     "OutcomeReason",
     "OutcomeRows",
     "Outcomes",
+    "ServedRecord",
     "ServerStats",
     "Tallied",
     "check_accounting",
@@ -575,8 +578,9 @@ class Outcomes:
 
     A request has exactly one row, whatever became of it, so
     ``served + dropped + failed + unfinished + shed + failed_over ==
-    offered`` holds by construction (:meth:`tally`).  Tables are
-    written through :class:`OutcomeRows`.
+    offered`` holds by construction (:meth:`tally`).  A serve writes
+    its table through :class:`OutcomeRows`; the §9 simulator builds
+    one from the per-request arrays its loop fills.
     """
 
     COLUMNS = (
@@ -616,6 +620,15 @@ class Outcomes:
         """The requests that met ``fate``, in row order."""
         return self.request[self.fate == fate].tolist()
 
+    def records(self) -> tuple["ServedRecord", ...]:
+        """The served rows, in row order, as records."""
+        served = self.served()
+        columns = ("request", "core", "batch", "t_q", "t_d", "t_c",
+                   "finish", "prediction")
+        return tuple(
+            map(ServedRecord, *(getattr(served, c).tolist() for c in columns))
+        )
+
     def tally(self) -> dict[str, int]:
         """Every count :func:`check_accounting` takes: one per fate
         (``bincount(fate)``), ``offered`` (the rows), and from the
@@ -631,6 +644,28 @@ class Outcomes:
         counts = np.bincount(self.fate, minlength=len(Outcome)).tolist()
         counts += [len(self), int(stolen), int(rerouted + handed)]
         return dict(zip(_TALLY, counts))
+
+
+@dataclass(frozen=True)
+class ServedRecord:
+    """One served request with its t_q/t_d/t_c decomposition — a view
+    of one served row of an :class:`Outcomes` table
+    (:meth:`Outcomes.records`); the row's ``joules`` stay in the
+    table."""
+
+    request: object
+    core: int
+    batch_size: int
+    queuing_s: float
+    datapath_s: float
+    compute_s: float
+    finish_s: float
+    prediction: int
+
+    @property
+    def serve_time_s(self) -> float:
+        """Arrival to result (t_q + t_d + t_c == finish - arrival)."""
+        return self.queuing_s + self.datapath_s + self.compute_s
 
 
 #: An unserved row's shard, core, batch, t_d, t_c and finish.
@@ -783,6 +818,10 @@ class Tallied:
         if self.horizon_s <= 0:
             raise ValueError("no requests finished")
         return self.served / self.horizon_s
+
+    def serve_times(self) -> np.ndarray:
+        """Every served request's serve time, in row order."""
+        return self.outcomes.served().serve_s
 
 
 @dataclass

@@ -59,17 +59,13 @@ from ..core.stats import (
     OutcomeReason,
     OutcomeRows,
     Outcomes,
+    ServedRecord,
     ServerStats,
     Tallied,
 )
 from ..faults.resilience import CalibrationWatchdog, RetryPolicy
 from ..faults.schedule import FaultSchedule
-from ..runtime.cluster import (
-    Cluster,
-    ClusterResult,
-    RuntimeRecord,
-    RuntimeRequest,
-)
+from ..runtime.cluster import Cluster, ClusterResult, RuntimeRequest
 from ..runtime.schedulers import Scheduler
 from .lifecycle import (
     FAILOVER_DROP,
@@ -173,16 +169,14 @@ class FabricResult(Tallied):
             raise ValueError("nothing was offered")
         return self.served / self.offered
 
-    def records(self) -> tuple[RuntimeRecord, ...]:
+    def records(self) -> tuple[ServedRecord, ...]:
         """All served records with *global* core indices, ordered by
         ``(finish_s, request_id)`` — the cross-shard completion order.
         Recovery-pass records are included: a failed-over request's
         record carries the replica's core."""
         served = self.outcomes.served()
         ids = [request.request_id for request in served.request]
-        return RuntimeRecord.rows(
-            served.take(np.lexsort((ids, served.finish)))
-        )
+        return served.take(np.lexsort((ids, served.finish))).records()
 
     def accounted(self) -> bool:
         """Whether every offered request met exactly one fate: true of

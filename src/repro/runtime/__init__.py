@@ -38,7 +38,7 @@ from .schedulers import (
 )
 from .queues import DROP_POLICIES, AdmissionQueue, QueueEntry
 from .batching import BatchingCoalescer, stack_levels
-from .cluster import Cluster, ClusterResult, RuntimeRecord, RuntimeRequest
+from .cluster import Cluster, ClusterResult, RuntimeRequest
 from .parallel import CoreWorkerPool, SharedArrayRef, publish_model
 from .rings import RingConsumer, RingGeometry, RingProducer, RingSems
 from .workload import poisson_trace, rate_for_cluster_utilization
@@ -58,7 +58,6 @@ __all__ = [
     "stack_levels",
     "Cluster",
     "ClusterResult",
-    "RuntimeRecord",
     "RuntimeRequest",
     "CoreWorkerPool",
     "SharedArrayRef",

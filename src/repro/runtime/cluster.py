@@ -63,6 +63,7 @@ from ..core.stats import (
     OutcomeReason,
     OutcomeRows,
     Outcomes,
+    ServedRecord,
     ServerStats,
     Tallied,
 )
@@ -86,7 +87,7 @@ from .parallel import CoreWorkerPool, pool_finalizer
 from .queues import DROP_POLICIES, AdmissionQueue, QueueEntry
 from .schedulers import CoreHealthView, RoundRobinScheduler, Scheduler
 
-__all__ = ["RuntimeRequest", "RuntimeRecord", "ClusterResult", "Cluster"]
+__all__ = ["RuntimeRequest", "ClusterResult", "Cluster"]
 
 #: Domain separators for the keyed readout-noise substreams.  Every
 #: batch draws from ``Philox(seed, BATCH, core, epoch, batch)``, every
@@ -98,33 +99,6 @@ __all__ = ["RuntimeRequest", "RuntimeRecord", "ClusterResult", "Cluster"]
 _BATCH_RNG_DOMAIN = 0xB0
 _PROBE_RNG_DOMAIN = 0xA5
 _RELOCK_RNG_DOMAIN = 0x9C
-
-
-@dataclass(frozen=True)
-class RuntimeRecord:
-    """One served request with its t_q/t_d/t_c decomposition — a view
-    of one served row of an :class:`~repro.core.stats.Outcomes` table."""
-
-    request: RuntimeRequest
-    core: int
-    batch_size: int
-    queuing_s: float
-    datapath_s: float
-    compute_s: float
-    finish_s: float
-    prediction: int
-
-    @property
-    def serve_time_s(self) -> float:
-        """Arrival to result (t_q + t_d + t_c == finish - arrival)."""
-        return self.queuing_s + self.datapath_s + self.compute_s
-
-    @classmethod
-    def rows(cls, served: Outcomes) -> tuple["RuntimeRecord", ...]:
-        """One record per row of a table of served requests."""
-        columns = ("request", "core", "batch", "t_q", "t_d", "t_c",
-                   "finish", "prediction")
-        return tuple(map(cls, *(getattr(served, c).tolist() for c in columns)))
 
 
 @dataclass
@@ -187,19 +161,15 @@ class ClusterResult(Tallied):
     busy_seconds: float
 
     @cached_property
-    def records(self) -> tuple[RuntimeRecord, ...]:
+    def records(self) -> tuple[ServedRecord, ...]:
         """The served rows in completion order, as records."""
-        return RuntimeRecord.rows(self.outcomes.served())
+        return self.outcomes.records()
 
     def utilization(self) -> float:
         """Fraction of total core-time the datapaths were occupied."""
         if self.horizon_s <= 0:
             return 0.0
         return self.busy_seconds / (self.num_cores * self.horizon_s)
-
-    def serve_times(self) -> np.ndarray:
-        """Every request's serve time, in completion order."""
-        return self.outcomes.served().serve_s
 
     def decomposition(self) -> dict[str, float]:
         """Mean t_q / t_d / t_c over all served requests, in seconds."""

@@ -631,17 +631,25 @@ class CoreWorkerPool:
 
         return on_stall
 
+    def _whereabouts(self, core: int, awaited: int | None) -> str:
+        """Where a misbehaving worker's dispatch stream stood: the seq
+        the parent awaited, the last dispatched seq and how many were
+        outstanding."""
+        return (
+            f"awaited seq {awaited}, last dispatched seq "
+            f"{self._seq[core] - 1}, {len(self._outstanding[core])} "
+            "outstanding"
+        )
+
     def _died(self, core: int) -> RuntimeError:
-        """The error for a dead worker, naming where it was: the
-        awaited seq (the oldest outstanding — a worker answers in
-        dispatch order), the last dispatched seq, how many were
-        outstanding, and the process exit code."""
-        outstanding = self._outstanding[core]
+        """The error for a dead worker, naming where it was (the
+        awaited seq is the oldest outstanding — a worker answers in
+        dispatch order) and the process exit code."""
+        awaited = min(self._outstanding[core], default=None)
         return RuntimeError(
             f"worker {core} died while the parent awaited a result "
-            f"(awaited seq {min(outstanding, default=None)}, last "
-            f"dispatched seq {self._seq[core] - 1}, {len(outstanding)} "
-            f"outstanding, exitcode {self._procs[core].exitcode})"
+            f"({self._whereabouts(core, awaited)}, exitcode "
+            f"{self._procs[core].exitcode})"
         )
 
     def _drain_ready(self, core: int) -> None:
@@ -852,22 +860,25 @@ class CoreWorkerPool:
         while True:
             message = self._next_completion(core)
             kind, got = message[0], message[1]
+            # Errors name the stream as it stood before this answer.
             if kind == "error":
-                self._outstanding[core].discard(got)
-                self._discarded[core].discard(got)
-                raise RuntimeError(
-                    f"worker {core} failed on batch {got}:\n{message[2]}"
+                error = RuntimeError(
+                    f"worker {core} failed on batch {got} "
+                    f"({self._whereabouts(core, seq)}):\n{message[2]}"
                 )
+            elif got != seq and got not in self._discarded[core]:
+                error = RuntimeError(
+                    f"worker {core} answered batch {got} while the parent "
+                    f"awaited another ({self._whereabouts(core, seq)})"
+                )
+            else:
+                error = None
             self._outstanding[core].discard(got)
+            self._discarded[core].discard(got)
+            if error is not None:
+                raise error
             if got == seq:
                 return message[2]
-            if got in self._discarded[core]:
-                self._discarded[core].discard(got)
-                continue
-            raise RuntimeError(
-                f"worker {core} answered batch {got} while the parent "
-                f"awaited {seq}"
-            )
 
     def discard(self, core: int, seq: int) -> None:
         """Mark an aborted batch: its result is dropped on arrival."""

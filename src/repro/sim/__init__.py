@@ -18,7 +18,6 @@ from .simulator import (
     EventDrivenSimulator,
     RoundRobinScheduler,
     Scheduler,
-    ServedRecord,
     SimulationResult,
     StreamedSummary,
     run_comparison,
@@ -42,7 +41,6 @@ __all__ = [
     "SimRequest",
     "PoissonWorkload",
     "rate_for_utilization",
-    "ServedRecord",
     "Scheduler",
     "RoundRobinScheduler",
     "EventDrivenSimulator",

@@ -9,6 +9,11 @@ request:
 * ``queuing`` (t_q) — time buffered in host DRAM while all cores busy;
 * ``compute`` (t_c) — execution on the accelerator.
 
+A run returns the serving runtime's result shape: one
+:class:`~repro.core.stats.Outcomes` row per request, read back as
+:class:`~repro.core.stats.ServedRecord` views, plus the exact
+:class:`StreamedSummary` folded from the same arrays.
+
 Energy accounting follows §9 exactly: computation energy is compute time
 times accelerator power (for Lightning this includes the datapath, whose
 packet I/O is integrated); server-attached platforms additionally pay the
@@ -22,12 +27,17 @@ price identical decompositions to identical joules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from ..core.energy import DRAM_QUEUE_POWER_WATTS, EnergyModel
 from ..core.stats import (
     LatencyReservoir,
+    Outcome,
+    Outcomes,
+    ServedRecord,
+    Tallied,
     grouped_by_first_use,
     sequential_sum,
 )
@@ -46,7 +56,6 @@ from ..runtime.schedulers import (
 )
 
 __all__ = [
-    "ServedRecord",
     "Scheduler",
     "RoundRobinScheduler",
     "EventDrivenSimulator",
@@ -59,38 +68,6 @@ __all__ = [
     "DRAM_QUEUE_POWER_WATTS",
     "EnergyModel",
 ]
-
-
-@dataclass(frozen=True)
-class ServedRecord:
-    """Timing decomposition of one served request."""
-
-    request: SimRequest
-    core: int
-    datapath_s: float
-    queuing_s: float
-    compute_s: float
-    finish_s: float
-
-    @property
-    def serve_time_s(self) -> float:
-        """Arrival to result (t_d + t_q + t_c)."""
-        return self.datapath_s + self.queuing_s + self.compute_s
-
-    def energy_joules(
-        self,
-        accelerator: AcceleratorSpec,
-        dram_power_watts: float = DRAM_QUEUE_POWER_WATTS,
-    ) -> float:
-        """Per-request energy following the paper's three sources."""
-        model = EnergyModel.from_accelerator(
-            accelerator, dram_power_watts=dram_power_watts
-        )
-        return model.energy(
-            datapath_s=self.datapath_s,
-            queuing_s=self.queuing_s,
-            compute_s=self.compute_s,
-        )
 
 
 @dataclass
@@ -109,11 +86,12 @@ class _ModelAggregate:
 
 @dataclass
 class StreamedSummary:
-    """O(1)-memory aggregates of a trace served with ``keep_records=False``.
+    """Bounded-memory aggregates of served requests: the fleet engine's
+    reduction, and a simulation result's summary.
 
     Counts and sums are exact; serve-time percentiles come from a
     fixed-capacity :class:`~repro.core.stats.LatencyReservoir`, so a
-    million-request trace costs the same memory as a thousand-request
+    million-request stream costs the same memory as a thousand-request
     one.
     """
 
@@ -179,41 +157,31 @@ class StreamedSummary:
 
 
 @dataclass(frozen=True)
-class SimulationResult:
-    """All served records of one trace on one accelerator.
+class SimulationResult(Tallied):
+    """One trace served on one accelerator: an outcomes row per request
+    — every one ``SERVED``, in serve order, ``model`` a per-name code,
+    ``shard`` -1, ``batch`` 1, ``prediction`` -1 — and the
+    :class:`StreamedSummary` folded from it.
 
-    With ``keep_records=False`` the per-request tuple is empty and the
-    aggregate queries below answer from :attr:`summary` instead — the
-    means and utilization are exact either way (modulo float summation
-    order); percentiles over a streamed run are reservoir estimates.
+    Per-row queries read the table.  The means and utilization read the
+    summary's exact sums, which the Figs 21/22 ratios are pinned to.
     """
 
     accelerator: AcceleratorSpec
-    records: tuple[ServedRecord, ...]
-    summary: StreamedSummary | None = None
+    outcomes: Outcomes
+    summary: StreamedSummary
 
-    def serve_times(self) -> np.ndarray:
-        """Every request's serve time, in record order."""
-        if not self.records and self.summary is not None:
-            raise ValueError(
-                "records were streamed, not kept; use "
-                "serve_time_percentiles() or mean_serve_time()"
-            )
-        return np.array([r.serve_time_s for r in self.records])
+    @cached_property
+    def records(self) -> tuple[ServedRecord, ...]:
+        """The rows in serve order, as records."""
+        return self.outcomes.records()
 
     def serve_time_percentiles(self, qs: list[float]) -> list[float]:
-        """Serve-time percentiles, from records or the reservoir."""
-        if self.records:
-            values = np.percentile(
-                [r.serve_time_s for r in self.records], qs
-            )
-            return [float(v) for v in np.atleast_1d(values)]
-        if self.summary is None:
-            raise ValueError("no records and no summary")
-        return self.summary.reservoir.percentiles(qs)
+        """Exact serve-time percentiles over every request."""
+        values = np.percentile(self.serve_times(), qs)
+        return [float(v) for v in np.atleast_1d(values)]
 
     def _aggregate(self, model_name: str | None) -> _ModelAggregate:
-        assert self.summary is not None
         if model_name is None:
             total = _ModelAggregate()
             for agg in self.summary.per_model.values():
@@ -231,55 +199,29 @@ class SimulationResult:
 
     def mean_serve_time(self, model_name: str | None = None) -> float:
         """Mean serve time, optionally restricted to one model."""
-        if not self.records and self.summary is not None:
-            agg = self._aggregate(model_name)
-            return agg.serve_s / agg.count
-        times = [
-            r.serve_time_s
-            for r in self.records
-            if model_name is None or r.request.model.name == model_name
-        ]
-        if not times:
-            raise ValueError(f"no records for model {model_name!r}")
-        return float(np.mean(times))
+        agg = self._aggregate(model_name)
+        return agg.serve_s / agg.count
 
     def mean_energy(self, model_name: str | None = None) -> float:
         """Mean per-request energy, optionally for one model.
 
-        Energy is linear in the decomposition components, so exact
-        per-model sums reproduce the record-by-record mean exactly in
-        streamed mode.
+        Energy is linear in the decomposition, so pricing the exact
+        per-model sums in one :class:`EnergyModel` call gives the mean
+        of the per-row joules up to summation order.
         """
-        if not self.records and self.summary is not None:
-            agg = self._aggregate(model_name)
-            # Energy is linear in the decomposition, so pricing the
-            # exact per-model sums in one EnergyModel call reproduces
-            # the record-by-record total bit for bit.
-            model = EnergyModel.from_accelerator(self.accelerator)
-            total = model.energy(
-                datapath_s=agg.datapath_s,
-                queuing_s=agg.queuing_s,
-                compute_s=agg.compute_s,
-            )
-            return total / agg.count
-        energies = [
-            r.energy_joules(self.accelerator)
-            for r in self.records
-            if model_name is None or r.request.model.name == model_name
-        ]
-        if not energies:
-            raise ValueError(f"no records for model {model_name!r}")
-        return float(np.mean(energies))
+        agg = self._aggregate(model_name)
+        total = EnergyModel.from_accelerator(self.accelerator).energy(
+            datapath_s=agg.datapath_s,
+            queuing_s=agg.queuing_s,
+            compute_s=agg.compute_s,
+        )
+        return total / agg.count
 
     def utilization(self) -> float:
         """Fraction of the simulated horizon the accelerator computed."""
-        if not self.records and self.summary is not None:
-            if self.summary.horizon_s <= 0:
-                return 0.0
-            return self.summary.busy_s / self.summary.horizon_s
-        busy = sum(r.compute_s for r in self.records)
-        horizon = max(r.finish_s for r in self.records)
-        return busy / horizon if horizon > 0 else 0.0
+        if self.summary.horizon_s <= 0:
+            return 0.0
+        return self.summary.busy_s / self.summary.horizon_s
 
 
 class EventDrivenSimulator:
@@ -303,17 +245,20 @@ class EventDrivenSimulator:
         A simulated trace holds nothing but arrival events, so the
         event heap the serving runtime needs (completions, faults,
         probes...) is pure overhead here: one stable sort of the trace
-        *is* the event schedule.  The hot loop runs over preallocated
+        *is* the event schedule.  The hot loop fills preallocated
         per-request arrays — per-model datapath/compute costs are
-        memoized, and :class:`ServedRecord` objects are only
-        materialized at the end (or, with ``keep_records=False``, never:
-        serve times stream through a fixed-capacity reservoir and exact
-        per-model sums, so arbitrarily long traces serve in O(1)
-        memory).
+        memoized — which become the result's outcomes columns as they
+        are; one :meth:`StreamedSummary.observe_many` folds them into
+        its summary and one :class:`EnergyModel` call prices its joules.
 
         The recurrence is identical to the event-loop formulation —
         ``start = max(arrival + datapath, core_free_at[core])`` in
         arrival order — so results are bit-equal to the old path.
+
+        ``keep_records`` is inert: every run keeps its table.  It stays
+        because the stack benchmark passes it, and goes together with
+        the datapath's inert ``fidelity`` / ``seed`` keywords (ROADMAP
+        item 1(e)).
         """
         if not trace:
             raise ValueError("cannot simulate an empty trace")
@@ -324,6 +269,7 @@ class EventDrivenSimulator:
         )
         # Stable sort matches the event queue's (time, push-seq) order.
         order = np.argsort(arrivals, kind="stable")
+        requests = np.fromiter(trace, object, num_requests)[order]
         core_free_at = [0.0] * self.scheduler.num_cores
         # Per-model costs are pure functions of the spec — memoize
         # instead of recomputing the layer sums per request.
@@ -344,8 +290,7 @@ class EventDrivenSimulator:
         observe_health = (
             self.scheduler.observe_health if wants_health else None
         )
-        for slot, index in enumerate(order):
-            request = trace[index]
+        for slot, request in enumerate(requests.tolist()):
             model = request.model
             cost = costs.get(id(model))
             if cost is None:
@@ -373,32 +318,32 @@ class EventDrivenSimulator:
             queuing[slot] = start - ready_at
             compute[slot] = compute_s
             finish[slot] = finish_s
-        if not keep_records:
-            # The arrays are the per-request ledger already: land them
-            # in one fold instead of one ``observe`` per request.
-            summary = StreamedSummary()
-            summary.observe_many(
-                list(name_codes), codes, datapath, queuing, compute, finish
-            )
-            return SimulationResult(
-                accelerator=self.accelerator,
-                records=(),
-                summary=summary,
-            )
-        records = tuple(
-            ServedRecord(
-                request=trace[index],
-                core=int(cores[slot]),
-                datapath_s=float(datapath[slot]),
-                queuing_s=float(queuing[slot]),
-                compute_s=float(compute[slot]),
-                finish_s=float(finish[slot]),
-            )
-            for slot, index in enumerate(order)
+        summary = StreamedSummary()
+        summary.observe_many(
+            list(name_codes), codes, datapath, queuing, compute, finish
         )
-        return SimulationResult(
-            accelerator=self.accelerator, records=records
+        # Columns every row shares are read-only zero-stride views, so
+        # the table costs memory only for what varies per request.
+        outcomes = Outcomes(
+            request=requests,
+            model=codes,
+            shard=np.broadcast_to(np.int64(-1), num_requests),
+            core=cores,
+            fate=np.broadcast_to(np.int8(Outcome.SERVED), num_requests),
+            reason=np.broadcast_to(np.int8(0), num_requests),
+            flags=np.broadcast_to(np.int8(0), num_requests),
+            arrival=arrivals[order],
+            t_q=queuing,
+            t_d=datapath,
+            t_c=compute,
+            finish=finish,
+            batch=np.broadcast_to(np.int64(1), num_requests),
+            prediction=np.broadcast_to(np.int64(-1), num_requests),
+            joules=EnergyModel.from_accelerator(self.accelerator).energy(
+                datapath_s=datapath, queuing_s=queuing, compute_s=compute
+            ),
         )
+        return SimulationResult(self.accelerator, outcomes, summary)
 
 
 @dataclass(frozen=True)
@@ -455,14 +400,8 @@ def run_comparison(
         workload = PoissonWorkload(models, rate, seed=seed)
         for trace_index in range(num_traces):
             trace = workload.trace(num_requests, trace_index)
-            # Only per-model means feed the ratios — stream the serve,
-            # keeping the comparison O(1) in trace length.
-            lightning_result = EventDrivenSimulator(lightning).run(
-                trace, keep_records=False
-            )
-            result = EventDrivenSimulator(platform).run(
-                trace, keep_records=False
-            )
+            lightning_result = EventDrivenSimulator(lightning).run(trace)
+            result = EventDrivenSimulator(platform).run(trace)
             for model in models:
                 sums_speedup[platform.name][model.name].append(
                     result.mean_serve_time(model.name)

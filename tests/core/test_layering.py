@@ -271,7 +271,7 @@ def test_the_serve_loop_writes_rows_not_records_or_counters():
         for node in ast.walk(run)
         if isinstance(node, ast.Call)
     ]
-    assert not [name for name in called if "RuntimeRecord" in name]
+    assert not [name for name in called if "Record" in name]
     tree = ast.parse((SRC / "runtime" / "cluster.py").read_text())
     imported = {
         alias.name
@@ -329,3 +329,58 @@ def test_check_accounting_runs_once_per_result_class():
         and name != "core/stats.py"
     ]
     assert uncalled == []
+
+
+# ----------------------------------------------------------------------
+# The §9 simulator writes the same table and shares the one record view
+# ----------------------------------------------------------------------
+def test_one_record_class_and_the_simulator_builds_none():
+    defined = sorted(
+        (name, node.name)
+        for name, tree in parsed_modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and node.name in {"ServedRecord", "RuntimeRecord"}
+    )
+    assert defined == [("core/stats.py", "ServedRecord")]
+    simulator = class_named("sim/simulator.py", "EventDrivenSimulator")
+    run = next(
+        node for node in simulator.body
+        if isinstance(node, ast.FunctionDef) and node.name == "run"
+    )
+    called = {
+        ast.unparse(node.func)
+        for node in ast.walk(run)
+        if isinstance(node, ast.Call)
+    }
+    assert "ServedRecord" not in called
+    read = {
+        node.id
+        for node in ast.walk(run)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert "keep_records" not in read
+
+
+def test_simulation_result_queries_have_one_path():
+    """No query forks on which half of the result it got: nothing tests
+    ``self.summary is None`` or the truth value of ``self.records``."""
+    from repro.core.stats import Tallied
+    from repro.sim import SimulationResult
+
+    assert issubclass(SimulationResult, Tallied)
+    result = class_named("sim/simulator.py", "SimulationResult")
+    tested = []
+    for node in ast.walk(result):
+        if isinstance(node, (ast.If, ast.IfExp, ast.While, ast.Assert)):
+            tested.append(node.test)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            tested.append(node.operand)
+        elif isinstance(node, ast.BoolOp):
+            tested.extend(node.values)
+        elif isinstance(node, ast.Compare) and isinstance(
+            node.comparators[0], ast.Constant
+        ) and node.comparators[0].value is None:
+            tested.append(node.left)
+    assert "self.records" not in map(ast.unparse, tested)
+    assert "self.summary" not in map(ast.unparse, tested)

@@ -11,10 +11,11 @@ One wrinkle makes the construction explicit: the cluster derives t_q
 as a floating-point *remainder* (``finish - arrival - t_d - t_c``), so
 an uncontended serve reports t_q values of order ±1e-16 s where the
 simulator's ``max()``-based recurrence reports exactly 0.0.  The
-bit-identity leg therefore prices with ``dram_power_watts=0.0`` (queue
-joules contribute exactly nothing on both sides); queue-energy parity
-is pinned separately by pushing identical t_q decompositions through
-both entry points of the shared formula.
+bit-identity leg therefore prices the cluster with
+``dram_power_watts=0.0`` and checks the simulator's t_q is exactly 0.0
+(queue joules contribute exactly nothing on either side); queue-energy
+parity is pinned separately: a queued serve in each host prices every
+row's nonzero t_q exactly as the shared formula does.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from repro.core.energy import EnergyModel
 from repro.dnn import SIMULATION_MODELS
 from repro.photonics import BehavioralCore, CoreArchitecture, NoiselessModel
 from repro.runtime import Cluster, RuntimeRequest, RoundRobinScheduler
-from repro.sim import AcceleratorSpec, EventDrivenSimulator
-from repro.sim.simulator import ServedRecord
+from repro.sim import AcceleratorSpec, EventDrivenSimulator, lightning_chip
 from repro.sim.workload import SimRequest
 
 NUM_CORES = 2
@@ -160,20 +160,18 @@ class TestSimRuntimeParity:
             spec, scheduler=RoundRobinScheduler(num_cores=NUM_CORES)
         ).run(sim_trace)
 
-        sim_joules = {
-            record.request.request_id: record.energy_joules(
-                spec, dram_power_watts=0.0
-            )
-            for record in sim_result.records
-        }
-        runtime_joules = {
-            record.request.request_id: energy_model.energy(
-                datapath_s=record.datapath_s,
-                queuing_s=record.queuing_s,
-                compute_s=record.compute_s,
-            )
-            for record in runtime_result.records
-        }
+        # The sim prices t_q at the default DRAM power: its t_q is
+        # exactly 0.0 here, so that term adds exactly nothing.
+        assert (sim_result.outcomes.t_q == 0.0).all()
+        sim_joules, runtime_joules = (
+            {
+                request.request_id: joules
+                for request, joules in zip(
+                    table.request.tolist(), table.joules.tolist()
+                )
+            }
+            for table in (sim_result.outcomes, runtime_result.outcomes)
+        )
         assert sim_joules == runtime_joules  # bitwise, not approx
 
         # The ledger charged exactly those joules, in completion order.
@@ -188,31 +186,33 @@ class TestSimRuntimeParity:
         assert runtime_result.stats.energy.count == len(trace)
 
     def test_queue_energy_parity_on_shared_decomposition(self):
-        """Queue joules: identical t_q decompositions priced through
-        the simulator's entry point and the runtime's entry point (the
-        model itself) are bit-identical — including nonzero DRAM
-        power, which the bit-identity leg above zeroes out."""
-        from repro.sim import lightning_chip
-
+        """Queue joules: a queued serve in each host prices every row
+        — nonzero t_q at nonzero DRAM power, which the bit-identity leg
+        above zeroes out — exactly as the shared formula prices that
+        row's own decomposition."""
         spec = lightning_chip()
-        em = EnergyModel.from_accelerator(spec)
         model = SIMULATION_MODELS()[0]
-        rng = np.random.default_rng(7)
-        for _ in range(64):
-            d, q, c = rng.uniform(0.0, 1e-3, size=3)
-            record = ServedRecord(
-                request=SimRequest(
-                    request_id=0, model=model, arrival_s=0.0
-                ),
-                core=0,
-                datapath_s=d,
-                queuing_s=q,
-                compute_s=c,
-                finish_s=d + q + c,
-            )
-            assert record.energy_joules(spec) == em.energy(
-                datapath_s=d, queuing_s=q, compute_s=c
-            )
+        sim_table = EventDrivenSimulator(spec).run(
+            [SimRequest(i, model, 0.0) for i in range(16)]
+        ).outcomes
+        cluster = make_cluster(energy_model=EnergyModel.lightning())
+        cluster.deploy(tiny_dag())
+        cluster_table = cluster.serve_trace(
+            runtime_trace(spacing_s=0.0)
+        ).outcomes
+        for table, energy_model in (
+            (sim_table, EnergyModel.from_accelerator(spec)),
+            (cluster_table, EnergyModel.lightning()),
+        ):
+            assert energy_model.dram_power_watts > 0
+            assert (table.t_q > 0).any()
+            for t_d, t_q, t_c, joules in zip(
+                table.t_d.tolist(), table.t_q.tolist(),
+                table.t_c.tolist(), table.joules.tolist(),
+            ):
+                assert joules == energy_model.energy(
+                    datapath_s=t_d, queuing_s=t_q, compute_s=t_c
+                )
 
 
 class TestClusterLedger:

@@ -627,6 +627,12 @@ class TestWorkerCrashHardening:
                 pool.result(0, seq)
             message = str(raised.value)
             assert message.startswith("worker 0 failed on batch 0")
+            # Where the worker was: awaited and last dispatched seq, and
+            # how many were outstanding when its answer surfaced.
+            assert message.splitlines()[0] == (
+                "worker 0 failed on batch 0 (awaited seq 0, last "
+                "dispatched seq 0, 1 outstanding):"
+            )
             assert message.rstrip().endswith(
                 "ValueError: activations must be non-negative 0..255 "
                 "levels (signs are carried by the weights after sign "
@@ -637,6 +643,19 @@ class TestWorkerCrashHardening:
                 0, dag.model_id, np.zeros(12), 0.0, (0, 0, 0, 1)
             )
             assert len(pool.result(0, seq)) == 1
+            # An answer the parent did not await names the same fields.
+            first, second = (
+                pool.run(0, dag.model_id, np.zeros(12), 0.0, (0, 0, 0, k))
+                for k in (2, 3)
+            )
+            with pytest.raises(RuntimeError) as raised:
+                pool.result(0, second)
+            assert str(raised.value) == (
+                f"worker 0 answered batch {first} while the parent awaited "
+                f"another (awaited seq {second}, last dispatched seq "
+                f"{second}, 2 outstanding)"
+            )
+            assert len(pool.result(0, second)) == 1
 
     def test_close_unlinks_segments_after_worker_kill(self):
         # SIGKILL one worker, then wedge its request ring solid (a

@@ -25,7 +25,7 @@ from repro.faults import (
     RetryPolicy,
 )
 from repro.core.stats import Outcome, OutcomeReason
-from repro.runtime import RuntimeRecord, RuntimeRequest, executor
+from repro.runtime import RuntimeRequest, executor
 from repro.runtime.cluster import _VOID, _ServeRun
 
 from .test_cluster import make_cluster, request, second_dag
@@ -95,7 +95,7 @@ class TestHandlers:
         assert (len(run.rows), run.busy_seconds, run.stats.served) == (0, 0, 0)
         assert run.on_complete((0, slot.epoch), batch.finish_s) is None
         assert slot.inflight is None
-        (record,) = RuntimeRecord.rows(run.rows.seal())
+        (record,) = run.rows.seal().records()
         assert record.finish_s == finish + 5e-6
         assert record.queuing_s == pytest.approx(5e-6)  # the stall, in t_q
         assert run.busy_seconds == batch.service_s

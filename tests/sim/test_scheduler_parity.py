@@ -5,8 +5,8 @@ tests pin the stronger claim that a given policy makes *identical
 placement decisions* in both hosts.  One arrival trace replays through
 :class:`~repro.sim.simulator.EventDrivenSimulator` and through a
 noiseless :class:`~repro.runtime.cluster.Cluster` with the same
-policy, and the per-request core assignments and the model-service
-order must match exactly.
+policy; the two hosts' outcomes tables, joined on request id, must
+give every request the same model and the same core.
 
 Arrivals are spaced wider than any service time, so every request is
 dispatched alone with all cores idle — the regime where both hosts
@@ -73,9 +73,23 @@ def _noiseless(core: int) -> LightningDatapath:
     )
 
 
+def _joined(outcomes, model_name) -> list[tuple[int, str, int]]:
+    """``(request_id, model name, core)`` per row of one host's table,
+    sorted on the request id the two tables join on;
+    ``model_name(request, model)`` names a row's model."""
+    return sorted(
+        (request.request_id, model_name(request, model), core)
+        for request, model, core in zip(
+            outcomes.request.tolist(),
+            outcomes.model.tolist(),
+            outcomes.core.tolist(),
+        )
+    )
+
+
 def _run_both(scheduler_factory, model_pattern):
     """One trace through both hosts; returns (sim, cluster) outcomes
-    as parallel lists of (request_id, model_id, core)."""
+    as lists of (request_id, model name, core) joined on request id."""
     gen = np.random.default_rng(77)
     dags = {m: _dag(m) for m in sorted(set(model_pattern))}
     specs = {m: _spec(m) for m in dags}
@@ -87,11 +101,7 @@ def _run_both(scheduler_factory, model_pattern):
         SimRequest(i, specs[m], i * SPACING_S)
         for i, m in enumerate(model_pattern)
     ]
-    sim_result = sim.run(sim_trace)
-    sim_outcome = [
-        (r.request.request_id, r.request.model.name, r.core)
-        for r in sim_result.records
-    ]
+    sim_table = sim.run(sim_trace).outcomes
 
     cluster = Cluster(
         num_cores=NUM_CORES,
@@ -111,11 +121,16 @@ def _run_both(scheduler_factory, model_pattern):
     ]
     cluster_result = cluster.serve_trace(runtime_trace)
     assert cluster_result.served == len(model_pattern)
-    cluster_outcome = [
-        (r.request.request_id, f"parity-{r.request.model_id}", r.core)
-        for r in sorted(cluster_result.records, key=lambda r: r.finish_s)
-    ]
-    return sim_outcome, cluster_outcome
+    cluster_table = cluster_result.outcomes
+    # Spaced arrivals: nothing waits for a core in either host.  The
+    # cluster's t_q is the remainder ``finish - arrival - t_d - t_c``,
+    # so it is zero up to that subtraction's rounding.
+    assert (sim_table.t_q == 0.0).all()
+    assert np.abs(cluster_table.t_q).max() < 1e-15
+    return (
+        _joined(sim_table, lambda request, _: request.model.name),
+        _joined(cluster_table, lambda _, model: f"parity-{model}"),
+    )
 
 
 MIXED = [0, 1, 1, 0, 1, 0, 0, 1, 0, 0, 1, 1]
@@ -138,7 +153,7 @@ class TestSchedulerParity:
         ids=["health-aware", "round-robin"],
     )
     def test_mixed_model_service_order_and_cores_match(self, factory):
-        """Same cores *and* the same model-service order, two models."""
+        """Same cores *and* the same model per request, two models."""
         sim, cluster = _run_both(factory, MIXED)
         assert sim == cluster
 

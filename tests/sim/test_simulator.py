@@ -12,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.energy import EnergyModel
+from repro.core.stats import Outcome, Outcomes, Tallied
 from repro.dnn import SIMULATION_MODELS, alexnet_spec
 from repro.dnn.model import LayerSpec, ModelSpec
 from repro.sim import (
@@ -126,7 +128,7 @@ class TestEventDrivenSimulator:
             record.compute_s * acc.power_watts
             + record.datapath_s * acc.nic_power_watts
         )
-        assert record.energy_joules(acc) == pytest.approx(expected)
+        assert result.outcomes.joules[0] == pytest.approx(expected)
 
     def test_lightning_datapath_energy_at_chip_power(self):
         acc = lightning_chip()
@@ -137,7 +139,7 @@ class TestEventDrivenSimulator:
         expected = (
             record.compute_s + record.datapath_s
         ) * acc.power_watts
-        assert record.energy_joules(acc) == pytest.approx(expected)
+        assert result.outcomes.joules[0] == pytest.approx(expected)
 
     def test_queued_requests_pay_dram_energy(self):
         acc = lightning_chip()
@@ -148,7 +150,44 @@ class TestEventDrivenSimulator:
         unqueued_energy = (
             queued.compute_s + queued.datapath_s
         ) * acc.power_watts
-        assert queued.energy_joules(acc) > unqueued_energy
+        assert result.outcomes.joules[-1] > unqueued_energy
+
+    def test_a_run_writes_one_served_row_per_request(self):
+        """The simulator returns the serving runtime's result shape: a
+        served row per request in serve order (stable by arrival), the
+        recurrence's own t_q, and joules priced per row by the shared
+        energy model."""
+        models = [tiny_model(10**6, "A"), tiny_model(10**9, "B")]
+        trace = [
+            SimRequest(i, models[i % 2], arrival)
+            for i, arrival in enumerate([3e-3, 0.0, 1e-3, 0.0, 2e-3])
+        ]
+        acc = lightning_chip()
+        result = EventDrivenSimulator(
+            acc, RoundRobinScheduler(num_cores=2)
+        ).run(trace)
+        table = result.outcomes
+        assert isinstance(result, Tallied)
+        assert result.served == result.offered == len(table) == len(trace)
+        assert [r.request_id for r in table.request] == [1, 3, 2, 4, 0]
+        # Model codes in first-use order: B served first, then A.
+        assert table.model.tolist() == [0, 0, 1, 1, 1]
+        assert table.arrival.tolist() == [0.0, 0.0, 1e-3, 2e-3, 3e-3]
+        assert (table.fate == Outcome.SERVED).all()
+        assert table.shard.tolist() == [-1] * 5
+        assert table.batch.tolist() == [1] * 5
+        assert table.prediction.tolist() == [-1] * 5
+        assert table.core.tolist() == [0, 1, 0, 1, 0]
+        assert (table.t_q >= 0).all()
+        energy = EnergyModel.from_accelerator(acc)
+        for row in range(len(table)):
+            assert table.joules[row] == energy.energy(
+                datapath_s=float(table.t_d[row]),
+                queuing_s=float(table.t_q[row]),
+                compute_s=float(table.t_c[row]),
+            )
+        assert [r.finish_s for r in result.records] == table.finish.tolist()
+        assert list(result.serve_times()) == list(table.serve_s)
 
 
 class TestRunComparison:
@@ -251,7 +290,7 @@ def summary_state(summary: StreamedSummary) -> tuple:
 
 
 class TestStreamedServing:
-    """keep_records=False: O(1)-memory aggregation over the reservoir."""
+    """A run's summary: one block fold of the arrays its table holds."""
 
     def _trace(self, n=3000):
         models = SIMULATION_MODELS()
@@ -259,26 +298,17 @@ class TestStreamedServing:
         rate = rate_for_utilization([acc], models, 0.9)
         return acc, models, PoissonWorkload(models, rate, seed=3).trace(n)
 
-    def test_streamed_aggregates_match_records(self):
-        acc, models, trace = self._trace()
-        full = EventDrivenSimulator(acc).run(trace)
+    def test_keep_records_is_inert(self):
+        acc, _, trace = self._trace(n=500)
+        kept = EventDrivenSimulator(acc).run(trace)
         streamed = EventDrivenSimulator(acc).run(trace, keep_records=False)
-        assert streamed.records == ()
-        assert streamed.summary is not None
-        assert streamed.summary.count == len(full.records)
-        assert streamed.mean_serve_time() == pytest.approx(
-            full.mean_serve_time(), rel=1e-12
-        )
-        assert streamed.utilization() == pytest.approx(
-            full.utilization(), rel=1e-12
-        )
-        for model in models:
-            assert streamed.mean_serve_time(model.name) == pytest.approx(
-                full.mean_serve_time(model.name), rel=1e-12
-            )
-            assert streamed.mean_energy(model.name) == pytest.approx(
-                full.mean_energy(model.name), rel=1e-12
-            )
+        assert summary_state(kept.summary) == summary_state(streamed.summary)
+        for column in Outcomes.COLUMNS:
+            assert np.array_equal(
+                getattr(kept.outcomes, column),
+                getattr(streamed.outcomes, column),
+            ), column
+        assert kept.records == streamed.records
 
     @pytest.mark.parametrize("platform", [lightning_chip, a100_gpu])
     def test_block_fold_equals_per_request_observes(self, platform):
@@ -289,9 +319,9 @@ class TestStreamedServing:
         acc = platform()
         rate = rate_for_utilization([acc], models, 0.95)
         trace = PoissonWorkload(models, rate, seed=5).trace(9000, 1)
-        streamed = EventDrivenSimulator(acc).run(trace, keep_records=False)
+        streamed = EventDrivenSimulator(acc).run(trace)
         reference = StreamedSummary(reservoir=PerValueReservoir())
-        for record in EventDrivenSimulator(acc).run(trace).records:
+        for record in streamed.records:
             reference.observe(
                 record.request.model.name,
                 record.datapath_s,
@@ -310,26 +340,26 @@ class TestStreamedServing:
 
         monkeypatch.setattr(StreamedSummary, "observe", per_request)
         acc, _, trace = self._trace()
-        streamed = EventDrivenSimulator(acc).run(trace, keep_records=False)
+        streamed = EventDrivenSimulator(acc).run(trace)
         assert streamed.summary.count == len(trace)
 
     def test_streamed_percentiles_are_exact_below_capacity(self):
-        # Fewer samples than the reservoir holds: the percentile path
-        # sees every value verbatim, so it must match the full run.
+        # Fewer samples than the reservoir holds: the reservoir sees
+        # every value verbatim, so it matches the table bit for bit.
         acc, _, trace = self._trace(n=1000)
-        full = EventDrivenSimulator(acc).run(trace)
-        streamed = EventDrivenSimulator(acc).run(trace, keep_records=False)
-        assert streamed.serve_time_percentiles(
-            [50, 99]
-        ) == pytest.approx(full.serve_time_percentiles([50, 99]))
+        result = EventDrivenSimulator(acc).run(trace)
+        assert result.serve_time_percentiles([50, 99]) == (
+            result.summary.reservoir.percentiles([50, 99])
+        )
 
-    def test_streamed_serve_times_raise(self):
-        acc, _, trace = self._trace(n=10)
-        streamed = EventDrivenSimulator(acc).run(trace, keep_records=False)
-        with pytest.raises(ValueError, match="streamed"):
-            streamed.serve_times()
-        with pytest.raises(ValueError, match="no records"):
-            streamed.mean_serve_time("NoSuchModel")
+    def test_percentiles_are_exact_past_capacity(self):
+        # The table holds every row, so percentiles stay exact where
+        # the reservoir has started to subsample.
+        acc, _, trace = self._trace(n=6000)
+        result = EventDrivenSimulator(acc).run(trace)
+        assert len(result.summary.reservoir) < len(trace)
+        exact = np.percentile([r.serve_time_s for r in result.records], 50)
+        assert result.serve_time_percentiles([50]) == [float(exact)]
 
     def test_record_path_unchanged_by_rewrite(self):
         # The heap-free loop must reproduce the event-loop recurrence:
