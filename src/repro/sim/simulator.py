@@ -322,23 +322,19 @@ class EventDrivenSimulator:
         summary.observe_many(
             list(name_codes), codes, datapath, queuing, compute, finish
         )
-        # Columns every row shares are read-only zero-stride views, so
-        # the table costs memory only for what varies per request.
+        # Columns every row shares are read-only zero-stride views (the
+        # omitted ones too), so the table costs memory only for what
+        # varies per request.
         outcomes = Outcomes(
             request=requests,
             model=codes,
-            shard=np.broadcast_to(np.int64(-1), num_requests),
             core=cores,
             fate=np.broadcast_to(np.int8(Outcome.SERVED), num_requests),
-            reason=np.broadcast_to(np.int8(0), num_requests),
-            flags=np.broadcast_to(np.int8(0), num_requests),
             arrival=arrivals[order],
             t_q=queuing,
             t_d=datapath,
             t_c=compute,
             finish=finish,
-            batch=np.broadcast_to(np.int64(1), num_requests),
-            prediction=np.broadcast_to(np.int64(-1), num_requests),
             joules=EnergyModel.from_accelerator(self.accelerator).energy(
                 datapath_s=datapath, queuing_s=queuing, compute_s=compute
             ),

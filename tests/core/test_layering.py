@@ -315,8 +315,8 @@ def test_check_accounting_runs_once_per_result_class():
         if isinstance(node, ast.Call)
         and ast.unparse(node.func) == "check_accounting"
     )
-    # The serve results' shared base, and the counter-only ledger the
-    # fleet engine keeps.
+    # The serve results' shared base, and the ledger that sums many
+    # tables' counts (the fleet engine's, one table per landing block).
     assert callers == [
         ("core/stats.py", "ServerStats"), ("core/stats.py", "Tallied"),
     ]
@@ -384,3 +384,58 @@ def test_simulation_result_queries_have_one_path():
             tested.append(node.left)
     assert "self.records" not in map(ast.unparse, tested)
     assert "self.summary" not in map(ast.unparse, tested)
+
+
+# ----------------------------------------------------------------------
+# The fleet engine writes the same table and keeps no fate counters
+# ----------------------------------------------------------------------
+def function_named(tree: ast.AST, name: str) -> ast.FunctionDef:
+    return next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def test_the_fleet_engine_counts_by_reducing_rows():
+    tree = ast.parse((SRC / "traffic" / "fleet.py").read_text())
+    counts = {*FATES, "offered", "stolen", "slo_served"}
+    assigned = [
+        ast.unparse(target)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AugAssign))
+        for target in (
+            node.targets if isinstance(node, ast.Assign) else [node.target]
+        )
+        if isinstance(target, ast.Attribute) and target.attr in counts
+    ]
+    assert assigned == []
+    named = {
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Nonlocal)
+        for name in node.names
+    }
+    assert named and not named & counts
+    sources = "".join(path.read_text() for path in sorted(SRC.rglob("*.py")))
+    assert "base_energy" not in sources
+
+
+def test_fold_and_the_fleet_add_counts_through_one_method():
+    def calls(function) -> set[str]:
+        return {
+            ast.unparse(node.func)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call)
+        }
+
+    stats = class_named("core/stats.py", "ServerStats")
+    fleet = ast.parse((SRC / "traffic" / "fleet.py").read_text())
+    assert "self.add_counts" in calls(function_named(stats, "fold"))
+    assert "stats.add_counts" in calls(function_named(fleet, "serve_open_loop"))
+    tallied = [
+        method.name
+        for method in stats.body
+        if isinstance(method, ast.FunctionDef)
+        and "outcomes.tally" in calls(method)
+    ]
+    assert tallied == ["add_counts"]

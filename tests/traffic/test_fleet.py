@@ -1,5 +1,7 @@
-"""Fleet-engine tests: accounting, stealing, memory, and overload.
+"""Fleet-engine tests: rows, accounting, stealing, memory, and overload.
 
+``TestRows`` draws small fleets and checks every landing block's rows
+against the result's counts; derandomized, so tier-1 is deterministic.
 ``TestBlockLanding`` holds the engine to landing completions in blocks,
 within a call budget: a silent fall-back to landing served requests one
 at a time is a ~1.8x fleet-engine slowdown with bit-identical results,
@@ -9,10 +11,22 @@ so no ratio gate and no digest sees it.
 from __future__ import annotations
 
 import hashlib
+from unittest.mock import patch
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.stats import EnergyLedger, LatencyReservoir
+from repro.core.stats import (
+    EnergyLedger,
+    LatencyReservoir,
+    Outcome,
+    OutcomeFlag,
+    OutcomeReason,
+    Outcomes,
+    ServerStats,
+)
 from repro.dnn import SIMULATION_MODELS
 from repro.sim.simulator import StreamedSummary
 from repro.sim import lightning_chip
@@ -91,17 +105,103 @@ class TestAccounting:
         with pytest.raises(ValueError, match="accounting"):
             good.check_invariant()
 
-    def test_ledgers_must_agree_on_served(self, mix, spec):
-        """The summary, the energy ledger and ``stats.served`` each
-        count landed requests; a block landed in only some of them is
-        caught even when the fates still sum to offered."""
-        cap = fleet_capacity_rps(spec, mix)
-        good = serve_open_loop(traffic(mix, cap), 1_000, spec)
-        assert good.summary.count == good.energy.count == good.served
-        assert good.horizon_s == good.summary.horizon_s
-        good.summary.count -= 1
-        with pytest.raises(ValueError, match="landed"):
-            good.check_invariant()
+
+
+FLEET_FUZZ = settings(
+    max_examples=100, derandomize=True, deadline=None, database=None
+)
+
+
+@st.composite
+def fleets(draw) -> dict:
+    return {
+        "shards": draw(st.integers(1, 3)),
+        "cores": draw(st.integers(1, 2)),
+        "queue": draw(st.integers(1, 8)),
+        "steal": draw(st.booleans()),
+        "policy": draw(st.sampled_from((AcceptAll, QueueBackpressure))),
+        "load": draw(st.floats(0.3, 3.0)),
+        "total": draw(st.integers(1, 2_000)),
+        # A small block and chunk make a serve span several of each.
+        "block": draw(st.sampled_from((97, fleet_module._LANDING_BLOCK))),
+        "chunk": draw(st.sampled_from((250, 65_536))),
+        "seed": draw(st.integers(0, 99)),
+    }
+
+
+def serve_capturing_rows(mix, case):
+    """Serve ``case``; return the result, its admission controller, its
+    traffic and every landing block's rows as one table."""
+    spec = FleetSpec(
+        lightning_chip(), num_shards=case["shards"],
+        cores_per_shard=case["cores"], queue_capacity=case["queue"],
+        steal=case["steal"],
+    )
+    stream = traffic(
+        mix, case["load"] * fleet_capacity_rps(spec, mix), seed=case["seed"]
+    )
+    admission = AdmissionController(case["policy"](), seed=case["seed"])
+    blocks = []
+    add_counts = ServerStats.add_counts
+
+    def capture(self, outcomes):
+        blocks.append(outcomes)
+        add_counts(self, outcomes)
+
+    with patch.object(ServerStats, "add_counts", capture), patch.object(
+        fleet_module, "_LANDING_BLOCK", case["block"]
+    ):
+        result = serve_open_loop(
+            stream, case["total"], spec, admission=admission,
+            chunk_size=case["chunk"],
+        )
+    return result, admission, stream, Outcomes.concat(blocks)
+
+
+class TestRows:
+    @FLEET_FUZZ
+    @given(fleets())
+    def test_every_arrival_is_one_row(self, mix, case):
+        result, admission, stream, rows = serve_capturing_rows(mix, case)
+        total = case["total"]
+        # The request column is the arrival's ordinal: a join key back
+        # into the offered stream.
+        order = np.argsort(rows.request)
+        assert rows.request[order].tolist() == list(range(total))
+        offered = list(stream.chunks(total, case["chunk"]))
+        assert rows.arrival[order].tolist() == np.concatenate(
+            [c.times for c in offered]
+        ).tolist()
+        assert rows.model[order].tolist() == np.concatenate(
+            [c.models for c in offered]
+        ).tolist()
+
+        fates = np.bincount(rows.fate, minlength=len(Outcome)).tolist()
+        assert fates == [
+            result.served, result.dropped, 0, result.unfinished,
+            result.shed, 0,
+        ]
+        assert result.offered == len(rows) == total
+        shed = rows.fate == Outcome.SHED
+        assert np.count_nonzero(shed) == admission.shed
+        assert set(rows.reason[shed].tolist()) <= {OutcomeReason.ADMISSION}
+        dropped = rows.fate == Outcome.DROPPED
+        assert set(rows.reason[dropped].tolist()) <= {
+            OutcomeReason.QUEUE_OVERFLOW
+        }
+        stolen = (rows.flags & OutcomeFlag.STOLEN) != 0
+        assert not np.any(stolen & (rows.fate != Outcome.SERVED))
+        assert np.count_nonzero(stolen) == result.stolen
+        if not case["steal"] or case["shards"] == 1:
+            assert result.stolen == 0
+
+        served = rows.served()
+        assert np.count_nonzero(
+            served.finish - served.arrival <= result.slo_s
+        ) == result.slo_served
+        assert np.all(served.t_q >= 0)
+        assert np.all((0 <= served.shard) & (served.shard < case["shards"]))
+        assert result.summary.count == result.energy.count == result.served
 
 
 def fleet_state(result) -> tuple:
