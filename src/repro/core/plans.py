@@ -210,14 +210,13 @@ def tape_law(core) -> tuple[float, float] | None:
 
 def _product_noise(
     size: int, inner: int, geometry: "PlanGeometry", std: float, mean: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Tape constants of one noisy matrix product's ``size`` outputs:
     ``BehavioralCore.matmul``'s law, ``z * (std * sqrt(r)) + mean * r``
     for the ``r`` readouts an inner dimension of ``inner`` sums."""
     readouts = -(-inner // geometry.num_wavelengths)
     return (
         np.full(size, std * math.sqrt(readouts)),
-        np.ones(size),
         np.full(size, mean * readouts),
     )
 
@@ -365,9 +364,9 @@ class ExecutionPlan:
 
     def tape_constants(
         self, std: float, mean: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per draw: the two factors and the shift :meth:`execute`'s
-        noise sites apply to a standard normal, in their order."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per draw: the factor and the shift :meth:`execute`'s noise
+        sites apply to a standard normal, in their order."""
         raise NotImplementedError
 
     @property
@@ -607,7 +606,7 @@ class DensePlan(ExecutionPlan):
         )
 
     def tape_constants(self, std, mean):
-        return self.std_scale, np.full(self.rows, std), mean * self.net_signs
+        return self.std_scale * std, mean * self.net_signs
 
     def execute_block(self, block, noise):
         # (rows, n) @ (B, n, 1): one gemv per request, as ``execute``.
@@ -911,15 +910,13 @@ class _Tape:
 
     A request draws ``draws`` standard normals, task after task in
     program order (``spans`` is each task's slice); a draw becomes
-    noise as ``z * scale * rescale + shift`` — two factors because a
-    dense row rounds ``(z * sqrt(steps)) * std`` and a product
-    ``z * (std * sqrt(readouts))``, and the tape rounds as they do.
+    noise as ``z * factor + shift``, one multiply as every noise site
+    makes it.
     """
 
     draws: int
     spans: tuple[tuple[int, int], ...]
-    scale: np.ndarray | None
-    rescale: np.ndarray | None
+    factor: np.ndarray | None
     shift: np.ndarray | None
 
 
@@ -1067,13 +1064,9 @@ class ModelPlan:
                 columns.append(plan.tape_constants(std, mean))
             start = stop
         if not columns:
-            return _Tape(0, tuple(spans), None, None, None)
-        scale, rescale, shift = (
-            np.concatenate(column) for column in zip(*columns)
-        )
-        return _Tape(
-            start, tuple(spans), scale, rescale, shift if mean else None
-        )
+            return _Tape(0, tuple(spans), None, None)
+        factor, shift = (np.concatenate(column) for column in zip(*columns))
+        return _Tape(start, tuple(spans), factor, shift if mean else None)
 
     def _fill(self, tape: _Tape, rows: int, streams) -> np.ndarray:
         """``rows`` requests' noise off ``streams``, ``(rows, draws)``."""
@@ -1090,8 +1083,7 @@ class ModelPlan:
                 f"streams cover {start // tape.draws} of {rows} rows"
             )
         noise = flat.reshape(rows, tape.draws)
-        noise *= tape.scale
-        noise *= tape.rescale
+        noise *= tape.factor
         if tape.shift is not None:
             noise += tape.shift
         return noise

@@ -363,23 +363,25 @@ class BehavioralCore:
         self._rng = np.random.default_rng(seed)
 
     def noise_stream(self, *key: int) -> np.random.Generator:
-        """The keyed Philox substream ``key`` names on this core.
+        """The keyed SFC64 substream ``key`` names on this core.
 
         ``SeedSequence`` mixes the core's base seed with the key, so
         distinct cores keep distinct streams even for equal keys.  The
         entropy is handed over as one ``uint32`` array — word for word
-        what ``SeedSequence`` makes of the tuple of ints, at two thirds
-        of the cost — unless a component needs more than one word.
+        what ``SeedSequence`` makes of the tuple of ints — unless a
+        component needs more than one word.  SFC64 is the cheapest
+        numpy bit generator per Gaussian draw and to build, and a
+        dispatch builds one and draws its whole tape from it.
         """
         entropy = (self.seed, *key)
         if 0 <= min(entropy) and max(entropy) < 1 << 32:
             entropy = np.array(entropy, dtype=np.uint32)
         return np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy))
+            np.random.SFC64(np.random.SeedSequence(entropy))
         )
 
     def reseed_noise(self, *subkey: int) -> None:
-        """Rebase the readout-noise stream onto a keyed Philox substream.
+        """Rebase the readout-noise stream onto a keyed SFC64 substream.
 
         The runtime keys each dispatch by ``(domain, core, epoch,
         batch)`` so the noise a batch consumes depends only on its key,
@@ -550,9 +552,10 @@ class BehavioralCore:
             mean = 0.0 if self.remove_mean else noise.mean
             if noise.std or mean:
                 self._rng.standard_normal(out.shape[0], out=scratch)
-                if std_scale is not None:
-                    scratch *= std_scale
-                scratch *= noise.std
+                # One factor per draw, rounded as the tape rounds it.
+                scratch *= (
+                    noise.std if std_scale is None else std_scale * noise.std
+                )
                 if mean:
                     if mean_scale is not None:
                         mean = mean * mean_scale

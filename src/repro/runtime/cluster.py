@@ -89,13 +89,15 @@ from .schedulers import CoreHealthView, RoundRobinScheduler, Scheduler
 
 __all__ = ["RuntimeRequest", "ClusterResult", "Cluster"]
 
-#: Domain separators for the keyed readout-noise substreams.  Every
-#: batch draws from ``Philox(seed, BATCH, core, epoch, batch)``, every
-#: watchdog probe from ``Philox(seed, PROBE, core, round)``, and every
-#: post-re-lock confirmation probe from ``Philox(seed, RELOCK, core,
-#: attempt)``, in both execution modes — so the draws a dispatch
-#: consumes depend only on its key, never on scheduling order, and
-#: ``execution="parallel"`` reproduces the serial run bit for bit.
+#: Domain separators for the keyed readout-noise substreams
+#: (``BehavioralCore.noise_stream``: SFC64 over the ``SeedSequence`` of
+#: the key).  Every batch draws from the stream of ``(seed, BATCH,
+#: core, epoch, batch)``, every watchdog probe from ``(seed, PROBE,
+#: core, round)``, and every post-re-lock confirmation probe from
+#: ``(seed, RELOCK, core, attempt)``, in both execution modes — so the
+#: draws a dispatch consumes depend only on its key, never on
+#: scheduling order, and ``execution="parallel"`` reproduces the serial
+#: run bit for bit.
 _BATCH_RNG_DOMAIN = 0xB0
 _PROBE_RNG_DOMAIN = 0xA5
 _RELOCK_RNG_DOMAIN = 0x9C
@@ -1166,7 +1168,7 @@ class _ServeRun:
 
     def _probe(self, core: int, now: float, key: tuple[int, ...]):
         """One watchdog check of a core at ``now``, its readout noise
-        on the keyed Philox substream."""
+        on the keyed SFC64 substream."""
         wrapped = self.datapaths[core].core
         rebase(wrapped, now, key)
         result = self.watchdog.check(core, wrapped)

@@ -1,7 +1,7 @@
 """Where a dispatch's numerics run, and when.
 
 A dispatch's *timing* comes from its model's compiled
-:class:`~repro.core.datapath.TimingPlan` and its noise from a Philox
+:class:`~repro.core.datapath.TimingPlan` and its noise from an SFC64
 stream keyed by the dispatch, so on a core whose forward program tapes
 the noise (:attr:`~repro.core.datapath.LightningDatapath.defers_numerics`)
 the *numerics* are a function of the plan, the request levels, the key

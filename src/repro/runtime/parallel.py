@@ -21,7 +21,7 @@ execution parallelism while preserving its virtual-clock determinism:
   is published once and never re-pickled.
 * **Windowed ring dispatch** — per-batch traffic rides the
   :mod:`~repro.runtime.rings` transport: the parent writes dispatch
-  slots (raw input block, virtual time, Philox substream key) into a
+  slots (raw input block, virtual time, noise substream key) into a
   per-worker shared-memory request ring and posts the worker once per
   ``window`` batches; results come back through a mirrored completion
   ring as one int32 prediction per row.  No per-batch pickling, no
@@ -31,7 +31,7 @@ execution parallelism while preserving its virtual-clock determinism:
 Determinism contract: the parent reseeds nothing here — the cluster
 keys every batch's readout-noise stream by ``(domain, core, epoch,
 batch)`` and ships the key with the dispatch, and the worker rebases
-its core's Philox substream on that key before executing
+its core's SFC64 substream on that key before executing
 (:meth:`~repro.photonics.core.BehavioralCore.reseed_noise`).  Because
 the draws a batch consumes depend only on its key, the worker's outputs
 are bit-identical to the serial path's regardless of real scheduling

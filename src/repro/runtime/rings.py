@@ -13,7 +13,7 @@ in one :class:`multiprocessing.shared_memory.SharedMemory` segment:
 
 * the **request ring** carries dispatch slots written by the parent —
   the raw input block (no pickling; a bounded ``float64`` copy into the
-  slot), the virtual dispatch time, the Philox substream key, and the
+  slot), the virtual dispatch time, the noise substream key, and the
   sequence number — plus small pickled *control* slots (device faults,
   bias re-locks, pipe hand-offs) that ride the
   same ring so FIFO ordering between faults and the batches they

@@ -40,14 +40,16 @@ BLOCKS = (1, 2, 5, 17)
 
 
 def keyed(seed: int, key: tuple[int, ...]) -> np.random.Generator:
+    """The keyed readout-noise stream ``BehavioralCore.noise_stream``
+    builds."""
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((seed, *key)))
+        np.random.SFC64(np.random.SeedSequence((seed, *key)))
     )
 
 
 class TestNumpyContracts:
     """Stacked ``np.matmul`` is one BLAS call per slice, the call the
-    per-slice product makes; one Philox fill is the sequential fills."""
+    per-slice product makes; one keyed fill is the sequential fills."""
 
     #: (rows, n) of dense layers in the zoo, LeNet- and GPT-2-class.
     DENSE = [(8, 12), (5, 16), (4, 8), (3, 24), (300, 784), (100, 300),
@@ -105,7 +107,7 @@ class TestNumpyContracts:
             assert ours.tobytes() == (one @ weights_t).tobytes()
 
     @pytest.mark.parametrize("rows", BLOCKS)
-    def test_one_philox_fill_equals_the_per_site_fills(self, rows):
+    def test_one_keyed_fill_equals_the_per_site_fills(self, rows):
         sites = [(3, 8, 16), (8, 8), (8, 16), (128,), (10,), (1,), (7, 33)]
         draws = sum(int(np.prod(site)) for site in sites)
         tape = keyed(7, (1, 2, 3)).standard_normal(rows * draws)
@@ -122,7 +124,7 @@ class TestNumpyContracts:
 
 
 def position(generator: np.random.Generator) -> str:
-    """Where a stream stands (a Philox state holds arrays)."""
+    """Where a stream stands (an SFC64 state holds arrays)."""
     return repr(generator.bit_generator.state)
 
 

@@ -439,3 +439,44 @@ def test_fold_and_the_fleet_add_counts_through_one_method():
         and "outcomes.tally" in calls(method)
     ]
     assert tallied == ["add_counts"]
+
+
+# ----------------------------------------------------------------------
+# Keyed streams: one idiom for readout noise, one for traffic
+# ----------------------------------------------------------------------
+KEYED = {"MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64", "SeedSequence"}
+
+
+def builds_a_keyed_stream(node) -> bool:
+    """A ``SeedSequence`` or a bit generator is constructed here."""
+    return (
+        isinstance(node, ast.Call)
+        and ast.unparse(node.func).split(".")[-1] in KEYED
+    )
+
+
+def test_keyed_bit_generators_are_built_in_two_places():
+    """A second keyed-noise idiom would draw different numbers for the
+    same key in two places, and serial and parallel serving would part
+    silently; so every ``SeedSequence`` and every bit generator under
+    ``src/`` is built in exactly these two functions."""
+    built = sorted(
+        (name, function.name, ast.unparse(node.func).split(".")[-1])
+        for name, tree in parsed_modules()
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if builds_a_keyed_stream(node)
+    )
+    assert built == [
+        # Readout noise: the tape, reseed_noise, watchdog and re-lock probes.
+        ("photonics/core.py", "noise_stream", "SFC64"),
+        ("photonics/core.py", "noise_stream", "SeedSequence"),
+        # Traffic, admission and fault schedules: the virtual clock.
+        ("traffic/arrivals.py", "substream", "Philox"),
+        ("traffic/arrivals.py", "substream", "SeedSequence"),
+    ]
+    # And none outside a function (a module or class attribute).
+    assert sorted(matches(builds_a_keyed_stream)) == [
+        name for name, _, _ in built
+    ]

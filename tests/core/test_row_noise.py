@@ -3,13 +3,15 @@
 A dense row is the signed digital sum of its ADC readouts, so on a
 behavioural core with a summable noise model the row's noise is one
 draw from ``N(mean * sum(signs), std**2 * readouts)``.  These tests pin
-the three things that contract rests on:
+the things that contract rests on:
 
 * the *law* — replaying one dense layer many times matches a
   per-readout reference (the equivalence suite's accumulate-only
   wrapper, which cannot take the row-granular path) in per-row mean
-  and variance;
-* the *draw budget* — a replay advances the Philox stream by exactly
+  and variance; and served on ~2 000 dispatch keys, every draw site of
+  a keyed tape has its law's mean and variance and no correlation
+  with the next key's;
+* the *draw budget* — a replay advances the keyed stream by exactly
   ``rows`` normals per dense layer on a plain core and by the summed
   step counts under :class:`DegradedCore`, so a silent fall-back to
   per-readout draws fails here, not in a benchmark — it is a 3x serving
@@ -20,6 +22,8 @@ the three things that contract rests on:
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -34,6 +38,7 @@ from repro.core import (
 from repro.core import plans as plans_module
 from repro.core.plans import DensePlan
 from repro.faults import DegradedCore, LaserPowerDrift, MZMBiasDrift, StuckBit
+from repro.perf.bench import gpt2_class_dag, lenet_class_dag
 from repro.photonics import (
     BehavioralCore,
     CompositeNoise,
@@ -85,7 +90,7 @@ def dense_plans(datapath, dag) -> list[DensePlan]:
 
 
 def keyed_core(seed: int = 3) -> BehavioralCore:
-    """A core on the keyed Philox substream the runtime dispatches on."""
+    """A core on the keyed substream the runtime dispatches on."""
     core = BehavioralCore(noise=GaussianNoise(), seed=seed)
     core.reseed_noise(0, 1, 2)
     return core
@@ -205,6 +210,88 @@ class TestLaw:
                 plan.net_signs, [row.group_signs.sum() for row in rows]
             )
             np.testing.assert_array_equal(plan.steps, steps)
+
+
+KEYS = 2000
+
+
+def first_layer(build, kind: str) -> ComputationDAG:
+    """A one-task DAG of ``build``'s first ``kind`` layer."""
+    task = next(task for task in build(0, 1).tasks if task.kind == kind)
+    return ComputationDAG(
+        1, f"first-{kind}", [dataclasses.replace(task, depends_on=())]
+    )
+
+
+class TestKeyedTapeLaw:
+    """The statistical gate on served noise, in place of digests: every
+    draw site of a keyed tape is ``N(shift, factor**2)`` and one key's
+    draws are uncorrelated with the next key's, whatever the generator
+    behind :meth:`BehavioralCore.noise_stream`."""
+
+    @pytest.mark.parametrize("remove_mean", [True, False])
+    @pytest.mark.parametrize(
+        "build, kind",
+        [(lenet_class_dag, "dense"), (gpt2_class_dag, "attention")],
+        ids=["lenet-first-dense", "gpt2-first-attention"],
+    )
+    def test_every_site_is_its_law(self, monkeypatch, build, kind, remove_mean):
+        dag = first_layer(build, kind)
+        (task,) = dag.tasks
+        x = np.random.default_rng(6).integers(0, 256, task.input_size)
+
+        def served(noise):
+            datapath = LightningDatapath(
+                core=BehavioralCore(
+                    noise=noise, remove_mean=remove_mean, seed=3
+                )
+            )
+            datapath.register_model(dag)
+            (plan,) = datapath.model_plan(1).tasks.values()
+            raws, draws = [], []
+            execute_block = type(plan).execute_block
+
+            def spy(self, block, noise):
+                draws.append(None if noise is None else noise.copy())
+                raws.append(execute_block(self, block, noise))
+                return raws[-1]
+
+            monkeypatch.setattr(type(plan), "execute_block", spy)
+            datapath.forward_keyed(
+                1,
+                np.tile(x.astype(float), (KEYS, 1)),
+                [((0xB0, 0, 0, batch), 1) for batch in range(KEYS)],
+            )
+            monkeypatch.undo()
+            return plan, raws[0], draws[0]
+
+        plan, noisy, z = served(GaussianNoise())
+        _, clean, nothing = served(NoiselessModel())
+        assert nothing is None and z.shape == (KEYS, plan.draws)
+        if kind == "dense":
+            # Served minus noiseless is the draw, row for row.
+            np.testing.assert_allclose(noisy - clean, z, rtol=0, atol=1e-9)
+            readouts, signs = plan.steps, plan.net_signs
+        else:
+            # Q/K/V, scores, context, output: (outputs, inner) per product.
+            s, d = task.attention.seq_len, task.attention.d_model
+            sites = [(3 * s * d, d), (s * s, d), (s * d, s), (s * d, d)]
+            readouts = np.concatenate([
+                np.full(size, -(-inner // plan.geometry.num_wavelengths))
+                for size, inner in sites
+            ])
+            signs = readouts  # a product adds every readout
+        law = GaussianNoise()
+        factor = law.std * np.sqrt(readouts)
+        shift = 0.0 if remove_mean else law.mean * signs
+
+        mean = z.mean(axis=0)
+        assert np.all(np.abs(mean - shift) < 4.0 * factor / np.sqrt(KEYS))
+        ratio = z.var(axis=0, ddof=1) / factor**2
+        assert np.all(np.abs(ratio - 1.0) < 0.15)
+        centred = (z - mean) / z.std(axis=0)
+        neighbours = (centred[:-1] * centred[1:]).mean(axis=0)
+        assert np.all(np.abs(neighbours) < 4.0 / np.sqrt(KEYS))
 
 
 class TestDrawBudget:

@@ -248,14 +248,14 @@ class TestBehavioralCore:
 
 
 class TestKeyedNoiseStreams:
-    """``noise_stream`` hands ``SeedSequence`` one uint32 array instead
-    of a tuple of Python ints: the same entropy words, so the same
-    stream, at two thirds of the cost per dispatch."""
+    """``noise_stream`` is an SFC64 stream over ``SeedSequence((seed,
+    *key))``, handed the entropy as one uint32 array instead of a tuple
+    of Python ints: the same entropy words, so the same stream."""
 
     @staticmethod
     def reference(seed, key) -> np.random.Generator:
         return np.random.Generator(
-            np.random.Philox(np.random.SeedSequence((seed, *key)))
+            np.random.SFC64(np.random.SeedSequence((seed, *key)))
         )
 
     #: One word each, zero included; then components that need two

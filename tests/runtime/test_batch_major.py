@@ -146,18 +146,21 @@ def serve(name: str, execution: str, max_batch: int):
         return cluster.serve_trace(trace(), **SCENARIOS[name]())
 
 
-#: ``digest(serve(name, "serial", max_batch))`` recorded at b7aa51d, the
-#: commit before numerics were deferred: every dispatch ran ``execute``
-#: / ``execute_batch`` inline, one ``ModelPlan.forward`` per row.
+#: ``digest(serve(name, "serial", max_batch))``, re-pinned on top of
+#: 0d671dd when the keyed readout-noise stream changed generator
+#: (Philox to SFC64) and each noise site went to one factor per draw.
+#: Serial and parallel serves gave these same digests; until then they
+#: held the values recorded at b7aa51d, the commit before numerics were
+#: deferred.
 PARENT_DIGESTS = {
-    ("crash_mid_batch", 1): "9cf762e0a41724bd",
-    ("crash_mid_batch", 4): "66b1acb35d370846",
-    ("stall", 1): "74de1664cea49a71",
-    ("stall", 4): "f245318acb1da98c",
-    ("drift_and_relock", 1): "d3568fcc5fd3f435",
-    ("drift_and_relock", 4): "4bb4392dbdc1f3a9",
-    ("timeout_cut", 1): "6459113b3e507d69",
-    ("timeout_cut", 4): "8c5ba1abd36a0022",
+    ("crash_mid_batch", 1): "0bc496243807d720",
+    ("crash_mid_batch", 4): "ba405755b34e0b0a",
+    ("stall", 1): "b5747d716461b266",
+    ("stall", 4): "01956674e8dd45c7",
+    ("drift_and_relock", 1): "a3f1e7cf6178384c",
+    ("drift_and_relock", 4): "13e7fb6c0910a8d5",
+    ("timeout_cut", 1): "57e6c77458d28c92",
+    ("timeout_cut", 4): "96fc0d9988481122",
 }
 
 CASES = [

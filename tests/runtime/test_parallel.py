@@ -8,7 +8,7 @@ including under active fault schedules (crash mid-batch, stalls,
 device drift, watchdog quarantine) and drop-head admission queues.
 
 These tests run the *real* worker processes with a *noisy* core model
-(Gaussian readout noise), so they exercise the keyed Philox substream
+(Gaussian readout noise), so they exercise the keyed noise substream
 contract, the shared-memory plan replay, and the fault-forwarding
 pipes — not just a degenerate noiseless path.
 """
