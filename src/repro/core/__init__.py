@@ -65,7 +65,6 @@ from .preamble import (
 )
 from .reference import ReferenceDatapath
 from .energy import DRAM_QUEUE_POWER_WATTS, EnergyModel
-from .server import InferenceServer
 from .smartnic import LightningSmartNIC, PuntedPacket, ServedRequest
 from .stats import (
     DEFAULT_RESERVOIR_CAPACITY,
@@ -128,7 +127,6 @@ __all__ = [
     "LightningSmartNIC",
     "ServedRequest",
     "PuntedPacket",
-    "InferenceServer",
     "ServerStats",
     "LatencyReservoir",
     "EnergyLedger",

@@ -281,10 +281,6 @@ class CountActionFabric:
     def fire_log(self) -> tuple[FireRecord, ...]:
         return tuple(self._fire_log)
 
-    @property
-    def unit_names(self) -> tuple[str, ...]:
-        return tuple(self._units)
-
     def add_unit(self, unit: CountActionUnit) -> CountActionUnit:
         """Install a unit into the fabric (names must be unique)."""
         if unit.name in self._units:

@@ -1,10 +1,11 @@
 """Shared serving statistics and accounting.
 
-Three consumers track serving behaviour: the synchronous
-:class:`~repro.core.server.InferenceServer`, the smartNIC's frame
-counters, and the multi-core :class:`~repro.runtime.cluster.Cluster`.
-This module holds the accounting they share so a dashboard reading any
-of them sees the same metrics computed the same way.
+Two ledgers track serving behaviour: the NIC's frame counters
+(:class:`NICCounters`, moved only by :func:`repro.net.ingress.receive`,
+one counter per frame fate) and the serving layers' request statistics
+(:class:`ServerStats`, shared by the cluster, the fabric, the fleet
+engine and the §9 simulator).  This module holds both, so a dashboard
+reading any layer sees the same metrics computed the same way.
 
 A serve's per-request story is one :class:`Outcomes` table — a row per
 offered request with its fate, reason, timing and energy — and every
@@ -63,15 +64,6 @@ DEFAULT_RESERVOIR_CAPACITY = 4096
 #: covers exactly — fleet SLO curves never need record retention.
 DEFAULT_TAIL_CAPACITY = 1024
 
-#: Algorithm-R replacement slots are drawn this many at a time: one
-#: ``integers`` call with an array ``high`` costs ~0.05 us per draw
-#: against ~1.2 us for a scalar call, and consumes the bit stream
-#: exactly as the scalar calls would (pinned by
-#: ``tests/core/test_stats.py::test_block_integers_match_scalar_stream``).
-_SLOT_BLOCK = 1024
-
-_NO_SLOTS = np.empty(0, dtype=np.int64)
-
 
 def sequential_sum(start: float, values: np.ndarray) -> float:
     """``start + values[0] + values[1] + ...`` added left to right.
@@ -120,10 +112,11 @@ class LatencyReservoir:
     per-request record retention.
 
     :meth:`add_many` observes a block of values at once and leaves the
-    reservoir exactly as per-value :meth:`add` calls would.  Both take
-    their replacement slots from one pre-drawn block, so the generator
-    runs ahead of the per-value position between calls; :meth:`merge`
-    rewinds it before drawing from it.
+    reservoir exactly as per-value :meth:`add` calls would: its one
+    ``integers`` call with an array ``high`` consumes the bit stream as
+    one scalar draw per value does (pinned by
+    ``tests/core/test_stats.py::test_block_integers_match_scalar_stream``),
+    so the generator always sits where per-value draws leave it.
     """
 
     def __init__(
@@ -150,54 +143,6 @@ class LatencyReservoir:
         #: for the smaller of the two sides' guarantees, so the bound
         #: becomes explicit (and sticky) afterwards.
         self._tail_exact: int | None = None
-        #: Pre-drawn replacement slots, one per value past the fill in
-        #: arrival order; the first ``_slot_pos`` are spent, on the
-        #: values up to the current count.  ``_slot_state`` is the
-        #: generator state before the block was drawn, kept for
-        #: :meth:`_settle`.
-        self._slots = _NO_SLOTS
-        self._slot_pos = 0
-        self._slot_state: dict | None = None
-
-    def _draw_slots(self, first: int, need: int) -> None:
-        """Pre-draw slots for the values making the count ``first``,
-        ``first + 1``, ...  Only called with every earlier slot spent,
-        so the generator sits where per-value draws would have left it.
-        """
-        size = max(need, _SLOT_BLOCK)
-        self._slot_state = self._rng.bit_generator.state
-        self._slots = self._rng.integers(0, np.arange(first, first + size))
-        self._slot_pos = 0
-
-    def _take_slots(self, first: int, need: int) -> np.ndarray:
-        """The next ``need`` slots of the per-value draw stream."""
-        pos = self._slot_pos
-        have = self._slots[pos : pos + need]
-        if len(have) == need:
-            self._slot_pos = pos + need
-            return have
-        rest = need - len(have)
-        self._draw_slots(first + len(have), rest)
-        self._slot_pos = rest
-        return np.concatenate((have, self._slots[:rest]))
-
-    def _settle(self) -> None:
-        """Rewind the generator to where per-value draws would be.
-
-        Unspent slots are discarded: the generator goes back to the
-        state before their block and re-draws only the spent ones.
-        Anything else that reads the generator, or moves the count the
-        slots were drawn against, settles first.
-        """
-        spent = self._slot_pos
-        if spent < len(self._slots):
-            self._rng.bit_generator.state = self._slot_state
-            if spent:
-                # The spent slots went to the last ``spent`` values.
-                after = self._count + 1
-                self._rng.integers(0, np.arange(after - spent, after))
-        self._slots = _NO_SLOTS
-        self._slot_pos = 0
 
     def _tail_coverage(self) -> int:
         """How many of the stream's largest values are held exactly."""
@@ -217,12 +162,7 @@ class LatencyReservoir:
         if len(self._samples) < self.capacity:
             self._samples.append(value)
             return
-        pos = self._slot_pos
-        if pos == len(self._slots):
-            self._draw_slots(self._count, 1)
-            pos = 0
-        self._slot_pos = pos + 1
-        slot = self._slots.item(pos)
+        slot = int(self._rng.integers(0, self._count))
         if slot < self.capacity:
             self._samples[slot] = value
 
@@ -258,7 +198,7 @@ class LatencyReservoir:
             first += fill
             if len(values) == 0:
                 return
-        slots = self._take_slots(first, len(values))
+        slots = self._rng.integers(0, np.arange(first, first + len(values)))
         hits = np.flatnonzero(slots < self.capacity)
         for slot, value in zip(slots[hits].tolist(), values[hits].tolist()):
             samples[slot] = value
@@ -365,7 +305,6 @@ class LatencyReservoir:
         """
         if other._count == 0:
             return
-        self._settle()
         if self.tail_capacity:
             merged_tail = heapq.nlargest(
                 self.tail_capacity, self._tail + other._tail
@@ -882,9 +821,7 @@ class ServerStats:
     """
 
     served: int = 0
-    punted: int = 0
     dropped: int = 0
-    errors: int = 0
     #: ``FAILED`` rows: requests abandoned after exhausting their retry
     #: budget or stranded with no usable core — shed loudly, never lost
     #: silently.
@@ -976,7 +913,7 @@ class ServerStats:
     def accounted(self) -> None:
         """Check the extended invariant over this ledger's counters.
 
-        ``errors``/``retries``/``slo_dropped`` annotate subsets of the
+        ``retries``/``slo_dropped`` annotate subsets of the
         primary fates (an SLO drop is already inside ``dropped``), so
         only the primary fates sum.  Raises :exc:`ValueError` when a
         request went missing or was double-counted.
@@ -1017,9 +954,7 @@ class ServerStats:
         each shard's local cores into one global namespace.
         """
         self.served += other.served
-        self.punted += other.punted
         self.dropped += other.dropped
-        self.errors += other.errors
         self.failed += other.failed
         self.retries += other.retries
         self.slo_dropped += other.slo_dropped
@@ -1044,9 +979,7 @@ class ServerStats:
         """A dashboard-style snapshot."""
         out: dict[str, float | int] = {
             "served": self.served,
-            "punted": self.punted,
             "dropped": self.dropped,
-            "errors": self.errors,
             "failed": self.failed,
             "retries": self.retries,
             "slo_dropped": self.slo_dropped,

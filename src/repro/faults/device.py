@@ -20,12 +20,12 @@ onset so that drift *accumulates* the way real devices wander:
 
 :class:`DegradedCore` composes any number of these around a
 :class:`~repro.photonics.core.BehavioralCore`-compatible core.  It
-preserves the core interface the datapath uses (``architecture``,
-``matmul``, ``accumulate``, ``multiply``), so a fault can be installed
-on a *live* serving core — the cluster wraps a core's datapath in place
-when a scheduled device fault fires — and the calibration watchdog can
-measure the degradation through the same interface it probes healthy
-cores with.
+preserves the core interface compiled plans use (``architecture``,
+``accumulate``, ``accumulate_into``, ``readout_noise_into``,
+``matmul``), so a fault can be installed on a *live* serving core —
+the cluster wraps a core's datapath in place when a scheduled device
+fault fires — and the calibration watchdog can measure the degradation
+through the same interface it probes healthy cores with.
 """
 
 from __future__ import annotations
@@ -359,10 +359,6 @@ class DegradedCore:
     # ------------------------------------------------------------------
     # Core interface (what the datapath and the watchdog call)
     # ------------------------------------------------------------------
-    def multiply(self, a_levels, b_levels):
-        """Elementwise photonic product, perturbed per-readout."""
-        return self._perturb(self.core.multiply(a_levels, b_levels), 1)
-
     def accumulate(self, a_pairs, b_pairs):
         """Accumulate steps (one readout each), perturbed.
 
@@ -434,14 +430,3 @@ class DegradedCore:
         return self._perturb(
             self.core.matmul(a_matrix, b_matrix), readouts
         )
-
-    def dot(self, a_levels, b_levels) -> float:
-        """One faulty dot product (a 1x1 :meth:`matmul`)."""
-        a_levels = np.asarray(a_levels, dtype=np.float64).ravel()
-        b_levels = np.asarray(b_levels, dtype=np.float64).ravel()
-        result = self.matmul(a_levels[None, :], b_levels[:, None])
-        return float(result[0, 0])
-
-    def apply_readout_noise(self, levels):
-        """The wrapped core's readout noise plus installed faults."""
-        return self._perturb(self.core.apply_readout_noise(levels), 1)

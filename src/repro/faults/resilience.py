@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.plans import supports_matmul
 from ..devkit import LightningDevKit
 from ..photonics.core import PrototypeCore
 from ..photonics.devices import MachZehnderModulator
@@ -120,7 +121,9 @@ class CalibrationWatchdog:
     threshold is ``3x`` the prototype's calibrated noise std — a
     healthy core sits at ~1.65, so tripping at 4.95 keeps the false
     quarantine rate negligible while catching drift well before it
-    costs whole-model accuracy.
+    costs whole-model accuracy.  That default is the behavioural
+    core's: a healthy device-accurate :class:`PrototypeCore` probes at
+    ~13.0, so a cluster of them needs a threshold of its own.
 
     By default quarantine is terminal.  Passing a
     :class:`BiasRelockController` as ``relock`` turns the watchdog into
@@ -164,23 +167,32 @@ class CalibrationWatchdog:
     def probe(self, core) -> float:
         """Per-readout RMS error of one core against the probe set.
 
-        Works with any core exposing ``matmul`` (behavioral) or ``mac``
-        (device-accurate); the error is normalized by ``sqrt(readouts)``
-        so the healthy value equals the per-readout noise std no matter
-        the probe length.
+        A core with whole-layer products (:func:`supports_matmul`,
+        which a fault wrapper forwards) answers through ``matmul``; any
+        other core through ``accumulate`` over zero-padded,
+        wavelength-wide steps summed digitally — the arithmetic of
+        :meth:`PrototypeCore.mac`, through the entry point a
+        :class:`~repro.faults.device.DegradedCore` perturbs per
+        readout.  The error is normalized by ``sqrt(readouts)`` so the
+        healthy value equals the per-readout noise std no matter the
+        probe length.
         """
         length = self.probe_a.shape[1]
         wavelengths = core.architecture.accumulation_wavelengths
         readouts = math.ceil(length / wavelengths)
-        if hasattr(core, "matmul"):
+        if supports_matmul(core):
             measured = np.array([
                 core.matmul(a[None, :], b[:, None])[0, 0]
                 for a, b in zip(self.probe_a, self.probe_b)
             ])
         else:
+            pad = ((0, 0), (0, readouts * wavelengths - length))
+            steps = (len(self.probe_a), readouts, wavelengths)
+            a_steps = np.pad(self.probe_a, pad).reshape(steps)
+            b_steps = np.pad(self.probe_b, pad).reshape(steps)
             measured = np.array([
-                core.mac(a, b)
-                for a, b in zip(self.probe_a, self.probe_b)
+                np.sum(core.accumulate(a, b))
+                for a, b in zip(a_steps, b_steps)
             ])
         errors = measured - self.expected
         return float(

@@ -71,12 +71,6 @@ class LearningForwardingTable:
         """The learned port for ``address``, or ``None`` on a miss."""
         return self._table.get(address)
 
-    def unlearn_port(self, port: int) -> None:
-        """Forget every binding to ``port`` (link down / shard dead)."""
-        self._table = {
-            addr: p for addr, p in self._table.items() if p != port
-        }
-
     def flood_ports(self, ingress_port: int | None = None) -> tuple[int, ...]:
         """Every port except the ingress — the flood set on a miss."""
         return tuple(

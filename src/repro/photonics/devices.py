@@ -155,17 +155,6 @@ class Laser:
             {self.wavelength_nm: np.full(num_samples, self.power)}
         )
 
-    def set_power(self, power: float) -> None:
-        """Re-set the carrier power (drift injection / power servo).
-
-        The fault layer (:mod:`repro.faults.device`) drives this to
-        model thermal power drift of an uncontrolled laser; a power
-        servo would drive it the other way.
-        """
-        if power <= 0:
-            raise ValueError("laser power must be positive")
-        self.power = float(power)
-
 
 @dataclass
 class CombLaser:

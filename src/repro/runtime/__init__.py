@@ -1,9 +1,10 @@
 """The multi-core serving runtime: cluster, schedulers, queues, batching.
 
-This package turns the single-shot serving loop of
-:mod:`repro.core.server` into a load-bearing runtime — the layer the
-paper's §9 simulator abstracts, realised over real
-:class:`~repro.core.datapath.LightningDatapath` cores:
+This package turns the smartNIC's one-frame serving path
+(:meth:`~repro.core.smartnic.LightningSmartNIC.handle_frame`) into a
+load-bearing runtime — the layer the paper's §9 simulator abstracts,
+realised over real :class:`~repro.core.datapath.LightningDatapath`
+cores:
 
 * :class:`~repro.runtime.cluster.Cluster` — N photonic cores sharing
   deployed DAGs behind a virtual-clock event loop;

@@ -49,10 +49,6 @@ class TritonGPUServer:
         """Serving-path plus compute latency for one query."""
         return self.datapath_seconds + self.compute_seconds(macs)
 
-    def energy_joules(self, macs: int) -> float:
-        """Serve-time energy at board power."""
-        return self.end_to_end_seconds(macs) * self.power_watts
-
 
 def p4_triton() -> TritonGPUServer:
     """The P4-GPU Triton server of §6.3.

@@ -1,101 +1,12 @@
-"""Tests for the inference-serving runtime and the datapath tracer."""
+"""Tests for the datapath tracer."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    ControlRegisterFile,
-    DatapathTracer,
-    InferenceServer,
-    LightningDatapath,
-    LightningSmartNIC,
-    ServedRequest,
-)
-from repro.net import InferenceRequest, build_inference_frame
+from repro.core import ControlRegisterFile, DatapathTracer, LightningDatapath
 from repro.photonics import BehavioralCore, NoiselessModel
-
-
-@pytest.fixture()
-def server(tiny_dag):
-    nic = LightningSmartNIC(
-        datapath=LightningDatapath(
-            core=BehavioralCore(noise=NoiselessModel())
-        )
-    )
-    srv = InferenceServer(nic)
-    srv.deploy(tiny_dag, warmup=2)
-    return srv
-
-
-class TestInferenceServer:
-    def test_deploy_and_submit(self, server):
-        outcome = server.submit(1, np.arange(12))
-        assert isinstance(outcome, ServedRequest)
-        assert server.stats.served == 1
-        assert server.stats.per_model_served == {1: 1}
-
-    def test_warmup_populates_caches(self, tiny_dag):
-        nic = LightningSmartNIC(
-            datapath=LightningDatapath(
-                core=BehavioralCore(noise=NoiselessModel())
-            )
-        )
-        srv = InferenceServer(nic)
-        srv.deploy(tiny_dag, warmup=3)
-        # Warm-up runs do not count as served requests.
-        assert srv.stats.served == 0
-        # But they replayed both layers' compiled plans.
-        assert nic.datapath.plan_stats() == {1: {"tasks": 2, "replays": 3}}
-
-    def test_unknown_model_submit_raises(self, server):
-        with pytest.raises(KeyError, match="not deployed"):
-            server.submit(99, np.zeros(4))
-
-    def test_latency_percentiles(self, server):
-        for _ in range(10):
-            server.submit(1, np.arange(12))
-        p50 = server.stats.latency_percentile(50)
-        p99 = server.stats.latency_percentile(99)
-        assert 0 < p50 <= p99
-        summary = server.stats.summary()
-        assert summary["served"] == 10
-        assert summary["p99_us"] >= summary["p50_us"]
-
-    def test_percentile_without_samples_raises(self, server):
-        with pytest.raises(ValueError, match="no requests"):
-            InferenceServer().stats.latency_percentile(50)
-
-    def test_wire_frames_accounted(self, server, tiny_dag):
-        good = build_inference_frame(
-            InferenceRequest(1, 5, np.zeros(12, dtype=np.uint8))
-        )
-        regular = build_inference_frame(
-            InferenceRequest(1, 6, np.zeros(12, dtype=np.uint8)),
-            dst_port=8080,
-        )
-        server.handle_wire_frame(good)
-        server.handle_wire_frame(regular)
-        assert server.stats.served == 1
-        assert server.stats.punted == 1
-
-    def test_malformed_wire_frame_counted_as_error(self, server):
-        assert server.handle_wire_frame(b"\x00" * 5) is None
-        assert server.stats.errors == 1
-
-    def test_unknown_model_wire_frame_is_error_not_crash(self, server):
-        frame = build_inference_frame(
-            InferenceRequest(42, 1, np.zeros(4, dtype=np.uint8))
-        )
-        assert server.handle_wire_frame(frame) is None
-        assert server.stats.errors == 1
-
-    def test_serve_batch(self, server, rng):
-        batch = rng.integers(0, 256, (6, 12)).astype(float)
-        predictions = server.serve_batch(1, batch)
-        assert predictions.shape == (6,)
-        assert server.stats.served == 6
 
 
 class TestDatapathTracer:

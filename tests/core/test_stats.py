@@ -1,11 +1,11 @@
 """Tests for the shared serving statistics (bounded-memory reservoir).
 
 ``TestBlockAccounting`` holds block accounting (``add_many``,
-``charge_many``, block-drawn reservoir slots) to the per-value
-reference, generator position included: a silent fall-back to landing
-served requests one at a time (or to one generator call per reservoir
-value) is a ~1.8x fleet-engine slowdown with bit-identical results, so
-no ratio gate and no digest sees it.  ``TestStreamedServing``
+``charge_many``: one generator call per block for its reservoir slots)
+to the per-value reference, generator position included: a silent
+fall-back to landing served requests one at a time is a ~1.8x
+fleet-engine slowdown with bit-identical results, so no ratio gate and
+no digest sees it.  ``TestStreamedServing``
 (``tests/sim/test_simulator.py``) and ``TestBlockLanding``
 (``tests/traffic/test_fleet.py``) pin the same thing one and two layers
 up, with the call budgets.
@@ -14,7 +14,6 @@ up, with the call budgets.
 from __future__ import annotations
 
 import heapq
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,13 +27,13 @@ from repro.core import (
     NICCounters,
     ServerStats,
 )
-from repro.core import stats as stats_module
 from repro.core.stats import sequential_sum
 
 
 class PerValueReservoir(LatencyReservoir):
-    """The reference: one scalar ``integers`` draw per value past the
-    fill, no pre-drawn slots — what block accounting must reproduce."""
+    """The reference: Algorithm R as written, one scalar ``integers``
+    draw per value past the fill — what block accounting must
+    reproduce."""
 
     def add(self, value: float) -> None:
         self._count += 1
@@ -53,8 +52,8 @@ class PerValueReservoir(LatencyReservoir):
 
 
 def reservoir_state(res: LatencyReservoir) -> tuple:
-    """Everything a reservoir holds, floats as hex, generator settled."""
-    res._settle()
+    """Everything a reservoir holds, floats as hex, generator state
+    included."""
     return (
         [v.hex() for v in res._samples],
         res.count,
@@ -139,11 +138,11 @@ _OPS = st.lists(
 
 
 class TestBlockAccounting:
-    """``add_many`` / block-drawn slots against the per-value reference."""
+    """``add_many`` / ``charge_many`` against the per-value reference."""
 
     @pytest.mark.parametrize("first", [2, 4097, 2**32 - 500])
     def test_block_integers_match_scalar_stream(self, first):
-        """The numpy contract the slot blocks rest on: ``integers`` with
+        """The numpy contract ``add_many`` rests on: ``integers`` with
         an array ``high`` consumes the bit stream exactly as one scalar
         call per element (32-bit draws share a buffered word; the last
         case crosses into 64-bit draws).  If a numpy upgrade breaks
@@ -167,31 +166,30 @@ class TestBlockAccounting:
     @given(ops=_OPS, capacity=st.integers(1, 12), tail=st.integers(0, 6))
     def test_any_interleaving_equals_per_value_adds(self, ops, capacity, tail):
         """add / add_many / merge in any order leave samples, count,
-        sum, tail, percentiles and the settled generator as the
-        per-value algorithm does — duplicates, blocks straddling the
-        fill point and slot blocks running out mid-call included."""
+        sum, tail, percentiles and the generator as the per-value
+        algorithm does — duplicates and blocks straddling the fill
+        point included."""
         block = LatencyReservoir(capacity, seed=5, tail_capacity=tail)
         reference = PerValueReservoir(capacity, seed=5, tail_capacity=tail)
-        with mock.patch.object(stats_module, "_SLOT_BLOCK", 4):
-            for kind, payload in ops:
-                if kind == "add":
-                    block.add(payload)
-                    reference.add(payload)
-                elif kind == "add_many":
-                    block.add_many(np.array(payload, dtype=np.float64))
-                    for value in payload:
-                        reference.add(value)
-                else:
-                    other = PerValueReservoir(capacity, seed=8, tail_capacity=tail)
-                    for value in payload:
-                        other.add(value)
-                    block.merge(other)
-                    reference.merge(other)
-            assert reservoir_state(block) == reservoir_state(reference)
+        for kind, payload in ops:
+            if kind == "add":
+                block.add(payload)
+                reference.add(payload)
+            elif kind == "add_many":
+                block.add_many(np.array(payload, dtype=np.float64))
+                for value in payload:
+                    reference.add(value)
+            else:
+                other = PerValueReservoir(capacity, seed=8, tail_capacity=tail)
+                for value in payload:
+                    other.add(value)
+                block.merge(other)
+                reference.merge(other)
+        assert reservoir_state(block) == reservoir_state(reference)
 
     def test_default_sizes_across_fill_points(self):
-        """Default capacity and slot block: splits that straddle the
-        tail fill (1024), the sample fill (4096) and block refills."""
+        """Default capacities: splits that straddle the tail fill (1024)
+        and the sample fill (4096)."""
         values = np.random.default_rng(2).exponential(1e-3, 20_000)
         values[::7] = values[3]  # repeated values, some at the tail floor
         block, reference = LatencyReservoir(seed=3), PerValueReservoir(seed=3)
@@ -202,29 +200,6 @@ class TestBlockAccounting:
         for value in values.tolist() + [0.25]:
             reference.add(value)
         assert reservoir_state(block) == reservoir_state(reference)
-
-    def test_scalar_adds_share_the_slot_blocks(self, monkeypatch):
-        """Per-value ``add`` draws its slots a block at a time too (a
-        fall-back to one generator call per value is ~4x on the full
-        reservoir and changes no result), then rewinds what it did not
-        spend."""
-        draws = []
-        draw_slots = LatencyReservoir._draw_slots
-
-        def counting(self, first, need):
-            draws.append(need)
-            draw_slots(self, first, need)
-
-        monkeypatch.setattr(LatencyReservoir, "_draw_slots", counting)
-        values = np.random.default_rng(4).random(7000).tolist()
-        block, reference = LatencyReservoir(seed=1), PerValueReservoir(seed=1)
-        for value in values:
-            block.add(value)
-            reference.add(value)
-        past_fill = 7000 - block.capacity
-        assert len(draws) == -(-past_fill // stats_module._SLOT_BLOCK)
-        assert len(block._slots) > block._slot_pos  # drawn ahead...
-        assert reservoir_state(block) == reservoir_state(reference)  # rewound
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -1,5 +1,5 @@
-"""Dedicated coverage for the datapath tracer and the server's wire-frame
-error paths (runts, unknown models, drop-vs-punt accounting)."""
+"""Dedicated coverage for the datapath tracer and the smartNIC's
+wire-frame error paths (runts, drop-vs-punt accounting)."""
 
 from __future__ import annotations
 
@@ -8,12 +8,12 @@ import pytest
 
 from repro.core import (
     DatapathTracer,
-    InferenceServer,
     LightningDatapath,
     LightningSmartNIC,
     PuntedPacket,
+    ServedRequest,
 )
-from repro.net import InferenceRequest, build_inference_frame
+from repro.net import Fate, InferenceRequest, build_inference_frame
 from repro.net.processing import (
     IntrusionDetector,
     PacketProcessor,
@@ -139,44 +139,66 @@ class TestTracerWalksEveryLayer:
         assert traced.plan_stats() == plain.plan_stats()
 
 
-def make_server(tiny_dag, processor=None):
+def make_nic(tiny_dag, processor=None):
     nic = LightningSmartNIC(
         datapath=LightningDatapath(
             core=BehavioralCore(noise=NoiselessModel())
         ),
         processor=processor,
     )
-    server = InferenceServer(nic)
-    server.deploy(tiny_dag, warmup=1)
-    return server
+    nic.register_model(tiny_dag)
+    return nic
 
 
 class TestWireFrameErrorPaths:
+    """What ``handle_frame`` returns for each damaged frame, and the one
+    :class:`NICCounters` field it moves."""
+
     def test_runt_frame_dropped_silently(self, tiny_dag):
-        server = make_server(tiny_dag)
-        assert server.handle_wire_frame(b"\x01\x02\x03") is None
-        assert server.stats.errors == 1
-        assert server.stats.served == 0
-        assert server.nic.counters.frames_seen == 1
+        nic = make_nic(tiny_dag)
+        outcome = nic.handle_frame(b"\x01\x02\x03")
+        assert isinstance(outcome, PuntedPacket)
+        assert outcome.fate is Fate.RUNT
+        assert outcome.pcie_seconds == 0.0
+        assert nic.counters.summary() == {
+            "served": 0, "punted": 0, "dropped": 1, "frames_seen": 1,
+        }
 
     def test_empty_frame_counted_once(self, tiny_dag):
-        server = make_server(tiny_dag)
-        assert server.handle_wire_frame(b"") is None
-        assert server.stats.errors == 1
+        nic = make_nic(tiny_dag)
+        assert nic.handle_frame(b"").fate is Fate.RUNT
+        assert nic.counters.summary() == {
+            "served": 0, "punted": 0, "dropped": 1, "frames_seen": 1,
+        }
 
     def test_unknown_model_is_error_not_crash(self, tiny_dag):
-        server = make_server(tiny_dag)
-        frame = build_inference_frame(
+        """Queries for an undeployed model or of the wrong length are
+        dropped before the datapath, and the NIC keeps serving."""
+        nic = make_nic(tiny_dag)
+        unknown = build_inference_frame(
             InferenceRequest(77, 0, np.zeros(12, dtype=np.uint8))
         )
-        assert server.handle_wire_frame(frame) is None
-        assert server.stats.errors == 1
-        assert server.stats.served == 0
+        short = build_inference_frame(
+            InferenceRequest(1, 1, np.zeros(11, dtype=np.uint8))
+        )
+        for raw, fate in ((unknown, Fate.UNKNOWN_MODEL),
+                          (short, Fate.WRONG_LENGTH)):
+            outcome = nic.handle_frame(raw)
+            assert isinstance(outcome, PuntedPacket)
+            assert outcome.fate is fate
+            assert outcome.pcie_seconds == 0.0
+        good = build_inference_frame(
+            InferenceRequest(1, 2, np.zeros(12, dtype=np.uint8))
+        )
+        assert isinstance(nic.handle_frame(good), ServedRequest)
+        assert nic.counters.summary() == {
+            "served": 1, "punted": 0, "dropped": 2, "frames_seen": 3,
+        }
 
     def test_drop_vs_punt_accounting(self, tiny_dag):
         """Intrusion-dropped frames count as drops (no PCIe); benign
         regular traffic counts as punts (PCIe crossing)."""
-        server = make_server(
+        nic = make_nic(
             tiny_dag,
             processor=PacketProcessor(
                 detector=IntrusionDetector(blocklist={"66.6.6.6"})
@@ -191,29 +213,28 @@ class TestWireFrameErrorPaths:
             InferenceRequest(1, 1, np.zeros(12, dtype=np.uint8)),
             dst_port=8080,
         )
-        dropped = server.handle_wire_frame(blocked)
-        punted = server.handle_wire_frame(benign)
+        dropped = nic.handle_frame(blocked)
+        punted = nic.handle_frame(benign)
         assert isinstance(dropped, PuntedPacket)
+        assert dropped.fate is Fate.IDS_DROP
         assert dropped.verdict is Verdict.DROP
         assert dropped.pcie_seconds == 0.0
         assert isinstance(punted, PuntedPacket)
+        assert punted.fate is Fate.NON_INFERENCE
         assert punted.pcie_seconds > 0.0
-        assert server.stats.dropped == 1
-        assert server.stats.punted == 1
-        assert server.stats.served == 0
-        # Mirrored on the NIC's own frame counters.
-        assert server.nic.counters.dropped == 1
-        assert server.nic.counters.punted == 1
+        assert nic.counters.summary() == {
+            "served": 0, "punted": 1, "dropped": 1, "frames_seen": 2,
+        }
 
     def test_served_frames_still_accounted_alongside_errors(
         self, tiny_dag
     ):
-        server = make_server(tiny_dag)
+        nic = make_nic(tiny_dag)
         good = build_inference_frame(
             InferenceRequest(1, 2, np.zeros(12, dtype=np.uint8))
         )
-        server.handle_wire_frame(b"runt")
-        outcome = server.handle_wire_frame(good)
-        assert outcome is not None
-        assert server.stats.served == 1
-        assert server.stats.errors == 1
+        assert nic.handle_frame(b"runt").fate is Fate.RUNT
+        assert isinstance(nic.handle_frame(good), ServedRequest)
+        assert nic.counters.summary() == {
+            "served": 1, "punted": 0, "dropped": 1, "frames_seen": 2,
+        }

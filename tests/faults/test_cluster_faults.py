@@ -15,12 +15,19 @@ from repro.core.stats import Outcome
 from repro.core.trace import DatapathTracer
 from repro.faults import (
     CalibrationWatchdog,
+    DegradedCore,
     FaultSchedule,
     RetryPolicy,
     WireFrame,
 )
 from repro.net import InferenceRequest, build_inference_frame
+from repro.runtime import Cluster, RuntimeRequest
 
+from ..runtime.test_matmulless_cluster import (
+    conv_dense_dag,
+    inputs,
+    prototype,
+)
 from .conftest import make_cluster, steady_trace
 
 
@@ -196,6 +203,32 @@ class TestWatchdogQuarantine:
             for state in result.stats.core_health.values()
         )
         assert all(h.probes > 0 for h in cluster.health.values())
+
+    def test_watched_matmulless_core_survives_a_device_fault(self):
+        """Regression: the probe chose ``matmul`` by ``hasattr``, which
+        a fault wrapper always passes, so the first probe of a degraded
+        :class:`PrototypeCore` raised ``AttributeError`` mid-serve."""
+        dag = conv_dense_dag()
+        schedule = FaultSchedule(seed=1).mzm_bias_drift(
+            at_s=2e-4, core=0, volts_per_s=3000.0
+        )
+        cluster = Cluster(num_cores=1, datapath_factory=prototype)
+        cluster.deploy(dag)
+        trace = [
+            RuntimeRequest(
+                request_id=i, model_id=dag.model_id, arrival_s=i * 1e-4,
+                data_levels=x,
+            )
+            for i, x in enumerate(inputs(20))
+        ]
+        result = cluster.serve_trace(
+            trace,
+            fault_schedule=schedule,
+            watchdog=CalibrationWatchdog(interval_s=3e-4, threshold=1e9),
+        )
+        assert result.served == result.offered == 20
+        assert isinstance(cluster.datapaths[0].core, DegradedCore)
+        assert cluster.health[0].probes > 0
 
 
 class TestStalls:

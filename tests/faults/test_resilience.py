@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.faults import (
@@ -62,11 +65,19 @@ class TestCalibrationWatchdog:
         assert result.error_rms < watchdog.threshold
 
     def test_probes_device_accurate_core_via_mac(self):
-        watchdog = CalibrationWatchdog(num_probes=2, probe_length=8)
-        core = PrototypeCore(seed=5)
-        result = watchdog.check(1, core)
+        """A matmul-less core's zero-padded ``accumulate`` steps, summed
+        digitally, read :meth:`PrototypeCore.mac` bit for bit."""
+        watchdog = CalibrationWatchdog(num_probes=2, probe_length=9)
+        result = watchdog.check(1, PrototypeCore(seed=5))
         assert result.core == 1
-        assert result.error_rms >= 0.0
+        twin = PrototypeCore(seed=5)
+        measured = np.array([
+            twin.mac(a, b) for a, b in zip(watchdog.probe_a, watchdog.probe_b)
+        ])
+        by_mac = np.sqrt(
+            np.mean((measured - watchdog.expected) ** 2)
+        ) / math.sqrt(5)  # ceil(9 / 2) readouts
+        assert result.error_rms.hex() == float(by_mac).hex()
 
     def test_drifted_core_trips_the_threshold(self):
         watchdog = CalibrationWatchdog()

@@ -4,9 +4,9 @@ One corpus of damaged frames — every truncation, over-long frames, byte
 flips anywhere (the Ethernet header included), bad IHL / total length /
 UDP length, a zeroed UDP checksum with a rewritten model ID, unknown
 model IDs, wrong-length payloads, pure random bytes — goes through the
-five ingress surfaces: ``PacketParser.parse``, ``ingress.receive``,
-``LightningSmartNIC.handle_frame``, ``InferenceServer.handle_wire_frame``
-and ``Cluster.serve_frames``.  Derandomized, so tier-1 is deterministic.
+four ingress surfaces: ``PacketParser.parse``, ``ingress.receive``,
+``LightningSmartNIC.handle_frame`` and ``Cluster.serve_frames``.
+Derandomized, so tier-1 is deterministic.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ComputationDAG,
-    InferenceServer,
     LayerTask,
     LightningDatapath,
     LightningSmartNIC,
@@ -125,8 +124,8 @@ def noiseless_datapath(_core=0):
     )
 
 
-def check_frame_surfaces(raw: bytes, nic, server) -> None:
-    """``raw`` through the four per-frame surfaces: nothing raises and
+def check_frame_surfaces(raw: bytes, nic) -> None:
+    """``raw`` through the three per-frame surfaces: nothing raises and
     each ledger moves once."""
     parsed = PacketParser().parse(raw)
     assert isinstance(parsed, (ParsedInferenceQuery, RegularPacket))
@@ -136,39 +135,30 @@ def check_frame_surfaces(raw: bytes, nic, server) -> None:
     assert counters.frames_seen == 1
     assert queries + counters.punted + counters.dropped == 1
     nic.handle_frame(raw)
-    server.handle_wire_frame(raw)
-    for ledger in (nic.counters, server.nic.counters):
-        assert ledger.frames_seen == (
-            ledger.served + ledger.punted + ledger.dropped
-        )
-    stats = server.stats
-    assert server.nic.counters.frames_seen == (
-        stats.served + stats.punted + stats.dropped + stats.errors
-    )
+    ledger = nic.counters
+    assert ledger.frames_seen == ledger.served + ledger.punted + ledger.dropped
 
 
 @pytest.fixture(scope="module")
 def stack():
-    """One NIC, one server and one cluster for the whole corpus: the
-    ledgers are cumulative, so the checks read totals and deltas."""
+    """One NIC and one cluster for the whole corpus: the ledgers are
+    cumulative, so the checks read totals and deltas."""
     dag = small_dag()
     nic = LightningSmartNIC(datapath=noiseless_datapath())
     nic.register_model(dag)
-    server = InferenceServer(LightningSmartNIC(datapath=noiseless_datapath()))
-    server.deploy(dag, warmup=0)
     cluster = Cluster(num_cores=2, datapath_factory=noiseless_datapath)
     cluster.deploy(dag, warmup=0)
     clean = [WireFrame(i * 5e-6, query(i)) for i in range(6)]
     result, _ = cluster.serve_frames(clean)
     expected = {r.request.request_id: r.prediction for r in result.records}
     assert len(expected) == len(clean)
-    return nic, server, cluster, clean, expected
+    return nic, cluster, clean, expected
 
 
 def serve_interleaved(stack, hostile_frames) -> None:
     """The clean trace with ``hostile_frames`` spliced between its
     frames: same predictions, every frame in exactly one bucket."""
-    _, _, cluster, clean, expected = stack
+    _, cluster, clean, expected = stack
     frames = clean + [
         WireFrame(index * 5e-6 + 1e-6, raw)
         for index, raw in enumerate(hostile_frames)
@@ -202,23 +192,23 @@ def serve_interleaved(stack, hostile_frames) -> None:
 
 class TestHostileCorpus:
     def test_every_truncation(self, stack):
-        nic, server, *_ = stack
+        nic = stack[0]
         raw = query(HOSTILE_ID)
         cuts = [raw[:n] for n in range(len(raw) + 1)]
         for cut in cuts:
-            check_frame_surfaces(cut, nic, server)
+            check_frame_surfaces(cut, nic)
         serve_interleaved(stack, cuts[:-1])
 
     @FUZZ
     @given(frames=st.lists(hostile(), min_size=1, max_size=8))
     def test_damaged_frames(self, stack, frames):
-        nic, server, *_ = stack
+        nic = stack[0]
         for raw in frames:
-            check_frame_surfaces(raw, nic, server)
+            check_frame_surfaces(raw, nic)
         serve_interleaved(stack, frames)
 
     def test_a_stream_of_nothing_but_damage_says_so_balanced(self, stack):
-        cluster = stack[2]
+        cluster = stack[1]
         counters = cluster.nic_counters
         before = NICCounters(**counters.summary())
         frames = [
@@ -239,7 +229,7 @@ class TestHostileCorpus:
     def test_served_survivors_are_real_requests(self, stack):
         """A flipped MAC byte is not damage the parser checks: the frame
         serves, on the NIC and in the cluster, with the clean answer."""
-        nic, _, _, clean, expected = stack
+        nic, _, clean, expected = stack
         raw = bytearray(clean[3].raw)
         raw[2] ^= 0x55
         outcome = nic.handle_frame(bytes(raw))
