@@ -237,7 +237,8 @@ class EthernetFrame:
 
 @dataclass(frozen=True)
 class IPv4Packet:
-    """A minimal IPv4 packet (no options), checksum-verified on unpack."""
+    """A minimal IPv4 packet, checksum-verified on unpack; its header
+    options, if any, are carried as opaque bytes."""
 
     src_ip: str
     dst_ip: str
@@ -245,15 +246,19 @@ class IPv4Packet:
     payload: bytes
     ttl: int = 64
     identification: int = 0
+    options: bytes = b""
 
     HEADER_LEN = 20
 
     def pack(self) -> bytes:
         """Serialize the packet, computing the header checksum."""
-        total_length = self.HEADER_LEN + len(self.payload)
+        if len(self.options) % 4 or len(self.options) > 40:
+            raise ValueError("IPv4 options are whole words, at most 40 bytes")
+        header_len = self.HEADER_LEN + len(self.options)
+        total_length = header_len + len(self.payload)
         header = struct.pack(
             "!BBHHHBBH4s4s",
-            (4 << 4) | 5,  # version 4, IHL 5
+            (4 << 4) | header_len // 4,  # version 4, IHL
             0,  # DSCP/ECN
             total_length,
             self.identification,
@@ -263,7 +268,7 @@ class IPv4Packet:
             0,  # checksum placeholder
             ip_to_bytes(self.src_ip),
             ip_to_bytes(self.dst_ip),
-        )
+        ) + bytes(self.options)
         checksum = internet_checksum(header)
         header = header[:10] + struct.pack("!H", checksum) + header[12:]
         return header + self.payload
@@ -278,10 +283,11 @@ class IPv4Packet:
             payload=raw[ihl:total_length],
             ttl=ttl,
             identification=identification,
+            options=raw[cls.HEADER_LEN : ihl],
         )
 
     def __len__(self) -> int:
-        return self.HEADER_LEN + len(self.payload)
+        return self.HEADER_LEN + len(self.options) + len(self.payload)
 
 
 @dataclass(frozen=True)

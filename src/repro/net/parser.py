@@ -61,9 +61,10 @@ def extract_header_features(
 
     Returns ``HEADER_FEATURE_COUNT`` byte-valued levels: the source and
     destination IP octets, port bytes, protocol, TTL, and total length
-    split into bytes — the header data a flow classifier keys on.
+    split into bytes — the header data a flow classifier keys on.  The
+    length is the header's own total length, options included.
     """
-    length = IPv4Packet.HEADER_LEN + len(ip.payload)
+    length = len(ip)
     fields = struct.pack(
         "!HHBBH", udp.src_port, udp.dst_port, ip.protocol, ip.ttl,
         length & 0xFFFF,
@@ -205,7 +206,10 @@ class PacketParser:
         request = InferenceRequest(model_id, request_id, data)
         if model_id in self.header_data_models:
             data_levels = extract_header_features(
-                IPv4Packet(src_ip, dst_ip, protocol, udp_view, ttl),
+                IPv4Packet(
+                    src_ip, dst_ip, protocol, udp_view, ttl,
+                    options=bytes(ip_view[IPv4Packet.HEADER_LEN : ihl]),
+                ),
                 UDPDatagram(src_port, dst_port, b""),
             )
         else:

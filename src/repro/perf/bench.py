@@ -49,8 +49,18 @@ from ..core.dag import ComputationDAG, SignSeparatedRow, sign_separate_row
 from ..core.datapath import LightningDatapath
 from ..core.plans import compile_model
 from ..core.reference import ReferenceDatapath
+from ..core.stats import NICCounters
 from ..dnn import build_lenet_300_100, quantize_mlp
 from ..fabric import Fabric, ShardSpec
+from ..faults import WireFrame
+from ..net import (
+    LIGHTNING_UDP_PORT,
+    InferenceRequest,
+    PacketParser,
+    ParsedInferenceQuery,
+    build_inference_frame,
+)
+from ..net.ingress import IngressRequest, ingest, receive
 from ..photonics import BehavioralCore
 from ..runtime import Cluster
 from ..runtime.workload import poisson_trace
@@ -89,6 +99,7 @@ RING_LAP_REQUESTS = 160  #: single-request dispatches over two workers' rings
 RING_LAPS = 4  #: times that trace must wrap each ring
 #: The ring-lap GPT-2-class stand-in: ~2 ms of worker compute a request.
 RING_LAP_GPT2 = {"seq_len": 16, "d_model": 32}
+INGEST_FRAMES = 5000  #: frames each leg of ``ingest_speedup`` takes in
 
 
 def effective_cpus() -> int:
@@ -512,6 +523,59 @@ def _ring_laps(
     return Legs(partial(serial.serve_trace, trace), ring_fed, verify)
 
 
+def _ingest(stack: ExitStack) -> Legs:
+    """A loop of per-frame ``receive`` over the block-checked ``ingest``.
+
+    The frames are shaped like the stack benchmark's control-plane
+    workload: queries for seven tiny models of 8-24 levels, ~5 % of
+    them on a non-inference port (those take ``receive`` on both legs).
+    Both legs must leave the same requests, rejected count and counters.
+    """
+    rng = np.random.default_rng(0)
+    widths = (8, 12, 16, 16, 20, 24, 12)
+    frames = []
+    for index in range(INGEST_FRAMES):
+        model = int(rng.integers(len(widths)))
+        levels = rng.integers(0, 256, widths[model]).astype(np.uint8)
+        raw = build_inference_frame(
+            InferenceRequest(model + 1, index, levels),
+            dst_port=9999 if rng.random() < 0.05 else LIGHTNING_UDP_PORT,
+        )
+        frames.append(WireFrame(index * 1e-6, raw))
+    parser = PacketParser()
+
+    def loop() -> tuple:
+        counters = NICCounters()
+        requests, rejected = [], 0
+        for frame in frames:
+            packet = receive(frame.raw, parser, counters)
+            if isinstance(packet, ParsedInferenceQuery):
+                request = packet.request
+                requests.append(IngressRequest(
+                    request.request_id, request.model_id, frame.arrival_s,
+                    packet.data_levels,
+                ))
+            else:
+                rejected += 1
+        return requests, rejected, counters.summary()
+
+    def block() -> tuple:
+        counters = NICCounters()
+        return (*ingest(frames, parser, counters), counters.summary())
+
+    def verify(looped, blocked) -> str | None:
+        def rows(result) -> tuple:
+            requests, rejected, summary = result
+            ids = [(r.request_id, r.model_id, r.arrival_s) for r in requests]
+            data = [r.data_levels.tobytes() for r in requests]
+            return ids, data, rejected, summary
+
+        if rows(looped) != rows(blocked):
+            return "block ingest diverged from the per-frame receive loop"
+
+    return Legs(loop, block, verify)
+
+
 #: The gate.  Floors and ceilings are absolute; ``baseline`` cases are
 #: also held to ``benchmarks/baselines/BENCH_perf.json``.
 CASES: tuple[Case, ...] = (
@@ -519,6 +583,7 @@ CASES: tuple[Case, ...] = (
     Case("fast_loop_serve_ratio", _cluster_vs_walk, baseline=True),
     Case("energy_overhead_ratio", _energy_ledger, rounds=41, ceiling=1.05),
     Case("compile_speedup", _compile, floor=10.0),
+    Case("ingest_speedup", _ingest, floor=4.0),
     Case("parallel_speedup_1c", partial(_parallel, cores=1)),
     Case("parallel_speedup_2c", partial(_parallel, cores=2), min_cpus=2),
     Case(

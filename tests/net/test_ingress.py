@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.stats import NICCounters
 from repro.net import (
+    HEADER_FEATURE_COUNT,
     EthernetFrame,
     Fate,
     InferenceRequest,
@@ -19,7 +20,9 @@ from repro.net import (
     Verdict,
     build_inference_frame,
 )
+from repro.net import ingress
 from repro.net.ingress import IngressRequest, admit, ingest, receive
+from repro.net.packet import udp_checksum
 
 MODELS = {1: 12}
 
@@ -164,3 +167,120 @@ class TestIngest:
         assert RuntimeRequest is IngressRequest
         with pytest.raises(ValueError, match="negative"):
             IngressRequest(0, 1, -1.0, np.zeros(1))
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The fate of every frame ``ingest`` hands to ``receive`` (``None``
+    for a query that came back), in the order it handed them."""
+    fates = []
+
+    def spy(raw, *args, **kwargs):
+        packet = receive(raw, *args, **kwargs)
+        fates.append(getattr(packet, "fate", None))
+        return packet
+
+    monkeypatch.setattr(ingress, "receive", spy)
+    return fates
+
+
+def reseal_udp(raw: bytes, checksum: int | None = None) -> bytes:
+    """``raw`` with its UDP checksum recomputed (or set to ``checksum``)."""
+    raw = bytearray(raw)
+    raw[40:42] = b"\x00\x00"
+    if checksum is None:
+        checksum = udp_checksum(bytes(raw[34:]), bytes(raw[26:34])) or 0xFFFF
+    raw[40:42] = checksum.to_bytes(2, "big")
+    return bytes(raw)
+
+
+class TestBlockIngest:
+    """``ingest`` accepts clean queries as arrays; everything else is
+    ``receive``'s, and the result is what a loop of ``receive`` gives."""
+
+    def test_clean_queries_never_reach_receive(self, fallbacks):
+        frames = [frame_at(i, query(request_id=i)) for i in range(5)]
+        counters = NICCounters()
+        requests, rejected = ingest(frames, PacketParser(), counters, MODELS)
+        assert [r.request_id for r in requests] == list(range(5))
+        assert rejected == 0 and fallbacks == []
+        assert counters.summary() == {
+            "served": 0, "punted": 0, "dropped": 0, "frames_seen": 5,
+        }
+
+    def test_an_ethernet_padded_query_serves_through_the_fallback(
+        self, fallbacks
+    ):
+        padded = query(request_id=3) + b"\x00" * 6
+        requests, rejected = ingest(
+            [frame_at(0.0, padded)], PacketParser(), NICCounters(), MODELS
+        )
+        assert [r.request_id for r in requests] == [3] and rejected == 0
+        assert fallbacks == [None]
+        assert np.array_equal(requests[0].data_levels, np.arange(12))
+
+    def test_a_zero_udp_checksum_serves(self, fallbacks):
+        raw = reseal_udp(query(request_id=4), checksum=0)
+        requests, _ = ingest(
+            [frame_at(0.0, raw)], PacketParser(), NICCounters(), MODELS
+        )
+        assert [r.request_id for r in requests] == [4]
+        assert fallbacks == []
+
+    def test_one_bad_udp_checksum_in_a_block_is_that_frames_alone(
+        self, fallbacks
+    ):
+        frames = [frame_at(i, query(request_id=i)) for i in range(3)]
+        frames[1] = frame_at(1, bad_udp())
+        counters = NICCounters()
+        requests, rejected = ingest(frames, PacketParser(), counters, MODELS)
+        assert [r.request_id for r in requests] == [0, 2] and rejected == 1
+        assert fallbacks == [Fate.MALFORMED]
+        assert counters.summary() == {
+            "served": 0, "punted": 1, "dropped": 0, "frames_seen": 3,
+        }
+
+    def test_a_header_data_model_gets_its_header_features(self, fallbacks):
+        parser = PacketParser(header_data_models={9})
+        raw = query(model_id=9, size=3, src_ip="192.168.7.1")
+        requests, _ = ingest(
+            [frame_at(0.0, raw)], parser, NICCounters(), {9: 16}
+        )
+        levels = requests[0].data_levels
+        assert len(levels) == HEADER_FEATURE_COUNT
+        assert list(levels[:4]) == [192, 168, 7, 1]
+        assert fallbacks == [None]
+
+    def test_an_odd_length_datagram(self, fallbacks):
+        models = {1: 13}
+        clean = query(size=13, request_id=1)
+        # A flip in the odd tail byte: the checksum pads it with a zero.
+        damaged = bytearray(clean)
+        damaged[-1] ^= 0x01
+        frames = [frame_at(0.0, clean), frame_at(1.0, bytes(damaged))]
+        requests, rejected = ingest(
+            frames, PacketParser(), NICCounters(), models
+        )
+        assert [r.request_id for r in requests] == [1] and rejected == 1
+        assert np.array_equal(requests[0].data_levels, np.arange(13))
+        assert fallbacks == [Fate.MALFORMED]
+        resealed = reseal_udp(bytes(damaged))
+        assert ingest(
+            [frame_at(0.0, resealed)], PacketParser(), NICCounters(), models
+        )[1] == 0
+        assert fallbacks == [Fate.MALFORMED]
+
+    def test_an_empty_stream(self):
+        counters = NICCounters()
+        assert ingest([], PacketParser(), counters, MODELS) == ([], 0)
+        assert counters.frames_seen == 0
+
+    def test_a_generator_of_frames(self):
+        raws = [query(request_id=0), b"runt", query(request_id=2)]
+        counters = NICCounters()
+        requests, rejected = ingest(
+            (frame_at(i, raw) for i, raw in enumerate(raws)),
+            PacketParser(), counters, MODELS,
+        )
+        assert [r.request_id for r in requests] == [0, 2] and rejected == 1
+        assert counters.frames_seen == 3

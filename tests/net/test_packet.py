@@ -102,6 +102,14 @@ class TestIPv4Packet:
         with pytest.raises(ValueError, match="not an IPv4"):
             IPv4Packet.unpack(bytes(raw))
 
+    def test_options_round_trip_and_count_in_the_length(self):
+        ip = IPv4Packet("1.1.1.1", "2.2.2.2", 17, b"abc", options=b"\x01" * 8)
+        raw = ip.pack()
+        assert raw[0] == 0x47 and len(raw) == len(ip) == 31
+        assert IPv4Packet.unpack(raw) == ip
+        with pytest.raises(ValueError, match="whole words"):
+            IPv4Packet("1.1.1.1", "2.2.2.2", 17, b"", options=b"\x01").pack()
+
     def test_total_length_respected_with_trailing_padding(self):
         # Ethernet pads small frames; the IP layer must trim by length.
         ip = IPv4Packet("1.1.1.1", "2.2.2.2", 17, b"abc")

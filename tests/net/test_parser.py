@@ -17,6 +17,7 @@ from repro.net import (
     UDPDatagram,
     build_inference_frame,
     extract_header_features,
+    internet_checksum,
 )
 
 
@@ -172,6 +173,32 @@ class TestHeaderFeatures:
         features = extract_header_features(ip, udp)
         assert features.dtype == np.uint8
         assert features.max() <= 255
+
+    def test_length_feature_is_the_headers_total_length(self):
+        # IHL 6: one word of NOP options, which the total length in the
+        # header counts and header + payload without them would not.
+        raw = bytearray(
+            inference_frame(model_id=4, data=np.zeros(0, dtype=np.uint8))
+        )
+        header = raw[14:34] + b"\x01" * 4
+        header[0] = 0x46
+        header[2:4] = (len(raw) - 14 + 4).to_bytes(2, "big")
+        header[10:12] = b"\x00\x00"
+        header[10:12] = internet_checksum(bytes(header)).to_bytes(2, "big")
+        raw = bytes(raw[:14] + header + raw[34:])
+        total_length = len(raw) - 14
+
+        def length_of(features) -> int:
+            return int.from_bytes(features[14:16].tobytes(), "big")
+
+        parsed = PacketParser(header_data_models={4}).parse(raw)
+        assert isinstance(parsed, ParsedInferenceQuery)
+        assert length_of(parsed.data_levels) == total_length
+        # The switch's path: the packet it unpacks keeps its options.
+        ip = IPv4Packet.unpack(raw[14:])
+        assert len(ip) == total_length
+        features = extract_header_features(ip, UDPDatagram(0, 0, b""))
+        assert length_of(features) == total_length
 
 
 class TestZeroCopyIngress:

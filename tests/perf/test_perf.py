@@ -162,6 +162,7 @@ class TestCaseTable:
             "fast_loop_serve_ratio": (1, None, None, True),
             "energy_overhead_ratio": (1, None, 1.05, False),
             "compile_speedup": (1, 10.0, None, False),
+            "ingest_speedup": (1, 4.0, None, False),
             "parallel_speedup_1c": (1, None, None, False),
             "parallel_speedup_2c": (2, None, None, False),
             "ring_lap_ratio_gpt2": (2, 1.2, None, False),
@@ -175,6 +176,7 @@ class TestCaseTable:
             EMULATOR_REQUESTS=2, CLUSTER_REQUESTS=8, LOOP_WALK=2,
             ENERGY_REQUESTS=16, SERVE_REQUESTS=8, RING_LAP_REQUESTS=8,
             RING_LAPS=0, RING_LAP_GPT2={"seq_len": 4, "d_model": 8},
+            INGEST_FRAMES=40,
         )
         for name, value in sizes.items():
             monkeypatch.setattr(bench, name, value)

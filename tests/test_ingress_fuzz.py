@@ -5,7 +5,9 @@ flips anywhere (the Ethernet header included), bad IHL / total length /
 UDP length, a zeroed UDP checksum with a rewritten model ID, unknown
 model IDs, wrong-length payloads, pure random bytes — goes through the
 four ingress surfaces: ``PacketParser.parse``, ``ingress.receive``,
-``LightningSmartNIC.handle_frame`` and ``Cluster.serve_frames``.
+``LightningSmartNIC.handle_frame`` and ``Cluster.serve_frames``.  The
+same corpus, spliced between clean frames of its own byte length,
+pins the block-checked ``ingress.ingest`` to a loop of ``receive``.
 Derandomized, so tier-1 is deterministic.
 """
 
@@ -33,7 +35,8 @@ from repro.net import (
     build_inference_frame,
     internet_checksum,
 )
-from repro.net.ingress import receive
+from repro.net.ingress import ingest, receive
+from repro.net.packet import udp_checksum
 from repro.photonics import BehavioralCore, CoreArchitecture, NoiselessModel
 from repro.runtime import Cluster
 
@@ -43,6 +46,10 @@ MODEL, INPUT = 1, 12
 #: checks) cannot be taken for a clean frame.
 HOSTILE_ID = 1 << 20
 IP, UDP, REQUEST = 14, 34, 42  # layer offsets in a built frame
+DATA = REQUEST + 8
+#: Clean frames spliced around a hostile one are for this model id plus
+#: their input size, so a frame of any length has a deployed model.
+SPLICE_MODEL = 0x8000
 
 FUZZ = settings(
     max_examples=150, derandomize=True, deadline=None, database=None
@@ -190,6 +197,119 @@ def serve_interleaved(stack, hostile_frames) -> None:
     assert {k: got[k] for k in expected} == expected
 
 
+def receive_loop(frames, parser, counters, models):
+    """``ingest`` as a loop of ``receive``: the reference."""
+    requests, rejected = [], 0
+    for frame in frames:
+        packet = receive(frame.raw, parser, counters, models)
+        if isinstance(packet, ParsedInferenceQuery):
+            requests.append((
+                packet.request.request_id, packet.request.model_id,
+                frame.arrival_s, packet.data_levels.tobytes(),
+            ))
+        else:
+            rejected += 1
+    return requests, rejected
+
+
+def check_ingest_is_the_loop(frames, parser, models) -> None:
+    """``ingest`` leaves the requests, rejected count and counters a
+    loop of ``receive`` leaves."""
+    reference = NICCounters()
+    expected = receive_loop(frames, parser, reference, models)
+    counters = NICCounters()
+    requests, rejected = ingest(frames, parser, counters, models)
+    got = [
+        (r.request_id, r.model_id, r.arrival_s, r.data_levels.tobytes())
+        for r in requests
+    ]
+    assert (got, rejected) == expected
+    assert counters.summary() == reference.summary()
+
+
+def check_block_ingest(hostile_frames) -> None:
+    """Each hostile frame between two clean frames of its byte length,
+    so both sit in one block: ``ingest`` is the loop of ``receive``,
+    with and without a model table."""
+    frames, models = [], {MODEL: INPUT}
+    for index, raw in enumerate(hostile_frames):
+        size = max(len(raw) - DATA, 0)
+        models[SPLICE_MODEL + size] = size
+        clean = [
+            query(2 * index + side, model_id=SPLICE_MODEL + size, size=size)
+            for side in (0, 1)
+        ]
+        frames += [
+            WireFrame(3 * index * 1e-6, clean[0]),
+            WireFrame((3 * index + 1) * 1e-6, raw),
+            WireFrame((3 * index + 2) * 1e-6, clean[1]),
+        ]
+    for table in (None, models):
+        check_ingest_is_the_loop(frames, PacketParser(), table)
+
+
+def with_udp_checksum(raw: bytearray) -> bytearray:
+    """Re-seal the UDP checksum over the whole datagram."""
+    raw[UDP + 6 : UDP + 8] = b"\x00\x00"
+    raw[UDP + 6 : UDP + 8] = (
+        udp_checksum(bytes(raw[UDP:]), bytes(raw[IP + 12 : UDP])) or 0xFFFF
+    ).to_bytes(2, "big")
+    return raw
+
+
+def set_u16(offset: int, value: int, reseal=with_udp_checksum):
+    """A damage that writes ``value`` at ``offset`` and re-seals."""
+
+    def damage(raw: bytearray) -> bytearray:
+        raw[offset : offset + 2] = value.to_bytes(2, "big")
+        return reseal(raw)
+
+    return damage
+
+
+def version_6(raw: bytearray) -> bytearray:
+    raw[IP] = 0x65
+    return with_ipv4_checksum(raw)
+
+
+def flip(offset: int):
+    def damage(raw: bytearray) -> bytearray:
+        raw[offset] ^= 0x01
+        return raw
+
+    return damage
+
+
+def tcp(raw: bytearray) -> bytearray:
+    raw[IP + 9] = 6  # the UDP checksum's pseudo-header still says 17
+    return with_ipv4_checksum(raw)
+
+
+def shorter_udp(raw: bytearray) -> bytearray:
+    """A UDP length 2 short of the frame, with no checksum to catch it:
+    ``receive`` serves the query with two fewer levels."""
+    raw[UDP + 4 : UDP + 6] = (len(raw) - UDP - 2).to_bytes(2, "big")
+    raw[UDP + 6 : UDP + 8] = b"\x00\x00"
+    return raw
+
+
+LENGTH = len(query(0))
+#: One damage per check the block makes, each failing that check alone.
+ONE_CHECK = {
+    "ethertype": set_u16(IP - 2, 0x86DD, reseal=lambda raw: raw),
+    "version": version_6,
+    "ipv4 checksum": flip(IP + 10),
+    "total length": set_u16(IP + 2, LENGTH - IP + 2, with_ipv4_checksum),
+    "protocol": tcp,
+    "udp length": shorter_udp,
+    "port": set_u16(UDP + 2, 53),
+    "udp checksum": flip(UDP + 6),
+    "magic": set_u16(REQUEST, 0x4C52),
+    "undeployed model": set_u16(REQUEST + 2, 77),
+    "wrong-length model": set_u16(REQUEST + 2, 2),
+}
+
+
 class TestHostileCorpus:
     def test_every_truncation(self, stack):
         nic = stack[0]
@@ -206,6 +326,33 @@ class TestHostileCorpus:
         for raw in frames:
             check_frame_surfaces(raw, nic)
         serve_interleaved(stack, frames)
+
+    def test_block_ingest_matches_receive_on_every_truncation(self):
+        raw = query(HOSTILE_ID)
+        check_block_ingest([raw[:n] for n in range(len(raw) + 1)])
+
+    @FUZZ
+    @given(frames=st.lists(hostile(), min_size=1, max_size=8))
+    def test_block_ingest_matches_receive_on_damage(self, frames):
+        check_block_ingest(frames)
+
+    @pytest.mark.parametrize("check", ONE_CHECK)
+    def test_a_frame_failing_one_check_is_that_frames_alone(self, check):
+        raw = bytes(ONE_CHECK[check](bytearray(query(HOSTILE_ID))))
+        assert len(raw) == LENGTH and raw != query(HOSTILE_ID)
+        frames = [
+            WireFrame(0.0, query(0)),
+            WireFrame(1e-6, raw),
+            WireFrame(2e-6, query(2)),
+        ]
+        header_data = PacketParser(header_data_models={MODEL})
+        for parser, models in (
+            (PacketParser(), None),
+            (PacketParser(), {MODEL: INPUT, 2: INPUT + 1}),
+            (header_data, None),
+            (header_data, {MODEL: 16}),
+        ):
+            check_ingest_is_the_loop(frames, parser, models)
 
     def test_a_stream_of_nothing_but_damage_says_so_balanced(self, stack):
         cluster = stack[1]
