@@ -95,10 +95,10 @@ CLUSTER_REQUESTS = 128  #: trace the ``fast_loop_serve_ratio`` cluster serves
 LOOP_WALK = 16  #: of those, how many the per-row walk repeats
 ENERGY_REQUESTS = 2048  #: sized for a ~70 ms serve (see ``_energy_ledger``)
 SERVE_REQUESTS = 96  #: parallel-vs-serial and shard-scaling traces
-RING_LAP_REQUESTS = 160  #: single-request dispatches over two workers' rings
-RING_LAPS = 4  #: times that trace must wrap each ring
-#: The ring-lap GPT-2-class stand-in: ~2 ms of worker compute a request.
-RING_LAP_GPT2 = {"seq_len": 16, "d_model": 32}
+DEEP_TRACE_REQUESTS = 160  #: single-request dispatches over two workers
+DEEP_TRACE_WINDOWS = 4  #: full windows that trace must send each worker
+#: The deep-trace GPT-2-class stand-in: ~2 ms of worker compute a request.
+DEEP_TRACE_GPT2 = {"seq_len": 16, "d_model": 32}
 INGEST_FRAMES = 5000  #: frames each leg of ``ingest_speedup`` takes in
 
 
@@ -472,22 +472,22 @@ def _parallel(stack: ExitStack, cores: int) -> Legs:
     )
 
 
-def _ring_laps(
+def _deep_trace(
     stack: ExitStack, model: Callable[[], ComputationDAG]
 ) -> Legs:
-    """Two single-core serial shards over their ring-fed parallel twin.
+    """Two single-core serial shards over their worker-fed parallel twin.
 
     Single-request dispatches with every join deferred to the end of
-    the serve, on a trace that must lap each worker's ring
-    :data:`RING_LAPS` times: a flow-control stall between parent and
-    worker reads as a ratio near 1.0 and as poll timers expiring on
-    every lap.  The timers are read over every timed serve: a worker
-    evaluates at most one forward block per program invocation (a few
-    ms of compute, well under ``POLL_S``), so any expiry after the
-    untimed warm-up serve is a stall, not a long batch.
+    the serve, on a trace that must send each worker
+    :data:`DEEP_TRACE_WINDOWS` full windows: a stall between parent and
+    worker reads as a ratio near 1.0 and as poll timers expiring.  The
+    timers are read over every timed serve: a worker evaluates at most
+    one forward block per program invocation (a few ms of compute,
+    well under ``POLL_S``), so any expiry after the untimed warm-up
+    serve is a stall, not a long batch.
     """
     dag = model()
-    trace = _full_load_trace(dag, RING_LAP_REQUESTS)
+    trace = _full_load_trace(dag, DEEP_TRACE_REQUESTS)
     serial, live = (
         _fabric(
             stack, dag, 2, execution,
@@ -498,7 +498,7 @@ def _ring_laps(
     pools = [shard._pool for shard in live.shards]
     warmed: list[int] = []
 
-    def ring_fed():
+    def worker_fed():
         result = live.serve_trace(trace)
         if not warmed:  # the runner's untimed warm-up serve
             warmed.append(sum(pool.poll_timeouts for pool in pools))
@@ -509,18 +509,21 @@ def _ring_laps(
             _results_identical, twin.shard_results, fed.shard_results
         )
         if twin.served != len(trace) or not all(identical):
-            return "ring-fed shards diverged from their serial twin"
-        laps = min(
-            fed.routed.count(shard) // pool.capacity
+            return "worker-fed shards diverged from their serial twin"
+        windows = min(
+            fed.routed.count(shard) // pool.window
             for shard, pool in enumerate(pools)
         )
-        if laps < RING_LAPS:
-            return f"the trace lapped a ring {laps} times, not {RING_LAPS}"
+        if windows < DEEP_TRACE_WINDOWS:
+            return (
+                f"a worker received {windows} full windows, not "
+                f"{DEEP_TRACE_WINDOWS}"
+            )
         expired = sum(pool.poll_timeouts for pool in pools) - warmed[0]
         if expired:
-            return f"{expired} poll timers expired: a flow-control stall"
+            return f"{expired} poll timers expired: a stall"
 
-    return Legs(partial(serial.serve_trace, trace), ring_fed, verify)
+    return Legs(partial(serial.serve_trace, trace), worker_fed, verify)
 
 
 def _ingest(stack: ExitStack) -> Legs:
@@ -587,19 +590,19 @@ CASES: tuple[Case, ...] = (
     Case("parallel_speedup_1c", partial(_parallel, cores=1)),
     Case("parallel_speedup_2c", partial(_parallel, cores=2), min_cpus=2),
     Case(
-        "ring_lap_ratio_gpt2",
+        "deep_trace_ratio_gpt2",
         partial(
-            _ring_laps, model=lambda: gpt2_class_dag(0, **RING_LAP_GPT2)
+            _deep_trace, model=lambda: gpt2_class_dag(0, **DEEP_TRACE_GPT2)
         ),
         min_cpus=2, floor=1.2,
     ),
-    # A LeNet-class request is less worker compute than the parent's
-    # per-dispatch work: ten runs on a 2-vCPU host read 0.72-0.85x
-    # (median 0.75x) with nothing stalled, so the ratio is recorded and
+    # A LeNet-class request is about as much worker compute as the
+    # parent's per-dispatch work: seven runs on a 2-vCPU host read
+    # 0.88-1.06x with nothing stalled, so the ratio is recorded and
     # only the hook's stall checks are hard.
     Case(
-        "ring_lap_ratio_lenet",
-        partial(_ring_laps, model=lambda: lenet_class_dag(0)),
+        "deep_trace_ratio_lenet",
+        partial(_deep_trace, model=lambda: lenet_class_dag(0)),
         min_cpus=2,
     ),
 )

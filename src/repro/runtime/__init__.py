@@ -9,8 +9,8 @@ cores:
 * :class:`~repro.runtime.cluster.Cluster` — N photonic cores sharing
   deployed DAGs behind a virtual-clock event loop;
 * :mod:`~repro.runtime.schedulers` — the :class:`Scheduler` protocol
-  (shared with the §9 simulator) plus round-robin, least-loaded, and
-  weighted-fair policies;
+  (shared with the §9 simulator) plus round-robin, least-loaded and
+  health-aware policies;
 * :mod:`~repro.runtime.queues` — bounded per-model admission queues
   with drop-tail / drop-head overload policies;
 * :mod:`~repro.runtime.batching` — the opportunistic coalescer that
@@ -22,10 +22,8 @@ cores:
   the batch-major forward program, in process or in the workers;
 * :mod:`~repro.runtime.parallel` — the process-parallel execution
   backend (``Cluster(execution="parallel")``): one persistent worker
-  per core replaying shared-memory plans, bit-identical to serial;
-* :mod:`~repro.runtime.rings` — the windowed shared-memory ring
-  transport the parallel backend dispatches through (one semaphore
-  post per window of batches, zero per-batch pickling).
+  per core replaying shared-memory plans, fed over one ordered pipe
+  stream, bit-identical to serial.
 """
 
 from .schedulers import (
@@ -41,7 +39,6 @@ from .queues import DROP_POLICIES, AdmissionQueue, QueueEntry
 from .batching import BatchingCoalescer, stack_levels
 from .cluster import Cluster, ClusterResult, RuntimeRequest
 from .parallel import CoreWorkerPool, SharedArrayRef, publish_model
-from .rings import RingConsumer, RingGeometry, RingProducer, RingSems
 from .workload import poisson_trace, rate_for_cluster_utilization
 
 __all__ = [
@@ -63,10 +60,6 @@ __all__ = [
     "CoreWorkerPool",
     "SharedArrayRef",
     "publish_model",
-    "RingGeometry",
-    "RingSems",
-    "RingProducer",
-    "RingConsumer",
     "poisson_trace",
     "rate_for_cluster_utilization",
 ]

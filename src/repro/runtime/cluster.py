@@ -283,14 +283,9 @@ class Cluster:
             # each child starts from a lean image; the factory crosses
             # by fork inheritance (it is commonly an unpicklable
             # closure).  Plans ship later, at deploy, via shared
-            # memory; dispatches ride per-worker ring buffers signalled
-            # once per ``window`` batches.
-            self._pool = CoreWorkerPool(
-                num_cores,
-                factory,
-                window=window,
-                max_batch=max_batch,
-            )
+            # memory; dispatches ride each worker's pipe, ``window``
+            # batches a message.
+            self._pool = CoreWorkerPool(num_cores, factory, window=window)
             self._pool_finalizer = pool_finalizer(self, self._pool)
         #: Where dispatches' numerics run (:mod:`~repro.runtime.executor`).
         self._executor = (
@@ -344,11 +339,12 @@ class Cluster:
         per-row reference — is refused before any core registers the
         model.
         """
-        if not all(isinstance(d, LightningDatapath) for d in self.datapaths):
-            raise ValueError(
-                "a cluster replays compiled plans; build its datapaths "
-                "with fidelity='fast'"
-            )
+        for datapath in self.datapaths:
+            if not isinstance(datapath, LightningDatapath):
+                raise ValueError(
+                    "a cluster replays compiled plans; it cannot serve "
+                    f"a {type(datapath).__name__}"
+                )
         compiled: dict[object, tuple] = {}
         for datapath in self.datapaths:
             geometry = datapath.plan_geometry
@@ -759,7 +755,7 @@ class _ServeRun:
         """Charge one batch to ``core`` and hand its numerics over.
 
         The request block and the noise key go to the executor — a
-        worker's request ring, or the in-process backlog, which
+        worker's outbox, or the in-process backlog, which
         validates the levels and raises before anything is charged.
         Then the datapath replays the model's compiled
         :class:`~repro.core.datapath.TimingPlan` (the ledger half of an
@@ -885,7 +881,7 @@ class _ServeRun:
         wrapper.set_time(now)
         wrapper.install(device_fault_from_event(fault))
         if self.pool is not None:
-            # The worker's request ring is FIFO, so the fault lands
+            # The worker's stream is FIFO, so the fault lands
             # between exactly the dispatches it separated on the
             # virtual clock — same prefix a serial run would have
             # applied.
@@ -1011,7 +1007,7 @@ class _ServeRun:
         self.executor.settle(core)
         report = relocker.relock_core(core, self.datapaths[core].core, now)
         if self.pool is not None and report.relocked:
-            # Ring FIFO: the mirror lands after every batch the worker
+            # Stream FIFO: the mirror lands after every batch the worker
             # was sent pre-quarantine, exactly where the serial
             # timeline re-based its own faults.
             self.pool.relock(core, now, report.residual_volts)

@@ -19,14 +19,16 @@ execution parallelism while preserving its virtual-clock determinism:
   model.  Workers map the segment read-only and rebuild their plans as
   views (:func:`~repro.core.plans.import_model_plan`) — compiled state
   is published once and never re-pickled.
-* **Windowed ring dispatch** — per-batch traffic rides the
-  :mod:`~repro.runtime.rings` transport: the parent writes dispatch
-  slots (raw input block, virtual time, noise substream key) into a
-  per-worker shared-memory request ring and posts the worker once per
-  ``window`` batches; results come back through a mirrored completion
-  ring as one int32 prediction per row.  No per-batch pickling, no
-  per-batch pipe syscalls — one semaphore post amortizes over W
-  dispatches.
+* **One ordered stream per worker** — everything else travels over the
+  worker's one pipe, in order, both ways.  The parent queues
+  ``("run", seq, model_id, block, now_s, key)`` dispatches in a
+  per-core outbox and sends the outbox as one message once ``window``
+  runs have built up, or at once when a control item joins it
+  (``fault``, ``relock``, ``flush``, ``deploy``, ``undeploy``,
+  ``stop``).  Blocks travel as given; the forward program widens them.
+  The worker answers one message per evaluation, a list of
+  ``("pred", seq, [ints])`` / ``("error", seq, traceback)`` entries, and
+  one ``("ack", error)`` per deploy or undeploy.
 
 Determinism contract: the parent reseeds nothing here — the cluster
 keys every batch's readout-noise stream by ``(domain, core, epoch,
@@ -35,24 +37,29 @@ its core's SFC64 substream on that key before executing
 (:meth:`~repro.photonics.core.BehavioralCore.reseed_noise`).  Because
 the draws a batch consumes depend only on its key, the worker's outputs
 are bit-identical to the serial path's regardless of real scheduling
-order.  Device faults and bias re-locks travel as control slots in the
-*same* request ring as dispatches, so a worker observes exactly the
-fault-prefix a serial execution at that virtual time would have — FIFO
-ordering by construction, windowing or not.  A worker copies each
-dispatch out of its slot into a backlog and evaluates the backlog when
-it holds one forward block (:data:`~repro.runtime.executor.
-BLOCK_BYTES` of row bytes) or a barrier arrives — any control slot,
-including the ``flush`` slot the parent sends before it waits on a
-completion — grouped by model, through the batch-major forward program
+order.  Device faults and bias re-locks are control items in the *same*
+stream as dispatches, so a worker observes exactly the fault-prefix a
+serial execution at that virtual time would have — FIFO ordering by
+construction, windowing or not.  A worker files each ``run`` in a
+backlog and evaluates the backlog when it holds one forward block
+(:data:`~repro.runtime.executor.BLOCK_BYTES` of row bytes) or a control
+item arrives — every control item is a barrier, and ``flush``, which
+the parent sends before it waits on an answer, is nothing else —
+grouped by model, through the batch-major forward program
 (:func:`~repro.runtime.executor.evaluate`), so it cuts the blocks the
-in-process executor cuts; completions are posted in slot order.
+in-process executor cuts; answers come back in dispatch order.
 
-Lifecycle: model segments are created by :meth:`CoreWorkerPool.deploy`,
-ring segments lazily at the first deploy (sized to the widest deployed
-model), and all of them are unlinked by :meth:`CoreWorkerPool.close`
-even when a worker died mid-window (the cluster also arranges a
-``weakref.finalize`` so a dropped cluster cannot leak segments across
-test runs).
+No deadlock: a worker's loop never blocks on a send.  It hands each
+answer to a sender thread through a :class:`queue.SimpleQueue`, so it
+keeps reading its pipe while the parent is blocked sending to it.
+Every parent-side wait is ``conn.poll(POLL_S)`` plus a liveness check,
+so a dead worker raises instead of hanging.
+
+Lifecycle: model segments are created by :meth:`CoreWorkerPool.deploy`
+and unlinked by :meth:`CoreWorkerPool.undeploy` or
+:meth:`CoreWorkerPool.close`, even when a worker died mid-stream (the
+cluster also arranges a ``weakref.finalize`` so a dropped cluster
+cannot leak segments across test runs).
 """
 
 from __future__ import annotations
@@ -60,6 +67,9 @@ from __future__ import annotations
 import dataclasses
 import gc
 import multiprocessing
+import queue
+import threading
+import time
 import traceback
 import weakref
 from collections import deque
@@ -73,15 +83,6 @@ from ..core.plans import ModelPlan, PlanGeometry, import_model_plan
 from ..faults.device import DegradedCore, device_fault_from_event
 from ..faults.schedule import FaultEvent
 from . import executor
-from .rings import (
-    MIN_PAYLOAD_BYTES,
-    POLL_S,
-    RingConsumer,
-    RingGeometry,
-    RingProducer,
-    RingSems,
-    attach_segment,
-)
 
 __all__ = [
     "SharedArrayRef",
@@ -94,8 +95,40 @@ __all__ = [
 #: Byte alignment of every array inside a shared segment (cache line).
 _ALIGN = 64
 
-#: Default signalling window: semaphore posts per W dispatches.
+#: Default window: dispatches per worker wake-up.
 DEFAULT_WINDOW = 8
+
+#: Parent-side waits re-check worker liveness at this cadence (wall
+#: seconds).  Progress never depends on it.
+POLL_S = 0.05
+
+
+def attach_segment(name: str) -> shared_memory.SharedMemory:
+    """Attach an existing segment without adopting its lifetime.
+
+    The creator owns unlinking; before Python 3.13 a plain attach also
+    registers the segment with the resource tracker (which would
+    double-unlink it, or — with a fork-shared tracker — erase the
+    creator's own registration), so registration is suppressed for the
+    duration of the attach.  The caller is a worker's item loop (its
+    sender thread only sends), so the temporary patch cannot race.
+    """
+    try:
+        return shared_memory.SharedMemory(name=name, track=False)
+    except TypeError:  # Python < 3.13: no track parameter
+        from multiprocessing import resource_tracker
+
+        original = resource_tracker.register
+
+        def register(rt_name, rtype):  # pragma: no cover - trivial
+            if rtype != "shared_memory":
+                original(rt_name, rtype)
+
+        resource_tracker.register = register
+        try:
+            return shared_memory.SharedMemory(name=name)
+        finally:
+            resource_tracker.register = original
 
 
 def _aligned(offset: int) -> int:
@@ -259,65 +292,21 @@ def _worker_deploy(datapath, spec: dict, segments: list) -> None:
 
 
 class _WorkerState:
-    """Mutable bag threaded through one worker's message handlers."""
+    """Mutable bag threaded through one worker's item handlers."""
 
-    def __init__(self, datapath, conn, sems: RingSems) -> None:
+    def __init__(self, datapath, answers: queue.SimpleQueue) -> None:
         self.datapath = datapath
-        self.conn = conn
-        self.sems = sems
-        self.consumer: RingConsumer | None = None
+        #: Messages for the sender thread, in the order they go out.
+        self.answers = answers
         self.segments: list[shared_memory.SharedMemory] = []
-        #: ``run`` slots read off the ring but not yet evaluated, in
-        #: slot order, and the forward-block bytes their rows take.
+        #: ``run`` items received but not yet evaluated, in dispatch
+        #: order, and the forward-block bytes their rows take.
         self.backlog: list[tuple] = []
         self.backlog_bytes = 0
 
 
-def _worker_pipe_message(state: _WorkerState, message: tuple) -> bool:
-    """Handle one control-plane pipe message; False stops the worker.
-
-    The pipe carries only rare, variably sized control traffic: deploy
-    specs, undeploys, ring (re)attachment, and pre-ring shutdown.  Each
-    is acknowledged so the parent can sequence against it.
-    """
-    kind = message[0]
-    if kind == "deploy":
-        try:
-            _worker_deploy(state.datapath, message[1], state.segments)
-            state.conn.send(("ok", "deploy"))
-        except Exception:
-            state.conn.send(("error", -1, traceback.format_exc()))
-    elif kind == "undeploy":
-        try:
-            # Unregister the model but keep its segment mapped: numpy
-            # views over the buffer may still be referenced (plan
-            # scratch), and closing a mapped segment raises
-            # BufferError.  The parent owns the unlink; this worker's
-            # mapping dies with the process.
-            state.datapath.unregister_model(message[1])
-            state.conn.send(("ok", "undeploy"))
-        except Exception:
-            state.conn.send(("error", -1, traceback.format_exc()))
-    elif kind == "ring":
-        # Attach (or swap to) the ring pair at ``name``.  The parent
-        # only swaps while the rings are drained, so the shared
-        # semaphores are at their baseline and the fresh consumer's
-        # ordinal 0 lines up with the fresh producer's.
-        _, name, geometry = message
-        try:
-            if state.consumer is not None:
-                state.consumer.close()
-            state.consumer = RingConsumer(name, geometry, state.sems)
-            state.conn.send(("ok", "ring"))
-        except Exception:
-            state.conn.send(("error", -1, traceback.format_exc()))
-    elif kind == "stop":
-        return False
-    return True
-
-
 def _worker_take(state: _WorkerState, run: tuple) -> None:
-    """File one ``run`` slot in the backlog; evaluate the backlog once
+    """File one ``run`` item in the backlog; evaluate the backlog once
     it holds a forward block (:data:`~repro.runtime.executor.
     BLOCK_BYTES` of row bytes).
 
@@ -352,7 +341,7 @@ def _worker_evaluate(state: _WorkerState) -> None:
 
 
 def _answers(datapath, model_id: int, runs: list[tuple]) -> dict[int, list]:
-    """``seq -> predictions`` of one model's ``run`` slots."""
+    """``seq -> predictions`` of one model's ``run`` items."""
     results = executor.evaluate(
         datapath,
         model_id,
@@ -362,16 +351,16 @@ def _answers(datapath, model_id: int, runs: list[tuple]) -> dict[int, list]:
 
 
 def _worker_run(state: _WorkerState, runs: list[tuple]) -> None:
-    """Evaluate ``run`` slots and post each one's predictions (or
-    error), in slot order.
+    """Evaluate ``run`` items and answer them as one message, each
+    one's predictions (or error) in dispatch order.
 
     Numerics only — the parent owns (and already charged) the ledger.
     Records carry a prediction, never outputs, so the reduction to one
-    int32 per row happens here; ``argmax`` over the identical float64
+    int per row happens here; ``argmax`` over the identical float64
     outputs is the reduction the serial path runs, so predictions stay
-    bit-identical to it.  Slots of one model evaluate together; if
+    bit-identical to it.  Items of one model evaluate together; if
     that raises they run again one by one, so the error lands on the
-    slot that caused it and its neighbours still answer (a dispatch's
+    item that caused it and its neighbours still answer (a dispatch's
     numerics depend on nothing a failed attempt could have moved).
     """
     by_model: dict[int, list[tuple]] = {}
@@ -387,25 +376,24 @@ def _worker_run(state: _WorkerState, runs: list[tuple]) -> None:
                     answers.update(_answers(state.datapath, model_id, [run]))
                 except Exception:
                     answers[run[1]] = traceback.format_exc()
+    message = []
     for _, seq, *_ in runs:
         answer = answers[seq]
-        if isinstance(answer, str):
-            state.consumer.post_error(seq, answer)
-        else:
-            state.consumer.post_predictions(seq, answer)
+        kind = "error" if isinstance(answer, str) else "pred"
+        message.append((kind, seq, answer))
+    state.answers.put(message)
 
 
-def _worker_control(state: _WorkerState, message: tuple) -> bool:
-    """Handle one in-ring control slot; False stops the worker.
+def _worker_control(state: _WorkerState, item: tuple) -> bool:
+    """Handle one control item; False stops the worker.
 
-    The caller has already evaluated the backlog: every control slot
-    is a barrier, taking effect after the runs submitted before it.  A
-    ``flush`` slot is nothing but that barrier.
+    The caller has already evaluated the backlog: every control item
+    is a barrier, taking effect after the runs sent before it.  A
+    ``flush`` is nothing but that barrier.
     """
-
-    kind = message[0]
+    kind = item[0]
     if kind == "fault":
-        _, (time_s, fkind, fcore, duration_s, params), now_s = message
+        _, (time_s, fkind, fcore, duration_s, params), now_s = item
         event = FaultEvent(
             time_s=time_s,
             kind=fkind,
@@ -417,39 +405,66 @@ def _worker_control(state: _WorkerState, message: tuple) -> bool:
         wrapper.set_time(now_s)
         wrapper.install(device_fault_from_event(event))
     elif kind == "relock":
-        _, now_s, residuals = message
+        _, now_s, residuals = item
         core = state.datapath.core
         if isinstance(core, DegradedCore):
             core.relock(now_s, residuals)
-    elif kind == "pipe":
-        # The parent queued a control-plane message behind everything
-        # already in the ring; fetch and handle it now.
+    elif kind in ("deploy", "undeploy"):
         try:
-            return _worker_pipe_message(state, state.conn.recv())
-        except EOFError:
-            return False
+            if kind == "deploy":
+                _worker_deploy(state.datapath, item[1], state.segments)
+            else:
+                # Unregister the model but keep its segment mapped:
+                # numpy views over the buffer may still be referenced
+                # (plan scratch), and closing a mapped segment raises
+                # BufferError.  The parent owns the unlink; this
+                # worker's mapping dies with the process.
+                state.datapath.unregister_model(item[1])
+            error = None
+        except Exception:
+            error = traceback.format_exc()
+        state.answers.put([("ack", error)])
     elif kind == "stop":
         return False
     return True
 
 
-def _worker_main(
-    core_index: int,
-    datapath_factory,
-    conn,
-    sems,
-) -> None:
-    """One photonic core's worker loop.
+def _worker_sender(conn, answers: queue.SimpleQueue) -> None:
+    """Send a worker's answers in order until the ``None`` that ends
+    them, or until the parent is gone."""
+    while (message := answers.get()) is not None:
+        try:
+            conn.send(message)
+        except OSError:
+            return
 
-    Until the first deploy the worker blocks on its pipe; once the
-    parent attaches the rings it blocks on the request ring instead,
-    and all further pipe traffic is announced by an in-ring ``pipe``
-    control slot.  Either way messages are handled strictly in
-    submission order, which is what makes fault forwarding
-    deterministic: a device fault sent at virtual time T lands between
-    the dispatches it separated in virtual time.  ``run`` slots wait in
-    the backlog until it holds a forward block or a control slot
-    arrives (:func:`_worker_take`).
+
+def _worker_loop(state: _WorkerState, conn) -> None:
+    """Handle every received item in order until ``stop`` or EOF."""
+    while True:
+        try:
+            items = conn.recv()
+        except EOFError:
+            return
+        for item in items:
+            if item[0] == "run":
+                _worker_take(state, item)
+                continue
+            _worker_evaluate(state)  # every control item is a barrier
+            if not _worker_control(state, item):
+                return
+
+
+def _worker_main(core_index: int, datapath_factory, conn) -> None:
+    """One photonic core's worker.
+
+    Items are handled strictly in the order the parent sent them,
+    which is what makes fault forwarding deterministic: a device fault
+    sent at virtual time T lands between the dispatches it separated
+    in virtual time.  ``run`` items wait in the backlog until it holds
+    a forward block or a control item arrives (:func:`_worker_take`).
+    Answers go out through a sender thread, so this loop never blocks
+    on a send while the parent may be blocked sending to it.
     """
     datapath = datapath_factory(core_index)
     # Everything alive now was inherited from the parent at fork and
@@ -457,31 +472,18 @@ def _worker_main(
     # generations, or the first full collection walks the whole forked
     # heap mid-batch (65-100 ms, and it dirties the shared pages).
     gc.freeze()
-    state = _WorkerState(datapath, conn, sems)
-    running = True
-    while running:
-        if state.consumer is None:
-            try:
-                message = conn.recv()
-            except EOFError:
-                break
-            running = _worker_pipe_message(state, message)
-            continue
-        message = state.consumer.next()
-        if message[0] == "run":
-            _worker_take(state, message)
-        else:
-            _worker_evaluate(state)
-            running = _worker_control(state, message)
-    if state.consumer is not None:
-        state.consumer.close()
+    answers: queue.SimpleQueue = queue.SimpleQueue()
+    sender = threading.Thread(
+        target=_worker_sender, args=(conn, answers), daemon=True
+    )
+    sender.start()
+    state = _WorkerState(datapath, answers)
+    _worker_loop(state, conn)
+    answers.put(None)
+    sender.join()
     for segment in state.segments:
         segment.close()
     conn.close()
-
-
-class _CloseTimeout(Exception):
-    """Internal: a best-effort shutdown submit could not land."""
 
 
 class CoreWorkerPool:
@@ -489,28 +491,15 @@ class CoreWorkerPool:
 
     Workers fork at construction so the cluster's ``datapath_factory``
     — commonly a closure — transfers by inheritance, never by pickle.
-    All later traffic is small: deploy specs carry shared-memory refs
-    over the pipe; dispatches and results ride per-worker shared-memory
-    ring buffers (:mod:`~repro.runtime.rings`), with the request-ring
-    semaphore posted once per ``window`` dispatches.
-
-    ``capacity`` bounds each ring (default ``max(2 * window, 8)``
-    slots).  Deep traces flow through the shallow rings on one
-    invariant: the parent never sleeps on a semaphore while any
-    completion slot is readable.  Every submit moves the core's
-    already-posted completions into a parent-side stash, and before
-    the parent blocks — on a full request ring, or on one core's next
-    completion — it drains *every* core's ring, so no worker stays
-    parked on a full completion ring (and a worker reads every posted
-    request slot before it parks, see
-    :class:`~repro.runtime.rings.RingConsumer`).  Workers evaluate
-    whole forward blocks, so before the parent waits on a completion
-    it sends a ``flush`` slot to every core that has runs since its
-    last barrier.  The ``POLL_S`` timer on those waits is for liveness
-    only (a dead worker raises instead of hanging); :attr:`poll_timeouts`
-    counts its expiries, which flow control never causes.
-    ``max_batch`` sizes the ring slots for the widest coalesced block
-    the cluster may dispatch.
+    Deploy specs carry shared-memory refs; everything travels over the
+    worker's one pipe, the parent's items in messages of ``window``
+    runs (or fewer, ended by a control item), the worker's answers one
+    message per evaluation.  Workers evaluate whole forward blocks, so
+    before the parent waits on an answer it takes in every core's
+    ready answers and sends a ``flush`` to every core that has runs
+    since its last barrier.  The ``POLL_S`` timer on its waits is for
+    liveness only (a dead worker raises instead of hanging);
+    :attr:`poll_timeouts` counts its expiries.
     """
 
     def __init__(
@@ -519,18 +508,9 @@ class CoreWorkerPool:
         datapath_factory,
         *,
         window: int = DEFAULT_WINDOW,
-        capacity: int | None = None,
-        max_batch: int = 1,
     ) -> None:
         if window < 1:
             raise ValueError("window must be at least one batch")
-        if capacity is None:
-            capacity = max(2 * window, 8)
-        if capacity < window:
-            raise ValueError(
-                f"ring capacity {capacity} cannot be smaller than the "
-                f"signalling window {window}"
-            )
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError as exc:  # pragma: no cover - non-POSIX hosts
@@ -538,17 +518,13 @@ class CoreWorkerPool:
                 "execution='parallel' needs the fork start method"
             ) from exc
         self.window = window
-        self.capacity = capacity
-        self._max_batch = max(max_batch, 1)
         self._pipes = []
         self._procs = []
-        self._sems: list[RingSems] = []
         for core in range(num_cores):
             parent_conn, child_conn = ctx.Pipe()
-            sems = RingSems(ctx, capacity)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(core, datapath_factory, child_conn, sems),
+                args=(core, datapath_factory, child_conn),
                 daemon=True,
                 name=f"lightning-core-{core}",
             )
@@ -556,9 +532,10 @@ class CoreWorkerPool:
             child_conn.close()
             self._pipes.append(parent_conn)
             self._procs.append(proc)
-            self._sems.append(sems)
         self._seq = [0] * num_cores
-        #: Per core: whether runs went out since its last control slot
+        #: Items queued for each core and not yet sent.
+        self._outbox: list[list[tuple]] = [[] for _ in range(num_cores)]
+        #: Per core: whether runs went out since its last control item
         #: (so its worker may hold an unevaluated backlog).
         self._backlogged = [False] * num_cores
         #: Dispatched-but-uncollected sequence numbers, per core.
@@ -567,21 +544,10 @@ class CoreWorkerPool:
         #: batches): the worker computes them anyway, the parent skips
         #: them when they surface.
         self._discarded: list[set[int]] = [set() for _ in range(num_cores)]
-        #: Completions already read off the rings (after each submit
-        #: and before every blocking wait), held in worker order until
-        #: ``result``/``drain`` consume them.
+        #: Answer entries already read off the pipes, held in worker
+        #: order until ``result``/``drain`` consume them.
         self._stash: list[deque] = [deque() for _ in range(num_cores)]
-        #: One ``on_stall`` callback per core, built once: the blocking
-        #: ring helpers take one on every dispatch.
-        self._guards = [self._stall_guard(core) for core in range(num_cores)]
-        #: The same for a wait on a core's own completion ring, which
-        #: drains only the siblings: a completion stashed behind the
-        #: wait's back would leave it waiting for one that never comes.
-        self._collect_guards = [
-            self._stall_guard(core, collecting=True)
-            for core in range(num_cores)
-        ]
-        self._rings: list[RingProducer] | None = None
+        self._expired = 0
         self._published: list[PublishedModel] = []
         self._closed = False
 
@@ -592,45 +558,21 @@ class CoreWorkerPool:
     @property
     def segment_names(self) -> tuple[str, ...]:
         """Names of every live shared-memory segment (leak guard)."""
-        names = [p.segment_name for p in self._published]
-        if self._rings is not None:
-            names.extend(ring.segment_name for ring in self._rings)
-        return tuple(names)
+        return tuple(p.segment_name for p in self._published)
 
     @property
     def poll_timeouts(self) -> int:
-        """Timed ring waits that expired, summed over the live rings.
+        """Timed waits that expired.
 
         The timer only guards liveness, so anything above 0 means the
-        parent sat out a whole ``POLL_S``: a worker was dead, parked,
-        or busy that long with one batch (a GC pause, a huge model).
+        parent sat out a whole ``POLL_S``: a worker was dead, or busy
+        that long with one block (a GC pause, a huge model).
         """
-        return sum(ring.poll_timeouts for ring in self._rings or ())
+        return self._expired
 
     # ------------------------------------------------------------------
-    # Ring management
+    # The stream
     # ------------------------------------------------------------------
-    def _stall_guard(self, core: int, collecting: bool = False):
-        """An ``on_stall`` callback: drain completions, check liveness.
-
-        Runs before the parent blocks on ``core`` and on every timer
-        expiry while it waits.  Draining every core's ring releases
-        any worker parked on a full completion ring — this core's,
-        whose progress the parent is waiting for, and its siblings',
-        which would otherwise idle until the wait ends; the liveness
-        check turns a worker crash into a loud error instead of an
-        indefinite wait.
-        """
-
-        def on_stall() -> None:
-            for each in range(self.num_cores):
-                if not (collecting and each == core):
-                    self._drain_ready(each)
-            if not self._procs[core].is_alive():
-                raise self._died(core)
-
-        return on_stall
-
     def _whereabouts(self, core: int, awaited: int | None) -> str:
         """Where a misbehaving worker's dispatch stream stood: the seq
         the parent awaited, the last dispatched seq and how many were
@@ -652,124 +594,92 @@ class CoreWorkerPool:
             f"{self._procs[core].exitcode})"
         )
 
-    def _drain_ready(self, core: int) -> None:
-        """Move one core's already-posted completions into its stash."""
-        while True:
-            message = self._rings[core].poll()
-            if message is None:
-                return
-            self._stash[core].append(message)
+    def _send(self, core: int) -> None:
+        """Send ``core``'s outbox as one message, then take in its
+        ready answers, so they never pile up in the worker while the
+        parent dispatches.  A dead worker's pipe refuses the send; the
+        next wait on that core reports the death."""
+        items, self._outbox[core] = self._outbox[core], []
+        try:
+            self._pipes[core].send(items)
+        except OSError:
+            pass
+        self._drain_ready(core)
 
-    def _drain_all(self) -> None:
-        """Empty every core's completion ring into its stash."""
-        for core in range(self.num_cores):
-            self._drain_ready(core)
-
-    def _next_completion(self, core: int) -> tuple:
-        """The next completion in worker order (stash, then ring)."""
-        stash = self._stash[core]
-        if not stash:
-            # About to block on this core: empty every ring first, so
-            # siblings keep computing while the join order is here.
-            self._drain_all()
-        if stash:
-            return stash.popleft()
-        # A worker evaluates a partial block only at a barrier: flush
-        # this core, whose answer the parent is about to wait for, and
-        # its siblings, whose tails then evaluate during the wait.
-        for each in range(self.num_cores):
-            self._flush_backlog(each)
-        return self._rings[core].collect(
-            on_stall=self._collect_guards[core]
-        )
-
-    def _control(self, core: int, message: tuple) -> None:
-        """Submit one control slot: a barrier, behind which the worker
-        evaluates every run it was sent before."""
+    def _control(self, core: int, item: tuple) -> None:
+        """Send one control item now, behind the core's outbox: a
+        barrier, behind which the worker evaluates every run it was
+        sent before."""
         self._backlogged[core] = False
-        self._rings[core].submit_control(message, on_stall=self._guards[core])
+        self._outbox[core].append(item)
+        self._send(core)
 
-    def _flush_backlog(self, core: int) -> None:
-        """Send ``core`` a flush slot if it may hold a backlog."""
-        if self._backlogged[core]:
-            self._control(core, ("flush",))
+    def _drain_ready(self, core: int) -> None:
+        """Move one core's ready answers into its stash (no wait; a
+        dead worker's EOF is left for the waits to report)."""
+        conn, stash = self._pipes[core], self._stash[core]
+        try:
+            while conn.poll():
+                stash.extend(conn.recv())
+        except EOFError:
+            pass
 
-    def _pipe_recv(self, core: int):
-        """Receive a control-plane ack, watching for a dead worker."""
+    def _receive(self, core: int) -> None:
+        """Block for one core's next message, watching for a dead
+        worker."""
         conn = self._pipes[core]
         while not conn.poll(POLL_S):
+            self._expired += 1
             if not self._procs[core].is_alive():
                 raise self._died(core)
-        return conn.recv()
+        try:
+            self._stash[core].extend(conn.recv())
+        except EOFError:
+            raise self._died(core) from None
 
-    def _pipe_message(self, core: int, message: tuple) -> None:
-        """Queue one pipe message behind the core's in-ring traffic."""
-        if self._rings is not None:
-            self._control(core, ("pipe",))
-        self._pipes[core].send(message)
+    def _next_entry(self, core: int) -> tuple:
+        """The next answer entry in worker order."""
+        stash = self._stash[core]
+        if not stash:
+            # About to block on this core: take in every core's ready
+            # answers, and flush every backlog — this core's, whose
+            # answer the parent waits for, and its siblings', whose
+            # tails then evaluate during the wait.
+            for each in range(self.num_cores):
+                self._drain_ready(each)
+            if not stash:
+                self.flush()
+            while not stash:
+                self._receive(core)
+        return stash.popleft()
 
-    def _ensure_rings(self, request_bytes: int) -> None:
-        """Create (or grow) the per-worker ring pairs.
-
-        Called only from :meth:`deploy`, i.e. between serves while the
-        rings are drained — the shared semaphores are at baseline, so a
-        freshly attached ring starts both sides at ordinal 0.
-        Completions carry one int32 per row, so their slots never grow
-        with a model's output width.
-        """
-        request_bytes = max(request_bytes, MIN_PAYLOAD_BYTES)
-        completion_bytes = max(self._max_batch * 4, MIN_PAYLOAD_BYTES)
-        if self._rings is not None and self._rings[0].geometry.fits(
-            request_bytes, completion_bytes
-        ):
-            return
-        old = self._rings
-        geometry = RingGeometry(
-            capacity=self.capacity,
-            request_bytes=request_bytes,
-            completion_bytes=completion_bytes,
-        )
-        fresh: list[RingProducer] = []
+    def _broadcast(self, item: tuple, what: str) -> None:
+        """Send one control item to every worker and take every ack
+        before raising the first error, so none is left in a stream."""
         for core in range(self.num_cores):
-            producer = RingProducer(geometry, self._sems[core], self.window)
-            self._pipe_message(
-                core, ("ring", producer.segment_name, geometry)
-            )
-            fresh.append(producer)
-        # The swap message itself travelled through the *old* rings (or
-        # the bare pipe on first deploy); only after every worker acks
-        # its new attachment do the old segments unlink.
-        self._rings = fresh
-        for core in range(self.num_cores):
-            message = self._pipe_recv(core)
-            if message[0] != "ok":
+            self._control(core, item)
+        errors = []
+        for core, stash in enumerate(self._stash):
+            while not stash or stash[-1][0] != "ack":
+                self._receive(core)
+            errors.append(stash.pop()[1])
+        for core, error in enumerate(errors):
+            if error is not None:
                 raise RuntimeError(
-                    f"worker {core} failed to attach its dispatch "
-                    f"rings:\n{message[2]}"
+                    f"worker {core} failed to {what}:\n{error}"
                 )
-        if old is not None:
-            for producer in old:
-                producer.close()
 
     # ------------------------------------------------------------------
     # Deploy
     # ------------------------------------------------------------------
     def deploy(self, dag: ComputationDAG, model_plan: ModelPlan) -> None:
         """Publish one model's plan and register it in every worker."""
-        widest_in = max(task.input_size for task in dag.tasks)
-        self._ensure_rings(self._max_batch * widest_in * 8)
         published = publish_model(dag, model_plan)
         self._published.append(published)
-        spec = _deploy_spec(dag, published)
-        for core in range(self.num_cores):
-            self._pipe_message(core, ("deploy", spec))
-        for core in range(self.num_cores):
-            message = self._pipe_recv(core)
-            if message[0] != "ok":
-                raise RuntimeError(
-                    f"worker {core} failed to deploy model "
-                    f"{dag.model_id}:\n{message[2]}"
-                )
+        self._broadcast(
+            ("deploy", _deploy_spec(dag, published)),
+            f"deploy model {dag.model_id}",
+        )
 
     def undeploy(self, model_id: int) -> None:
         """Unregister one model in every worker and release its segment.
@@ -779,15 +689,7 @@ class CoreWorkerPool:
         so the segment's backing store is reclaimed once the last
         worker mapping disappears.
         """
-        for core in range(self.num_cores):
-            self._pipe_message(core, ("undeploy", model_id))
-        for core in range(self.num_cores):
-            message = self._pipe_recv(core)
-            if message[0] != "ok":
-                raise RuntimeError(
-                    f"worker {core} failed to undeploy model "
-                    f"{model_id}:\n{message[2]}"
-                )
+        self._broadcast(("undeploy", model_id), f"undeploy model {model_id}")
         keep: list[PublishedModel] = []
         for published in self._published:
             if published.model_id != model_id:
@@ -811,45 +713,35 @@ class CoreWorkerPool:
         now_s: float,
         key: tuple[int, ...],
     ) -> int:
-        """Write one batch into a core's request ring; returns its seq.
+        """Queue one batch for a core; returns its seq.
 
         ``block`` is a single request vector (1-D) or a coalesced
-        ``(batch, input)`` stack; the worker mirrors the serial path's
-        ``execute`` / ``execute_batch`` split on its dimensionality.
-        The ring semaphore is only posted once ``window`` dispatches
-        have accumulated, so W batches cost one wake-up, and the worker
-        evaluates once it holds a forward block or meets a barrier (a
-        control slot; the parent sends a flush slot before it waits on
-        a completion).  Completions the worker has already posted move
-        to the stash on the way out (one uncontended ``sem_trywait``
-        when there are none), which keeps its completion ring shallow
-        however deep the serve runs.
+        ``(batch, input)`` stack, sent as given; the worker mirrors the
+        serial path's ``execute`` / ``execute_batch`` split on its
+        dimensionality.  The core's outbox goes out as one message
+        once ``window`` runs have built up, so W batches cost one
+        wake-up, and the worker evaluates once it holds a forward
+        block or meets a barrier (a control item; the parent sends a
+        flush before it waits on an answer).
         """
-        if self._rings is None:
-            raise RuntimeError("no model deployed; rings not attached")
         seq = self._seq[core]
         self._seq[core] += 1
         self._outstanding[core].add(seq)
         self._backlogged[core] = True
-        self._rings[core].submit_run(
-            seq,
-            model_id,
-            block,
-            now_s,
-            key,
-            on_stall=self._guards[core],
-        )
-        self._drain_ready(core)
+        outbox = self._outbox[core]
+        outbox.append(("run", seq, model_id, block, now_s, key))
+        if len(outbox) >= self.window:
+            self._send(core)
         return seq
 
     def flush(self) -> None:
         """Have every worker evaluate the runs it holds now, not at its
-        next full block (end-of-burst nudge): a flush slot to each core
-        sent runs since its last barrier, its pending window posted."""
-        if self._rings is None:
-            return
+        next full block (end-of-burst nudge): a flush item, with the
+        outbox ahead of it, to each core sent runs since its last
+        barrier."""
         for core in range(self.num_cores):
-            self._flush_backlog(core)
+            if self._backlogged[core]:
+                self._control(core, ("flush",))
 
     def result(self, core: int, seq: int) -> list[int]:
         """Block until ``seq``'s predictions arrive (skipping discards).
@@ -858,13 +750,13 @@ class CoreWorkerPool:
         surfaces before ``seq`` is a previously discarded batch.
         """
         while True:
-            message = self._next_completion(core)
-            kind, got = message[0], message[1]
+            entry = self._next_entry(core)
+            kind, got = entry[0], entry[1]
             # Errors name the stream as it stood before this answer.
             if kind == "error":
                 error = RuntimeError(
                     f"worker {core} failed on batch {got} "
-                    f"({self._whereabouts(core, seq)}):\n{message[2]}"
+                    f"({self._whereabouts(core, seq)}):\n{entry[2]}"
                 )
             elif got != seq and got not in self._discarded[core]:
                 error = RuntimeError(
@@ -878,7 +770,7 @@ class CoreWorkerPool:
             if error is not None:
                 raise error
             if got == seq:
-                return message[2]
+                return entry[2]
 
     def discard(self, core: int, seq: int) -> None:
         """Mark an aborted batch: its result is dropped on arrival."""
@@ -890,7 +782,7 @@ class CoreWorkerPool:
 
         The event travels as a plain tuple — its ``params`` mapping is
         an unpicklable ``mappingproxy`` — and is rebuilt worker-side.
-        Riding the request ring places it between exactly the
+        Riding the dispatch stream places it between exactly the
         dispatches it separated on the virtual clock.
         """
         self._control(
@@ -915,15 +807,14 @@ class CoreWorkerPool:
 
         The parent ran the sweeps; the worker just re-bases its fault
         replicas at the same residuals so both copies keep perturbing
-        future batches identically.  Ring FIFO ordering places the
-        re-lock after every batch dispatched before it on the virtual
-        clock.
+        future batches identically.  Stream order places the re-lock
+        after every batch dispatched before it on the virtual clock.
         """
         self._control(core, ("relock", now_s, tuple(residual_volts)))
 
     def settle(self, core: int) -> None:
         """Nothing to do before a core's numerics state changes: the
-        change travels as a control slot behind every dispatch the
+        change travels as a control item behind every dispatch the
         worker was already sent (see :meth:`fault`, :meth:`relock`)."""
 
     def drain(self) -> None:
@@ -932,68 +823,37 @@ class CoreWorkerPool:
         """
         for core in range(self.num_cores):
             while self._outstanding[core]:
-                seq = self._next_completion(core)[1]
+                seq = self._next_entry(core)[1]
                 self._outstanding[core].discard(seq)
                 self._discarded[core].discard(seq)
 
     # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
-    def _stop_worker(self, core: int, give_up_ticks: int) -> None:
-        """Best-effort graceful stop for one worker.
-
-        A live worker drains its ring, so the stop slot lands; a dead
-        or wedged one is detected by the bounded stall guard and left
-        for ``terminate``.  Either way ``close`` keeps going — segment
-        unlinking never depends on worker cooperation.
-        """
-        if self._rings is None:
-            self._pipes[core].send(("stop",))
-            return
-        ticks = 0
-
-        def on_stall() -> None:
-            nonlocal ticks
-            ticks += 1
-            try:
-                self._drain_ready(core)
-            except Exception:  # pragma: no cover - corrupt ring
-                raise _CloseTimeout
-            # The first call precedes the first wait, so ``ticks - 1``
-            # timers have expired by now.
-            if ticks > give_up_ticks or not self._procs[core].is_alive():
-                raise _CloseTimeout
-
-        self._rings[core].submit_control(("stop",), on_stall=on_stall)
-
     def close(self, join_timeout_s: float = 5.0) -> None:
         """Stop workers and unlink every shared segment (idempotent).
 
-        Hardened against a worker that crashed mid-window: the stop
-        submit gives up after ``join_timeout_s`` (or as soon as the
-        worker is seen dead), the process is terminated, and every
-        model and ring segment is closed and unlinked regardless.
+        Hardened against a worker that died mid-stream: the stop is
+        best-effort, answers keep being read while the workers exit
+        (so none is held up sending), a worker still alive after
+        ``join_timeout_s`` is terminated, and every model segment is
+        closed and unlinked regardless.
         """
         if self._closed:
             return
         self._closed = True
-        give_up_ticks = max(int(join_timeout_s / POLL_S), 1)
         for core in range(self.num_cores):
-            try:
-                self._stop_worker(core, give_up_ticks)
-            except (_CloseTimeout, BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=join_timeout_s)
+            self._control(core, ("stop",))
+        deadline = time.monotonic() + join_timeout_s
+        for core, proc in enumerate(self._procs):
+            while proc.is_alive() and time.monotonic() < deadline:
+                self._drain_ready(core)
+                proc.join(POLL_S)
             if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()
-                proc.join(timeout=join_timeout_s)
+                proc.join(join_timeout_s)
         for conn in self._pipes:
             conn.close()
-        if self._rings is not None:
-            for producer in self._rings:
-                producer.close()
-            self._rings = None
         for published in self._published:
             try:
                 published.segment.close()

@@ -44,8 +44,8 @@ from repro.faults import (
 )
 from repro.perf.bench import gpt2_class_dag, lenet_class_dag
 from repro.photonics import BehavioralCore, CoreArchitecture, GaussianNoise
-from repro.runtime.parallel import _worker_run, _WorkerState
 
+from ..runtime.worker_stream import run_worker
 from .test_timing_plans import (
     ZOO,
     _dense,
@@ -620,40 +620,24 @@ def single_attention(model_id: int) -> ComputationDAG:
     ])
 
 
-class _Posted:
-    """A stand-in completion ring: records what the worker posts."""
-
-    def __init__(self):
-        self.results, self.errors = {}, {}
-
-    def post_predictions(self, seq, predictions):
-        self.results[seq] = predictions
-
-    def post_error(self, seq, text):
-        self.errors[seq] = text
-
-
 class TestWorkerRunsOnlyTheForwardProgram:
     @pytest.mark.parametrize("rows", [1, 3])
     def test_worker_charges_no_ledger(self, rows):
         dag = mixed(model_id=4)
         worker, serial = twins(dag)
-        state = _WorkerState(worker, conn=None, sems=None)
-        state.consumer = _Posted()
         block = inputs_for(dag, rows)
         key = (7, 0, 0, 1)
-        message = ("run", 11, dag.model_id,
-                   block[0] if rows == 1 else block, 0.0, key)
-        _worker_run(state, [message])
-        assert not state.consumer.errors
+        run = ("run", 11, dag.model_id,
+               block[0] if rows == 1 else block, 0.0, key)
+        answered = run_worker(worker, [run, ("flush",)])
         assert worker.memory.dram_reads == 0
         assert worker.memory.cache_hits == 0
         assert worker.loader.loads == 0
         assert worker.registers.write_count == 0
         serial.core.reseed_noise(*key)
         expected = [serial.execute(dag.model_id, row) for row in block]
-        assert state.consumer.results[11] == [e.prediction for e in expected]
-        # The bytes behind the posted argmaxes: the forward program
+        assert answered == [[("pred", 11, [e.prediction for e in expected])]]
+        # The bytes behind the answered argmaxes: the forward program
         # alone, on the batch's noise key, equals serial's outputs.
         worker.core.reseed_noise(*key)
         for row, theirs in zip(block, expected):

@@ -165,8 +165,8 @@ class TestCaseTable:
             "ingest_speedup": (1, 4.0, None, False),
             "parallel_speedup_1c": (1, None, None, False),
             "parallel_speedup_2c": (2, None, None, False),
-            "ring_lap_ratio_gpt2": (2, 1.2, None, False),
-            "ring_lap_ratio_lenet": (2, None, None, False),
+            "deep_trace_ratio_gpt2": (2, 1.2, None, False),
+            "deep_trace_ratio_lenet": (2, None, None, False),
         }
 
     @pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
@@ -174,8 +174,8 @@ class TestCaseTable:
         """One round of every case at toy sizes, so none rots unseen."""
         sizes = dict(
             EMULATOR_REQUESTS=2, CLUSTER_REQUESTS=8, LOOP_WALK=2,
-            ENERGY_REQUESTS=16, SERVE_REQUESTS=8, RING_LAP_REQUESTS=8,
-            RING_LAPS=0, RING_LAP_GPT2={"seq_len": 4, "d_model": 8},
+            ENERGY_REQUESTS=16, SERVE_REQUESTS=8, DEEP_TRACE_REQUESTS=8,
+            DEEP_TRACE_WINDOWS=0, DEEP_TRACE_GPT2={"seq_len": 4, "d_model": 8},
             INGEST_FRAMES=40,
         )
         for name, value in sizes.items():
@@ -186,14 +186,15 @@ class TestCaseTable:
         if "error" not in entry:
             assert math.isfinite(entry["ratio"]) and entry["ratio"] > 0
 
-    def test_ring_lap_hook_insists_on_its_laps(self, monkeypatch):
-        """At toy size the trace cannot lap a 16-slot ring four times."""
-        monkeypatch.setattr(bench, "RING_LAP_REQUESTS", 8)
-        case = next(c for c in CASES if c.name == "ring_lap_ratio_lenet")
+    def test_deep_trace_hook_insists_on_its_windows(self, monkeypatch):
+        """At toy size the trace cannot send a worker four full
+        windows of eight."""
+        monkeypatch.setattr(bench, "DEEP_TRACE_REQUESTS", 8)
+        case = next(c for c in CASES if c.name == "deep_trace_ratio_lenet")
         entry = run_case(dataclasses.replace(case, rounds=1))
-        assert "lapped a ring 0 times, not 4" in entry["error"]
+        assert "received 0 full windows, not 4" in entry["error"]
 
-    def test_ring_lap_hook_counts_expired_poll_timers(self, monkeypatch):
+    def test_deep_trace_hook_counts_expired_poll_timers(self, monkeypatch):
         """A poll timer that expires during any timed serve (here: a
         counter that moves on every read) fails the case."""
         from repro.runtime.parallel import CoreWorkerPool
@@ -202,9 +203,9 @@ class TestCaseTable:
         monkeypatch.setattr(
             CoreWorkerPool, "poll_timeouts", property(lambda _: next(reads))
         )
-        monkeypatch.setattr(bench, "RING_LAP_REQUESTS", 8)
-        monkeypatch.setattr(bench, "RING_LAPS", 0)
-        case = next(c for c in CASES if c.name == "ring_lap_ratio_lenet")
+        monkeypatch.setattr(bench, "DEEP_TRACE_REQUESTS", 8)
+        monkeypatch.setattr(bench, "DEEP_TRACE_WINDOWS", 0)
+        case = next(c for c in CASES if c.name == "deep_trace_ratio_lenet")
         entry = run_case(dataclasses.replace(case, rounds=1))
         assert "poll timers expired" in entry["error"]
 

@@ -8,7 +8,7 @@ evaluate through the batch-major forward program, in blocks.  That must
 be invisible: fault-laden serves equal digests recorded at the commit
 before numerics were deferred (when every dispatch ran ``execute``
 inline), at any block cap, in the serving process or a worker, and at
-any worker read-ahead depth; aborted and timed-out dispatches never
+any dispatch window; aborted and timed-out dispatches never
 compute in the serving process; and a healthy serve stays within its
 program-invocation budget — workers included — so a silent fall-back
 to one forward
@@ -43,7 +43,9 @@ ARCHITECTURE = CoreArchitecture(accumulation_wavelengths=2, batch_size=8)
 NUM_CORES = 3
 
 
-def build_cluster(execution: str, max_batch: int) -> Cluster:
+def build_cluster(
+    execution: str, max_batch: int, window: int = 4
+) -> Cluster:
     """Noisy broadcast cores serving a dense and a conv+pool+attention
     model, so dispatches of two models interleave on every core."""
     cluster = Cluster(
@@ -54,7 +56,7 @@ def build_cluster(execution: str, max_batch: int) -> Cluster:
         ),
         max_batch=max_batch,
         execution=execution,
-        window=4,
+        window=window,
     )
     cluster.deploy(tiny_mlp(1))
     cluster.deploy(mixed(2))
@@ -141,8 +143,8 @@ def digest(result) -> str:
     return sha.hexdigest()[:16]
 
 
-def serve(name: str, execution: str, max_batch: int):
-    with build_cluster(execution, max_batch) as cluster:
+def serve(name: str, execution: str, max_batch: int, window: int = 4):
+    with build_cluster(execution, max_batch, window) as cluster:
         return cluster.serve_trace(trace(), **SCENARIOS[name]())
 
 
@@ -205,26 +207,15 @@ class TestFaultLadenServesEqualTheInlineServe:
         result = serve(name, "serial", max_batch)
         assert digest(result) == PARENT_DIGESTS[name, max_batch]
 
-    @pytest.mark.parametrize("drain", ["one slot", "whole ring"])
+    @pytest.mark.parametrize(
+        "window", [1, 64], ids=["one run a message", "deep windows"]
+    )
     @pytest.mark.parametrize("name", SCENARIOS)
-    def test_worker_drain_depth_never_shows(self, monkeypatch, name, drain):
-        from repro.runtime.rings import RingConsumer
-
-        # Workers fork when the cluster is built, so they inherit the
-        # patched consumer.  ``poll`` is how a worker facing a full
-        # completion ring reads posted slots ahead into its inbox:
-        # never seeing one leaves it to the parent's drains; waiting
-        # for stragglers reads ahead as deep as the parent posts.
-        if drain == "one slot":
-            monkeypatch.setattr(RingConsumer, "poll", lambda self: None)
-        else:
-            def patient(self):
-                if not self._sems.request_items.acquire(True, 0.02):
-                    return None
-                return self._read_request()
-
-            monkeypatch.setattr(RingConsumer, "poll", patient)
-        result = serve(name, "parallel", 4)
+    def test_worker_drain_depth_never_shows(self, name, window):
+        # How many dispatches a worker takes in per message: every run
+        # its own, or windows deeper than a serve's bursts, so only
+        # barriers (faults, re-locks, the flush before a join) send.
+        result = serve(name, "parallel", 4, window=window)
         assert digest(result) == PARENT_DIGESTS[name, 4]
 
     @pytest.mark.parametrize("cap", [1, 1 << 40], ids=["one-row", "no-cap"])
@@ -321,9 +312,9 @@ class TestCallBudget:
 
     def test_workers_evaluate_forward_blocks(self, monkeypatch, tmp_path):
         """A worker evaluates its backlog once it holds a forward block
-        or meets a barrier — never whatever its ring happened to hold —
-        so single-row dispatches cost the inline executor's invocation
-        count, not one per ring drain."""
+        or meets a barrier — never whatever one message carried — so
+        single-row dispatches cost the inline executor's invocation
+        count, not one per message."""
         from repro.perf.bench import gpt2_class_dag
         from repro.runtime import executor
 
@@ -381,22 +372,9 @@ class TestCallBudget:
     def test_worker_posts_a_full_window_from_one_invocation_per_model(
         self, monkeypatch
     ):
-        from repro.runtime.parallel import _worker_run, _WorkerState
-
-        class Posted:
-            def __init__(self):
-                self.order, self.results = [], {}
-
-            def post_predictions(self, seq, predictions):
-                self.order.append(seq)
-                self.results[seq] = predictions
-
-            def post_error(self, seq, text):
-                raise AssertionError(text)
+        from .worker_stream import run_worker
 
         worker, serial = _registered(), _registered()
-        state = _WorkerState(worker, conn=None, sems=None)
-        state.consumer = Posted()
         window = [
             ("run", seq, request.model_id, request.data_levels, 0.0,
              (0xB0, 0, 0, seq))
@@ -404,15 +382,16 @@ class TestCallBudget:
         ]
         assert {run[2] for run in window} == {1, 2}
         spy = _Spy(monkeypatch)
-        _worker_run(state, window)
+        (answered,) = run_worker(worker, [*window, ("flush",)])
         assert len(spy.blocks) == 2 and sum(spy.blocks) == 8
         assert spy.walks == 0
-        assert state.consumer.order == list(range(8))
-        for _, seq, model_id, levels, _, key in window:
+        for (_, seq, model_id, levels, _, key), entry in zip(
+            window, answered, strict=True
+        ):
             serial.core.reseed_noise(*key)
-            assert state.consumer.results[seq] == [
-                serial.execute(model_id, levels).prediction
-            ]
+            assert entry == (
+                "pred", seq, [serial.execute(model_id, levels).prediction]
+            )
 
 
 class TestNonFiniteRequestsAreRejected:

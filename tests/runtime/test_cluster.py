@@ -103,7 +103,7 @@ class TestDeployment:
                 framing=fidelity == "device", seed=core
             ),
         )
-        with pytest.raises(ValueError, match="fast"):
+        with pytest.raises(ValueError, match="ReferenceDatapath"):
             cluster.deploy(tiny_dag)
         assert cluster.model_ids == ()
         assert all(not d.loader.model_ids for d in cluster.datapaths)

@@ -18,15 +18,19 @@ from __future__ import annotations
 import gc
 import os
 import signal
+import subprocess
+import sys
 import time
-from collections import Counter, deque
+from collections import Counter
 from multiprocessing import shared_memory
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core import (
     ComputationDAG,
     LayerTask,
@@ -37,9 +41,10 @@ from repro.core.dag import AttentionShape, ConvShape, PoolShape
 from repro.core.stats import Outcome
 from repro.faults import CalibrationWatchdog, FaultSchedule, RetryPolicy
 from repro.photonics import BehavioralCore, CoreArchitecture, GaussianNoise
-from repro.runtime import Cluster, RuntimeRequest
+from repro.runtime import Cluster, RuntimeRequest, executor
 from repro.runtime import parallel as parallel_module
-from repro.runtime import rings as rings_module
+
+from .worker_stream import ScriptedPipe
 
 
 def make_cluster(execution, num_cores=4, hardware_batch=1, **kwargs):
@@ -410,28 +415,26 @@ class TestCompletionModes:
 
 
 class TestStallFreeDispatch:
-    """Deep serves through shallow rings never wait out the poll timer.
+    """Deep serves never wait out the poll timer.
 
     ``serve_trace`` defers every join until the virtual clock drains,
-    so a serve far deeper than the 16-slot rings only flows if the
-    parent drains completions itself — after each submit and before it
-    blocks.  With ``POLL_S`` raised to 30 s any wait the timer has to
-    break (the pre-fix flow-control cycle: worker parked on a full
-    completion ring, parent asleep on the full request ring behind it)
-    blows the 10 s budget, so a pass cannot be a lucky schedule.
+    so each worker is sent many windows before the parent reads an
+    answer.  With ``POLL_S`` raised to 30 s any wait the timer has to
+    break (a worker that never evaluates its backlog, or a parent and
+    worker each blocked sending to the other) blows the 10 s budget,
+    so a pass cannot be a lucky schedule.
     """
 
     @pytest.mark.parametrize("num_cores", [1, 2])
     def test_deep_serve_never_sleeps_on_the_timer(
         self, monkeypatch, num_cores
     ):
-        monkeypatch.setattr(rings_module, "POLL_S", 30.0)
         monkeypatch.setattr(parallel_module, "POLL_S", 30.0)
         kwargs = {"num_cores": num_cores, "window": 8}
         dag = dense_dag()
         with make_cluster("parallel", **kwargs) as cluster:
             cluster.deploy(dag)
-            depth = 4 * cluster._pool.capacity
+            depth = 8 * cluster._pool.window
             # Slow enough that nothing queues past the admission
             # bound: every request is its own single-row dispatch.
             trace = steady_trace(
@@ -451,20 +454,20 @@ class TestStallFreeDispatch:
         assert_bit_identical(serial.serve_trace(trace), parallel)
 
     def test_join_on_one_core_drains_its_siblings(self):
-        # Blocking for core 0's next completion must first empty core
-        # 1's ring into its stash, or worker 1 would sit on a filling
-        # completion ring until the join order got round to it.
+        # Blocking for core 0's next answer must first take in what
+        # worker 1 already answered, or it would sit in worker 1's
+        # pipe until the join order got round to it.
         with make_cluster("parallel", num_cores=2) as cluster:
             dag = dense_dag()
             cluster.deploy(dag)
             pool = cluster._pool
-            burst = pool.capacity // 2
+            burst = 2 * pool.window
             for i in range(burst):
                 pool.run(1, dag.model_id, np.zeros(12), 0.0, (0, 0, 0, i))
             pool.flush()
-            posted = pool._sems[1].completion_items
+            pipe = pool._pipes[1]
             deadline = time.monotonic() + 10.0
-            while len(pool._stash[1]) + posted.get_value() < burst:
+            while not (pool._stash[1] or pipe.poll()):
                 assert time.monotonic() < deadline, "worker 1 never answered"
                 time.sleep(0.001)
             # Below the window, so worker 0 only hears of this batch
@@ -472,26 +475,85 @@ class TestStallFreeDispatch:
             seq = pool.run(0, dag.model_id, np.zeros(12), 0.0, (0, 0, 0, 0))
             pool.result(0, seq)
             assert len(pool._stash[1]) == burst
-            assert posted.get_value() == 0
+            assert not pipe.poll()
             pool.drain()
             assert pool.poll_timeouts == 0
 
 
+LIVENESS_REQUESTS = 45_000
+
+#: One parallel core serving a width-2, one-output dense model, with
+#: a forward block of ~20 000 rows that takes 0.5 s to evaluate: while
+#: the worker evaluates, the parent fills the worker's pipe, and the
+#: answer to a block outgrows the parent's.  Both patches land before
+#: the fork, so the worker inherits them.
+LIVENESS_SCRIPT = f"""
+import time
+
+import numpy as np
+
+from repro.core import ComputationDAG, LayerTask
+from repro.runtime import Cluster, RuntimeRequest, executor
+
+executor.BLOCK_BYTES = 640_000
+evaluate = executor.evaluate
+
+
+def slow(*args):
+    time.sleep(0.5)
+    return evaluate(*args)
+
+
+executor.evaluate = slow
+dag = ComputationDAG(1, "width-2", [LayerTask(
+    name="fc", kind="dense", input_size=2, output_size=1,
+    weights_levels=np.ones((1, 2)),
+)])
+levels = np.ones(2)
+requests = [
+    RuntimeRequest(index, 1, index * 1e-9, levels)
+    for index in range({LIVENESS_REQUESTS})
+]
+with Cluster(
+    num_cores=1, execution="parallel", queue_capacity={LIVENESS_REQUESTS}
+) as cluster:
+    cluster.deploy(dag)
+    print(cluster.serve_trace(requests).served)
+"""
+
+
+def test_a_worker_busy_past_both_pipe_buffers_still_serves():
+    """A worker never blocks sending while the parent blocks sending
+    to it: a serve whose traffic outgrows both pipe buffers during one
+    long evaluation completes.  Run in a session of its own, so a
+    deadlock fails on the timeout, and its worker dies with it, instead
+    of hanging the suite."""
+    src = Path(repro.__file__).resolve().parents[1]
+    with subprocess.Popen(
+        [sys.executable, "-c", LIVENESS_SCRIPT],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        start_new_session=True,
+    ) as serve:
+        try:
+            out, err = serve.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(serve.pid, signal.SIGKILL)
+            raise
+    assert serve.returncode == 0, err
+    assert int(out) == LIVENESS_REQUESTS
+
+
 class TestWorkerHeapFrozen:
     def test_worker_freezes_the_heap_it_inherited(self):
-        class ClosedPipe:
-            def recv(self):
-                raise EOFError
-
-            def close(self):
-                pass
-
         assert gc.get_freeze_count() == 0
         try:
-            # Run the worker loop inline: the closed pipe ends it at
+            # Run the worker loop inline: the empty script ends it at
             # once, after the datapath was built and the heap frozen.
             parallel_module._worker_main(
-                0, lambda core: object(), ClosedPipe(), None
+                0, lambda core: object(), ScriptedPipe()
             )
             assert gc.get_freeze_count() > 0
         finally:
@@ -536,37 +598,29 @@ class TestWorkerHeapFrozen:
         assert expired[-1] == 0, f"poll timer expired on every build: {expired}"
 
 
-class _LateRing:
-    """A completion ring whose answers land while the parent waits,
-    just as a poll timer expires and the stall guard runs."""
+def test_a_poll_timer_during_a_collect_keeps_the_join_order(monkeypatch):
+    # Each evaluation outlasts many poll timers, so the answers land
+    # while the parent waits with expired timers behind it; they still
+    # join in dispatch order.
+    evaluate = executor.evaluate
 
-    def __init__(self, messages):
-        self.messages = deque(messages)
-        self.landed = False
+    def slow(*args):
+        time.sleep(0.2)
+        return evaluate(*args)
 
-    def poll(self):
-        if self.landed and self.messages:
-            return self.messages.popleft()
-        return None
-
-    def collect(self, on_stall):
-        self.landed = True
-        on_stall()
-        # The real wait blocks until a completion it can take arrives.
-        assert self.messages, "the guard stashed what the wait awaited"
-        return self.messages.popleft()
-
-
-def test_a_poll_timer_during_a_collect_keeps_the_join_order():
-    pool = object.__new__(parallel_module.CoreWorkerPool)
-    pool._procs = [type("Alive", (), {"is_alive": lambda self: True})()]
-    pool._rings = [_LateRing([("pred", 0, [4]), ("pred", 1, [5])])]
-    pool._stash, pool._backlogged = [deque()], [False]
-    pool._outstanding, pool._discarded = [{0, 1}], [set()]
-    pool._guards = [pool._stall_guard(0)]
-    pool._collect_guards = [pool._stall_guard(0, collecting=True)]
-    assert pool.result(0, 0) == [4]
-    assert pool.result(0, 1) == [5]
+    monkeypatch.setattr(executor, "evaluate", slow)  # before the fork
+    monkeypatch.setattr(parallel_module, "POLL_S", 0.01)
+    with make_cluster("parallel", num_cores=1) as cluster:
+        dag = dense_dag()
+        cluster.deploy(dag)
+        pool = cluster._pool
+        dispatches = [
+            (np.full(12, 20.0 * k), 0.0, (0, 0, 0, k)) for k in range(2)
+        ]
+        seqs = [pool.run(0, dag.model_id, *d) for d in dispatches]
+        expected = evaluate(cluster.datapaths[0], dag.model_id, dispatches)
+        assert [pool.result(0, seq) for seq in seqs] == expected
+        assert pool.poll_timeouts > 0
 
 
 class TestWorkerCrashHardening:
@@ -657,10 +711,34 @@ class TestWorkerCrashHardening:
             )
             assert len(pool.result(0, second)) == 1
 
+    def test_a_failed_deploy_leaves_no_ack_behind(self, monkeypatch):
+        # Every worker refuses model 9 (patched before the fork): the
+        # deploy raises for worker 0, and worker 1's refusal must not
+        # be taken for its answer to the next deploy.
+        deploy = parallel_module._worker_deploy
+
+        def refuse_nine(datapath, spec, segments):
+            if spec["model_id"] == 9:
+                raise ValueError("model 9 refused")
+            deploy(datapath, spec, segments)
+
+        monkeypatch.setattr(parallel_module, "_worker_deploy", refuse_nine)
+        with make_cluster("parallel", num_cores=2) as cluster:
+            with pytest.raises(RuntimeError) as raised:
+                cluster.deploy(dense_dag(model_id=9))
+            message = str(raised.value)
+            assert message.startswith("worker 0 failed to deploy model 9")
+            assert message.rstrip().endswith("ValueError: model 9 refused")
+            cluster.deploy(dense_dag())
+            parallel = cluster.serve_trace(steady_trace())
+        serial = make_cluster("serial", num_cores=2)
+        serial.deploy(dense_dag())
+        assert_bit_identical(serial.serve_trace(steady_trace()), parallel)
+
     def test_close_unlinks_segments_after_worker_kill(self):
-        # SIGKILL one worker, then wedge its request ring solid (a
-        # dead consumer never frees slots): close() must give up on
-        # the graceful stop yet still unlink every shared segment.
+        # SIGKILL one worker, then send it two windows of runs (its
+        # pipe refuses them): close() must give up on the graceful
+        # stop yet still unlink every shared segment.
         cluster = make_cluster("parallel", num_cores=2)
         dag = dense_dag()
         cluster.deploy(dag)
@@ -669,7 +747,7 @@ class TestWorkerCrashHardening:
         pool = cluster._pool
         os.kill(pool._procs[0].pid, signal.SIGKILL)
         pool._procs[0].join(timeout=10.0)
-        for _ in range(pool.capacity):
+        for _ in range(2 * pool.window):
             pool.run(0, dag.model_id, np.zeros(12), 0.0, (0, 0, 0, 0))
         pool.close(join_timeout_s=0.5)
         cluster.close()  # must stay a harmless no-op afterwards
@@ -693,6 +771,6 @@ class TestParallelValidation:
             datapath_factory=lambda core: ReferenceDatapath(),
             execution="parallel",
         )
-        with pytest.raises(ValueError, match="fast"):
+        with pytest.raises(ValueError, match="ReferenceDatapath"):
             cluster.deploy(dense_dag())
         cluster.close()
