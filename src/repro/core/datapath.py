@@ -415,10 +415,12 @@ class DatapathBase:
     def check_request(self, model_id: int, levels: np.ndarray) -> None:
         """Raise the ``ValueError`` :meth:`execute` would for a request
         (or block of requests) of the wrong length or with levels
-        outside 0..255 — without charging or drawing anything."""
+        outside 0..255 — without charging or drawing anything.  A
+        ``uint8`` block holds levels by its type and is not scanned."""
         first = self.loader.dag(model_id).tasks[0]
+        levels = np.asarray(levels)
         check_activations(
-            first.name, first.input_size, np.asarray(levels), True
+            first.name, first.input_size, levels, levels.dtype != np.uint8
         )
 
     def execute_batch(

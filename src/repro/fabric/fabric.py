@@ -572,18 +572,16 @@ class _Routing:
         ``now_s`` with a health feed, queue depth against the shard's
         queue capacity when the caller projects ``queued``."""
         health = self.health
+        counts = self.counts
         return tuple(
             ShardView(
-                shard=i,
-                num_cores=num_cores,
-                macs_per_step=macs,
-                routed=self.counts[i],
-                queued=0 if queued is None else queued[i],
-                queue_capacity=0 if queued is None else capacity,
-                usable_cores=(
-                    None if health is None
-                    else health.usable_cores(i, now_s)
-                ),
+                i,
+                num_cores,
+                macs,
+                counts[i],
+                0 if queued is None else queued[i],
+                0 if queued is None else capacity,
+                None if health is None else health.usable_cores(i, now_s),
             )
             for i, (num_cores, macs, capacity) in enumerate(self._shards)
         )

@@ -41,6 +41,7 @@ it.  This module is the missing control plane:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
@@ -644,21 +645,22 @@ class OutageBook:
         #: Per shard: its device and core faults re-indexed to local
         #: cores, or ``None`` when the schedule holds none for it.
         self.schedules: list[FaultSchedule | None] = [None] * num_shards
-        #: Per shard: ``core -> [(down_from_s, up_again_s), ...]``.
-        self._down: list[dict[int, list[tuple[float, float]]]] = [
-            {} for _ in range(num_shards)
-        ]
-        self._num_cores: list[int] = [0] * num_shards
+        #: Per shard, a step function: the sorted edges of its cores'
+        #: down windows, and the usable-core count before the first
+        #: edge and from each edge on.
+        self._edges: list[list[float]] = [[] for _ in range(num_shards)]
+        self._usable: list[list[int]] = [[0] for _ in range(num_shards)]
 
     @classmethod
     def from_schedule(
         cls, fabric: "Fabric", schedule: FaultSchedule | None
     ) -> "OutageBook":
         book = cls(fabric.num_shards)
-        book._num_cores = [s.num_cores for s in fabric.shards]
-        if schedule is None:
-            return book
-        for event in schedule.events:
+        # Per shard: ``core -> [(down_from_s, up_again_s), ...]``.
+        down: list[dict[int, list[tuple[float, float]]]] = [
+            {} for _ in fabric.shards
+        ]
+        for event in () if schedule is None else schedule.events:
             if event.core is None:
                 continue
             shard, local = fabric.shard_of_core(event.core)
@@ -673,17 +675,25 @@ class OutageBook:
                 up_again_s = event.time_s + event.duration_s
             else:
                 continue
-            book._down[shard].setdefault(local, []).append(
+            down[shard].setdefault(local, []).append(
                 (event.time_s, up_again_s)
             )
+        for shard, cores in enumerate(down):
+            # A core is down at t when any of its windows holds t, and
+            # that answer only changes at an edge.
+            edges = sorted({t for spans in cores.values()
+                            for span in spans for t in span})
+            num_cores = fabric.shards[shard].num_cores
+            book._edges[shard] = edges
+            book._usable[shard] = [num_cores] + [
+                num_cores - sum(
+                    any(start <= t < end for start, end in spans)
+                    for spans in cores.values()
+                )
+                for t in edges
+            ]
         return book
 
     def usable_cores(self, shard: int, now_s: float) -> int:
         """Cores of ``shard`` not crashed or stalled at ``now_s``."""
-        usable = self._num_cores[shard]
-        for windows in self._down[shard].values():
-            for start, end in windows:
-                if start <= now_s < end:
-                    usable -= 1
-                    break
-        return usable
+        return self._usable[shard][bisect_right(self._edges[shard], now_s)]

@@ -32,8 +32,7 @@ work than a 2-core 1-wavelength shard before it counts as loaded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import NamedTuple, Protocol, Sequence, runtime_checkable
 
 from ..net.switch import LearningForwardingTable
 from ..runtime.cluster import RuntimeRequest
@@ -47,8 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ShardView:
+class ShardView(NamedTuple):
     """Read-only snapshot of one shard, built per routing decision."""
 
     shard: int

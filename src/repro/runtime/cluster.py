@@ -711,16 +711,18 @@ class _ServeRun:
                 for i, slot in enumerate(slots)
                 if slot.inflight is None and slot.health.state == "healthy"
             ]
+            if not idle:
+                return
             ready = [q.view() for q in queues.values() if q.depth]
-            if not idle or not ready:
+            if not ready:
                 return
             if self.wants_health:
                 scheduler.observe_health([
                     CoreHealthView(
-                        core=i,
-                        state=slots[i].health.state,
-                        error_rms=slots[i].health.error_rms,
-                        busy_until_s=slots[i].free_at,
+                        i,
+                        slots[i].health.state,
+                        slots[i].health.error_rms,
+                        slots[i].free_at,
                     )
                     for i in idle
                 ])

@@ -19,8 +19,7 @@ request's t_q (DRAM queuing) component in the serve-time decomposition.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Generic, TypeVar
+from typing import Any, Generic, NamedTuple, TypeVar
 
 from ..core.stats import NICCounters
 from .schedulers import ModelQueueView
@@ -33,11 +32,10 @@ DROP_POLICIES = ("drop-tail", "drop-head")
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class QueueEntry(Generic[T]):
+class QueueEntry(NamedTuple):
     """One admitted request plus its admission timestamp."""
 
-    item: T
+    item: Any
     enqueued_s: float
 
 
@@ -64,7 +62,7 @@ class AdmissionQueue(Generic[T]):
         #: Shared frame-level accounting: both overload policies charge
         #: their victim to the same ``counters.dropped`` field.
         self.counters = counters
-        self._entries: deque[QueueEntry[T]] = deque()
+        self._entries: deque[QueueEntry] = deque()
         self.admitted = 0
         self.dropped = 0
 
@@ -86,9 +84,7 @@ class AdmissionQueue(Generic[T]):
     def view(self) -> ModelQueueView:
         """The scheduler-facing snapshot of this queue."""
         return ModelQueueView(
-            model_id=self.model_id,
-            depth=self.depth,
-            head_enqueued_s=self.head_enqueued_s,
+            self.model_id, len(self._entries), self.head_enqueued_s
         )
 
     def offer(self, item: T, now_s: float) -> T | None:
@@ -113,19 +109,19 @@ class AdmissionQueue(Generic[T]):
         self.admitted += 1
         return victim.item
 
-    def peek(self) -> QueueEntry[T]:
+    def peek(self) -> QueueEntry:
         """The oldest queued entry, without removing it."""
         if not self._entries:
             raise ValueError("queue is empty")
         return self._entries[0]
 
-    def pop(self) -> QueueEntry[T]:
+    def pop(self) -> QueueEntry:
         """Remove and return the oldest queued entry."""
         if not self._entries:
             raise ValueError("queue is empty")
         return self._entries.popleft()
 
-    def drain(self) -> deque[QueueEntry[T]]:
+    def drain(self) -> deque[QueueEntry]:
         """Remove and return every queued entry, oldest first (the
         cumulative ``admitted`` / ``dropped`` counters stay)."""
         entries, self._entries = self._entries, deque()

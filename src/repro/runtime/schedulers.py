@@ -35,8 +35,7 @@ the runtime can import it without cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import NamedTuple, Protocol, Sequence, runtime_checkable
 
 __all__ = [
     "CoreHealthView",
@@ -58,8 +57,7 @@ __all__ = [
 DEFAULT_ERROR_SOFT_THRESHOLD = 3.3
 
 
-@dataclass(frozen=True)
-class ModelQueueView:
+class ModelQueueView(NamedTuple):
     """A scheduler's read-only view of one model's admission queue."""
 
     model_id: int
@@ -67,8 +65,7 @@ class ModelQueueView:
     head_enqueued_s: float
 
 
-@dataclass(frozen=True)
-class CoreHealthView:
+class CoreHealthView(NamedTuple):
     """A scheduler's read-only view of one candidate core's health.
 
     Hosts publish one view per candidate core (aligned with the

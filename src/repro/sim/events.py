@@ -11,20 +11,22 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = ["Event", "EventQueue"]
 
 
-@dataclass(order=True)
-class Event:
-    """One scheduled event; ordering is (time, sequence number)."""
+class Event(NamedTuple):
+    """One scheduled event; ordering is (time, sequence number).
+
+    ``seq`` is unique within a queue, so tuple comparison settles on
+    the first two fields and never reaches ``kind`` or ``payload``.
+    """
 
     time: float
     seq: int
-    kind: str = field(compare=False)
-    payload: Any = field(compare=False, default=None)
+    kind: str
+    payload: Any = None
 
 
 class EventQueue:
@@ -50,7 +52,7 @@ class EventQueue:
                 f"cannot schedule an event at {time} before current time "
                 f"{self._now}"
             )
-        event = Event(time=time, seq=next(self._counter), kind=kind, payload=payload)
+        event = Event(time, next(self._counter), kind, payload)
         heapq.heappush(self._heap, event)
         return event
 

@@ -158,6 +158,56 @@ class TestExecution:
         assert dp.model_plan(1) is None and dp.timing_plan(1) is None
 
 
+class TestCheckRequest:
+    """A ``uint8`` block is in range by its type: only its length is
+    checked.  Every other dtype is scanned for 0..255 and NaN."""
+
+    @pytest.fixture()
+    def dp(self, tiny_dag):
+        dp = LightningDatapath()
+        dp.register_model(tiny_dag)
+        return dp
+
+    def test_uint8_of_the_wrong_length_raises_as_before(self, dp):
+        with pytest.raises(ValueError) as as_float:
+            dp.check_request(1, np.zeros(5))
+        with pytest.raises(ValueError) as as_uint8:
+            dp.check_request(1, np.zeros(5, np.uint8))
+        assert str(as_uint8.value) == str(as_float.value)
+        assert "expects 12" in str(as_uint8.value)
+
+    @pytest.mark.parametrize(
+        "bad", [np.float64(256.0), np.float64(np.nan), np.int16(-1)],
+        ids=["float64-256", "float64-nan", "int16-minus-1"],
+    )
+    def test_other_dtypes_are_still_scanned(self, dp, bad):
+        block = np.zeros((2, 12), dtype=np.asarray(bad).dtype)
+        block[1, 7] = bad
+        with pytest.raises(ValueError, match="non-negative"):
+            dp.check_request(1, block)
+
+    def test_uint8_extremes_pass(self, dp):
+        block = np.zeros((2, 12), np.uint8)
+        block[1] = 255
+        dp.check_request(1, block)
+        dp.check_request(1, block[1])
+
+    def test_ingress_hands_serving_uint8_levels(self):
+        from repro.faults import WireFrame, requests_from_frames
+        from repro.net import InferenceRequest, build_inference_frame
+
+        frames = [
+            WireFrame(i * 1e-6, build_inference_frame(
+                InferenceRequest(1, i, np.arange(12, dtype=np.uint8))
+            ))
+            for i in range(3)
+        ]
+        requests, punted = requests_from_frames(frames)
+        assert punted == 0 and len(requests) == 3
+        for request in requests:
+            assert request.data_levels.dtype == np.uint8
+
+
 class TestLatencyAccounting:
     def test_datapath_latency_is_193ns_per_layer(self, tiny_dag):
         dp = LightningDatapath(core=BehavioralCore(noise=NoiselessModel()))

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ComputationDAG, LayerTask, LightningDatapath
 from repro.fabric import (
@@ -20,6 +24,7 @@ from repro.photonics import BehavioralCore, CoreArchitecture, NoiselessModel
 from repro.runtime import RuntimeRequest
 
 _VERSION_SHIFT = 20
+_INF = float("inf")
 
 
 def make_dag(
@@ -441,6 +446,90 @@ class TestOutageBook:
         fabric = Fabric([spec(2)])
         with pytest.raises(ValueError, match="out of range"):
             kill_shard(FaultSchedule(seed=0), fabric, 1, 0.0)
+
+
+def scan_usable(fabric, schedule, shard, now_s):
+    """The oracle: count, window by window, the cores of ``shard`` that
+    a crash (``[t, inf)``) or a stall (``[t, t + d)``) holds at
+    ``now_s``; overlapping windows on one core take it down once."""
+    down = set()
+    for event in schedule.events:
+        if event.kind not in ("core_crash", "core_stall"):
+            continue
+        owner, local = fabric.shard_of_core(event.core)
+        end = (
+            _INF if event.kind == "core_crash"
+            else event.time_s + event.duration_s
+        )
+        if owner == shard and event.time_s <= now_s < end:
+            down.add(local)
+    return fabric.shards[shard].num_cores - len(down)
+
+
+@lru_cache(maxsize=None)
+def fabric_of(cores: tuple[int, ...]) -> Fabric:
+    return Fabric([spec(n) for n in cores])
+
+
+#: Times on a coarse grid, so windows share edges and overlap often.
+_TIMES = st.integers(0, 16).map(lambda k: k * 0.25e-6) | st.floats(
+    0.0, 5e-6, allow_nan=False
+)
+
+
+@st.composite
+def outage_scenarios(draw):
+    cores = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    schedule = FaultSchedule(seed=0)
+    # A drift on top: a core fault that nulls nothing.
+    schedule.laser_drift(at_s=1e-6, core=0, fraction_per_s=1.0)
+    for _ in range(draw(st.integers(0, 8))):
+        core = draw(st.integers(0, sum(cores) - 1))
+        at_s = draw(_TIMES)
+        if draw(st.booleans()):
+            schedule.core_crash(at_s, core=core)
+        else:
+            schedule.core_stall(
+                at_s, core=core, duration_s=draw(_TIMES.filter(bool))
+            )
+    return cores, schedule
+
+
+class TestOutageSteps:
+    """``usable_cores`` is a step function built once; it answers as
+    the per-window scan would, edges and ``inf`` included."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              database=None)
+    @given(outage_scenarios(), st.data())
+    def test_step_function_equals_the_window_scan(self, scenario, data):
+        cores, schedule = scenario
+        fabric = fabric_of(cores)
+        book = OutageBook.from_schedule(fabric, schedule)
+        edges = {
+            t
+            for e in schedule.events
+            for t in (e.time_s, e.end_s)
+        }
+        times = [0.0, _INF] + [
+            np.nextafter(t, toward)
+            for t in edges
+            for toward in (-_INF, _INF)
+        ] + sorted(edges)
+        times += data.draw(st.lists(_TIMES, max_size=10))
+        for now_s in data.draw(st.permutations(times)):
+            for shard in range(len(cores)):
+                assert book.usable_cores(shard, now_s) == scan_usable(
+                    fabric, schedule, shard, now_s
+                ), (shard, now_s)
+
+    def test_a_crash_window_does_not_hold_at_inf(self):
+        fabric = fabric_of((2,))
+        schedule = FaultSchedule(seed=0).core_crash(0.0, core=0)
+        book = OutageBook.from_schedule(fabric, schedule)
+        assert book.usable_cores(0, 0.0) == 1
+        assert book.usable_cores(0, 1e300) == 1
+        assert book.usable_cores(0, _INF) == 2
 
 
 class TestFailoverRouterDefaults:

@@ -25,7 +25,7 @@ from repro.faults import (
     RetryPolicy,
 )
 from repro.core.stats import Outcome, OutcomeReason
-from repro.runtime import RuntimeRequest, executor
+from repro.runtime import AdmissionQueue, RuntimeRequest, executor
 from repro.runtime.cluster import _VOID, _ServeRun
 
 from .test_cluster import make_cluster, request, second_dag
@@ -446,3 +446,33 @@ class TestFaultScheduleIsCheckedBeforeTheClockStarts:
             [request(i) for i in range(4)], fault_schedule=schedule
         )
         assert result.served == 4
+
+
+class TestDispatchBudget:
+    """A dispatch pass with no idle core builds no queue snapshot: a
+    burst that waits on one busy core costs one view per batch."""
+
+    def test_one_view_per_queue_per_started_batch(
+        self, tiny_dag, monkeypatch
+    ):
+        cluster = make_cluster(num_cores=1)
+        cluster.deploy(tiny_dag)
+        views = []
+        starts = []
+        view, start = AdmissionQueue.view, _ServeRun._start
+
+        def counted_view(queue):
+            views.append(queue.model_id)
+            return view(queue)
+
+        def counted_start(run, *args):
+            starts.append(args[1])
+            return start(run, *args)
+
+        monkeypatch.setattr(AdmissionQueue, "view", counted_view)
+        monkeypatch.setattr(_ServeRun, "_start", counted_start)
+        result = cluster.serve_trace([request(i) for i in range(16)])
+        assert result.served == 16
+        # One model, so one non-empty queue per pass that starts one.
+        assert len(starts) == 16
+        assert len(views) <= len(starts)
