@@ -532,9 +532,9 @@ class LightningDatapath(DatapathBase):
         :class:`~repro.core.plans.ExecutionPlan` here, once, so serving
         replays cached gather maps and stacked operands instead of
         re-deriving them per request.  ``plan`` lets a caller adopt an
-        already-compiled :class:`~repro.core.plans.ModelPlan` (e.g. one
-        rebuilt around shared-memory views in a worker process) instead
-        of compiling — the geometry must match this datapath's.
+        already-compiled :class:`~repro.core.plans.ModelPlan` (another
+        core's :meth:`~repro.core.plans.ModelPlan.replica`) instead of
+        compiling — the geometry must match this datapath's.
         """
         if plan is not None and plan.geometry != self.plan_geometry:
             raise ValueError(
@@ -561,8 +561,8 @@ class LightningDatapath(DatapathBase):
         """A registered model's compiled plan (``None`` for an
         unregistered id).
 
-        The serving layer uses this to publish a deployed model's
-        compiled state into shared memory for worker processes.
+        The serving layer hands its replicas to the other cores of
+        this datapath's geometry.
         """
         return self._plans.get(model_id)
 

@@ -38,9 +38,9 @@ per-row Python objects.  What a plan precomputes:
   and the §4 row-cost table folded into a precomputed cycle count.
 * **Pool** — the window geometry and comparator cycle count.
 
-Both lazy blocks derive from the task's weights alone, so a plan
-adopted from shared memory (:func:`import_model_plan`) builds them
-exactly as the plan it was exported from would.
+Both lazy blocks derive from the task's weights alone, so every
+:meth:`~ModelPlan.replica` of a compiled model shares them, built once,
+as it shares the rest of the compiled tasks.
 
 A :class:`ModelPlan` strings the tasks into one **batch-major forward
 program**: a ``(B, n)`` block of requests in, every task's ``(B, rows)``
@@ -73,6 +73,7 @@ summation order (documented in DESIGN.md).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -102,8 +103,6 @@ __all__ = [
     "clear_im2col_cache",
     "compile_task",
     "compile_model",
-    "export_model_plan",
-    "import_model_plan",
     "supports_matmul",
     "tape_law",
 ]
@@ -396,55 +395,6 @@ class ExecutionPlan:
             raw, self.nonlinear, self.requant_divisor if requantize else 1.0
         )
 
-    # ------------------------------------------------------------------
-    # Shared-memory export/import (process-parallel serving)
-    # ------------------------------------------------------------------
-    def shared_arrays(self) -> dict[str, np.ndarray]:
-        """The large compiled blocks a worker process maps, not copies.
-
-        Everything returned here is immutable replay state (weight
-        stacks, gather maps); per-request scratch buffers stay private
-        to each process.  Attention and pool plans derive all their
-        state from the task itself, so they export nothing extra.
-        """
-        return {}
-
-    def shared_meta(self) -> dict:
-        """Small picklable metadata :meth:`from_shared` rebuilds from."""
-        return {
-            "kind": self.kind,
-            "rows": self.rows,
-            "stream_cycles": self.stream_cycles,
-        }
-
-    @classmethod
-    def from_shared(
-        cls,
-        task: LayerTask,
-        geometry: PlanGeometry,
-        arrays: dict[str, np.ndarray],
-        meta: dict,
-    ) -> "ExecutionPlan":
-        """Rebuild a compiled plan around shared-memory array views.
-
-        The worker-side twin of compilation: no sign separation, no
-        im2col unrolling, no copies of the stacked operand blocks —
-        just view wiring plus freshly allocated private scratch.  The
-        cycle ledger is restored from ``meta`` verbatim, so shared
-        replicas charge the identical cycles the parent compiled.
-        """
-        plan = cls.__new__(cls)
-        ExecutionPlan.__init__(plan, task, geometry)
-        plan.rows = int(meta["rows"])
-        plan.stream_cycles = int(meta["stream_cycles"])
-        plan._bind_shared(task, arrays, meta)
-        return plan
-
-    def _bind_shared(
-        self, task: LayerTask, arrays: dict[str, np.ndarray], meta: dict
-    ) -> None:
-        raise NotImplementedError
-
 
 class _ReadoutBlock:
     """A dense layer as one stacked per-readout accumulate block.
@@ -570,26 +520,25 @@ class DensePlan(ExecutionPlan):
 
     def __init__(self, task: LayerTask, geometry: PlanGeometry) -> None:
         super().__init__(task, geometry)
+        assert task.weights_levels is not None
+        self.weights = task.weights_levels
         positive, negative = readout_groups(
-            task.weights_levels, geometry.num_wavelengths
+            self.weights, geometry.num_wavelengths
         )
         steps = positive + negative
         self.rows = len(steps)
         self.stream_cycles = int(geometry.step_cycles(steps).sum())
-        self._bind_shared(
-            task,
-            {
-                "steps": steps.astype(np.float64),
-                "net_signs": (positive - negative).astype(np.float64),
-            },
-            {},
-        )
+        #: Readouts each row sums, and the sum of their sign bits.
+        self.steps = steps.astype(np.float64)
+        self.net_signs = (positive - negative).astype(np.float64)
+        self.std_scale = np.sqrt(self.steps)
+        self._noise = np.empty(self.rows, dtype=np.float64)
+        self._block: _ReadoutBlock | None = None
 
     def _readout_block(self) -> _ReadoutBlock:
         """The per-readout block, stacked from the weights on first
-        fallback use — on a compiled plan and an adopted one alike
-        (sign separation is a pure function of the weights and the
-        wavelength count)."""
+        fallback use (sign separation is a pure function of the weights
+        and the wavelength count)."""
         if self._block is None:
             self._block = _ReadoutBlock(
                 self.weights, self.geometry.num_wavelengths
@@ -616,19 +565,6 @@ class DensePlan(ExecutionPlan):
             out += noise
         return out
 
-    def shared_arrays(self) -> dict[str, np.ndarray]:
-        return {"steps": self.steps, "net_signs": self.net_signs}
-
-    def _bind_shared(self, task, arrays, meta):
-        assert task.weights_levels is not None
-        self.weights = task.weights_levels
-        #: Readouts each row sums, and the sum of their sign bits.
-        self.steps = arrays["steps"]
-        self.net_signs = arrays["net_signs"]
-        self.std_scale = np.sqrt(self.steps)
-        self._noise = np.empty(self.rows, dtype=np.float64)
-        self._block: _ReadoutBlock | None = None
-
 
 class ConvPlan(ExecutionPlan):
     """A convolution layer as one patch gather plus one matmul.
@@ -643,17 +579,24 @@ class ConvPlan(ExecutionPlan):
 
     def __init__(self, task: LayerTask, geometry: PlanGeometry) -> None:
         super().__init__(task, geometry)
-        self._bind_shared(
-            task, {"patch_gather": im2col_indices(task.conv)}, {}
-        )
+        conv = task.conv
+        assert conv is not None and task.weights_levels is not None
+        self.conv = conv
+        self.patch_gather = im2col_indices(conv)
+        # matmul consumes the transposed view exactly as the loop path
+        # consumes ``weights_levels.T``.
+        self.weights = task.weights_levels
+        self.weights_t = self.weights.T
         positive, negative = readout_groups(
             self.weights, geometry.num_wavelengths
         )
-        self.rows = self.conv.out_channels * self.conv.positions
+        self.rows = conv.out_channels * conv.positions
         self.stream_cycles = (
             int(geometry.step_cycles(positive + negative).sum())
-            * self.conv.positions
+            * conv.positions
         )
+        # Built lazily, only for cores without a native matmul.
+        self._fallback: ReadoutOperands | None = None
 
     def _patches(self, activations: np.ndarray) -> np.ndarray:
         buffer = np.empty(self.conv.input_size + 1, dtype=np.float64)
@@ -663,8 +606,7 @@ class ConvPlan(ExecutionPlan):
 
     def _fallback_block(self) -> ReadoutOperands:
         """Stacked accumulate operands for matmul-less cores, built
-        from the weights on first use — on a compiled plan and an
-        adopted one alike.
+        from the weights on first use.
 
         The block replays the reference's ``for position: for channel:``
         double loop as one accumulate call, preserving its p-major RNG
@@ -738,25 +680,6 @@ class ConvPlan(ExecutionPlan):
             self.requant_divisor if requantize else 1.0,
         )
 
-    def shared_arrays(self) -> dict[str, np.ndarray]:
-        return {"patch_gather": self.patch_gather}
-
-    def _bind_shared(self, task, arrays, meta):
-        conv = task.conv
-        assert conv is not None and task.weights_levels is not None
-        self.conv = conv
-        self.patch_gather = arrays["patch_gather"]
-        # Seed the process-wide cache so sibling geometry lookups hit
-        # the shared map instead of re-unrolling it.
-        _IM2COL_CACHE.setdefault(conv, self.patch_gather)
-        # The task's weights are themselves shared-memory views in a
-        # worker, so the transposed view costs nothing; matmul consumes
-        # it exactly as the loop path consumes ``weights_levels.T``.
-        self.weights = task.weights_levels
-        self.weights_t = self.weights.T
-        # Built lazily, only for cores without a native matmul.
-        self._fallback: ReadoutOperands | None = None
-
 
 class AttentionPlan(ExecutionPlan):
     """Self-attention with pre-split projections and cached row costs."""
@@ -765,8 +688,22 @@ class AttentionPlan(ExecutionPlan):
 
     def __init__(self, task: LayerTask, geometry: PlanGeometry) -> None:
         super().__init__(task, geometry)
-        self._bind_shared(task, {}, {})
-        att = self.attention
+        att = task.attention
+        assert att is not None and task.weights_levels is not None
+        self.attention = att
+        s, d = att.seq_len, att.d_model
+        weights = task.weights_levels
+        # Transposed views of the four stacked projections, consumed by
+        # matmul exactly as the uncompiled path consumed them.
+        self.qkv_t = tuple(
+            weights[i * d : (i + 1) * d].T for i in range(3)
+        )
+        self.wo_t = weights[3 * d : 4 * d].T
+        #: ``(outputs, inner dimension)`` of the four noisy products in
+        #: stream order — Q/K/V, scores, context, output projection —
+        #: and where each one's draws start on the task's tape slice.
+        self._sites = ((3 * s * d, d), (s * s, d), (s * d, s), (s * d, d))
+        self._cuts = np.cumsum([size for size, _ in self._sites]).tolist()
         self.rows = 6 * att.seq_len
         d_cost = geometry.row_cycles(att.d_model)
         self.stream_cycles = (
@@ -839,25 +776,6 @@ class AttentionPlan(ExecutionPlan):
             out += noise[:, c:].reshape(out.shape)
         return out.reshape(rows, s * d)
 
-    def _bind_shared(self, task, arrays, meta):
-        att = task.attention
-        assert att is not None and task.weights_levels is not None
-        self.attention = att
-        d = att.d_model
-        weights = task.weights_levels
-        # Transposed views of the four stacked projections, consumed by
-        # matmul exactly as the uncompiled path consumed them.
-        self.qkv_t = tuple(
-            weights[i * d : (i + 1) * d].T for i in range(3)
-        )
-        self.wo_t = weights[3 * d : 4 * d].T
-        #: ``(outputs, inner dimension)`` of the four noisy products in
-        #: stream order — Q/K/V, scores, context, output projection —
-        #: and where each one's draws start on the task's tape slice.
-        s = att.seq_len
-        self._sites = ((3 * s * d, d), (s * s, d), (s * d, s), (s * d, d))
-        self._cuts = np.cumsum([size for size, _ in self._sites]).tolist()
-
 
 class PoolPlan(ExecutionPlan):
     """Max pooling: a digital stage with a precomputed cycle count."""
@@ -892,16 +810,6 @@ class PoolPlan(ExecutionPlan):
 
     def finish(self, raw: np.ndarray, requantize: bool) -> np.ndarray:
         return raw  # a comparator stage: no bias, no requantization
-
-    def shared_meta(self) -> dict:
-        meta = super().shared_meta()
-        meta["compute_cycles"] = self.compute_cycles
-        return meta
-
-    def _bind_shared(self, task, arrays, meta):
-        assert task.pool is not None
-        self.pool = task.pool
-        self.compute_cycles = int(meta["compute_cycles"])
 
 
 @dataclass(frozen=True)
@@ -975,6 +883,15 @@ class ModelPlan:
     @property
     def num_tasks(self) -> int:
         return len(self.tasks)
+
+    def replica(self) -> "ModelPlan":
+        """This plan for another core of its geometry: the same
+        compiled tasks and tape layouts, its own ``replays`` count and
+        noise buffer.  Sharing is safe on one serving thread — no task
+        plan's scratch is read across calls."""
+        twin = dataclasses.replace(self, replays=0)
+        twin._tapes = self._tapes
+        return twin
 
     def forward(self, core, input_levels: np.ndarray) -> list[np.ndarray]:
         """One request's numerics: every task's output levels, in order
@@ -1139,57 +1056,3 @@ def compile_model(dag: ComputationDAG, geometry: PlanGeometry) -> ModelPlan:
             task.name: compile_task(task, geometry) for task in dag.tasks
         },
     )
-
-
-def export_model_plan(
-    model_plan: ModelPlan,
-) -> tuple[dict[str, dict[str, np.ndarray]], dict[str, dict]]:
-    """Split a compiled model into shareable blocks plus metadata.
-
-    Returns ``(arrays_by_task, meta_by_task)``: the former holds every
-    large immutable array a worker should map from shared memory, the
-    latter the small picklable state :func:`import_model_plan` rebuilds
-    the plans from.
-    """
-    arrays = {
-        name: plan.shared_arrays()
-        for name, plan in model_plan.tasks.items()
-    }
-    meta = {
-        name: plan.shared_meta() for name, plan in model_plan.tasks.items()
-    }
-    return arrays, meta
-
-
-def import_model_plan(
-    dag: ComputationDAG,
-    geometry: PlanGeometry,
-    arrays_by_task: dict[str, dict[str, np.ndarray]],
-    meta_by_task: dict[str, dict],
-    donor: ModelPlan | None = None,
-) -> ModelPlan:
-    """Reassemble a :class:`ModelPlan` around shared-memory views.
-
-    The worker-side counterpart of :func:`export_model_plan` — no
-    recompilation, no copies of the stacked operand blocks.  In
-    process, ``donor`` — the plan the arrays were exported from — also
-    lends its noise tape layouts (read-only once laid, and a function
-    of the model and the noise law alone), so one is laid per model
-    and law, not one per core.
-    """
-    tasks: dict[str, ExecutionPlan] = {}
-    for task in dag.tasks:
-        meta = meta_by_task[task.name]
-        cls = _PLAN_CLASSES[meta["kind"]]
-        tasks[task.name] = cls.from_shared(
-            task, geometry, arrays_by_task.get(task.name, {}), meta
-        )
-    plan = ModelPlan(
-        model_id=dag.model_id,
-        model_name=dag.name,
-        geometry=geometry,
-        tasks=tasks,
-    )
-    if donor is not None:
-        plan._tapes = donor._tapes
-    return plan

@@ -3,11 +3,11 @@
 A :class:`Fabric` composes N shards, each an independent
 :class:`~repro.runtime.cluster.Cluster` with its own core count, core
 architecture, per-core scheduler, queues, and execution mode (serial
-or process-parallel).  Shards are the unit of heterogeneity: a
-parallel cluster must be geometry-uniform so its workers can adopt
-shared plans, but a fabric happily mixes a 4-core 8-wavelength shard
-with a 2-core 1-wavelength one — each shard compiles its own
-:class:`~repro.core.plans.ExecutionPlan` per architecture at deploy.
+or process-parallel).  Shards are the unit of placement: a fabric
+happily mixes a 4-core 8-wavelength shard with a 2-core 1-wavelength
+one — each shard (each of its workers, on a parallel shard) compiles
+its own :class:`~repro.core.plans.ExecutionPlan` per architecture at
+deploy.
 
 Placement is two-level.  At admission time a
 :class:`~repro.fabric.router.ShardRouter` places each request on a

@@ -22,8 +22,8 @@ cores:
   the batch-major forward program, in process or in the workers;
 * :mod:`~repro.runtime.parallel` — the process-parallel execution
   backend (``Cluster(execution="parallel")``): one persistent worker
-  per core replaying shared-memory plans, fed over one ordered pipe
-  stream, bit-identical to serial.
+  per core compiling its own plans over shared-memory weights, fed
+  over one ordered pipe stream, bit-identical to serial.
 """
 
 from .schedulers import (

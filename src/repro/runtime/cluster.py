@@ -56,7 +56,7 @@ import numpy as np
 from ..core.datapath import LightningDatapath
 from ..core.dag import ComputationDAG
 from ..core.energy import EnergyModel
-from ..core.plans import export_model_plan, import_model_plan
+from ..core.plans import ModelPlan, PlanGeometry
 from ..core.stats import (
     NICCounters,
     Outcome,
@@ -268,23 +268,13 @@ class Cluster:
         self._pool: CoreWorkerPool | None = None
         self._pool_finalizer = None
         if execution == "parallel":
-            # Workers adopt the one plan the parent publishes per
-            # model, so a parallel cluster must be geometry-uniform;
-            # heterogeneous core architectures belong on separate
-            # shards of a repro.fabric.Fabric instead.
-            geometries = {d.plan_geometry for d in self.datapaths}
-            if len(geometries) > 1:
-                raise ValueError(
-                    "execution='parallel' needs every core to share "
-                    "one plan geometry; split heterogeneous cores "
-                    "across Fabric shards (repro.fabric)"
-                )
             # Fork the workers before any model state accumulates so
             # each child starts from a lean image; the factory crosses
             # by fork inheritance (it is commonly an unpicklable
-            # closure).  Plans ship later, at deploy, via shared
-            # memory; dispatches ride each worker's pipe, ``window``
-            # batches a message.
+            # closure).  Weights ship later, at deploy, via shared
+            # memory, and each worker compiles for its own core;
+            # dispatches ride each worker's pipe, ``window`` batches a
+            # message.
             self._pool = CoreWorkerPool(num_cores, factory, window=window)
             self._pool_finalizer = pool_finalizer(self, self._pool)
         #: Where dispatches' numerics run (:mod:`~repro.runtime.executor`).
@@ -323,13 +313,17 @@ class Cluster:
 
         Plan compilation is keyed per architecture: the first core of
         each distinct :class:`~repro.core.plans.PlanGeometry` compiles
-        the DAG, and every later core with the same geometry adopts a
-        re-imported view over the compiled arrays (the in-process
-        analogue of the worker pool's shared-memory adoption) — so a
-        heterogeneous cluster pays one compile per architecture, not
-        one per core, while each datapath keeps private plan scratch
-        and replay counters.
+        the DAG, and every later core with the same geometry registers
+        a :meth:`~repro.core.plans.ModelPlan.replica` of that plan — so
+        a heterogeneous cluster pays one compile per architecture, not
+        one per core, while each datapath keeps its own replay count.
+        On a parallel cluster the weights go to the workers first, so
+        each worker compiles for its own core while the parent does.
 
+        A deploy is atomic: if any core or worker refuses the model,
+        every one that took it lets it go again, its shared segment is
+        unlinked, and the error propagates.  Workers are confirmed
+        before the warm-up, whose DRAM jitter draws nothing could undo.
         Warm-up executes a few zero queries per core so first live
         requests do not pay one-time costs (noise-tape layout, scratch
         growth).
@@ -345,34 +339,29 @@ class Cluster:
                     "a cluster replays compiled plans; it cannot serve "
                     f"a {type(datapath).__name__}"
                 )
-        compiled: dict[object, tuple] = {}
-        for datapath in self.datapaths:
-            geometry = datapath.plan_geometry
-            donor = compiled.get(geometry)
-            if donor is not None:
-                arrays, meta, donor_path = donor
-                datapath.register_model(
-                    dag,
-                    plan=import_model_plan(
-                        dag,
-                        geometry,
-                        arrays,
-                        meta,
-                        donor=donor_path.model_plan(dag.model_id),
-                    ),
-                )
-                continue
-            datapath.register_model(dag)
-            arrays, meta = export_model_plan(
-                datapath.model_plan(dag.model_id)
-            )
-            compiled[geometry] = (arrays, meta, datapath)
         if self._pool is not None:
-            # Publish the compiled state once into shared memory and
-            # let every worker rebuild its plan from read-only views.
-            self._pool.deploy(
-                dag, self.datapaths[0].model_plan(dag.model_id)
-            )
+            self._pool.deploy(dag)
+        taken: list[LightningDatapath] = []
+        try:
+            compiled: dict[PlanGeometry, ModelPlan] = {}
+            for datapath in self.datapaths:
+                donor = compiled.get(datapath.plan_geometry)
+                datapath.register_model(
+                    dag, plan=None if donor is None else donor.replica()
+                )
+                taken.append(datapath)
+                compiled.setdefault(
+                    datapath.plan_geometry,
+                    datapath.model_plan(dag.model_id),
+                )
+            if self._pool is not None:
+                self._pool.confirm(dag.model_id)
+        except BaseException:
+            for datapath in taken:
+                datapath.unregister_model(dag.model_id)
+            if self._pool is not None and len(taken) < self.num_cores:
+                self._pool.withdraw()
+            raise
         self._dags[dag.model_id] = dag
         self._queues[dag.model_id] = AdmissionQueue(
             model_id=dag.model_id,
@@ -388,10 +377,11 @@ class Cluster:
     def undeploy(self, model_id: int) -> None:
         """Remove one deployed model from every core.
 
-        Releases the model's compiled plans and admission
-        queue; on parallel clusters the model's shared-memory segment
-        is unlinked (worker mappings linger until the workers exit —
-        live plan views forbid closing them earlier).  The queue must
+        Releases the model's compiled plans and admission queue; on
+        parallel clusters every worker drops its own plans and the
+        model's shared weight segment is unlinked (worker mappings
+        linger until the workers exit — live weight views forbid
+        closing them earlier).  The queue must
         be empty: undeploying mid-trace is a control-plane bug, not a
         shedding mechanism.
         """
@@ -421,7 +411,7 @@ class Cluster:
         return self._pool.segment_names
 
     def close(self) -> None:
-        """Stop worker processes and unlink shared segments.
+        """Stop worker processes and unlink the shared weight segments.
 
         Serial clusters have nothing to release; parallel clusters must
         be closed (or used as a context manager) so their segments do

@@ -1,4 +1,4 @@
-"""Process-parallel core execution with shared-memory plan replay.
+"""Process-parallel core execution over shared-memory weights.
 
 Lightning's count-action datapath keeps every photonic core busy at
 once; a Python serving loop that executes core batches serially does
@@ -10,15 +10,14 @@ execution parallelism while preserving its virtual-clock determinism:
   LightningDatapath` built by the cluster's own ``datapath_factory``,
   so a worker computes exactly what the serial path would have computed
   on that core.
-* **Shared-memory plan publication** — at ``deploy()`` time the parent
-  copies every compiled plan's immutable replay state (each dense
-  row's readout count and net sign, im2col gather maps — what
-  :meth:`~repro.core.plans.ExecutionPlan.shared_arrays` returns) plus
+* **Shared-memory weights** — at ``deploy()`` time the parent copies
   each task's weight matrix into one
   :class:`multiprocessing.shared_memory.SharedMemory` segment per
-  model.  Workers map the segment read-only and rebuild their plans as
-  views (:func:`~repro.core.plans.import_model_plan`) — compiled state
-  is published once and never re-pickled.
+  model.  A worker maps the segment read-only, rebuilds the DAG over
+  views of it and registers the model like any datapath: it compiles
+  its own plans, for its own core's geometry, while the parent
+  compiles its.  Plans are never shipped; the weights are never
+  pickled.
 * **One ordered stream per worker** — everything else travels over the
   worker's one pipe, in order, both ways.  The parent queues
   ``("run", seq, model_id, block, now_s, key)`` dispatches in a
@@ -28,7 +27,10 @@ execution parallelism while preserving its virtual-clock determinism:
   ``stop``).  Blocks travel as given; the forward program widens them.
   The worker answers one message per evaluation, a list of
   ``("pred", seq, [ints])`` / ``("error", seq, traceback)`` entries, and
-  one ``("ack", error)`` per deploy or undeploy.
+  one ``("ack", error)`` per deploy or undeploy.  :meth:`CoreWorkerPool.
+  deploy` only sends; :meth:`~CoreWorkerPool.confirm` takes the acks,
+  and if a worker failed it undeploys the model from the others and
+  unlinks its segment, so a deploy lands everywhere or nowhere.
 
 Determinism contract: the parent reseeds nothing here — the cluster
 keys every batch's readout-noise stream by ``(domain, core, epoch,
@@ -79,7 +81,6 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from ..core.dag import ComputationDAG, LayerTask
-from ..core.plans import ModelPlan, PlanGeometry, import_model_plan
 from ..faults.device import DegradedCore, device_fault_from_event
 from ..faults.schedule import FaultEvent
 from . import executor
@@ -147,17 +148,12 @@ class SharedArrayRef:
 
 @dataclass
 class PublishedModel:
-    """One model's compiled state, resident in a shared segment."""
+    """One model's weight matrices, resident in a shared segment."""
 
     model_id: int
     segment: shared_memory.SharedMemory
-    geometry: PlanGeometry
     #: Per-task weight matrices (``None`` for weightless tasks).
     weight_refs: dict[str, SharedArrayRef | None]
-    #: Per-task plan arrays keyed by the plan's own slot names.
-    plan_refs: dict[str, dict[str, SharedArrayRef]]
-    #: Per-task picklable plan metadata (kind, ledger, step counts).
-    plan_meta: dict[str, dict]
 
     @property
     def segment_name(self) -> str:
@@ -178,65 +174,36 @@ def attach_array(
     return view
 
 
-def publish_model(
-    dag: ComputationDAG, model_plan: ModelPlan
-) -> PublishedModel:
-    """Copy one model's compiled replay state into shared memory.
+def publish_model(dag: ComputationDAG) -> PublishedModel:
+    """Copy one model's weight matrices into shared memory.
 
-    Lays out, 64-byte aligned in one segment: each weighted task's
-    untransposed weight matrix (workers re-derive the transposed views
-    locally, so the worker-side BLAS sees the exact memory layout the
-    parent's compile produced) followed by each plan's shared arrays.
-    Paid once per deploy; per-batch dispatch never touches this again.
+    Lays out each weighted task's matrix, 64-byte aligned and in its
+    own shape and dtype, in one segment, so a worker's BLAS sees the
+    layout the parent's does.  Paid once per deploy; per-batch
+    dispatch never touches this again.
     """
-    entries: list[tuple[str, str, np.ndarray]] = []
-    for task in dag.tasks:
-        if task.weights_levels is not None:
-            entries.append((task.name, "__weights__", task.weights_levels))
-        for slot, array in model_plan.tasks[task.name].shared_arrays().items():
-            entries.append((task.name, slot, array))
-    total = 0
-    offsets: list[int] = []
-    for _, _, array in entries:
+    weighted = [task for task in dag.tasks if task.weights_levels is not None]
+    offsets, total = [], 0
+    for task in weighted:
         total = _aligned(total)
         offsets.append(total)
-        total += array.nbytes
+        total += task.weights_levels.nbytes
     segment = shared_memory.SharedMemory(create=True, size=max(total, 1))
     weight_refs: dict[str, SharedArrayRef | None] = {
         task.name: None for task in dag.tasks
     }
-    plan_refs: dict[str, dict[str, SharedArrayRef]] = {
-        task.name: {} for task in dag.tasks
-    }
-    for (task_name, slot, array), offset in zip(entries, offsets):
-        ref = SharedArrayRef(
+    for task, offset in zip(weighted, offsets):
+        array = task.weights_levels
+        weight_refs[task.name] = SharedArrayRef(
             segment=segment.name,
             offset=offset,
             shape=tuple(array.shape),
             dtype=np.dtype(array.dtype).str,
         )
-        dest = np.ndarray(
-            array.shape,
-            dtype=array.dtype,
-            buffer=segment.buf,
-            offset=offset,
-        )
-        dest[...] = array
-        if slot == "__weights__":
-            weight_refs[task_name] = ref
-        else:
-            plan_refs[task_name][slot] = ref
-    return PublishedModel(
-        model_id=dag.model_id,
-        segment=segment,
-        geometry=model_plan.geometry,
-        weight_refs=weight_refs,
-        plan_refs=plan_refs,
-        plan_meta={
-            name: plan.shared_meta()
-            for name, plan in model_plan.tasks.items()
-        },
-    )
+        np.ndarray(
+            array.shape, dtype=array.dtype, buffer=segment.buf, offset=offset
+        )[...] = array
+    return PublishedModel(dag.model_id, segment, weight_refs)
 
 
 def _task_spec(task: LayerTask) -> dict:
@@ -256,18 +223,17 @@ def _task_spec(task: LayerTask) -> dict:
 def _deploy_spec(dag: ComputationDAG, published: PublishedModel) -> dict:
     return {
         "segment": published.segment_name,
-        "geometry": published.geometry,
         "model_id": dag.model_id,
         "name": dag.name,
         "tasks": [_task_spec(task) for task in dag.tasks],
         "weight_refs": published.weight_refs,
-        "plan_refs": published.plan_refs,
-        "plan_meta": published.plan_meta,
     }
 
 
 def _worker_deploy(datapath, spec: dict, segments: list) -> None:
-    """Rebuild one model inside a worker from a deploy spec."""
+    """Rebuild one model's DAG inside a worker over read-only views of
+    its published weights and register it: the worker compiles the
+    plans for its own core's geometry."""
     segment = attach_segment(spec["segment"])
     segments.append(segment)  # keep the mapping alive
     tasks = []
@@ -277,18 +243,9 @@ def _worker_deploy(datapath, spec: dict, segments: list) -> None:
             attach_array(segment, ref) if ref is not None else None
         )
         tasks.append(LayerTask(weights_levels=weights, **task_spec))
-    dag = ComputationDAG(spec["model_id"], spec["name"], tasks)
-    arrays = {
-        name: {
-            slot: attach_array(segment, ref)
-            for slot, ref in refs.items()
-        }
-        for name, refs in spec["plan_refs"].items()
-    }
-    plan = import_model_plan(
-        dag, spec["geometry"], arrays, spec["plan_meta"]
+    datapath.register_model(
+        ComputationDAG(spec["model_id"], spec["name"], tasks)
     )
-    datapath.register_model(dag, plan=plan)
 
 
 class _WorkerState:
@@ -416,7 +373,7 @@ def _worker_control(state: _WorkerState, item: tuple) -> bool:
             else:
                 # Unregister the model but keep its segment mapped:
                 # numpy views over the buffer may still be referenced
-                # (plan scratch), and closing a mapped segment raises
+                # (plan views), and closing a mapped segment raises
                 # BufferError.  The parent owns the unlink; this
                 # worker's mapping dies with the process.
                 state.datapath.unregister_model(item[1])
@@ -653,33 +610,60 @@ class CoreWorkerPool:
                 self._receive(core)
         return stash.popleft()
 
-    def _broadcast(self, item: tuple, what: str) -> None:
-        """Send one control item to every worker and take every ack
-        before raising the first error, so none is left in a stream."""
-        for core in range(self.num_cores):
-            self._control(core, item)
+    def _acks(self, cores) -> list[str | None]:
+        """Each of ``cores``' ack of the deploy or undeploy it was sent
+        last — ``None`` or the worker's traceback — all taken before
+        anyone raises, so none is left in a stream."""
         errors = []
-        for core, stash in enumerate(self._stash):
+        for core in cores:
+            stash = self._stash[core]
             while not stash or stash[-1][0] != "ack":
                 self._receive(core)
             errors.append(stash.pop()[1])
-        for core, error in enumerate(errors):
-            if error is not None:
-                raise RuntimeError(
-                    f"worker {core} failed to {what}:\n{error}"
-                )
+        return errors
+
+    def _undeploy(self, model_id: int, cores) -> list[str | None]:
+        for core in cores:
+            self._control(core, ("undeploy", model_id))
+        return self._acks(cores)
+
+    def _roll_back(self, errors: list[str | None]) -> None:
+        """Undo the latest :meth:`deploy`: undeploy its model from the
+        workers whose ack in ``errors`` was clean and unlink its
+        segment (not an older one of the same id still serving)."""
+        published = self._published.pop()
+        self._undeploy(
+            published.model_id,
+            [core for core, error in enumerate(errors) if not error],
+        )
+        _unlink(published.segment)
 
     # ------------------------------------------------------------------
     # Deploy
     # ------------------------------------------------------------------
-    def deploy(self, dag: ComputationDAG, model_plan: ModelPlan) -> None:
-        """Publish one model's plan and register it in every worker."""
-        published = publish_model(dag, model_plan)
+    def deploy(self, dag: ComputationDAG) -> None:
+        """Publish one model's weights and send its deploy to every
+        worker, which compiles it while the caller goes on;
+        :meth:`confirm` (or :meth:`withdraw`) takes the acks."""
+        published = publish_model(dag)
         self._published.append(published)
-        self._broadcast(
-            ("deploy", _deploy_spec(dag, published)),
-            f"deploy model {dag.model_id}",
-        )
+        spec = _deploy_spec(dag, published)
+        for core in range(self.num_cores):
+            self._control(core, ("deploy", spec))
+
+    def confirm(self, model_id: int) -> None:
+        """Take every worker's ack of :meth:`deploy`.  If one failed,
+        the model leaves the workers that took it and its segment is
+        unlinked before the first failure raises."""
+        errors = self._acks(range(self.num_cores))
+        if any(errors):
+            self._roll_back(errors)
+        _raise_first(errors, f"deploy model {model_id}")
+
+    def withdraw(self) -> None:
+        """Take every worker's ack of :meth:`deploy` and undo it: the
+        parent could not register the model."""
+        self._roll_back(self._acks(range(self.num_cores)))
 
     def undeploy(self, model_id: int) -> None:
         """Unregister one model in every worker and release its segment.
@@ -689,17 +673,16 @@ class CoreWorkerPool:
         so the segment's backing store is reclaimed once the last
         worker mapping disappears.
         """
-        self._broadcast(("undeploy", model_id), f"undeploy model {model_id}")
+        _raise_first(
+            self._undeploy(model_id, range(self.num_cores)),
+            f"undeploy model {model_id}",
+        )
         keep: list[PublishedModel] = []
         for published in self._published:
-            if published.model_id != model_id:
+            if published.model_id == model_id:
+                _unlink(published.segment)
+            else:
                 keep.append(published)
-                continue
-            try:
-                published.segment.close()
-                published.segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
         self._published = keep
 
     # ------------------------------------------------------------------
@@ -855,12 +838,23 @@ class CoreWorkerPool:
         for conn in self._pipes:
             conn.close()
         for published in self._published:
-            try:
-                published.segment.close()
-                published.segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
+            _unlink(published.segment)
         self._published.clear()
+
+
+def _raise_first(errors: list[str | None], what: str) -> None:
+    """Raise the first worker's failure to do ``what``, if any."""
+    for core, error in enumerate(errors):
+        if error is not None:
+            raise RuntimeError(f"worker {core} failed to {what}:\n{error}")
+
+
+def _unlink(segment: shared_memory.SharedMemory) -> None:
+    try:
+        segment.close()
+        segment.unlink()
+    except FileNotFoundError:  # pragma: no cover - already gone
+        pass
 
 
 def pool_finalizer(owner, pool: CoreWorkerPool) -> weakref.finalize:

@@ -329,10 +329,6 @@ class TestFallbackBlock:
         plans = dense_plans(datapath, tiny_dag)
         datapath.execute(tiny_dag.model_id, np.zeros(12))
         assert all(plan._block is None for plan in plans)
-        assert all(
-            set(plan.shared_arrays()) == {"steps", "net_signs"}
-            for plan in plans
-        )
         DegradedCore.ensure(datapath)
         datapath.execute(tiny_dag.model_id, np.zeros(12))
         assert all(plan._block is not None for plan in plans)
@@ -366,8 +362,6 @@ class TestFallbackBlock:
         assert serve() == with_scipy
 
     def test_shared_replica_rebuilds_the_block_from_weights(self, tiny_dag):
-        from repro.core.plans import export_model_plan, import_model_plan
-
         def degraded(seed):
             core = DegradedCore(
                 BehavioralCore(seed=seed, noise=GaussianNoise(std=1.0)),
@@ -378,18 +372,24 @@ class TestFallbackBlock:
 
         parent = LightningDatapath(core=degraded(5))
         parent.register_model(tiny_dag)
-        arrays, meta = export_model_plan(parent.model_plan(1))
         replica = LightningDatapath(core=degraded(5))
         replica.register_model(
-            tiny_dag,
-            plan=import_model_plan(
-                tiny_dag, parent.plan_geometry, arrays, meta
-            ),
+            tiny_dag, plan=parent.model_plan(1).replica()
         )
         x = np.random.default_rng(2).integers(0, 256, 12).astype(float)
+        # The replica replays first: it builds the block its parent
+        # then shares.
+        replayed = replica.execute(1, x).output_levels
         np.testing.assert_array_equal(
-            parent.execute(1, x).output_levels,
-            replica.execute(1, x).output_levels,
+            parent.execute(1, x).output_levels, replayed
+        )
+        for plan in dense_plans(replica, tiny_dag):
+            assert plan._block is not None
+        assert all(
+            a is b
+            for a, b in zip(
+                dense_plans(parent, tiny_dag), dense_plans(replica, tiny_dag)
+            )
         )
 
 

@@ -2,10 +2,11 @@
 
 A device-accurate :class:`~repro.photonics.PrototypeCore` replays a conv
 layer through the plan's stacked per-readout block.  In a cluster only
-the first core compiles; every other core — and every worker process —
-adopts a plan re-imported from the compiled arrays, which carries no
-per-row state.  The adopted plan must build the block from the task's
-weights and replay exactly what a plan compiled on its own core would.
+the first core of a geometry compiles; every other core registers a
+replica of that plan, which carries no per-row state, and every worker
+process compiles its own over read-only shared-memory weights.  Each
+must build the block from the task's weights and replay exactly what a
+plan compiled on its own core would.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import pytest
 from repro.core import ComputationDAG, LayerTask, LightningDatapath
 from repro.core import datapath as datapath_module
 from repro.core.dag import ConvShape
-from repro.core.plans import export_model_plan, import_model_plan
 from repro.photonics import PrototypeCore
 from repro.runtime import Cluster, RuntimeRequest
 
@@ -91,18 +91,25 @@ class TestAdoptedConvPlan:
         cluster.deploy(dag)  # warms every core up on one zero query
         assert len(compiles) == 1  # core 1 adopted core 0's plan
         monkeypatch.undo()
+        first, second = (
+            datapath.model_plan(dag.model_id) for datapath in cluster.datapaths
+        )
+        assert all(
+            a is b for a, b in zip(first.tasks.values(), second.tasks.values())
+        )
         zeros = np.zeros(CONV.input_size)
         for core, datapath in enumerate(cluster.datapaths):
             twin = self_compiled(dag, core)
             twin.execute(dag.model_id, zeros)
             assert_same_executions(datapath, twin, dag)
+        cluster.datapaths[0].execute(dag.model_id, zeros)
+        assert (first.replays, second.replays) == (5, 4)  # per core
 
-    def test_worker_side_import_replays_like_a_compile(self):
-        """``import_model_plan`` without a donor, over read-only weights:
-        what a worker process rebuilds from shared memory."""
+    def test_worker_compile_replays_like_a_parent(self):
+        """A compile over read-only weights — what a worker process
+        does with the views of its shared-memory segment — replays like
+        a compile over writable ones."""
         dag = conv_dense_dag()
-        parent = self_compiled(dag, 0)
-        arrays, meta = export_model_plan(parent.model_plan(dag.model_id))
         tasks = []
         for task in dag.tasks:
             weights = task.weights_levels.copy()
@@ -111,13 +118,7 @@ class TestAdoptedConvPlan:
                 LayerTask(**{**vars(task), "weights_levels": weights})
             )
         worker_dag = ComputationDAG(dag.model_id, dag.name, tasks)
-        worker = prototype(1)
-        worker.register_model(
-            worker_dag,
-            plan=import_model_plan(
-                worker_dag, parent.plan_geometry, arrays, meta
-            ),
-        )
+        worker = self_compiled(worker_dag, 1)
         assert_same_executions(worker, self_compiled(dag, 1), dag)
 
     @pytest.mark.parametrize("execution", ["serial", "parallel"])

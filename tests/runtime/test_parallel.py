@@ -9,13 +9,14 @@ device drift, watchdog quarantine) and drop-head admission queues.
 
 These tests run the *real* worker processes with a *noisy* core model
 (Gaussian readout noise), so they exercise the keyed noise substream
-contract, the shared-memory plan replay, and the fault-forwarding
-pipes — not just a degenerate noiseless path.
+contract, the shared-memory weights each worker compiles from, and the
+fault-forwarding pipes — not just a degenerate noiseless path.
 """
 
 from __future__ import annotations
 
 import gc
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -86,7 +87,7 @@ def dense_dag(model_id: int = 1, seed: int = 7) -> ComputationDAG:
 
 
 def mixed_dag(model_id: int = 2, seed: int = 3) -> ComputationDAG:
-    """Conv + pool + attention + dense: every shared-plan class."""
+    """Conv + pool + attention + dense: every plan class."""
     rng = np.random.default_rng(seed)
     conv = ConvShape(1, 6, 6, out_channels=2, kernel=3, padding=1)
     pool = PoolShape(channels=2, height=6, width=6, kernel=2)
@@ -189,6 +190,47 @@ class TestParallelDeterminism:
         )
         serial, parallel = run_both(dag, trace)
         assert serial.served == serial.offered
+        assert_bit_identical(serial, parallel)
+
+    def test_mixed_geometry_cores_bit_identical(self):
+        # Cores 0 and 2 read out 2 wavelengths, core 1 reads out 4: the
+        # parent compiles once per geometry, every worker for its own.
+        def factory(core):
+            arch = CoreArchitecture(
+                accumulation_wavelengths=4 if core == 1 else 2
+            )
+            return LightningDatapath(
+                core=BehavioralCore(
+                    architecture=arch, noise=GaussianNoise(), seed=core
+                ),
+                seed=core,
+            )
+
+        dags = (dense_dag(), mixed_dag())
+        rng = np.random.default_rng(5)
+        trace = [
+            RuntimeRequest(
+                request_id=i,
+                model_id=dags[i % 2].model_id,
+                arrival_s=i * 2e-6,
+                data_levels=rng.integers(
+                    0, 256, dags[i % 2].tasks[0].input_size
+                ).astype(np.float64),
+            )
+            for i in range(60)
+        ]
+        results = []
+        for execution in ("serial", "parallel"):
+            with Cluster(
+                num_cores=3, datapath_factory=factory, execution=execution
+            ) as cluster:
+                assert len({d.plan_geometry for d in cluster.datapaths}) == 2
+                for dag in dags:
+                    cluster.deploy(dag)
+                results.append(cluster.serve_trace(trace))
+        serial, parallel = results
+        assert serial.served == serial.offered == 60
+        assert {record.core for record in serial.records} == {0, 1, 2}
         assert_bit_identical(serial, parallel)
 
     def test_coalesced_batches_bit_identical(self):
@@ -734,6 +776,71 @@ class TestWorkerCrashHardening:
         serial = make_cluster("serial", num_cores=2)
         serial.deploy(dense_dag())
         assert_bit_identical(serial.serve_trace(steady_trace()), parallel)
+
+    def test_a_deploy_a_worker_refuses_is_undone_everywhere(
+        self, monkeypatch
+    ):
+        # Worker 0 refuses model 9 once (patched before the fork; each
+        # worker keeps its own count), worker 1 takes it: the deploy
+        # must leave no trace in the parent, in worker 1 or in /dev/shm.
+        deploy = parallel_module._worker_deploy
+        refused = []
+
+        def refuse_nine_once(datapath, spec, segments):
+            worker = multiprocessing.current_process().name
+            if spec["model_id"] == 9 and worker.endswith("-0") and not refused:
+                refused.append(spec["model_id"])
+                raise ValueError("model 9 refused")
+            deploy(datapath, spec, segments)
+
+        published = []
+        publish = parallel_module.publish_model
+        monkeypatch.setattr(parallel_module, "_worker_deploy", refuse_nine_once)
+        monkeypatch.setattr(
+            parallel_module,
+            "publish_model",
+            lambda *args: published.append(publish(*args)) or published[-1],
+        )
+        dag = dense_dag(model_id=9)
+        trace = steady_trace(model_id=9)
+        with make_cluster("parallel", num_cores=2) as cluster:
+            with pytest.raises(RuntimeError) as raised:
+                cluster.deploy(dag)
+            assert str(raised.value).startswith(
+                "worker 0 failed to deploy model 9"
+            )
+            assert cluster.model_ids == ()
+            assert all(d.timing_plan(9) is None for d in cluster.datapaths)
+            assert all(d.model_plan(9) is None for d in cluster.datapaths)
+            assert cluster.shared_segment_names() == ()
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=published[0].segment_name)
+            cluster.deploy(dag)  # worker 1 let the model go again
+            parallel = cluster.serve_trace(trace)
+        serial = make_cluster("serial", num_cores=2)
+        serial.deploy(dag)
+        assert_bit_identical(serial.serve_trace(trace), parallel)
+
+    def test_a_deploy_the_parent_refuses_is_undone_in_the_workers(self):
+        dag = dense_dag(model_id=9)
+        trace = steady_trace(model_id=9)
+        with make_cluster("parallel", num_cores=2) as cluster:
+            second = cluster.datapaths[1]
+
+            def refuse(dag, plan=None):
+                raise ValueError("core 1 refused")
+
+            second.register_model = refuse
+            with pytest.raises(ValueError, match="core 1 refused"):
+                cluster.deploy(dag)
+            del second.register_model
+            assert cluster.datapaths[0].model_plan(9) is None
+            assert cluster.shared_segment_names() == ()
+            cluster.deploy(dag)  # both workers let the model go again
+            parallel = cluster.serve_trace(trace)
+        serial = make_cluster("serial", num_cores=2)
+        serial.deploy(dag)
+        assert_bit_identical(serial.serve_trace(trace), parallel)
 
     def test_close_unlinks_segments_after_worker_kill(self):
         # SIGKILL one worker, then send it two windows of runs (its
