@@ -306,9 +306,11 @@ class LatencyReservoir:
         if other._count == 0:
             return
         if self.tail_capacity:
-            merged_tail = heapq.nlargest(
-                self.tail_capacity, self._tail + other._tail
-            )
+            # sorted()[:k] is the list heapq.nlargest(k, ...) returns
+            # (both stable), built in one C sort.
+            merged_tail = sorted(self._tail + other._tail, reverse=True)[
+                : self.tail_capacity
+            ]
             # A side constrains the union only once it has discarded
             # values (saturated tail) or carries an explicit bound from
             # an earlier merge; a fully-retained side vouches for all

@@ -108,6 +108,9 @@ class Scheduler(Protocol):
     ) -> int:
         """Pick the core index that executes ``request``.
 
+        ``request`` identifies the request for the policy: the runtime
+        passes its request object, the §9 simulator the request id (its
+        trace holds columns, not objects).  No in-repo policy reads it.
         ``core_free_at`` holds each candidate core's busy-until time
         (the runtime passes only its idle cores; the simulator passes
         all of them).  Policies that ignore load, like round-robin, may

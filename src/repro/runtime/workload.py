@@ -48,19 +48,22 @@ def poisson_trace(
     workload = PoissonWorkload(
         list(dags), arrival_rate_per_s, seed=seed
     )
-    sim_trace = workload.trace(num_requests, trace_index)
+    trace = workload.trace(num_requests, trace_index)
     rng = np.random.default_rng((seed, trace_index, 0xDA7A))
     requests = []
-    for sim_request in sim_trace:
-        dag: ComputationDAG = sim_request.model
+    for request_id, arrival, pick in zip(
+        trace.request_ids.tolist(), trace.arrivals.tolist(),
+        trace.picks.tolist(),
+    ):
+        dag: ComputationDAG = trace.models[pick]
         levels = rng.integers(
             0, 256, size=dag.tasks[0].input_size
         ).astype(np.float64)
         requests.append(
             RuntimeRequest(
-                request_id=sim_request.request_id,
+                request_id=request_id,
                 model_id=dag.model_id,
-                arrival_s=sim_request.arrival_s,
+                arrival_s=arrival,
                 data_levels=levels,
             )
         )

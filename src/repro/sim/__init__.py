@@ -24,7 +24,12 @@ from .simulator import (
 )
 from .stop_and_go import StopAndGoSystem
 from .triton import TritonGPUServer, a100_triton, p4_triton
-from .workload import PoissonWorkload, SimRequest, rate_for_utilization
+from .workload import (
+    PoissonWorkload,
+    SimRequest,
+    SimTrace,
+    rate_for_utilization,
+)
 
 __all__ = [
     "Event",
@@ -39,6 +44,7 @@ __all__ = [
     "A100_DATAPATH_SECONDS",
     "LIGHTNING_PER_LAYER_SECONDS",
     "SimRequest",
+    "SimTrace",
     "PoissonWorkload",
     "rate_for_utilization",
     "Scheduler",

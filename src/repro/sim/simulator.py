@@ -26,7 +26,8 @@ price identical decompositions to identical joules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -43,7 +44,12 @@ from ..core.stats import (
 )
 from ..dnn.model import ModelSpec
 from .accelerators import AcceleratorSpec
-from .workload import PoissonWorkload, SimRequest, rate_for_utilization
+from .workload import (
+    PoissonWorkload,
+    SimRequest,
+    SimTrace,
+    rate_for_utilization,
+)
 
 # The scheduler abstraction is shared with the serving runtime
 # (repro.runtime): a policy validated here drives real datapath cores
@@ -159,9 +165,10 @@ class StreamedSummary:
 @dataclass(frozen=True)
 class SimulationResult(Tallied):
     """One trace served on one accelerator: an outcomes row per request
-    — every one ``SERVED``, in serve order, ``model`` a per-name code,
-    ``shard`` -1, ``batch`` 1, ``prediction`` -1 — and the
-    :class:`StreamedSummary` folded from it.
+    — every one ``SERVED``, in serve order, ``request`` its request id,
+    ``model`` a per-name code, ``shard`` -1, ``batch`` 1,
+    ``prediction`` -1 — the :class:`StreamedSummary` folded from it,
+    and the trace in serve order (row ``i`` is ``trace[i]``).
 
     Per-row queries read the table.  The means and utilization read the
     summary's exact sums, which the Figs 21/22 ratios are pinned to.
@@ -170,11 +177,16 @@ class SimulationResult(Tallied):
     accelerator: AcceleratorSpec
     outcomes: Outcomes
     summary: StreamedSummary
+    trace: SimTrace
 
     @cached_property
     def records(self) -> tuple[ServedRecord, ...]:
-        """The rows in serve order, as records."""
-        return self.outcomes.records()
+        """The rows in serve order, as records whose ``request`` is the
+        row's :class:`SimRequest`, built from the trace on first use."""
+        return tuple(
+            replace(record, request=request)
+            for record, request in zip(self.outcomes.records(), self.trace)
+        )
 
     def serve_time_percentiles(self, qs: list[float]) -> list[float]:
         """Exact serve-time percentiles over every request."""
@@ -238,18 +250,21 @@ class EventDrivenSimulator:
         )
 
     def run(
-        self, trace: list[SimRequest], keep_records: bool = True
+        self, trace: Sequence[SimRequest], keep_records: bool = True
     ) -> SimulationResult:
         """Serve a trace to completion.
 
         A simulated trace holds nothing but arrival events, so the
         event heap the serving runtime needs (completions, faults,
         probes...) is pure overhead here: one stable sort of the trace
-        *is* the event schedule.  The hot loop fills preallocated
-        per-request arrays — per-model datapath/compute costs are
-        memoized — which become the result's outcomes columns as they
-        are; one :meth:`StreamedSummary.observe_many` folds them into
-        its summary and one :class:`EnergyModel` call prices its joules.
+        *is* the event schedule.  A request list becomes a
+        :class:`SimTrace` first, so every trace takes one path: the loop
+        reads the trace's columns, prices each request by its model
+        pick (each model's datapath/compute cost is computed once) and
+        passes the scheduler the request id.  The outcomes columns are
+        built from the loop's start times in array operations, one
+        :meth:`StreamedSummary.observe_many` folds them into the
+        summary and one :class:`EnergyModel` call prices the joules.
 
         The recurrence is identical to the event-loop formulation —
         ``start = max(arrival + datapath, core_free_at[core])`` in
@@ -262,26 +277,26 @@ class EventDrivenSimulator:
         """
         if not trace:
             raise ValueError("cannot simulate an empty trace")
+        if not isinstance(trace, SimTrace):
+            trace = SimTrace.from_requests(trace)
         self.scheduler.reset()
-        num_requests = len(trace)
-        arrivals = np.fromiter(
-            (r.arrival_s for r in trace), dtype=np.float64, count=num_requests
-        )
         # Stable sort matches the event queue's (time, push-seq) order.
-        order = np.argsort(arrivals, kind="stable")
-        requests = np.fromiter(trace, object, num_requests)[order]
-        core_free_at = [0.0] * self.scheduler.num_cores
-        # Per-model costs are pure functions of the spec — memoize
-        # instead of recomputing the layer sums per request.
-        costs: dict[int, tuple[float, float, int]] = {}
-        # Summaries key by name: same-named specs share one code.
+        trace = trace.take(np.argsort(trace.arrivals, kind="stable"))
+        models, picks = trace.models, trace.picks
+        datapath_of = [0.0] * len(models)
+        compute_of = [0.0] * len(models)
+        # Summaries key by name: same-named models share one code,
+        # numbered in serve order of first use.
         name_codes: dict[str, int] = {}
-        codes = np.empty(num_requests, dtype=np.int64)
-        cores = np.empty(num_requests, dtype=np.int64)
-        datapath = np.empty(num_requests, dtype=np.float64)
-        queuing = np.empty(num_requests, dtype=np.float64)
-        compute = np.empty(num_requests, dtype=np.float64)
-        finish = np.empty(num_requests, dtype=np.float64)
+        codes = np.empty(len(trace), dtype=np.int64)
+        for pick, rows in grouped_by_first_use(picks):
+            model = models[pick]
+            datapath_of[pick] = self.accelerator.datapath_seconds(model)
+            compute_of[pick] = self.accelerator.compute_seconds(model)
+            codes[rows] = name_codes.setdefault(model.name, len(name_codes))
+        core_free_at = [0.0] * self.scheduler.num_cores
+        cores: list[int] = []
+        starts: list[float] = []
         assign = self.scheduler.assign
         # Health-aware policies get the same per-candidate snapshot the
         # runtime publishes; the simulator models no faults, so every
@@ -290,34 +305,31 @@ class EventDrivenSimulator:
         observe_health = (
             self.scheduler.observe_health if wants_health else None
         )
-        for slot, request in enumerate(requests.tolist()):
-            model = request.model
-            cost = costs.get(id(model))
-            if cost is None:
-                cost = costs[id(model)] = (
-                    self.accelerator.datapath_seconds(model),
-                    self.accelerator.compute_seconds(model),
-                    name_codes.setdefault(model.name, len(name_codes)),
-                )
-            datapath_s, compute_s, codes[slot] = cost
+        for request_id, arrival, pick in zip(
+            trace.request_ids.tolist(), trace.arrivals.tolist(),
+            picks.tolist(),
+        ):
             if observe_health is not None:
                 observe_health([
                     CoreHealthView(core=i, busy_until_s=core_free_at[i])
                     for i in range(len(core_free_at))
                 ])
-            core = assign(request, core_free_at, now_s=request.arrival_s)
+            core = assign(request_id, core_free_at, now_s=arrival)
             # The request becomes ready for compute after its datapath
             # stage; it queues in DRAM while the core is busy.
-            ready_at = request.arrival_s + datapath_s
+            ready_at = arrival + datapath_of[pick]
             free_at = core_free_at[core]
             start = ready_at if ready_at > free_at else free_at
-            finish_s = start + compute_s
-            core_free_at[core] = finish_s
-            cores[slot] = core
-            datapath[slot] = datapath_s
-            queuing[slot] = start - ready_at
-            compute[slot] = compute_s
-            finish[slot] = finish_s
+            core_free_at[core] = start + compute_of[pick]
+            cores.append(core)
+            starts.append(start)
+        # The same float operations the loop made per request, as array
+        # operations: bit-equal.
+        start = np.array(starts)
+        datapath = np.array(datapath_of)[picks]
+        compute = np.array(compute_of)[picks]
+        queuing = start - (trace.arrivals + datapath)
+        finish = start + compute
         summary = StreamedSummary()
         summary.observe_many(
             list(name_codes), codes, datapath, queuing, compute, finish
@@ -326,11 +338,11 @@ class EventDrivenSimulator:
         # omitted ones too), so the table costs memory only for what
         # varies per request.
         outcomes = Outcomes(
-            request=requests,
+            request=trace.request_ids,
             model=codes,
-            core=cores,
-            fate=np.broadcast_to(np.int8(Outcome.SERVED), num_requests),
-            arrival=arrivals[order],
+            core=np.array(cores, dtype=np.int64),
+            fate=np.broadcast_to(np.int8(Outcome.SERVED), len(trace)),
+            arrival=trace.arrivals,
             t_q=queuing,
             t_d=datapath,
             t_c=compute,
@@ -339,7 +351,7 @@ class EventDrivenSimulator:
                 datapath_s=datapath, queuing_s=queuing, compute_s=compute
             ),
         )
-        return SimulationResult(self.accelerator, outcomes, summary)
+        return SimulationResult(self.accelerator, outcomes, summary, trace)
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,12 @@ or plain names); :meth:`ModelMix.zipf` builds the canonical skew.
 :class:`OpenLoopTraffic` zips an arrival process with a mix into a
 stream of requests.  Generation is *chunked*: :meth:`OpenLoopTraffic.
 chunks` yields ``(times, models)`` array pairs so a million-request
-campaign streams in O(chunk) memory, while :meth:`trace` materializes
-small traces as :class:`~repro.sim.workload.SimRequest` lists for the
-§9 simulator and :meth:`runtime_trace` builds
-:class:`~repro.runtime.cluster.RuntimeRequest` lists (with payloads)
-for the fabric.  Arrival times, model draws, and payload levels come
-from three independent keyed substreams, so every consumer sees the
-same arrivals for a given ``(seed, stream)`` no matter which outputs it
-asks for.
+campaign streams in O(chunk) memory, while :meth:`runtime_trace`
+materializes :class:`~repro.runtime.cluster.RuntimeRequest` lists (with
+payloads) for the fabric.  Arrival times, model draws, and payload
+levels come from three independent keyed substreams, so every consumer
+sees the same arrivals for a given ``(seed, stream)`` no matter which
+outputs it asks for.
 """
 
 from __future__ import annotations
@@ -146,23 +144,6 @@ class OpenLoopTraffic:
                 models=self.mix.sample(n, mix_rng),
             )
             produced += n
-
-    def trace(self, total: int) -> list:
-        """A materialized :class:`~repro.sim.workload.SimRequest` trace
-        (mix models must be :class:`~repro.dnn.model.ModelSpec`-like)."""
-        from ..sim.workload import SimRequest
-
-        requests = []
-        for chunk in self.chunks(total):
-            requests.extend(
-                SimRequest(
-                    request_id=chunk.start_id + i,
-                    model=self.mix.models[int(m)],
-                    arrival_s=float(t),
-                )
-                for i, (t, m) in enumerate(zip(chunk.times, chunk.models))
-            )
-        return requests
 
     def runtime_trace(self, total: int) -> list:
         """A materialized :class:`~repro.runtime.cluster.RuntimeRequest`

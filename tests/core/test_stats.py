@@ -137,6 +137,23 @@ _OPS = st.lists(
 )
 
 
+# Ties everywhere, signed zeros among them: what a top-K pick could
+# reorder.
+_TIED = st.sampled_from([0.0, -0.0, 1e-6, 1e-6, 0.5, 3.0])
+
+
+class NlargestMerge(LatencyReservoir):
+    """The reference merge: the tails' top K as ``heapq.nlargest``
+    picks them."""
+
+    def merge(self, other: LatencyReservoir) -> None:
+        tail = heapq.nlargest(self.tail_capacity, self._tail + other._tail)
+        super().merge(other)
+        if self.tail_capacity and other.count:
+            heapq.heapify(tail)
+            self._tail = tail
+
+
 class TestBlockAccounting:
     """``add_many`` / ``charge_many`` against the per-value reference."""
 
@@ -186,6 +203,33 @@ class TestBlockAccounting:
                 block.merge(other)
                 reference.merge(other)
         assert reservoir_state(block) == reservoir_state(reference)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        left=st.lists(_TIED, max_size=40),
+        right=st.lists(_TIED, max_size=40),
+        capacity=st.integers(1, 12),
+        tail=st.integers(0, 8),
+    )
+    def test_merge_matches_nlargest_merge(self, left, right, capacity, tail):
+        """The merged tail is the list ``heapq.nlargest`` keeps, in the
+        same heap order (ties and signed zeros included); samples,
+        ``_tail_exact``, sums and the generator are untouched by how
+        the top K is picked."""
+        sides = []
+        for cls in (LatencyReservoir, NlargestMerge):
+            ours = cls(capacity, seed=5, tail_capacity=tail)
+            ours.add_many(np.array(left, dtype=np.float64))
+            other = LatencyReservoir(capacity, seed=8, tail_capacity=tail)
+            other.add_many(np.array(right, dtype=np.float64))
+            ours.merge(other)
+            sides.append(ours)
+        sorted_merge, reference = sides
+        assert [v.hex() for v in sorted_merge._tail] == [
+            v.hex() for v in reference._tail
+        ]
+        assert sorted_merge._tail_exact == reference._tail_exact
+        assert reservoir_state(sorted_merge) == reservoir_state(reference)
 
     def test_default_sizes_across_fill_points(self):
         """Default capacities: splits that straddle the tail fill (1024)

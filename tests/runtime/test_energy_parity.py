@@ -163,15 +163,17 @@ class TestSimRuntimeParity:
         # The sim prices t_q at the default DRAM power: its t_q is
         # exactly 0.0 here, so that term adds exactly nothing.
         assert (sim_result.outcomes.t_q == 0.0).all()
-        sim_joules, runtime_joules = (
-            {
-                request.request_id: joules
-                for request, joules in zip(
-                    table.request.tolist(), table.joules.tolist()
-                )
-            }
-            for table in (sim_result.outcomes, runtime_result.outcomes)
+        # The sim's request column holds ids, the runtime's requests.
+        sim_table, runtime_table = sim_result.outcomes, runtime_result.outcomes
+        sim_joules = dict(
+            zip(sim_table.request.tolist(), sim_table.joules.tolist())
         )
+        runtime_joules = {
+            request.request_id: joules
+            for request, joules in zip(
+                runtime_table.request.tolist(), runtime_table.joules.tolist()
+            )
+        }
         assert sim_joules == runtime_joules  # bitwise, not approx
 
         # The ledger charged exactly those joules, in completion order.

@@ -9,10 +9,14 @@ from repro.dnn import SIMULATION_MODELS, alexnet_spec
 from repro.sim import (
     EventQueue,
     PoissonWorkload,
+    SimRequest,
+    SimTrace,
     a100_gpu,
     lightning_chip,
     rate_for_utilization,
 )
+
+BAD_ARRIVALS = [float("nan"), -1e-9, float("inf"), float("-inf")]
 
 
 class TestEventQueue:
@@ -113,6 +117,73 @@ class TestPoissonWorkload:
             PoissonWorkload([alexnet_spec()], 0.0)
         with pytest.raises(ValueError):
             PoissonWorkload([alexnet_spec()], 1.0).trace(0)
+
+
+class TestSimTrace:
+    def test_a_trace_reads_as_its_requests(self):
+        models = SIMULATION_MODELS()[:3]
+        trace = SimTrace([7, 3, 9, 4], [0.0, 1e-3, 1e-3, 2e-3],
+                         [2, 0, 2, 1], models)
+        expected = [
+            SimRequest(7, models[2], 0.0),
+            SimRequest(3, models[0], 1e-3),
+            SimRequest(9, models[2], 1e-3),
+            SimRequest(4, models[1], 2e-3),
+        ]
+        assert len(trace) == 4
+        assert list(trace) == expected
+        assert [trace[i] for i in range(4)] == expected
+        assert trace[-1] == expected[-1]
+        assert list(trace[1:3]) == expected[1:3]
+        assert list(trace.take(np.array([3, 0]))) == [
+            expected[3], expected[0]
+        ]
+        assert isinstance(trace[0].request_id, int)
+        assert isinstance(trace[0].arrival_s, float)
+        with pytest.raises(IndexError):
+            trace[4]
+
+    def test_from_requests_round_trips(self):
+        a, b = alexnet_spec(), SIMULATION_MODELS()[1]
+        requests = [SimRequest(i, m, i * 1e-6) for i, m in
+                    enumerate([b, a, b, b, a])]
+        trace = SimTrace.from_requests(requests)
+        # One model entry per distinct object, in first-use order.
+        assert trace.models == (b, a)
+        assert trace.picks.tolist() == [0, 1, 0, 0, 1]
+        assert list(trace) == requests
+
+    def test_columns_are_read_only(self):
+        trace = PoissonWorkload([alexnet_spec()], 100.0).trace(5)
+        with pytest.raises(ValueError):
+            trace.arrivals[0] = -1.0
+
+    def test_malformed_columns_rejected(self):
+        models = [alexnet_spec()]
+        with pytest.raises(ValueError, match="length"):
+            SimTrace([0, 1], [0.0], [0, 0], models)
+        with pytest.raises(ValueError, match="pick"):
+            SimTrace([0], [0.0], [1], models)
+        assert len(SimTrace([], [], [], models)) == 0
+
+    @pytest.mark.parametrize("arrival", BAD_ARRIVALS)
+    def test_non_finite_or_negative_arrival_rejected(self, arrival):
+        """A NaN arrival used to be accepted and then served at the
+        core's free time with a NaN queueing delay."""
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            SimRequest(0, alexnet_spec(), arrival)
+
+    @pytest.mark.parametrize("arrival", BAD_ARRIVALS)
+    def test_trace_rejects_non_finite_or_negative_arrival(self, arrival):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            SimTrace([0, 1], [0.0, arrival], [0, 0], [alexnet_spec()])
+
+    def test_poisson_trace_is_a_sim_trace(self):
+        models = SIMULATION_MODELS()
+        trace = PoissonWorkload(models, 100.0, seed=4).trace(50, 2)
+        assert isinstance(trace, SimTrace)
+        assert trace.request_ids.tolist() == list(range(50))
+        assert trace.models == tuple(models)
 
 
 class TestRateForUtilization:

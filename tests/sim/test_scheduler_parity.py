@@ -73,18 +73,10 @@ def _noiseless(core: int) -> LightningDatapath:
     )
 
 
-def _joined(outcomes, model_name) -> list[tuple[int, str, int]]:
+def _joined(request_ids, model_names, cores) -> list[tuple[int, str, int]]:
     """``(request_id, model name, core)`` per row of one host's table,
-    sorted on the request id the two tables join on;
-    ``model_name(request, model)`` names a row's model."""
-    return sorted(
-        (request.request_id, model_name(request, model), core)
-        for request, model, core in zip(
-            outcomes.request.tolist(),
-            outcomes.model.tolist(),
-            outcomes.core.tolist(),
-        )
-    )
+    sorted on the request id the two tables join on."""
+    return sorted(zip(request_ids, model_names, cores))
 
 
 def _run_both(scheduler_factory, model_pattern):
@@ -101,7 +93,8 @@ def _run_both(scheduler_factory, model_pattern):
         SimRequest(i, specs[m], i * SPACING_S)
         for i, m in enumerate(model_pattern)
     ]
-    sim_table = sim.run(sim_trace).outcomes
+    sim_result = sim.run(sim_trace)
+    sim_table = sim_result.outcomes
 
     cluster = Cluster(
         num_cores=NUM_CORES,
@@ -127,9 +120,19 @@ def _run_both(scheduler_factory, model_pattern):
     # so it is zero up to that subtraction's rounding.
     assert (sim_table.t_q == 0.0).all()
     assert np.abs(cluster_table.t_q).max() < 1e-15
+    # The simulator's request column holds ids, the cluster's the
+    # request objects.
     return (
-        _joined(sim_table, lambda request, _: request.model.name),
-        _joined(cluster_table, lambda _, model: f"parity-{model}"),
+        _joined(
+            sim_table.request.tolist(),
+            [r.request.model.name for r in sim_result.records],
+            sim_table.core.tolist(),
+        ),
+        _joined(
+            [r.request_id for r in cluster_table.request.tolist()],
+            [f"parity-{m}" for m in cluster_table.model.tolist()],
+            cluster_table.core.tolist(),
+        ),
     )
 
 

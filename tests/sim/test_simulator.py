@@ -9,8 +9,13 @@ bit-identical results, which no ratio gate and no digest sees (see
 
 from __future__ import annotations
 
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.energy import EnergyModel
 from repro.core.stats import Outcome, Outcomes, Tallied
@@ -28,8 +33,12 @@ from repro.sim import (
     rate_for_utilization,
     run_comparison,
 )
+from repro.runtime.schedulers import (
+    HealthAwareScheduler,
+    LeastLoadedScheduler,
+)
 from repro.sim.simulator import StreamedSummary
-from repro.sim.workload import SimRequest
+from repro.sim.workload import SimRequest, SimTrace
 
 from ..core.test_stats import PerValueReservoir, reservoir_state
 
@@ -169,7 +178,7 @@ class TestEventDrivenSimulator:
         table = result.outcomes
         assert isinstance(result, Tallied)
         assert result.served == result.offered == len(table) == len(trace)
-        assert [r.request_id for r in table.request] == [1, 3, 2, 4, 0]
+        assert table.request.tolist() == [1, 3, 2, 4, 0]
         # Model codes in first-use order: B served first, then A.
         assert table.model.tolist() == [0, 0, 1, 1, 1]
         assert table.arrival.tolist() == [0.0, 0.0, 1e-3, 2e-3, 3e-3]
@@ -377,3 +386,107 @@ class TestStreamedServing:
             free = start + compute
             expected_finish.append(free)
         assert [r.finish_s for r in result.records] == expected_finish
+
+
+def run_digest(result) -> str:
+    """SHA-256 over every outcomes column (dtype and bytes) and the
+    summary's full state."""
+    sha = hashlib.sha256()
+    for name in Outcomes.COLUMNS:
+        column = np.ascontiguousarray(getattr(result.outcomes, name))
+        sha.update(f"{name}:{column.dtype.str}:".encode())
+        sha.update(column.tobytes())
+    sha.update(repr(summary_state(result.summary)).encode())
+    return sha.hexdigest()
+
+
+class TestTraceColumns:
+    """The simulator reads a trace's columns; a request list takes the
+    same path after one conversion."""
+
+    # Recorded when traces were request lists and the request column
+    # held the request objects (hashed here as their ids): the array
+    # path changed no bit of any column or of the summary.
+    DIGESTS = {
+        ("lightning_chip", "rr1"):
+            "f027001d8c04f0d03ec76dc228b0e74a809cb21099ace00bcdbdbd2f179cc6c1",
+        ("a100_gpu", "rr1"):
+            "098eed7e811234482ca8348272452435de355f78b6d645b4b0d50889797cee34",
+        ("lightning_chip", "health3"):
+            "81b3232d4588d8928029fc7f6b379b0be5adb6f74750364c2f3960f8c2fe86e4",
+        ("a100_gpu", "least3"):
+            "3f269ad7edd0b09b4a558b375c2b461122b75021a22bc4bc6e46f9e52ce7a930",
+    }
+    SCHEDULERS = {
+        "rr1": lambda: RoundRobinScheduler(),
+        "health3": lambda: HealthAwareScheduler(num_cores=3),
+        "least3": lambda: LeastLoadedScheduler(num_cores=3),
+    }
+    PLATFORMS = {"lightning_chip": lightning_chip, "a100_gpu": a100_gpu}
+
+    @pytest.mark.parametrize("platform, policy", sorted(DIGESTS))
+    def test_outcomes_and_summary_digest(self, platform, policy):
+        acc, scheduler = self.PLATFORMS[platform](), self.SCHEDULERS[policy]()
+        models = SIMULATION_MODELS()
+        rate = rate_for_utilization([acc], models, 0.9) * scheduler.num_cores
+        trace = PoissonWorkload(models, rate, seed=7).trace(4000, 3)
+        result = EventDrivenSimulator(acc, scheduler).run(trace)
+        assert run_digest(result) == self.DIGESTS[platform, policy]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 40),
+                st.sampled_from([0.0, 0.0, 1e-6, 2e-6, 2e-6, 5e-6, 1e-3]),
+                st.integers(0, 2),
+            ),
+            min_size=1,
+            max_size=14,
+        ),
+        policy=st.sampled_from(["rr1", "health3", "least3"]),
+    )
+    def test_request_list_equals_trace(self, rows, policy):
+        """Small traces with tied arrivals and repeated ids: a request
+        list and the equivalent trace give the same table, summary and
+        records.  Two models share a name, and the trace lists them in
+        an order the list's first use does not follow."""
+        models = [
+            tiny_model(10**6, "A"), tiny_model(10**8, "B"),
+            tiny_model(10**7, "A"),
+        ]
+        ids, arrivals, picks = (list(column) for column in zip(*rows))
+        requests = [
+            SimRequest(i, models[p], a)
+            for i, a, p in zip(ids, arrivals, picks)
+        ]
+        trace = SimTrace(ids, arrivals, picks, models)
+        acc = lightning_chip()
+        results = [
+            EventDrivenSimulator(acc, self.SCHEDULERS[policy]()).run(given)
+            for given in (requests, trace)
+        ]
+        listed, traced = results
+        for column in Outcomes.COLUMNS:
+            a, b = (getattr(r.outcomes, column) for r in results)
+            assert a.dtype == b.dtype and np.array_equal(a, b), column
+        assert summary_state(listed.summary) == summary_state(traced.summary)
+        assert listed.records == traced.records
+        assert Counter(r.request for r in traced.records) == Counter(requests)
+
+    def test_model_sweep_run_builds_no_request(self, monkeypatch):
+        """Generating and simulating a trace as the stack benchmark's
+        model sweep does (``trace`` + ``run(keep_records=False)`` on
+        both platforms) never builds a :class:`SimRequest`."""
+
+        def built(*args, **kwargs):
+            raise AssertionError("a SimRequest was built")
+
+        monkeypatch.setattr(SimRequest, "__post_init__", built)
+        models = SIMULATION_MODELS()
+        for platform in (lightning_chip, a100_gpu):
+            acc = platform()
+            rate = rate_for_utilization([acc], models, 0.95)
+            trace = PoissonWorkload(models, rate, seed=0).trace(3000, 1)
+            result = EventDrivenSimulator(acc).run(trace, keep_records=False)
+            assert result.summary.count == 3000

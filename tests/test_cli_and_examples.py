@@ -54,6 +54,7 @@ class TestCLI:
     [
         "quickstart.py",
         "chip_design.py",
+        "datacenter_simulation.py",
         "developer_kit.py",
         "fault_injection.py",
         "photonic_signal_processing.py",
