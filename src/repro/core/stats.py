@@ -227,19 +227,20 @@ class LatencyReservoir:
         """One percentile estimate from the retained sample."""
         return self.percentiles([q])[0]
 
-    def _tail_percentile(self, q: float) -> float | None:
+    def _tail_percentile(
+        self, q: float, coverage: int, ordered: list[float]
+    ) -> float | None:
         """Exact percentile from the tracked tail, or ``None``.
 
-        Follows numpy's linear-interpolation convention over the full
-        conceptual stream of ``count`` values: the percentile at ``q``
-        interpolates the order statistics at positions ``floor(h)`` and
-        ``ceil(h)`` with ``h = (count - 1) * q / 100``.  When both
-        positions fall inside the exactly-tracked top of the stream the
-        interpolated value is exact, not an estimate.
+        ``ordered`` is the tail sorted largest first, of which the top
+        ``coverage`` values are exact.  Follows numpy's
+        linear-interpolation convention over the full conceptual stream
+        of ``count`` values: the percentile at ``q`` interpolates the
+        order statistics at positions ``floor(h)`` and ``ceil(h)`` with
+        ``h = (count - 1) * q / 100``.  When both positions fall inside
+        the exactly-tracked top of the stream the interpolated value is
+        exact, not an estimate.
         """
-        coverage = self._tail_coverage()
-        if coverage <= 1:
-            return None
         # Same operation order as np.percentile (q -> quantile first),
         # so exact answers match a full-stream np.percentile bit for bit.
         h = (q / 100.0) * (self._count - 1)
@@ -248,7 +249,6 @@ class LatencyReservoir:
         from_top = self._count - 1 - lo
         if from_top >= coverage:
             return None
-        ordered = sorted(self._tail, reverse=True)
         v_lo = ordered[from_top]
         v_hi = ordered[from_top - 1] if from_top > 0 else v_lo
         # numpy's _lerp: interpolate from the nearer end for accuracy,
@@ -275,7 +275,12 @@ class LatencyReservoir:
             # Nothing was subsampled: the reservoir is the stream.
             values = np.percentile(self._samples, qs)
             return [float(v) for v in np.atleast_1d(values)]
-        out: list[float | None] = [self._tail_percentile(q) for q in qs]
+        coverage = self._tail_coverage()
+        out: list[float | None] = [None] * len(qs)
+        if coverage > 1:
+            # One sort of the tail serves every quantile.
+            ordered = sorted(self._tail, reverse=True)
+            out = [self._tail_percentile(q, coverage, ordered) for q in qs]
         estimated = [q for q, v in zip(qs, out) if v is None]
         if estimated:
             values = np.atleast_1d(np.percentile(self._samples, estimated))

@@ -37,6 +37,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Protocol, Sequence, runtime_checkable
 
+import numpy as np
+
 __all__ = [
     "CoreHealthView",
     "ModelQueueView",
@@ -185,6 +187,18 @@ class RoundRobinScheduler(SchedulerBase):
         self._next = (core + 1) % n
         return core
 
+    def assign_many(self, count: int, num_cores: int) -> np.ndarray:
+        """The cores ``count`` :meth:`assign` calls over ``num_cores``
+        candidates would pick, as one int64 column, with the rotation
+        left where those calls leave it."""
+        if num_cores < 1:
+            raise ValueError("no cores to assign to")
+        first = self._next % num_cores
+        column = (first + np.arange(count, dtype=np.int64)) % num_cores
+        if count:
+            self._next = (first + count) % num_cores
+        return column
+
     def reset(self) -> None:
         """Restart the rotation at core 0."""
         self._next = 0
@@ -268,24 +282,17 @@ class HealthAwareScheduler(SchedulerBase):
                 "health-aware scheduling needs per-core load information"
             )
         n = len(core_free_at)
-        views = self._views if (
-            self._views is not None and len(self._views) == n
-        ) else None
-
-        def drifting(i: int) -> bool:
-            if views is None:
-                return False
-            view = views[i]
-            return (
-                not view.usable
-                or view.error_rms > self.error_soft_threshold
-            )
-
-        def key(i: int) -> tuple[bool, float]:
-            return (drifting(i), max(core_free_at[i] - now_s, 0.0))
-
-        best = min(range(n), key=lambda i: (*key(i), i))
-        tied = [i for i in range(n) if key(i) == key(best)]
+        backlog = [max(free_at - now_s, 0.0) for free_at in core_free_at]
+        if self._views is not None and len(self._views) == n:
+            threshold = self.error_soft_threshold
+            keys = [
+                (not view.usable or view.error_rms > threshold, wait)
+                for view, wait in zip(self._views, backlog)
+            ]
+        else:
+            keys = [(False, wait) for wait in backlog]
+        best = min(keys)
+        tied = [i for i, key in enumerate(keys) if key == best]
         pick = tied[self._next % len(tied)]
         self._next += 1
         # Views are good for exactly one assignment; a stale snapshot

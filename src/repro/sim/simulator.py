@@ -26,7 +26,7 @@ price identical decompositions to identical joules.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -236,6 +236,36 @@ class SimulationResult(Tallied):
         return self.summary.busy_s / self.summary.horizon_s
 
 
+def _assigned(
+    scheduler: Scheduler,
+    trace: SimTrace,
+    core_free_at: list[float],
+    record: Callable[[int], None],
+) -> Iterator[int]:
+    """Each request's core from one :meth:`Scheduler.assign` call,
+    made only when the loop asks for it, so the call sees the busy-until
+    times the loop has advanced so far; ``record`` gets every core."""
+    assign = scheduler.assign
+    # Health-aware policies get the same per-candidate snapshot the
+    # runtime publishes; the simulator models no faults, so every
+    # core reports the default healthy state with zero probe error.
+    observe_health = (
+        scheduler.observe_health
+        if getattr(scheduler, "uses_health", False) else None
+    )
+    for request_id, arrival in zip(
+        trace.request_ids.tolist(), trace.arrivals.tolist()
+    ):
+        if observe_health is not None:
+            observe_health([
+                CoreHealthView(core=i, busy_until_s=core_free_at[i])
+                for i in range(len(core_free_at))
+            ])
+        core = assign(request_id, core_free_at, now_s=arrival)
+        record(core)
+        yield core
+
+
 class EventDrivenSimulator:
     """Simulates one accelerator serving one request trace."""
 
@@ -259,16 +289,23 @@ class EventDrivenSimulator:
         probes...) is pure overhead here: one stable sort of the trace
         *is* the event schedule.  A request list becomes a
         :class:`SimTrace` first, so every trace takes one path: the loop
-        reads the trace's columns, prices each request by its model
-        pick (each model's datapath/compute cost is computed once) and
-        passes the scheduler the request id.  The outcomes columns are
-        built from the loop's start times in array operations, one
-        :meth:`StreamedSummary.observe_many` folds them into the
-        summary and one :class:`EnergyModel` call prices the joules.
+        reads the trace's columns and prices each request by its model
+        pick (each model's datapath/compute cost is computed once).
+        The outcomes columns are built from the loop's start times in
+        array operations, one :meth:`StreamedSummary.observe_many`
+        folds them into the summary and one :class:`EnergyModel` call
+        prices the joules.
 
-        The recurrence is identical to the event-loop formulation —
-        ``start = max(arrival + datapath, core_free_at[core])`` in
-        arrival order — so results are bit-equal to the old path.
+        Placement comes in as a column.  A load-oblivious rotation (a
+        scheduler with ``assign_many`` and no health snapshots, like
+        :class:`RoundRobinScheduler`) is asked for the whole column
+        once, so the loop is just the recurrence ``start =
+        max(arrival + datapath, core_free_at[core])`` in arrival order.
+        Any other scheduler gets one :meth:`Scheduler.assign` call per
+        request, passed the request id, made as the loop reaches the
+        request so it sees the busy-until times so far.  Either way the
+        recurrence is the event-loop formulation's, so results are
+        bit-equal to it.
 
         ``keep_records`` is inert: every run keeps its table.  It stays
         because the stack benchmark passes it, and goes together with
@@ -295,33 +332,27 @@ class EventDrivenSimulator:
             compute_of[pick] = self.accelerator.compute_seconds(model)
             codes[rows] = name_codes.setdefault(model.name, len(name_codes))
         core_free_at = [0.0] * self.scheduler.num_cores
-        cores: list[int] = []
-        starts: list[float] = []
-        assign = self.scheduler.assign
-        # Health-aware policies get the same per-candidate snapshot the
-        # runtime publishes; the simulator models no faults, so every
-        # core reports the default healthy state with zero probe error.
-        wants_health = getattr(self.scheduler, "uses_health", False)
-        observe_health = (
-            self.scheduler.observe_health if wants_health else None
-        )
-        for request_id, arrival, pick in zip(
-            trace.request_ids.tolist(), trace.arrivals.tolist(),
-            picks.tolist(),
+        assign_many = getattr(self.scheduler, "assign_many", None)
+        if assign_many is not None and not getattr(
+            self.scheduler, "uses_health", False
         ):
-            if observe_health is not None:
-                observe_health([
-                    CoreHealthView(core=i, busy_until_s=core_free_at[i])
-                    for i in range(len(core_free_at))
-                ])
-            core = assign(request_id, core_free_at, now_s=arrival)
+            cores = assign_many(len(trace), len(core_free_at))
+            placed = cores.tolist()
+        else:
+            cores = []
+            placed = _assigned(
+                self.scheduler, trace, core_free_at, cores.append
+            )
+        starts: list[float] = []
+        for core, arrival, pick in zip(
+            placed, trace.arrivals.tolist(), picks.tolist()
+        ):
             # The request becomes ready for compute after its datapath
             # stage; it queues in DRAM while the core is busy.
             ready_at = arrival + datapath_of[pick]
             free_at = core_free_at[core]
             start = ready_at if ready_at > free_at else free_at
             core_free_at[core] = start + compute_of[pick]
-            cores.append(core)
             starts.append(start)
         # The same float operations the loop made per request, as array
         # operations: bit-equal.
@@ -340,7 +371,7 @@ class EventDrivenSimulator:
         outcomes = Outcomes(
             request=trace.request_ids,
             model=codes,
-            core=np.array(cores, dtype=np.int64),
+            core=np.asarray(cores, dtype=np.int64),
             fate=np.broadcast_to(np.int8(Outcome.SERVED), len(trace)),
             arrival=trace.arrivals,
             t_q=queuing,

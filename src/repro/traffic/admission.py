@@ -116,17 +116,24 @@ class QueueBackpressure:
             return 0.0
         return sum(v.queued for v in shards) / capacity
 
+    def shed_probability(self, occupancy: float) -> float | None:
+        """The RED ramp: the chance that an arrival at ``occupancy`` is
+        shed, decided by one draw.  ``None`` outside the coin band
+        ``[low, high)``, where the decision takes no draw (admit below
+        ``low``, shed from ``high`` up).  At ``low`` itself the ramp
+        reads 0 and the arrival still draws."""
+        if occupancy < self.low or occupancy >= self.high:
+            return None
+        return (occupancy - self.low) / (self.high - self.low)
+
     def admit_occupancy(
-        self, occupancy: float, rng: np.random.Generator
+        self, occupancy: float, rng: np.random.Generator | None
     ) -> bool:
-        """The decision given a precomputed occupancy (fast path —
-        the fleet engine maintains running depth counters and skips
-        building views)."""
-        if occupancy < self.low:
-            return True
-        if occupancy >= self.high:
-            return False
-        shed_p = (occupancy - self.low) / (self.high - self.low)
+        """The decision given a precomputed occupancy.  Outside the
+        coin band it draws nothing, so ``rng`` may be ``None`` there."""
+        shed_p = self.shed_probability(occupancy)
+        if shed_p is None:
+            return occupancy < self.low
         return float(rng.random()) >= shed_p
 
     def admit(self, now_s, shards, rng) -> bool:
@@ -201,10 +208,9 @@ class AdmissionController:
         self.shed_reasons[reason] = self.shed_reasons.get(reason, 0) + 1
 
     def admit_occupancy(self, now_s: float, occupancy: float) -> bool:
-        """Fast-path decision from a precomputed queue occupancy: the
-        fleet engine keeps running depth counters instead of building
-        views, so the policy must be unconditional or decide by
-        occupancy (``admit_occupancy``)."""
+        """Account one decision from a precomputed queue occupancy; the
+        policy must be unconditional or decide by occupancy
+        (``admit_occupancy``)."""
         self.offered += 1
         ok = self._always_admits or self._policy_by_occupancy(
             occupancy, self._rng
@@ -214,3 +220,38 @@ class AdmissionController:
         else:
             self.shed += 1
         return ok
+
+    def depth_table(self, capacity: int) -> list[bool | float]:
+        """The policy resolved once for ``capacity`` queue slots: entry
+        ``d`` decides an arrival that finds ``d`` requests queued
+        (occupancy ``d / capacity``).  ``True`` admits and ``False``
+        sheds without a draw; a float ``p`` draws ``u`` once from the
+        tie-break stream and sheds iff ``u < p``.  These are the
+        decisions and draws :meth:`admit_occupancy` makes at the same
+        occupancies; the caller reports the counts
+        (:meth:`record_serve`)."""
+        if self._always_admits:
+            return [True] * (capacity + 1)
+        shed_probability = getattr(self.policy, "shed_probability", None)
+        if shed_probability is None:
+            raise TypeError(
+                f"{type(self.policy).__name__} neither admits "
+                "unconditionally nor has a shed_probability(occupancy)"
+            )
+        table: list[bool | float] = []
+        for depth in range(capacity + 1):
+            occupancy = depth / float(capacity)
+            shed_p = shed_probability(occupancy)
+            # Outside the coin band the policy decides without a draw.
+            table.append(
+                self.policy.admit_occupancy(occupancy, None)
+                if shed_p is None else shed_p
+            )
+        return table
+
+    def record_serve(self, offered: int, shed: int) -> None:
+        """Set the counters from a serve decided by :meth:`depth_table`:
+        ``offered`` arrivals, ``shed`` of them refused."""
+        self.offered = offered
+        self.shed = shed
+        self.admitted = offered - shed

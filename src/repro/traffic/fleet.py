@@ -17,6 +17,11 @@ The serving discipline, per admitted request:
 1. **Admission** — the :class:`~repro.traffic.admission.
    AdmissionController` sees fleet-wide queue occupancy and sheds or
    admits.  A shed request's row is ``SHED``, reason ``ADMISSION``.
+   Occupancy is the queued count over a fixed capacity, so the policy
+   is resolved once per serve into a table by depth
+   (:meth:`~repro.traffic.admission.AdmissionController.depth_table`):
+   admit, shed, or draw once from the tie-break stream and shed with
+   the ramp's probability.
 2. **Placement** — join-idlest-then-shortest: a shard with an idle
    core wins; otherwise the shortest admission queue (lowest index on
    ties, the fabric's deterministic tie-break contract).
@@ -27,6 +32,15 @@ The serving discipline, per admitted request:
    is empty, it pulls the head of the *deepest* other queue (the
    served row carries the ``STOLEN`` flag), so one backlogged shard
    cannot starve the fleet.
+
+Completions are handled inline, in arrival order: before each arrival
+one body runs every completion due by then (its own queue, else a
+steal, else the core goes idle), and after the last arrival the same
+body drains the heap — the stream ends with one arrival at
+:data:`_DRAIN`, later than every completion.  The loop keeps the next
+completion time, an idle-core total and the queue depths as locals, so
+an arrival reads the heap only when a completion is due and scans the
+shards' idle counts only when some core is idle.
 
 Every offered arrival gets one :class:`~repro.core.stats.Outcomes` row
 — ``SERVED`` with its shard and t_q/t_d/t_c, or ``SHED``, ``DROPPED``
@@ -53,9 +67,11 @@ material of the fleet-level energy–latency Pareto frontier.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from itertools import count
 from typing import TYPE_CHECKING
 
@@ -83,6 +99,12 @@ __all__ = [
 #: many arrivals' rows plus one fleet queue of backlog dispatched in it,
 #: so memory stays O(1) in the request count.
 _LANDING_BLOCK = 4096
+
+#: The next completion time while no completion is pending.
+_NEVER = float("inf")
+#: The drain's arrival time: after every arrival and every (finite)
+#: completion, and before :data:`_NEVER`.
+_DRAIN = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -274,6 +296,21 @@ def _seal(
     return Outcomes.concat([head, tail]), head
 
 
+def _landing_blocks(
+    traffic: OpenLoopTraffic, total: int, chunk_size: int
+) -> Iterator[tuple[list[float], list[int]]]:
+    """The offered stream as ``(times, models)`` lists of at most
+    :data:`_LANDING_BLOCK` arrivals, then the drain: one arrival at
+    :data:`_DRAIN`."""
+    for chunk in traffic.chunks(total, chunk_size):
+        times = chunk.times.tolist()
+        picks = chunk.models.tolist()
+        for start in range(0, len(times), _LANDING_BLOCK):
+            end = start + _LANDING_BLOCK
+            yield times[start:end], picks[start:end]
+    yield [_DRAIN], [-1]
+
+
 def serve_open_loop(
     traffic: OpenLoopTraffic,
     total: int,
@@ -313,18 +350,24 @@ def serve_open_loop(
     compute_of = np.array(compute)
 
     num_shards = spec.num_shards
-    shard_range = range(num_shards)
     queue_cap = spec.queue_capacity
-    total_queue_cap = float(spec.total_queue_capacity)
     steal = spec.steal and num_shards > 1
+    # The admission decision at each fleet-wide queue depth, and the
+    # tie-break stream's draw for the coin band.
+    admit_at = admission.depth_table(spec.total_queue_capacity)
+    draw = admission._rng.random
 
     idle = [spec.cores_per_shard] * num_shards
+    idle_total = spec.total_cores
     # Queue entries: (arrival_s, model, request ordinal).
-    queues: list[deque] = [deque() for _ in shard_range]
+    queues: list[deque] = [deque() for _ in range(num_shards)]
+    # Each queue's length, kept beside it for placement and steals.
+    depths = [0] * num_shards
     total_queued = 0
     # Completion heap entries: (finish_s, seq, shard).  ``seq`` makes
     # simultaneous completions pop in dispatch order — deterministic.
     heap: list[tuple[float, int, int]] = []
+    next_done = _NEVER  # heap[0][0], or _NEVER when the heap is empty
     seq = 0
 
     stats = ServerStats()
@@ -339,12 +382,76 @@ def serve_open_loop(
     STOLEN = OutcomeFlag.STOLEN
     SHED, ADMISSION = Outcome.SHED, OutcomeReason.ADMISSION
     DROPPED, OVERFLOW = Outcome.DROPPED, OutcomeReason.QUEUE_OVERFLOW
-    admit = admission.admit_occupancy
     ordinals = count()
 
-    def land() -> int:
-        """Seal the block's rows and reduce them into the fates, the
-        summary and the energy ledger; returns its SLO hits."""
+    for times, picks in _landing_blocks(traffic, total, chunk_size):
+        # ``ordinals`` last: zip stops at the block's end without
+        # drawing from it.
+        for t, model, request in zip(times, picks, ordinals):
+            # Every completion due by now: the freed core serves its
+            # own queue, else steals the head of the deepest other
+            # queue (lowest index on ties), else goes idle.
+            while next_done <= t:
+                finish_s, _, shard = heap[0]
+                source = shard
+                flags = 0
+                if not depths[shard] and steal and total_queued:
+                    source = depths.index(max(depths))
+                    flags = STOLEN
+                if depths[source]:
+                    depths[source] -= 1
+                    arrival_s, pick, ordinal = queues[source].popleft()
+                    total_queued -= 1
+                    ready = arrival_s + datapath[pick]
+                    start = ready if ready > finish_s else finish_s
+                    heapreplace(heap, (start + compute[pick], seq, shard))
+                    seq += 1
+                    serve((ordinal, pick, shard, flags, arrival_s, start))
+                    next_done = heap[0][0]
+                else:
+                    heappop(heap)
+                    idle[shard] += 1
+                    idle_total += 1
+                    next_done = heap[0][0] if heap else _NEVER
+            if t == _DRAIN:
+                # The drain ran every pending completion; each pulled
+                # from the queues, and every shard with queued work has
+                # busy cores, so the queues are empty too.  Whatever it
+                # left is an UNFINISHED row.
+                for queue in queues:
+                    for arrival_s, pick, ordinal in queue:
+                        lose((ordinal, pick, Outcome.UNFINISHED, 0,
+                              arrival_s))
+                break
+            verdict = admit_at[total_queued]
+            if verdict is not True and (verdict is False or draw() < verdict):
+                lose((request, model, SHED, ADMISSION, t))
+                continue
+            # Join-idlest-then-shortest placement, lowest index on ties.
+            if idle_total:
+                best = 0
+                while not idle[best]:
+                    best += 1
+                idle[best] -= 1
+                idle_total -= 1
+                ready = t + datapath[model]
+                done = ready + compute[model]
+                heappush(heap, (done, seq, best))
+                seq += 1
+                if done < next_done:
+                    next_done = done
+                serve((request, model, best, 0, t, ready))
+                continue
+            depth = min(depths)
+            if depth >= queue_cap:
+                lose((request, model, DROPPED, OVERFLOW, t))
+                continue
+            shortest = depths.index(depth)
+            depths[shortest] += 1
+            queues[shortest].append((t, model, request))
+            total_queued += 1
+        # Seal the block's rows and reduce them into the fates, the
+        # summary, the energy ledger and the SLO hits.
         block, rows = _seal(
             served, lost, datapath_of, compute_of, energy_model
         )
@@ -355,78 +462,10 @@ def serve_open_loop(
             names, rows.model, rows.t_d, rows.t_q, rows.t_c, rows.finish
         )
         stats.energy.charge_many(names, rows.model, rows.joules)
-        return int(np.count_nonzero(rows.finish - rows.arrival <= slo_s))
-
-    def complete(finish_s: float, shard: int) -> None:
-        """A core on ``shard`` freed: serve its queue, else steal."""
-        nonlocal seq, total_queued
-        queue = queues[shard]
-        flags = 0
-        if not queue and steal and total_queued:
-            # The deepest queue, lowest index on ties.
-            depths = list(map(len, queues))
-            queue = queues[depths.index(max(depths))]
-            flags = STOLEN
-        if not queue:
-            idle[shard] += 1
-            return
-        arrival_s, model, request = queue.popleft()
-        total_queued -= 1
-        ready = arrival_s + datapath[model]
-        start = ready if ready > finish_s else finish_s
-        heappush(heap, (start + compute[model], seq, shard))
-        seq += 1
-        serve((request, model, shard, flags, arrival_s, start))
-
-    for chunk in traffic.chunks(total, chunk_size):
-        times = chunk.times.tolist()
-        picks = chunk.models.tolist()
-        for block in range(0, len(times), _LANDING_BLOCK):
-            block_end = block + _LANDING_BLOCK
-            # ``ordinals`` last: zip stops at the block's end without
-            # drawing from it.
-            for t, model, request in zip(
-                times[block:block_end], picks[block:block_end], ordinals
-            ):
-                while heap and heap[0][0] <= t:
-                    finish_s, _, shard = heappop(heap)
-                    complete(finish_s, shard)
-                if not admit(t, total_queued / total_queue_cap):
-                    lose((request, model, SHED, ADMISSION, t))
-                    continue
-                # Join-idlest-then-shortest placement, lowest index on
-                # ties.
-                best = -1
-                for s in shard_range:
-                    if idle[s]:
-                        best = s
-                        break
-                if best >= 0:
-                    idle[best] -= 1
-                    ready = t + datapath[model]
-                    heappush(heap, (ready + compute[model], seq, best))
-                    seq += 1
-                    serve((request, model, best, 0, t, ready))
-                    continue
-                depths = list(map(len, queues))
-                depth = min(depths)
-                if depth >= queue_cap:
-                    lose((request, model, DROPPED, OVERFLOW, t))
-                    continue
-                queues[depths.index(depth)].append((t, model, request))
-                total_queued += 1
-            slo_served += land()
-    # Arrivals have stopped; run every pending completion.  Each one
-    # frees a core that pulls from the queues (stealing if enabled),
-    # and every shard with queued work has busy cores — so the drain
-    # empties the queues too.  Whatever it left is an UNFINISHED row.
-    while heap:
-        finish_s, _, shard = heappop(heap)
-        complete(finish_s, shard)
-    for queue in queues:
-        for t, model, request in queue:
-            lose((request, model, Outcome.UNFINISHED, 0, t))
-    slo_served += land()
+        slo_served += int(
+            np.count_nonzero(rows.finish - rows.arrival <= slo_s)
+        )
+    admission.record_serve(stats.offered, stats.shed)
 
     result = FleetResult(
         spec=spec,

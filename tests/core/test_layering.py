@@ -408,7 +408,9 @@ def test_the_fleet_engine_counts_by_reducing_rows():
         if isinstance(node, ast.Nonlocal)
         for name in node.names
     }
-    assert named and not named & counts
+    # The loop handles completions inline: no closure keeps its state,
+    # so none can keep a count either.
+    assert named == set()
     sources = "".join(path.read_text() for path in sorted(SRC.rglob("*.py")))
     assert "base_energy" not in sources
 

@@ -334,6 +334,56 @@ class TestTailQuantiles:
         assert res._tail == []
         res.percentile(99.9)  # estimates, never raises
 
+    @settings(max_examples=120, derandomize=True, deadline=None,
+              database=None)
+    @given(
+        size=st.integers(1, 3_000),
+        capacity=st.integers(1, 600),
+        tail=st.integers(0, 64),
+        merged=st.booleans(),
+        qs=st.lists(
+            st.one_of(
+                st.floats(0.0, 100.0),
+                st.sampled_from((0.0, 50.0, 99.0, 99.9, 99.99, 100.0)),
+            ),
+            min_size=1, max_size=6,
+        ),
+        seed=st.integers(0, 99),
+    )
+    def test_percentiles_equal_per_quantile_calls(
+        self, size, capacity, tail, merged, qs, seed
+    ):
+        """``percentiles(qs)`` is each ``percentile(q)``, bit for bit,
+        whether the reservoir is saturated or holds the whole stream,
+        and whether a merge bounded its tail."""
+        rng = np.random.default_rng(seed)
+        res = LatencyReservoir(capacity, seed=seed, tail_capacity=tail)
+        res.add_many(rng.lognormal(0.0, 1.5, size=size))
+        if merged:
+            other = LatencyReservoir(capacity, seed=seed + 1,
+                                     tail_capacity=max(tail // 2, 1))
+            other.add_many(rng.lognormal(0.0, 1.5, size=size))
+            res.merge(other)
+        together = res.percentiles(qs)
+        assert [v.hex() for v in together] == [
+            res.percentile(q).hex() for q in qs
+        ]
+
+    def test_percentiles_sort_the_tail_once(self, monkeypatch):
+        from repro.core import stats as stats_module
+
+        res = LatencyReservoir(capacity=256, seed=0, tail_capacity=1024)
+        res.add_many(np.random.default_rng(7).lognormal(size=50_000))
+        sorts = []
+
+        def counting(values, **kwargs):
+            sorts.append(len(values))
+            return sorted(values, **kwargs)
+
+        monkeypatch.setattr(stats_module, "sorted", counting, raising=False)
+        res.percentiles([99.9, 99.95, 99.99])
+        assert sorts == [1024]
+
     def test_summary_reports_p999(self):
         stats = ServerStats()
         for i in range(2_000):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime import (
     CoreHealthView,
@@ -202,3 +205,126 @@ class TestDeterministicTieBreaks:
                 sched.assign(None, [2.0, 2.0, 2.0, 2.0], now_s=5.0)
             )
         assert picks == [0, 1, 2, 3, 0, 1, 2, 3]
+
+
+SCHEDULER_FUZZ = settings(
+    max_examples=300, derandomize=True, deadline=None, database=None
+)
+
+
+class TestRoundRobinColumn:
+    @SCHEDULER_FUZZ
+    @given(
+        start=st.integers(0, 50),
+        count=st.integers(0, 40),
+        num_cores=st.integers(1, 9),
+    )
+    def test_column_equals_assign_calls(self, start, count, num_cores):
+        """``assign_many`` is ``count`` :meth:`assign` calls, and leaves
+        the rotation where they leave it."""
+        one, many = RoundRobinScheduler(4), RoundRobinScheduler(4)
+        one._next = many._next = start
+        calls = [one.assign(None, [0.0] * num_cores) for _ in range(count)]
+        column = many.assign_many(count, num_cores)
+        assert column.dtype == np.int64
+        assert column.tolist() == calls
+        assert many._next == one._next
+
+    def test_rejects_zero_cores(self):
+        with pytest.raises(ValueError, match="no cores"):
+            RoundRobinScheduler(2).assign_many(3, 0)
+
+
+def assign_by_recomputed_keys(sched, core_free_at, now_s):
+    """:meth:`HealthAwareScheduler.assign` as it was, recomputing each
+    core's key (and drift) per comparison: the oracle for the
+    one-key-per-core version."""
+    n = len(core_free_at)
+    views = sched._views if (
+        sched._views is not None and len(sched._views) == n
+    ) else None
+
+    def drifting(i):
+        if views is None:
+            return False
+        view = views[i]
+        return (
+            not view.usable
+            or view.error_rms > sched.error_soft_threshold
+        )
+
+    def key(i):
+        return (drifting(i), max(core_free_at[i] - now_s, 0.0))
+
+    best = min(range(n), key=lambda i: (*key(i), i))
+    tied = [i for i in range(n) if key(i) == key(best)]
+    pick = tied[sched._next % len(tied)]
+    sched._next += 1
+    sched._views = None
+    return pick
+
+
+@st.composite
+def health_cases(draw):
+    n = draw(st.integers(1, 6))
+    # Few distinct values, so ties on backlog are common.
+    times = st.sampled_from((0.0, 1.0, 2.5, 4.0, 7.0))
+    core_free_at = draw(st.lists(times, min_size=n, max_size=n))
+    states = st.sampled_from(("healthy", "quarantined", "dead"))
+    errors = st.sampled_from((0.0, 1.0, 3.3, 5.0))
+    views = draw(st.one_of(
+        st.none(),
+        st.lists(
+            st.tuples(states, errors), min_size=n - 1, max_size=n + 1
+        ),
+    ))
+    return {
+        "core_free_at": core_free_at,
+        "views": views,
+        "now_s": draw(times),
+        "rotation": draw(st.integers(0, 20)),
+        "threshold": draw(st.sampled_from((1.0, 3.3))),
+    }
+
+
+class TestHealthAwareKeys:
+    @SCHEDULER_FUZZ
+    @given(health_cases())
+    def test_equals_recomputed_keys(self, case):
+        picks, states = [], []
+        for assign in (
+            lambda s, c, t: s.assign(None, c, now_s=t),
+            assign_by_recomputed_keys,
+        ):
+            sched = HealthAwareScheduler(
+                num_cores=6, error_soft_threshold=case["threshold"]
+            )
+            sched._next = case["rotation"]
+            if case["views"] is not None:
+                sched.observe_health([
+                    CoreHealthView(core=i, state=state, error_rms=error)
+                    for i, (state, error) in enumerate(case["views"])
+                ])
+            picks.append(assign(sched, case["core_free_at"], case["now_s"]))
+            states.append((sched._next, sched._views))
+        assert picks[0] == picks[1]
+        assert states[0] == states[1]
+
+    def test_each_core_is_keyed_once(self):
+        """One backlog read per candidate, not one per comparison."""
+        reads = []
+
+        class Loads(list):
+            def __getitem__(self, i):
+                reads.append(i)
+                return list.__getitem__(self, i)
+
+            def __iter__(self):
+                for value in list.__iter__(self):
+                    reads.append(value)
+                    yield value
+
+        sched = HealthAwareScheduler(num_cores=4)
+        sched.observe_health([CoreHealthView(core=i) for i in range(4)])
+        assert sched.assign(None, Loads([3.0, 1.0, 1.0, 2.0])) == 1
+        assert len(reads) == 4

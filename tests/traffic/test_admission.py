@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fabric import ShardView
 from repro.traffic import (
@@ -105,6 +108,73 @@ class TestController:
         da = [a.admit_occupancy(0.0, 0.5) for _ in range(200)]
         db = [b.admit_occupancy(0.0, 0.5) for _ in range(200)]
         assert da != db
+
+
+class TestShedProbability:
+    def test_coin_band_includes_low_and_excludes_high(self):
+        policy = QueueBackpressure(low=0.25, high=0.75)
+        assert policy.shed_probability(0.2) is None
+        assert policy.shed_probability(0.25) == 0.0
+        assert policy.shed_probability(0.5) == 0.5
+        assert policy.shed_probability(0.75) is None
+        rng = substream(0, ADMIT_RNG_DOMAIN, 0)
+        before = repr(rng.bit_generator.state)
+        assert policy.admit_occupancy(0.2, rng)
+        assert not policy.admit_occupancy(0.75, rng)
+        assert repr(rng.bit_generator.state) == before
+        # At the low watermark the shed probability is 0, and the
+        # arrival still draws.
+        assert policy.admit_occupancy(0.25, rng)
+        assert repr(rng.bit_generator.state) != before
+
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              database=None)
+    @given(
+        capacity=st.integers(1, 64),
+        marks=st.tuples(st.integers(0, 64), st.integers(0, 64),
+                        st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        on_depth=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_depth_table_decides_and_draws_like_the_policy(
+        self, capacity, marks, on_depth, seed
+    ):
+        """At every depth the table makes the decision
+        ``admit_occupancy`` makes, from the same number of draws."""
+        a, b = (
+            (marks[0] / 64, marks[1] / 64) if on_depth else marks[2:]
+        )
+        if a == b:
+            return
+        policy = QueueBackpressure(low=min(a, b), high=max(a, b))
+        table = controller(policy).depth_table(capacity)
+        assert len(table) == capacity + 1
+        by_policy = np.random.default_rng(seed)
+        by_table = np.random.default_rng(seed)
+        for depth, verdict in enumerate(table):
+            admitted = policy.admit_occupancy(depth / capacity, by_policy)
+            if isinstance(verdict, bool):
+                assert admitted is verdict
+            else:
+                assert admitted is not (by_table.random() < verdict)
+            assert (
+                by_policy.bit_generator.state
+                == by_table.bit_generator.state
+            )
+
+    def test_accept_all_table_admits_without_a_draw(self):
+        assert controller(AcceptAll()).depth_table(3) == [True] * 4
+
+    def test_a_policy_without_the_ramp_has_no_table(self):
+        class Coin:
+            def admit(self, now_s, shards, rng):
+                return True
+
+            def reset(self):
+                pass
+
+        with pytest.raises(TypeError, match="shed_probability"):
+            controller(Coin()).depth_table(4)
 
 
 class TestShedAdmitted:
