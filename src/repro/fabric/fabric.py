@@ -288,7 +288,7 @@ class Fabric:
         Without a placement the model lands on every shard; with one,
         on the placement's N chosen shards.  ``version`` stages a
         blue/green version of an already-deployed model: its plans
-        (and shared-memory segments, on parallel shards) register
+        (in the workers too, on parallel shards) register
         under a private alias id on the same home shards while the
         active version keeps serving — nothing routes to it until
         :meth:`cutover`.
@@ -312,7 +312,7 @@ class Fabric:
             # timing: warm-up executes consume the memory controller's
             # sequential DRAM-jitter draws, which would make a post-
             # rollback serve diverge from a fresh deploy.  Staging
-            # registers plans and segments only; the new version pays
+            # registers plans only; the new version pays
             # its (value-neutral) one-time costs after cutover.
             warmup = 0
         for shard_index in homes:
@@ -341,8 +341,8 @@ class Fabric:
 
     def undeploy(self, model_id: int, version: str | None = None) -> None:
         """Remove a model — or one non-active version of it — from
-        every shard hosting it, releasing compiled plans and (on
-        parallel shards) shared-memory segments."""
+        every shard hosting it, releasing its compiled plans (in the
+        workers too, on parallel shards)."""
         if version is not None:
             model_version = self.versions.forget_version(
                 model_id, version

@@ -23,8 +23,8 @@ it.  This module is the missing control plane:
   (``served + dropped + failed + unfinished + shed + failed_over ==
   offered``).
 * :class:`ModelVersions` — blue/green deploys.  ``Fabric.deploy(dag,
-  version="v2")`` registers v2's compiled plans (and, on parallel
-  shards, its shared-memory segments) under a private *version alias*
+  version="v2")`` registers v2's compiled plans (in the workers too,
+  on parallel shards) under a private *version alias*
   id while v1 keeps serving; :meth:`~repro.fabric.fabric.Fabric.
   cutover` atomically switches which alias serves the public model id
   from a virtual-clock instant onward, and :meth:`~repro.fabric.

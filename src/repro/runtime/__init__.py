@@ -22,7 +22,7 @@ cores:
   the batch-major forward program, in process or in the workers;
 * :mod:`~repro.runtime.parallel` — the process-parallel execution
   backend (``Cluster(execution="parallel")``): one persistent worker
-  per core compiling its own plans over shared-memory weights, fed
+  per core compiling its own plans from the DAG it is sent, fed
   over one ordered pipe stream, bit-identical to serial.
 """
 
@@ -38,7 +38,7 @@ from .schedulers import (
 from .queues import DROP_POLICIES, AdmissionQueue, QueueEntry
 from .batching import BatchingCoalescer, stack_levels
 from .cluster import Cluster, ClusterResult, RuntimeRequest
-from .parallel import CoreWorkerPool, SharedArrayRef, publish_model
+from .parallel import CoreWorkerPool
 from .workload import poisson_trace, rate_for_cluster_utilization
 
 __all__ = [
@@ -58,8 +58,6 @@ __all__ = [
     "ClusterResult",
     "RuntimeRequest",
     "CoreWorkerPool",
-    "SharedArrayRef",
-    "publish_model",
     "poisson_trace",
     "rate_for_cluster_utilization",
 ]

@@ -271,9 +271,9 @@ class Cluster:
             # Fork the workers before any model state accumulates so
             # each child starts from a lean image; the factory crosses
             # by fork inheritance (it is commonly an unpicklable
-            # closure).  Weights ship later, at deploy, via shared
-            # memory, and each worker compiles for its own core;
-            # dispatches ride each worker's pipe, ``window`` batches a
+            # closure).  Each deploy's DAG, weights included, rides the
+            # worker's pipe later and the worker compiles for its own
+            # core; dispatches ride the same pipe, ``window`` batches a
             # message.
             self._pool = CoreWorkerPool(num_cores, factory, window=window)
             self._pool_finalizer = pool_finalizer(self, self._pool)
@@ -317,13 +317,13 @@ class Cluster:
         a :meth:`~repro.core.plans.ModelPlan.replica` of that plan — so
         a heterogeneous cluster pays one compile per architecture, not
         one per core, while each datapath keeps its own replay count.
-        On a parallel cluster the weights go to the workers first, so
+        On a parallel cluster the DAG goes to the workers first, so
         each worker compiles for its own core while the parent does.
 
         A deploy is atomic: if any core or worker refuses the model,
-        every one that took it lets it go again, its shared segment is
-        unlinked, and the error propagates.  Workers are confirmed
-        before the warm-up, whose DRAM jitter draws nothing could undo.
+        every one that took it lets it go again and the error
+        propagates.  Workers are confirmed before the warm-up, whose
+        DRAM jitter draws nothing could undo.
         Warm-up executes a few zero queries per core so first live
         requests do not pay one-time costs (noise-tape layout, scratch
         growth).
@@ -360,7 +360,7 @@ class Cluster:
             for datapath in taken:
                 datapath.unregister_model(dag.model_id)
             if self._pool is not None and len(taken) < self.num_cores:
-                self._pool.withdraw()
+                self._pool.withdraw(dag.model_id)
             raise
         self._dags[dag.model_id] = dag
         self._queues[dag.model_id] = AdmissionQueue(
@@ -378,12 +378,9 @@ class Cluster:
         """Remove one deployed model from every core.
 
         Releases the model's compiled plans and admission queue; on
-        parallel clusters every worker drops its own plans and the
-        model's shared weight segment is unlinked (worker mappings
-        linger until the workers exit — live weight views forbid
-        closing them earlier).  The queue must
-        be empty: undeploying mid-trace is a control-plane bug, not a
-        shedding mechanism.
+        parallel clusters every worker unregisters it too.  The queue
+        must be empty: undeploying mid-trace is a control-plane bug,
+        not a shedding mechanism.
         """
         if model_id not in self._dags:
             raise KeyError(f"model {model_id} is not deployed")
@@ -400,24 +397,14 @@ class Cluster:
         del self._dags[model_id]
         del self._queues[model_id]
 
-    def shared_segment_names(self) -> tuple[str, ...]:
-        """Live shared-memory segments (empty for serial clusters).
-
-        Exposed so tests can assert the unlink guarantee: after
-        :meth:`close`, attaching any of these names must fail.
-        """
-        if self._pool is None:
-            return ()
-        return self._pool.segment_names
-
     def close(self) -> None:
-        """Stop worker processes and unlink the shared weight segments.
+        """Stop the worker processes.
 
         Serial clusters have nothing to release; parallel clusters must
-        be closed (or used as a context manager) so their segments do
-        not outlive the process.  A garbage-collected cluster is also
+        be closed (or used as a context manager) so their workers do
+        not outlive the serve.  A garbage-collected cluster is also
         cleaned up via ``weakref.finalize``, but relying on the
-        collector keeps segments around longer than needed.
+        collector keeps workers running longer than needed.
         """
         if self._pool is not None:
             self._pool.close()

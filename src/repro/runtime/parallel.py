@@ -1,4 +1,4 @@
-"""Process-parallel core execution over shared-memory weights.
+"""Process-parallel core execution: one worker process per core.
 
 Lightning's count-action datapath keeps every photonic core busy at
 once; a Python serving loop that executes core batches serially does
@@ -10,15 +10,13 @@ execution parallelism while preserving its virtual-clock determinism:
   LightningDatapath` built by the cluster's own ``datapath_factory``,
   so a worker computes exactly what the serial path would have computed
   on that core.
-* **Shared-memory weights** — at ``deploy()`` time the parent copies
-  each task's weight matrix into one
-  :class:`multiprocessing.shared_memory.SharedMemory` segment per
-  model.  A worker maps the segment read-only, rebuilds the DAG over
-  views of it and registers the model like any datapath: it compiles
-  its own plans, for its own core's geometry, while the parent
-  compiles its.  Plans are never shipped; the weights are never
-  pickled.
-* **One ordered stream per worker** — everything else travels over the
+* **A worker loads its own models** — like a Lightning NIC loading a
+  model's weights into its own DRAM, a worker receives the model's
+  :class:`~repro.core.dag.ComputationDAG`, weights included, as a
+  ``("deploy", dag)`` item and registers it like any datapath: it
+  compiles its own plans, for its own core's geometry, while the
+  parent compiles its.  Plans are never shipped.
+* **One ordered stream per worker** — everything travels over the
   worker's one pipe, in order, both ways.  The parent queues
   ``("run", seq, model_id, block, now_s, key)`` dispatches in a
   per-core outbox and sends the outbox as one message once ``window``
@@ -29,8 +27,8 @@ execution parallelism while preserving its virtual-clock determinism:
   ``("pred", seq, [ints])`` / ``("error", seq, traceback)`` entries, and
   one ``("ack", error)`` per deploy or undeploy.  :meth:`CoreWorkerPool.
   deploy` only sends; :meth:`~CoreWorkerPool.confirm` takes the acks,
-  and if a worker failed it undeploys the model from the others and
-  unlinks its segment, so a deploy lands everywhere or nowhere.
+  and if a worker failed it undeploys the model from the others, so a
+  deploy lands everywhere or nowhere.
 
 Determinism contract: the parent reseeds nothing here — the cluster
 keys every batch's readout-noise stream by ``(domain, core, epoch,
@@ -57,44 +55,31 @@ keeps reading its pipe while the parent is blocked sending to it.
 Every parent-side wait is ``conn.poll(POLL_S)`` plus a liveness check,
 so a dead worker raises instead of hanging.
 
-Lifecycle: model segments are created by :meth:`CoreWorkerPool.deploy`
-and unlinked by :meth:`CoreWorkerPool.undeploy` or
-:meth:`CoreWorkerPool.close`, even when a worker died mid-stream (the
-cluster also arranges a ``weakref.finalize`` so a dropped cluster
-cannot leak segments across test runs).
+Lifecycle: :meth:`CoreWorkerPool.close` stops the workers, even when
+one died mid-stream; the cluster also arranges a ``weakref.finalize``
+so a dropped cluster leaves no worker running.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import multiprocessing
+import pickle
 import queue
 import threading
 import time
 import traceback
 import weakref
 from collections import deque
-from dataclasses import dataclass
-from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..core.dag import ComputationDAG, LayerTask
+from ..core.dag import ComputationDAG
 from ..faults.device import DegradedCore, device_fault_from_event
 from ..faults.schedule import FaultEvent
 from . import executor
 
-__all__ = [
-    "SharedArrayRef",
-    "PublishedModel",
-    "CoreWorkerPool",
-    "publish_model",
-    "attach_array",
-]
-
-#: Byte alignment of every array inside a shared segment (cache line).
-_ALIGN = 64
+__all__ = ["CoreWorkerPool"]
 
 #: Default window: dispatches per worker wake-up.
 DEFAULT_WINDOW = 8
@@ -104,150 +89,6 @@ DEFAULT_WINDOW = 8
 POLL_S = 0.05
 
 
-def attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach an existing segment without adopting its lifetime.
-
-    The creator owns unlinking; before Python 3.13 a plain attach also
-    registers the segment with the resource tracker (which would
-    double-unlink it, or — with a fork-shared tracker — erase the
-    creator's own registration), so registration is suppressed for the
-    duration of the attach.  The caller is a worker's item loop (its
-    sender thread only sends), so the temporary patch cannot race.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no track parameter
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-
-        def register(rt_name, rtype):  # pragma: no cover - trivial
-            if rtype != "shared_memory":
-                original(rt_name, rtype)
-
-        resource_tracker.register = register
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-
-
-def _aligned(offset: int) -> int:
-    return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
-
-
-@dataclass(frozen=True)
-class SharedArrayRef:
-    """Where one array lives inside a named shared-memory segment."""
-
-    segment: str
-    offset: int
-    shape: tuple[int, ...]
-    dtype: str
-
-
-@dataclass
-class PublishedModel:
-    """One model's weight matrices, resident in a shared segment."""
-
-    model_id: int
-    segment: shared_memory.SharedMemory
-    #: Per-task weight matrices (``None`` for weightless tasks).
-    weight_refs: dict[str, SharedArrayRef | None]
-
-    @property
-    def segment_name(self) -> str:
-        return self.segment.name
-
-
-def attach_array(
-    segment: shared_memory.SharedMemory, ref: SharedArrayRef
-) -> np.ndarray:
-    """A read-only view of one published array (no copy)."""
-    view = np.ndarray(
-        ref.shape,
-        dtype=np.dtype(ref.dtype),
-        buffer=segment.buf,
-        offset=ref.offset,
-    )
-    view.setflags(write=False)
-    return view
-
-
-def publish_model(dag: ComputationDAG) -> PublishedModel:
-    """Copy one model's weight matrices into shared memory.
-
-    Lays out each weighted task's matrix, 64-byte aligned and in its
-    own shape and dtype, in one segment, so a worker's BLAS sees the
-    layout the parent's does.  Paid once per deploy; per-batch
-    dispatch never touches this again.
-    """
-    weighted = [task for task in dag.tasks if task.weights_levels is not None]
-    offsets, total = [], 0
-    for task in weighted:
-        total = _aligned(total)
-        offsets.append(total)
-        total += task.weights_levels.nbytes
-    segment = shared_memory.SharedMemory(create=True, size=max(total, 1))
-    weight_refs: dict[str, SharedArrayRef | None] = {
-        task.name: None for task in dag.tasks
-    }
-    for task, offset in zip(weighted, offsets):
-        array = task.weights_levels
-        weight_refs[task.name] = SharedArrayRef(
-            segment=segment.name,
-            offset=offset,
-            shape=tuple(array.shape),
-            dtype=np.dtype(array.dtype).str,
-        )
-        np.ndarray(
-            array.shape, dtype=array.dtype, buffer=segment.buf, offset=offset
-        )[...] = array
-    return PublishedModel(dag.model_id, segment, weight_refs)
-
-
-def _task_spec(task: LayerTask) -> dict:
-    """A task's constructor kwargs with the weight matrix stripped.
-
-    The geometry dataclasses (``ConvShape`` etc.) and the small bias
-    vector pickle through the pipe; the weights travel as a
-    :class:`SharedArrayRef` instead.
-    """
-    spec = {
-        f.name: getattr(task, f.name) for f in dataclasses.fields(task)
-    }
-    spec.pop("weights_levels")
-    return spec
-
-
-def _deploy_spec(dag: ComputationDAG, published: PublishedModel) -> dict:
-    return {
-        "segment": published.segment_name,
-        "model_id": dag.model_id,
-        "name": dag.name,
-        "tasks": [_task_spec(task) for task in dag.tasks],
-        "weight_refs": published.weight_refs,
-    }
-
-
-def _worker_deploy(datapath, spec: dict, segments: list) -> None:
-    """Rebuild one model's DAG inside a worker over read-only views of
-    its published weights and register it: the worker compiles the
-    plans for its own core's geometry."""
-    segment = attach_segment(spec["segment"])
-    segments.append(segment)  # keep the mapping alive
-    tasks = []
-    for task_spec in spec["tasks"]:
-        ref = spec["weight_refs"][task_spec["name"]]
-        weights = (
-            attach_array(segment, ref) if ref is not None else None
-        )
-        tasks.append(LayerTask(weights_levels=weights, **task_spec))
-    datapath.register_model(
-        ComputationDAG(spec["model_id"], spec["name"], tasks)
-    )
-
-
 class _WorkerState:
     """Mutable bag threaded through one worker's item handlers."""
 
@@ -255,7 +96,6 @@ class _WorkerState:
         self.datapath = datapath
         #: Messages for the sender thread, in the order they go out.
         self.answers = answers
-        self.segments: list[shared_memory.SharedMemory] = []
         #: ``run`` items received but not yet evaluated, in dispatch
         #: order, and the forward-block bytes their rows take.
         self.backlog: list[tuple] = []
@@ -369,13 +209,8 @@ def _worker_control(state: _WorkerState, item: tuple) -> bool:
     elif kind in ("deploy", "undeploy"):
         try:
             if kind == "deploy":
-                _worker_deploy(state.datapath, item[1], state.segments)
+                state.datapath.register_model(item[1])
             else:
-                # Unregister the model but keep its segment mapped:
-                # numpy views over the buffer may still be referenced
-                # (plan views), and closing a mapped segment raises
-                # BufferError.  The parent owns the unlink; this
-                # worker's mapping dies with the process.
                 state.datapath.unregister_model(item[1])
             error = None
         except Exception:
@@ -438,8 +273,6 @@ def _worker_main(core_index: int, datapath_factory, conn) -> None:
     _worker_loop(state, conn)
     answers.put(None)
     sender.join()
-    for segment in state.segments:
-        segment.close()
     conn.close()
 
 
@@ -448,7 +281,7 @@ class CoreWorkerPool:
 
     Workers fork at construction so the cluster's ``datapath_factory``
     — commonly a closure — transfers by inheritance, never by pickle.
-    Deploy specs carry shared-memory refs; everything travels over the
+    Everything, a deploy's DAG and weights included, travels over the
     worker's one pipe, the parent's items in messages of ``window``
     runs (or fewer, ended by a control item), the worker's answers one
     message per evaluation.  Workers evaluate whole forward blocks, so
@@ -505,17 +338,11 @@ class CoreWorkerPool:
         #: order until ``result``/``drain`` consume them.
         self._stash: list[deque] = [deque() for _ in range(num_cores)]
         self._expired = 0
-        self._published: list[PublishedModel] = []
         self._closed = False
 
     @property
     def num_cores(self) -> int:
         return len(self._procs)
-
-    @property
-    def segment_names(self) -> tuple[str, ...]:
-        """Names of every live shared-memory segment (leak guard)."""
-        return tuple(p.segment_name for p in self._published)
 
     @property
     def poll_timeouts(self) -> int:
@@ -558,7 +385,12 @@ class CoreWorkerPool:
         next wait on that core reports the death."""
         items, self._outbox[core] = self._outbox[core], []
         try:
-            self._pipes[core].send(items)
+            # Protocol 5 pickles a deploy's weight arrays without the
+            # copies the connection's default protocol makes, which
+            # would add a fifth to a parallel shard's build time.
+            self._pipes[core].send_bytes(
+                pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL)
+            )
         except OSError:
             pass
         self._drain_ready(core)
@@ -627,63 +459,45 @@ class CoreWorkerPool:
             self._control(core, ("undeploy", model_id))
         return self._acks(cores)
 
-    def _roll_back(self, errors: list[str | None]) -> None:
+    def _roll_back(self, model_id: int, errors: list[str | None]) -> None:
         """Undo the latest :meth:`deploy`: undeploy its model from the
-        workers whose ack in ``errors`` was clean and unlink its
-        segment (not an older one of the same id still serving)."""
-        published = self._published.pop()
+        workers whose ack in ``errors`` was clean."""
         self._undeploy(
-            published.model_id,
-            [core for core, error in enumerate(errors) if not error],
+            model_id, [core for core, error in enumerate(errors) if not error]
         )
-        _unlink(published.segment)
 
     # ------------------------------------------------------------------
     # Deploy
     # ------------------------------------------------------------------
     def deploy(self, dag: ComputationDAG) -> None:
-        """Publish one model's weights and send its deploy to every
-        worker, which compiles it while the caller goes on;
+        """Send one model's DAG, weights included, to every worker,
+        which registers and compiles it while the caller goes on;
         :meth:`confirm` (or :meth:`withdraw`) takes the acks."""
-        published = publish_model(dag)
-        self._published.append(published)
-        spec = _deploy_spec(dag, published)
         for core in range(self.num_cores):
-            self._control(core, ("deploy", spec))
+            self._control(core, ("deploy", dag))
 
     def confirm(self, model_id: int) -> None:
         """Take every worker's ack of :meth:`deploy`.  If one failed,
-        the model leaves the workers that took it and its segment is
-        unlinked before the first failure raises."""
+        the model leaves the workers that took it before the first
+        failure raises."""
         errors = self._acks(range(self.num_cores))
         if any(errors):
-            self._roll_back(errors)
+            self._roll_back(model_id, errors)
         _raise_first(errors, f"deploy model {model_id}")
 
-    def withdraw(self) -> None:
+    def withdraw(self, model_id: int) -> None:
         """Take every worker's ack of :meth:`deploy` and undo it: the
         parent could not register the model."""
-        self._roll_back(self._acks(range(self.num_cores)))
+        self._roll_back(model_id, self._acks(range(self.num_cores)))
 
     def undeploy(self, model_id: int) -> None:
-        """Unregister one model in every worker and release its segment.
-
-        Workers drop their plans but keep the segment mapped (live
-        numpy views forbid closing it); the parent closes and unlinks,
-        so the segment's backing store is reclaimed once the last
-        worker mapping disappears.
-        """
+        """Unregister one model in every worker, as the parent's
+        datapaths do: a run of it then answers the loader's
+        ``KeyError``."""
         _raise_first(
             self._undeploy(model_id, range(self.num_cores)),
             f"undeploy model {model_id}",
         )
-        keep: list[PublishedModel] = []
-        for published in self._published:
-            if published.model_id == model_id:
-                _unlink(published.segment)
-            else:
-                keep.append(published)
-        self._published = keep
 
     # ------------------------------------------------------------------
     # Dispatch / collect
@@ -814,13 +628,12 @@ class CoreWorkerPool:
     # Shutdown
     # ------------------------------------------------------------------
     def close(self, join_timeout_s: float = 5.0) -> None:
-        """Stop workers and unlink every shared segment (idempotent).
+        """Stop every worker (idempotent).
 
         Hardened against a worker that died mid-stream: the stop is
         best-effort, answers keep being read while the workers exit
-        (so none is held up sending), a worker still alive after
-        ``join_timeout_s`` is terminated, and every model segment is
-        closed and unlinked regardless.
+        (so none is held up sending), and a worker still alive after
+        ``join_timeout_s`` is terminated.
         """
         if self._closed:
             return
@@ -837,9 +650,6 @@ class CoreWorkerPool:
                 proc.join(join_timeout_s)
         for conn in self._pipes:
             conn.close()
-        for published in self._published:
-            _unlink(published.segment)
-        self._published.clear()
 
 
 def _raise_first(errors: list[str | None], what: str) -> None:
@@ -849,18 +659,7 @@ def _raise_first(errors: list[str | None], what: str) -> None:
             raise RuntimeError(f"worker {core} failed to {what}:\n{error}")
 
 
-def _unlink(segment: shared_memory.SharedMemory) -> None:
-    try:
-        segment.close()
-        segment.unlink()
-    except FileNotFoundError:  # pragma: no cover - already gone
-        pass
-
-
 def pool_finalizer(owner, pool: CoreWorkerPool) -> weakref.finalize:
-    """Tie a pool's cleanup to its owner's garbage collection.
-
-    Segments must never outlive the cluster that published them — a
-    leaked segment persists in ``/dev/shm`` across test runs.
-    """
+    """Tie a pool's cleanup to its owner's garbage collection, so no
+    worker process outlives the cluster that forked it."""
     return weakref.finalize(owner, pool.close)

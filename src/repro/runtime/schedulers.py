@@ -17,12 +17,14 @@ A scheduler makes two kinds of decisions:
   simulator's FIFO semantics.
 
 Placement can additionally consume a read-only health snapshot: hosts
-that track core health (the runtime's calibration watchdog, or the
-simulator's all-healthy default) publish one :class:`CoreHealthView`
-per candidate core via :meth:`Scheduler.observe_health` immediately
-before each :meth:`Scheduler.assign` call.  Policies opt in by setting
+that track core health (the runtime's calibration watchdog) publish one
+:class:`CoreHealthView` per candidate core via
+:meth:`Scheduler.observe_health` immediately before each
+:meth:`Scheduler.assign` call.  Policies opt in by setting
 ``uses_health = True`` (see :class:`HealthAwareScheduler`); hosts skip
 building the views otherwise so load-oblivious policies pay nothing.
+The §9 simulator models no faults and publishes no snapshot, so there
+a health-aware policy presumes every core clean.
 
 Every decision in this module breaks ties deterministically (stable
 lowest-index / lowest-id order on equal keys) — parallel-mode replay is

@@ -55,11 +55,7 @@ from .workload import (
 # (repro.runtime): a policy validated here drives real datapath cores
 # there with identical placement semantics.  RoundRobinScheduler is
 # re-exported for backwards compatibility.
-from ..runtime.schedulers import (
-    CoreHealthView,
-    RoundRobinScheduler,
-    Scheduler,
-)
+from ..runtime.schedulers import RoundRobinScheduler, Scheduler
 
 __all__ = [
     "Scheduler",
@@ -244,23 +240,16 @@ def _assigned(
 ) -> Iterator[int]:
     """Each request's core from one :meth:`Scheduler.assign` call,
     made only when the loop asks for it, so the call sees the busy-until
-    times the loop has advanced so far; ``record`` gets every core."""
+    times the loop has advanced so far; ``record`` gets every core.
+
+    The simulator models no faults, so it publishes no health
+    snapshot: a health-aware policy presumes every core clean, which
+    ranks cores exactly as an all-healthy, zero-error snapshot would.
+    """
     assign = scheduler.assign
-    # Health-aware policies get the same per-candidate snapshot the
-    # runtime publishes; the simulator models no faults, so every
-    # core reports the default healthy state with zero probe error.
-    observe_health = (
-        scheduler.observe_health
-        if getattr(scheduler, "uses_health", False) else None
-    )
     for request_id, arrival in zip(
         trace.request_ids.tolist(), trace.arrivals.tolist()
     ):
-        if observe_health is not None:
-            observe_health([
-                CoreHealthView(core=i, busy_until_s=core_free_at[i])
-                for i in range(len(core_free_at))
-            ])
         core = assign(request_id, core_free_at, now_s=arrival)
         record(core)
         yield core
@@ -297,7 +286,7 @@ class EventDrivenSimulator:
         prices the joules.
 
         Placement comes in as a column.  A load-oblivious rotation (a
-        scheduler with ``assign_many`` and no health snapshots, like
+        scheduler with ``assign_many``, like
         :class:`RoundRobinScheduler`) is asked for the whole column
         once, so the loop is just the recurrence ``start =
         max(arrival + datapath, core_free_at[core])`` in arrival order.
@@ -333,9 +322,7 @@ class EventDrivenSimulator:
             codes[rows] = name_codes.setdefault(model.name, len(name_codes))
         core_free_at = [0.0] * self.scheduler.num_cores
         assign_many = getattr(self.scheduler, "assign_many", None)
-        if assign_many is not None and not getattr(
-            self.scheduler, "uses_health", False
-        ):
+        if assign_many is not None:
             cores = assign_many(len(trace), len(core_free_at))
             placed = cores.tolist()
         else:

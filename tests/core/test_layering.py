@@ -217,6 +217,33 @@ def test_fabric_and_gateway_functions_stay_short():
 
 
 # ----------------------------------------------------------------------
+# Process pool: a deploy rides the worker's pipe, no segment carries it
+# ----------------------------------------------------------------------
+SEGMENT_MODULES = ("shared_memory", "resource_tracker")
+
+
+def imported_names(node) -> list[str]:
+    """Dotted names an import binds (``from a import b`` gives
+    ``a.b``); empty for any other node."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    return []
+
+
+def test_no_module_under_src_reaches_shared_memory():
+    assert matches(
+        lambda n: any(
+            part in SEGMENT_MODULES
+            for name in imported_names(n)
+            for part in name.split(".")
+        )
+        or isinstance(n, ast.Attribute) and n.attr in SEGMENT_MODULES
+    ) == []
+
+
+# ----------------------------------------------------------------------
 # Serve results: one outcomes table, every count a reduction over it
 # ----------------------------------------------------------------------
 FATES = ("served", "dropped", "failed", "unfinished", "shed", "failed_over")

@@ -23,6 +23,8 @@ from repro.faults import FaultSchedule
 from repro.photonics import BehavioralCore, CoreArchitecture, NoiselessModel
 from repro.runtime import RuntimeRequest
 
+from ..runtime.test_parallel import assert_no_worker_serves
+
 _VERSION_SHIFT = 20
 _INF = float("inf")
 
@@ -394,17 +396,14 @@ class TestUndeploy:
         with pytest.raises(KeyError, match="no registered"):
             fabric.undeploy(42)
 
-    def test_parallel_undeploy_releases_segments(self):
+    def test_parallel_undeploy_leaves_the_model_in_no_worker(self):
         fabric = Fabric([spec(2, execution="parallel")])
         shard = fabric.shards[0]
         try:
             fabric.deploy(make_dag(1))
             fabric.deploy(make_dag(2))
-            before = shard.shared_segment_names()
             fabric.undeploy(1)
-            after = shard.shared_segment_names()
-            assert len(after) < len(before)
-            assert set(after) <= set(before)
+            assert_no_worker_serves(shard._pool, 1, input_size=12)
             result = fabric.serve_trace(
                 trace(count=8, models=(2,))
             )

@@ -9,7 +9,6 @@ import json
 import math
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -30,24 +29,56 @@ from repro.perf.bench import (
 )
 
 
-def sleeper(seconds: float, log: list | None = None, name: str = ""):
-    """A synthetic leg: sleeps, optionally logging that it ran."""
+class FakeClock:
+    """Stands in for :mod:`time` inside :mod:`repro.perf.bench`: its
+    ``perf_counter`` reads a clock that only the legs move, so a timed
+    leg lasts exactly what it advanced, whatever else the host runs."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def perf_counter(self) -> float:
+        return self.now
+
+
+@pytest.fixture
+def clock(monkeypatch) -> FakeClock:
+    fake = FakeClock()
+    monkeypatch.setattr(bench, "time", fake)
+    return fake
+
+
+def ticker(
+    clock: FakeClock | None = None,
+    seconds: float = 0.0,
+    log: list | None = None,
+    name: str = "",
+):
+    """A synthetic leg: advances ``clock`` by ``seconds``, optionally
+    logging that it ran."""
 
     def leg() -> str:
         if log is not None:
             log.append(name)
-        time.sleep(seconds)
+        if clock is not None:
+            clock.now += seconds
         return name
 
     return leg
 
 
-def synthetic(name: str, numerator_s=0.004, denominator_s=0.002, **fields):
-    """A case over two sleeping legs (ratio ~2.0) that always verifies."""
+def synthetic(
+    name: str, clock: FakeClock, numerator_s=0.004, denominator_s=0.002,
+    **fields,
+):
+    """A case over two legs taking 4 ms and 2 ms on ``clock`` (ratio
+    2.0) that always verifies."""
 
     def setup(stack) -> Legs:
         return Legs(
-            sleeper(numerator_s), sleeper(denominator_s), lambda a, b: None
+            ticker(clock, numerator_s),
+            ticker(clock, denominator_s),
+            lambda a, b: None,
         )
 
     return Case(name, setup, rounds=3, **fields)
@@ -65,26 +96,32 @@ def report_of(cpus: int = 2, **ratios: float) -> dict:
 class TestPairedRatio:
     def test_legs_alternate_which_goes_first(self):
         log: list[str] = []
-        paired_ratio(sleeper(0, log, "a"), sleeper(0, log, "b"), rounds=3)
+        paired_ratio(
+            ticker(log=log, name="a"), ticker(log=log, name="b"), rounds=3
+        )
         assert log == ["a", "b", "b", "a", "a", "b"]
 
-    def test_returns_median_of_per_round_ratios(self):
+    def test_returns_median_of_per_round_ratios(self, clock):
         ratio, ratios, results = paired_ratio(
-            sleeper(0.004, name="a"), sleeper(0.002, name="b"), rounds=5
+            ticker(clock, 0.004, name="a"),
+            ticker(clock, 0.002, name="b"),
+            rounds=5,
         )
         assert len(ratios) == 5
         assert ratio == sorted(ratios)[2]
         assert ratio == pytest.approx(2.0, rel=0.2)
         assert results == ("a", "b")
 
-    def test_one_disturbed_round_does_not_move_the_verdict(self):
+    def test_one_disturbed_round_does_not_move_the_verdict(self, clock):
         calls = iter(range(9))
 
         def disturbed() -> None:
             # A 40 ms background burst lands on one of nine rounds.
-            time.sleep(0.044 if next(calls) == 4 else 0.004)
+            clock.now += 0.044 if next(calls) == 4 else 0.004
 
-        ratio, ratios, _ = paired_ratio(disturbed, sleeper(0.002), rounds=9)
+        ratio, ratios, _ = paired_ratio(
+            disturbed, ticker(clock, 0.002), rounds=9
+        )
         assert max(ratios) > 8.0
         assert ratio == pytest.approx(2.0, rel=0.2)
 
@@ -95,15 +132,18 @@ class TestPairedRatio:
 
         assert gc.isenabled()
         with pytest.raises(RuntimeError, match="leg died"):
-            paired_ratio(broken, sleeper(0), rounds=1)
+            paired_ratio(broken, ticker(), rounds=1)
         assert gc.isenabled()
 
 
 class TestRunCases:
-    def test_scale_makes_the_ratio_per_request(self):
+    def test_scale_makes_the_ratio_per_request(self, clock):
         def setup(stack) -> Legs:
             return Legs(
-                sleeper(0.004), sleeper(0.002), lambda a, b: None, scale=8.0
+                ticker(clock, 0.004),
+                ticker(clock, 0.002),
+                lambda a, b: None,
+                scale=8.0,
             )
 
         entry = run_case(Case("scaled", setup, rounds=3))
@@ -113,8 +153,8 @@ class TestRunCases:
     def test_failing_verify_hook_fails_the_case_by_name(self):
         def setup(stack) -> Legs:
             return Legs(
-                sleeper(0, name="a"),
-                sleeper(0, name="b"),
+                ticker(name="a"),
+                ticker(name="b"),
                 lambda a, b: f"{a} is not {b}",
             )
 
@@ -128,15 +168,19 @@ class TestRunCases:
 
         def setup(stack) -> Legs:
             stack.callback(closed.append, "pool")
-            return Legs(sleeper(0), sleeper(0), lambda a, b: None)
+            return Legs(ticker(), ticker(), lambda a, b: None)
 
         run_case(Case("closes", setup, rounds=1))
         assert closed == ["pool"]
 
-    def test_case_beyond_the_hosts_cpus_is_skipped_and_reported(self):
+    def test_case_beyond_the_hosts_cpus_is_skipped_and_reported(
+        self, clock
+    ):
         cases = (
-            synthetic("fits"),
-            synthetic("too_wide", min_cpus=10**6, floor=99.0, baseline=True),
+            synthetic("fits", clock),
+            synthetic(
+                "too_wide", clock, min_cpus=10**6, floor=99.0, baseline=True
+            ),
         )
         report = run_cases(cases)
         assert report["effective_cpus"] == effective_cpus()
@@ -308,14 +352,14 @@ class TestLenetClassDag:
 
 class TestCLI:
     @pytest.fixture(autouse=True)
-    def synthetic_table(self, monkeypatch):
+    def synthetic_table(self, monkeypatch, clock):
         monkeypatch.setattr(
             bench,
             "CASES",
             (
-                synthetic("held", baseline=True),
-                synthetic("recorded"),
-                synthetic("too_wide", min_cpus=10**6, baseline=True),
+                synthetic("held", clock, baseline=True),
+                synthetic("recorded", clock),
+                synthetic("too_wide", clock, min_cpus=10**6, baseline=True),
             ),
         )
 

@@ -4,12 +4,14 @@ A device-accurate :class:`~repro.photonics.PrototypeCore` replays a conv
 layer through the plan's stacked per-readout block.  In a cluster only
 the first core of a geometry compiles; every other core registers a
 replica of that plan, which carries no per-row state, and every worker
-process compiles its own over read-only shared-memory weights.  Each
+process compiles its own from the DAG it is sent down its pipe.  Each
 must build the block from the task's weights and replay exactly what a
 plan compiled on its own core would.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
@@ -106,19 +108,11 @@ class TestAdoptedConvPlan:
         assert (first.replays, second.replays) == (5, 4)  # per core
 
     def test_worker_compile_replays_like_a_parent(self):
-        """A compile over read-only weights — what a worker process
-        does with the views of its shared-memory segment — replays like
-        a compile over writable ones."""
+        """A compile over the DAG as a worker process receives it —
+        pickled down its pipe, weights included — replays like a
+        compile over the parent's."""
         dag = conv_dense_dag()
-        tasks = []
-        for task in dag.tasks:
-            weights = task.weights_levels.copy()
-            weights.setflags(write=False)
-            tasks.append(
-                LayerTask(**{**vars(task), "weights_levels": weights})
-            )
-        worker_dag = ComputationDAG(dag.model_id, dag.name, tasks)
-        worker = self_compiled(worker_dag, 1)
+        worker = self_compiled(pickle.loads(pickle.dumps(dag)), 1)
         assert_same_executions(worker, self_compiled(dag, 1), dag)
 
     @pytest.mark.parametrize("execution", ["serial", "parallel"])

@@ -9,7 +9,7 @@ device drift, watchdog quarantine) and drop-head admission queues.
 
 These tests run the *real* worker processes with a *noisy* core model
 (Gaussian readout noise), so they exercise the keyed noise substream
-contract, the shared-memory weights each worker compiles from, and the
+contract, the DAG each worker is sent and compiles for itself, and the
 fault-forwarding pipes — not just a degenerate noiseless path.
 """
 
@@ -23,7 +23,6 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
@@ -353,19 +352,15 @@ class TestParallelFaultDeterminism:
         assert_bit_identical(serial, parallel)
 
 
-class TestSharedMemoryLifecycle:
-    def test_segments_unlinked_on_close(self):
+class TestWorkerLifecycle:
+    def test_close_stops_every_worker(self):
         cluster = make_cluster("parallel")
         cluster.deploy(dense_dag())
-        names = cluster.shared_segment_names()
-        assert names  # deploy published at least one segment
-        for name in names:
-            probe = shared_memory.SharedMemory(name=name)
-            probe.close()
+        procs = cluster._pool._procs
+        assert all(proc.is_alive() for proc in procs)
         cluster.close()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        assert not any(proc.is_alive() for proc in procs)
+        assert [proc.exitcode for proc in procs] == [0] * len(procs)
 
     def test_close_is_idempotent(self):
         cluster = make_cluster("parallel")
@@ -373,10 +368,11 @@ class TestSharedMemoryLifecycle:
         cluster.close()
         cluster.close()
 
-    def test_serial_cluster_has_no_segments(self):
+    def test_serial_cluster_has_no_workers(self):
+        before = set(multiprocessing.active_children())
         cluster = make_cluster("serial")
         cluster.deploy(dense_dag())
-        assert cluster.shared_segment_names() == ()
+        assert set(multiprocessing.active_children()) <= before
         cluster.close()  # must be a harmless no-op
 
 
@@ -665,6 +661,36 @@ def test_a_poll_timer_during_a_collect_keeps_the_join_order(monkeypatch):
         assert pool.poll_timeouts > 0
 
 
+def refuse_in_workers(monkeypatch, refuses) -> None:
+    """Have a worker refuse to register a DAG when ``refuses(dag,
+    worker_name)`` says so (patched before the fork, so each worker
+    has its own copy of any state ``refuses`` keeps; the parent's own
+    registrations pass through)."""
+    register = LightningDatapath.register_model
+
+    def refusing(self, dag, plan=None):
+        worker = multiprocessing.current_process().name
+        if worker.startswith("lightning-core-") and refuses(dag, worker):
+            raise ValueError(f"model {dag.model_id} refused")
+        register(self, dag, plan)
+
+    monkeypatch.setattr(LightningDatapath, "register_model", refusing)
+
+
+def assert_no_worker_serves(pool, model_id: int, input_size: int) -> None:
+    """Every worker answers a run of ``model_id`` with an error naming
+    the model: none has it registered."""
+    for core in range(pool.num_cores):
+        seq = pool.run(
+            core, model_id, np.zeros(input_size), 0.0, (0, core, 0, 0)
+        )
+        with pytest.raises(RuntimeError) as raised:
+            pool.result(core, seq)
+        assert str(raised.value).rstrip().endswith(
+            f"KeyError: 'no DAG registered for model id {model_id}'"
+        )
+
+
 class TestWorkerCrashHardening:
     def test_dead_worker_raises_instead_of_hanging(self):
         # A worker killed while the parent awaits its window must
@@ -754,17 +780,10 @@ class TestWorkerCrashHardening:
             assert len(pool.result(0, second)) == 1
 
     def test_a_failed_deploy_leaves_no_ack_behind(self, monkeypatch):
-        # Every worker refuses model 9 (patched before the fork): the
-        # deploy raises for worker 0, and worker 1's refusal must not
-        # be taken for its answer to the next deploy.
-        deploy = parallel_module._worker_deploy
-
-        def refuse_nine(datapath, spec, segments):
-            if spec["model_id"] == 9:
-                raise ValueError("model 9 refused")
-            deploy(datapath, spec, segments)
-
-        monkeypatch.setattr(parallel_module, "_worker_deploy", refuse_nine)
+        # Every worker refuses model 9: the deploy raises for worker 0,
+        # and worker 1's refusal must not be taken for its answer to
+        # the next deploy.
+        refuse_in_workers(monkeypatch, lambda dag, _: dag.model_id == 9)
         with make_cluster("parallel", num_cores=2) as cluster:
             with pytest.raises(RuntimeError) as raised:
                 cluster.deploy(dense_dag(model_id=9))
@@ -780,27 +799,18 @@ class TestWorkerCrashHardening:
     def test_a_deploy_a_worker_refuses_is_undone_everywhere(
         self, monkeypatch
     ):
-        # Worker 0 refuses model 9 once (patched before the fork; each
-        # worker keeps its own count), worker 1 takes it: the deploy
-        # must leave no trace in the parent, in worker 1 or in /dev/shm.
-        deploy = parallel_module._worker_deploy
+        # Worker 0 refuses model 9 once (each worker keeps its own
+        # count), worker 1 takes it: the deploy must leave no model in
+        # the parent or in either worker.
         refused = []
 
-        def refuse_nine_once(datapath, spec, segments):
-            worker = multiprocessing.current_process().name
-            if spec["model_id"] == 9 and worker.endswith("-0") and not refused:
-                refused.append(spec["model_id"])
-                raise ValueError("model 9 refused")
-            deploy(datapath, spec, segments)
+        def nine_once_on_worker_0(dag, worker):
+            if dag.model_id != 9 or worker != "lightning-core-0" or refused:
+                return False
+            refused.append(dag.model_id)
+            return True
 
-        published = []
-        publish = parallel_module.publish_model
-        monkeypatch.setattr(parallel_module, "_worker_deploy", refuse_nine_once)
-        monkeypatch.setattr(
-            parallel_module,
-            "publish_model",
-            lambda *args: published.append(publish(*args)) or published[-1],
-        )
+        refuse_in_workers(monkeypatch, nine_once_on_worker_0)
         dag = dense_dag(model_id=9)
         trace = steady_trace(model_id=9)
         with make_cluster("parallel", num_cores=2) as cluster:
@@ -812,9 +822,7 @@ class TestWorkerCrashHardening:
             assert cluster.model_ids == ()
             assert all(d.timing_plan(9) is None for d in cluster.datapaths)
             assert all(d.model_plan(9) is None for d in cluster.datapaths)
-            assert cluster.shared_segment_names() == ()
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=published[0].segment_name)
+            assert_no_worker_serves(cluster._pool, 9, input_size=12)
             cluster.deploy(dag)  # worker 1 let the model go again
             parallel = cluster.serve_trace(trace)
         serial = make_cluster("serial", num_cores=2)
@@ -835,22 +843,20 @@ class TestWorkerCrashHardening:
                 cluster.deploy(dag)
             del second.register_model
             assert cluster.datapaths[0].model_plan(9) is None
-            assert cluster.shared_segment_names() == ()
+            assert_no_worker_serves(cluster._pool, 9, input_size=12)
             cluster.deploy(dag)  # both workers let the model go again
             parallel = cluster.serve_trace(trace)
         serial = make_cluster("serial", num_cores=2)
         serial.deploy(dag)
         assert_bit_identical(serial.serve_trace(trace), parallel)
 
-    def test_close_unlinks_segments_after_worker_kill(self):
+    def test_close_after_worker_kill_stops_all(self):
         # SIGKILL one worker, then send it two windows of runs (its
         # pipe refuses them): close() must give up on the graceful
-        # stop yet still unlink every shared segment.
+        # stop yet return with every worker gone.
         cluster = make_cluster("parallel", num_cores=2)
         dag = dense_dag()
         cluster.deploy(dag)
-        names = cluster.shared_segment_names()
-        assert names
         pool = cluster._pool
         os.kill(pool._procs[0].pid, signal.SIGKILL)
         pool._procs[0].join(timeout=10.0)
@@ -858,9 +864,8 @@ class TestWorkerCrashHardening:
             pool.run(0, dag.model_id, np.zeros(12), 0.0, (0, 0, 0, 0))
         pool.close(join_timeout_s=0.5)
         cluster.close()  # must stay a harmless no-op afterwards
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        assert not any(proc.is_alive() for proc in pool._procs)
+        assert pool._procs[0].exitcode == -signal.SIGKILL
 
 
 class TestParallelValidation:

@@ -34,6 +34,7 @@ from repro.sim import (
     run_comparison,
 )
 from repro.runtime.schedulers import (
+    CoreHealthView,
     HealthAwareScheduler,
     LeastLoadedScheduler,
 )
@@ -490,3 +491,78 @@ class TestTraceColumns:
             trace = PoissonWorkload(models, rate, seed=0).trace(3000, 1)
             result = EventDrivenSimulator(acc).run(trace, keep_records=False)
             assert result.summary.count == 3000
+
+
+def snapshot_placement(accelerator, scheduler, trace: SimTrace) -> list[int]:
+    """The core column of a run that publishes an all-healthy,
+    zero-error :class:`CoreHealthView` per core before every
+    ``assign``: the simulator's loop when it still built snapshots."""
+    scheduler.reset()
+    trace = trace.take(np.argsort(trace.arrivals, kind="stable"))
+    core_free_at = [0.0] * scheduler.num_cores
+    cores = []
+    for request_id, arrival, pick in zip(
+        trace.request_ids.tolist(),
+        trace.arrivals.tolist(),
+        trace.picks.tolist(),
+    ):
+        scheduler.observe_health([
+            CoreHealthView(core=i, busy_until_s=core_free_at[i])
+            for i in range(len(core_free_at))
+        ])
+        core = scheduler.assign(request_id, core_free_at, now_s=arrival)
+        model = trace.models[pick]
+        ready_at = arrival + accelerator.datapath_seconds(model)
+        free_at = core_free_at[core]
+        start = ready_at if ready_at > free_at else free_at
+        core_free_at[core] = start + accelerator.compute_seconds(model)
+        cores.append(core)
+    return cores
+
+
+class TestHealthAwarePlacement:
+    """The simulator publishes no health snapshot: a health-aware
+    policy presumes every core clean, which places every request where
+    an all-healthy snapshot would."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_cores=st.integers(1, 4),
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.0, 1e-6, 2e-6, 2e-6, 5e-6, 1e-3]),
+                st.integers(0, 2),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        threshold=st.sampled_from([1e-9, 0.5, 10.0]),
+    )
+    def test_core_column_equals_an_all_healthy_snapshot(
+        self, num_cores, rows, threshold
+    ):
+        models = [
+            tiny_model(10**6, "A"), tiny_model(10**8, "B"),
+            tiny_model(10**7, "C"),
+        ]
+        arrivals, picks = (list(column) for column in zip(*rows))
+        trace = SimTrace(range(len(rows)), arrivals, picks, models)
+        acc = lightning_chip()
+        result = EventDrivenSimulator(
+            acc, HealthAwareScheduler(num_cores, threshold)
+        ).run(trace)
+        assert result.outcomes.core.tolist() == snapshot_placement(
+            acc, HealthAwareScheduler(num_cores, threshold), trace
+        )
+
+    def test_a_run_builds_no_health_view(self, monkeypatch):
+        views = []
+        monkeypatch.setattr(
+            HealthAwareScheduler, "observe_health", views.append
+        )
+        models = SIMULATION_MODELS()
+        acc = lightning_chip()
+        rate = rate_for_utilization([acc], models, 0.9) * 3
+        trace = PoissonWorkload(models, rate, seed=7).trace(500, 3)
+        EventDrivenSimulator(acc, HealthAwareScheduler(num_cores=3)).run(trace)
+        assert views == []
