@@ -222,7 +222,7 @@ class TimingPlan:
     read_keys: tuple[str | None, ...]
     read_transfer_s: tuple[float, ...]
     kernel_keys: frozenset[str]
-    stream_transfer_s: np.ndarray
+    stream_transfer_s: tuple[float, ...]
     #: Whether any layer needs a matmul-capable core (attention).
     needs_matmul: bool
     #: The ``(register, value)`` writes one replay makes, in order: the
@@ -404,13 +404,19 @@ class DatapathBase:
     def unregister_model(self, model_id: int) -> None:
         """Remove one model and everything derived from it.
 
-        The model's DRAM image is left in place — the memory
-        controller models a log-structured store with no reclamation,
-        and a stale image is unreachable once the loader forgets the
-        DAG.  Re-registering the same id later simply stores a fresh
-        image.
+        Its DRAM image is evicted, so its bytes no longer count against
+        capacity, and its pinned conv kernels leave the register file.
+        Re-registering the same id later stores a fresh image.
         """
-        self.loader.unregister_model(model_id)
+        dag = self.loader.unregister_model(model_id)
+        self.memory.evict_model(
+            model_id,
+            [
+                task.name
+                for task in dag.tasks
+                if task.weights_levels is not None
+            ],
+        )
 
     def check_request(self, model_id: int, levels: np.ndarray) -> None:
         """Raise the ``ValueError`` :meth:`execute` would for a request
@@ -738,13 +744,10 @@ class LightningDatapath(DatapathBase):
             read_keys=tuple(read_keys),
             read_transfer_s=tuple(read_transfer),
             kernel_keys=frozenset(key for key in read_keys if key),
-            stream_transfer_s=np.array(
-                [
-                    transfer
-                    for key, transfer in zip(read_keys, read_transfer)
-                    if key is None
-                ],
-                dtype=np.float64,
+            stream_transfer_s=tuple(
+                transfer
+                for key, transfer in zip(read_keys, read_transfer)
+                if key is None
             ),
             needs_matmul=needs_matmul,
             writes=_write_back(dag, self.num_wavelengths),
@@ -780,7 +783,7 @@ class LightningDatapath(DatapathBase):
         (every sample would leave them where the first does).  Once
         every conv kernel is pinned, each sample reads exactly the
         streaming layers, so all the samples' reads are one jitter
-        draw and one vectorised fold; a sample 0 that meets a cold
+        draw and one plain-float fold; a sample 0 that meets a cold
         kernel charges its reads one by one, pinning it.
         """
         self.registers.write_back(tplan.writes)

@@ -263,6 +263,14 @@ class MemoryController:
         for layer_name, data in layers.items():
             self.dram.store(self.key(model_id, layer_name), data)
 
+    def evict_model(self, model_id: int, layer_names: Sequence[str]) -> None:
+        """Free a model's parameter tensors from DRAM and drop any of
+        its kernels pinned in the register file (driver unload)."""
+        for layer_name in layer_names:
+            key = self.key(model_id, layer_name)
+            self.dram.evict(key)
+            self._register_file.pop(key, None)
+
     @staticmethod
     def key(model_id: int, layer_name: str) -> str:
         """The DRAM (and register-file) key of one layer's tensor."""
@@ -371,32 +379,39 @@ class MemoryController:
         return latencies
 
     def replay_streams(
-        self, transfer_s: np.ndarray, samples: int, kernels: int
+        self, transfer_s: Sequence[float], samples: int, kernels: int
     ) -> list[list[float]]:
         """Charge ``samples`` samples that find every kernel pinned, in
-        one draw and one fold; returns each sample's exposed latency per
-        streaming read.
+        one draw; returns each sample's exposed latency per streaming
+        read.
 
         Each sample reads every streaming layer (``transfer_s``, in
         layer order; sample-major draws, as scalar charging would make
-        them) and hits each of the ``kernels``.  The arithmetic is
-        :meth:`replay_reads`'s, element-wise in float64, and the
-        running total is folded left to right in charge order, so the
-        ledger matches per-read charging bit for bit.
+        them) and hits each of the ``kernels``.  The draws are
+        :meth:`jitter_batch`'s uniforms, scaled per read; each read is
+        :meth:`replay_reads`'s arithmetic in plain floats and the
+        running total is folded in charge order, so the ledger matches
+        per-read charging bit for bit.
         """
         reads = samples * len(transfer_s)
-        latencies = self.jitter_batch(reads).reshape(samples, -1)
-        latencies += self.dram.base_latency_ns
-        latencies *= 1e-9
-        latencies += transfer_s
-        # Pipelined: only the access time is exposed.
-        latencies -= transfer_s
-        np.maximum(latencies, 0.0, out=latencies)
-        per_sample = latencies.tolist()
+        span = self.dram.latency_jitter_ns
+        # No jitter span, no draw (as in jitter_batch).
+        draws = iter(
+            self._rng.random(reads).tolist() if span > 0 else [0.0] * reads
+        )
+        base_ns = self.dram.base_latency_ns
         total = self.total_read_latency_s
-        for sample in per_sample:
-            for latency in sample:
+        per_sample = []
+        for _ in range(samples):
+            latencies = []
+            # transfer_s leads the zip, so it never pulls a spare draw.
+            for transfer, uniform in zip(transfer_s, draws):
+                latency = (base_ns + uniform * span) * 1e-9 + transfer
+                # Pipelined: only the access time is exposed.
+                latency = max(latency - transfer, 0.0)
                 total += latency
+                latencies.append(latency)
+            per_sample.append(latencies)
         self.total_read_latency_s = total
         self.dram_reads += reads
         self.cache_hits += samples * kernels

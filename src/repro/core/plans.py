@@ -74,6 +74,7 @@ summation order (documented in DESIGN.md).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -83,10 +84,6 @@ import numpy as np
 from .dag import ComputationDAG, ConvShape, LayerTask
 from .nonlinear import NonlinearModule, nonlinear_module
 
-try:  # optional: halves the dense contraction when scipy is present
-    from scipy.sparse import _sparsetools as _csr_kernels
-except Exception:  # pragma: no cover - scipy-less installs
-    _csr_kernels = None
 
 __all__ = [
     "ExecutionPlan",
@@ -106,6 +103,19 @@ __all__ = [
     "supports_matmul",
     "tape_law",
 ]
+
+
+@functools.cache
+def _csr_kernels():
+    """scipy's CSR kernels (they halve the dense contraction), or
+    ``None`` on a scipy-less install.  Imported on first use: only a
+    core that must see every readout (:class:`_ReadoutBlock`) takes
+    that path, so serving healthy cores never loads scipy."""
+    try:
+        from scipy.sparse import _sparsetools
+    except Exception:  # pragma: no cover - scipy-less installs
+        return None
+    return _sparsetools
 
 
 # ----------------------------------------------------------------------
@@ -440,7 +450,7 @@ class _ReadoutBlock:
         """Contraction via one CSR matvec into the owned buffer."""
         partials = self._partials
         partials[:] = 0.0  # csr_matvec accumulates: y += A @ x
-        _csr_kernels.csr_matvec(
+        _csr_kernels().csr_matvec(
             self.total_steps,
             self._input_size,
             self._csr_indptr,
@@ -473,7 +483,7 @@ class _ReadoutBlock:
             getattr(core, "noise", None), "stream_equivalent", True
         ):
             partials = self._per_row_calls(core, activations)
-        elif _csr_kernels is not None and noise_into is not None:
+        elif noise_into is not None and _csr_kernels() is not None:
             if activations.dtype != np.float64 or not activations.flags[
                 "C_CONTIGUOUS"
             ]:

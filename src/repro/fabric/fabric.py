@@ -534,6 +534,10 @@ class Fabric:
         )
 
 
+#: The flags of a placement nobody moved.
+_UNFLAGGED = OutcomeFlag(0)
+
+
 class _Routing:
     """One serve's routing step: views in, a shard or a fate out.
 
@@ -564,27 +568,55 @@ class _Routing:
         #: Each placement's :class:`~repro.core.stats.OutcomeFlag` bits.
         self.flags: list[int] = []
         self.rows = OutcomeRows()
+        # The last views handed out, the queue depths (``None``: not
+        # projected) and usable counts they show, and the shards placed
+        # on since: only those views are stale.
+        self._unknown = (None,) * fabric.num_shards
+        self._depths = self._usable = self._unknown
+        self._moved = set(range(fabric.num_shards))
+        self._views: tuple[ShardView, ...] = ()
 
     def views(
         self, now_s: float = 0.0, queued: Sequence[int] | None = None
     ) -> tuple[ShardView, ...]:
         """One snapshot per shard: routed load always, usable cores at
         ``now_s`` with a health feed, queue depth against the shard's
-        queue capacity when the caller projects ``queued``."""
-        health = self.health
-        counts = self.counts
-        return tuple(
-            ShardView(
-                i,
-                num_cores,
-                macs,
-                counts[i],
-                0 if queued is None else queued[i],
-                0 if queued is None else capacity,
-                None if health is None else health.usable_cores(i, now_s),
-            )
-            for i, (num_cores, macs, capacity) in enumerate(self._shards)
+        queue capacity when the caller projects ``queued``.
+
+        Only the views whose routed count, queue depth or usable count
+        moved since the last call are rebuilt; the rest are the last
+        call's.
+        """
+        usable = (
+            self._unknown if self.health is None
+            else self.health.usable_at(now_s)
         )
+        depths = self._unknown if queued is None else tuple(queued)
+        moved = self._moved
+        if depths != self._depths or usable is not self._usable:
+            moved.update(
+                i
+                for i, (depth, seen) in enumerate(zip(depths, self._depths))
+                if depth != seen or usable[i] != self._usable[i]
+            )
+            self._depths, self._usable = depths, usable
+        if moved:
+            views = list(self._views or self._unknown)
+            for i in moved:
+                num_cores, macs, capacity = self._shards[i]
+                depth = depths[i]
+                views[i] = ShardView(
+                    i,
+                    num_cores,
+                    macs,
+                    self.counts[i],
+                    0 if depth is None else depth,
+                    0 if depth is None else capacity,
+                    usable[i],
+                )
+            self._views = tuple(views)
+            moved.clear()
+        return self._views
 
     def route(
         self, request: RuntimeRequest, views: Sequence[ShardView]
@@ -625,7 +657,7 @@ class _Routing:
                 f"{len(views)} shards"
             )
         moved = getattr(self.router, "failovers", 0) != failovers
-        return target, OutcomeFlag.REROUTED if moved else OutcomeFlag(0)
+        return target, OutcomeFlag.REROUTED if moved else _UNFLAGGED
 
     def place(
         self, request: RuntimeRequest, shard: int, flags: int = 0
@@ -634,6 +666,7 @@ class _Routing:
         one a steal moved it to — ``flags`` then has ``STOLEN``); its
         fate is the shard's to decide."""
         self.counts[shard] += 1
+        self._moved.add(shard)
         self.trace.append(request)
         self.routed.append(shard)
         self.flags.append(flags)

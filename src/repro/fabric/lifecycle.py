@@ -122,6 +122,9 @@ class ModelPlacement:
         self.auto_heal = auto_heal
         self.fabric: "Fabric | None" = None
         self._homes: dict[int, list[ReplicaHome]] = {}
+        #: Per model: every home's shard, and the time from which all
+        #: of them serve (what :meth:`replicas_at` answers from then on).
+        self._settled: dict[int, tuple[tuple[int, ...], float]] = {}
         self._loads: list[float] = []
         self._weights: dict[tuple[int, PlanGeometry], int] = {}
         self.heals: list[HealEvent] = []
@@ -199,7 +202,15 @@ class ModelPlacement:
         self._homes[dag.model_id] = [
             ReplicaHome(shard=shard) for shard in chosen
         ]
+        self._settle(dag.model_id)
         return chosen
+
+    def _settle(self, model_id: int) -> None:
+        homes = self._homes[model_id]
+        self._settled[model_id] = (
+            tuple(home.shard for home in homes),
+            max(home.active_from_s for home in homes),
+        )
 
     # ------------------------------------------------------------------
     # Queries
@@ -224,11 +235,16 @@ class ModelPlacement:
     def replicas_at(self, model_id: int, now_s: float) -> tuple[int, ...]:
         """Home shards whose replica is live at ``now_s`` (a healed
         replica only counts once its redeploy latency has elapsed)."""
-        homes = self._homes.get(model_id)
-        if homes is None:
+        settled = self._settled.get(model_id)
+        if settled is None:
             return ()
+        shards, settled_s = settled
+        if now_s >= settled_s:
+            return shards
         return tuple(
-            home.shard for home in homes if home.active_from_s <= now_s
+            home.shard
+            for home in self._homes[model_id]
+            if home.active_from_s <= now_s
         )
 
     def loads(self) -> tuple[float, ...]:
@@ -270,6 +286,7 @@ class ModelPlacement:
         self._homes[model_id].append(
             ReplicaHome(shard=target, active_from_s=active_from)
         )
+        self._settle(model_id)
         self.heals.append(
             HealEvent(
                 model_id=model_id,
@@ -284,6 +301,7 @@ class ModelPlacement:
         its capacity charge to each home shard so later placements see
         the freed headroom."""
         homes = self._homes.pop(model_id, None)
+        self._settled.pop(model_id, None)
         if homes is None or self.fabric is None:
             return
         for home in homes:
@@ -336,7 +354,7 @@ class FailoverRouter:
 
     def _replicas(
         self, request: RuntimeRequest, shards: Sequence[ShardView]
-    ) -> tuple[int, ...]:
+    ) -> Sequence[int]:
         if self.placement is not None and self.placement.is_placed(
             request.model_id
         ):
@@ -346,20 +364,20 @@ class FailoverRouter:
             return self.placement.replicas_at(
                 request.model_id, request.arrival_s
             )
-        return tuple(range(len(shards)))
+        return range(len(shards))
 
     @staticmethod
     def _best(
         candidates: Sequence[int], shards: Sequence[ShardView]
     ) -> int:
-        return min(
-            candidates,
-            key=lambda s: (
-                shards[s].normalized_load,
-                shards[s].queue_occupancy,
-                s,
-            ),
-        )
+        # Keys end in the shard index, so no two tie.
+        return min([
+            (shards[s].normalized_load, shards[s].queue_occupancy, s)
+            for s in candidates
+        ])[2]
+
+    def _calm(self, view: ShardView) -> bool:
+        return view.alive and view.queue_occupancy < self.queue_watermark
 
     def route(
         self, request: RuntimeRequest, shards: Sequence[ShardView]
@@ -376,16 +394,12 @@ class FailoverRouter:
             if preferred in replicas
             else self._best(replicas, shards)
         )
-
-        def calm(s: int) -> bool:
-            return (
-                shards[s].alive
-                and shards[s].queue_occupancy < self.queue_watermark
-            )
-
-        if calm(primary):
+        calm = self._calm
+        if calm(shards[primary]):
             return primary
-        alternates = [s for s in replicas if s != primary and calm(s)]
+        alternates = [
+            s for s in replicas if s != primary and calm(shards[s])
+        ]
         if alternates:
             self.failovers += 1
             return self._best(alternates, shards)
@@ -645,11 +659,15 @@ class OutageBook:
         #: Per shard: its device and core faults re-indexed to local
         #: cores, or ``None`` when the schedule holds none for it.
         self.schedules: list[FaultSchedule | None] = [None] * num_shards
-        #: Per shard, a step function: the sorted edges of its cores'
-        #: down windows, and the usable-core count before the first
-        #: edge and from each edge on.
-        self._edges: list[list[float]] = [[] for _ in range(num_shards)]
-        self._usable: list[list[int]] = [[0] for _ in range(num_shards)]
+        #: One step function for every shard: the sorted edges of any
+        #: core's down windows, and each shard's usable-core count
+        #: before the first edge and from each edge on.
+        self._edges: list[float] = []
+        self._steps: list[tuple[int, ...]] = [(0,) * num_shards]
+        #: The step last asked for and the ``[from, until)`` interval it
+        #: holds on (empty until the first query).
+        self._span = (0.0, 0.0)
+        self._step = self._steps[0]
 
     @classmethod
     def from_schedule(
@@ -678,22 +696,40 @@ class OutageBook:
             down[shard].setdefault(local, []).append(
                 (event.time_s, up_again_s)
             )
-        for shard, cores in enumerate(down):
-            # A core is down at t when any of its windows holds t, and
-            # that answer only changes at an edge.
-            edges = sorted({t for spans in cores.values()
-                            for span in spans for t in span})
-            num_cores = fabric.shards[shard].num_cores
-            book._edges[shard] = edges
-            book._usable[shard] = [num_cores] + [
-                num_cores - sum(
+        # A core is down at t when any of its windows holds t, and that
+        # answer only changes at an edge.
+        book._edges = sorted({t for cores in down for spans in
+                              cores.values() for span in spans
+                              for t in span})
+        book._steps = [
+            tuple(
+                shard.num_cores - sum(
                     any(start <= t < end for start, end in spans)
                     for spans in cores.values()
                 )
-                for t in edges
-            ]
+                for shard, cores in zip(fabric.shards, down)
+            )
+            for t in [float("-inf")] + book._edges
+        ]
         return book
+
+    def usable_at(self, now_s: float) -> tuple[int, ...]:
+        """Every shard's cores not crashed or stalled at ``now_s``.
+
+        The step is kept until a query falls outside its interval, so a
+        run of arrivals between two edges costs one bisection.
+        """
+        start, until = self._span
+        if not start <= now_s < until:
+            edges = self._edges
+            index = bisect_right(edges, now_s)
+            self._span = (
+                edges[index - 1] if index else float("-inf"),
+                edges[index] if index < len(edges) else float("inf"),
+            )
+            self._step = self._steps[index]
+        return self._step
 
     def usable_cores(self, shard: int, now_s: float) -> int:
         """Cores of ``shard`` not crashed or stalled at ``now_s``."""
-        return self._usable[shard][bisect_right(self._edges[shard], now_s)]
+        return self.usable_at(now_s)[shard]

@@ -109,11 +109,10 @@ class ShardRouter(Protocol):
 
 
 def _least_loaded(shards: Sequence[ShardView]) -> int:
-    """Lowest normalized load, stable lowest-index on ties."""
-    return min(
-        range(len(shards)),
-        key=lambda i: (shards[i].normalized_load, i),
-    )
+    """Lowest normalized load, stable lowest-index on ties (``index``
+    finds the first shard at the minimum)."""
+    loads = [view.normalized_load for view in shards]
+    return loads.index(min(loads))
 
 
 class LeastLoadedShardRouter:

@@ -111,10 +111,13 @@ class QueueBackpressure:
 
     def occupancy(self, shards: Sequence[ShardView]) -> float:
         """Fleet-wide queue occupancy from the shard views."""
-        capacity = sum(v.queue_capacity for v in shards)
+        queued = capacity = 0
+        for view in shards:
+            queued += view.queued
+            capacity += view.queue_capacity
         if capacity <= 0:
             return 0.0
-        return sum(v.queued for v in shards) / capacity
+        return queued / capacity
 
     def shed_probability(self, occupancy: float) -> float | None:
         """The RED ramp: the chance that an arrival at ``occupancy`` is

@@ -89,46 +89,72 @@ def probe_service_estimates(fabric: Fabric) -> list[dict[int, float]]:
     return estimates
 
 
-def _service_pricer(fabric: Fabric):
-    """``(shard, model_id) -> estimated service seconds``: the probed
-    time where the shard hosts the model, else the shard's mean, else
-    the fleet mean."""
+def _service_prices(
+    fabric: Fabric, model_ids: set[int]
+) -> list[dict[int, float]]:
+    """Per shard, ``model_id -> estimated service seconds`` for every
+    model of the trace: the probed time where the shard hosts the
+    model, else the shard's mean, else the fleet mean."""
     estimates = probe_service_estimates(fabric)
     fleet_mean = float(
         np.mean([s for per in estimates for s in per.values()])
     )
-    fallbacks = [
-        sum(per_model.values()) / len(per_model)
-        if per_model
-        else fleet_mean
-        for per_model in estimates
-    ]
-    return lambda shard, model_id: estimates[shard].get(
-        model_id, fallbacks[shard]
-    )
+    prices = []
+    for per_model in estimates:
+        fallback = (
+            sum(per_model.values()) / len(per_model)
+            if per_model
+            else fleet_mean
+        )
+        prices.append({
+            model_id: per_model.get(model_id, fallback)
+            for model_id in model_ids
+        })
+    return prices
+
+
+def _shed_limits(
+    slo_book: SLOBook | None, model_ids: set[int]
+) -> dict[int, tuple[float | None, float | None]]:
+    """``model_id -> (deadline, energy budget)`` for every model of the
+    trace whose class carries either; the rest are never shed late."""
+    if slo_book is None:
+        return {}
+    limits = {}
+    for model_id in model_ids:
+        deadline = slo_book.deadline_for(model_id)
+        budget = slo_book.energy_budget_for(model_id)
+        if deadline is not None or budget is not None:
+            limits[model_id] = (deadline, budget)
+    return limits
 
 
 class _ShardProjection:
-    """Forward-projected queue state of one shard (pre-pass only)."""
+    """Forward-projected queue state of one shard (pre-pass only).
 
-    __slots__ = ("idle", "busy", "queue", "num_cores")
+    The FIFO backlog is two parallel queues, arrivals and services, so
+    its depth is ``len(services)`` and its demand one ``sum``.
+    """
+
+    __slots__ = ("idle", "busy", "arrivals", "services", "num_cores")
 
     def __init__(self, num_cores: int) -> None:
         self.idle = num_cores
         self.num_cores = num_cores
         self.busy: list[float] = []
-        self.queue: deque[tuple[float, float]] = deque()
+        self.arrivals: deque[float] = deque()
+        self.services: deque[float] = deque()
 
     def advance(self, now_s: float) -> None:
         """Retire completions up to ``now_s``, starting queued work."""
         busy = self.busy
-        queue = self.queue
+        services = self.services
         while busy and busy[0] <= now_s:
             finish = heappop(busy)
-            if queue:
-                arrival, service = queue.popleft()
+            if services:
+                arrival = self.arrivals.popleft()
                 start = arrival if arrival > finish else finish
-                heappush(busy, start + service)
+                heappush(busy, start + services.popleft())
             else:
                 self.idle += 1
 
@@ -138,7 +164,8 @@ class _ShardProjection:
             self.idle -= 1
             heappush(self.busy, now_s + service_s)
         else:
-            self.queue.append((now_s, service_s))
+            self.arrivals.append(now_s)
+            self.services.append(service_s)
 
     def wait_estimate(self, now_s: float) -> float:
         """Projected queuing delay a request admitted now would pay:
@@ -147,9 +174,8 @@ class _ShardProjection:
         if self.idle > 0:
             return 0.0
         wait = max(self.busy[0] - now_s, 0.0) if self.busy else 0.0
-        if self.queue:
-            backlog = sum(service for _, service in self.queue)
-            wait += backlog / self.num_cores
+        if self.services:
+            wait += sum(self.services) / self.num_cores
         return wait
 
 
@@ -163,7 +189,7 @@ def _steal_target(
     """The shard that takes ``request``: an idle, usable sibling
     hosting its model when the routed shard is backlogged (lowest
     index on ties), else the routed shard."""
-    if projections[target].idle or not projections[target].queue:
+    if projections[target].idle or not projections[target].services:
         return target
     placement = fabric.placement
     if placement is not None and placement.is_placed(request.model_id):
@@ -181,21 +207,19 @@ def _steal_target(
 
 
 def _shed_reason(
-    slo_book: SLOBook | None,
+    limits: tuple[float | None, float | None] | None,
     energy_model: EnergyModel | None,
-    request: RuntimeRequest,
+    now_s: float,
     service_s: float,
     projection: _ShardProjection,
 ) -> str | None:
-    """Why a routed request is not worth a queue slot on the shard
-    behind ``projection``, or ``None``."""
-    if slo_book is None:
+    """Why a request routed at ``now_s`` is not worth a queue slot on
+    the shard behind ``projection`` under its class's ``(deadline,
+    energy budget)`` limits, or ``None``."""
+    if limits is None:
         return None
-    deadline = slo_book.deadline_for(request.model_id)
-    budget = slo_book.energy_budget_for(request.model_id)
-    if deadline is None and budget is None:
-        return None
-    wait_s = projection.wait_estimate(request.arrival_s)
+    deadline, budget = limits
+    wait_s = projection.wait_estimate(now_s)
     if deadline is not None and wait_s + service_s > deadline:
         return "deadline"
     if budget is not None and energy_model is not None:
@@ -239,6 +263,12 @@ def serve_fabric_open_loop(
     ``failed_over`` rows never reach a shard — when that is all of
     them, every shard result is ``None`` and the table holds only
     those rows.
+
+    Per arrival the pre-pass does only what the arrival changed: it
+    advances the projections with a completion due, and the routing
+    step rebuilds only the views whose routed count, projected depth
+    or usable cores moved.  Service prices and each model's shed
+    limits are resolved once per serve.
     """
     if admission is None:
         admission = AdmissionController(AcceptAll())
@@ -248,10 +278,13 @@ def serve_fabric_open_loop(
     )
     if not trace:
         raise ValueError("cannot serve an empty trace")
-    service_of = _service_pricer(fabric)
+    model_ids = {request.model_id for request in trace}
+    prices = _service_prices(fabric, model_ids)
+    limits = _shed_limits(slo_book, model_ids)
     projections = [
         _ShardProjection(shard.num_cores) for shard in fabric.shards
     ]
+    depths = [0] * fabric.num_shards
     routing = _Routing(
         fabric,
         OutageBook.from_schedule(
@@ -260,11 +293,12 @@ def serve_fabric_open_loop(
     )
     for request in trace:
         now_s = request.arrival_s
-        for projection in projections:
-            projection.advance(now_s)
-        views = routing.views(
-            now_s, [len(projection.queue) for projection in projections]
-        )
+        for i, projection in enumerate(projections):
+            busy = projection.busy
+            if busy and busy[0] <= now_s:
+                projection.advance(now_s)
+                depths[i] = len(projection.services)
+        views = routing.views(now_s, depths)
         if not admission.admit(now_s, views):
             routing.shed(request, OutcomeReason.ADMISSION)
             continue
@@ -277,10 +311,10 @@ def serve_fabric_open_loop(
             if steal
             else shard
         )
-        service = service_of(target, request.model_id)
-        reason = _shed_reason(
-            slo_book, energy_model, request, service, projections[target]
-        )
+        projection = projections[target]
+        service = prices[target][request.model_id]
+        limit = limits.get(request.model_id)
+        reason = _shed_reason(limit, energy_model, now_s, service, projection)
         if reason is not None:
             # Admitted by the policy, not worth a queue slot: shed at the
             # NIC (a steal that ends here moved nothing).
@@ -290,5 +324,6 @@ def serve_fabric_open_loop(
         if target != shard:
             flags |= OutcomeFlag.STOLEN
         routing.place(request, target, flags)
-        projections[target].charge(now_s, service)
+        projection.charge(now_s, service)
+        depths[target] = len(projection.services)
     return routing.serve(**serve_kwargs)

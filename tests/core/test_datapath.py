@@ -14,6 +14,8 @@ from repro.core import (
 )
 from repro.photonics import BehavioralCore, GaussianNoise, NoiselessModel
 
+from .test_conv_datapath import small_conv_dag
+
 
 def reference_forward(dag, x):
     """Plain numpy mirror of the datapath's quantized arithmetic."""
@@ -142,6 +144,34 @@ class TestExecution:
         dp.register_model(flipped)
         fresh = ReferenceDatapath(core=BehavioralCore(noise=NoiselessModel()))
         fresh.register_model(flipped)
+        np.testing.assert_array_equal(
+            dp.execute(1, x).output_levels, fresh.execute(1, x).output_levels
+        )
+
+    def test_unregister_frees_the_dram_image(self, tiny_dag, rng):
+        """Register/unregister cycles of distinct ids leave DRAM where
+        they found it; a re-registered id serves as a fresh one does."""
+        dp = LightningDatapath(core=BehavioralCore(noise=NoiselessModel()))
+        start = dp.memory.dram.used_bytes
+        conv = small_conv_dag()
+        x_conv = rng.integers(0, 256, conv.tasks[0].input_size).astype(float)
+        for model_id in range(1, 5):
+            dag = ComputationDAG(model_id, f"m{model_id}", tiny_dag.tasks)
+            dp.register_model(dag)
+            assert dp.memory.dram.used_bytes > start
+            dp.unregister_model(model_id)
+            assert dp.memory.dram.used_bytes == start
+        dp.register_model(conv)
+        dp.execute(conv.model_id, x_conv)
+        kernels = dp.timing_plan(conv.model_id).kernel_keys
+        assert kernels and dp.memory.pinned(kernels)
+        dp.unregister_model(conv.model_id)
+        assert dp.memory.dram.used_bytes == start
+        assert not any(dp.memory.pinned({key}) for key in kernels)
+        x = rng.integers(0, 256, 12).astype(float)
+        dp.register_model(tiny_dag)
+        fresh = LightningDatapath(core=BehavioralCore(noise=NoiselessModel()))
+        fresh.register_model(tiny_dag)
         np.testing.assert_array_equal(
             dp.execute(1, x).output_levels, fresh.execute(1, x).output_levels
         )

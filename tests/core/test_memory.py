@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import DRAMBuffer, DRAMModel, MemoryController
 
@@ -209,3 +211,71 @@ class TestMemoryBandwidthAnalysis:
             wavelengths_fed_by_bandwidth(1, 0)
         with pytest.raises(ValueError):
             required_memory_bandwidth_gbps(0, 1)
+
+
+# ----------------------------------------------------------------------
+# Steady-state ledger replay against its earlier numpy form
+# ----------------------------------------------------------------------
+def numpy_replay_streams(memory, transfer_s, samples, kernels):
+    """``MemoryController.replay_streams`` as it stood: seven small
+    array operations per call, then one left fold of the total."""
+    transfer_s = np.asarray(transfer_s, dtype=np.float64)
+    reads = samples * len(transfer_s)
+    latencies = memory.jitter_batch(reads).reshape(samples, -1)
+    latencies += memory.dram.base_latency_ns
+    latencies *= 1e-9
+    latencies += transfer_s
+    latencies -= transfer_s
+    np.maximum(latencies, 0.0, out=latencies)
+    per_sample = latencies.tolist()
+    total = memory.total_read_latency_s
+    for sample in per_sample:
+        for latency in sample:
+            total += latency
+    memory.total_read_latency_s = total
+    memory.dram_reads += reads
+    memory.cache_hits += samples * kernels
+    return per_sample
+
+
+def ledger(memory) -> tuple:
+    return (
+        memory.total_read_latency_s,
+        memory.dram_reads,
+        memory.cache_hits,
+        memory._rng.bit_generator.state,
+    )
+
+
+class TestReplayStreamsOracle:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        samples=st.integers(1, 8),
+        transfer=st.lists(
+            st.floats(0.0, 1e-5, allow_subnormal=False), max_size=30
+        ),
+        kernels=st.integers(0, 3),
+        jitter_ns=st.one_of(st.just(0.0), st.floats(0.1, 100.0)),
+        base_ns=st.floats(0.0, 200.0),
+        seed=st.integers(0, 2**32 - 1),
+        calls=st.integers(1, 3),
+    )
+    def test_float_replay_is_the_numpy_replay(
+        self, samples, transfer, kernels, jitter_ns, base_ns, seed, calls
+    ):
+        def controller():
+            return MemoryController(
+                DRAMModel(
+                    base_latency_ns=base_ns, latency_jitter_ns=jitter_ns
+                ),
+                seed=seed,
+            )
+
+        fast, slow = controller(), controller()
+        for _ in range(calls):
+            got = fast.replay_streams(tuple(transfer), samples, kernels)
+            want = numpy_replay_streams(slow, transfer, samples, kernels)
+            assert got == want
+            assert all(type(x) is float for row in got for x in row)
+            assert len(got) == samples
+            assert ledger(fast) == ledger(slow)

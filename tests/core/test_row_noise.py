@@ -24,6 +24,11 @@ the things that contract rests on:
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,7 +343,7 @@ class TestFallbackBlock:
         """The readout block contracts through scipy's CSR kernel where
         it imports and through ``accumulate_into`` where it does not:
         both sum a step's lanes left to right, so the bytes are one."""
-        assert plans_module._csr_kernels is not None  # CI installs scipy
+        assert plans_module._csr_kernels() is not None  # CI installs scipy
         dag = one_layer_dag()
         x = np.random.default_rng(1).integers(0, 256, INPUTS).astype(float)
 
@@ -358,8 +363,59 @@ class TestFallbackBlock:
             return datapath.execute(dag.model_id, x).output_levels.tobytes()
 
         with_scipy = serve()
-        monkeypatch.setattr(plans_module, "_csr_kernels", None)
+        monkeypatch.setattr(plans_module, "_csr_kernels", lambda: None)
         assert serve() == with_scipy
+
+    def test_scipy_loads_only_for_a_per_readout_core(self):
+        """``import repro`` and a serial cluster serve of healthy cores
+        leave scipy unimported; the first degraded-core serve imports
+        its CSR kernel and writes the bytes the in-process serve does."""
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import repro
+            from repro.core import LightningDatapath
+            from repro.faults import DegradedCore, MZMBiasDrift
+            from repro.photonics import BehavioralCore
+            from repro.runtime import Cluster
+            from repro.runtime.workload import poisson_trace
+            from tests.core.test_row_noise import INPUTS, one_layer_dag
+
+            dag = one_layer_dag()
+            cluster = Cluster(num_cores=2)
+            cluster.deploy(dag)
+            result = cluster.serve_trace(poisson_trace([dag], 1e5, 20))
+            assert result.served == 20, result.served
+            assert "scipy" not in sys.modules, "healthy serve loaded scipy"
+            core = DegradedCore(
+                BehavioralCore(seed=3),
+                [MZMBiasDrift(volts_per_s=100.0)],
+                now_s=1e-3,
+            )
+            datapath = LightningDatapath(core=core)
+            datapath.register_model(dag)
+            x = np.random.default_rng(1).integers(0, 256, INPUTS)
+            out = datapath.execute(dag.model_id, x.astype(float))
+            assert "scipy.sparse._sparsetools" in sys.modules
+            print(out.output_levels.tobytes().hex())
+        """)
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=f"{root / 'src'}{os.pathsep}{root}")
+        ran = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, cwd=root, timeout=300,
+        )
+        assert ran.returncode == 0, ran.stderr
+        core = DegradedCore(
+            BehavioralCore(seed=3), [MZMBiasDrift(volts_per_s=100.0)],
+            now_s=1e-3,
+        )
+        datapath = LightningDatapath(core=core)
+        dag = one_layer_dag()
+        datapath.register_model(dag)
+        x = np.random.default_rng(1).integers(0, 256, INPUTS).astype(float)
+        want = datapath.execute(dag.model_id, x).output_levels.tobytes()
+        assert ran.stdout.strip() == want.hex()
 
     def test_shared_replica_rebuilds_the_block_from_weights(self, tiny_dag):
         def degraded(seed):
