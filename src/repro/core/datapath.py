@@ -41,6 +41,7 @@ import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,8 +138,7 @@ class BatchExecution:
         return self.batch / self.total_seconds
 
 
-@dataclass(frozen=True)
-class TimingEstimate:
+class TimingEstimate(NamedTuple):
     """The cost of an execution without its outputs.
 
     Produced by :meth:`LightningDatapath.execute_timing` — the parent
@@ -167,10 +167,10 @@ class TimingEstimate:
         are per pass as well.
         """
         return TimingEstimate(
-            compute_seconds=self.compute_seconds * passes,
-            datapath_seconds=self.datapath_seconds * passes,
-            memory_seconds=self.memory_seconds * passes,
-            passes=passes,
+            self.compute_seconds * passes,
+            self.datapath_seconds * passes,
+            self.memory_seconds * passes,
+            passes,
         )
 
 

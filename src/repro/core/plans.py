@@ -74,7 +74,6 @@ summation order (documented in DESIGN.md).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -103,19 +102,6 @@ __all__ = [
     "supports_matmul",
     "tape_law",
 ]
-
-
-@functools.cache
-def _csr_kernels():
-    """scipy's CSR kernels (they halve the dense contraction), or
-    ``None`` on a scipy-less install.  Imported on first use: only a
-    core that must see every readout (:class:`_ReadoutBlock`) takes
-    that path, so serving healthy cores never loads scipy."""
-    try:
-        from scipy.sparse import _sparsetools
-    except Exception:  # pragma: no cover - scipy-less installs
-        return None
-    return _sparsetools
 
 
 # ----------------------------------------------------------------------
@@ -430,36 +416,6 @@ class _ReadoutBlock:
         self._gathered = np.empty_like(self.magnitudes)
         self._partials = np.empty(self.total_steps, dtype=np.float64)
         self._scratch = np.empty(self.total_steps, dtype=np.float64)
-        # The stacked block is a CSR matrix with exactly N entries per
-        # step row (padding entries carry zero magnitude), so the clean
-        # partials are one sparse matvec, at roughly half the memory
-        # traffic of gathering first.  Used only when scipy's kernel is
-        # importable; ``accumulate_into`` sums a step's lanes in the
-        # kernel's left-to-right order, so the bytes are the same
-        # either way.
-        self._input_size = weights.shape[1]
-        self._csr_indptr = np.arange(
-            0, self.total_steps * num_wavelengths + 1, num_wavelengths,
-            dtype=np.int64,
-        )
-        # Flat views (both blocks are C-contiguous by construction).
-        self._csr_indices = self.a_index.reshape(-1)
-        self._csr_data = self._scaled.reshape(-1)
-
-    def _clean_partials_csr(self, activations: np.ndarray) -> np.ndarray:
-        """Contraction via one CSR matvec into the owned buffer."""
-        partials = self._partials
-        partials[:] = 0.0  # csr_matvec accumulates: y += A @ x
-        _csr_kernels().csr_matvec(
-            self.total_steps,
-            self._input_size,
-            self._csr_indptr,
-            self._csr_indices,
-            self._csr_data,
-            activations,
-            partials,
-        )
-        return partials
 
     def _per_row_calls(self, core, activations: np.ndarray):
         """Per-row accumulate calls for noise models whose draws are
@@ -477,21 +433,11 @@ class _ReadoutBlock:
         return partials
 
     def execute(self, core, activations: np.ndarray) -> np.ndarray:
-        noise_into = getattr(core, "readout_noise_into", None)
         into = getattr(core, "accumulate_into", None)
         if not getattr(
             getattr(core, "noise", None), "stream_equivalent", True
         ):
             partials = self._per_row_calls(core, activations)
-        elif noise_into is not None and _csr_kernels() is not None:
-            if activations.dtype != np.float64 or not activations.flags[
-                "C_CONTIGUOUS"
-            ]:
-                activations = np.ascontiguousarray(
-                    activations, dtype=np.float64
-                )
-            partials = self._clean_partials_csr(activations)
-            noise_into(partials, self._scratch)
         elif into is not None:
             partials = self._partials
             # Indices were clipped at compile time; mode="clip" skips

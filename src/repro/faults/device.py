@@ -21,11 +21,11 @@ onset so that drift *accumulates* the way real devices wander:
 :class:`DegradedCore` composes any number of these around a
 :class:`~repro.photonics.core.BehavioralCore`-compatible core.  It
 preserves the core interface compiled plans use (``architecture``,
-``accumulate``, ``accumulate_into``, ``readout_noise_into``,
-``matmul``), so a fault can be installed on a *live* serving core —
-the cluster wraps a core's datapath in place when a scheduled device
-fault fires — and the calibration watchdog can measure the degradation
-through the same interface it probes healthy cores with.
+``accumulate``, ``accumulate_into``, ``matmul``), so a fault can be
+installed on a *live* serving core — the cluster wraps a core's
+datapath in place when a scheduled device fault fires — and the
+calibration watchdog can measure the degradation through the same
+interface it probes healthy cores with.
 """
 
 from __future__ import annotations
@@ -389,28 +389,6 @@ class DegradedCore:
 
         def call(a_pairs, b_pairs, out, scratch):
             inner(a_pairs, b_pairs, out, scratch)
-            out[:] = self._perturb(out, 1)
-            return out
-
-        return call
-
-    @property
-    def readout_noise_into(self):
-        """Per-readout noise application for plan-side contractions.
-
-        Forwarded like :attr:`accumulate_into` (absent when the wrapped
-        core lacks it); faults perturb the noisy readouts exactly as the
-        per-row ``accumulate`` path does — clean value plus noise, then
-        every installed fault at one readout each.
-        """
-        inner = getattr(self.core, "readout_noise_into", None)
-        if inner is None:
-            raise AttributeError(
-                "wrapped core does not provide readout_noise_into"
-            )
-
-        def call(out, scratch):
-            inner(out, scratch)
             out[:] = self._perturb(out, 1)
             return out
 

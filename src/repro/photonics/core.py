@@ -510,11 +510,9 @@ class BehavioralCore:
         consumes, and ``z * std + mean`` rounds identically to the C
         ``loc + scale * z`` — so the noise stream is draw-for-draw the
         per-row loop's; the clean dot products differ from
-        :meth:`accumulate` only in float rounding/summation order.
-        That order is one for every ``N``: products in place, then the
-        lanes added left to right — a CSR matvec's order, so a plan
-        that takes scipy's kernel where it imports and this method
-        where it does not returns the same bytes.
+        :meth:`accumulate` only in float rounding/summation order,
+        which is one for every ``N``: products in place, then the lanes
+        added left to right.
         """
         np.multiply(a_pairs, b_pairs, out=a_pairs)
         out[:] = a_pairs[:, 0]

@@ -745,18 +745,13 @@ class _ServeRun:
         key = (_BATCH_RNG_DOMAIN, core, slot.epoch, slot.dispatches)
         slot.dispatches += 1
         datapath = self.datapaths[core]
-        single = len(entries) == 1
         block = (
             np.asarray(entries[0].item.data_levels).ravel()
-            if single
+            if len(entries) == 1
             else stack_levels(entries)
         )
         seq = self.executor.run(core, model_id, block, now, key)
-        timing = (
-            datapath.execute_timing(model_id)
-            if single
-            else datapath.execute_batch_timing(model_id, len(entries))
-        )
+        timing = datapath.execute_batch_timing(model_id, len(entries))
         service_s = timing.total_seconds
         # Each request's t_d/t_c is one pipeline pass's worth; any
         # extra passes a large batch needs land in t_q (the request is

@@ -243,6 +243,16 @@ def test_no_module_under_src_reaches_shared_memory():
     ) == []
 
 
+def test_no_module_under_src_imports_scipy():
+    """numpy is the package's only dependency: every contraction,
+    the per-readout block's included, is numpy's."""
+    assert matches(
+        lambda n: any(
+            name.split(".")[0] == "scipy" for name in imported_names(n)
+        )
+    ) == []
+
+
 # ----------------------------------------------------------------------
 # Serve results: one outcomes table, every count a reduction over it
 # ----------------------------------------------------------------------

@@ -24,11 +24,7 @@ the things that contract rests on:
 from __future__ import annotations
 
 import dataclasses
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
+import hashlib
 
 import numpy as np
 import pytest
@@ -40,9 +36,14 @@ from repro.core import (
     ReferenceDatapath,
     sign_separate_row,
 )
-from repro.core import plans as plans_module
 from repro.core.plans import DensePlan
-from repro.faults import DegradedCore, LaserPowerDrift, MZMBiasDrift, StuckBit
+from repro.faults import (
+    DegradedCore,
+    FaultSchedule,
+    LaserPowerDrift,
+    MZMBiasDrift,
+    StuckBit,
+)
 from repro.perf.bench import gpt2_class_dag, lenet_class_dag
 from repro.photonics import (
     BehavioralCore,
@@ -54,6 +55,8 @@ from repro.photonics import (
     ShotNoise,
     ThermalNoise,
 )
+from repro.runtime import Cluster
+from repro.runtime.workload import poisson_trace
 
 from .test_fastpath_equivalence import AccumulateOnlyCore
 
@@ -338,84 +341,56 @@ class TestFallbackBlock:
         datapath.execute(tiny_dag.model_id, np.zeros(12))
         assert all(plan._block is not None for plan in plans)
 
-    @pytest.mark.parametrize("wavelengths", [1, 2, 3, 8])
-    def test_outputs_do_not_depend_on_scipy(self, wavelengths, monkeypatch):
-        """The readout block contracts through scipy's CSR kernel where
-        it imports and through ``accumulate_into`` where it does not:
-        both sum a step's lanes left to right, so the bytes are one."""
-        assert plans_module._csr_kernels() is not None  # CI installs scipy
+    #: SHA-256 of the block's output levels per wavelength count ``N``,
+    #: recorded when the block still had a sparse-matvec twin whose
+    #: bytes these equalled (the lanes of a step summed left to right).
+    BLOCK_DIGESTS = {
+        1: "88ccb06fd0707884591b4915b0829877a3e5d62f7f8d6fad6eacd1bebbd57307",
+        2: "21f92111a7eb77ad6a5d828030a733ef4ef3d2ed161e452399ca7aea5231fb8e",
+        3: "9e8c3b7a370a7dbd04544b738e680f82199e93aac264162e6cffb525c95bf867",
+        8: "e0657f8fa4d2fb3d27cb62c7852b692e5ba481633b7f8652f587944557d66506",
+    }
+
+    @pytest.mark.parametrize("wavelengths", sorted(BLOCK_DIGESTS))
+    def test_block_outputs_match_the_recorded_digests(self, wavelengths):
         dag = one_layer_dag()
         x = np.random.default_rng(1).integers(0, 256, INPUTS).astype(float)
-
-        def serve():
-            core = DegradedCore(
-                BehavioralCore(
-                    architecture=CoreArchitecture(
-                        accumulation_wavelengths=wavelengths
-                    ),
-                    seed=3,
-                ),
-                [MZMBiasDrift(volts_per_s=100.0)],
-                now_s=1e-3,
-            )
-            datapath = LightningDatapath(core=core)
-            datapath.register_model(dag)
-            return datapath.execute(dag.model_id, x).output_levels.tobytes()
-
-        with_scipy = serve()
-        monkeypatch.setattr(plans_module, "_csr_kernels", lambda: None)
-        assert serve() == with_scipy
-
-    def test_scipy_loads_only_for_a_per_readout_core(self):
-        """``import repro`` and a serial cluster serve of healthy cores
-        leave scipy unimported; the first degraded-core serve imports
-        its CSR kernel and writes the bytes the in-process serve does."""
-        script = textwrap.dedent("""
-            import sys
-            import numpy as np
-            import repro
-            from repro.core import LightningDatapath
-            from repro.faults import DegradedCore, MZMBiasDrift
-            from repro.photonics import BehavioralCore
-            from repro.runtime import Cluster
-            from repro.runtime.workload import poisson_trace
-            from tests.core.test_row_noise import INPUTS, one_layer_dag
-
-            dag = one_layer_dag()
-            cluster = Cluster(num_cores=2)
-            cluster.deploy(dag)
-            result = cluster.serve_trace(poisson_trace([dag], 1e5, 20))
-            assert result.served == 20, result.served
-            assert "scipy" not in sys.modules, "healthy serve loaded scipy"
-            core = DegradedCore(
-                BehavioralCore(seed=3),
-                [MZMBiasDrift(volts_per_s=100.0)],
-                now_s=1e-3,
-            )
-            datapath = LightningDatapath(core=core)
-            datapath.register_model(dag)
-            x = np.random.default_rng(1).integers(0, 256, INPUTS)
-            out = datapath.execute(dag.model_id, x.astype(float))
-            assert "scipy.sparse._sparsetools" in sys.modules
-            print(out.output_levels.tobytes().hex())
-        """)
-        root = Path(__file__).resolve().parents[2]
-        env = dict(os.environ, PYTHONPATH=f"{root / 'src'}{os.pathsep}{root}")
-        ran = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, cwd=root, timeout=300,
-        )
-        assert ran.returncode == 0, ran.stderr
         core = DegradedCore(
-            BehavioralCore(seed=3), [MZMBiasDrift(volts_per_s=100.0)],
+            BehavioralCore(
+                architecture=CoreArchitecture(
+                    accumulation_wavelengths=wavelengths
+                ),
+                seed=3,
+            ),
+            [MZMBiasDrift(volts_per_s=100.0)],
             now_s=1e-3,
         )
         datapath = LightningDatapath(core=core)
-        dag = one_layer_dag()
         datapath.register_model(dag)
-        x = np.random.default_rng(1).integers(0, 256, INPUTS).astype(float)
-        want = datapath.execute(dag.model_id, x).output_levels.tobytes()
-        assert ran.stdout.strip() == want.hex()
+        levels = datapath.execute(dag.model_id, x).output_levels
+        digest = hashlib.sha256(levels.tobytes()).hexdigest()
+        assert digest == self.BLOCK_DIGESTS[wavelengths]
+
+    def test_drifted_serve_predictions_match_the_recorded_column(
+        self, tiny_dag
+    ):
+        """A cluster serve whose core drifts from t = 0 replays every
+        dense layer through the block; its prediction column is the
+        one recorded with the block's earlier sparse-matvec twin."""
+        cluster = Cluster(num_cores=1)
+        cluster.deploy(tiny_dag)
+        schedule = FaultSchedule(seed=1).mzm_bias_drift(
+            at_s=0.0, core=0, volts_per_s=100.0
+        )
+        result = cluster.serve_trace(
+            poisson_trace([tiny_dag], 1e5, 40, seed=2),
+            fault_schedule=schedule,
+        )
+        assert result.served == 40
+        assert result.outcomes.prediction.tolist() == [
+            1, 0, 2, 1, 1, 2, 1, 1, 1, 2, 1, 1, 2, 2, 1, 1, 1, 0, 1, 2,
+            2, 1, 1, 1, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 0, 1, 1,
+        ]
 
     def test_shared_replica_rebuilds_the_block_from_weights(self, tiny_dag):
         def degraded(seed):
