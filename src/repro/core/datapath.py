@@ -647,13 +647,12 @@ class LightningDatapath(DatapathBase):
         and each group draws from the core's
         :meth:`~repro.photonics.core.BehavioralCore.noise_stream` for
         its key, never from the core's own stream.  Only a core that
-        :attr:`defers_numerics` has one.
+        :attr:`defers_numerics` has one.  The groups' seeds are
+        computed in one pass
+        (:meth:`~repro.photonics.core.BehavioralCore.keyed_streams`).
         """
-        streams = [
-            (self.core.noise_stream(*key), rows) for key, rows in keyed_rows
-        ]
         return self._plan(model_id).forward_block(
-            self.core, block, streams
+            self.core, block, self.core.keyed_streams(keyed_rows)
         )[-1]
 
     def row_bytes(self, model_id: int) -> int:
@@ -839,4 +838,4 @@ class LightningDatapath(DatapathBase):
         first, _ = self._replay_ledger(
             *self._compiled(model_id)[1:], batch
         )
-        return first.repeated(passes)
+        return first if passes == 1 else first.repeated(passes)

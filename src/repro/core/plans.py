@@ -942,7 +942,13 @@ class ModelPlan:
         return _Tape(start, tuple(spans), factor, shift if mean else None)
 
     def _fill(self, tape: _Tape, rows: int, streams) -> np.ndarray:
-        """``rows`` requests' noise off ``streams``, ``(rows, draws)``."""
+        """``rows`` requests' noise off ``streams``, ``(rows, draws)``.
+
+        A group's fill runs before the next pair is taken, so a keyed
+        iterable may place one scratch generator on each group's seed
+        in turn
+        (:meth:`~repro.photonics.core.BehavioralCore.keyed_streams`).
+        """
         if self._noise.size < rows * tape.draws:
             self._noise = np.empty(rows * tape.draws)
         flat = self._noise[: rows * tape.draws]

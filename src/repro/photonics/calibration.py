@@ -86,19 +86,21 @@ def sweep_bias(
     Mirrors the prototype procedure: tap the modulator output, drive the
     bias across its range with zero signal voltage, and digitize what the
     photodetector sees.  The original bias voltage is restored afterwards.
+
+    All points pass as one carrier of ``num_points`` samples: the bias
+    grid drives the modulator as its signal on a bias of 0 V.  The
+    modulator sums signal and bias, so each point sees ``b + 0.0``
+    where a bias set to ``b`` under a zero signal sees ``0.0 + b``: the
+    same voltage, bit for bit, and the same reading.
     """
     if num_points < 2:
         raise ValueError("a sweep needs at least two points")
     biases = np.linspace(start_volts, stop_volts, num_points)
     original_bias = modulator.bias_voltage
-    readings = np.empty(num_points, dtype=np.int64)
-    carrier = laser.emit(1)
     try:
-        for i, bias in enumerate(biases):
-            modulator.set_bias(float(bias))
-            light = modulator.modulate(carrier, np.zeros(1))
-            volts = photodetector.detect(light)
-            readings[i] = adc.digitize(volts)[0]
+        modulator.set_bias(0.0)
+        light = modulator.modulate(laser.emit(num_points), biases)
+        readings = adc.digitize(photodetector.detect(light))
     finally:
         modulator.set_bias(original_bias)
     return BiasSweepResult(bias_voltages=biases, adc_readings=readings)

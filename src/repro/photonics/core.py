@@ -26,8 +26,9 @@ wavelengths.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,6 +328,145 @@ class PrototypeCore:
         return float(np.sum(per_step))
 
 
+#: numpy's ``SeedSequence`` constants (``numpy/random/bit_generator.pyx``):
+#: ``hashmix``'s multiplier, ``generate_state``'s, the two of ``mix``, and
+#: the pool of four 32-bit words every entropy is mixed into.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_WORD = 0xFFFFFFFF
+_POOL_SIZE = 4
+#: ``generate_state(3, np.uint64)`` hashes six words read off the pool
+#: cyclically and pairs them, low word first.
+_STATE_WORDS = (0, 1, 2, 3, 0, 1)
+
+
+def _running(init: int, mult: int, calls: int) -> tuple[int, ...]:
+    """A hash's running multiplier before each of ``calls`` calls and
+    after the last: it starts at ``init`` and is multiplied by
+    ``mult`` on every call, whatever the data."""
+    constants = [init]
+    for _ in range(calls):
+        constants.append(constants[-1] * mult & _WORD)
+    return tuple(constants)
+
+
+_STATE_HASH = _running(_INIT_B, _MULT_B, len(_STATE_WORDS))
+_STATE_XOR = np.array(_STATE_HASH[:-1], dtype=np.uint32)
+_STATE_MUL = np.array(_STATE_HASH[1:], dtype=np.uint32)
+_MIX_L, _MIX_R = np.uint32(_MIX_MULT_L), np.uint32(_MIX_MULT_R)
+
+
+@functools.lru_cache(maxsize=None)
+def _mix_constants(words: int) -> tuple[int, ...]:
+    """``hashmix``'s running multiplier over ``mix_entropy`` of an
+    entropy of ``words`` words: four calls fill the pool, twelve mix
+    it, four more per word past the fourth."""
+    tail = max(words - _POOL_SIZE, 0)
+    return _running(
+        _INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + tail)
+    )
+
+
+def _hashmix(value: int, call: int, constants: tuple[int, ...]) -> int:
+    value = (value ^ constants[call]) * constants[call + 1] & _WORD
+    return value ^ value >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _WORD
+    return result ^ result >> 16
+
+
+@functools.lru_cache(maxsize=4096)
+def _mixed_pool(lead: tuple[int, ...]) -> tuple[int, ...]:
+    """The pool ``mix_entropy`` leaves from an entropy's first (up to)
+    four words, before any later word is mixed in: each word hashed
+    into its slot (zeros past the entropy's end), then every slot mixed
+    with every other.  The serving loop's keys share these words
+    (seed, domain, core, epoch) across thousands of dispatches."""
+    constants = _mix_constants(len(lead))
+    pool = [
+        _hashmix(lead[i] if i < len(lead) else 0, i, constants)
+        for i in range(_POOL_SIZE)
+    ]
+    call = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(
+                    pool[dst], _hashmix(pool[src], call, constants)
+                )
+                call += 1
+    return tuple(pool)
+
+
+@functools.lru_cache(maxsize=None)
+def _tail_constants(word: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(xor, multiplier)`` of the ``hashmix`` calls that mix the
+    ``word``-th entropy word past the fourth into the four slots."""
+    first = _POOL_SIZE * (_POOL_SIZE + word)
+    constants = np.array(
+        _mix_constants(_POOL_SIZE + word + 1)[first:], dtype=np.uint32
+    )
+    return constants[:-1], constants[1:]
+
+
+def keyed_seeds(entropies: Sequence[Sequence[int]]) -> np.ndarray:
+    """``SeedSequence(e).generate_state(3, np.uint64)`` of every
+    entropy, as one ``(len(entropies), 3)`` ``uint64`` array, without
+    building a ``SeedSequence``.
+
+    The entropies are one or more ``uint32`` words, all of one length.
+    The pool mixed from their first four words is computed once per
+    distinct four and kept; every later word is mixed into all the
+    pools at once, in ``uint32`` array arithmetic, and so is the state
+    read off them.
+    """
+    pools = np.array(
+        [_mixed_pool(tuple(e[:_POOL_SIZE])) for e in entropies],
+        dtype=np.uint32,
+    )
+    tails = np.array([e[_POOL_SIZE:] for e in entropies], dtype=np.uint32)
+    for word in range(tails.shape[1]):
+        xor, multiplier = _tail_constants(word)
+        hashed = tails[:, word, None] ^ xor
+        hashed *= multiplier
+        hashed ^= hashed >> 16
+        pools = _MIX_L * pools - _MIX_R * hashed
+        pools ^= pools >> 16
+    state = pools.take(_STATE_WORDS, axis=1)
+    state ^= _STATE_XOR
+    state *= _STATE_MUL
+    state ^= state >> 16
+    return state.astype("<u4", copy=False).view("<u8").astype(
+        np.uint64, copy=False
+    )
+
+
+def place(
+    generator: np.random.Generator, seed: Sequence[int]
+) -> np.random.Generator:
+    """Put an SFC64 ``generator`` where one seeded with a
+    ``SeedSequence`` whose state is ``seed`` starts (:func:`keyed_seeds`):
+    numpy's ``sfc64_set_seed`` (``sfc64.h``) sets the state to ``(s0,
+    s1, s2, 1)`` and discards twelve outputs."""
+    bits = generator.bit_generator
+    bits.state = {
+        "bit_generator": "SFC64",
+        "state": {"state": (*seed, 1)},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bits.random_raw(12)
+    return generator
+
+
+def _words(entropy: tuple[int, ...]) -> bool:
+    """Whether every component of ``entropy`` is one ``uint32`` word."""
+    return 0 <= min(entropy) and max(entropy) <= _WORD
+
+
 class BehavioralCore:
     """Fast vectorized photonic core for large workloads.
 
@@ -361,6 +501,9 @@ class BehavioralCore:
         self.remove_mean = remove_mean
         self.seed = seed
         self._rng = np.random.default_rng(seed)
+        #: The SFC64 generator the keyed forward blocks draw from, made
+        #: on first use and placed on each key's seed after that.
+        self._scratch: np.random.Generator | None = None
 
     def noise_stream(self, *key: int) -> np.random.Generator:
         """The keyed SFC64 substream ``key`` names on this core.
@@ -370,15 +513,40 @@ class BehavioralCore:
         entropy is handed over as one ``uint32`` array — word for word
         what ``SeedSequence`` makes of the tuple of ints — unless a
         component needs more than one word.  SFC64 is the cheapest
-        numpy bit generator per Gaussian draw and to build, and a
-        dispatch builds one and draws its whole tape from it.
+        numpy bit generator per Gaussian draw.  This returns an
+        independent generator; :meth:`keyed_streams` reaches the same
+        streams without building one per key.
         """
         entropy = (self.seed, *key)
-        if 0 <= min(entropy) and max(entropy) < 1 << 32:
+        if _words(entropy):
             entropy = np.array(entropy, dtype=np.uint32)
         return np.random.Generator(
             np.random.SFC64(np.random.SeedSequence(entropy))
         )
+
+    def keyed_streams(
+        self, keyed_rows: Sequence[tuple[tuple[int, ...], int]]
+    ) -> Iterator[tuple[np.random.Generator, int]]:
+        """``(stream, rows)`` for every ``(key, rows)``: the stream
+        :meth:`noise_stream` would give for ``key``, from its start.
+
+        All the keys' seeds are computed in one :func:`keyed_seeds`
+        call, and every stream is the core's one scratch generator,
+        placed on its key's seed as the iteration reaches it — so draw
+        each group's numbers before taking the next.  The keys are of
+        one length; if a component needs more than one ``uint32`` word,
+        every key gets its own :meth:`noise_stream`.
+        """
+        entropies = [(self.seed, *key) for key, _ in keyed_rows]
+        if not all(map(_words, entropies)):
+            for key, rows in keyed_rows:
+                yield self.noise_stream(*key), rows
+            return
+        if self._scratch is None:
+            self._scratch = self.noise_stream()
+        seeds = keyed_seeds(entropies).tolist()
+        for seed, (_, rows) in zip(seeds, keyed_rows):
+            yield place(self._scratch, seed), rows
 
     def reseed_noise(self, *subkey: int) -> None:
         """Rebase the readout-noise stream onto a keyed SFC64 substream.

@@ -29,18 +29,26 @@ def stack_levels(entries: Sequence[QueueEntry]) -> np.ndarray:
     """Stack coalesced requests' level vectors into one operand block.
 
     Writes each request's ``data_levels`` straight into a preallocated
-    ``(batch, input_size)`` float64 block — the layout
+    ``(batch, input_size)`` block — the layout
     :meth:`~repro.core.datapath.LightningDatapath.execute_batch` and the
     compiled plans consume — instead of materializing a list of arrays
-    for ``np.stack`` on every dispatch.
+    for ``np.stack`` on every dispatch.  The block is ``uint8`` when
+    every request's levels are (as every request off the wire is), so
+    its range needs no scan; else ``float64``.
     """
     if not entries:
         raise ValueError("cannot stack an empty dispatch")
-    first = np.asarray(entries[0].item.data_levels, dtype=np.float64)
-    block = np.empty((len(entries), first.shape[-1]), dtype=np.float64)
+    rows = [entry.item.data_levels for entry in entries]
+    dtype = (
+        np.uint8
+        if all(getattr(row, "dtype", None) == np.uint8 for row in rows)
+        else np.float64
+    )
+    first = np.asarray(rows[0], dtype=dtype)
+    block = np.empty((len(rows), first.shape[-1]), dtype=dtype)
     block[0] = first
-    for i, entry in enumerate(entries[1:], start=1):
-        block[i] = entry.item.data_levels
+    for i, row in enumerate(rows[1:], start=1):
+        block[i] = row
     return block
 
 

@@ -90,8 +90,9 @@ from .schedulers import CoreHealthView, RoundRobinScheduler, Scheduler
 __all__ = ["RuntimeRequest", "ClusterResult", "Cluster"]
 
 #: Domain separators for the keyed readout-noise substreams
-#: (``BehavioralCore.noise_stream``: SFC64 over the ``SeedSequence`` of
-#: the key).  Every batch draws from the stream of ``(seed, BATCH,
+#: (``BehavioralCore.noise_stream``: numpy's ``SeedSequence`` -> SFC64
+#: stream of the key, computed without building either object per
+#: dispatch).  Every batch draws from the stream of ``(seed, BATCH,
 #: core, epoch, batch)``, every watchdog probe from ``(seed, PROBE,
 #: core, round)``, and every post-re-lock confirmation probe from
 #: ``(seed, RELOCK, core, attempt)``, in both execution modes — so the

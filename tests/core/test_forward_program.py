@@ -211,6 +211,19 @@ class TestProgramEqualsTheWalk:
                 == theirs.core.stream.standard_normal()
             )
             start += size
+        # ``forward_keyed`` seeds all the groups in one pass and places
+        # one scratch generator per group: the block's last layer is
+        # the explicit streams' bytes, and each group's alone.
+        pairs = list(zip(keys, sizes))
+        last = got[-1]
+        assert ours.forward_keyed(3, block, pairs).tobytes() == last.tobytes()
+        start = 0
+        for pair in pairs:
+            stop = start + pair[1]
+            alone = ours.forward_keyed(3, block[start:stop], [pair])
+            assert alone.tobytes() == last[start:stop].tobytes()
+            start = stop
+        assert position(ours.core.stream) == own
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     @pytest.mark.parametrize("core_kind", sorted(CORES))

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.faults.resilience import _WanderedModulator
 from repro.photonics import (
     ADC,
     DAC,
@@ -87,6 +90,57 @@ class TestBiasSweep:
                 bench["mod"], bench["laser"], bench["pd"], bench["adc"],
                 num_points=1,
             )
+
+
+def swept_point_by_point(modulator, laser, photodetector, adc, points):
+    """The sweep one bias at a time: set it, send one zero-signal
+    sample, read the ADC; then restore the bias."""
+    biases = np.linspace(-9.0, 9.0, points)
+    original = modulator.bias_voltage
+    readings = []
+    for bias in biases:
+        modulator.set_bias(float(bias))
+        light = modulator.modulate(laser.emit(1), np.zeros(1))
+        readings.append(adc.digitize(photodetector.detect(light))[0])
+    modulator.set_bias(original)
+    return biases, np.array(readings, dtype=np.int64)
+
+
+class TestOnePassSweep:
+    """``sweep_bias`` drives every point as one carrier; its readings
+    are the per-point loop's, on a plain and on a wandered modulator."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        offset=st.floats(-15.0, 15.0),
+        v_pi=st.floats(0.5, 12.0),
+        residual=st.floats(0.0, 0.9),
+        bias=st.floats(-9.0, 9.0),
+        points=st.integers(2, 400),
+        wandered=st.booleans(),
+    )
+    def test_readings_equal_the_point_loop(
+        self, offset, v_pi, residual, bias, points, wandered
+    ):
+        chain = (Laser(wavelength_nm=1550.0), Photodetector(), ADC(bits=8))
+
+        def modulator():
+            if wandered:
+                device = _WanderedModulator(offset, v_pi=v_pi)
+            else:
+                device = MachZehnderModulator(
+                    v_pi=v_pi, extinction_residual=residual
+                )
+            device.set_bias(bias)
+            return device
+
+        ours = modulator()
+        result = sweep_bias(ours, *chain, num_points=points)
+        biases, readings = swept_point_by_point(modulator(), *chain, points)
+        assert result.bias_voltages.tobytes() == biases.tobytes()
+        assert result.adc_readings.dtype == readings.dtype
+        assert result.adc_readings.tobytes() == readings.tobytes()
+        assert ours.bias_voltage == bias
 
 
 class TestModulatorTransferFit:

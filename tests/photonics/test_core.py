@@ -18,6 +18,7 @@ from repro.photonics import (
     NoiselessModel,
     PrototypeCore,
 )
+from repro.photonics.core import keyed_seeds, place
 
 
 class TestCoreArchitecture:
@@ -288,6 +289,64 @@ class TestKeyedNoiseStreams:
                 ours.standard_normal(64).tobytes()
                 == self.reference(seed, key).standard_normal(64).tobytes()
             )
+
+    #: One entropy word, its two ends drawn often.
+    word = st.one_of(
+        st.integers(0, 2**32 - 1), st.sampled_from([0, 2**32 - 1])
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(words=st.integers(1, 7), data=st.data())
+    def test_bulk_seeds_are_the_seed_sequence_state(self, words, data):
+        """``keyed_seeds`` is ``SeedSequence``'s ``generate_state(3,
+        np.uint64)``; a generator placed on a seed is
+        ``SFC64(SeedSequence(e))``: equal state, equal normals."""
+        entropies = data.draw(st.lists(
+            st.tuples(*[self.word] * words), min_size=1, max_size=6
+        ))
+        seeds = keyed_seeds(entropies)
+        assert seeds.shape == (len(entropies), 3)
+        assert seeds.dtype == np.uint64
+        scratch = BehavioralCore(seed=1).noise_stream()
+        for entropy, seed in zip(entropies, seeds.tolist()):
+            sequence = np.random.SeedSequence(entropy)
+            assert seed == sequence.generate_state(3, np.uint64).tolist()
+            reference = np.random.SFC64(sequence)
+            ours = place(scratch, seed).bit_generator.state
+            theirs = reference.state
+            assert ours["state"]["state"].tolist() == (
+                theirs["state"]["state"].tolist()
+            )
+            assert (ours["has_uint32"], ours["uinteger"]) == (
+                theirs["has_uint32"], theirs["uinteger"]
+            )
+            assert (
+                scratch.standard_normal(16).tobytes()
+                == np.random.Generator(reference).standard_normal(16).tobytes()
+            )
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [(0xB0, 2, 0, 4), (0xB0, 2, 0, 5), (0xB0, 3, 1, 0)],
+            # A wide word falls back to noise_stream.
+            [(0xB0, 2**32, 0, 4), (0xB0, 2, 0, 5)],
+        ],
+    )
+    def test_keyed_streams_start_where_noise_streams_do(self, keys):
+        core = BehavioralCore(seed=11)
+        core.reseed_noise(0xB0, 2, 0, 3)
+        own = repr(core.stream.bit_generator.state)
+        keyed_rows = [(key, 1 + i) for i, key in enumerate(keys)]
+        for (stream, count), (key, rows) in zip(
+            core.keyed_streams(keyed_rows), keyed_rows, strict=True
+        ):
+            assert count == rows
+            assert (
+                stream.standard_normal(9).tobytes()
+                == core.noise_stream(*key).standard_normal(9).tobytes()
+            )
+        assert repr(core.stream.bit_generator.state) == own
 
     def test_reseed_is_the_keyed_stream_and_leaves_it_private(self):
         core = BehavioralCore(seed=9)

@@ -19,6 +19,7 @@ ratio gate.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 
@@ -178,6 +179,33 @@ class TestFaultLadenServesEqualTheInlineServe:
     ):
         result = serve(name, execution, max_batch)
         assert digest(result) == PARENT_DIGESTS[name, max_batch]
+
+    @pytest.mark.parametrize("execution", ["serial", "parallel"])
+    def test_uint8_levels_serve_like_float64(self, monkeypatch, execution):
+        """Requests off the wire carry ``uint8`` levels, and a coalesced
+        block of them stays ``uint8``: the serve decides what the same
+        levels as ``float64`` do, degraded walks and re-locks included."""
+        from repro.runtime import cluster as cluster_module
+
+        dtypes = []
+        stack = cluster_module.stack_levels
+
+        def spy(entries):
+            block = stack(entries)
+            dtypes.append(block.dtype)
+            return block
+
+        monkeypatch.setattr(cluster_module, "stack_levels", spy)
+        wire = [
+            dataclasses.replace(
+                request, data_levels=request.data_levels.astype(np.uint8)
+            )
+            for request in trace()
+        ]
+        with build_cluster(execution, 4) as cluster:
+            result = cluster.serve_trace(wire, **drift_and_relock())
+        assert set(dtypes) == {np.dtype(np.uint8)}
+        assert digest(result) == PARENT_DIGESTS["drift_and_relock", 4]
 
     def test_the_scenarios_do_what_their_names_say(self):
         crashed = serve("crash_mid_batch", "serial", 4)

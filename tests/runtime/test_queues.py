@@ -161,6 +161,28 @@ class TestStackLevels:
         assert block.dtype == np.float64
         np.testing.assert_array_equal(block, np.stack(vectors))
 
+    def test_uint8_levels_stay_uint8(self):
+        import numpy as np
+
+        from repro.runtime import stack_levels
+
+        rng = np.random.default_rng(1)
+        wire = [rng.integers(0, 256, 12).astype(np.uint8) for _ in range(3)]
+
+        def stacked(vectors):
+            q = AdmissionQueue(model_id=1, capacity=8)
+            for v in vectors:
+                q.offer(SimpleNamespace(data_levels=v), 0.0)
+            return stack_levels(BatchingCoalescer(max_batch=8).take(q))
+
+        block = stacked(wire)
+        assert block.dtype == np.uint8
+        np.testing.assert_array_equal(block, np.stack(wire))
+        # One request of float levels makes the whole block float64.
+        mixed = stacked([*wire, wire[0].astype(np.float64)])
+        assert mixed.dtype == np.float64
+        np.testing.assert_array_equal(mixed, np.stack([*wire, wire[0]]))
+
     def test_empty_dispatch_rejected(self):
         from repro.runtime import stack_levels
 
