@@ -59,6 +59,7 @@ from .plans import (
     PlanGeometry,
     check_activations,
     compile_model,
+    perturber,
     supports_matmul,
     tape_law,
 )
@@ -628,11 +629,13 @@ class LightningDatapath(DatapathBase):
         """Whether a request's numerics may run later than its ledger.
 
         True when the forward program tapes this core's noise (a plain
-        behavioural core with Gaussian or no noise): then
-        :meth:`forward_keyed` is a function of the plan, the levels,
-        the key and the core's seed and noise model alone — no clock,
-        no stream position — so a serving loop can charge a dispatch
-        now and evaluate it with others, in one block.
+        behavioural core with Gaussian or no noise, bare or in a fault
+        wrapper): then :meth:`forward_keyed` is a function of the plan,
+        the levels, the key, the dispatch time and the core's seed,
+        noise model and faults alone — no wrapper clock, no stream
+        position — so a serving loop can charge a dispatch now and
+        evaluate it with others, in one block, as long as it does so
+        before the faults change.
         """
         return tape_law(self.core) is not None
 
@@ -641,6 +644,7 @@ class LightningDatapath(DatapathBase):
         model_id: int,
         block: np.ndarray,
         keyed_rows: Sequence[tuple[tuple[int, ...], int]],
+        times: Sequence[float] | None = None,
     ) -> np.ndarray:
         """Output levels of a ``(B, n)`` block of requests whose noise
         is keyed: ``keyed_rows`` lists ``(key, rows)`` in block order,
@@ -650,16 +654,26 @@ class LightningDatapath(DatapathBase):
         :attr:`defers_numerics` has one.  The groups' seeds are
         computed in one pass
         (:meth:`~repro.photonics.core.BehavioralCore.keyed_streams`).
+        ``times`` gives each group's virtual dispatch time, at which a
+        fault wrapper perturbs it (by default the wrapper's clock).
         """
+        clock = None
+        if times is not None:
+            clock = [
+                (now_s, rows) for now_s, (_, rows) in zip(times, keyed_rows)
+            ]
         return self._plan(model_id).forward_block(
-            self.core, block, self.core.keyed_streams(keyed_rows)
+            self.core, block, self.core.keyed_streams(keyed_rows), clock
         )[-1]
 
     def row_bytes(self, model_id: int) -> int:
         """Bytes one of a model's requests keeps live in a forward
-        block (its draws and its widest task's operands): what sizes
-        the blocks an executor cuts a backlog into."""
-        return self._plan(model_id).row_bytes
+        block on this core (its draws and its widest task's operands):
+        what sizes the blocks an executor cuts a backlog into."""
+        plan = self._plan(model_id)
+        if perturber(self.core) is None:
+            return plan.row_bytes
+        return plan.readout_row_bytes
 
     def _serve_block(
         self, dag: ComputationDAG, block: np.ndarray

@@ -53,10 +53,13 @@ plain behavioural core with Gaussian noise each noise site is a
 ``standard_normal`` fill scaled and shifted elementwise, so a model's
 draws are laid out once per noise law and a request's are one fill
 that each site takes its slice of.  One request is the program at
-``B = 1``.  Cores the tape cannot stand in for (fault wrappers,
-device-accurate cores, other noise models) walk their rows one by one
-through ``execute``, as :func:`repro.core.reference.walk` does on a
-compiled datapath.
+``B = 1``.  A fault wrapper around such a core runs the same program:
+its dense layers tape one draw per readout (the stacked per-readout
+block, over the whole block of requests) and every noisy product is
+perturbed in place at its rows' dispatch times.  Cores the tape cannot
+stand in for (device-accurate cores, other noise models, overridden
+noise sites) walk their rows one by one through ``execute``, as
+:func:`repro.core.reference.walk` does on a compiled datapath.
 
 Every plan also precomputes the task's stream cycles
 (:meth:`PlanGeometry.step_cycles`, the compiled ledger's one copy of
@@ -197,10 +200,19 @@ def finish_output(
 
 def tape_law(core) -> tuple[float, float] | None:
     """The core's :meth:`~repro.photonics.core.BehavioralCore.tape_law`
-    — ``None`` for every core that does not declare one (fault
-    wrappers, device-accurate and third-party cores)."""
+    (or a fault wrapper's, :meth:`~repro.faults.device.DegradedCore.
+    tape_law`) — ``None`` for every core that does not declare one
+    (device-accurate and third-party cores)."""
     declared = getattr(core, "tape_law", None)
     return declared() if declared is not None else None
+
+
+def perturber(core):
+    """A fault wrapper's
+    :meth:`~repro.faults.device.DegradedCore.perturbation` (``None``
+    for every other core): on a taped core that has one, dense rows
+    draw once per readout and every product is perturbed."""
+    return getattr(core, "perturbation", None)
 
 
 def _product_noise(
@@ -209,7 +221,7 @@ def _product_noise(
     """Tape constants of one noisy matrix product's ``size`` outputs:
     ``BehavioralCore.matmul``'s law, ``z * (std * sqrt(r)) + mean * r``
     for the ``r`` readouts an inner dimension of ``inner`` sums."""
-    readouts = -(-inner // geometry.num_wavelengths)
+    readouts = geometry.readouts(inner)
     return (
         np.full(size, std * math.sqrt(readouts)),
         np.full(size, mean * readouts),
@@ -235,6 +247,10 @@ class PlanGeometry:
         return self.preamble_repeats - (
             -num_steps // self.samples_per_cycle
         )
+
+    def readouts(self, inner: int) -> int:
+        """ADC readouts a dot product of inner size ``inner`` sums."""
+        return -(-inner // self.num_wavelengths)
 
     def row_cycles(self, vector_length: int) -> int:
         """:meth:`step_cycles` of a ``vector_length``-element row."""
@@ -357,28 +373,38 @@ class ExecutionPlan:
         one per output row, unless the plan says otherwise."""
         return self.rows
 
+    @property
+    def readout_draws(self) -> int:
+        """:attr:`draws` on a taped fault wrapper, whose dense rows
+        draw once per readout."""
+        return self.draws
+
     def tape_constants(
-        self, std: float, mean: float
+        self, std: float, mean: float, per_readout: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per draw: the factor and the shift :meth:`execute`'s noise
-        sites apply to a standard normal, in their order."""
+        sites apply to a standard normal, in their order
+        (``per_readout``: on a fault wrapper)."""
         raise NotImplementedError
 
-    @property
-    def live_floats(self) -> int:
+    def live_floats(self, per_readout: bool = False) -> int:
         """Floats of one request live while :meth:`execute_block`
-        runs: its input and its raw outputs."""
+        runs (``per_readout``: on a fault wrapper): its input and its
+        raw outputs."""
         return self.input_size + self.draws
 
     def execute_block(
-        self, block: np.ndarray, noise: np.ndarray | None
+        self, block: np.ndarray, noise: np.ndarray | None, perturb=None
     ) -> np.ndarray:
         """:meth:`execute` for a ``(B, n)`` block of requests, batch
         major: the same contractions as one stacked ``np.matmul`` each
         (one BLAS call per row, bit for bit the per-request product),
         the same ufuncs over the block, and ``noise`` — the task's
         ``(B, draws)`` slice of the tape, ``None`` on a noiseless core
-        — added where the core would have drawn."""
+        — added where the core would have drawn.  On a fault wrapper
+        ``perturb(values, readouts)`` maps each noisy product in place
+        as the wrapper's entry point would
+        (:meth:`~repro.faults.device.DegradedCore.perturbation`)."""
         raise NotImplementedError
 
     def finish(self, raw: np.ndarray, requantize: bool) -> np.ndarray:
@@ -458,6 +484,23 @@ class _ReadoutBlock:
         np.multiply(partials, self.group_signs, out=partials)
         return np.add.reduceat(partials, self.row_starts)
 
+    def execute_block(self, block, noise, perturb) -> np.ndarray:
+        """:meth:`execute` on a taped fault wrapper, for a ``(B, n)``
+        block: ``accumulate_into``'s products and its lanes added left
+        to right, one tape draw per readout, the wrapper's perturbation
+        of each readout, the signs and one ``reduceat`` along the
+        readout axis (bit for bit each row's)."""
+        products = block.take(self.a_index, axis=1, mode="clip")
+        products *= self._scaled
+        partials = products[:, :, 0].copy()
+        for lane in range(1, products.shape[2]):
+            partials += products[:, :, lane]
+        if noise is not None:
+            partials += noise
+        perturb(partials, 1)
+        partials *= self.group_signs
+        return np.add.reduceat(partials, self.row_starts, axis=1)
+
 
 class DensePlan(ExecutionPlan):
     """A fully-connected layer: one signed matvec, one draw per row.
@@ -487,6 +530,8 @@ class DensePlan(ExecutionPlan):
         #: Readouts each row sums, and the sum of their sign bits.
         self.steps = steps.astype(np.float64)
         self.net_signs = (positive - negative).astype(np.float64)
+        #: Readouts of the whole layer (the per-readout block's steps).
+        self.readouts = int(steps.sum())
         self.std_scale = np.sqrt(self.steps)
         self._noise = np.empty(self.rows, dtype=np.float64)
         self._block: _ReadoutBlock | None = None
@@ -510,10 +555,25 @@ class DensePlan(ExecutionPlan):
             out, self._noise, self.std_scale, self.net_signs
         )
 
-    def tape_constants(self, std, mean):
+    @property
+    def readout_draws(self) -> int:
+        return self.readouts
+
+    def tape_constants(self, std, mean, per_readout=False):
+        if per_readout:
+            return np.full(self.readouts, std), np.full(self.readouts, mean)
         return self.std_scale * std, mean * self.net_signs
 
-    def execute_block(self, block, noise):
+    def live_floats(self, per_readout=False):
+        if not per_readout:
+            return super().live_floats()
+        # The gathered operand block and its readouts' partials.
+        width = self.geometry.num_wavelengths + 1
+        return self.input_size + self.readouts * width + self.rows
+
+    def execute_block(self, block, noise, perturb=None):
+        if perturb is not None:
+            return self._readout_block().execute_block(block, noise, perturb)
         # (rows, n) @ (B, n, 1): one gemv per request, as ``execute``.
         out = np.matmul(self.weights, block[:, :, None])[:, :, 0]
         out /= 255.0
@@ -604,16 +664,15 @@ class ConvPlan(ExecutionPlan):
             positions, self.conv.out_channels
         )
 
-    @property
-    def live_floats(self) -> int:
-        return super().live_floats + self.patch_gather.size
+    def live_floats(self, per_readout=False):
+        return super().live_floats() + self.patch_gather.size
 
-    def tape_constants(self, std, mean):
+    def tape_constants(self, std, mean, per_readout=False):
         return _product_noise(
             self.rows, self.conv.patch_size, self.geometry, std, mean
         )
 
-    def execute_block(self, block, noise):
+    def execute_block(self, block, noise, perturb=None):
         conv = self.conv
         buffer = np.empty((len(block), conv.input_size + 1))
         buffer[:, :-1] = block
@@ -623,6 +682,8 @@ class ConvPlan(ExecutionPlan):
         raw /= 255.0
         if noise is not None:
             raw += noise.reshape(raw.shape)
+        if perturb is not None:
+            perturb(raw, self.geometry.readouts(conv.patch_size))
         return raw
 
     def finish(self, raw: np.ndarray, requantize: bool) -> np.ndarray:
@@ -693,16 +754,18 @@ class AttentionPlan(ExecutionPlan):
     def draws(self) -> int:
         return self._cuts[-1]
 
-    def tape_constants(self, std, mean):
+    def tape_constants(self, std, mean, per_readout=False):
         sites = [
             _product_noise(size, inner, self.geometry, std, mean)
             for size, inner in self._sites
         ]
         return tuple(np.concatenate(column) for column in zip(*sites))
 
-    def execute_block(self, block, noise):
+    def execute_block(self, block, noise, perturb=None):
         att = self.attention
         rows, s, d = len(block), att.seq_len, att.d_model
+        # What each product sums, for a fault wrapper's perturbation.
+        over_d = self.geometry.readouts(d)
         tokens = block.reshape(rows, s, d)
         qkv = np.empty((3, rows, s, d))
         for product, w_t in zip(qkv, self.qkv_t):
@@ -712,11 +775,15 @@ class AttentionPlan(ExecutionPlan):
             a, b, c, _ = self._cuts
             # One request's Q/K/V draws are block-major, like its fill.
             qkv += noise[:, :a].reshape(rows, 3, s, d).swapaxes(0, 1)
+        if perturb is not None:
+            perturb(qkv.swapaxes(0, 1), over_d)
         q, k, v = qkv
         scores = np.matmul(q, k.swapaxes(-1, -2))
         scores /= 255.0
         if noise is not None:
             scores += noise[:, a:b].reshape(scores.shape)
+        if perturb is not None:
+            perturb(scores, over_d)
         scores *= att.score_scale
         scores -= scores.max(axis=-1, keepdims=True)
         attn = np.exp(scores)
@@ -726,10 +793,14 @@ class AttentionPlan(ExecutionPlan):
         context /= 255.0
         if noise is not None:
             context += noise[:, b:c].reshape(context.shape)
+        if perturb is not None:
+            perturb(context, self.geometry.readouts(s))
         out = np.matmul(context, self.wo_t)
         out /= 255.0
         if noise is not None:
             out += noise[:, c:].reshape(out.shape)
+        if perturb is not None:
+            perturb(out, over_d)
         return out.reshape(rows, s * d)
 
 
@@ -756,7 +827,7 @@ class PoolPlan(ExecutionPlan):
         )[:, :: pool.effective_stride, :: pool.effective_stride]
         return windows.max(axis=(-2, -1)).ravel()
 
-    def execute_block(self, block, noise):
+    def execute_block(self, block, noise, perturb=None):
         pool = self.pool
         images = block.reshape(-1, pool.channels, pool.height, pool.width)
         windows = np.lib.stride_tricks.sliding_window_view(
@@ -803,17 +874,20 @@ class ModelPlan:
     program: tuple[tuple[ExecutionPlan, bool, bool], ...] = field(
         init=False, repr=False
     )
-    #: Tape layouts by noise law, laid out on first use, and the
+    #: Tape layouts by noise law and whether dense rows draw per
+    #: readout (a fault wrapper), laid out on first use, and the
     #: buffer the draws land in (grown to the largest block seen).
-    _tapes: dict[tuple[float, float], _Tape] = field(
+    _tapes: dict[tuple[float, float, bool], _Tape] = field(
         init=False, repr=False, default_factory=dict
     )
     _noise: np.ndarray = field(
         init=False, repr=False, default_factory=lambda: np.empty(0)
     )
     #: Bytes one request keeps live in :meth:`forward_block`: its
-    #: draws plus its widest task's operands.
+    #: draws plus its widest task's operands — on a core that sums a
+    #: dense row's readouts in one draw, and on a fault wrapper.
     row_bytes: int = field(init=False, repr=False)
+    readout_row_bytes: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         plans = list(self.tasks.values())
@@ -830,7 +904,11 @@ class ModelPlan:
         self.program = tuple(steps)
         self.row_bytes = 8 * (
             sum(plan.draws for plan in plans)
-            + max((plan.live_floats for plan in plans), default=0)
+            + max((plan.live_floats() for plan in plans), default=0)
+        )
+        self.readout_row_bytes = 8 * (
+            sum(plan.readout_draws for plan in plans)
+            + max((plan.live_floats(True) for plan in plans), default=0)
         )
 
     def plan(self, task_name: str) -> ExecutionPlan:
@@ -858,7 +936,7 @@ class ModelPlan:
         return [levels[0] for levels in self.forward_block(core, row[None])]
 
     def forward_block(
-        self, core, block: np.ndarray, streams=None
+        self, core, block: np.ndarray, streams=None, clock=None
     ) -> list[np.ndarray]:
         """The model's numerics, batch major: a ``(B, n)`` block of
         request levels in, every task's ``(B, rows)`` levels out.
@@ -878,22 +956,28 @@ class ModelPlan:
         a generator exactly as the per-site fills of those rows, one
         request after the other, would.  So a row's levels are the
         bytes a lone :meth:`forward` of it produces from the same
-        stream position, whatever block it rides in.  Any other core
-        walks its rows one by one through :meth:`ExecutionPlan.execute`
-        on its own stream.
+        stream position, whatever block it rides in.  A taped fault
+        wrapper (:func:`perturber`) also tapes one draw per dense
+        readout and perturbs every product at its rows' time:
+        ``clock``'s ``(now_s, rows)`` pairs, by default the wrapper's
+        own clock for all of them.  Any other core walks its rows one
+        by one through :meth:`ExecutionPlan.execute` on its own stream.
         """
         block = np.ascontiguousarray(block, dtype=np.float64)
         law = tape_law(core)
         if law is None:
-            if streams is not None:
+            if streams is not None or clock is not None:
                 raise ValueError(
                     "only a taped core draws from explicit streams"
                 )
             walked = [self._walk(core, row) for row in block]
             return [np.stack(levels) for levels in zip(*walked)]
-        tape = self._tapes.get(law)
+        faults = perturber(core)
+        perturb = None if faults is None else faults(len(block), clock)
+        key = (*law, faults is not None)
+        tape = self._tapes.get(key)
         if tape is None:
-            tape = self._tapes[law] = self._lay_tape(*law)
+            tape = self._tapes[key] = self._lay_tape(*key)
         noise = None
         if tape.draws:
             if streams is None:
@@ -908,7 +992,7 @@ class ModelPlan:
             )
             block = plan.finish(
                 plan.execute_block(
-                    block, None if noise is None else noise[:, lo:hi]
+                    block, None if noise is None else noise[:, lo:hi], perturb
                 ),
                 requantize,
             )
@@ -928,13 +1012,14 @@ class ModelPlan:
             outputs.append(activations)
         return outputs
 
-    def _lay_tape(self, std: float, mean: float) -> _Tape:
+    def _lay_tape(self, std: float, mean: float, per_readout: bool) -> _Tape:
         spans, columns, start = [], [], 0
         for plan, _, _ in self.program:
-            stop = start + (plan.draws if std else 0)
+            draws = plan.readout_draws if per_readout else plan.draws
+            stop = start + (draws if std else 0)
             spans.append((start, stop))
             if stop > start:
-                columns.append(plan.tape_constants(std, mean))
+                columns.append(plan.tape_constants(std, mean, per_readout))
             start = stop
         if not columns:
             return _Tape(0, tuple(spans), None, None)

@@ -31,13 +31,19 @@ interface it probes healthy cores with.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core.plans import supports_matmul
+from ..core.plans import supports_matmul, tape_law
+from ..photonics.core import BehavioralCore
 from ..photonics.noise import FULL_SCALE
 from .schedule import DEVICE_FAULT_KINDS, FaultEvent
+
+#: ``(now_s, rows)`` groups along a block's leading axis, and the
+#: in-place ``(values, readouts)`` map a fault makes of them.
+Clock = Sequence[tuple[float, int]]
+RowsMap = Callable[[np.ndarray, int], None]
 
 __all__ = [
     "DeviceFault",
@@ -80,9 +86,45 @@ class DeviceFault:
         """Map clean aggregate values to faulty ones at ``now_s``."""
         raise NotImplementedError
 
+    def rows_map(self, clock: Clock) -> RowsMap:
+        """:meth:`perturb` over a block whose leading axis runs through
+        ``clock``'s ``(now_s, rows)`` groups: a callable ``(values,
+        readouts)`` that perturbs the block in place, every row at its
+        group's time and rows before onset untouched — the bytes of
+        :meth:`perturb` row by row, as :class:`DegradedCore` applies
+        it — with the per-group terms laid out once per block."""
+        raise NotImplementedError
+
+    def _static_rows_map(self, clock: Clock) -> RowsMap:
+        """:meth:`rows_map` of a fault whose map does not move once it
+        has begun: one :meth:`perturb` of every row past onset."""
+        active = _per_row(clock, lambda now_s: now_s >= self.onset_s)
+
+        def apply(values, readouts):
+            if active.all():
+                values[...] = self.perturb(values, readouts, self.onset_s)
+            elif active.any():
+                values[active] = self.perturb(
+                    values[active], readouts, self.onset_s
+                )
+
+        return apply
+
     def describe(self) -> str:
         """A short human-readable tag for traces and reports."""
         return type(self).__name__
+
+
+def _per_row(clock: Clock, term: Callable[[float], float]) -> np.ndarray:
+    """``term`` of each group's time, repeated over the group's rows."""
+    return np.repeat(
+        [term(now_s) for now_s, _ in clock], [rows for _, rows in clock]
+    )
+
+
+def _column(per_row: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A per-row array shaped to broadcast over ``values``' rows."""
+    return per_row.reshape((-1,) + (1,) * (values.ndim - 1))
 
 
 class LaserPowerDrift(DeviceFault):
@@ -108,6 +150,15 @@ class LaserPowerDrift(DeviceFault):
 
     def perturb(self, values, readouts, now_s):
         return values * self.gain(now_s)
+
+    def rows_map(self, clock):
+        # Before onset the gain is exactly 1.0, which keeps every byte.
+        gains = _per_row(clock, self.gain)
+
+        def apply(values, readouts):
+            values *= _column(gains, values)
+
+        return apply
 
 
 class MZMBiasDrift(DeviceFault):
@@ -170,6 +221,20 @@ class MZMBiasDrift(DeviceFault):
     def perturb(self, values, readouts, now_s):
         return values + self.leakage_levels(now_s) * readouts
 
+    def rows_map(self, clock):
+        # A row before onset adds -0.0, the sum that keeps every byte.
+        leaks = _per_row(
+            clock,
+            lambda now_s: (
+                self.leakage_levels(now_s) if now_s >= self.onset_s else -0.0
+            ),
+        )
+
+        def apply(values, readouts):
+            values += _column(leaks * readouts, values)
+
+        return apply
+
 
 class PhotodetectorSaturation(DeviceFault):
     """Readouts clip at ``saturation_level`` (0..255 per readout).
@@ -193,6 +258,9 @@ class PhotodetectorSaturation(DeviceFault):
             return values
         ceiling = self.saturation_level * readouts
         return np.clip(values, -ceiling, ceiling)
+
+    def rows_map(self, clock):
+        return self._static_rows_map(clock)
 
 
 class StuckBit(DeviceFault):
@@ -228,6 +296,9 @@ class StuckBit(DeviceFault):
         else:
             codes = codes & ~mask
         return signs * codes.astype(np.float64) * readouts
+
+    def rows_map(self, clock):
+        return self._static_rows_map(clock)
 
     def describe(self) -> str:
         return f"StuckBit(bit={self.bit}, stuck_to={self.stuck_to})"
@@ -265,6 +336,15 @@ class DegradedCore:
     ``row_granular_noise``: faults are nonlinear maps of individual
     readouts, which one summed draw per output row cannot reproduce,
     so dense layers on a degraded core keep one draw per readout.
+
+    Faults draw nothing, so over a plain behavioural core the wrapper
+    keeps the core's :meth:`tape_law` and the batch-major forward
+    program runs it: dense layers tape one draw per readout, and every
+    product is perturbed by :meth:`perturbation` at its own dispatch's
+    time — which is what lets a serving loop defer a drifted core's
+    numerics as it defers a healthy one's.  Over a device-accurate
+    core, other noise models or overridden noise sites the program
+    walks the rows through the entry points below.
     """
 
     def __init__(
@@ -349,6 +429,44 @@ class DegradedCore:
         checks must see through the wrapper to the actual core.
         """
         return supports_matmul(self.core)
+
+    def tape_law(self) -> tuple[float, float] | None:
+        """The wrapped core's tape law, if its per-readout entry point
+        is :class:`BehavioralCore`'s own (a dense layer here draws as
+        ``accumulate_into`` draws); ``None`` keeps the walk."""
+        inner = getattr(type(self.core), "accumulate_into", None)
+        if inner is not BehavioralCore.accumulate_into:
+            return None
+        return tape_law(self.core)
+
+    @property
+    def stream(self):
+        """The wrapped core's own noise stream."""
+        return self.core.stream
+
+    def keyed_streams(self, keyed_rows):
+        """The wrapped core's keyed streams (faults draw nothing)."""
+        return self.core.keyed_streams(keyed_rows)
+
+    def perturbation(self, rows: int, clock: Clock | None = None):
+        """The faults over a block of ``rows`` results, as one callable
+        ``(values, readouts)`` that perturbs the block in place.
+
+        ``clock`` lists ``(now_s, rows)`` along the leading axis, each
+        group perturbed at its own time; ``None`` puts every row at the
+        wrapper's clock.  Every fault is an elementwise map, applied in
+        install order (:meth:`DeviceFault.rows_map`), so each row's
+        bytes are what the entry points below make of it alone.
+        """
+        if clock is None:
+            clock = ((self.now_s, rows),)
+        maps = [fault.rows_map(clock) for fault in self.faults]
+
+        def perturb(values, readouts):
+            for apply in maps:
+                apply(values, readouts)
+
+        return perturb
 
     def _perturb(self, values: np.ndarray, readouts: int) -> np.ndarray:
         for fault in self.faults:

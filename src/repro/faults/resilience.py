@@ -168,8 +168,10 @@ class CalibrationWatchdog:
         """Per-readout RMS error of one core against the probe set.
 
         A core with whole-layer products (:func:`supports_matmul`,
-        which a fault wrapper forwards) answers through ``matmul``; any
-        other core through ``accumulate`` over zero-padded,
+        which a fault wrapper forwards) answers through one stacked
+        ``matmul`` of the probe pairs, the stream and the bytes of one
+        call per pair (noise that is not stream-equivalent keeps the
+        calls); any other core through ``accumulate`` over zero-padded,
         wavelength-wide steps summed digitally — the arithmetic of
         :meth:`PrototypeCore.mac`, through the entry point a
         :class:`~repro.faults.device.DegradedCore` perturbs per
@@ -180,12 +182,7 @@ class CalibrationWatchdog:
         length = self.probe_a.shape[1]
         wavelengths = core.architecture.accumulation_wavelengths
         readouts = math.ceil(length / wavelengths)
-        if supports_matmul(core):
-            measured = np.array([
-                core.matmul(a[None, :], b[:, None])[0, 0]
-                for a, b in zip(self.probe_a, self.probe_b)
-            ])
-        else:
+        if not supports_matmul(core):
             pad = ((0, 0), (0, readouts * wavelengths - length))
             steps = (len(self.probe_a), readouts, wavelengths)
             a_steps = np.pad(self.probe_a, pad).reshape(steps)
@@ -193,6 +190,17 @@ class CalibrationWatchdog:
             measured = np.array([
                 np.sum(core.accumulate(a, b))
                 for a, b in zip(a_steps, b_steps)
+            ])
+        elif getattr(
+            getattr(core, "noise", None), "stream_equivalent", True
+        ):
+            measured = core.matmul(
+                self.probe_a[:, None, :], self.probe_b[:, :, None]
+            )[:, 0, 0]
+        else:
+            measured = np.array([
+                core.matmul(a[None, :], b[:, None])[0, 0]
+                for a, b in zip(self.probe_a, self.probe_b)
             ])
         errors = measured - self.expected
         return float(

@@ -4,11 +4,18 @@ A dispatch's *timing* comes from its model's compiled
 :class:`~repro.core.datapath.TimingPlan` and its noise from an SFC64
 stream keyed by the dispatch, so on a core whose forward program tapes
 the noise (:attr:`~repro.core.datapath.LightningDatapath.defers_numerics`)
-the *numerics* are a function of the plan, the request levels, the key
-and the core's seed and noise model — nothing the event loop moves.
-The cluster therefore charges a dispatch when it happens and hands
-``(model, block, key)`` to an executor; predictions are patched into
-the records after the loop.  Two executors share that contract:
+the *numerics* are a function of the plan, the request levels, the key,
+the dispatch time and the core's seed, noise model and installed
+faults — nothing the event loop moves between a dispatch and its
+evaluation, as long as a core's backlog is settled before its faults
+change (a fault install, a bias re-lock).  Healthy and drifted
+behavioural cores alike defer; only cores without a tape law (the
+device-accurate :class:`~repro.photonics.core.PrototypeCore`, noise
+models other than a Gaussian or none, overridden noise sites) compute
+at dispatch, row by row.  The cluster therefore charges a dispatch
+when it happens and hands ``(model, block, time, key)`` to an
+executor; predictions are patched into the records after the loop.
+Two executors share that contract:
 
 * :class:`~repro.runtime.parallel.CoreWorkerPool` ships dispatches to
   worker processes, each of which evaluates its backlog once it holds
@@ -50,26 +57,27 @@ def evaluate(
 ) -> list[list[int]]:
     """Each dispatch's argmax predictions, one per request row.
 
-    On a core that defers its numerics the dispatches run through the
+    On a core that defers its numerics — a taped behavioural core,
+    bare or wrapped in faults — the dispatches run through the
     batch-major forward program, as many at a time as
-    :data:`BLOCK_BYTES` holds, every dispatch on its own keyed stream.
-    Any other core — a fault wrapper, whose perturbation reads the
-    virtual clock, or a core without a tape law — takes them one by
-    one in dispatch order: clock, reseed, one forward per row.
+    :data:`BLOCK_BYTES` holds, every dispatch on its own keyed stream
+    and, on a fault wrapper, perturbed at its own dispatch time.  A
+    core without a tape law takes them one by one in dispatch order:
+    clock, reseed, one forward per row.
     """
     if not datapath.defers_numerics:
         return [
             _walk(datapath, model_id, *dispatch) for dispatch in dispatches
         ]
     limit = max(BLOCK_BYTES // datapath.row_bytes(model_id), 1)
-    chunks: list[list[tuple[np.ndarray, tuple[int, ...]]]] = [[]]
+    chunks: list[list[Dispatch]] = [[]]
     rows = 0
-    for levels, _, key in dispatches:
+    for levels, now_s, key in dispatches:
         levels = np.atleast_2d(levels)
         if chunks[-1] and rows + len(levels) > limit:
             chunks.append([])
             rows = 0
-        chunks[-1].append((levels, key))
+        chunks[-1].append((levels, now_s, key))
         rows += len(levels)
     return [
         predictions
@@ -81,11 +89,12 @@ def evaluate(
 
 def _forward_chunk(datapath, model_id, chunk) -> list[list[int]]:
     """One program invocation over a chunk of keyed dispatches."""
-    blocks = [levels for levels, _ in chunk]
+    blocks = [levels for levels, _, _ in chunk]
     outputs = datapath.forward_keyed(
         model_id,
         blocks[0] if len(blocks) == 1 else np.concatenate(blocks),
-        [(key, len(levels)) for levels, key in chunk],
+        [(key, len(levels)) for levels, _, key in chunk],
+        [now_s for _, now_s, _ in chunk],
     )
     # ``argmax`` along the row axis is the scalar reduction per row.
     flat = iter(outputs.argmax(axis=-1).tolist())
@@ -104,7 +113,8 @@ def rebase(core, now_s: float, key: tuple[int, ...]) -> None:
 
 
 def _walk(datapath, model_id, levels, now_s, key) -> list[int]:
-    """One dispatch, at its own time on the core's own stream."""
+    """One dispatch on a core without a tape law, at its own time on
+    the core's own stream."""
     rebase(datapath.core, now_s, key)
     return [
         int(np.argmax(datapath.forward(model_id, row)))
@@ -120,7 +130,7 @@ class InlineExecutor:
     under its core; nothing is computed until a result is asked for or
     :meth:`settle` says the core is about to change, and a dispatch
     discarded before then — aborted by a crash, cut off by a timeout —
-    is never computed at all.  A core that cannot defer (see
+    is never computed at all.  A core without a tape law (see
     :func:`evaluate`) computes in ``run``.
     """
 

@@ -283,6 +283,10 @@ class TestCoresTheTapeCannotStandInFor:
             def matmul(self, a_matrix, b_matrix):
                 return super().matmul(a_matrix, b_matrix)
 
+        class OwnReadouts(BehavioralCore):
+            def accumulate_into(self, a_pairs, b_pairs, out, scratch):
+                return super().accumulate_into(a_pairs, b_pairs, out, scratch)
+
         assert BehavioralCore().tape_law() == (GaussianNoise().std, 0.0)
         assert BehavioralCore(remove_mean=False).tape_law() == (
             GaussianNoise().std, GaussianNoise().mean
@@ -295,13 +299,26 @@ class TestCoresTheTapeCannotStandInFor:
         assert BehavioralCore(
             noise=GaussianNoise(mean=0.0, std=0.0)
         ).tape_law() is None
-        for core in (DegradedCore(BehavioralCore()), PrototypeCore(seed=1)):
+        # A fault wrapper draws as the core it wraps, so it defers
+        # exactly when that core's draws — its per-readout entry point
+        # included — can come off a tape.
+        assert LightningDatapath(
+            core=DegradedCore(BehavioralCore())
+        ).defers_numerics
+        for core in (
+            DegradedCore(Counting()),
+            DegradedCore(OwnReadouts()),
+            DegradedCore(BehavioralCore(noise=ThermalNoise(std=0.5))),
+            DegradedCore(PrototypeCore(seed=1)),
+            PrototypeCore(seed=1),
+        ):
             datapath = LightningDatapath(core=core)
             assert not datapath.defers_numerics
 
     @pytest.mark.parametrize("name", ["mixed", "deep_mlp"])
     def test_degraded_block_equals_its_rows(self, name):
         from repro.faults import DegradedCore, MZMBiasDrift
+        from repro.photonics import ThermalNoise
 
         def degraded():
             return DegradedCore(
@@ -322,7 +339,124 @@ class TestCoresTheTapeCannotStandInFor:
                 got, walk(plan_theirs, theirs.core, row)
             ):
                 assert layer[index].tobytes() == reference.tobytes()
+        untaped = build(
+            name, DegradedCore(BehavioralCore(noise=ThermalNoise(std=0.5)))
+        )
         with pytest.raises(ValueError, match="explicit streams"):
-            plan_ours.forward_block(
-                ours.core, block, [(np.random.default_rng(0), 4)]
+            untaped.model_plan(3).forward_block(
+                untaped.core, block, [(np.random.default_rng(0), 4)]
             )
+
+
+def fault_of(kind: str, onset_s: float):
+    """One device fault of each kind, strong enough to move levels
+    within the drawn times."""
+    from repro.faults import (
+        LaserPowerDrift,
+        MZMBiasDrift,
+        PhotodetectorSaturation,
+        StuckBit,
+    )
+
+    return {
+        "laser_drift": lambda: LaserPowerDrift(onset_s, fraction_per_s=400.0),
+        "mzm_bias_drift": lambda: MZMBiasDrift(onset_s, volts_per_s=2000.0),
+        "pd_saturation": lambda: PhotodetectorSaturation(
+            onset_s, saturation_level=60.0
+        ),
+        "stuck_bit": lambda: StuckBit(onset_s, bit=4, stuck_to=1),
+    }[kind]()
+
+
+FAULT_KINDS = ("laser_drift", "mzm_bias_drift", "pd_saturation", "stuck_bit")
+
+
+class TestDriftedCoresDefer:
+    """A taped fault wrapper's deferred block is the per-row walk each
+    dispatch took at its own time: ``rebase`` onto the dispatch's key
+    and clock, then ``ModelPlan._walk`` row by row."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(["mixed", "deep_mlp"]),
+        kinds=st.lists(
+            st.sampled_from(FAULT_KINDS), min_size=1, max_size=2
+        ),
+        onsets=st.lists(st.floats(0.0, 1e-3), min_size=2, max_size=2),
+        relock=st.one_of(
+            st.none(),
+            st.tuples(st.floats(0.0, 5e-4), st.floats(-0.15, 0.15)),
+        ),
+        dispatches=st.lists(
+            st.tuples(st.integers(1, 4), st.floats(0.0, 2e-3)),
+            min_size=1,
+            max_size=5,
+        ),
+        block_rows=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        remove_mean=st.booleans(),
+    )
+    def test_deferred_block_is_the_walk(
+        self, name, kinds, onsets, relock, dispatches, block_rows, seed,
+        remove_mean,
+    ):
+        from unittest import mock
+
+        from repro.faults import DegradedCore
+        from repro.runtime import executor
+
+        def degraded():
+            core = DegradedCore(
+                BehavioralCore(remove_mean=remove_mean, seed=seed % 1000),
+                [fault_of(kind, onset) for kind, onset in zip(kinds, onsets)],
+            )
+            if relock is not None:
+                core.relock(relock[0], [relock[1]] * len(
+                    core.relockable_faults()
+                ))
+            return core
+
+        ours, theirs = build(name, degraded()), build(name, degraded())
+        assert ours.defers_numerics
+        plan_ours, plan_theirs = ours.model_plan(3), theirs.model_plan(3)
+        n = plan_ours.program[0][0].input_size
+        rng = np.random.default_rng(seed)
+        served = [
+            (
+                rng.integers(0, 256, (rows, n)).astype(float),
+                now_s,
+                (0xB0, seed % 7, 0, index),
+            )
+            for index, (rows, now_s) in enumerate(dispatches)
+        ]
+        block = np.concatenate([levels for levels, _, _ in served])
+        streams = [
+            (ours.core.core.noise_stream(*key), len(levels))
+            for levels, _, key in served
+        ]
+        clock = [(now_s, len(levels)) for levels, now_s, _ in served]
+        # The wrapper's own clock and stream are never read.
+        ours.core.set_time(9.0)
+        own = position(ours.core.stream)
+        got = plan_ours.forward_block(ours.core, block, streams, clock)
+        assert position(ours.core.stream) == own
+        start, expected = 0, []
+        for (levels, now_s, key), (stream, _) in zip(served, streams):
+            executor.rebase(theirs.core, now_s, key)
+            for offset, row in enumerate(levels):
+                walked = plan_theirs._walk(theirs.core, row)
+                for layer, reference in zip(got, walked, strict=True):
+                    assert (
+                        layer[start + offset].tobytes()
+                        == reference.tobytes()
+                    )
+                expected.append(int(np.argmax(walked[-1])))
+            # The group's stream stands where the walking core's does.
+            assert position(stream) == position(theirs.core.stream)
+            start += len(levels)
+        # ``evaluate`` cut into chunks of ``block_rows`` rows (a
+        # dispatch never split) answers the walk's predictions.
+        cap = ours.row_bytes(3) * block_rows
+        with mock.patch.object(executor, "BLOCK_BYTES", cap):
+            answers = executor.evaluate(ours, 3, served)
+        assert [p for answer in answers for p in answer] == expected

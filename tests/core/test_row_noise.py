@@ -259,9 +259,9 @@ class TestKeyedTapeLaw:
             raws, draws = [], []
             execute_block = type(plan).execute_block
 
-            def spy(self, block, noise):
+            def spy(self, block, noise, perturb=None):
                 draws.append(None if noise is None else noise.copy())
-                raws.append(execute_block(self, block, noise))
+                raws.append(execute_block(self, block, noise, perturb))
                 return raws[-1]
 
             monkeypatch.setattr(type(plan), "execute_block", spy)

@@ -13,9 +13,19 @@ from repro.faults import (
     CoreHealth,
     LaserPowerDrift,
     DegradedCore,
+    MZMBiasDrift,
+    PhotodetectorSaturation,
     RetryPolicy,
+    StuckBit,
 )
-from repro.photonics import BehavioralCore, CoreArchitecture, PrototypeCore
+from repro.photonics import (
+    BehavioralCore,
+    CompositeNoise,
+    CoreArchitecture,
+    PrototypeCore,
+    ShotNoise,
+    ThermalNoise,
+)
 from repro.photonics.noise import PROTOTYPE_NOISE_STD
 
 
@@ -92,6 +102,62 @@ class TestCalibrationWatchdog:
         result = watchdog.check(0, wrapped)
         assert not result.healthy
         assert result.error_rms > watchdog.threshold
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            None,
+            LaserPowerDrift(onset_s=1e-4, fraction_per_s=400.0),
+            MZMBiasDrift(onset_s=1e-4, volts_per_s=2000.0),
+            PhotodetectorSaturation(onset_s=1e-4, saturation_level=60.0),
+            StuckBit(onset_s=1e-4, bit=4, stuck_to=1),
+        ],
+        ids=["healthy", "laser", "bias", "saturation", "stuck"],
+    )
+    @pytest.mark.parametrize("now_s", [0.0, 3e-4])
+    @pytest.mark.parametrize("remove_mean", [True, False])
+    def test_one_stacked_product_is_the_per_pair_calls(
+        self, fault, now_s, remove_mean
+    ):
+        """The probe's one stacked ``matmul`` reads what one call per
+        probe pair reads, and leaves the stream where they leave it."""
+        watchdog = CalibrationWatchdog()
+
+        def core():
+            inner = BehavioralCore(remove_mean=remove_mean, seed=7)
+            if fault is None:
+                return inner
+            return DegradedCore(inner, [fault], now_s=now_s)
+
+        ours, theirs = core(), core()
+        for each in (ours, theirs):
+            each.reseed_noise(0xC4, 1, 2)
+        measured = np.array([
+            theirs.matmul(a[None, :], b[:, None])[0, 0]
+            for a, b in zip(watchdog.probe_a, watchdog.probe_b)
+        ])
+        per_pair = np.sqrt(
+            np.mean((measured - watchdog.expected) ** 2)
+        ) / math.sqrt(32)  # 64 elements on two wavelengths
+        assert watchdog.probe(ours).hex() == float(per_pair).hex()
+        assert repr(ours.stream.bit_generator.state) == repr(
+            theirs.stream.bit_generator.state
+        )
+
+    def test_stream_inequivalent_noise_keeps_the_per_pair_calls(self):
+        noise = CompositeNoise(ShotNoise(), ThermalNoise(std=0.5))
+        ours, theirs = (
+            BehavioralCore(noise=noise, seed=2) for _ in range(2)
+        )
+        watchdog = CalibrationWatchdog()
+        measured = np.array([
+            theirs.matmul(a[None, :], b[:, None])[0, 0]
+            for a, b in zip(watchdog.probe_a, watchdog.probe_b)
+        ])
+        per_pair = np.sqrt(
+            np.mean((measured - watchdog.expected) ** 2)
+        ) / math.sqrt(32)
+        assert watchdog.probe(ours).hex() == float(per_pair).hex()
 
     def test_probe_set_is_fixed_by_seed(self):
         a = CalibrationWatchdog(seed=2)

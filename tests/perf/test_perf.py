@@ -207,6 +207,7 @@ class TestCaseTable:
             "energy_overhead_ratio": (1, None, 1.05, False),
             "compile_speedup": (1, 10.0, None, False),
             "ingest_speedup": (1, 4.0, None, False),
+            "degraded_batch_ratio": (1, 3.0, None, False),
             "parallel_speedup_1c": (1, None, None, False),
             "parallel_speedup_2c": (2, None, None, False),
             "deep_trace_ratio_gpt2": (2, 1.2, None, False),
@@ -220,7 +221,7 @@ class TestCaseTable:
             EMULATOR_REQUESTS=2, CLUSTER_REQUESTS=8, LOOP_WALK=2,
             ENERGY_REQUESTS=16, SERVE_REQUESTS=8, DEEP_TRACE_REQUESTS=8,
             DEEP_TRACE_WINDOWS=0, DEEP_TRACE_GPT2={"seq_len": 4, "d_model": 8},
-            INGEST_FRAMES=40,
+            INGEST_FRAMES=40, DEGRADED_DISPATCHES=8,
         )
         for name, value in sizes.items():
             monkeypatch.setattr(bench, name, value)

@@ -278,9 +278,9 @@ class _Spy:
         forward_block, walk = ModelPlan.forward_block, ModelPlan._walk
         spy = self
 
-        def counted_block(self, core, block, streams=None):
+        def counted_block(self, core, block, streams=None, clock=None):
             spy.blocks.append(len(block))
-            return forward_block(self, core, block, streams)
+            return forward_block(self, core, block, streams, clock)
 
         def counted_walk(self, core, activations):
             spy.walks += 1
